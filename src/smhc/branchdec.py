@@ -112,8 +112,15 @@ class BranchDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "BranchDecomposition":
-        return cls([tuple(e) for e in data["edges"]],
-                   {int(k): v for k, v in data["leaf_map"].items()})
+        """Inverse of `to_json`; any malformed input raises ValueError."""
+        if (not isinstance(data, dict) or not isinstance(data.get("edges"), list)
+                or not isinstance(data.get("leaf_map"), dict)):
+            raise ValueError("decomposition needs 'edges' (list) and 'leaf_map' (object)")
+        try:
+            return cls([tuple(e) for e in data["edges"]],
+                       {int(k): v for k, v in data["leaf_map"].items()})
+        except TypeError as exc:
+            raise ValueError(f"malformed decomposition: {exc}") from exc
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)

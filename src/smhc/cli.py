@@ -32,7 +32,7 @@ def _load_graph(path: str) -> Graph:
 def _load_decomposition(path: str) -> BranchDecomposition:
     with open(path) as fh:
         data = json.load(fh)
-    if "decomposition" in data:
+    if isinstance(data, dict) and "decomposition" in data:
         data = data["decomposition"]
     return BranchDecomposition.from_json(data)
 

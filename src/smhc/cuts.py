@@ -87,7 +87,11 @@ def is_split(g: Graph, a: int) -> bool:
     if not g.is_connected():
         raise ValueError("splits are defined for connected graphs only")
     g.check_subset(a)
-    b = g.vmask & ~a
+    return split_sides(g, a, g.vmask & ~a)
+
+
+def split_sides(g: Graph, a: int, b: int) -> bool:
+    """Split test for the bipartition (a, b); no connectivity re-check."""
     if a.bit_count() < 2 or b.bit_count() < 2:
         return False
     shared = None

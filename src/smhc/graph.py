@@ -30,7 +30,7 @@ class Graph:
     """Simple undirected graph, immutable after construction."""
 
     __slots__ = ("vertices", "vmask", "edges", "adj", "edge_index",
-                 "incident", "_hash")
+                 "incident", "edge_vertices", "_hash")
 
     def __init__(self, vertices, edges):
         vs = sorted(set(vertices))
@@ -53,13 +53,17 @@ class Graph:
         self.edge_index = {e: i for i, e in enumerate(es)}
         adj = {v: 0 for v in vs}
         incident = {v: 0 for v in vs}
+        edge_vertices = []  # vertex mask {u, v} of each edge
         for i, (u, v) in enumerate(es):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            incident[u] |= 1 << i
-            incident[v] |= 1 << i
+            bu, bv, bi = 1 << u, 1 << v, 1 << i
+            adj[u] |= bv
+            adj[v] |= bu
+            incident[u] |= bi
+            incident[v] |= bi
+            edge_vertices.append(bu | bv)
         self.adj = adj
         self.incident = incident
+        self.edge_vertices = tuple(edge_vertices)
         self._hash = None
 
     # -- basics ------------------------------------------------------------

@@ -3,15 +3,17 @@
 Nothing here shares logic with the decomposition-driven solver: the
 Hamiltonicity oracles are a Held-Karp bitmask DP and a plain backtracking
 search, and preservation of a family trim is checked directly against
-completions of the outside part.
+completions of the outside part.  The path-system predicates that `repsets`
+derives from vertex bitmasks have reference versions here built on degree
+dicts, neighbour lists and union-find; tests compare the two.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 from .cuts import sm_cut_function
 from .branchdec import SizeLimitExceeded, exact_best_decomposition
-from .repsets import edge_degrees, is_path_system, _can_add_edge
+from .repsets import SPANNING_CYCLE
 from . import solver
 
 BRUTE_HC_LIMIT = 18
@@ -121,6 +123,99 @@ def brute_sm_width(g: Graph, limit: int = BRUTE_WIDTH_LIMIT) -> int:
             f"brute_sm_width limited to {limit} vertices, got {g.n}")
     width, _ = exact_best_decomposition(g, sm_cut_function(g), limit=limit)
     return width
+
+
+# -- reference path-system helpers -------------------------------------------
+
+def _edge_degrees(g: Graph, emask: int) -> dict[int, int]:
+    deg: dict[int, int] = {}
+    for i in bits(emask):
+        for v in g.edges[i]:
+            deg[v] = deg.get(v, 0) + 1
+    return deg
+
+
+def _is_forest(g: Graph, emask: int) -> bool:
+    root: dict[int, int] = {}  # union-find
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    for i in bits(emask):
+        ru, rv = (find(v) for v in g.edges[i])
+        if ru == rv:
+            return False
+        root[ru] = rv
+    return True
+
+
+def _is_path_system(g: Graph, emask: int) -> bool:
+    return (all(d <= 2 for d in _edge_degrees(g, emask).values())
+            and _is_forest(g, emask))
+
+
+def _walk_paths(g: Graph, emask: int) -> list[list[int]]:
+    """Maximal paths of a path system, each from its lower end."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in g.edge_set(emask):
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    seen: set[int] = set()
+    paths = []
+    for start in sorted(nbrs):
+        if start not in seen and len(nbrs[start]) == 1:
+            seq = [start]
+            while nxt := [w for w in nbrs[seq[-1]] if w not in seq[-2:-1]]:
+                seq.append(nxt[0])
+            seen.update(seq)
+            paths.append(seq)
+    return paths
+
+
+def _degree_signature(g: Graph, emask: int, universe: int):
+    deg = {v: d for v, d in _edge_degrees(g, emask).items() if (universe >> v) & 1}
+    if any(d > 2 for d in deg.values()):
+        raise ValueError("degree > 2")
+    return tuple(mask_of(v for v in bits(universe) if deg.get(v, 0) == d)
+                 for d in range(3))
+
+
+def _is_spanning_cycle(g: Graph, emask: int) -> bool:
+    deg = _edge_degrees(g, emask)
+    if g.n < 3 or len(deg) != g.n or any(d != 2 for d in deg.values()):
+        return False
+    paths = _walk_paths(g, emask & (emask - 1))  # one edge dropped
+    return len(paths) == 1 and len(paths[0]) == g.n
+
+
+def _torso(g: Graph, emask: int, side: int, sep: int):
+    """Reference for `repsets.torso` on path systems and cycles."""
+    deg = _edge_degrees(g, emask)
+    if any(deg.get(v, 0) != 2 for v in bits(side & ~sep)):
+        return None
+    edges = set()
+    for seq in _walk_paths(g, emask):
+        if not (sep >> seq[0]) & 1 or not (sep >> seq[-1]) & 1:
+            return None
+        stops = [v for v in seq if (sep >> v) & 1]
+        for x, y in zip(stops, stops[1:]):
+            e = (min(x, y), max(x, y))
+            if e in edges:
+                return None
+            edges.add(e)
+    if not _is_forest(g, emask):
+        return SPANNING_CYCLE if _is_spanning_cycle(g, emask) else None
+    return frozenset(edges)
+
+
+def _can_add_edge(g: Graph, emask: int, u: int, v: int,
+                  allow_spanning_cycle: bool = False) -> bool:
+    """Reference for `repsets._can_add_edge` on path systems."""
+    grown = emask | 1 << g.edge_index[(min(u, v), max(u, v))]
+    return _is_path_system(g, grown) or (allow_spanning_cycle
+                                         and _is_spanning_cycle(g, grown))
 
 
 # -- preservation of family trims -------------------------------------------

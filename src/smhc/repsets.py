@@ -7,7 +7,10 @@ dropped), and keeping a row basis via Gaussian elimination.  On top of that
 sit the Hamiltonian-cycle specific reductions: degree-class bucketing,
 torso compression onto a separator, and preserving extensions.
 
-All edge sets are bitmasks over the host graph's edge list.
+All edge sets are bitmasks over the host graph's edge list.  A path
+system's state (degree classes, path ends, acyclicity) is derived from
+vertex bitmasks, the host's per-edge endpoint and per-vertex incident-edge
+masks, and is defined for edge sets of maximum degree two.
 """
 
 from __future__ import annotations
@@ -19,85 +22,81 @@ from .graph import Graph, bits
 FIELD_PRIME = 2_147_483_647  # fixed prime field, comfortably above 2^16
 
 
-# -- small path-system helpers --------------------------------------------
+# -- path-system state from vertex bitmasks -------------------------------
 
-def edge_degrees(g: Graph, emask: int) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for i in bits(emask):
-        u, v = g.edges[i]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
-def is_forest(g: Graph, emask: int) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for i in bits(emask):
-        u, v = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        parent[ru] = rv
-    return True
+def degree_masks(g: Graph, emask: int) -> tuple[int, int, int]:
+    """Masks of the vertices of degree >= 1, >= 2 and >= 3 in the edge set."""
+    ends = g.edge_vertices
+    d1 = d2 = d3 = 0
+    while emask:
+        low = emask & -emask
+        e = ends[low.bit_length() - 1]
+        d3 |= d2 & e
+        d2 |= d1 & e
+        d1 |= e
+        emask ^= low
+    return d1, d2, d3
 
 
 def is_path_system(g: Graph, emask: int) -> bool:
-    deg = edge_degrees(g, emask)
-    if any(d > 2 for d in deg.values()):
-        return False
-    return is_forest(g, emask)
+    d1, d2, d3 = degree_masks(g, emask)
+    return not d3 and _is_acyclic(g, emask, d1, d2)
+
+
+def walk_from(g: Graph, emask: int, v: int) -> list[int]:
+    """Vertex sequence of the path of the edge set that ends at v."""
+    incident, ends = g.incident, g.edge_vertices
+    seq = [v]
+    while True:
+        e = incident[v] & emask
+        if not e:
+            return seq
+        e &= -e
+        emask ^= e
+        v = (ends[e.bit_length() - 1] ^ (1 << v)).bit_length() - 1
+        seq.append(v)
+
+
+def _paths(g: Graph, emask: int, ends: int):
+    """The paths with ends in the mask, each walked from its lower end."""
+    far = 0
+    for v in bits(ends):
+        if not (far >> v) & 1:
+            seq = walk_from(g, emask, v)
+            far |= 1 << seq[-1]
+            yield seq
+
+
+def _is_acyclic(g: Graph, emask: int, d1: int, d2: int) -> bool:
+    """Whether the paths walked from the ends cover every vertex of d1."""
+    return sum(len(seq) for seq in _paths(g, emask, d1 & ~d2)) == d1.bit_count()
 
 
 def walk_paths(g: Graph, emask: int) -> list[list[int]]:
     """Vertex sequences of the maximal paths of a path system (length >= 1)."""
-    nbrs: dict[int, list[int]] = {}
-    for i in bits(emask):
-        u, v = g.edges[i]
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    paths = []
-    for start in sorted(nbrs):
-        if start in seen or len(nbrs[start]) != 1:
-            continue
-        seq = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [w for w in nbrs[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            seq.append(cur)
-            seen.add(cur)
-        paths.append(seq)
-    return paths
+    d1, d2, _ = degree_masks(g, emask)
+    return list(_paths(g, emask, d1 & ~d2))
 
 
 def degree_signature(g: Graph, emask: int, universe: int) -> tuple[int, int, int]:
     """(D0, D1, D2) vertex masks over the universe; degree >= 3 is rejected."""
-    deg = edge_degrees(g, emask)
-    d0 = d1 = d2 = 0
-    for v in bits(universe):
-        d = deg.get(v, 0)
-        if d == 0:
-            d0 |= 1 << v
-        elif d == 1:
-            d1 |= 1 << v
-        elif d == 2:
-            d2 |= 1 << v
-        else:
-            raise ValueError(f"vertex {v} has degree {d} > 2")
-    return d0, d1, d2
+    d1, d2, d3 = degree_masks(g, emask)
+    over = d3 & universe
+    if over:
+        v = (over & -over).bit_length() - 1
+        d = (g.incident[v] & emask).bit_count()
+        raise ValueError(f"vertex {v} has degree {d} > 2")
+    return universe & ~d1, universe & d1 & ~d2, universe & d2
+
+
+def is_hamiltonian_cycle(g: Graph, emask: int) -> bool:
+    if emask.bit_count() != g.n or g.n < 3:
+        return False
+    d1, d2, d3 = degree_masks(g, emask)
+    if d2 != g.vmask or d3:
+        return False
+    # all degree two: one cycle iff the walk from a vertex uses all n edges
+    return len(walk_from(g, emask, g.vertices[0])) == g.n + 1
 
 
 # -- graphic-matroid representation ----------------------------------------
@@ -183,7 +182,7 @@ class _Basis:
 
 
 def representative_forests(host: Graph, members: list[int], p: int, q: int,
-                           seed: int = 0, stats: dict | None = None) -> list[int]:
+                           seed: int = 0) -> list[int]:
     """Spanning subfamily of p-edge forests w.r.t. q-edge forest completions.
 
     Keeps members in input order; a member is kept iff its minor vector is
@@ -193,17 +192,9 @@ def representative_forests(host: Graph, members: list[int], p: int, q: int,
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be non-negative")
-    kept_input = []
-    dropped = 0
     for m in members:
         if m.bit_count() != p:
             raise ValueError(f"member has {m.bit_count()} edges, expected {p}")
-        if is_forest(host, m):
-            kept_input.append(m)
-        else:
-            dropped += 1
-    if stats is not None:
-        stats["non_forest_dropped"] = stats.get("non_forest_dropped", 0) + dropped
     rank = host.n - 1
     if p + q > rank:
         return []  # no disjoint union of p+q edges can be a forest
@@ -215,7 +206,7 @@ def representative_forests(host: Graph, members: list[int], p: int, q: int,
         nrows = rank
     basis = _Basis()
     out = []
-    for m in kept_input:
+    for m in members:  # a non-forest has dependent columns: no minor survives
         vec = _wedge_vector([columns[i] for i in bits(m)], nrows)
         if vec and basis.try_insert(vec):
             out.append(m)
@@ -250,8 +241,7 @@ def representative_hc_sets(gC: Graph, members: list[int], seed: int = 0,
     for sig in order:
         bucket = buckets[sig]
         p = bucket[0].bit_count()
-        out.extend(representative_forests(gC, bucket, p, k - p - 1, seed=seed,
-                                          stats=stats))
+        out.extend(representative_forests(gC, bucket, p, k - p - 1, seed=seed))
     return out
 
 
@@ -260,62 +250,32 @@ def representative_hc_sets(gC: Graph, members: list[int], seed: int = 0,
 SPANNING_CYCLE = "spanning-cycle"
 
 
-def _is_spanning_cycle(g: Graph, emask: int) -> bool:
-    if emask.bit_count() != g.n or g.n < 3:
-        return False
-    deg = edge_degrees(g, emask)
-    if len(deg) != g.n or any(d != 2 for d in deg.values()):
-        return False
-    nbrs: dict[int, list[int]] = {}
-    for i in bits(emask):
-        u, v = g.edges[i]
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    start = g.vertices[0]
-    seen = 1
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in nbrs[cur] if w != prev]
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            return seen == g.n
-        seen += 1
-
-
 def torso(g: Graph, emask: int, side: int, sep: int):
     """Compress a path system onto the separator; None marks a dead member.
 
     Every vertex of side \\ sep must be internal (degree two) and every
     path endpoint must lie in sep, else no completion through the separator
     can exist.  Each segment between consecutive separator visits becomes
-    one separator edge; duplicated segments also kill the member.  A member
-    containing a cycle is dead unless it is a spanning cycle of the whole
+    one separator edge; the paths are vertex-disjoint, so no two segments
+    join the same pair.  A member containing a cycle is dead unless it is a spanning cycle of the whole
     graph, in which case the SPANNING_CYCLE sentinel is returned: such a
     member completes exactly with the empty completion.
     """
-    deg = edge_degrees(g, emask)
-    for v in bits(side & ~sep):
-        if deg.get(v, 0) != 2:
-            return None
+    d1, d2, _ = degree_masks(g, emask)
+    ends = d1 & ~d2
+    if side & ~sep & ~d2 or ends & ~sep:
+        return None
     edges = set()
     covered = 0
-    for seq in walk_paths(g, emask):
-        if not (sep >> seq[0]) & 1 or not (sep >> seq[-1]) & 1:
-            return None
-        last = None
-        for v in seq:
-            covered += 1
+    for seq in _paths(g, emask, ends):
+        covered += len(seq)
+        last = seq[0]
+        for v in seq[1:]:
             if (sep >> v) & 1:
-                if last is not None:
-                    e = (last, v) if last < v else (v, last)
-                    if e in edges:
-                        return None
-                    edges.add(e)
+                edges.add((last, v) if last < v else (v, last))
                 last = v
-    if covered != len(deg):  # leftover component => cycle in the member
-        if _is_spanning_cycle(g, emask):
-            return SPANNING_CYCLE
-        return None
+    if covered != d1.bit_count():  # a leftover component is a cycle
+        return SPANNING_CYCLE if is_hamiltonian_cycle(g, emask) else None
     return frozenset(edges)
 
 
@@ -394,14 +354,9 @@ def preserving_extension(g: Graph, a: int, c: int, fam: list[int], estar: int,
         deficiency = 2 * na - 2 * p
         if deficiency > 2 * csize:
             continue
-        deg = edge_degrees(g, cert)
-        xmask = 0
-        for v in bits(a):
-            if deg.get(v, 0) < 2:
-                xmask |= 1 << v
+        xmask = a & ~degree_masks(g, cert)[1]
         sep = xmask | c
-        candidates = [i for i in bits(estar)
-                      if (xmask >> g.edges[i][0]) & 1 or (xmask >> g.edges[i][1]) & 1]
+        candidates = [i for i in bits(estar) if g.edge_vertices[i] & xmask]
         working: list[tuple[int, int]] = [(cert, cert)]
         for i in candidates:
             u, v = g.edges[i]
@@ -414,12 +369,10 @@ def preserving_extension(g: Graph, a: int, c: int, fam: list[int], estar: int,
                 working = trim_separator(g, a, sep, working, seed=seed,
                                          stats=stats)
         collected.extend(working)
-    dedup: dict[int, tuple[int, int]] = {}
+    first: dict[int, int] = {}  # extended mask -> its first core
     for ext, core in collected:
-        if ext not in dedup:
-            dedup[ext] = (ext, core)
-    merged = list(dedup.values())
-    return trim_separator(g, a, c, merged, seed=seed, stats=stats)
+        first.setdefault(ext, core)
+    return trim_separator(g, a, c, list(first.items()), seed=seed, stats=stats)
 
 
 def _can_add_edge(g: Graph, emask: int, u: int, v: int,
@@ -429,11 +382,14 @@ def _can_add_edge(g: Graph, emask: int, u: int, v: int,
     With allow_spanning_cycle, closing a path that already covers every
     vertex of g into a Hamiltonian cycle is permitted.
     """
-    deg = edge_degrees(g, emask)
-    if deg.get(u, 0) >= 2 or deg.get(v, 0) >= 2:
+    du = (g.incident[u] & emask).bit_count()
+    dv = (g.incident[v] & emask).bit_count()
+    if du >= 2 or dv >= 2:
         return False
-    # cycle iff u and v are the two endpoints of one existing path
-    for seq in walk_paths(g, emask):
-        if len(seq) >= 2 and {seq[0], seq[-1]} == {u, v}:
-            return allow_spanning_cycle and len(seq) == g.n
-    return True
+    if not du or not dv:
+        return True
+    # cycle iff u and v are the two ends of one existing path
+    seq = walk_from(g, emask, u)
+    if seq[-1] != v:
+        return True
+    return allow_spanning_cycle and len(seq) == g.n

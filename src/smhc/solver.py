@@ -2,6 +2,8 @@
 
 A certificate is an edge bitmask forming vertex-disjoint paths inside its
 home vertex set (or a Hamiltonian cycle of the whole graph, at the root).
+Its path-system state (degrees, path ends and lengths) is derived from
+vertex bitmasks by `repsets` and is defined for degree at most two.
 Families are pruned with two trims: the representative-family machinery of
 `repsets` on sides with a small cut vertex cover, and a twin-signature
 collapse on split sides.
@@ -9,77 +11,43 @@ collapse on split sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value
 from .branchdec import BranchDecomposition
-from .repsets import (edge_degrees, is_forest, walk_paths, pad_separator,
-                      preserving_extension)
-
-
-@dataclass(frozen=True)
-class CertificateFamily:
-    home: int
-    members: tuple[int, ...]
+from .repsets import (_is_acyclic, _paths, degree_masks, is_hamiltonian_cycle,
+                      is_path_system, pad_separator, preserving_extension,
+                      walk_from)
 
 
 def certificate_valid(g: Graph, emask: int, home: int) -> bool:
     if emask & ~g.edges_within(home):
         return False
-    deg = edge_degrees(g, emask)
-    if any(d > 2 for d in deg.values()):
-        return False
-    if is_forest(g, emask):
+    if is_path_system(g, emask):
         return True
     return home == g.vmask and is_hamiltonian_cycle(g, emask)
 
 
-def is_hamiltonian_cycle(g: Graph, emask: int) -> bool:
-    if emask.bit_count() != g.n or g.n < 3:
-        return False
-    deg = edge_degrees(g, emask)
-    if len(deg) != g.n or any(d != 2 for d in deg.values()):
-        return False
-    # all degree 2 and n edges: connected iff a single cycle
-    start = g.edges[next(bits(emask))][0]
-    seen = {start}
-    prev, cur = None, start
-    nbrs: dict[int, list[int]] = {}
-    for i in bits(emask):
-        u, v = g.edges[i]
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    while True:
-        nxt = [w for w in nbrs[cur] if w != prev]
-        if not nxt:
-            return False
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        seen.add(cur)
-    return len(seen) == g.n
-
-
 def _path_slots(g: Graph, home: int, cert: int, max_paths: int | None):
-    """Deficient-vertex mask, optionally limited to the first few paths."""
-    deg = edge_degrees(g, cert)
-    deficient = 0
-    for v in bits(home):
-        if deg.get(v, 0) < 2:
-            deficient |= 1 << v
-    if max_paths is None:
+    """Deficient-vertex mask, optionally limited to the first few paths.
+
+    Paths and isolated vertices count in the order of their lowest vertex.
+    """
+    d1, d2, _ = degree_masks(g, cert)
+    deficient = home & ~d2
+    ends = d1 & ~d2
+    isolated = home & ~d1
+    if max_paths is None or ends.bit_count() // 2 + isolated.bit_count() <= max_paths:
         return deficient
-    paths = [(seq[0], seq[-1]) for seq in walk_paths(g, cert)]
-    for v in bits(home):
-        if deg.get(v, 0) == 0:
-            paths.append((v, v))
-    if len(paths) <= max_paths:
-        return deficient
-    paths.sort(key=lambda p: min(p))
-    allowed = 0
-    for u, v in paths[:max_paths]:
-        allowed |= (1 << u) | (1 << v)
+    allowed = far = 0
+    for v in bits(ends | isolated):
+        if (far >> v) & 1:
+            continue
+        w = v if (isolated >> v) & 1 else walk_from(g, cert, v)[-1]
+        far |= 1 << w
+        allowed |= (1 << v) | (1 << w)
+        max_paths -= 1
+        if not max_paths:
+            break
     return deficient & allowed
 
 
@@ -90,32 +58,33 @@ def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
     home = a | b
     full_home = home == g.vmask
     n = g.n
-    deg = edge_degrees(g, base)
-    ends: dict[int, tuple[int, int]] = {}
-    for seq in walk_paths(g, base):
-        u, v = seq[0], seq[-1]
-        ends[u] = (v, len(seq))
-        ends[v] = (u, len(seq))
-    for v in bits(home):
-        if deg.get(v, 0) == 0:
-            deg[v] = 0
-            ends[v] = (v, 1)
+    d1, d2, _ = degree_masks(g, base)
+    # cross edges between slots of degree below two, in edge order
+    reach_a = reach_b = 0
+    for u in bits(slots_a & ~d2):
+        reach_a |= g.incident[u]
+    for v in bits(slots_b & ~d2):
+        reach_b |= g.incident[v]
     candidates = []
-    for i in bits(g.edges_between(a, b)):
+    for i in bits(reach_a & reach_b):
         u, v = g.edges[i]
         if (a >> v) & 1:
             u, v = v, u
-        if (slots_a >> u) & 1 and (slots_b >> v) & 1:
-            candidates.append((i, u, v))
+        candidates.append((i, u, v, g.edge_vertices[i]))
+    ends = {v: (v, 1) for v in bits(home & ~d1)}  # end -> (other end, size)
+    for seq in _paths(g, base, d1 & ~d2):
+        ends[seq[0]] = (seq[-1], len(seq))
+        ends[seq[-1]] = (seq[0], len(seq))
     results: list[int] = []
 
-    def rec(idx: int, cur: int) -> None:
+    def rec(idx: int, cur: int, one: int, two: int) -> None:
+        """`one`/`two`: vertices of degree >= 1 / >= 2 in base | cur."""
         if idx == len(candidates):
             results.append(base | cur)
             return
-        i, u, v = candidates[idx]
-        rec(idx + 1, cur)  # skip
-        if deg[u] >= 2 or deg[v] >= 2:
+        i, u, v, e = candidates[idx]
+        rec(idx + 1, cur, one, two)  # skip
+        if e & two:
             return
         ou, cu = ends[u]
         if ou == v:
@@ -123,19 +92,15 @@ def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
                 results.append(base | cur | (1 << i))
             return
         ov, cv = ends[v]
-        deg[u] += 1
-        deg[v] += 1
         ends[ou] = (ov, cu + cv)
         ends[ov] = (ou, cu + cv)
-        rec(idx + 1, cur | (1 << i))
-        deg[u] -= 1
-        deg[v] -= 1
+        rec(idx + 1, cur | (1 << i), one | e, two | (one & e))
         ends[ou] = (u, cu)
         ends[ov] = (v, cv)
         ends[u] = (ou, cu)
         ends[v] = (ov, cv)
 
-    rec(0, 0)
+    rec(0, 0, d1, d2)
     return results
 
 
@@ -173,13 +138,7 @@ def trim_vc(g: Graph, a: int, fam: list[int], seed: int = 0,
     c = pad_separator(g, a, cover)
     estar = g.edges_between(a, c & ~a)
     ext = preserving_extension(g, a, c, fam, estar, seed=seed, stats=stats)
-    out = []
-    seen = set()
-    for _, core in ext:
-        if core not in seen:
-            seen.add(core)
-            out.append(core)
-    return out
+    return list(dict.fromkeys(core for _, core in ext))
 
 
 def trim_split(g: Graph, a: int, fam: list[int]) -> list[int]:
@@ -197,30 +156,16 @@ def trim_split(g: Graph, a: int, fam: list[int]) -> list[int]:
     common_outside = g.neighborhood(a)
     t = common_outside.bit_count()
     chosen: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
     for cert in sorted(set(fam)):
-        if not is_forest(g, cert):
+        d1, d2, _ = degree_masks(g, cert)
+        isolated = a & ~d1
+        if a & ~d2 & ~boundary or (isolated and t < 2):
+            continue  # dead: no attachment for an inner or isolated vertex
+        sig = ((d1 & ~d2).bit_count() // 2, isolated.bit_count())
+        if sig in chosen or not _is_acyclic(g, cert, d1, d2):
             continue  # a closed cycle cannot reach the non-empty outside
-        deg = edge_degrees(g, cert)
-        dead = False
-        isolated = 0
-        for v in bits(a):
-            d = deg.get(v, 0)
-            if d < 2 and not (boundary >> v) & 1:
-                dead = True
-                break
-            if d == 0:
-                isolated += 1
-                if t < 2:
-                    dead = True
-                    break
-        if dead:
-            continue
-        sig = (len(walk_paths(g, cert)), isolated)
-        if sig not in chosen:
-            chosen[sig] = cert
-            order.append(sig)
-    return [chosen[s] for s in order]
+        chosen[sig] = cert
+    return list(chosen.values())
 
 
 def trim(g: Graph, a: int, fam: list[int], seed: int = 0,

@@ -11,24 +11,9 @@ from __future__ import annotations
 import json
 
 from .graph import Graph, bits
-from .cuts import CutFunction, is_split, mm_value, sm_value
+from .cuts import CutFunction, mm_value, sm_value, split_sides
 
 EXHAUSTIVE_SPLIT_LIMIT = 14
-
-
-def _check_split_sides(g: Graph, a: int, b: int) -> bool:
-    """Split test assuming both sides non-empty; no connectivity re-check."""
-    if a.bit_count() < 2 or b.bit_count() < 2:
-        return False
-    shared = None
-    for v in bits(a):
-        nb = g.adj[v] & b
-        if nb:
-            if shared is None:
-                shared = nb
-            elif nb != shared:
-                return False
-    return True
 
 
 def _find_split_exhaustive(g: Graph):
@@ -42,7 +27,7 @@ def _find_split_exhaustive(g: Graph):
             if (sub >> i) & 1:
                 a |= 1 << rest[i]
         b = g.vmask & ~a
-        if _check_split_sides(g, a, b):
+        if split_sides(g, a, b):
             return a, b
     return None
 
@@ -70,7 +55,7 @@ def _find_split_closure(g: Graph):
                     a |= disputed
                     changed = True
             b = g.vmask & ~a
-            if b.bit_count() >= 2 and _check_split_sides(g, a, b):
+            if b.bit_count() >= 2 and split_sides(g, a, b):
                 return a, b
     return None
 

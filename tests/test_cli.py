@@ -36,6 +36,17 @@ def test_hc_with_supplied_decomposition(tmp_path, capsys):
     assert "HAMILTONIAN" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["{}", "[]", "5", '{"edges": 5, "leaf_map": {}}',
+                                 '{"edges": [[0, 1]], "leaf_map": []}',
+                                 '{"edges": [1], "leaf_map": {"1": 0}}'])
+def test_hc_malformed_decomposition_exits_two(tmp_path, capsys, bad):
+    f = write_graph(tmp_path, cycle_graph(5))
+    d = tmp_path / "bd.json"
+    d.write_text(bad)
+    assert main(["hc", f, "--decomposition", str(d)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_width_exact_c5(tmp_path, capsys):
     f = write_graph(tmp_path, cycle_graph(5), "c5.txt")
     assert main(["width", f, "--exact"]) == EXIT_OK

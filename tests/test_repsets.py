@@ -5,11 +5,14 @@ import pytest
 
 from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.repsets import (FIELD_PRIME, MatroidRep, _wedge_vector, _Basis,
-                          edge_degrees, is_forest, is_path_system, walk_paths,
+                          is_path_system, walk_paths,
                           degree_signature, representative_forests,
                           representative_hc_sets, torso, SPANNING_CYCLE,
-                          pad_separator, trim_separator, preserving_extension)
+                          pad_separator, trim_separator, preserving_extension,
+                          is_hamiltonian_cycle, _can_add_edge)
 from smhc.generators import random_connected_graph
+from smhc import oracles
+from smhc.oracles import _is_forest as is_forest
 
 
 def columns_independent(host, emask):
@@ -41,6 +44,43 @@ def test_degree_signature():
     with pytest.raises(ValueError):
         k = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
         degree_signature(k, 0b111, k.vmask)
+
+
+def _signature_or_error(fn, g, emask, universe):
+    try:
+        return fn(g, emask, universe)
+    except ValueError:
+        return "degree > 2"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mask_helpers_match_reference(seed):
+    """Bitmask path-system state against the dict/union-find references."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng.randint(4, 9), rng, p=rng.choice([0.3, 0.6]))
+    masks = [rng.getrandbits(g.m) & rng.getrandbits(g.m) for _ in range(60)]
+    cycles = oracles.enumerate_hamiltonian_cycles(g)[:3]
+    masks += cycles + [c & rng.getrandbits(g.m) for c in cycles]
+    masks += [(1 << g.m) - 1, 0]
+    for m in masks:
+        assert is_path_system(g, m) == oracles._is_path_system(g, m)
+        assert is_hamiltonian_cycle(g, m) == oracles._is_spanning_cycle(g, m)
+        universe = rng.getrandbits(g.n) | rng.choice([0, g.vmask])
+        assert (_signature_or_error(degree_signature, g, m, universe)
+                == _signature_or_error(oracles._degree_signature, g, m, universe))
+        if any(d > 2 for d in oracles._edge_degrees(g, m).values()):
+            continue  # the path-system state is defined for degree <= 2
+        assert walk_paths(g, m) == oracles._walk_paths(g, m)
+        for _ in range(4):
+            side = rng.getrandbits(g.n) | rng.choice([0, g.vmask])
+            sep = rng.getrandbits(g.n) & rng.choice([side, g.vmask])
+            assert torso(g, m, side, sep) == oracles._torso(g, m, side, sep)
+        if not is_path_system(g, m):
+            continue  # adding an edge is defined on path systems
+        for u, v in g.edge_set(((1 << g.m) - 1) & ~m):
+            for allow in (False, True):
+                assert (_can_add_edge(g, m, u, v, allow)
+                        == oracles._can_add_edge(g, m, u, v, allow))
 
 
 def preservation_holds(host, members, kept, p, q):
@@ -104,7 +144,7 @@ def hc_completability_preserved(kC, members, kept):
             if x & ymask:
                 return False
             both = x | ymask
-            deg = edge_degrees(kC, both)
+            deg = oracles._edge_degrees(kC, both)
             return (both.bit_count() == kC.n and len(deg) == kC.n
                     and all(d == 2 for d in deg.values())
                     and _single_cycle(kC, both))
