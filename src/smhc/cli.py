@@ -77,7 +77,7 @@ def cmd_hc(args) -> int:
         bd = _load_decomposition(args.decomposition)
     else:
         bd = approx_sm_decomposition(g)
-    ok, witness = solve_hc(g, bd, seed=args.seed)
+    ok, witness = solve_hc(g, bd)
     if ok:
         print("HAMILTONIAN")
         print(" ".join(f"{u}-{v}" for u, v in witness))
@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
                     gg, a, before, after, method="cycles", hcs=hcs))
         else:
             on_trim = None
-        got, witness = solve_hc(g, bd, seed=args.seed, on_trim=on_trim)
+        got, witness = solve_hc(g, bd, on_trim=on_trim)
         want, _ = oracles.brute_hc(g)
         if got == want:
             print(f"ok: solver agrees with the oracle (hamiltonian={got})")
@@ -150,7 +150,7 @@ def _bench_row(task) -> str:
     smw_approx = approx_sm_decomposition(g).f_width(sm_cut_function(g))
     trace: dict = {}
     start = time.perf_counter()
-    solve_hc(g, bd, seed=seed, trace=trace)
+    solve_hc(g, bd, trace=trace)
     millis = int((time.perf_counter() - start) * 1000)
     return f"{g.n},{seed},{smw_exact},{smw_approx},{trace['max_family']},{millis}"
 
@@ -179,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a pre-subcommand value from being reset to the default
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="global seed for field sampling and benchmarks")
+                        help="seed of the random graphs drawn by bench")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="worker fan-out for the benchmark sweep")
     parser = argparse.ArgumentParser(
         prog="smhc",
         description="Hamiltonian cycles via split-matching-width decompositions")
     parser.add_argument("--seed", type=int, default=0,
-                        help="global seed for field sampling and benchmarks")
+                        help="seed of the random graphs drawn by bench")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker fan-out for the benchmark sweep")
     sub = parser.add_subparsers(dest="command", required=True,

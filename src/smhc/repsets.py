@@ -1,25 +1,55 @@
-"""Representative families over the graphic matroid.
+"""Hamiltonian-cycle representative sets over a separator.
 
-A family of p-edge forests is pruned to a spanning subfamily by realizing
-each member as the vector of p x p minors of its columns in a field
-representation of the graphic matroid (signed incidence matrix with one row
-dropped), and keeping a row basis via Gaussian elimination.  On top of that
-sit the Hamiltonian-cycle specific reductions: degree-class bucketing,
-torso compression onto a separator, and preserving extensions.
-
-All edge sets are bitmasks over the host graph's edge list.  A path
+A certificate family is pruned by compressing each member onto a
+separator (`torso`), collapsing equal torsos, and keeping a representative
+subfamily of the torsos (`representative_hc_sets`): whenever some member
+closes a Hamiltonian cycle with a completion, some kept member does too.
+`preserving_extension` applies this to a family extended by its cross
+edges.  Edge sets are bitmasks over the host's edge list.  A path
 system's state (degree classes, path ends, acyclicity) is derived from
-vertex bitmasks, the host's per-edge endpoint and per-vertex incident-edge
-masks, and is defined for edge sets of maximum degree two.
+vertex bitmasks and is defined for maximum degree two.
+
+Representative sets by pairings.  Let K be the complete graph on a
+separator of k >= 3 vertices and M a path system of K with signature
+(D0, D1, D2), its vertices of degree 0, 1 and 2.  Y completes M when M
+and Y are disjoint and M ∪ Y is a Hamiltonian cycle of K.  Such a Y has
+signature (D2, D1, D0), so only members of one signature compete.  If D1
+is empty, M is empty and alone in its signature.  Otherwise Y is a path
+system too (a cycle less M's edges), and the paths of M and of Y pair up
+D1 into perfect matchings P(M) and P(Y).
+
+Lemma 1.  Let D1 be non-empty and Y a path system of signature
+(D2, D1, D0).  Then Y completes M iff P(M) ∪ P(Y) is one cycle.
+Proof.  Every vertex has degree two in the multigraph M + Y, and every
+component meets D1, where the paths of M and Y end.  Contracting each
+path to the pair of its ends maps the cycles of M + Y one to one onto
+those of P(M) ∪ P(Y).  One cycle through k >= 3 vertices repeats no
+edge, so then M and Y are disjoint and M ∪ Y is a Hamiltonian cycle.
+
+Lemma 2.  A cut is a set L ⊆ D1 holding the lowest end; there are
+2^(|D1|-1).  Let row(P) over GF(2) have a 1 at each cut that splits no
+pair of P.  Then <row(P), row(Q)> = 1 iff P ∪ Q is one cycle.
+Proof.  A cut splits no pair of P or Q iff each of the c cycles of P ∪ Q
+lies on one side.  The one through the lowest end lies in L, so 2^(c-1)
+cuts count, an odd number iff c = 1.  This factorises the
+matchings-connectivity matrix of Cygan, Kratsch & Nederlof (STOC 2013,
+J. ACM 2018), as in the rank-based approach of Bodlaender, Cygan,
+Kratsch & Nederlof (Inf. & Comput. 2015).
+
+Theorem.  Keep a member when its row is independent of the rows kept
+before it for its signature.  The kept members preserve completability:
+if Y completes M and D1 is non-empty, row(M) is a sum of kept rows
+row(K_i), so 1 = Σ <row(K_i), row(Y)> and Y completes some K_i.  At most
+2^(|D1|-1) members are kept per signature, Σ 2^|D1| = (1 + 2 + 1)^k =
+4^k < 6^k in all.  The basis is exact and deterministic.  It replaces
+the general graphic-matroid representative families of Fomin,
+Lokshtanov, Panolan & Saurabh (J. ACM 2016), which need a large field
+and random sampling to truncate.
 """
 
 from __future__ import annotations
 
-import random
-
 from .graph import Graph, bits
-
-FIELD_PRIME = 2_147_483_647  # fixed prime field, comfortably above 2^16
 
 
 # -- path-system state from vertex bitmasks -------------------------------
@@ -99,149 +129,54 @@ def is_hamiltonian_cycle(g: Graph, emask: int) -> bool:
     return len(walk_from(g, emask, g.vertices[0])) == g.n + 1
 
 
-# -- graphic-matroid representation ----------------------------------------
+# -- representative sets by pairings ----------------------------------------
 
-class MatroidRep:
-    """Signed incidence matrix of a graph over GF(FIELD_PRIME), one row dropped.
+def pairing_row(g: Graph, emask: int, d1: int, d2: int) -> int | None:
+    """GF(2) row of the pairing of the path ends; None if there is a cycle.
 
-    Columns are indexed by the host's edge list; a column set is linearly
-    independent exactly when the corresponding edge set is a forest.
+    Bit i stands for the cut that puts the lowest end on the left with the
+    other ends at the set bits of i, numbered upward from the second-lowest
+    end.  It is set when no path has its ends on both sides.  Without ends
+    (the empty path system) the row is 1.
     """
-
-    def __init__(self, host: Graph):
-        self.host = host
-        self.rows = host.vertices[:-1]
-        row_pos = {v: i for i, v in enumerate(self.rows)}
-        self.columns = []
-        for (u, v) in host.edges:
-            col = [0] * len(self.rows)
-            if u in row_pos:
-                col[row_pos[u]] = 1
-            if v in row_pos:
-                col[row_pos[v]] = FIELD_PRIME - 1
-            self.columns.append(col)
-
-    def truncated_columns(self, rank: int, seed: int) -> list[list[int]]:
-        """Random row compression to the given rank (seeded, Schwartz-Zippel)."""
-        rng = random.Random((seed, "matroid-truncation", rank))
-        r0 = len(self.rows)
-        t = [[rng.randrange(FIELD_PRIME) for _ in range(r0)] for _ in range(rank)]
-        out = []
-        for col in self.columns:
-            out.append([sum(t[i][j] * col[j] for j in range(r0)) % FIELD_PRIME
-                        for i in range(rank)])
-        return out
+    ends = d1 & ~d2
+    row = 1
+    covered = 0
+    for seq in _paths(g, emask, ends):
+        covered += len(seq)
+        lo = (ends & ((1 << seq[0]) - 1)).bit_count()
+        hi = (ends & ((1 << seq[-1]) - 1)).bit_count()
+        if not lo:  # the lowest end is on the left, its partner with it
+            row = 1 << (1 << (hi - 1))
+        else:  # this pair joins the left side, or stays on the right
+            row |= row << ((1 << (lo - 1)) | (1 << (hi - 1)))
+    return row if covered == d1.bit_count() else None
 
 
-def _wedge_vector(columns: list[list[int]], nrows: int) -> dict[int, int]:
-    """Minors of all row subsets of size p = len(columns), keyed by row mask."""
-    cur = {0: 1}
-    for j, col in enumerate(columns):
-        nxt: dict[int, int] = {}
-        for rmask, val in cur.items():
-            for i in range(nrows):
-                bit = 1 << i
-                if rmask & bit or not col[i]:
-                    continue
-                pos = (rmask & (bit - 1)).bit_count()
-                term = val * col[i]
-                if (pos + j) & 1:
-                    term = -term
-                key = rmask | bit
-                nxt[key] = (nxt.get(key, 0) + term) % FIELD_PRIME
-        cur = {k: v for k, v in nxt.items() if v}
-        if not cur:
-            return {}
-    return cur
-
-
-class _Basis:
-    """Incremental row basis over GF(FIELD_PRIME) in sparse dict form."""
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}  # pivot key -> reduced row
-
-    def try_insert(self, row: dict[int, int]) -> bool:
-        row = dict(row)
-        for key in sorted(self.pivots):
-            if key in row:
-                coeff = row[key]
-                pivot_row = self.pivots[key]
-                for k2, v2 in pivot_row.items():
-                    nv = (row.get(k2, 0) - coeff * v2) % FIELD_PRIME
-                    if nv:
-                        row[k2] = nv
-                    elif k2 in row:
-                        del row[k2]
-        if not row:
-            return False
-        key = min(row)
-        inv = pow(row[key], FIELD_PRIME - 2, FIELD_PRIME)
-        self.pivots[key] = {k: (v * inv) % FIELD_PRIME for k, v in row.items()}
-        return True
-
-
-def representative_forests(host: Graph, members: list[int], p: int, q: int,
-                           seed: int = 0) -> list[int]:
-    """Spanning subfamily of p-edge forests w.r.t. q-edge forest completions.
-
-    Keeps members in input order; a member is kept iff its minor vector is
-    outside the span of the previously kept ones.  For any q-edge set Y, if
-    some input member is disjoint from Y with their union a forest, some
-    kept member is too.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be non-negative")
-    for m in members:
-        if m.bit_count() != p:
-            raise ValueError(f"member has {m.bit_count()} edges, expected {p}")
-    rank = host.n - 1
-    if p + q > rank:
-        return []  # no disjoint union of p+q edges can be a forest
-    if p + q < rank:
-        columns = MatroidRep(host).truncated_columns(p + q, seed)
-        nrows = p + q
-    else:
-        columns = MatroidRep(host).columns
-        nrows = rank
-    basis = _Basis()
-    out = []
-    for m in members:  # a non-forest has dependent columns: no minor survives
-        vec = _wedge_vector([columns[i] for i in bits(m)], nrows)
-        if vec and basis.try_insert(vec):
-            out.append(m)
-    return out
-
-
-def representative_hc_sets(gC: Graph, members: list[int], seed: int = 0,
-                           stats: dict | None = None) -> list[int]:
+def representative_hc_sets(gC: Graph, members: list[int]) -> list[int]:
     """Subfamily preserving Hamiltonian-cycle completability over E(gC).
 
-    Members are bucketed by their (D0, D1, D2) degree classes; each bucket
-    is pruned by `representative_forests` with q = n - p - 1.  The union is
-    at most 6^n members and keeps, for every completion Y, some member that
-    still closes a Hamiltonian cycle whenever any input member did.
+    gC is the complete graph on a separator of size at least three.  A
+    member with a degree-3 vertex or a cycle is dropped; any other is kept
+    exactly when its pairing row is independent of the rows kept before it
+    for the same (D0, D1, D2) signature.  The module docstring proves that
+    this preserves completability within 4^k < 6^k members.
     """
-    k = gC.n
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    order: list[tuple[int, int, int]] = []
-    dropped = 0
-    for m in members:
-        if not is_path_system(gC, m):
-            dropped += 1
-            continue
-        sig = degree_signature(gC, m, gC.vmask)
-        if sig not in buckets:
-            buckets[sig] = []
-            order.append(sig)
-        buckets[sig].append(m)
-    if stats is not None:
-        stats["non_path_dropped"] = stats.get("non_path_dropped", 0) + dropped
+    bases: dict[tuple[int, int], dict[int, int]] = {}  # signature -> top bit -> row
     out = []
-    for sig in order:
-        bucket = buckets[sig]
-        p = bucket[0].bit_count()
-        out.extend(representative_forests(gC, bucket, p, k - p - 1, seed=seed))
+    for m in members:
+        d1, d2, d3 = degree_masks(gC, m)
+        row = None if d3 else pairing_row(gC, m, d1, d2)
+        if row is None:
+            continue
+        basis = bases.setdefault((d1, d2), {})  # (d1, d2) fixes D0, D1 and D2
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                out.append(m)
+                break
+            row ^= basis[top]
     return out
 
 
@@ -290,7 +225,7 @@ def pad_separator(g: Graph, a: int, c: int, minimum: int = 3) -> int:
 
 
 def trim_separator(g: Graph, a: int, sep: int, items: list[tuple[int, object]],
-                   seed: int = 0, stats: dict | None = None):
+                   stats: dict | None = None):
     """Keep one representative item per surviving torso class.
 
     `items` are (edge-mask, payload) pairs whose edges live in
@@ -317,7 +252,7 @@ def trim_separator(g: Graph, a: int, sep: int, items: list[tuple[int, object]],
         if tmask not in by_torso:
             by_torso[tmask] = (emask, payload)
             torso_order.append(tmask)
-    chosen = representative_hc_sets(kC, torso_order, seed=seed, stats=stats)
+    chosen = representative_hc_sets(kC, torso_order)
     if stats is not None:
         k = kC.n
         if len(chosen) > 6 ** k:
@@ -332,8 +267,10 @@ def trim_separator(g: Graph, a: int, sep: int, items: list[tuple[int, object]],
 
 # -- preserving extensions --------------------------------------------------
 
+EXTENSION_TRIM_CAP = 256  # working family size that triggers a trim over X ∪ c
+
+
 def preserving_extension(g: Graph, a: int, c: int, fam: list[int], estar: int,
-                         seed: int = 0, per_cert_cap: int = 256,
                          stats: dict | None = None) -> list[tuple[int, int]]:
     """Extension family of `fam` by the separator-incident cross edges.
 
@@ -342,7 +279,8 @@ def preserving_extension(g: Graph, a: int, c: int, fam: list[int], estar: int,
     complete to a Hamiltonian cycle and are dropped.  Per certificate the
     estar edges at its deficient endpoints are folded in one at a time,
     trimming over the separator X ∪ c whenever the working family grows
-    past the cap; the union over certificates is trimmed once more over c.
+    past EXTENSION_TRIM_CAP; the union over certificates is trimmed once
+    more over c.
     """
     csize = c.bit_count()
     if csize < 3:
@@ -365,14 +303,13 @@ def preserving_extension(g: Graph, a: int, c: int, fam: list[int], estar: int,
                 if _can_add_edge(g, ext, u, v, allow_spanning_cycle=True):
                     added.append((ext | (1 << i), core))
             working.extend(added)
-            if len(working) > per_cert_cap:
-                working = trim_separator(g, a, sep, working, seed=seed,
-                                         stats=stats)
+            if len(working) > EXTENSION_TRIM_CAP:
+                working = trim_separator(g, a, sep, working, stats=stats)
         collected.extend(working)
     first: dict[int, int] = {}  # extended mask -> its first core
     for ext, core in collected:
         first.setdefault(ext, core)
-    return trim_separator(g, a, c, list(first.items()), seed=seed, stats=stats)
+    return trim_separator(g, a, c, list(first.items()), stats=stats)
 
 
 def _can_add_edge(g: Graph, emask: int, u: int, v: int,

@@ -131,13 +131,13 @@ def join(g: Graph, a: int, b: int, sa: int, sb: int,
 
 # -- trims ------------------------------------------------------------------
 
-def trim_vc(g: Graph, a: int, fam: list[int], seed: int = 0,
+def trim_vc(g: Graph, a: int, fam: list[int],
             stats: dict | None = None) -> list[int]:
     """Representative subfamily via a preserving extension over a Koenig cover."""
     cover = min_vertex_cover(g.cut_graph(a))
     c = pad_separator(g, a, cover)
     estar = g.edges_between(a, c & ~a)
-    ext = preserving_extension(g, a, c, fam, estar, seed=seed, stats=stats)
+    ext = preserving_extension(g, a, c, fam, estar, stats=stats)
     return list(dict.fromkeys(core for _, core in ext))
 
 
@@ -168,8 +168,8 @@ def trim_split(g: Graph, a: int, fam: list[int]) -> list[int]:
     return list(chosen.values())
 
 
-def trim(g: Graph, a: int, fam: list[int], seed: int = 0,
-         on_trim=None, stats: dict | None = None) -> list[int]:
+def trim(g: Graph, a: int, fam: list[int], on_trim=None,
+         stats: dict | None = None) -> list[int]:
     """Dispatch: split sides use the twin signature, others the rep-set trim."""
     outside = g.vmask & ~a
     if outside == 0 or len(fam) <= 1:
@@ -177,7 +177,7 @@ def trim(g: Graph, a: int, fam: list[int], seed: int = 0,
     if is_split(g, a):
         out = trim_split(g, a, fam)
     else:
-        out = trim_vc(g, a, fam, seed=seed, stats=stats)
+        out = trim_vc(g, a, fam, stats=stats)
     if on_trim is not None:
         on_trim(g, a, list(fam), list(out))
     return out
@@ -188,8 +188,8 @@ def trim(g: Graph, a: int, fam: list[int], seed: int = 0,
 INTERMEDIATE_TRIM_CAP = 1024
 
 
-def solve_hc(g: Graph, bd: BranchDecomposition, seed: int = 0,
-             use_trim: bool = True, on_trim=None, trace: dict | None = None,
+def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
+             on_trim=None, trace: dict | None = None,
              stats: dict | None = None):
     """Decide Hamiltonicity along the decomposition; returns (bool, witness).
 
@@ -220,34 +220,42 @@ def solve_hc(g: Graph, bd: BranchDecomposition, seed: int = 0,
         sa_split = is_split(g, h1)
         sb_split = is_split(g, h2)
         limit = max(4 * k, 1)
+        slots2 = [_path_slots(g, h2, s2, limit if sb_split else None) for s2 in f2]
         members: dict[int, None] = {}
         for s1 in f1:
             slots_a = _path_slots(g, h1, s1, limit if sa_split else None)
-            for s2 in f2:
-                slots_b = _path_slots(g, h2, s2, limit if sb_split else None)
+            for s2, slots_b in zip(f2, slots2):
                 for m in _enumerate_pair(g, h1, h2, s1, s2, slots_a, slots_b):
                     members[m] = None
             if use_trim and not is_root and len(members) > INTERMEDIATE_TRIM_CAP:
                 members = dict.fromkeys(
-                    trim(g, home, list(members), seed=seed, on_trim=on_trim,
-                         stats=stats))
+                    trim(g, home, list(members), on_trim=on_trim, stats=stats))
         fam = list(members)
         if use_trim and not is_root:
-            fam = trim(g, home, fam, seed=seed, on_trim=on_trim, stats=stats)
+            fam = trim(g, home, fam, on_trim=on_trim, stats=stats)
         note(len(fam))
         return home, fam
 
-    def subtree(node: int, parent: int):
-        children = [w for w in adj[node] if w != parent]
-        if not children:
-            v = bd.leaf_map[node]
-            note(1)
-            return 1 << v, [0]
-        if len(children) != 2:
-            raise ValueError("decomposition tree is not subcubic")
-        h1, f1 = subtree(children[0], node)
-        h2, f2 = subtree(children[1], node)
-        return merge(h1, f1, h2, f2, False)
+    def subtree(root: int, parent: int):
+        """(home, family) of the subtree at root, solved in post-order."""
+        order, stack = [], [(root, parent)]  # node, then right and left subtrees
+        while stack:
+            node, up = stack.pop()
+            children = [w for w in adj[node] if w != up]
+            if children and len(children) != 2:
+                raise ValueError("decomposition tree is not subcubic")
+            order.append((node, children))
+            stack.extend((w, node) for w in children)
+        solved: dict[int, tuple[int, list[int]]] = {}
+        for node, children in reversed(order):  # left and right subtrees, node
+            if children:
+                h1, f1 = solved.pop(children[0])
+                h2, f2 = solved.pop(children[1])
+                solved[node] = merge(h1, f1, h2, f2, False)
+            else:
+                note(1)
+                solved[node] = (1 << bd.leaf_map[node], [0])
+        return solved[root]
 
     if not bd.edges:  # single leaf, n >= 3 impossible here
         return False, None

@@ -143,7 +143,7 @@ def test_criterion_4_preserving_extension():
         if not fam:
             continue
         estar = g.edges_between(a, c & ~a)
-        ext = preserving_extension(g, a, c, fam, estar, seed=instances)
+        ext = preserving_extension(g, a, c, fam, estar)
         stripped = sorted({core for _, core in ext})
         if not oracles.verify_preservation(g, a, fam, stripped,
                                            method="enumerate"):

@@ -1,33 +1,15 @@
 import random
-from itertools import combinations
 
 import pytest
 
 from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
-from smhc.repsets import (FIELD_PRIME, MatroidRep, _wedge_vector, _Basis,
-                          is_path_system, walk_paths,
-                          degree_signature, representative_forests,
+from smhc.repsets import (is_path_system, walk_paths, degree_masks,
+                          degree_signature, pairing_row,
                           representative_hc_sets, torso, SPANNING_CYCLE,
                           pad_separator, trim_separator, preserving_extension,
                           is_hamiltonian_cycle, _can_add_edge)
 from smhc.generators import random_connected_graph
 from smhc import oracles
-from smhc.oracles import _is_forest as is_forest
-
-
-def columns_independent(host, emask):
-    rep = MatroidRep(host)
-    cols = [rep.columns[i] for i in bits(emask)]
-    vec = _wedge_vector(cols, len(rep.rows))
-    return bool(vec)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_matroid_rep_soundness(seed):
-    rng = random.Random(seed)
-    g = random_connected_graph(rng.randint(3, 6), rng)
-    for emask in range(1 << min(g.m, 10)):
-        assert columns_independent(g, emask) == is_forest(g, emask)
 
 
 def test_walk_paths():
@@ -83,60 +65,6 @@ def test_mask_helpers_match_reference(seed):
                         == oracles._can_add_edge(g, m, u, v, allow))
 
 
-def preservation_holds(host, members, kept, p, q):
-    """Literal check of the representative-forests contract."""
-    for y in combinations(range(host.m), q):
-        ymask = 0
-        for i in y:
-            ymask |= 1 << i
-        def fits(x):
-            return x & ymask == 0 and is_forest(host, x | ymask)
-        if any(fits(x) for x in members if is_forest(host, x)):
-            if not any(fits(x) for x in kept):
-                return False
-    return True
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_representative_forests_preserving(seed):
-    rng = random.Random(seed)
-    g = random_connected_graph(rng.randint(4, 6), rng)
-    p = rng.randint(1, max(1, g.n - 2))
-    q = g.n - 1 - p
-    members = sorted({m for m in (rng.randrange(1 << g.m) for _ in range(40))
-                      if m.bit_count() == p})
-    members = [m for m in members if is_forest(g, m)]
-    kept = representative_forests(g, members, p, q)
-    assert set(kept) <= set(members)
-    assert preservation_holds(g, members, kept, p, q)
-    # idempotent on its own output
-    assert representative_forests(g, kept, p, q) == kept
-
-
-def test_representative_forests_size_bound():
-    from math import comb
-    g = complete_graph(5)
-    for p in (1, 2, 3):
-        members = [m for m in range(1 << g.m)
-                   if m.bit_count() == p and is_forest(g, m)]
-        kept = representative_forests(g, members, p, g.n - 1 - p)
-        assert len(kept) <= comb(g.n - 1, p) <= 2 ** g.n
-
-
-def test_representative_forests_spanning_trees():
-    g = cycle_graph(4)
-    trees = [m for m in range(1 << g.m)
-             if m.bit_count() == 3 and is_forest(g, m)]
-    kept = representative_forests(g, trees, 3, 0)
-    assert len(kept) == 1
-
-
-def test_representative_forests_rejects_wrong_size():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        representative_forests(g, [0b11], 1, 1)
-
-
 def hc_completability_preserved(kC, members, kept):
     """Every completion closing a Hamiltonian cycle keeps a partner."""
     for ymask in range(1 << kC.m):
@@ -171,15 +99,73 @@ def _single_cycle(kC, emask):
             return count == kC.n
 
 
-@pytest.mark.parametrize("k", [3, 4])
+def _perfect_matchings(vertices):
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for i, partner in enumerate(rest):
+        for m in _perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, partner)] + m
+
+
+def _one_cycle(p, q, t):
+    """Whether the union of two perfect matchings of range(t) is one cycle."""
+    mate_p = {u: v for e in p for u, v in (e, e[::-1])}
+    mate_q = {u: v for e in q for u, v in (e, e[::-1])}
+    seen, v = 0, 0
+    while True:
+        v = mate_q[mate_p[v]]
+        seen += 2
+        if v == 0:
+            return seen == t
+
+
+@pytest.mark.parametrize("t", [2, 4, 6])
+def test_pairing_row_parity(t):
+    """<row(P), row(Q)> over GF(2) is 1 iff P ∪ Q is one cycle."""
+    kt = complete_graph(t)
+    matchings = list(_perfect_matchings(list(range(t))))
+    rows = []
+    for p in matchings:
+        emask = kt.edge_mask(p)
+        row = pairing_row(kt, emask, *degree_masks(kt, emask)[:2])
+        assert 0 < row < 1 << 2 ** (t - 1)
+        rows.append(row)
+    for p, row_p in zip(matchings, rows):
+        for q, row_q in zip(matchings, rows):
+            assert (row_p & row_q).bit_count() % 2 == _one_cycle(p, q, t)
+
+
+def test_pairing_row_follows_paths():
+    """The row depends on the pairing only; cycles have no row."""
+    g = complete_graph(6)
+    long = g.edge_mask([(0, 4), (4, 2), (1, 5), (5, 3)])  # pairs 0-2, 1-3
+    short = complete_graph(4).edge_mask([(0, 2), (1, 3)])
+    assert (pairing_row(g, long, *degree_masks(g, long)[:2])
+            == pairing_row(complete_graph(4), short,
+                           *degree_masks(complete_graph(4), short)[:2]))
+    assert pairing_row(g, 0, 0, 0) == 1
+    triangle = g.edge_mask([(0, 1), (1, 2), (0, 2)])
+    assert pairing_row(g, triangle, *degree_masks(g, triangle)[:2]) is None
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_representative_hc_sets_exhaustive(k):
+    """Every path system of K_k: preservation and 2^(|D1|-1) per signature."""
     kC = complete_graph(k)
-    rng = random.Random(k)
-    members = sorted({rng.randrange(1 << kC.m) for _ in range(50)})
-    members = [m for m in members if is_path_system(kC, m)]
+    masks = list(range(1 << kC.m))
+    members = [m for m in masks if is_path_system(kC, m)]
+    assert set(representative_hc_sets(kC, masks)) <= set(members)
     kept = representative_hc_sets(kC, members)
     assert set(kept) <= set(members)
-    assert len(kept) <= 6 ** k
+    assert len(kept) <= 4 ** k < 6 ** k
+    per_signature = {}
+    for m in kept:
+        sig = degree_signature(kC, m, kC.vmask)
+        per_signature[sig] = per_signature.get(sig, 0) + 1
+    for (_, d1, _), count in per_signature.items():
+        assert count <= 2 ** max(d1.bit_count() - 1, 0)
     assert hc_completability_preserved(kC, members, kept)
 
 
@@ -248,10 +234,3 @@ def test_preserving_extension_no_estar():
     fam = [g.edge_mask([(0, 1), (1, 2)])]
     out = preserving_extension(g, a, c, fam, 0)
     assert out == [(fam[0], fam[0])]
-
-
-def test_basis_rank():
-    b = _Basis()
-    assert b.try_insert({0: 1, 1: 2})
-    assert b.try_insert({1: 5})
-    assert not b.try_insert({0: 2, 1: 4})  # linear combination

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -8,7 +9,8 @@ from smhc.repsets import is_path_system
 from smhc.solver import (conc, join, trim, trim_vc, trim_split, solve_hc,
                          certificate_valid, is_hamiltonian_cycle)
 from smhc.pipeline import approx_sm_decomposition
-from smhc.generators import random_connected_graph, caterpillar_decomposition
+from smhc.generators import (random_connected_graph, caterpillar_decomposition,
+                             grid_graph)
 from smhc import oracles
 
 
@@ -179,3 +181,28 @@ def test_trace_collection():
     solve_hc(g, approx_sm_decomposition(g), trace=trace)
     assert trace["max_family"] >= 1
     assert len(trace["node_sizes"]) >= g.n
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_solve_deep_caterpillar_in_bounded_stack():
+    """The post-order needs no stack frame per decomposition level.
+
+    A 2 x 60 grid's caterpillar has a spine of 118 nodes; the solve runs
+    under a recursion limit 50 frames above the caller's depth.
+    """
+    g = grid_graph(2, 60)
+    bd = caterpillar_decomposition(list(g.vertices))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        got, witness = solve_hc(g, bd)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got and is_hamiltonian_cycle(g, g.edge_mask(witness))
