@@ -152,10 +152,6 @@ class Graph:
             reached |= frontier
         return reached == self.vmask
 
-    def relabeled(self, mapping: dict) -> "Graph":
-        return Graph([mapping[v] for v in self.vertices],
-                     [(mapping[u], mapping[v]) for (u, v) in self.edges])
-
     # -- edge-set helpers (edge bitmasks over self.edges) ------------------
 
     def edge_mask(self, edges) -> int:

@@ -2,8 +2,9 @@
 
 Nothing here shares logic with the decomposition-driven solver: the
 Hamiltonicity oracles are a Held-Karp bitmask DP and a plain backtracking
-search, and preservation of a family trim is checked directly against
-completions of the outside part.  The path-system predicates that `repsets`
+search, the split scan tries every side holding the lowest vertex, and
+preservation of a family trim is checked directly against completions of
+the outside part.  The path-system predicates that `repsets`
 derives from vertex bitmasks have reference versions here built on degree
 dicts, neighbour lists and union-find; tests compare the two.
 """
@@ -11,7 +12,7 @@ dicts, neighbour lists and union-find; tests compare the two.
 from __future__ import annotations
 
 from .graph import Graph, bits, mask_of
-from .cuts import sm_cut_function
+from .cuts import sm_cut_function, split_sides
 from .branchdec import SizeLimitExceeded, exact_best_decomposition
 from .repsets import SPANNING_CYCLE
 from . import solver
@@ -123,6 +124,24 @@ def brute_sm_width(g: Graph, limit: int = BRUTE_WIDTH_LIMIT) -> int:
             f"brute_sm_width limited to {limit} vertices, got {g.n}")
     width, _ = exact_best_decomposition(g, sm_cut_function(g), limit=limit)
     return width
+
+
+def brute_split(g: Graph):
+    """The split whose side holds the lowest vertex with the least mask, by
+    scanning every side that holds it in ascending mask order (2^(n-1))."""
+    verts = g.vertices
+    n = len(verts)
+    anchor = verts[0]
+    rest = verts[1:]
+    for sub in range(1 << (n - 1)):
+        a = 1 << anchor
+        for i in range(n - 1):
+            if (sub >> i) & 1:
+                a |= 1 << rest[i]
+        b = g.vmask & ~a
+        if split_sides(g, a, b):
+            return a, b
+    return None
 
 
 # -- reference path-system helpers -------------------------------------------

@@ -102,23 +102,6 @@ def _is_acyclic(g: Graph, emask: int, d1: int, d2: int) -> bool:
     return sum(len(seq) for seq in _paths(g, emask, d1 & ~d2)) == d1.bit_count()
 
 
-def walk_paths(g: Graph, emask: int) -> list[list[int]]:
-    """Vertex sequences of the maximal paths of a path system (length >= 1)."""
-    d1, d2, _ = degree_masks(g, emask)
-    return list(_paths(g, emask, d1 & ~d2))
-
-
-def degree_signature(g: Graph, emask: int, universe: int) -> tuple[int, int, int]:
-    """(D0, D1, D2) vertex masks over the universe; degree >= 3 is rejected."""
-    d1, d2, d3 = degree_masks(g, emask)
-    over = d3 & universe
-    if over:
-        v = (over & -over).bit_length() - 1
-        d = (g.incident[v] & emask).bit_count()
-        raise ValueError(f"vertex {v} has degree {d} > 2")
-    return universe & ~d1, universe & d1 & ~d2, universe & d2
-
-
 def is_hamiltonian_cycle(g: Graph, emask: int) -> bool:
     if emask.bit_count() != g.n or g.n < 3:
         return False

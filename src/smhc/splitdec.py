@@ -11,69 +11,89 @@ from __future__ import annotations
 import json
 
 from .graph import Graph, bits
-from .cuts import CutFunction, mm_value, sm_value, split_sides
-
-EXHAUSTIVE_SPLIT_LIMIT = 14
-
-
-def _find_split_exhaustive(g: Graph):
-    verts = g.vertices
-    n = len(verts)
-    anchor = verts[0]
-    rest = verts[1:]
-    for sub in range(1 << (n - 1)):
-        a = 1 << anchor
-        for i in range(n - 1):
-            if (sub >> i) & 1:
-                a |= 1 << rest[i]
-        b = g.vmask & ~a
-        if split_sides(g, a, b):
-            return a, b
-    return None
-
-
-def _find_split_closure(g: Graph):
-    """Grow a candidate side from each seed pair; sound but may miss splits."""
-    verts = g.vertices
-    for i, x in enumerate(verts):
-        for y in verts[i + 1:]:
-            a = (1 << x) | (1 << y)
-            changed = True
-            while changed and a != g.vmask:
-                changed = False
-                b = g.vmask & ~a
-                nb_by_vertex = [g.adj[v] & b for v in bits(a) if g.adj[v] & b]
-                if not nb_by_vertex:
-                    break
-                union = 0
-                inter = g.vmask
-                for nb in nb_by_vertex:
-                    union |= nb
-                    inter &= nb
-                disputed = union & ~inter
-                if disputed:
-                    a |= disputed
-                    changed = True
-            b = g.vmask & ~a
-            if b.bit_count() >= 2 and split_sides(g, a, b):
-                return a, b
-    return None
+from .cuts import CutFunction, mm_value, sm_value
 
 
 def find_split(g: Graph):
-    """Some non-trivial split (a, b) of the connected graph g, or None.
+    """The split (a, b) of the connected g whose side a holds the lowest
+    vertex v0 and has the least vertex mask, or None if g is prime.
 
-    Exhaustive (certified) for n <= EXHAUSTIVE_SPLIT_LIMIT; beyond that a
-    closure heuristic is used, which only ever returns verified splits but
-    may fail to find one.
+    A split is a bipartition (A, B) with both sides of size >= 2 whose
+    crossing edges join every vertex of A' = N(B) ∩ A to every vertex of
+    B' = N(A) ∩ B; connectivity makes both frontiers non-empty.  Let
+    (A*, B*) be the split sought.
+
+    Closure lemma.  Let (A, B) be a split with v0 ∈ A and z ∈ B'.  Every
+    u ∈ B has N(u) ∩ A equal to ∅ or to A' = N(z) ∩ A.  So for a ⊆ A, every
+    u ≠ z outside a with N(u) ∩ a ∉ {∅, N(z) ∩ a} lies in A.  Adding such
+    vertices to the seed {v0, y} until none is left gives a set C(y, z)
+    inside every split side A ⊇ {v0, y} whose far frontier B' holds z.
+    Once closed, every u outside C = C(y, z), z included, has N(u) ∩ C equal
+    to ∅ or to S = N(z) ∩ C, so the crossing edges join all of S to all u
+    with N(u) ∩ C = S: C is itself a split side when at least two vertices
+    stay outside.
+
+    Seed lemma.  Let y1 be a neighbour of v0.  Then A* = C(y1, z) for some
+    z, or A* = C(y, y1) for some y ∈ N(v0) or with N(y) ⊇ N(v0).
+    Proof.  If y1 ∈ A*, take z ∈ B*'.  Otherwise y1 ∈ B* is adjacent to
+    v0 ∈ A*, so y1 ∈ B*' and v0 ∈ A*'.  If N(v0) meets A*, take y there.
+    If not, N(v0) = N(v0) ∩ B* = B*'.  A* − {v0} is non-empty and has no
+    edge to v0, so by connectivity some y in it has a neighbour in B*; then
+    y ∈ A*' and N(y) ⊇ B*' = N(v0).  Either way the closure lies in A*
+    with B* outside, so it is a split side holding v0 whose mask is not
+    below that of A*: it is A*.
+
+    Hence A* is the least mask over these O(n) closures.  y1 is taken as the
+    highest neighbour: in a part of a decomposition that is often a marker
+    on the side of v0, and then the first closure tried is A*.  A closure
+    only grows, so it is abandoned once its mask reaches the best one so
+    far or fewer than two vertices stay outside.  One wave of it forces
+    exactly the vertices in off | (on_any & ~on_all), where off is the
+    union of adj over a − N(z) and on_any, on_all are the union and the
+    intersection of adj over a ∩ N(z); each added vertex updates them in
+    O(1) big-int operations, so the search takes O(n^2) of them.  The
+    closures are those of Cunningham, "Decomposition of directed graphs",
+    SIAM J. Alg. Disc. Meth. 1982.
     """
     if not g.is_connected():
         raise ValueError("split decomposition needs a connected graph")
     if g.n < 4:
         return None
-    if g.n <= EXHAUSTIVE_SPLIT_LIMIT:
-        return _find_split_exhaustive(g)
-    return _find_split_closure(g)
+    full = g.vmask
+    v0 = g.vertices[0]
+    n0 = g.adj[v0]
+    y1 = n0.bit_length() - 1
+    far = full & ~(1 << v0 | 1 << y1)
+    pairs = [(y1, z) for z in bits(far)]
+    pairs += [(y, y1) for y in bits(far) if (n0 >> y) & 1 or g.adj[y] & n0 == n0]
+    best = full  # no split side found yet
+    for y, z in pairs:
+        side = _closure(g, 1 << v0 | 1 << y, z, best)
+        if side is not None:
+            best = side
+    return None if best == full else (best, full & ~best)
+
+
+def _closure(g: Graph, seed: int, z: int, bound: int) -> int | None:
+    """The seed closed under adding each u ≠ z with N(u) ∩ a ∉ {∅, N(z) ∩ a};
+    None once its mask reaches the bound or under two vertices stay out."""
+    adj, full = g.adj, g.vmask
+    nz, keep = adj[z], full & ~(1 << z)
+    a, new = 0, seed
+    off = on_any = 0
+    on_all = full
+    while new:
+        a |= new
+        if a >= bound or (full & ~a).bit_count() < 2:
+            return None
+        for x in bits(new):
+            if (nz >> x) & 1:
+                on_any |= adj[x]
+                on_all &= adj[x]
+            else:
+                off |= adj[x]
+        new = (off | (on_any & ~on_all)) & keep & ~a
+    return a
 
 
 class SplitDecomposition:
@@ -84,15 +104,9 @@ class SplitDecomposition:
         self.primes = primes
         self.markers = markers  # marker id -> (prime index, prime index)
         self.tree_edges = sorted(set(markers.values()))
-        self.marker_mask = 0
-        for m in markers:
-            self.marker_mask |= 1 << m
         self._tot_cache: dict[tuple[int, int], int] = {}
 
     # -- tot / act ---------------------------------------------------------
-
-    def prime_of(self, i: int) -> Graph:
-        return self.primes[i]
 
     def tot(self, i: int, v: int) -> int:
         """Original vertices represented by v as seen from prime i."""
@@ -175,39 +189,29 @@ def split_decompose(g: Graph) -> SplitDecomposition:
         raise ValueError("split decomposition needs at least two vertices")
     if not g.is_connected():
         raise ValueError("split decomposition needs a connected graph")
-    next_marker = g.vertices[-1] + 1
+    last = g.vertices[-1]  # marker ids are fresh ids above it
+    next_marker = last + 1
     primes: list[Graph] = []
     markers: dict[int, list[int]] = {}
-    marker_side: dict[int, int] = {}  # marker id -> how many hosts placed
-
-    def place(h: Graph):
-        nonlocal next_marker
-        split = find_split(h) if h.n >= 4 else None
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        split = find_split(h)
         if split is None:
-            idx = len(primes)
-            primes.append(h)
             for v in h.vertices:
-                if v in marker_side:
-                    markers.setdefault(v, []).append(idx)
-            return
-        a, b = split
+                if v > last:
+                    markers.setdefault(v, []).append(len(primes))
+            primes.append(h)
+            continue
         m = next_marker
         next_marker += 1
-        marker_side[m] = 0
-        na = h.neighborhood(b)  # boundary of a
-        nb = h.neighborhood(a)  # boundary of b
-        ga = Graph([v for v in h.vertices if (a >> v) & 1] + [m],
-                   [(u, v) for (u, v) in h.edges if (a >> u) & 1 and (a >> v) & 1]
-                   + [(m, v) for v in bits(na)])
-        gb = Graph([v for v in h.vertices if (b >> v) & 1] + [m],
-                   [(u, v) for (u, v) in h.edges if (b >> u) & 1 and (b >> v) & 1]
-                   + [(m, v) for v in bits(nb)])
-        place(ga)
-        place(gb)
-
-    place(g)
-    marker_map = {m: (idx[0], idx[1]) for m, idx in markers.items()}
-    return SplitDecomposition(g, primes, marker_map)
+        # push the side of b first, so a's side is placed first
+        for side, other in (split[::-1], split):
+            stack.append(Graph(
+                [v for v in h.vertices if (side >> v) & 1] + [m],
+                [(u, v) for (u, v) in h.edges if (side >> u) & 1 and (side >> v) & 1]
+                + [(m, v) for v in bits(h.neighborhood(other))]))
+    return SplitDecomposition(g, primes, {m: tuple(idx) for m, idx in markers.items()})
 
 
 # -- lifted cut functions --------------------------------------------------
@@ -253,9 +257,5 @@ def lifted_sm_cut_function(ctx: LiftedContext) -> CutFunction:
 
 
 def is_prime(g: Graph) -> bool:
-    """Exhaustive no-split scan (sizes up to the exhaustive limit)."""
-    if g.n < 4:
-        return True
-    if g.n > EXHAUSTIVE_SPLIT_LIMIT:
-        raise ValueError("primality scan limited to small graphs")
-    return _find_split_exhaustive(g) is None
+    """Whether the connected g has no non-trivial split."""
+    return find_split(g) is None

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -18,6 +19,15 @@ def atlas_connected(min_n: int = 3, max_n: int = 6):
             continue
         out.append(Graph(range(n), list(G.edges())))
     return out
+
+
+def stack_depth():
+    """Number of frames on the stack, this call's own included."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def random_corpus(sizes, per_size, seed):

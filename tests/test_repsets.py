@@ -3,36 +3,12 @@ import random
 import pytest
 
 from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
-from smhc.repsets import (is_path_system, walk_paths, degree_masks,
-                          degree_signature, pairing_row,
+from smhc.repsets import (is_path_system, degree_masks, pairing_row,
                           representative_hc_sets, torso, SPANNING_CYCLE,
                           pad_separator, trim_separator, preserving_extension,
-                          is_hamiltonian_cycle, _can_add_edge)
+                          is_hamiltonian_cycle, _can_add_edge, _paths)
 from smhc.generators import random_connected_graph
 from smhc import oracles
-
-
-def test_walk_paths():
-    g = Graph(range(6), [(0, 1), (1, 2), (3, 4)])
-    paths = walk_paths(g, 0b111)
-    assert sorted(tuple(p) for p in paths) == [(0, 1, 2), (3, 4)]
-
-
-def test_degree_signature():
-    g = Graph(range(4), [(0, 1), (1, 2)])
-    d0, d1, d2 = degree_signature(g, 0b11, g.vmask)
-    assert d0 == 1 << 3 and d1 == (1 << 0) | (1 << 2) and d2 == 1 << 1
-    assert degree_signature(g, 0, g.vmask)[0] == g.vmask
-    with pytest.raises(ValueError):
-        k = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
-        degree_signature(k, 0b111, k.vmask)
-
-
-def _signature_or_error(fn, g, emask, universe):
-    try:
-        return fn(g, emask, universe)
-    except ValueError:
-        return "degree > 2"
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -47,12 +23,13 @@ def test_mask_helpers_match_reference(seed):
     for m in masks:
         assert is_path_system(g, m) == oracles._is_path_system(g, m)
         assert is_hamiltonian_cycle(g, m) == oracles._is_spanning_cycle(g, m)
-        universe = rng.getrandbits(g.n) | rng.choice([0, g.vmask])
-        assert (_signature_or_error(degree_signature, g, m, universe)
-                == _signature_or_error(oracles._degree_signature, g, m, universe))
-        if any(d > 2 for d in oracles._edge_degrees(g, m).values()):
+        deg = oracles._edge_degrees(g, m)
+        d1, d2, d3 = degree_masks(g, m)
+        assert (d1, d2, d3) == tuple(mask_of(v for v in deg if deg[v] >= k)
+                                     for k in (1, 2, 3))
+        if d3:
             continue  # the path-system state is defined for degree <= 2
-        assert walk_paths(g, m) == oracles._walk_paths(g, m)
+        assert list(_paths(g, m, d1 & ~d2)) == oracles._walk_paths(g, m)
         for _ in range(4):
             side = rng.getrandbits(g.n) | rng.choice([0, g.vmask])
             sep = rng.getrandbits(g.n) & rng.choice([side, g.vmask])
@@ -162,7 +139,7 @@ def test_representative_hc_sets_exhaustive(k):
     assert len(kept) <= 4 ** k < 6 ** k
     per_signature = {}
     for m in kept:
-        sig = degree_signature(kC, m, kC.vmask)
+        sig = oracles._degree_signature(kC, m, kC.vmask)
         per_signature[sig] = per_signature.get(sig, 0) + 1
     for (_, d1, _), count in per_signature.items():
         assert count <= 2 ** max(d1.bit_count() - 1, 0)

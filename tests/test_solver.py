@@ -12,6 +12,7 @@ from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
+from tests.conftest import stack_depth
 
 
 def brute_conc(g, a, b, sa, sb):
@@ -183,14 +184,6 @@ def test_trace_collection():
     assert len(trace["node_sizes"]) >= g.n
 
 
-def _stack_depth():
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 def test_solve_deep_caterpillar_in_bounded_stack():
     """The post-order needs no stack frame per decomposition level.
 
@@ -200,7 +193,7 @@ def test_solve_deep_caterpillar_in_bounded_stack():
     g = grid_graph(2, 60)
     bd = caterpillar_decomposition(list(g.vertices))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 50)
+    sys.setrecursionlimit(stack_depth() + 50)
     try:
         got, witness = solve_hc(g, bd)
     finally:

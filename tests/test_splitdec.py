@@ -1,12 +1,15 @@
 import random
+import sys
 
 import pytest
 
-from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph
+from smhc.graph import Graph, bits, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import is_split, mm_value
 from smhc.splitdec import (find_split, split_decompose, SplitDecomposition,
                            LiftedContext, is_prime, lifted_mm_cut_function)
 from smhc.generators import random_connected_graph
+from smhc import oracles
+from tests.conftest import atlas_connected, stack_depth
 
 
 def worked_example():
@@ -46,6 +49,87 @@ def test_is_prime():
     assert is_prime(cycle_graph(5))
     assert not is_prime(cycle_graph(4))
     assert is_prime(path_graph(3))  # <= 3 vertices: trivially prime
+    assert is_prime(cycle_graph(20))
+    assert not is_prime(path_graph(20))
+
+
+def split_composed(n, rng):
+    """A connected graph on n vertices built from random pieces by splits.
+
+    A random vertex v of the graph so far is replaced by a random piece
+    less one marker vertex m: every neighbour of v is joined to every
+    neighbour of m.  Vertex ids are shuffled at the end.
+    """
+    g = random_connected_graph(min(n, rng.randint(2, 5)), rng)
+    while g.n < n:
+        h = random_connected_graph(min(n - g.n + 2, rng.randint(3, 6)), rng)
+        v = rng.choice(g.vertices)
+        off = max(g.vertices) + 1
+        m = rng.choice(h.vertices)
+        es = [e for e in g.edges if v not in e]
+        es += [(off + x, off + y) for x, y in h.edges if m not in (x, y)]
+        es += [(u, off + w) for u in bits(g.adj[v]) for w in bits(h.adj[m])]
+        vs = [u for u in g.vertices if u != v]
+        vs += [off + x for x in h.vertices if x != m]
+        g = Graph(vs, es)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    label = dict(zip(g.vertices, ids))
+    return Graph(ids, [(label[u], label[v]) for u, v in g.edges])
+
+
+def test_find_split_matches_brute_split_on_atlas():
+    for g in atlas_connected(4, 7):
+        assert find_split(g) == oracles.brute_split(g)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_find_split_matches_brute_split_random(seed):
+    """The least-mask split side holding the lowest vertex, not just any."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        g = random_connected_graph(rng.randint(8, 12), rng,
+                                   p=rng.choice([0.2, 0.4, 0.7]))
+        assert find_split(g) == oracles.brute_split(g)
+        g = split_composed(rng.randint(4, 14), rng)
+        assert find_split(g) == oracles.brute_split(g)
+
+
+def test_find_split_on_fifteen_vertices():
+    """One split, {1, 2, 3, 10, 13} against the rest, in 15 vertices.
+
+    Closures grown from vertex pairs without a far vertex z miss it.
+    """
+    g = Graph(range(15), [(0, 3), (0, 8), (0, 9), (0, 10), (1, 2), (1, 13),
+                          (2, 3), (3, 5), (3, 6), (3, 12), (4, 8), (4, 14),
+                          (5, 7), (5, 9), (5, 10), (5, 12), (6, 10), (6, 11),
+                          (7, 14), (9, 11), (10, 12), (10, 13), (11, 12)])
+    side = mask_of([1, 2, 3, 10, 13])
+    split = find_split(g)
+    assert split == oracles.brute_split(g)
+    assert split == (g.vmask & ~side, side)
+    assert not is_prime(g)
+    dec = split_decompose(g)
+    assert dec.recompose() == g and len(dec.primes) > 1
+    for p in dec.primes:
+        assert oracles.brute_split(p) is None
+
+
+@pytest.mark.parametrize("g", [path_graph(60), complete_graph(60)],
+                         ids=["path60", "clique60"])
+def test_split_decompose_deep_in_bounded_stack(g):
+    """Placing the parts needs no stack frame per level of splits.
+
+    Both graphs split 57 levels deep; the decomposition runs under a
+    recursion limit 50 frames above the caller's depth.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        dec = split_decompose(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(dec.primes) == 58 and dec.recompose() == g
 
 
 def test_split_decompose_c5_single_prime():
