@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the same answers on the benchmark corpora.
+
+Builds the three corpora of `benchmark/workloads.py` (sweep-small,
+grid-long and clique-split) once, with this checkout's generators, and
+runs `solve_hc` on every input in one subprocess per tree, with that
+tree's `src` first on the path.  Each input is solved the way `smhc hc`
+solves it: with its stored decomposition if it has one, else with
+`approx_sm_decomposition`.  Prints, per workload, how many inputs have
+identical verdicts, witnesses and per-node family sizes
+(`trace["node_sizes"]`), lists every difference, and exits 1 on any.
+
+Usage: python3 scripts/same_answers.py --parent PATH [--tree PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def solve_all(inputs: list[dict]) -> list[dict]:
+    """Verdict, witness and node sizes of each input, from the `smhc` on the path."""
+    from smhc.branchdec import BranchDecomposition
+    from smhc.graph import Graph
+    from smhc.pipeline import approx_sm_decomposition
+    from smhc.solver import solve_hc
+
+    out = []
+    for inp in inputs:
+        g = Graph(range(inp["n"]), [tuple(e) for e in inp["edges"]])
+        trace: dict = {"node_sizes": []}
+        if g.n < 3 or not g.is_connected():
+            verdict, witness = False, None
+        else:
+            if inp["decomposition"] is not None:
+                bd = BranchDecomposition.from_json(inp["decomposition"])
+            else:
+                bd = approx_sm_decomposition(g)
+            verdict, witness = solve_hc(g, bd, trace=trace)
+        out.append({"verdict": verdict,
+                    "witness": [list(e) for e in witness] if witness else None,
+                    "node_sizes": trace["node_sizes"]})
+    return out
+
+
+def corpora() -> dict[str, list[dict]]:
+    """The inputs of every workload, in a fixed order (seed 0)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    import smhc.generators
+    import workloads
+
+    smhc_ns = types.SimpleNamespace(generators=smhc.generators)
+    return {name: [{"label": inp.label, "n": inp.n, "edges": inp.edges,
+                    "decomposition": inp.decomposition}
+                   for inp in workloads.order(name, 0, smhc_ns)]
+            for name in workloads.CORPORA}
+
+
+def run_tree(tree: Path, payload: dict[str, list[dict]]) -> dict[str, list[dict]]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, __file__, "--solve"], env=env,
+                          input=json.dumps(payload), stdout=subprocess.PIPE,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="the tree to compare against")
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="the tree under test (default: this checkout)")
+    parser.add_argument("--solve", action="store_true",
+                        help="internal: solve the inputs on stdin")
+    args = parser.parse_args(argv)
+    if args.solve:
+        payload = json.load(sys.stdin)
+        json.dump({w: solve_all(inputs) for w, inputs in payload.items()}, sys.stdout)
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
+    payload = corpora()
+    before = run_tree(args.parent.resolve(), payload)
+    after = run_tree(args.tree.resolve(), payload)
+    differences = 0
+    for workload, inputs in payload.items():
+        same = 0
+        for inp, old, new in zip(inputs, before[workload], after[workload]):
+            if old == new:
+                same += 1
+                continue
+            differences += 1
+            fields = [k for k in ("verdict", "witness", "node_sizes") if old[k] != new[k]]
+            line = f"  {inp['label']}: {', '.join(fields)} differ"
+            if "node_sizes" in fields:
+                line += (f" (family sum {sum(old['node_sizes'])} -> "
+                         f"{sum(new['node_sizes'])})")
+            print(line)
+        print(f"{workload}: {same}/{len(inputs)} inputs with identical verdicts, "
+              "witnesses and node_sizes")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

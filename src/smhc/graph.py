@@ -30,7 +30,7 @@ class Graph:
     """Simple undirected graph, immutable after construction."""
 
     __slots__ = ("vertices", "vmask", "edges", "adj", "edge_index",
-                 "incident", "edge_vertices", "_hash")
+                 "incident", "edge_vertices", "_hash", "_connected")
 
     def __init__(self, vertices, edges):
         vs = sorted(set(vertices))
@@ -65,6 +65,7 @@ class Graph:
         self.incident = incident
         self.edge_vertices = tuple(edge_vertices)
         self._hash = None
+        self._connected = None
 
     # -- basics ------------------------------------------------------------
 
@@ -139,18 +140,16 @@ class Graph:
         return nb & ~s
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        start = self.vertices[0]
-        reached = 1 << start
-        frontier = reached
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~reached
-            reached |= frontier
-        return reached == self.vmask
+        if self._connected is None:
+            reached = frontier = self.vmask & -self.vmask  # lowest vertex
+            while frontier:
+                nxt = 0
+                for v in bits(frontier):
+                    nxt |= self.adj[v]
+                frontier = nxt & ~reached
+                reached |= frontier
+            self._connected = reached == self.vmask
+        return self._connected
 
     # -- edge-set helpers (edge bitmasks over self.edges) ------------------
 

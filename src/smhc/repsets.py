@@ -5,9 +5,10 @@ separator (`torso`), collapsing equal torsos, and keeping a representative
 subfamily of the torsos (`representative_hc_sets`): whenever some member
 closes a Hamiltonian cycle with a completion, some kept member does too.
 `preserving_extension` applies this to a family extended by its cross
-edges.  Edge sets are bitmasks over the host's edge list.  A path
-system's state (degree classes, path ends, acyclicity) is derived from
-vertex bitmasks and is defined for maximum degree two.
+edges.  Edge sets are bitmasks over the host's edge list.  A path system
+travels with its degree masks (d1, d2), its vertices of degree >= 1 and
+>= 2; its path ends and acyclicity are derived from vertex bitmasks and
+are defined for maximum degree two.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -168,18 +169,19 @@ def representative_hc_sets(gC: Graph, members: list[int]) -> list[int]:
 SPANNING_CYCLE = "spanning-cycle"
 
 
-def torso(g: Graph, emask: int, side: int, sep: int):
+def torso(g: Graph, emask: int, d1: int, d2: int, side: int, sep: int):
     """Compress a path system onto the separator; None marks a dead member.
 
-    Every vertex of side \\ sep must be internal (degree two) and every
-    path endpoint must lie in sep, else no completion through the separator
-    can exist.  Each segment between consecutive separator visits becomes
-    one separator edge; the paths are vertex-disjoint, so no two segments
-    join the same pair.  A member containing a cycle is dead unless it is a spanning cycle of the whole
-    graph, in which case the SPANNING_CYCLE sentinel is returned: such a
-    member completes exactly with the empty completion.
+    d1 and d2 are the member's vertices of degree >= 1 and >= 2.  Every
+    vertex of side \\ sep must be internal (degree two) and every path
+    endpoint must lie in sep, else no completion through the separator can
+    exist.  Each segment between consecutive separator visits becomes one
+    separator edge; the paths are vertex-disjoint, so no two segments join
+    the same pair.  A member containing a cycle is dead unless it is a
+    spanning cycle of the whole graph, in which case the SPANNING_CYCLE
+    sentinel is returned: such a member completes exactly with the empty
+    completion.
     """
-    d1, d2, _ = degree_masks(g, emask)
     ends = d1 & ~d2
     if side & ~sep & ~d2 or ends & ~sep:
         return None
@@ -207,33 +209,35 @@ def pad_separator(g: Graph, a: int, c: int, minimum: int = 3) -> int:
     return c
 
 
-def trim_separator(g: Graph, a: int, sep: int, items: list[tuple[int, object]],
+def trim_separator(g: Graph, a: int, sep: int,
+                   items: list[tuple[int, int, int, object]],
                    stats: dict | None = None):
     """Keep one representative item per surviving torso class.
 
-    `items` are (edge-mask, payload) pairs whose edges live in
-    E(G[a ∪ sep]); the edge masks are reduced to torsos over sep, dead
-    members dropped, duplicates collapsed to the canonically least item,
-    and the torso family pruned by `representative_hc_sets`.
+    `items` are (edge-mask, d1, d2, payload) tuples whose edges live in
+    E(G[a ∪ sep]), with d1 and d2 the degree masks of the edge mask; the
+    edge masks are reduced to torsos over sep, dead members dropped,
+    duplicates collapsed to the canonically least item, and the torso
+    family pruned by `representative_hc_sets`.
     """
     items = sorted(items, key=lambda it: it[0])
     sep_vertices = list(bits(sep))
     kC = Graph(sep_vertices, [(u, v) for i, u in enumerate(sep_vertices)
                               for v in sep_vertices[i + 1:]])
-    by_torso: dict[int, tuple[int, object]] = {}
+    by_torso: dict[int, tuple[int, int, int, object]] = {}
     torso_order: list[int] = []
     cycle_item = None  # canonically least spanning-cycle member, if any
-    for emask, payload in items:
-        t = torso(g, emask, a, sep)
+    for item in items:
+        t = torso(g, item[0], item[1], item[2], a, sep)
         if t is None:
             continue
         if t is SPANNING_CYCLE:
             if cycle_item is None:
-                cycle_item = (emask, payload)
+                cycle_item = item
             continue
         tmask = kC.edge_mask(t)
         if tmask not in by_torso:
-            by_torso[tmask] = (emask, payload)
+            by_torso[tmask] = item
             torso_order.append(tmask)
     chosen = representative_hc_sets(kC, torso_order)
     if stats is not None:
@@ -253,12 +257,14 @@ def trim_separator(g: Graph, a: int, sep: int, items: list[tuple[int, object]],
 EXTENSION_TRIM_CAP = 256  # working family size that triggers a trim over X ∪ c
 
 
-def preserving_extension(g: Graph, a: int, c: int, fam: list[int], estar: int,
+def preserving_extension(g: Graph, a: int, c: int,
+                         fam: dict[int, tuple[int, int]], estar: int,
                          stats: dict | None = None) -> list[tuple[int, int]]:
     """Extension family of `fam` by the separator-incident cross edges.
 
-    Returns (extended-mask, core-certificate) pairs.  Certificates whose
-    total degree deficiency exceeds the cross-edge budget 2|c| can never
+    `fam` maps each certificate to its degree masks (d1, d2).  Returns
+    (extended-mask, core-certificate) pairs.  Certificates whose total
+    degree deficiency exceeds the cross-edge budget 2|c| can never
     complete to a Hamiltonian cycle and are dropped.  Per certificate the
     estar edges at its deficient endpoints are folded in one at a time,
     trimming over the separator X ∪ c whenever the working family grows
@@ -269,44 +275,45 @@ def preserving_extension(g: Graph, a: int, c: int, fam: list[int], estar: int,
     if csize < 3:
         raise ValueError("separator must have size at least three")
     na = a.bit_count()
-    collected: list[tuple[int, int]] = []
-    for cert in sorted(set(fam)):
+    first: dict[int, tuple[int, int, int, int]] = {}  # extended mask -> first item
+    for cert in sorted(fam):
         p = cert.bit_count()
         deficiency = 2 * na - 2 * p
         if deficiency > 2 * csize:
             continue
-        xmask = a & ~degree_masks(g, cert)[1]
+        d1, d2 = fam[cert]
+        xmask = a & ~d2
         sep = xmask | c
         candidates = [i for i in bits(estar) if g.edge_vertices[i] & xmask]
-        working: list[tuple[int, int]] = [(cert, cert)]
+        working = [(cert, d1, d2, cert)]  # (extended mask, d1, d2, core)
         for i in candidates:
             u, v = g.edges[i]
+            e = g.edge_vertices[i]
             added = []
-            for ext, core in working:
-                if _can_add_edge(g, ext, u, v, allow_spanning_cycle=True):
-                    added.append((ext | (1 << i), core))
+            for ext, e1, e2, core in working:
+                if _can_add_edge(g, ext, e1, e2, u, v, allow_spanning_cycle=True):
+                    added.append((ext | (1 << i), e1 | e, e2 | (e1 & e), core))
             working.extend(added)
             if len(working) > EXTENSION_TRIM_CAP:
                 working = trim_separator(g, a, sep, working, stats=stats)
-        collected.extend(working)
-    first: dict[int, int] = {}  # extended mask -> its first core
-    for ext, core in collected:
-        first.setdefault(ext, core)
-    return trim_separator(g, a, c, list(first.items()), stats=stats)
+        for item in working:
+            first.setdefault(item[0], item)
+    out = trim_separator(g, a, c, list(first.values()), stats=stats)
+    return [(ext, core) for ext, _, _, core in out]
 
 
-def _can_add_edge(g: Graph, emask: int, u: int, v: int,
+def _can_add_edge(g: Graph, emask: int, d1: int, d2: int, u: int, v: int,
                   allow_spanning_cycle: bool = False) -> bool:
     """Edge uv keeps the path system valid: degrees < 2, no cycle closed.
 
+    d1 and d2 are the vertices of degree >= 1 and >= 2 of the edge set.
     With allow_spanning_cycle, closing a path that already covers every
     vertex of g into a Hamiltonian cycle is permitted.
     """
-    du = (g.incident[u] & emask).bit_count()
-    dv = (g.incident[v] & emask).bit_count()
-    if du >= 2 or dv >= 2:
+    uv = (1 << u) | (1 << v)
+    if uv & d2:
         return False
-    if not du or not dv:
+    if uv & ~d1:
         return True
     # cycle iff u and v are the two ends of one existing path
     seq = walk_from(g, emask, u)

@@ -2,11 +2,12 @@
 
 A certificate is an edge bitmask forming vertex-disjoint paths inside its
 home vertex set (or a Hamiltonian cycle of the whole graph, at the root).
-Its path-system state (degrees, path ends and lengths) is derived from
-vertex bitmasks by `repsets` and is defined for degree at most two.
-Families are pruned with two trims: the representative-family machinery of
-`repsets` on sides with a small cut vertex cover, and a twin-signature
-collapse on split sides.
+A family maps each certificate to its degree masks (d1, d2), the vertices
+of degree >= 1 and >= 2, set in O(1) where the certificate is made.  Path
+ends and lengths are derived from vertex bitmasks by `repsets`, defined
+for degree at most two.  Families are pruned with two trims: the
+representative-family machinery of `repsets` on sides with a small cut
+vertex cover, and a twin-signature collapse on split sides.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ def certificate_valid(g: Graph, emask: int, home: int) -> bool:
     return home == g.vmask and is_hamiltonian_cycle(g, emask)
 
 
-def _path_slots(g: Graph, home: int, cert: int, max_paths: int | None):
+def _path_slots(g: Graph, home: int, cert: int, d1: int, d2: int,
+                max_paths: int | None):
     """Deficient-vertex mask, optionally limited to the first few paths.
 
     Paths and isolated vertices count in the order of their lowest vertex.
     """
-    d1, d2, _ = degree_masks(g, cert)
     deficient = home & ~d2
     ends = d1 & ~d2
     isolated = home & ~d1
@@ -52,13 +53,21 @@ def _path_slots(g: Graph, home: int, cert: int, max_paths: int | None):
 
 
 def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
-                    slots_a: int, slots_b: int) -> list[int]:
-    """All valid members of conc(sa, sb) whose cross edges touch the slots."""
+                    state_a: tuple[int, int], state_b: tuple[int, int],
+                    slots_a: int, slots_b: int,
+                    out: dict[int, tuple[int, int]]) -> None:
+    """Add to `out` every valid member of conc(sa, sb) whose cross edges
+    touch the slots, with its degree masks (d1, d2).
+
+    The homes are vertex-disjoint, so the degree masks of sa | sb are the
+    unions of those of sa and sb.
+    """
     base = sa | sb
     home = a | b
     full_home = home == g.vmask
     n = g.n
-    d1, d2, _ = degree_masks(g, base)
+    d1 = state_a[0] | state_b[0]
+    d2 = state_a[1] | state_b[1]
     # cross edges between slots of degree below two, in edge order
     reach_a = reach_b = 0
     for u in bits(slots_a & ~d2):
@@ -75,12 +84,11 @@ def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
     for seq in _paths(g, base, d1 & ~d2):
         ends[seq[0]] = (seq[-1], len(seq))
         ends[seq[-1]] = (seq[0], len(seq))
-    results: list[int] = []
 
     def rec(idx: int, cur: int, one: int, two: int) -> None:
         """`one`/`two`: vertices of degree >= 1 / >= 2 in base | cur."""
         if idx == len(candidates):
-            results.append(base | cur)
+            out[base | cur] = (one, two)
             return
         i, u, v, e = candidates[idx]
         rec(idx + 1, cur, one, two)  # skip
@@ -89,7 +97,7 @@ def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
         ou, cu = ends[u]
         if ou == v:
             if full_home and cu == n:
-                results.append(base | cur | (1 << i))
+                out[base | cur | (1 << i)] = (one | e, two | (one & e))
             return
         ov, cv = ends[v]
         ends[ou] = (ov, cu + cv)
@@ -101,20 +109,24 @@ def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
         ends[v] = (ov, cv)
 
     rec(0, 0, d1, d2)
-    return results
 
 
 def conc(g: Graph, a: int, b: int, sa: int, sb: int) -> list[int]:
     """All certificates sa ∪ sb ∪ E' with E' cross edges keeping validity."""
     if a & b:
         raise ValueError("certificate homes must be disjoint")
-    return _enumerate_pair(g, a, b, sa, sb, a, b)
+    out: dict[int, tuple[int, int]] = {}
+    _enumerate_pair(g, a, b, sa, sb, degree_masks(g, sa)[:2],
+                    degree_masks(g, sb)[:2], a, b, out)
+    return list(out)
 
 
-def join(g: Graph, a: int, b: int, sa: int, sb: int,
-         k: int | None = None, split_a: bool | None = None,
-         split_b: bool | None = None) -> list[int]:
-    """Preserving subset of conc(sa, sb); split sides limited to 4k paths."""
+def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int]],
+         fb: dict[int, tuple[int, int]], k: int | None = None,
+         split_a: bool | None = None,
+         split_b: bool | None = None) -> dict[int, tuple[int, int]]:
+    """Preserving subset of conc over all pairs of fa and fb, as a family;
+    split sides limited to 4k paths."""
     if a & b:
         raise ValueError("certificate homes must be disjoint")
     if k is None:
@@ -124,24 +136,30 @@ def join(g: Graph, a: int, b: int, sa: int, sb: int,
     if split_b is None:
         split_b = is_split(g, b)
     limit = max(4 * k, 1)
-    slots_a = _path_slots(g, a, sa, limit if split_a else None)
-    slots_b = _path_slots(g, b, sb, limit if split_b else None)
-    return _enumerate_pair(g, a, b, sa, sb, slots_a, slots_b)
+    out: dict[int, tuple[int, int]] = {}
+    for sa, state_a in fa.items():
+        slots_a = _path_slots(g, a, sa, *state_a, limit if split_a else None)
+        for sb, state_b in fb.items():
+            slots_b = _path_slots(g, b, sb, *state_b, limit if split_b else None)
+            _enumerate_pair(g, a, b, sa, sb, state_a, state_b,
+                            slots_a, slots_b, out)
+    return out
 
 
 # -- trims ------------------------------------------------------------------
 
-def trim_vc(g: Graph, a: int, fam: list[int],
-            stats: dict | None = None) -> list[int]:
+def trim_vc(g: Graph, a: int, fam: dict[int, tuple[int, int]],
+            stats: dict | None = None) -> dict[int, tuple[int, int]]:
     """Representative subfamily via a preserving extension over a Koenig cover."""
     cover = min_vertex_cover(g.cut_graph(a))
     c = pad_separator(g, a, cover)
     estar = g.edges_between(a, c & ~a)
     ext = preserving_extension(g, a, c, fam, estar, stats=stats)
-    return list(dict.fromkeys(core for _, core in ext))
+    return {core: fam[core] for _, core in ext}
 
 
-def trim_split(g: Graph, a: int, fam: list[int]) -> list[int]:
+def trim_split(g: Graph, a: int,
+               fam: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
     """One representative per twin signature on a split side.
 
     On a split side every boundary vertex has the same outside
@@ -156,8 +174,8 @@ def trim_split(g: Graph, a: int, fam: list[int]) -> list[int]:
     common_outside = g.neighborhood(a)
     t = common_outside.bit_count()
     chosen: dict[tuple[int, int], int] = {}
-    for cert in sorted(set(fam)):
-        d1, d2, _ = degree_masks(g, cert)
+    for cert in sorted(fam):
+        d1, d2 = fam[cert]
         isolated = a & ~d1
         if a & ~d2 & ~boundary or (isolated and t < 2):
             continue  # dead: no attachment for an inner or isolated vertex
@@ -165,15 +183,15 @@ def trim_split(g: Graph, a: int, fam: list[int]) -> list[int]:
         if sig in chosen or not _is_acyclic(g, cert, d1, d2):
             continue  # a closed cycle cannot reach the non-empty outside
         chosen[sig] = cert
-    return list(chosen.values())
+    return {cert: fam[cert] for cert in chosen.values()}
 
 
-def trim(g: Graph, a: int, fam: list[int], on_trim=None,
-         stats: dict | None = None) -> list[int]:
+def trim(g: Graph, a: int, fam: dict[int, tuple[int, int]], on_trim=None,
+         stats: dict | None = None) -> dict[int, tuple[int, int]]:
     """Dispatch: split sides use the twin signature, others the rep-set trim."""
     outside = g.vmask & ~a
     if outside == 0 or len(fam) <= 1:
-        return list(fam)
+        return fam
     if is_split(g, a):
         out = trim_split(g, a, fam)
     else:
@@ -214,27 +232,27 @@ def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
         adj[u].append(v)
         adj[v].append(u)
 
-    def merge(h1: int, f1: list[int], h2: int, f2: list[int], is_root: bool):
+    def merge(h1: int, f1: dict[int, tuple[int, int]], h2: int,
+              f2: dict[int, tuple[int, int]], is_root: bool):
         home = h1 | h2
         k = max(mm_value(g, h1), mm_value(g, h2))
         sa_split = is_split(g, h1)
         sb_split = is_split(g, h2)
         limit = max(4 * k, 1)
-        slots2 = [_path_slots(g, h2, s2, limit if sb_split else None) for s2 in f2]
-        members: dict[int, None] = {}
-        for s1 in f1:
-            slots_a = _path_slots(g, h1, s1, limit if sa_split else None)
-            for s2, slots_b in zip(f2, slots2):
-                for m in _enumerate_pair(g, h1, h2, s1, s2, slots_a, slots_b):
-                    members[m] = None
-            if use_trim and not is_root and len(members) > INTERMEDIATE_TRIM_CAP:
-                members = dict.fromkeys(
-                    trim(g, home, list(members), on_trim=on_trim, stats=stats))
-        fam = list(members)
+        slots2 = [_path_slots(g, h2, s2, *state, limit if sb_split else None)
+                  for s2, state in f2.items()]
+        members: dict[int, tuple[int, int]] = {}
+        for s1, state1 in f1.items():
+            slots_a = _path_slots(g, h1, s1, *state1, limit if sa_split else None)
+            for (s2, state2), slots_b in zip(f2.items(), slots2):
+                _enumerate_pair(g, h1, h2, s1, s2, state1, state2,
+                                slots_a, slots_b, members)
+                if use_trim and not is_root and len(members) > INTERMEDIATE_TRIM_CAP:
+                    members = trim(g, home, members, on_trim=on_trim, stats=stats)
         if use_trim and not is_root:
-            fam = trim(g, home, fam, on_trim=on_trim, stats=stats)
-        note(len(fam))
-        return home, fam
+            members = trim(g, home, members, on_trim=on_trim, stats=stats)
+        note(len(members))
+        return home, members
 
     def subtree(root: int, parent: int):
         """(home, family) of the subtree at root, solved in post-order."""
@@ -246,7 +264,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
                 raise ValueError("decomposition tree is not subcubic")
             order.append((node, children))
             stack.extend((w, node) for w in children)
-        solved: dict[int, tuple[int, list[int]]] = {}
+        solved: dict[int, tuple[int, dict[int, tuple[int, int]]]] = {}
         for node, children in reversed(order):  # left and right subtrees, node
             if children:
                 h1, f1 = solved.pop(children[0])
@@ -254,7 +272,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
                 solved[node] = merge(h1, f1, h2, f2, False)
             else:
                 note(1)
-                solved[node] = (1 << bd.leaf_map[node], [0])
+                solved[node] = (1 << bd.leaf_map[node], {0: (0, 0)})
         return solved[root]
 
     if not bd.edges:  # single leaf, n >= 3 impossible here

@@ -6,6 +6,7 @@ import pytest
 
 from smhc.graph import Graph
 from smhc.generators import random_connected_graph
+from smhc.repsets import degree_masks
 
 
 def atlas_connected(min_n: int = 3, max_n: int = 6):
@@ -19,6 +20,11 @@ def atlas_connected(min_n: int = 3, max_n: int = 6):
             continue
         out.append(Graph(range(n), list(G.edges())))
     return out
+
+
+def family(g, masks):
+    """Certificate family: each edge mask with its degree masks (d1, d2)."""
+    return {m: degree_masks(g, m)[:2] for m in masks}
 
 
 def stack_depth():

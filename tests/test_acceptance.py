@@ -22,7 +22,7 @@ from smhc.generators import random_connected_graph
 from smhc import oracles
 from smhc.cli import main as cli_main
 
-from tests.conftest import atlas_connected
+from tests.conftest import atlas_connected, family
 
 SWEEP_PER_SIZE = 500
 SWEEP_SIZES = (4, 5, 6, 7, 8)
@@ -143,7 +143,7 @@ def test_criterion_4_preserving_extension():
         if not fam:
             continue
         estar = g.edges_between(a, c & ~a)
-        ext = preserving_extension(g, a, c, fam, estar)
+        ext = preserving_extension(g, a, c, family(g, fam), estar)
         stripped = sorted({core for _, core in ext})
         if not oracles.verify_preservation(g, a, fam, stripped,
                                            method="enumerate"):

@@ -114,6 +114,16 @@ def test_bench_csv_shape(tmp_path, capsys):
         assert int(fam) >= 1 and int(millis) >= 0
 
 
+def test_parser_reuse_leaks_no_flag(capsys):
+    """The parser is built once per process; each call starts from the defaults."""
+    seeds = []
+    for argv in (["--seed", "3", "bench", "--n", "6"], ["bench", "--n", "6"]):
+        assert main(argv) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        seeds.append([row.split(",")[1] for row in rows])
+    assert seeds == [["3"], ["0"]]
+
+
 def test_bench_grid_family(tmp_path, capsys):
     assert main(["bench", "--family", "grid", "--n", "8", "--k", "2"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

@@ -9,6 +9,7 @@ from smhc.generators import random_connected_graph
 from smhc.oracles import (brute_hc, backtracking_hc, enumerate_hamiltonian_cycles,
                           brute_sm_width, verify_preservation,
                           BRUTE_HC_LIMIT, BRUTE_WIDTH_LIMIT)
+from tests.conftest import family
 
 
 def test_named_graphs():
@@ -92,7 +93,7 @@ def test_verify_methods_agree_on_trims(seed):
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    small = trim(g, a, fam)
+    small = list(trim(g, a, family(g, fam)))
     c = verify_preservation(g, a, fam, small, method="cycles")
     e = verify_preservation(g, a, fam, small, method="enumerate")
     assert c == e

@@ -9,6 +9,7 @@ from smhc.repsets import (is_path_system, degree_masks, pairing_row,
                           is_hamiltonian_cycle, _can_add_edge, _paths)
 from smhc.generators import random_connected_graph
 from smhc import oracles
+from tests.conftest import family
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -33,12 +34,12 @@ def test_mask_helpers_match_reference(seed):
         for _ in range(4):
             side = rng.getrandbits(g.n) | rng.choice([0, g.vmask])
             sep = rng.getrandbits(g.n) & rng.choice([side, g.vmask])
-            assert torso(g, m, side, sep) == oracles._torso(g, m, side, sep)
+            assert torso(g, m, d1, d2, side, sep) == oracles._torso(g, m, side, sep)
         if not is_path_system(g, m):
             continue  # adding an edge is defined on path systems
         for u, v in g.edge_set(((1 << g.m) - 1) & ~m):
             for allow in (False, True):
-                assert (_can_add_edge(g, m, u, v, allow)
+                assert (_can_add_edge(g, m, d1, d2, u, v, allow)
                         == oracles._can_add_edge(g, m, u, v, allow))
 
 
@@ -151,31 +152,36 @@ def test_representative_hc_sets_singleton():
     assert representative_hc_sets(kC, [0b001]) == [0b001]
 
 
+def torso_of(g, m, side, sep):
+    """`torso` with the degree masks folded from the edge mask."""
+    return torso(g, m, *degree_masks(g, m)[:2], side, sep)
+
+
 def test_torso_basics():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     sep = mask_of([0, 2, 3])
     side = g.vmask
     # path 0-1-2 compresses to separator edge (0,2)
-    t = torso(g, g.edge_mask([(0, 1), (1, 2)]), side, sep)
+    t = torso_of(g, g.edge_mask([(0, 1), (1, 2)]), side, sep)
     assert t == frozenset({(0, 2)})
     # empty member, everything in the separator
-    assert torso(g, 0, sep, sep) == frozenset()
+    assert torso_of(g, 0, sep, sep) == frozenset()
     # endpoint outside the separator is dead
-    assert torso(g, g.edge_mask([(0, 1)]), side, sep) is None
+    assert torso_of(g, g.edge_mask([(0, 1)]), side, sep) is None
 
 
 def test_torso_dead_cases():
     g = cycle_graph(4)
     sep = mask_of([0, 1])
     # vertex 2 outside sep has degree 1: dead
-    assert torso(g, g.edge_mask([(1, 2)]), g.vmask, sep) is None
+    assert torso_of(g, g.edge_mask([(1, 2)]), g.vmask, sep) is None
     # full cycle: spanning cycle sentinel
-    assert torso(g, (1 << g.m) - 1, g.vmask, sep) is SPANNING_CYCLE
+    assert torso_of(g, (1 << g.m) - 1, g.vmask, sep) is SPANNING_CYCLE
     # duplicated segment between the same separator pair
     h = Graph(range(4), [(0, 2), (2, 1), (0, 3), (3, 1)])
     s2 = mask_of([0, 1])
-    assert torso(h, (1 << h.m) - 1, h.vmask, s2) is SPANNING_CYCLE
-    assert torso(h, h.edge_mask([(0, 2), (2, 1), (0, 3)]), h.vmask, s2) is None
+    assert torso_of(h, (1 << h.m) - 1, h.vmask, s2) is SPANNING_CYCLE
+    assert torso_of(h, h.edge_mask([(0, 2), (2, 1), (0, 3)]), h.vmask, s2) is None
 
 
 def test_pad_separator():
@@ -191,23 +197,23 @@ def test_trim_separator_bound_and_subset():
     a = mask_of([0, 1, 2, 3])
     sep = pad_separator(g, a, mask_of([0, 3]))
     inner = g.edges_within(a)
-    items = [(m, m) for m in range(1 << g.m) if m & ~inner == 0
-             and is_path_system(g, m)]
+    items = [(m, *degree_masks(g, m)[:2], m) for m in range(1 << g.m)
+             if m & ~inner == 0 and is_path_system(g, m)]
     out = trim_separator(g, a, sep, items)
     assert len(out) <= 6 ** sep.bit_count()
-    assert {e for e, _ in out} <= {m for m, _ in items}
+    assert {it[0] for it in out} <= {it[0] for it in items}
 
 
 def test_preserving_extension_small_separator_rejected():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
-        preserving_extension(g, mask_of([0, 1]), mask_of([2]), [0], 0)
+        preserving_extension(g, mask_of([0, 1]), mask_of([2]), {0: (0, 0)}, 0)
 
 
 def test_preserving_extension_no_estar():
     g = cycle_graph(6)
     a = mask_of([0, 1, 2])
     c = mask_of([0, 2, 3])
-    fam = [g.edge_mask([(0, 1), (1, 2)])]
-    out = preserving_extension(g, a, c, fam, 0)
-    assert out == [(fam[0], fam[0])]
+    m = g.edge_mask([(0, 1), (1, 2)])
+    out = preserving_extension(g, a, c, family(g, [m]), 0)
+    assert out == [(m, m)]

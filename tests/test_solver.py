@@ -4,15 +4,16 @@ import sys
 import pytest
 
 from smhc.graph import Graph, bits, mask_of, cycle_graph, path_graph, complete_graph, petersen_graph
-from smhc.cuts import is_split
-from smhc.repsets import is_path_system
+from smhc.cuts import is_split, min_vertex_cover
+from smhc import repsets
+from smhc.repsets import degree_masks, is_path_system, pad_separator
 from smhc.solver import (conc, join, trim, trim_vc, trim_split, solve_hc,
-                         certificate_valid, is_hamiltonian_cycle)
+                         certificate_valid, is_hamiltonian_cycle, _enumerate_pair)
 from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
-from tests.conftest import stack_depth
+from tests.conftest import family, stack_depth
 
 
 def brute_conc(g, a, b, sa, sb):
@@ -85,7 +86,57 @@ def test_join_subset_of_conc(seed):
         return
     sa = 0
     sb = 0
-    assert set(join(g, a, b, sa, sb)) <= set(conc(g, a, b, sa, sb))
+    assert set(join(g, a, b, family(g, [sa]), family(g, [sb]))) <= set(conc(g, a, b, sa, sb))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_carried_degree_masks_equal_fold(seed, monkeypatch):
+    """Every (d1, d2) set in O(1) equals the fold of its edge mask.
+
+    Covers `_enumerate_pair` on pairs cut from a Hamiltonian cycle, so
+    spanning-cycle closures occur, and the extension step of
+    `preserving_extension`, whose items all reach `trim_separator`.
+    """
+    rng = random.Random(seed + 900)
+    g = random_connected_graph(rng.randint(4, 9), rng, p=0.6)
+    fold = lambda m: degree_masks(g, m)[:2]
+    hamiltonian, witness = oracles.brute_hc(g)
+    cycle = g.edge_mask(witness) if hamiltonian else 0
+
+    def sample(side):
+        """Path systems within the side: the cycle's part, then thinned ones."""
+        inner = g.edges_within(side)
+        thinned = [cycle & inner & rng.getrandbits(g.m) for _ in range(3)]
+        randoms = [m for m in (inner & rng.getrandbits(g.m) for _ in range(6))
+                   if is_path_system(g, m)]
+        return [cycle & inner] + thinned + randoms[:2]
+
+    items = []
+    real_trim_separator = repsets.trim_separator
+
+    def recording(g_, a_, sep, its, stats=None):
+        items.extend(its)
+        return real_trim_separator(g_, a_, sep, its, stats=stats)
+
+    monkeypatch.setattr(repsets, "trim_separator", recording)
+    closures = 0
+    for _ in range(4):
+        a = rng.randrange(1, g.vmask)
+        b = g.vmask & ~a
+        fa, fb = sample(a), sample(b)
+        for sa, sb in [(fa[0], fb[0])] + list(zip(fa[1:], fb[1:])):
+            out = {}
+            _enumerate_pair(g, a, b, sa, sb, fold(sa), fold(sb), a, b, out)
+            for m, state in out.items():
+                assert state == fold(m)
+                closures += is_hamiltonian_cycle(g, m)
+        c = pad_separator(g, a, min_vertex_cover(g.cut_graph(a)))
+        repsets.preserving_extension(g, a, c, family(g, fa),
+                                     g.edges_between(a, c & ~a))
+    assert closures or not hamiltonian
+    assert any(ext != core for ext, _, _, core in items)
+    for ext, d1, d2, _ in items:
+        assert (d1, d2) == fold(ext)
 
 
 def test_trim_vc_bound():
@@ -94,7 +145,7 @@ def test_trim_vc_bound():
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    out = trim_vc(g, a, fam)
+    out = list(trim_vc(g, a, family(g, fam)))
     assert set(out) <= set(fam)
     assert len(out) <= 6 ** 3  # padded cover has size 3
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
@@ -105,10 +156,10 @@ def test_trim_split_signature_collapse():
     g = Graph(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)])
     a = mask_of([0, 1])
     assert is_split(g, a)
-    out = trim_split(g, a, [0])
-    assert out == [0]
+    out = trim_split(g, a, {0: (0, 0)})
+    assert out == {0: (0, 0)}
     with pytest.raises(ValueError):
-        trim_split(g, mask_of([0, 2]), [0])
+        trim_split(g, mask_of([0, 2]), {0: (0, 0)})
 
 
 def test_trim_split_preserves():
@@ -117,7 +168,7 @@ def test_trim_split_preserves():
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    out = trim_split(g, a, fam)
+    out = list(trim_split(g, a, family(g, fam)))
     assert set(out) <= set(fam)
     assert len(out) <= (g.n + 1) ** 3
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
@@ -126,9 +177,9 @@ def test_trim_split_preserves():
 def test_trim_dispatch():
     g = complete_graph(6)
     a = mask_of([0, 1, 2])
-    assert trim(g, a, [0]) == [0]  # singleton short-circuits
+    assert trim(g, a, {0: (0, 0)}) == {0: (0, 0)}  # singleton short-circuits
     fam = [0, g.edge_mask([(0, 1)])]
-    assert set(trim(g, a, fam)) <= set(fam)
+    assert set(trim(g, a, family(g, fam))) <= set(fam)
 
 
 def test_solve_named_graphs():
