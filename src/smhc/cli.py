@@ -108,22 +108,18 @@ def cmd_verify(args) -> int:
                 print(f"ok: approx width {width} within 18x exact {exact}")
             else:
                 failures.append(f"width {width} exceeds 18x exact {exact}")
-        checks = []
-        if g.n <= 8:
-            hcs = oracles.enumerate_hamiltonian_cycles(g)
-
-            def on_trim(gg, a, before, after):
-                checks.append(oracles.verify_preservation(
-                    gg, a, before, after, method="cycles", hcs=hcs))
-        else:
-            on_trim = None
-        got, witness = solve_hc(g, bd, on_trim=on_trim)
+        trace: dict = {"trims": []} if g.n <= 8 else {}
+        got, witness = solve_hc(g, bd, trace=trace)
         want, _ = oracles.brute_hc(g)
         if got == want:
             print(f"ok: solver agrees with the oracle (hamiltonian={got})")
         else:
             failures.append(f"solver says {got}, oracle says {want}")
-        if on_trim is not None:
+        if "trims" in trace:
+            hcs = oracles.enumerate_hamiltonian_cycles(g)
+            checks = [oracles.verify_preservation(g, a, before, after,
+                                                  method="cycles", hcs=hcs)
+                      for a, before, after in trace["trims"]]
             if all(checks):
                 print(f"ok: all {len(checks)} trims preserve completability")
             else:
@@ -136,18 +132,16 @@ def cmd_verify(args) -> int:
 def _bench_row(task) -> str:
     family, n, k, seed = task
     if family == "grid":
-        cols = max(2, round(n / k))
-        g = grid_graph(k, cols)
-        bd = caterpillar_decomposition(list(g.vertices))
+        g = grid_graph(k, max(2, round(n / k)))
     else:
-        rng = random.Random(f"bench-{n}-{seed}")
-        g = random_connected_graph(n, rng)
-        bd = approx_sm_decomposition(g)
+        g = random_connected_graph(n, random.Random(f"bench-{n}-{seed}"))
+    approx = approx_sm_decomposition(g)
+    bd = caterpillar_decomposition(list(g.vertices)) if family == "grid" else approx
     try:
         smw_exact = oracles.brute_sm_width(g)
     except SizeLimitExceeded:
         smw_exact = -1
-    smw_approx = approx_sm_decomposition(g).f_width(sm_cut_function(g))
+    smw_approx = approx.f_width(sm_cut_function(g))
     trace: dict = {}
     start = time.perf_counter()
     solve_hc(g, bd, trace=trace)

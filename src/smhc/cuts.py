@@ -1,85 +1,71 @@
 """Cut functions: maximum bipartite matching, Koenig covers, splits, mm/sm.
 
-All vertex sets are bitmasks over the host graph's vertex ids.  The mm and
-sm values are memoized per host graph since the decomposition search and
-the DP evaluate the same cuts repeatedly.
+All vertex sets are bitmasks over the host graph's vertex ids.  A cut
+(a, V \\ a) is read straight off the host's adjacency masks.  `mm_value`
+and `sm_value` recompute on every call; `CutFunction` memoizes them per
+subset, since the decomposition search evaluates the same cuts repeatedly.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, Bipartite, bits
+from .graph import Graph, bits
 
 
-def max_matching(b: Bipartite) -> list[tuple[int, int]]:
-    """Maximum-cardinality matching via augmenting paths (left -> right)."""
-    g = b.graph
-    match_right: dict[int, int] = {}
-    match_left: dict[int, int] = {}
-
-    def augment(u: int, visited: int) -> tuple[bool, int]:
-        for w in bits(g.adj[u] & ~visited):
+def max_matching(g: Graph, a: int) -> dict[int, int]:
+    """Maximum matching of G[a, V \\ a] by augmenting paths, as a map from
+    each matched vertex outside a to its partner in a."""
+    partner: dict[int, int] = {}
+    for root in bits(a):
+        visited = 0
+        stack = [(root, g.adj[root] & ~a, -1)]  # left vertex, untried mask, tried vertex
+        while stack:
+            u, untried, _ = stack[-1]
+            untried &= ~visited
+            if not untried:
+                stack.pop()
+                continue
+            w = (untried & -untried).bit_length() - 1
             visited |= 1 << w
-            if w not in match_right:
-                match_right[w] = u
-                match_left[u] = w
-                return True, visited
-            ok, visited = augment(match_right[w], visited)
-            if ok:
-                match_right[w] = u
-                match_left[u] = w
-                return True, visited
-        return False, visited
-
-    for u in bits(b.left):
-        if g.adj.get(u, 0):
-            augment(u, 0)
-    return sorted((min(u, w), max(u, w)) for u, w in match_left.items())
+            stack[-1] = (u, untried, w)
+            if w in partner:
+                x = partner[w]
+                stack.append((x, g.adj[x] & ~a, -1))
+            else:  # augmenting path: each frame's vertex takes its tried vertex
+                for u, _, w in stack:
+                    partner[w] = u
+                break
+    return partner
 
 
-def min_vertex_cover(b: Bipartite) -> int:
-    """Koenig construction: cover of size equal to the maximum matching."""
-    g = b.graph
-    matching = max_matching(b)
-    match_of: dict[int, int] = {}
-    for u, w in matching:
-        match_of[u] = w
-        match_of[w] = u
-    matched_left = 0
-    for u, w in matching:
-        lv = u if (b.left >> u) & 1 else w
-        matched_left |= 1 << lv
-    # alternating BFS from unmatched left vertices
-    z = 0
-    frontier = []
-    for u in bits(b.left):
-        if not (matched_left >> u) & 1 and g.adj.get(u, 0):
-            z |= 1 << u
-            frontier.append(u)
+def min_vertex_cover(g: Graph, a: int) -> int:
+    """Koenig cover of G[a, V \\ a], of size equal to the maximum matching.
+
+    Z is what alternating paths reach from the unmatched vertices of a;
+    the cover is (a \\ Z) ∩ matched ∪ (Z \\ a).  Z does not depend on which
+    maximum matching is found (Dulmage-Mendelsohn), so neither does the
+    cover.
+    """
+    b = g.vmask & ~a
+    partner = max_matching(g, a)
+    matched = 0
+    for u in partner.values():
+        matched |= 1 << u
+    z = frontier = a & ~matched
     while frontier:
-        nxt = []
-        for u in frontier:
-            if (b.left >> u) & 1:  # move along non-matching edges
-                for w in bits(g.adj[u] & ~z):
-                    if match_of.get(u) != w:
-                        z |= 1 << w
-                        nxt.append(w)
-            else:  # move along the matching edge
-                mu = match_of.get(u)
-                if mu is not None and not (z >> mu) & 1:
-                    z |= 1 << mu
-                    nxt.append(mu)
-        frontier = nxt
-    cover = (b.left & ~z) & matched_left | (b.right & z)
-    # keep only vertices actually touching edges
-    touching = 0
-    for u, v in g.edges:
-        touching |= (1 << u) | (1 << v)
-    return cover & touching
+        right = 0
+        for u in bits(frontier):  # along non-matching edges
+            right |= g.adj[u]
+        right &= b & ~z
+        frontier = 0
+        for w in bits(right):  # along the matching edge; w is matched
+            frontier |= 1 << partner[w]
+        z |= right | frontier
+    return (a & matched & ~z) | (b & z)
 
 
 def mm_value(g: Graph, a: int) -> int:
     """Size of a maximum matching in G[a, V \\ a]."""
-    return len(max_matching(g.cut_graph(a)))
+    return len(max_matching(g, a))
 
 
 def is_split(g: Graph, a: int) -> bool:

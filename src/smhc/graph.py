@@ -109,14 +109,6 @@ class Graph:
         es = [(u, v) for (u, v) in self.edges if (a >> u) & 1 and (a >> v) & 1]
         return Graph(vs, es)
 
-    def cut_graph(self, a: int) -> "Bipartite":
-        """Bipartite subgraph on the pair (a, complement of a)."""
-        self.check_subset(a)
-        b = self.vmask & ~a
-        es = [(u, v) for (u, v) in self.edges
-              if ((a >> u) & 1) != ((a >> v) & 1)]
-        return Bipartite(Graph(self.vertices, es), a, b)
-
     def contract_edge(self, u: int, v: int, new_id: int | None = None):
         """Contract edge uv into a fresh vertex; returns (graph, new id)."""
         e = (u, v) if u < v else (v, u)
@@ -178,22 +170,6 @@ class Graph:
             if ((a >> u) & 1 and (b >> v) & 1) or ((b >> u) & 1 and (a >> v) & 1):
                 m |= 1 << i
         return m
-
-
-class Bipartite:
-    """A bipartite graph together with its declared sides (bitmasks)."""
-
-    __slots__ = ("graph", "left", "right")
-
-    def __init__(self, graph: Graph, left: int, right: int):
-        for u, v in graph.edges:
-            crosses = (((left >> u) & 1 and (right >> v) & 1)
-                       or ((right >> u) & 1 and (left >> v) & 1))
-            if not crosses:
-                raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
-        self.graph = graph
-        self.left = left
-        self.right = right
 
 
 # -- constructors ----------------------------------------------------------

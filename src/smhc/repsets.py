@@ -211,14 +211,16 @@ def pad_separator(g: Graph, a: int, c: int, minimum: int = 3) -> int:
 
 def trim_separator(g: Graph, a: int, sep: int,
                    items: list[tuple[int, int, int, object]],
-                   stats: dict | None = None):
+                   trace: dict | None = None):
     """Keep one representative item per surviving torso class.
 
     `items` are (edge-mask, d1, d2, payload) tuples whose edges live in
     E(G[a ∪ sep]), with d1 and d2 the degree masks of the edge mask; the
     edge masks are reduced to torsos over sep, dead members dropped,
     duplicates collapsed to the canonically least item, and the torso
-    family pruned by `representative_hc_sets`.
+    family pruned by `representative_hc_sets`.  With a `trace` dict, the
+    largest kept family per separator size k is recorded under
+    `max_family_by_k`.
     """
     items = sorted(items, key=lambda it: it[0])
     sep_vertices = list(bits(sep))
@@ -240,12 +242,9 @@ def trim_separator(g: Graph, a: int, sep: int,
             by_torso[tmask] = item
             torso_order.append(tmask)
     chosen = representative_hc_sets(kC, torso_order)
-    if stats is not None:
-        k = kC.n
-        if len(chosen) > 6 ** k:
-            stats["bound_violations"] = stats.get("bound_violations", 0) + 1
-        by_k = stats.setdefault("max_family_by_k", {})
-        by_k[k] = max(by_k.get(k, 0), len(chosen))
+    if trace is not None:
+        by_k = trace.setdefault("max_family_by_k", {})
+        by_k[kC.n] = max(by_k.get(kC.n, 0), len(chosen))
     out = [by_torso[t] for t in chosen]
     if cycle_item is not None:
         out.append(cycle_item)
@@ -259,7 +258,7 @@ EXTENSION_TRIM_CAP = 256  # working family size that triggers a trim over X ∪ 
 
 def preserving_extension(g: Graph, a: int, c: int,
                          fam: dict[int, tuple[int, int]], estar: int,
-                         stats: dict | None = None) -> list[tuple[int, int]]:
+                         trace: dict | None = None) -> list[tuple[int, int]]:
     """Extension family of `fam` by the separator-incident cross edges.
 
     `fam` maps each certificate to its degree masks (d1, d2).  Returns
@@ -269,7 +268,7 @@ def preserving_extension(g: Graph, a: int, c: int,
     estar edges at its deficient endpoints are folded in one at a time,
     trimming over the separator X ∪ c whenever the working family grows
     past EXTENSION_TRIM_CAP; the union over certificates is trimmed once
-    more over c.
+    more over c.  `trace` is passed on to `trim_separator`.
     """
     csize = c.bit_count()
     if csize < 3:
@@ -295,10 +294,10 @@ def preserving_extension(g: Graph, a: int, c: int,
                     added.append((ext | (1 << i), e1 | e, e2 | (e1 & e), core))
             working.extend(added)
             if len(working) > EXTENSION_TRIM_CAP:
-                working = trim_separator(g, a, sep, working, stats=stats)
+                working = trim_separator(g, a, sep, working, trace)
         for item in working:
             first.setdefault(item[0], item)
-    out = trim_separator(g, a, c, list(first.values()), stats=stats)
+    out = trim_separator(g, a, c, list(first.values()), trace)
     return [(ext, core) for ext, _, _, core in out]
 
 

@@ -121,40 +121,44 @@ def conc(g: Graph, a: int, b: int, sa: int, sb: int) -> list[int]:
     return list(out)
 
 
+INTERMEDIATE_TRIM_CAP = 1024  # pre-trim family size that triggers a trim in join
+
+
 def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int]],
-         fb: dict[int, tuple[int, int]], k: int | None = None,
-         split_a: bool | None = None,
-         split_b: bool | None = None) -> dict[int, tuple[int, int]]:
-    """Preserving subset of conc over all pairs of fa and fb, as a family;
-    split sides limited to 4k paths."""
+         fb: dict[int, tuple[int, int]],
+         trace: dict | None = None) -> dict[int, tuple[int, int]]:
+    """Family of home a | b: conc over all pairs of fa and fb, split sides
+    limited to 4k paths, trimmed unless a | b is the whole graph.
+
+    The pairs are trimmed whenever they exceed INTERMEDIATE_TRIM_CAP
+    members, and once more at the end.
+    """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
-    if k is None:
-        k = max(mm_value(g, a), mm_value(g, b))
-    if split_a is None:
-        split_a = is_split(g, a)
-    if split_b is None:
-        split_b = is_split(g, b)
-    limit = max(4 * k, 1)
+    home = a | b
+    whole = home == g.vmask
+    limit = max(4 * max(mm_value(g, a), mm_value(g, b)), 1)
+    limit_a = limit if is_split(g, a) else None
+    limit_b = limit if is_split(g, b) else None
+    slots_b = [_path_slots(g, b, sb, *state, limit_b) for sb, state in fb.items()]
     out: dict[int, tuple[int, int]] = {}
     for sa, state_a in fa.items():
-        slots_a = _path_slots(g, a, sa, *state_a, limit if split_a else None)
-        for sb, state_b in fb.items():
-            slots_b = _path_slots(g, b, sb, *state_b, limit if split_b else None)
-            _enumerate_pair(g, a, b, sa, sb, state_a, state_b,
-                            slots_a, slots_b, out)
-    return out
+        slots_a = _path_slots(g, a, sa, *state_a, limit_a)
+        for (sb, state_b), slots in zip(fb.items(), slots_b):
+            _enumerate_pair(g, a, b, sa, sb, state_a, state_b, slots_a, slots, out)
+            if not whole and len(out) > INTERMEDIATE_TRIM_CAP:
+                out = trim(g, home, out, trace)
+    return out if whole else trim(g, home, out, trace)
 
 
 # -- trims ------------------------------------------------------------------
 
 def trim_vc(g: Graph, a: int, fam: dict[int, tuple[int, int]],
-            stats: dict | None = None) -> dict[int, tuple[int, int]]:
+            trace: dict | None = None) -> dict[int, tuple[int, int]]:
     """Representative subfamily via a preserving extension over a Koenig cover."""
-    cover = min_vertex_cover(g.cut_graph(a))
-    c = pad_separator(g, a, cover)
+    c = pad_separator(g, a, min_vertex_cover(g, a))
     estar = g.edges_between(a, c & ~a)
-    ext = preserving_extension(g, a, c, fam, estar, stats=stats)
+    ext = preserving_extension(g, a, c, fam, estar, trace)
     return {core: fam[core] for _, core in ext}
 
 
@@ -186,33 +190,40 @@ def trim_split(g: Graph, a: int,
     return {cert: fam[cert] for cert in chosen.values()}
 
 
-def trim(g: Graph, a: int, fam: dict[int, tuple[int, int]], on_trim=None,
-         stats: dict | None = None) -> dict[int, tuple[int, int]]:
-    """Dispatch: split sides use the twin signature, others the rep-set trim."""
+def trim(g: Graph, a: int, fam: dict[int, tuple[int, int]],
+         trace: dict | None = None) -> dict[int, tuple[int, int]]:
+    """Dispatch: split sides use the twin signature, others the rep-set trim.
+
+    A trim that runs appends (a, before, after) to `trace["trims"]` when
+    the caller put a list there.
+    """
     outside = g.vmask & ~a
     if outside == 0 or len(fam) <= 1:
         return fam
     if is_split(g, a):
         out = trim_split(g, a, fam)
     else:
-        out = trim_vc(g, a, fam, stats=stats)
-    if on_trim is not None:
-        on_trim(g, a, list(fam), list(out))
+        out = trim_vc(g, a, fam, trace)
+    if trace is not None and "trims" in trace:
+        trace["trims"].append((a, list(fam), list(out)))
     return out
 
 
 # -- the bottom-up decision procedure ---------------------------------------
 
-INTERMEDIATE_TRIM_CAP = 1024
-
-
-def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
-             on_trim=None, trace: dict | None = None,
-             stats: dict | None = None):
+def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
     """Decide Hamiltonicity along the decomposition; returns (bool, witness).
 
     The witness, when present, is an edge list forming the cycle, verified
-    to be a simple spanning cycle before being returned.
+    to be a simple spanning cycle before being returned.  A `trace` dict
+    collects:
+
+    - `node_sizes`: the family size of every decomposition node, in
+      post-order, and `max_family`, the largest of them;
+    - `max_family_by_k`: the largest family kept by a separator trim, per
+      separator size k (`repsets.trim_separator`);
+    - `trims`: (a, before, after) for every trim that runs, only if the
+      caller puts a list under that key.
     """
     if g.n < 3 or not g.is_connected():
         return False, None
@@ -233,26 +244,10 @@ def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
         adj[v].append(u)
 
     def merge(h1: int, f1: dict[int, tuple[int, int]], h2: int,
-              f2: dict[int, tuple[int, int]], is_root: bool):
-        home = h1 | h2
-        k = max(mm_value(g, h1), mm_value(g, h2))
-        sa_split = is_split(g, h1)
-        sb_split = is_split(g, h2)
-        limit = max(4 * k, 1)
-        slots2 = [_path_slots(g, h2, s2, *state, limit if sb_split else None)
-                  for s2, state in f2.items()]
-        members: dict[int, tuple[int, int]] = {}
-        for s1, state1 in f1.items():
-            slots_a = _path_slots(g, h1, s1, *state1, limit if sa_split else None)
-            for (s2, state2), slots_b in zip(f2.items(), slots2):
-                _enumerate_pair(g, h1, h2, s1, s2, state1, state2,
-                                slots_a, slots_b, members)
-                if use_trim and not is_root and len(members) > INTERMEDIATE_TRIM_CAP:
-                    members = trim(g, home, members, on_trim=on_trim, stats=stats)
-        if use_trim and not is_root:
-            members = trim(g, home, members, on_trim=on_trim, stats=stats)
-        note(len(members))
-        return home, members
+              f2: dict[int, tuple[int, int]]):
+        fam = join(g, h1, h2, f1, f2, trace)
+        note(len(fam))
+        return h1 | h2, fam
 
     def subtree(root: int, parent: int):
         """(home, family) of the subtree at root, solved in post-order."""
@@ -269,7 +264,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
             if children:
                 h1, f1 = solved.pop(children[0])
                 h2, f2 = solved.pop(children[1])
-                solved[node] = merge(h1, f1, h2, f2, False)
+                solved[node] = merge(h1, f1, h2, f2)
             else:
                 note(1)
                 solved[node] = (1 << bd.leaf_map[node], {0: (0, 0)})
@@ -280,7 +275,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, use_trim: bool = True,
     x, y = bd.edges[0]  # root at a subdivision of this edge
     hx, fx = subtree(x, y)
     hy, fy = subtree(y, x)
-    _, final = merge(hx, fx, hy, fy, True)
+    _, final = merge(hx, fx, hy, fy)
     for m in final:
         if is_hamiltonian_cycle(g, m):
             return True, g.edge_set(m)

@@ -48,7 +48,7 @@ def sweep():
     trim_failures = 0
     recompose_failures = 0
     prime_split_failures = 0
-    stats: dict = {}
+    max_family_by_k: dict = {}  # shared by every solve's trace
 
     for g in corpus:
         dec = split_decompose(g)
@@ -59,19 +59,19 @@ def sweep():
                 prime_split_failures += 1
 
         bd = approx_sm_decomposition(g)
-        checks = []
+        trace = {"max_family_by_k": max_family_by_k}
         if g.n <= 8:
-            hcs = oracles.enumerate_hamiltonian_cycles(g)
-
-            def on_trim(gg, a, before, after):
-                checks.append(oracles.verify_preservation(
-                    gg, a, before, after, method="cycles", hcs=hcs))
-        else:
-            on_trim = None
-        got, _ = solve_hc(g, bd, on_trim=on_trim, stats=stats)
+            trace["trims"] = []
+        got, _ = solve_hc(g, bd, trace=trace)
         want, _ = oracles.brute_hc(g)
         if got != want:
             disagreements += 1
+        checks = []
+        if "trims" in trace:
+            hcs = oracles.enumerate_hamiltonian_cycles(g)
+            checks = [oracles.verify_preservation(g, a, before, after,
+                                                  method="cycles", hcs=hcs)
+                      for a, before, after in trace["trims"]]
         trim_checks += len(checks)
         trim_failures += sum(1 for c in checks if not c)
 
@@ -82,7 +82,7 @@ def sweep():
         "trim_failures": trim_failures,
         "recompose_failures": recompose_failures,
         "prime_split_failures": prime_split_failures,
-        "stats": stats,
+        "max_family_by_k": max_family_by_k,
     }
 
 
@@ -111,12 +111,10 @@ def test_criterion_2_approximation_factor():
 
 
 def test_criterion_3_family_bound_and_preservation(sweep):
-    stats = sweep["stats"]
-    bound_violations = stats.get("bound_violations", 0)
-    by_k = {k: v for k, v in stats.get("max_family_by_k", {}).items() if k <= 5}
-    ok = (bound_violations == 0 and sweep["trim_failures"] == 0
-          and sweep["trim_checks"] > 0
-          and all(v <= 6 ** k for k, v in by_k.items()))
+    max_by_k = sweep["max_family_by_k"]
+    by_k = {k: v for k, v in max_by_k.items() if k <= 5}
+    ok = (all(v <= 6 ** k for k, v in max_by_k.items())
+          and sweep["trim_failures"] == 0 and sweep["trim_checks"] > 0)
     _report(3, ok,
             f"families within 6^k for k<=5 (max by k: {dict(sorted(by_k.items()))}), "
             f"{sweep['trim_checks']} trims preservation-verified "
@@ -133,7 +131,7 @@ def test_criterion_4_preserving_extension():
         outside = g.vmask & ~a
         if a.bit_count() < 3 or not outside:
             continue
-        cover = min_vertex_cover(g.cut_graph(a))
+        cover = min_vertex_cover(g, a)
         c = pad_separator(g, a, cover)
         if not 3 <= c.bit_count() <= 4:
             continue

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.cuts import (max_matching, min_vertex_cover, mm_value, is_split,
                        sm_value, mm_cut_function, sm_cut_function)
 from smhc.generators import random_connected_graph
+from tests.conftest import stack_depth
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -40,23 +42,23 @@ def brute_min_cover(g: Graph) -> int:
 
 def test_matching_c4_cut():
     g = cycle_graph(4)
-    assert len(max_matching(g.cut_graph(0b0011))) == 2
+    assert len(max_matching(g, 0b0011)) == 2
 
 
 def test_matching_star():
     g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
-    assert len(max_matching(g.cut_graph(1 << 0))) == 1
+    assert len(max_matching(g, 1 << 0)) == 1
 
 
 def test_cover_c4_cut():
     g = cycle_graph(4)
-    cover = min_vertex_cover(g.cut_graph(0b0011))
+    cover = min_vertex_cover(g, 0b0011)
     assert cover.bit_count() == 2
 
 
 def test_cover_edgeless():
     g = Graph(range(4), [(0, 1)])
-    assert min_vertex_cover(g.cut_graph(mask_of([0, 1]))) == 0
+    assert min_vertex_cover(g, mask_of([0, 1])) == 0
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -64,14 +66,43 @@ def test_matching_and_cover_vs_brute(seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng.randint(4, 8), rng)
     a = rng.randrange(1, g.vmask)
-    cut = g.cut_graph(a)
-    size = len(max_matching(cut))
-    assert size == brute_max_matching(cut.graph)
-    cover = min_vertex_cover(cut)
+    cut = Graph(g.vertices, [(u, v) for u, v in g.edges
+                             if (a >> u) & 1 != (a >> v) & 1])  # crossing edges
+    size = len(max_matching(g, a))
+    assert size == brute_max_matching(cut)
+    cover = min_vertex_cover(g, a)
     assert cover.bit_count() == size  # Koenig duality
-    assert cover.bit_count() == brute_min_cover(cut.graph)
-    for u, v in cut.graph.edges:
+    assert cover.bit_count() == brute_min_cover(cut)
+    for u, v in cut.edges:
         assert (cover >> u) & 1 or (cover >> v) & 1
+
+
+def test_matching_long_augmenting_path_in_bounded_stack():
+    """The augmenting-path search needs no stack frame per path step.
+
+    In the zigzag cut x - r0 - l1 - r1 - ... - lk - rk, each li first
+    takes r(i-1); the last root x then augments along all k pairs.  The
+    search runs under a recursion limit 50 frames above the caller's depth.
+    """
+    k = 60
+    left = list(range(k + 1))  # l1..lk, then x = k
+    right = [k + 1 + i for i in range(k + 1)]  # r0..rk
+    edges = [(left[i - 1], right[i - 1]) for i in range(1, k + 1)]
+    edges += [(left[i - 1], right[i]) for i in range(1, k + 1)]
+    edges.append((left[k], right[0]))
+    g = Graph(left + right, edges)
+    a = mask_of(left)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        matching = max_matching(g, a)
+        cover = min_vertex_cover(g, a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert matching == {right[0]: left[k],
+                        **{right[i]: left[i - 1] for i in range(1, k + 1)}}
+    assert cover.bit_count() == k + 1
+    assert all((cover >> u) & 1 or (cover >> v) & 1 for u, v in g.edges)
 
 
 def test_is_split_c4():

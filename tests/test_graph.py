@@ -42,17 +42,6 @@ def test_induced_subgraph():
     assert h.edges == ((0, 1),)
 
 
-def test_cut_graph_partition():
-    g = cycle_graph(6)
-    a = 0b000111
-    cut = g.cut_graph(a)
-    inner = set(g.induced_subgraph(a).edges)
-    outer = set(g.induced_subgraph(g.vmask & ~a).edges)
-    crossing = set(cut.graph.edges)
-    assert inner | outer | crossing == set(g.edges)
-    assert not (inner & crossing) and not (outer & crossing) and not (inner & outer)
-
-
 def test_contract_path_edge():
     g = path_graph(3)  # 0-1-2
     h, m = g.contract_edge(0, 1)

@@ -114,9 +114,9 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     items = []
     real_trim_separator = repsets.trim_separator
 
-    def recording(g_, a_, sep, its, stats=None):
+    def recording(g_, a_, sep, its, trace=None):
         items.extend(its)
-        return real_trim_separator(g_, a_, sep, its, stats=stats)
+        return real_trim_separator(g_, a_, sep, its, trace)
 
     monkeypatch.setattr(repsets, "trim_separator", recording)
     closures = 0
@@ -130,7 +130,7 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
             for m, state in out.items():
                 assert state == fold(m)
                 closures += is_hamiltonian_cycle(g, m)
-        c = pad_separator(g, a, min_vertex_cover(g.cut_graph(a)))
+        c = pad_separator(g, a, min_vertex_cover(g, a))
         repsets.preserving_extension(g, a, c, family(g, fa),
                                      g.edges_between(a, c & ~a))
     assert closures or not hamiltonian
@@ -214,8 +214,7 @@ def test_solve_matches_oracle_and_no_trim(seed):
     bd = approx_sm_decomposition(g)
     want, _ = oracles.brute_hc(g)
     got, w = solve_hc(g, bd)
-    got_nt, _ = solve_hc(g, bd, use_trim=False)
-    assert got == want == got_nt
+    assert got == want
     if w is not None:
         assert is_hamiltonian_cycle(g, g.edge_mask(w))
 
@@ -228,11 +227,32 @@ def test_solve_works_with_any_decomposition():
 
 
 def test_trace_collection():
-    g = cycle_graph(6)
-    trace = {}
-    solve_hc(g, approx_sm_decomposition(g), trace=trace)
-    assert trace["max_family"] >= 1
-    assert len(trace["node_sizes"]) >= g.n
+    """One trace dict carries node sizes, the per-k bound and, on request,
+    every trim's (a, before, after)."""
+    rng = random.Random(31)
+    graphs = [cycle_graph(6), complete_graph(6), petersen_graph()]
+    graphs += [random_connected_graph(8, rng) for _ in range(4)]
+    trims = separator_ks = 0
+    for g in graphs:
+        bd = approx_sm_decomposition(g)
+        plain = {}
+        solve_hc(g, bd, trace=plain)
+        assert "trims" not in plain
+        assert len(plain["node_sizes"]) >= g.n
+        assert plain["max_family"] == max(plain["node_sizes"]) >= 1
+        for k, size in plain.get("max_family_by_k", {}).items():
+            assert size <= 4 ** k
+        separator_ks += len(plain.get("max_family_by_k", {}))
+        trace = {"trims": []}
+        assert solve_hc(g, bd, trace=trace) == solve_hc(g, bd)
+        assert trace["node_sizes"] == plain["node_sizes"]
+        hcs = oracles.enumerate_hamiltonian_cycles(g)
+        for a, before, after in trace["trims"]:
+            assert set(after) <= set(before)
+            assert oracles.verify_preservation(g, a, before, after,
+                                               method="cycles", hcs=hcs)
+        trims += len(trace["trims"])
+    assert trims and separator_ks
 
 
 def test_solve_deep_caterpillar_in_bounded_stack():
