@@ -10,7 +10,7 @@ import random
 
 from .graph import Graph, parse_edge_list
 from .cuts import sm_cut_function
-from .branchdec import BranchDecomposition, SizeLimitExceeded
+from .branchdec import BranchDecomposition, EXACT_SIZE_LIMIT, SizeLimitExceeded
 from .splitdec import split_decompose
 from .pipeline import approx_sm_decomposition
 from .solver import solve_hc
@@ -58,13 +58,16 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_width(args) -> int:
+    """Print the sm-width; --approx adds whether the 18x bound is certified,
+    which it is when no prime is too large for the exact backend."""
     g = _load_graph(args.file)
     if args.exact:
-        width = oracles.brute_sm_width(g)
-    else:
-        bd = approx_sm_decomposition(g)
-        width = bd.f_width(sm_cut_function(g))
-    print(f"sm-width {width}")
+        print(f"sm-width {oracles.brute_sm_width(g)}")
+        return EXIT_OK
+    bd = approx_sm_decomposition(g)
+    print(f"sm-width {bd.f_width(sm_cut_function(g))}")
+    exact = max(p.n for p in split_decompose(g).primes) <= EXACT_SIZE_LIMIT
+    print(f"certified: {'yes' if exact else 'no'}")
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from .graph import Graph, bits, mask_of
 from .cuts import sm_cut_function, split_sides
 from .branchdec import SizeLimitExceeded, exact_best_decomposition
-from .repsets import SPANNING_CYCLE
 from . import solver
 
 BRUTE_HC_LIMIT = 18
@@ -209,8 +208,12 @@ def _is_spanning_cycle(g: Graph, emask: int) -> bool:
     return len(paths) == 1 and len(paths[0]) == g.n
 
 
+SPANNING_CYCLE = "spanning-cycle"
+
+
 def _torso(g: Graph, emask: int, side: int, sep: int):
-    """Reference for `repsets.torso` on path systems and cycles."""
+    """Separator pairs joined by path segments (repsets Lemma 3): None for a
+    dead member or another cycle, SPANNING_CYCLE for a Hamiltonian cycle."""
     deg = _edge_degrees(g, emask)
     if any(deg.get(v, 0) != 2 for v in bits(side & ~sep)):
         return None
@@ -231,7 +234,7 @@ def _torso(g: Graph, emask: int, side: int, sep: int):
 
 def _can_add_edge(g: Graph, emask: int, u: int, v: int,
                   allow_spanning_cycle: bool = False) -> bool:
-    """Reference for `repsets._can_add_edge` on path systems."""
+    """Reference for `repsets.add_edge` on path systems."""
     grown = emask | 1 << g.edge_index[(min(u, v), max(u, v))]
     return _is_path_system(g, grown) or (allow_spanning_cycle
                                          and _is_spanning_cycle(g, grown))

@@ -1,14 +1,16 @@
 """Hamiltonian-cycle representative sets over a separator.
 
-A certificate family is pruned by compressing each member onto a
-separator (`torso`), collapsing equal torsos, and keeping a representative
-subfamily of the torsos (`representative_hc_sets`): whenever some member
-closes a Hamiltonian cycle with a completion, some kept member does too.
+A certificate family is pruned over a separator by keeping a
+representative subfamily (`trim_separator`): whenever some member closes
+a Hamiltonian cycle with a completion, some kept member does too.
 `preserving_extension` applies this to a family extended by its cross
 edges.  Edge sets are bitmasks over the host's edge list.  A path system
-travels with its degree masks (d1, d2), its vertices of degree >= 1 and
->= 2; its path ends and acyclicity are derived from vertex bitmasks and
-are defined for maximum degree two.
+travels with its state (d1, d2, pe): its vertices of degree >= 1 and
+>= 2, and one int `pe` with a field of `field_width(g)` bits per vertex,
+where the field of each path end (a vertex of d1 & ~d2) holds the other
+end of its path.  Other fields are never read: a vertex of degree zero is
+its own partner (`partner`).  Producers set the state in O(1) big-int
+operations (`add_edge`); `path_state` derives it by walking the edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -46,6 +48,20 @@ row(K_i), so 1 = Σ <row(K_i), row(Y)> and Y completes some K_i.  At most
 the general graphic-matroid representative families of Fomin,
 Lokshtanov, Panolan & Saurabh (J. ACM 2016), which need a large field
 and random sampling to truncate.
+
+Lemma 3.  Let M be a path system of G[a ∪ S], S a separator, in which
+every vertex of a \\ S has degree two and every path end lies in S.
+Replacing each segment of a path between consecutive visits of S by one
+edge of K_S gives the torso T of M, a path system of K_S with signature
+(S \\ d1, S ∩ d1 \\ d2, S ∩ d2) whose paths pair the same ends as M's.
+Proof.  Each path of M runs from S to S, so its segments cover it, and T
+has a path through the same S-vertices in the same order between the
+same ends.  A path visits each vertex once and the paths are disjoint,
+so no edge of T repeats and an S-vertex keeps its degree.  Hence the
+signature and row of T follow from (d1, d2, pe) without building T.
+Equal torsos have equal rows, so a basis fed every such member in order
+keeps exactly the members it keeps when fed their distinct torsos: a
+repeated torso is dependent on its first occurrence.
 """
 
 from __future__ import annotations
@@ -71,7 +87,8 @@ def degree_masks(g: Graph, emask: int) -> tuple[int, int, int]:
 
 def is_path_system(g: Graph, emask: int) -> bool:
     d1, d2, d3 = degree_masks(g, emask)
-    return not d3 and _is_acyclic(g, emask, d1, d2)
+    # acyclic iff the paths walked from the ends cover every vertex of d1
+    return not d3 and sum(map(len, _paths(g, emask, d1 & ~d2))) == d1.bit_count()
 
 
 def walk_from(g: Graph, emask: int, v: int) -> list[int]:
@@ -98,9 +115,24 @@ def _paths(g: Graph, emask: int, ends: int):
             yield seq
 
 
-def _is_acyclic(g: Graph, emask: int, d1: int, d2: int) -> bool:
-    """Whether the paths walked from the ends cover every vertex of d1."""
-    return sum(len(seq) for seq in _paths(g, emask, d1 & ~d2)) == d1.bit_count()
+def field_width(g: Graph) -> int:
+    """Bits per vertex field of a pairing int: room for every vertex id."""
+    return g.vmask.bit_length().bit_length()
+
+
+def partner(pe: int, w: int, d1: int, v: int) -> int:
+    """The other end of v's path; v itself when v has degree zero."""
+    return (pe >> v * w) & ((1 << w) - 1) if (d1 >> v) & 1 else v
+
+
+def path_state(g: Graph, emask: int) -> tuple[int, int, int]:
+    """State (d1, d2, pe) of a path system, its pairing found by walking."""
+    d1, d2, _ = degree_masks(g, emask)
+    w = field_width(g)
+    pe = 0
+    for seq in _paths(g, emask, d1 & ~d2):
+        pe |= seq[-1] << seq[0] * w | seq[0] << seq[-1] * w
+    return d1, d2, pe
 
 
 def is_hamiltonian_cycle(g: Graph, emask: int) -> bool:
@@ -115,89 +147,55 @@ def is_hamiltonian_cycle(g: Graph, emask: int) -> bool:
 
 # -- representative sets by pairings ----------------------------------------
 
-def pairing_row(g: Graph, emask: int, d1: int, d2: int) -> int | None:
-    """GF(2) row of the pairing of the path ends; None if there is a cycle.
+def pairing_row(w: int, ends: int, pe: int) -> int:
+    """GF(2) row of the pairing of the path ends, read from the fields of pe.
 
     Bit i stands for the cut that puts the lowest end on the left with the
     other ends at the set bits of i, numbered upward from the second-lowest
     end.  It is set when no path has its ends on both sides.  Without ends
     (the empty path system) the row is 1.
     """
-    ends = d1 & ~d2
     row = 1
-    covered = 0
-    for seq in _paths(g, emask, ends):
-        covered += len(seq)
-        lo = (ends & ((1 << seq[0]) - 1)).bit_count()
-        hi = (ends & ((1 << seq[-1]) - 1)).bit_count()
+    field = (1 << w) - 1
+    for lo, v in enumerate(bits(ends)):
+        far = (pe >> v * w) & field
+        if far < v:
+            continue  # the pair was placed from its lower end
+        hi = (ends & ((1 << far) - 1)).bit_count()
         if not lo:  # the lowest end is on the left, its partner with it
             row = 1 << (1 << (hi - 1))
         else:  # this pair joins the left side, or stays on the right
             row |= row << ((1 << (lo - 1)) | (1 << (hi - 1)))
-    return row if covered == d1.bit_count() else None
+    return row
 
 
-def representative_hc_sets(gC: Graph, members: list[int]) -> list[int]:
-    """Subfamily preserving Hamiltonian-cycle completability over E(gC).
+def representative_hc_sets(g: Graph, members: list[tuple[int, int, int]]) -> list[int]:
+    """Indices of a subfamily preserving Hamiltonian-cycle completability.
 
-    gC is the complete graph on a separator of size at least three.  A
-    member with a degree-3 vertex or a cycle is dropped; any other is kept
-    exactly when its pairing row is independent of the rows kept before it
-    for the same (D0, D1, D2) signature.  The module docstring proves that
-    this preserves completability within 4^k < 6^k members.
+    Each member is the state (d1, d2, pe) of a path system of the complete
+    graph on a separator of size at least three, over g's vertex ids.  A
+    member is kept exactly when its pairing row is independent of the rows
+    kept before it for the same (D0, D1, D2) signature.  The module
+    docstring proves that this preserves completability within 4^k < 6^k
+    members.
     """
+    w = field_width(g)
     bases: dict[tuple[int, int], dict[int, int]] = {}  # signature -> top bit -> row
     out = []
-    for m in members:
-        d1, d2, d3 = degree_masks(gC, m)
-        row = None if d3 else pairing_row(gC, m, d1, d2)
-        if row is None:
-            continue
+    for i, (d1, d2, pe) in enumerate(members):
+        row = pairing_row(w, d1 & ~d2, pe)
         basis = bases.setdefault((d1, d2), {})  # (d1, d2) fixes D0, D1 and D2
         while row:
             top = row.bit_length() - 1
             if top not in basis:
                 basis[top] = row
-                out.append(m)
+                out.append(i)
                 break
             row ^= basis[top]
     return out
 
 
-# -- torso compression ------------------------------------------------------
-
-SPANNING_CYCLE = "spanning-cycle"
-
-
-def torso(g: Graph, emask: int, d1: int, d2: int, side: int, sep: int):
-    """Compress a path system onto the separator; None marks a dead member.
-
-    d1 and d2 are the member's vertices of degree >= 1 and >= 2.  Every
-    vertex of side \\ sep must be internal (degree two) and every path
-    endpoint must lie in sep, else no completion through the separator can
-    exist.  Each segment between consecutive separator visits becomes one
-    separator edge; the paths are vertex-disjoint, so no two segments join
-    the same pair.  A member containing a cycle is dead unless it is a
-    spanning cycle of the whole graph, in which case the SPANNING_CYCLE
-    sentinel is returned: such a member completes exactly with the empty
-    completion.
-    """
-    ends = d1 & ~d2
-    if side & ~sep & ~d2 or ends & ~sep:
-        return None
-    edges = set()
-    covered = 0
-    for seq in _paths(g, emask, ends):
-        covered += len(seq)
-        last = seq[0]
-        for v in seq[1:]:
-            if (sep >> v) & 1:
-                edges.add((last, v) if last < v else (v, last))
-                last = v
-    if covered != d1.bit_count():  # a leftover component is a cycle
-        return SPANNING_CYCLE if is_hamiltonian_cycle(g, emask) else None
-    return frozenset(edges)
-
+# -- separator trims --------------------------------------------------------
 
 def pad_separator(g: Graph, a: int, c: int, minimum: int = 3) -> int:
     """Grow c to the minimum size with lowest-id vertices of a, then others."""
@@ -210,42 +208,39 @@ def pad_separator(g: Graph, a: int, c: int, minimum: int = 3) -> int:
 
 
 def trim_separator(g: Graph, a: int, sep: int,
-                   items: list[tuple[int, int, int, object]],
+                   items: list[tuple[int, int, int, int, object]],
                    trace: dict | None = None):
-    """Keep one representative item per surviving torso class.
+    """Keep a representative subfamily of the items over the separator.
 
-    `items` are (edge-mask, d1, d2, payload) tuples whose edges live in
-    E(G[a ∪ sep]), with d1 and d2 the degree masks of the edge mask; the
-    edge masks are reduced to torsos over sep, dead members dropped,
-    duplicates collapsed to the canonically least item, and the torso
-    family pruned by `representative_hc_sets`.  With a `trace` dict, the
-    largest kept family per separator size k is recorded under
-    `max_family_by_k`.
+    `items` are (edge-mask, d1, d2, pe, payload) tuples whose edges live in
+    E(G[a ∪ sep]), with (d1, d2, pe) the state of the edge mask.  Every
+    vertex of a \\ sep must be internal (degree two), else no completion
+    through the separator can exist and the item is dropped; every path
+    end of a live item then lies in sep.  A live item with edges but no
+    ends is a spanning cycle, since no producer closes any other cycle;
+    the canonically least one is kept, as it completes with the empty
+    completion.  The other live items go, in sorted-mask order, to
+    `representative_hc_sets` with their states over sep, which by Lemma 3
+    are the states of their torsos.  With a `trace` dict, the largest kept
+    family per separator size k is recorded under `max_family_by_k`.
     """
-    items = sorted(items, key=lambda it: it[0])
-    sep_vertices = list(bits(sep))
-    kC = Graph(sep_vertices, [(u, v) for i, u in enumerate(sep_vertices)
-                              for v in sep_vertices[i + 1:]])
-    by_torso: dict[int, tuple[int, int, int, object]] = {}
-    torso_order: list[int] = []
+    live, states = [], []
     cycle_item = None  # canonically least spanning-cycle member, if any
-    for item in items:
-        t = torso(g, item[0], item[1], item[2], a, sep)
-        if t is None:
+    for item in sorted(items, key=lambda it: it[0]):
+        _, d1, d2, pe, _ = item
+        if a & ~sep & ~d2:
             continue
-        if t is SPANNING_CYCLE:
+        if d1 and not d1 & ~d2:
             if cycle_item is None:
                 cycle_item = item
             continue
-        tmask = kC.edge_mask(t)
-        if tmask not in by_torso:
-            by_torso[tmask] = item
-            torso_order.append(tmask)
-    chosen = representative_hc_sets(kC, torso_order)
+        live.append(item)
+        states.append((d1 & sep, d2 & sep, pe))
+    out = [live[i] for i in representative_hc_sets(g, states)]
     if trace is not None:
         by_k = trace.setdefault("max_family_by_k", {})
-        by_k[kC.n] = max(by_k.get(kC.n, 0), len(chosen))
-    out = [by_torso[t] for t in chosen]
+        k = sep.bit_count()
+        by_k[k] = max(by_k.get(k, 0), len(out))
     if cycle_item is not None:
         out.append(cycle_item)
     return out
@@ -257,11 +252,11 @@ EXTENSION_TRIM_CAP = 256  # working family size that triggers a trim over X ∪ 
 
 
 def preserving_extension(g: Graph, a: int, c: int,
-                         fam: dict[int, tuple[int, int]], estar: int,
+                         fam: dict[int, tuple[int, int, int]], estar: int,
                          trace: dict | None = None) -> list[tuple[int, int]]:
     """Extension family of `fam` by the separator-incident cross edges.
 
-    `fam` maps each certificate to its degree masks (d1, d2).  Returns
+    `fam` maps each certificate to its state (d1, d2, pe).  Returns
     (extended-mask, core-certificate) pairs.  Certificates whose total
     degree deficiency exceeds the cross-edge budget 2|c| can never
     complete to a Hamiltonian cycle and are dropped.  Per certificate the
@@ -274,48 +269,50 @@ def preserving_extension(g: Graph, a: int, c: int,
     if csize < 3:
         raise ValueError("separator must have size at least three")
     na = a.bit_count()
-    first: dict[int, tuple[int, int, int, int]] = {}  # extended mask -> first item
+    w = field_width(g)
+    first: dict[int, tuple[int, int, int, int, int]] = {}  # extended mask -> first item
     for cert in sorted(fam):
         p = cert.bit_count()
         deficiency = 2 * na - 2 * p
         if deficiency > 2 * csize:
             continue
-        d1, d2 = fam[cert]
+        d1, d2, pe = fam[cert]
         xmask = a & ~d2
         sep = xmask | c
         candidates = [i for i in bits(estar) if g.edge_vertices[i] & xmask]
-        working = [(cert, d1, d2, cert)]  # (extended mask, d1, d2, core)
+        working = [(cert, d1, d2, pe, cert)]  # (extended mask, state, core)
         for i in candidates:
             u, v = g.edges[i]
-            e = g.edge_vertices[i]
             added = []
-            for ext, e1, e2, core in working:
-                if _can_add_edge(g, ext, e1, e2, u, v, allow_spanning_cycle=True):
-                    added.append((ext | (1 << i), e1 | e, e2 | (e1 & e), core))
+            for ext, e1, e2, ep, core in working:
+                grown = add_edge(g, w, e1, e2, ep, u, v)
+                if grown is not None:
+                    added.append((ext | (1 << i), *grown, core))
             working.extend(added)
             if len(working) > EXTENSION_TRIM_CAP:
                 working = trim_separator(g, a, sep, working, trace)
         for item in working:
             first.setdefault(item[0], item)
     out = trim_separator(g, a, c, list(first.values()), trace)
-    return [(ext, core) for ext, _, _, core in out]
+    return [(item[0], item[-1]) for item in out]
 
 
-def _can_add_edge(g: Graph, emask: int, d1: int, d2: int, u: int, v: int,
-                  allow_spanning_cycle: bool = False) -> bool:
-    """Edge uv keeps the path system valid: degrees < 2, no cycle closed.
+def add_edge(g: Graph, w: int, d1: int, d2: int, pe: int, u: int, v: int):
+    """State of a path system after adding edge uv, or None if invalid.
 
-    d1 and d2 are the vertices of degree >= 1 and >= 2 of the edge set.
-    With allow_spanning_cycle, closing a path that already covers every
-    vertex of g into a Hamiltonian cycle is permitted.
+    Adding uv is invalid when u or v has degree two already, or when u and
+    v end one path and closing it would leave out a vertex of g (closing a
+    path through every vertex into a Hamiltonian cycle is allowed).  Only
+    the fields of the two ends ou and ov of the joined path are rewritten;
+    `partner` is inlined.
     """
     uv = (1 << u) | (1 << v)
     if uv & d2:
-        return False
-    if uv & ~d1:
-        return True
-    # cycle iff u and v are the two ends of one existing path
-    seq = walk_from(g, emask, u)
-    if seq[-1] != v:
-        return True
-    return allow_spanning_cycle and len(seq) == g.n
+        return None
+    field = (1 << w) - 1
+    ou = (pe >> u * w) & field if (d1 >> u) & 1 else u
+    ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
+    if ou == v and not (d1 == g.vmask and d1 & ~d2 == uv):
+        return None
+    pe &= ~(field << ou * w | field << ov * w)
+    return d1 | uv, d2 | (d1 & uv), pe | ov << ou * w | ou << ov * w

@@ -2,12 +2,11 @@
 
 A certificate is an edge bitmask forming vertex-disjoint paths inside its
 home vertex set (or a Hamiltonian cycle of the whole graph, at the root).
-A family maps each certificate to its degree masks (d1, d2), the vertices
-of degree >= 1 and >= 2, set in O(1) where the certificate is made.  Path
-ends and lengths are derived from vertex bitmasks by `repsets`, defined
-for degree at most two.  Families are pruned with two trims: the
-representative-family machinery of `repsets` on sides with a small cut
-vertex cover, and a twin-signature collapse on split sides.
+A family maps each certificate to its state (d1, d2, pe): the vertices of
+degree >= 1 and >= 2 and the pairing of its path ends (see `repsets`),
+set in O(1) where the certificate is made.  Families are pruned with two
+trims: the representative-family machinery of `repsets` on sides with a
+small cut vertex cover, and a twin-signature collapse on split sides.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from __future__ import annotations
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value
 from .branchdec import BranchDecomposition
-from .repsets import (_is_acyclic, _paths, degree_masks, is_hamiltonian_cycle,
-                      is_path_system, pad_separator, preserving_extension,
-                      walk_from)
+from .repsets import (field_width, is_hamiltonian_cycle, is_path_system,
+                      pad_separator, partner, path_state, preserving_extension)
 
 
 def certificate_valid(g: Graph, emask: int, home: int) -> bool:
@@ -28,7 +26,7 @@ def certificate_valid(g: Graph, emask: int, home: int) -> bool:
     return home == g.vmask and is_hamiltonian_cycle(g, emask)
 
 
-def _path_slots(g: Graph, home: int, cert: int, d1: int, d2: int,
+def _path_slots(g: Graph, home: int, d1: int, d2: int, pe: int,
                 max_paths: int | None):
     """Deficient-vertex mask, optionally limited to the first few paths.
 
@@ -39,13 +37,14 @@ def _path_slots(g: Graph, home: int, cert: int, d1: int, d2: int,
     isolated = home & ~d1
     if max_paths is None or ends.bit_count() // 2 + isolated.bit_count() <= max_paths:
         return deficient
+    w = field_width(g)
     allowed = far = 0
     for v in bits(ends | isolated):
         if (far >> v) & 1:
             continue
-        w = v if (isolated >> v) & 1 else walk_from(g, cert, v)[-1]
-        far |= 1 << w
-        allowed |= (1 << v) | (1 << w)
+        other = partner(pe, w, d1, v)
+        far |= 1 << other
+        allowed |= (1 << v) | (1 << other)
         max_paths -= 1
         if not max_paths:
             break
@@ -53,21 +52,21 @@ def _path_slots(g: Graph, home: int, cert: int, d1: int, d2: int,
 
 
 def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
-                    state_a: tuple[int, int], state_b: tuple[int, int],
+                    state_a: tuple[int, int, int], state_b: tuple[int, int, int],
                     slots_a: int, slots_b: int,
-                    out: dict[int, tuple[int, int]]) -> None:
+                    out: dict[int, tuple[int, int, int]]) -> None:
     """Add to `out` every valid member of conc(sa, sb) whose cross edges
-    touch the slots, with its degree masks (d1, d2).
+    touch the slots, with its state (d1, d2, pe).
 
-    The homes are vertex-disjoint, so the degree masks of sa | sb are the
-    unions of those of sa and sb.
+    The homes are vertex-disjoint, so the state of sa | sb is the union of
+    those of sa and sb, field by field.
     """
     base = sa | sb
-    home = a | b
-    full_home = home == g.vmask
-    n = g.n
+    vmask = g.vmask
+    w = field_width(g)
     d1 = state_a[0] | state_b[0]
     d2 = state_a[1] | state_b[1]
+    pe = state_a[2] | state_b[2]
     # cross edges between slots of degree below two, in edge order
     reach_a = reach_b = 0
     for u in bits(slots_a & ~d2):
@@ -79,54 +78,48 @@ def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
         u, v = g.edges[i]
         if (a >> v) & 1:
             u, v = v, u
-        candidates.append((i, u, v, g.edge_vertices[i]))
-    ends = {v: (v, 1) for v in bits(home & ~d1)}  # end -> (other end, size)
-    for seq in _paths(g, base, d1 & ~d2):
-        ends[seq[0]] = (seq[-1], len(seq))
-        ends[seq[-1]] = (seq[0], len(seq))
+        candidates.append((1 << i, u, v, g.edge_vertices[i]))
+    field = (1 << w) - 1
+    stop = len(candidates)
 
-    def rec(idx: int, cur: int, one: int, two: int) -> None:
-        """`one`/`two`: vertices of degree >= 1 / >= 2 in base | cur."""
-        if idx == len(candidates):
-            out[base | cur] = (one, two)
+    def rec(idx: int, cur: int, one: int, two: int, pe: int) -> None:
+        """(one, two, pe): the state of base | cur; `repsets.add_edge`
+        is inlined."""
+        if idx == stop:
+            out[base | cur] = (one, two, pe)
             return
-        i, u, v, e = candidates[idx]
-        rec(idx + 1, cur, one, two)  # skip
+        bit, u, v, e = candidates[idx]
+        rec(idx + 1, cur, one, two, pe)  # skip
         if e & two:
             return
-        ou, cu = ends[u]
-        if ou == v:
-            if full_home and cu == n:
-                out[base | cur | (1 << i)] = (one | e, two | (one & e))
+        ou = (pe >> u * w) & field if (one >> u) & 1 else u
+        if ou == v:  # closes a cycle: only a Hamiltonian one is kept
+            if one == vmask and one & ~two == e:
+                out[base | cur | bit] = (one, two | e, pe)
             return
-        ov, cv = ends[v]
-        ends[ou] = (ov, cu + cv)
-        ends[ov] = (ou, cu + cv)
-        rec(idx + 1, cur | (1 << i), one | e, two | (one & e))
-        ends[ou] = (u, cu)
-        ends[ov] = (v, cv)
-        ends[u] = (ou, cu)
-        ends[v] = (ov, cv)
+        ov = (pe >> v * w) & field if (one >> v) & 1 else v
+        rec(idx + 1, cur | bit, one | e, two | (one & e),
+            pe & ~(field << ou * w | field << ov * w) | ov << ou * w | ou << ov * w)
 
-    rec(0, 0, d1, d2)
+    rec(0, 0, d1, d2, pe)
 
 
 def conc(g: Graph, a: int, b: int, sa: int, sb: int) -> list[int]:
     """All certificates sa ∪ sb ∪ E' with E' cross edges keeping validity."""
     if a & b:
         raise ValueError("certificate homes must be disjoint")
-    out: dict[int, tuple[int, int]] = {}
-    _enumerate_pair(g, a, b, sa, sb, degree_masks(g, sa)[:2],
-                    degree_masks(g, sb)[:2], a, b, out)
+    out: dict[int, tuple[int, int, int]] = {}
+    _enumerate_pair(g, a, b, sa, sb, path_state(g, sa), path_state(g, sb),
+                    a, b, out)
     return list(out)
 
 
 INTERMEDIATE_TRIM_CAP = 1024  # pre-trim family size that triggers a trim in join
 
 
-def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int]],
-         fb: dict[int, tuple[int, int]],
-         trace: dict | None = None) -> dict[int, tuple[int, int]]:
+def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int, int]],
+         fb: dict[int, tuple[int, int, int]],
+         trace: dict | None = None) -> dict[int, tuple[int, int, int]]:
     """Family of home a | b: conc over all pairs of fa and fb, split sides
     limited to 4k paths, trimmed unless a | b is the whole graph.
 
@@ -140,10 +133,10 @@ def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int]],
     limit = max(4 * max(mm_value(g, a), mm_value(g, b)), 1)
     limit_a = limit if is_split(g, a) else None
     limit_b = limit if is_split(g, b) else None
-    slots_b = [_path_slots(g, b, sb, *state, limit_b) for sb, state in fb.items()]
-    out: dict[int, tuple[int, int]] = {}
+    slots_b = [_path_slots(g, b, *state, limit_b) for state in fb.values()]
+    out: dict[int, tuple[int, int, int]] = {}
     for sa, state_a in fa.items():
-        slots_a = _path_slots(g, a, sa, *state_a, limit_a)
+        slots_a = _path_slots(g, a, *state_a, limit_a)
         for (sb, state_b), slots in zip(fb.items(), slots_b):
             _enumerate_pair(g, a, b, sa, sb, state_a, state_b, slots_a, slots, out)
             if not whole and len(out) > INTERMEDIATE_TRIM_CAP:
@@ -153,8 +146,8 @@ def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int]],
 
 # -- trims ------------------------------------------------------------------
 
-def trim_vc(g: Graph, a: int, fam: dict[int, tuple[int, int]],
-            trace: dict | None = None) -> dict[int, tuple[int, int]]:
+def trim_vc(g: Graph, a: int, fam: dict[int, tuple[int, int, int]],
+            trace: dict | None = None) -> dict[int, tuple[int, int, int]]:
     """Representative subfamily via a preserving extension over a Koenig cover."""
     c = pad_separator(g, a, min_vertex_cover(g, a))
     estar = g.edges_between(a, c & ~a)
@@ -163,7 +156,7 @@ def trim_vc(g: Graph, a: int, fam: dict[int, tuple[int, int]],
 
 
 def trim_split(g: Graph, a: int,
-               fam: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+               fam: dict[int, tuple[int, int, int]]) -> dict[int, tuple[int, int, int]]:
     """One representative per twin signature on a split side.
 
     On a split side every boundary vertex has the same outside
@@ -179,19 +172,19 @@ def trim_split(g: Graph, a: int,
     t = common_outside.bit_count()
     chosen: dict[tuple[int, int], int] = {}
     for cert in sorted(fam):
-        d1, d2 = fam[cert]
+        d1, d2, _ = fam[cert]
         isolated = a & ~d1
         if a & ~d2 & ~boundary or (isolated and t < 2):
             continue  # dead: no attachment for an inner or isolated vertex
         sig = ((d1 & ~d2).bit_count() // 2, isolated.bit_count())
-        if sig in chosen or not _is_acyclic(g, cert, d1, d2):
+        if sig in chosen or d1 and not d1 & ~d2:
             continue  # a closed cycle cannot reach the non-empty outside
         chosen[sig] = cert
     return {cert: fam[cert] for cert in chosen.values()}
 
 
-def trim(g: Graph, a: int, fam: dict[int, tuple[int, int]],
-         trace: dict | None = None) -> dict[int, tuple[int, int]]:
+def trim(g: Graph, a: int, fam: dict[int, tuple[int, int, int]],
+         trace: dict | None = None) -> dict[int, tuple[int, int, int]]:
     """Dispatch: split sides use the twin signature, others the rep-set trim.
 
     A trim that runs appends (a, before, after) to `trace["trims"]` when
@@ -243,8 +236,8 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
         adj[u].append(v)
         adj[v].append(u)
 
-    def merge(h1: int, f1: dict[int, tuple[int, int]], h2: int,
-              f2: dict[int, tuple[int, int]]):
+    def merge(h1: int, f1: dict[int, tuple[int, int, int]], h2: int,
+              f2: dict[int, tuple[int, int, int]]):
         fam = join(g, h1, h2, f1, f2, trace)
         note(len(fam))
         return h1 | h2, fam
@@ -259,7 +252,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
                 raise ValueError("decomposition tree is not subcubic")
             order.append((node, children))
             stack.extend((w, node) for w in children)
-        solved: dict[int, tuple[int, dict[int, tuple[int, int]]]] = {}
+        solved: dict[int, tuple[int, dict[int, tuple[int, int, int]]]] = {}
         for node, children in reversed(order):  # left and right subtrees, node
             if children:
                 h1, f1 = solved.pop(children[0])
@@ -267,7 +260,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
                 solved[node] = merge(h1, f1, h2, f2)
             else:
                 note(1)
-                solved[node] = (1 << bd.leaf_map[node], {0: (0, 0)})
+                solved[node] = (1 << bd.leaf_map[node], {0: (0, 0, 0)})
         return solved[root]
 
     if not bd.edges:  # single leaf, n >= 3 impossible here

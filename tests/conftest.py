@@ -6,7 +6,7 @@ import pytest
 
 from smhc.graph import Graph
 from smhc.generators import random_connected_graph
-from smhc.repsets import degree_masks
+from smhc.repsets import path_state
 
 
 def atlas_connected(min_n: int = 3, max_n: int = 6):
@@ -23,8 +23,8 @@ def atlas_connected(min_n: int = 3, max_n: int = 6):
 
 
 def family(g, masks):
-    """Certificate family: each edge mask with its degree masks (d1, d2)."""
-    return {m: degree_masks(g, m)[:2] for m in masks}
+    """Certificate family: each edge mask with its state (d1, d2, pe)."""
+    return {m: path_state(g, m) for m in masks}
 
 
 def stack_depth():

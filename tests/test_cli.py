@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smhc.graph import cycle_graph, complete_graph, petersen_graph, format_edge_list
+from smhc import oracles
+from smhc.graph import (cycle_graph, complete_graph, petersen_graph,
+                        format_edge_list, parse_edge_list)
 from smhc.cli import main, EXIT_OK, EXIT_NO, EXIT_PARSE, EXIT_REFUSED
 
 
@@ -59,6 +62,18 @@ def test_width_approx(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("sm-width ")
     assert int(out.split()[1]) >= 1
+
+
+def test_width_approx_says_whether_certified(tmp_path, capsys):
+    """The 18x bound is certified only when no prime needed the greedy backend."""
+    for g, certified in [(complete_graph(6), "yes"), (cycle_graph(12), "yes"),
+                         (cycle_graph(13), "no")]:  # a cycle is one prime
+        assert main(["width", write_graph(tmp_path, g), "--approx"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("sm-width ")
+        assert lines[1:] == [f"certified: {certified}"]
+    assert main(["width", write_graph(tmp_path, cycle_graph(5)), "--exact"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["sm-width 2"]
 
 
 def test_width_exact_refuses_large(tmp_path, capsys):
@@ -152,3 +167,50 @@ def test_deterministic_output(tmp_path, capsys):
     # timing column may vary; everything else must be byte-identical
     strip = lambda s: [r.rsplit(",", 1)[0] for r in s.splitlines()]
     assert strip(b1) == strip(b2)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text of a graph on at most 10 vertices, sometimes with one
+    line dropped, repeated or replaced by a short token string."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    i = draw(st.integers(0, len(lines) - 1))
+    fault = draw(st.sampled_from(["none"] * 3 + ["drop", "repeat", "replace"]))
+    if fault == "drop":
+        del lines[i]
+    elif fault == "repeat":
+        lines.insert(i, lines[i])
+    elif fault == "replace":  # at most three characters: no huge vertex count
+        lines[i] = draw(st.text("0123456789 -#x", max_size=3))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=edge_list_texts())
+def test_hc_fuzz_agrees_with_oracle(tmp_path, capsys, text):
+    """`smhc hc` exits 0, 1 or 2 without a traceback; a verdict agrees with
+    the Held-Karp oracle, and a printed witness is a Hamiltonian cycle."""
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    code = main(["hc", str(path)])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_NO, EXIT_PARSE)
+    assert "Traceback" not in out + err
+    if code == EXIT_PARSE:
+        assert err.startswith("error:") and not out
+        return
+    g = parse_edge_list(text)
+    assert code == (EXIT_OK if oracles.brute_hc(g)[0] else EXIT_NO)
+    if code == EXIT_NO:
+        assert out == "NOT HAMILTONIAN\n"
+        return
+    verdict, witness = out.splitlines()
+    assert verdict == "HAMILTONIAN"
+    cycle = [tuple(map(int, e.split("-"))) for e in witness.split()]
+    assert all(g.has_edge(u, v) for u, v in cycle)
+    assert oracles._is_spanning_cycle(g, g.edge_mask(cycle))

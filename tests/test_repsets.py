@@ -1,12 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.repsets import (is_path_system, degree_masks, pairing_row,
-                          representative_hc_sets, torso, SPANNING_CYCLE,
+                          representative_hc_sets, path_state, field_width,
                           pad_separator, trim_separator, preserving_extension,
-                          is_hamiltonian_cycle, _can_add_edge, _paths)
+                          is_hamiltonian_cycle, add_edge, partner, _paths)
 from smhc.generators import random_connected_graph
 from smhc import oracles
 from tests.conftest import family
@@ -31,16 +32,27 @@ def test_mask_helpers_match_reference(seed):
         if d3:
             continue  # the path-system state is defined for degree <= 2
         assert list(_paths(g, m, d1 & ~d2)) == oracles._walk_paths(g, m)
-        for _ in range(4):
-            side = rng.getrandbits(g.n) | rng.choice([0, g.vmask])
-            sep = rng.getrandbits(g.n) & rng.choice([side, g.vmask])
-            assert torso(g, m, d1, d2, side, sep) == oracles._torso(g, m, side, sep)
         if not is_path_system(g, m):
-            continue  # adding an edge is defined on path systems
+            continue  # the pairing and adding an edge are defined on path systems
+        w = field_width(g)
+        state = path_state(g, m)
+        for seq in oracles._walk_paths(g, m):
+            assert partner(state[2], w, d1, seq[0]) == seq[-1]
+            assert partner(state[2], w, d1, seq[-1]) == seq[0]
         for u, v in g.edge_set(((1 << g.m) - 1) & ~m):
-            for allow in (False, True):
-                assert (_can_add_edge(g, m, d1, d2, u, v, allow)
-                        == oracles._can_add_edge(g, m, u, v, allow))
+            grown = add_edge(g, w, *state, u, v)
+            assert (grown is not None) == oracles._can_add_edge(g, m, u, v, True)
+            i = g.edge_index[(u, v)]
+            if grown is not None and is_path_system(g, m | 1 << i):
+                want = path_state(g, m | 1 << i)
+                assert ends_pairing(g, grown) == ends_pairing(g, want)
+
+
+def ends_pairing(g, state):
+    """Degree masks and each path end's partner; other fields are never read."""
+    d1, d2, pe = state
+    w = field_width(g)
+    return d1, d2, {v: partner(pe, w, d1, v) for v in bits(d1 & ~d2)}
 
 
 def hc_completability_preserved(kC, members, kept):
@@ -106,8 +118,8 @@ def test_pairing_row_parity(t):
     matchings = list(_perfect_matchings(list(range(t))))
     rows = []
     for p in matchings:
-        emask = kt.edge_mask(p)
-        row = pairing_row(kt, emask, *degree_masks(kt, emask)[:2])
+        d1, d2, pe = path_state(kt, kt.edge_mask(p))
+        row = pairing_row(field_width(kt), d1 & ~d2, pe)
         assert 0 < row < 1 << 2 ** (t - 1)
         rows.append(row)
     for p, row_p in zip(matchings, rows):
@@ -115,28 +127,29 @@ def test_pairing_row_parity(t):
             assert (row_p & row_q).bit_count() % 2 == _one_cycle(p, q, t)
 
 
+def row_of(g, emask):
+    """`pairing_row` of a path system, its pairing found by walking."""
+    d1, d2, pe = path_state(g, emask)
+    return pairing_row(field_width(g), d1 & ~d2, pe)
+
+
 def test_pairing_row_follows_paths():
-    """The row depends on the pairing only; cycles have no row."""
+    """The row depends on the pairing only."""
     g = complete_graph(6)
     long = g.edge_mask([(0, 4), (4, 2), (1, 5), (5, 3)])  # pairs 0-2, 1-3
     short = complete_graph(4).edge_mask([(0, 2), (1, 3)])
-    assert (pairing_row(g, long, *degree_masks(g, long)[:2])
-            == pairing_row(complete_graph(4), short,
-                           *degree_masks(complete_graph(4), short)[:2]))
-    assert pairing_row(g, 0, 0, 0) == 1
-    triangle = g.edge_mask([(0, 1), (1, 2), (0, 2)])
-    assert pairing_row(g, triangle, *degree_masks(g, triangle)[:2]) is None
+    assert row_of(g, long) == row_of(complete_graph(4), short)
+    assert pairing_row(field_width(g), 0, 0) == 1
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_representative_hc_sets_exhaustive(k):
     """Every path system of K_k: preservation and 2^(|D1|-1) per signature."""
     kC = complete_graph(k)
-    masks = list(range(1 << kC.m))
-    members = [m for m in masks if is_path_system(kC, m)]
-    assert set(representative_hc_sets(kC, masks)) <= set(members)
-    kept = representative_hc_sets(kC, members)
-    assert set(kept) <= set(members)
+    members = [m for m in range(1 << kC.m) if is_path_system(kC, m)]
+    chosen = representative_hc_sets(kC, [path_state(kC, m) for m in members])
+    assert chosen == sorted(set(chosen))
+    kept = [members[i] for i in chosen]
     assert len(kept) <= 4 ** k < 6 ** k
     per_signature = {}
     for m in kept:
@@ -149,39 +162,7 @@ def test_representative_hc_sets_exhaustive(k):
 
 def test_representative_hc_sets_singleton():
     kC = complete_graph(3)
-    assert representative_hc_sets(kC, [0b001]) == [0b001]
-
-
-def torso_of(g, m, side, sep):
-    """`torso` with the degree masks folded from the edge mask."""
-    return torso(g, m, *degree_masks(g, m)[:2], side, sep)
-
-
-def test_torso_basics():
-    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
-    sep = mask_of([0, 2, 3])
-    side = g.vmask
-    # path 0-1-2 compresses to separator edge (0,2)
-    t = torso_of(g, g.edge_mask([(0, 1), (1, 2)]), side, sep)
-    assert t == frozenset({(0, 2)})
-    # empty member, everything in the separator
-    assert torso_of(g, 0, sep, sep) == frozenset()
-    # endpoint outside the separator is dead
-    assert torso_of(g, g.edge_mask([(0, 1)]), side, sep) is None
-
-
-def test_torso_dead_cases():
-    g = cycle_graph(4)
-    sep = mask_of([0, 1])
-    # vertex 2 outside sep has degree 1: dead
-    assert torso_of(g, g.edge_mask([(1, 2)]), g.vmask, sep) is None
-    # full cycle: spanning cycle sentinel
-    assert torso_of(g, (1 << g.m) - 1, g.vmask, sep) is SPANNING_CYCLE
-    # duplicated segment between the same separator pair
-    h = Graph(range(4), [(0, 2), (2, 1), (0, 3), (3, 1)])
-    s2 = mask_of([0, 1])
-    assert torso_of(h, (1 << h.m) - 1, h.vmask, s2) is SPANNING_CYCLE
-    assert torso_of(h, h.edge_mask([(0, 2), (2, 1), (0, 3)]), h.vmask, s2) is None
+    assert representative_hc_sets(kC, [path_state(kC, 0b001)]) == [0]
 
 
 def test_pad_separator():
@@ -197,17 +178,80 @@ def test_trim_separator_bound_and_subset():
     a = mask_of([0, 1, 2, 3])
     sep = pad_separator(g, a, mask_of([0, 3]))
     inner = g.edges_within(a)
-    items = [(m, *degree_masks(g, m)[:2], m) for m in range(1 << g.m)
+    items = [(m, *path_state(g, m), m) for m in range(1 << g.m)
              if m & ~inner == 0 and is_path_system(g, m)]
     out = trim_separator(g, a, sep, items)
     assert len(out) <= 6 ** sep.bit_count()
     assert {it[0] for it in out} <= {it[0] for it in items}
 
 
+def torso_route(g, a, sep, items, trace):
+    """The trim by torsos: compress every item onto sep, drop the dead ones,
+    keep the least item per torso and the least spanning cycle, and pick
+    torsos by their rows over the complete graph on sep."""
+    kC = Graph(bits(sep), combinations(bits(sep), 2))
+    by_torso, cycle_item = {}, None
+    for item in sorted(items, key=lambda it: it[0]):
+        t = oracles._torso(g, item[0], a, sep)
+        if t is oracles.SPANNING_CYCLE:
+            if cycle_item is None:
+                cycle_item = item
+        elif t is not None:
+            by_torso.setdefault(kC.edge_mask(t), item)
+    torsos = list(by_torso)
+    chosen = representative_hc_sets(kC, [path_state(kC, t) for t in torsos])
+    by_k = trace.setdefault("max_family_by_k", {})
+    by_k[kC.n] = max(by_k.get(kC.n, 0), len(chosen))
+    out = [by_torso[torsos[i]] for i in chosen]
+    return out + ([cycle_item] if cycle_item is not None else [])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_trim_separator_matches_torso_route(seed):
+    """Lemma 3: reading each item's row from its pairing keeps exactly the
+    items that building, deduplicating and pairing the torsos keeps."""
+    rng = random.Random(seed + 1300)
+    seen = {"dead": 0, "end outside": 0, "padded": 0, "cycle": 0, "kept": 0,
+            "repeat": 0}
+    for n in range(5, 10):
+        g = random_connected_graph(n, rng, p=0.6)
+        hcs = oracles.enumerate_hamiltonian_cycles(g)[:30]
+        cycle = hcs[0] if hcs else 0
+        for _ in range(3):
+            a = rng.getrandbits(n) & g.vmask or g.vmask
+            sep = pad_separator(g, a, rng.getrandbits(n) & rng.getrandbits(n) & g.vmask)
+            if rng.random() < 0.5:
+                sep |= g.vmask & ~a  # every vertex in a ∪ sep
+            inner = g.edges_within(a | sep)
+            masks = [cycle & inner & rng.getrandbits(g.m) for _ in range(40)]
+            masks += [m for m in (inner & rng.getrandbits(g.m) & rng.getrandbits(g.m)
+                                  for _ in range(40)) if is_path_system(g, m)]
+            masks += [cycle] if cycle & ~inner == 0 else []
+            # cycles less edges within sep: live when a ∪ sep is everything,
+            # and cycles that order sep alike share a torso
+            masks += [h & inner & ~(g.edges_within(sep) & rng.getrandbits(g.m))
+                      for h in hcs]
+            items = [(m, *path_state(g, m), m) for m in set(masks)]
+            got_trace, want_trace = {}, {}
+            got = trim_separator(g, a, sep, items, got_trace)
+            want = torso_route(g, a, sep, items, want_trace)
+            assert got == want
+            assert got_trace == want_trace
+            torsos = [oracles._torso(g, m, a, sep) for m, *_ in items]
+            live = [t for t in torsos if t is not None]
+            seen["dead"] += len(torsos) - len(live)
+            seen["end outside"] += sum(bool(d1 & ~d2 & ~sep) for _, d1, d2, *_ in items)
+            seen["padded"] += bool(sep & ~a)
+            seen["cycle"] += oracles.SPANNING_CYCLE in live
+            seen["kept"] += len(got)
+            seen["repeat"] += len(live) - len(set(live))
+    assert all(seen.values()), seen
+
+
 def test_preserving_extension_small_separator_rejected():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
-        preserving_extension(g, mask_of([0, 1]), mask_of([2]), {0: (0, 0)}, 0)
+        preserving_extension(g, mask_of([0, 1]), mask_of([2]), {0: (0, 0, 0)}, 0)
 
 
 def test_preserving_extension_no_estar():

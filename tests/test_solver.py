@@ -6,7 +6,8 @@ import pytest
 from smhc.graph import Graph, bits, mask_of, cycle_graph, path_graph, complete_graph, petersen_graph
 from smhc.cuts import is_split, min_vertex_cover
 from smhc import repsets
-from smhc.repsets import degree_masks, is_path_system, pad_separator
+from smhc.repsets import (degree_masks, field_width, is_path_system,
+                          pad_separator, partner, path_state, walk_from)
 from smhc.solver import (conc, join, trim, trim_vc, trim_split, solve_hc,
                          certificate_valid, is_hamiltonian_cycle, _enumerate_pair)
 from smhc.pipeline import approx_sm_decomposition
@@ -91,7 +92,9 @@ def test_join_subset_of_conc(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_carried_degree_masks_equal_fold(seed, monkeypatch):
-    """Every (d1, d2) set in O(1) equals the fold of its edge mask.
+    """Every state (d1, d2, pe) set in O(1) matches its edge mask: the
+    degree masks equal the fold of the mask, and each path end's field
+    holds the far end of the walk from it.
 
     Covers `_enumerate_pair` on pairs cut from a Hamiltonian cycle, so
     spanning-cycle closures occur, and the extension step of
@@ -99,7 +102,16 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     """
     rng = random.Random(seed + 900)
     g = random_connected_graph(rng.randint(4, 9), rng, p=0.6)
-    fold = lambda m: degree_masks(g, m)[:2]
+    w = field_width(g)
+    ends_checked = 0
+
+    def check(m, d1, d2, pe):
+        nonlocal ends_checked
+        assert (d1, d2) == degree_masks(g, m)[:2]
+        for v in bits(d1 & ~d2):
+            assert partner(pe, w, d1, v) == walk_from(g, m, v)[-1]
+            ends_checked += 1
+
     hamiltonian, witness = oracles.brute_hc(g)
     cycle = g.edge_mask(witness) if hamiltonian else 0
 
@@ -126,17 +138,19 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
         fa, fb = sample(a), sample(b)
         for sa, sb in [(fa[0], fb[0])] + list(zip(fa[1:], fb[1:])):
             out = {}
-            _enumerate_pair(g, a, b, sa, sb, fold(sa), fold(sb), a, b, out)
+            _enumerate_pair(g, a, b, sa, sb, path_state(g, sa),
+                            path_state(g, sb), a, b, out)
             for m, state in out.items():
-                assert state == fold(m)
+                check(m, *state)
                 closures += is_hamiltonian_cycle(g, m)
         c = pad_separator(g, a, min_vertex_cover(g, a))
         repsets.preserving_extension(g, a, c, family(g, fa),
                                      g.edges_between(a, c & ~a))
     assert closures or not hamiltonian
-    assert any(ext != core for ext, _, _, core in items)
-    for ext, d1, d2, _ in items:
-        assert (d1, d2) == fold(ext)
+    assert any(ext != core for ext, *_, core in items)
+    for ext, d1, d2, pe, _ in items:
+        check(ext, d1, d2, pe)
+    assert ends_checked
 
 
 def test_trim_vc_bound():
@@ -156,10 +170,10 @@ def test_trim_split_signature_collapse():
     g = Graph(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)])
     a = mask_of([0, 1])
     assert is_split(g, a)
-    out = trim_split(g, a, {0: (0, 0)})
-    assert out == {0: (0, 0)}
+    out = trim_split(g, a, {0: (0, 0, 0)})
+    assert out == {0: (0, 0, 0)}
     with pytest.raises(ValueError):
-        trim_split(g, mask_of([0, 2]), {0: (0, 0)})
+        trim_split(g, mask_of([0, 2]), {0: (0, 0, 0)})
 
 
 def test_trim_split_preserves():
@@ -177,7 +191,7 @@ def test_trim_split_preserves():
 def test_trim_dispatch():
     g = complete_graph(6)
     a = mask_of([0, 1, 2])
-    assert trim(g, a, {0: (0, 0)}) == {0: (0, 0)}  # singleton short-circuits
+    assert trim(g, a, {0: (0, 0, 0)}) == {0: (0, 0, 0)}  # singleton short-circuits
     fam = [0, g.edge_mask([(0, 1)])]
     assert set(trim(g, a, family(g, fam))) <= set(fam)
 
