@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .graph import Graph, bits, mask_of
+from .graph import bits, mask_of
 from .cuts import CutFunction
 
 EXACT_SIZE_LIMIT = 12
@@ -242,13 +242,6 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
     return width, BranchDecomposition(edges, leaf_map)
 
 
-def exact_best_decomposition(g: Graph, f, limit: int = EXACT_SIZE_LIMIT):
-    """Minimum f-width decomposition of V(g); refuses oversized inputs."""
-    if g.n > limit:
-        raise SizeLimitExceeded(f"exact search limited to {limit} vertices, got {g.n}")
-    return exact_branch_width(list(g.vertices), f)
-
-
 # -- literal tree enumeration (tiny-size cross-check oracle) ---------------
 
 def enumerate_decompositions(elements: list[int]):
@@ -338,17 +331,17 @@ def greedy_decomposition(f, elements: list[int]) -> BranchDecomposition:
     return BranchDecomposition(edges, leaf_map)
 
 
-def approx_decomposition(f, elements: list[int], backend: str = "exact",
-                         limit: int = EXACT_SIZE_LIMIT) -> BranchDecomposition:
+def approx_decomposition(f, elements: list[int],
+                         backend: str = "exact") -> BranchDecomposition:
     """Decomposition of the element set under f via the chosen backend.
 
     Backends: `exact` (optimal, size-limited) and `greedy` (no guarantee).
     A slot for a true 3-approximation backend is reserved but not shipped.
     """
     if backend == "exact":
-        if len(elements) > limit:
-            raise SizeLimitExceeded(
-                f"exact backend limited to {limit} elements, got {len(elements)}")
+        if len(elements) > EXACT_SIZE_LIMIT:
+            raise SizeLimitExceeded(f"exact backend limited to {EXACT_SIZE_LIMIT} "
+                                    f"elements, got {len(elements)}")
         _, bd = exact_branch_width(sorted(elements), f)
         return bd
     if backend == "greedy":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .graph import Graph, bits, mask_of
 from .cuts import sm_cut_function, split_sides
-from .branchdec import SizeLimitExceeded, exact_best_decomposition
+from .branchdec import SizeLimitExceeded, exact_branch_width
 from . import solver
 
 BRUTE_HC_LIMIT = 18
@@ -121,7 +121,7 @@ def brute_sm_width(g: Graph, limit: int = BRUTE_WIDTH_LIMIT) -> int:
     if g.n > limit:
         raise SizeLimitExceeded(
             f"brute_sm_width limited to {limit} vertices, got {g.n}")
-    width, _ = exact_best_decomposition(g, sm_cut_function(g), limit=limit)
+    width, _ = exact_branch_width(list(g.vertices), sm_cut_function(g))
     return width
 
 
@@ -234,7 +234,7 @@ def _torso(g: Graph, emask: int, side: int, sep: int):
 
 def _can_add_edge(g: Graph, emask: int, u: int, v: int,
                   allow_spanning_cycle: bool = False) -> bool:
-    """Reference for `repsets.add_edge` on path systems."""
+    """Reference for `repsets.grow` by one edge on path systems."""
     grown = emask | 1 << g.edge_index[(min(u, v), max(u, v))]
     return _is_path_system(g, grown) or (allow_spanning_cycle
                                          and _is_spanning_cycle(g, grown))

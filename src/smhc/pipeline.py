@@ -54,8 +54,8 @@ def contract_heavy_edges(ctx: LiftedContext, k: int):
     return h, tot_map, merged
 
 
-def prime_decomposition(ctx: LiftedContext, k: int, backend: str = "exact",
-                        limit: int = EXACT_SIZE_LIMIT) -> BranchDecomposition:
+def prime_decomposition(ctx: LiftedContext, k: int,
+                        backend: str = "exact") -> BranchDecomposition:
     """Lifted-mm decomposition of one prime, heavy pairs kept in cherries."""
     contracted, tot_map, merged = contract_heavy_edges(ctx, k)
 
@@ -66,8 +66,7 @@ def prime_decomposition(ctx: LiftedContext, k: int, backend: str = "exact",
         return mm_value(ctx.graph, t)
 
     f = CutFunction("lifted-mm", lifted, contracted.vmask)
-    bd = approx_decomposition(f, list(contracted.vertices), backend=backend,
-                              limit=limit)
+    bd = approx_decomposition(f, list(contracted.vertices), backend=backend)
     if not merged:
         return bd
     edges = list(bd.edges)
@@ -126,12 +125,13 @@ def combine(dec: SplitDecomposition,
     return normalized_decomposition(sorted(edges), leaf_map)
 
 
-def approx_sm_decomposition(g: Graph, backend: str = "auto",
-                            limit: int = EXACT_SIZE_LIMIT) -> BranchDecomposition:
+def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     """Decomposition whose sm-width is within the 18k budget of the search.
 
     k is raised one step at a time, so with the exact per-prime backend the
-    accepted width is at most 18 times the true sm-width.
+    accepted width is at most 18 times the true sm-width.  That backend
+    runs when every prime has at most EXACT_SIZE_LIMIT vertices, the
+    greedy one otherwise.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
@@ -139,15 +139,13 @@ def approx_sm_decomposition(g: Graph, backend: str = "auto",
         raise ValueError("sm-width decompositions need a connected graph")
     dec = split_decompose(g)
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
-    if backend == "auto":
-        backend = "exact" if max(p.n for p in dec.primes) <= limit else "greedy"
+    backend = "exact" if max(p.n for p in dec.primes) <= EXACT_SIZE_LIMIT else "greedy"
     smf = sm_cut_function(g)
     best = None
     k = 1
     while True:
         try:
-            bds = [prime_decomposition(ctx, k, backend=backend, limit=limit)
-                   for ctx in ctxs]
+            bds = [prime_decomposition(ctx, k, backend=backend) for ctx in ctxs]
         except KTooSmall:
             k += 1
             continue

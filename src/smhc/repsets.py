@@ -10,7 +10,8 @@ travels with its state (d1, d2, pe): its vertices of degree >= 1 and
 where the field of each path end (a vertex of d1 & ~d2) holds the other
 end of its path.  Other fields are never read: a vertex of degree zero is
 its own partner (`partner`).  Producers set the state in O(1) big-int
-operations (`add_edge`); `path_state` derives it by walking the edges once.
+operations per added edge (`grow`); `path_state` derives it by walking the
+edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -270,7 +271,7 @@ def preserving_extension(g: Graph, a: int, c: int,
         raise ValueError("separator must have size at least three")
     na = a.bit_count()
     w = field_width(g)
-    first: dict[int, tuple[int, int, int, int, int]] = {}  # extended mask -> first item
+    first = []  # items of all certificates; ext & E(G[a]) is the core, so none repeats
     for cert in sorted(fam):
         p = cert.bit_count()
         deficiency = 2 * na - 2 * p
@@ -279,40 +280,43 @@ def preserving_extension(g: Graph, a: int, c: int,
         d1, d2, pe = fam[cert]
         xmask = a & ~d2
         sep = xmask | c
-        candidates = [i for i in bits(estar) if g.edge_vertices[i] & xmask]
         working = [(cert, d1, d2, pe, cert)]  # (extended mask, state, core)
-        for i in candidates:
-            u, v = g.edges[i]
-            added = []
-            for ext, e1, e2, ep, core in working:
-                grown = add_edge(g, w, e1, e2, ep, u, v)
-                if grown is not None:
-                    added.append((ext | (1 << i), *grown, core))
-            working.extend(added)
-            if len(working) > EXTENSION_TRIM_CAP:
-                working = trim_separator(g, a, sep, working, trace)
-        for item in working:
-            first.setdefault(item[0], item)
-    out = trim_separator(g, a, c, list(first.values()), trace)
+        for i in bits(estar):
+            if g.edge_vertices[i] & xmask:
+                working += grow(g, w, working, i)
+                if len(working) > EXTENSION_TRIM_CAP:
+                    working = trim_separator(g, a, sep, working, trace)
+        first += working
+    out = trim_separator(g, a, c, first, trace)
     return [(item[0], item[-1]) for item in out]
 
 
-def add_edge(g: Graph, w: int, d1: int, d2: int, pe: int, u: int, v: int):
-    """State of a path system after adding edge uv, or None if invalid.
+def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],
+         i: int) -> list[tuple[int, int, int, int, object]]:
+    """The items that edge i extends to a path system, each grown by it.
 
-    Adding uv is invalid when u or v has degree two already, or when u and
-    v end one path and closing it would leave out a vertex of g (closing a
-    path through every vertex into a Hamiltonian cycle is allowed).  Only
-    the fields of the two ends ou and ov of the joined path are rewritten;
-    `partner` is inlined.
+    `items` are (edge-mask, d1, d2, pe, payload) tuples of path systems
+    without edge i.  Adding uv is invalid when u or v has degree two
+    already, or when u and v end one path and closing it would leave out a
+    vertex of g; closing a path through every vertex into a Hamiltonian
+    cycle is allowed.  Only the fields of the two ends ou and ov of the
+    joined path are rewritten; `partner` is inlined.
     """
-    uv = (1 << u) | (1 << v)
-    if uv & d2:
-        return None
+    u, v = g.edges[i]
+    bit, uv = 1 << i, g.edge_vertices[i]
     field = (1 << w) - 1
-    ou = (pe >> u * w) & field if (d1 >> u) & 1 else u
-    ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
-    if ou == v and not (d1 == g.vmask and d1 & ~d2 == uv):
-        return None
-    pe &= ~(field << ou * w | field << ov * w)
-    return d1 | uv, d2 | (d1 & uv), pe | ov << ou * w | ou << ov * w
+    vmask = g.vmask
+    out = []
+    for m, d1, d2, pe, payload in items:
+        if uv & d2:
+            continue
+        ou = (pe >> u * w) & field if (d1 >> u) & 1 else u
+        if ou == v:  # closes a cycle: only a Hamiltonian one is kept
+            if d1 == vmask and d1 & ~d2 == uv:
+                out.append((m | bit, d1, d2 | uv, pe, payload))
+            continue
+        ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
+        pe &= ~(field << ou * w | field << ov * w)
+        out.append((m | bit, d1 | uv, d2 | (d1 & uv),
+                    pe | ov << ou * w | ou << ov * w, payload))
+    return out

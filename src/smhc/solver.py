@@ -14,7 +14,7 @@ from __future__ import annotations
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value
 from .branchdec import BranchDecomposition
-from .repsets import (field_width, is_hamiltonian_cycle, is_path_system,
+from .repsets import (field_width, grow, is_hamiltonian_cycle, is_path_system,
                       pad_separator, partner, path_state, preserving_extension)
 
 
@@ -26,82 +26,53 @@ def certificate_valid(g: Graph, emask: int, home: int) -> bool:
     return home == g.vmask and is_hamiltonian_cycle(g, emask)
 
 
-def _path_slots(g: Graph, home: int, d1: int, d2: int, pe: int,
-                max_paths: int | None):
-    """Deficient-vertex mask, optionally limited to the first few paths.
+def _slot_edges(g: Graph, home: int, d1: int, d2: int, pe: int,
+                max_paths: int | None) -> int:
+    """Edges at the deficient vertices, optionally at the first few paths.
 
     Paths and isolated vertices count in the order of their lowest vertex.
     """
-    deficient = home & ~d2
+    slots = home & ~d2
     ends = d1 & ~d2
     isolated = home & ~d1
-    if max_paths is None or ends.bit_count() // 2 + isolated.bit_count() <= max_paths:
-        return deficient
-    w = field_width(g)
-    allowed = far = 0
-    for v in bits(ends | isolated):
-        if (far >> v) & 1:
-            continue
-        other = partner(pe, w, d1, v)
-        far |= 1 << other
-        allowed |= (1 << v) | (1 << other)
-        max_paths -= 1
-        if not max_paths:
-            break
-    return deficient & allowed
+    paths = ends.bit_count() // 2 + isolated.bit_count()
+    if max_paths is not None and paths > max_paths:
+        w = field_width(g)
+        allowed = far = 0
+        for v in bits(ends | isolated):
+            if (far >> v) & 1:
+                continue
+            other = partner(pe, w, d1, v)
+            far |= 1 << other
+            allowed |= (1 << v) | (1 << other)
+            max_paths -= 1
+            if not max_paths:
+                break
+        slots &= allowed
+    reach = 0
+    for v in bits(slots):
+        reach |= g.incident[v]
+    return reach
 
 
-def _enumerate_pair(g: Graph, a: int, b: int, sa: int, sb: int,
+def _enumerate_pair(g: Graph, sa: int, sb: int,
                     state_a: tuple[int, int, int], state_b: tuple[int, int, int],
-                    slots_a: int, slots_b: int,
-                    out: dict[int, tuple[int, int, int]]) -> None:
-    """Add to `out` every valid member of conc(sa, sb) whose cross edges
-    touch the slots, with its state (d1, d2, pe).
+                    cross: int, out: dict[int, tuple[int, int, int]]) -> None:
+    """Add to `out` every valid sa ∪ sb ∪ E' with E' ⊆ cross, with its
+    state (d1, d2, pe).
 
     The homes are vertex-disjoint, so the state of sa | sb is the union of
-    those of sa and sb, field by field.
+    those of sa and sb, field by field.  The cross edges are folded in
+    through `grow`, highest index first, so members come in the order of
+    a search that skips each edge before taking it, lowest index first.
     """
-    base = sa | sb
-    vmask = g.vmask
     w = field_width(g)
-    d1 = state_a[0] | state_b[0]
-    d2 = state_a[1] | state_b[1]
-    pe = state_a[2] | state_b[2]
-    # cross edges between slots of degree below two, in edge order
-    reach_a = reach_b = 0
-    for u in bits(slots_a & ~d2):
-        reach_a |= g.incident[u]
-    for v in bits(slots_b & ~d2):
-        reach_b |= g.incident[v]
-    candidates = []
-    for i in bits(reach_a & reach_b):
-        u, v = g.edges[i]
-        if (a >> v) & 1:
-            u, v = v, u
-        candidates.append((1 << i, u, v, g.edge_vertices[i]))
-    field = (1 << w) - 1
-    stop = len(candidates)
-
-    def rec(idx: int, cur: int, one: int, two: int, pe: int) -> None:
-        """(one, two, pe): the state of base | cur; `repsets.add_edge`
-        is inlined."""
-        if idx == stop:
-            out[base | cur] = (one, two, pe)
-            return
-        bit, u, v, e = candidates[idx]
-        rec(idx + 1, cur, one, two, pe)  # skip
-        if e & two:
-            return
-        ou = (pe >> u * w) & field if (one >> u) & 1 else u
-        if ou == v:  # closes a cycle: only a Hamiltonian one is kept
-            if one == vmask and one & ~two == e:
-                out[base | cur | bit] = (one, two | e, pe)
-            return
-        ov = (pe >> v * w) & field if (one >> v) & 1 else v
-        rec(idx + 1, cur | bit, one | e, two | (one & e),
-            pe & ~(field << ou * w | field << ov * w) | ov << ou * w | ou << ov * w)
-
-    rec(0, 0, d1, d2, pe)
+    items = [(sa | sb, state_a[0] | state_b[0], state_a[1] | state_b[1],
+              state_a[2] | state_b[2], None)]
+    for i in reversed(list(bits(cross))):
+        items += grow(g, w, items, i)
+    for m, d1, d2, pe, _ in items:
+        out[m] = (d1, d2, pe)
 
 
 def conc(g: Graph, a: int, b: int, sa: int, sb: int) -> list[int]:
@@ -109,8 +80,8 @@ def conc(g: Graph, a: int, b: int, sa: int, sb: int) -> list[int]:
     if a & b:
         raise ValueError("certificate homes must be disjoint")
     out: dict[int, tuple[int, int, int]] = {}
-    _enumerate_pair(g, a, b, sa, sb, path_state(g, sa), path_state(g, sb),
-                    a, b, out)
+    _enumerate_pair(g, sa, sb, path_state(g, sa), path_state(g, sb),
+                    g.edges_between(a, b), out)
     return list(out)
 
 
@@ -133,12 +104,12 @@ def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int, int]],
     limit = max(4 * max(mm_value(g, a), mm_value(g, b)), 1)
     limit_a = limit if is_split(g, a) else None
     limit_b = limit if is_split(g, b) else None
-    slots_b = [_path_slots(g, b, *state, limit_b) for state in fb.values()]
+    reach_b = [_slot_edges(g, b, *state, limit_b) for state in fb.values()]
     out: dict[int, tuple[int, int, int]] = {}
     for sa, state_a in fa.items():
-        slots_a = _path_slots(g, a, *state_a, limit_a)
-        for (sb, state_b), slots in zip(fb.items(), slots_b):
-            _enumerate_pair(g, a, b, sa, sb, state_a, state_b, slots_a, slots, out)
+        reach_a = _slot_edges(g, a, *state_a, limit_a)
+        for (sb, state_b), reach in zip(fb.items(), reach_b):
+            _enumerate_pair(g, sa, sb, state_a, state_b, reach_a & reach, out)
             if not whole and len(out) > INTERMEDIATE_TRIM_CAP:
                 out = trim(g, home, out, trace)
     return out if whole else trim(g, home, out, trace)

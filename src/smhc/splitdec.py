@@ -109,23 +109,37 @@ class SplitDecomposition:
     # -- tot / act ---------------------------------------------------------
 
     def tot(self, i: int, v: int) -> int:
-        """Original vertices represented by v as seen from prime i."""
+        """Original vertices represented by v as seen from prime i.
+
+        A marker stands for the tots of the other vertices of the prime
+        across it.  Markers are resolved children first on an explicit
+        stack, each memoized in `_tot_cache`.
+        """
         if not (self.primes[i].vmask >> v) & 1:
             raise ValueError(f"vertex {v} is not in prime {i}")
-        if (self.graph.vmask >> v) & 1:
+        vmask, cache = self.graph.vmask, self._tot_cache
+        if (vmask >> v) & 1:
             return 1 << v
-        key = (i, v)
-        cached = self._tot_cache.get(key)
-        if cached is not None:
-            return cached
-        pi, pj = self.markers[v]
-        j = pj if pi == i else pi
-        out = 0
-        for u in self.primes[j].vertices:
-            if u != v:
-                out |= self.tot(j, u)
-        self._tot_cache[key] = out
-        return out
+        stack = [(i, v)]
+        while (i, v) not in cache:
+            h, x = stack[-1]
+            pi, pj = self.markers[x]
+            j = pj if pi == h else pi
+            out, missing = 0, []
+            for u in self.primes[j].vertices:
+                if u == x:
+                    continue
+                if (vmask >> u) & 1:
+                    out |= 1 << u
+                elif (j, u) in cache:
+                    out |= cache[j, u]
+                else:
+                    missing.append((j, u))
+            if missing:
+                stack += missing
+            else:
+                cache[stack.pop()] = out
+        return cache[i, v]
 
     def tot_set(self, i: int, vset: int) -> int:
         out = 0

@@ -1,5 +1,6 @@
 import random
 import sys
+from contextlib import contextmanager
 
 import networkx as nx
 import pytest
@@ -34,6 +35,18 @@ def stack_depth():
         depth += 1
         frame = frame.f_back
     return depth
+
+
+@contextmanager
+def bounded_stack(extra: int = 50):
+    """Run the `with` body under a recursion limit `extra` frames above the
+    depth of the `with` statement."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() - 2 + extra)  # less this frame and __enter__'s
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def random_corpus(sizes, per_size, seed):

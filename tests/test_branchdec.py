@@ -5,7 +5,7 @@ import pytest
 from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import mm_cut_function, sm_cut_function
 from smhc.branchdec import (BranchDecomposition, SizeLimitExceeded,
-                            exact_branch_width, exact_best_decomposition,
+                            exact_branch_width,
                             enumerate_decompositions, greedy_decomposition,
                             approx_decomposition, normalized_decomposition)
 from smhc.generators import random_connected_graph, caterpillar_decomposition
@@ -43,22 +43,23 @@ def test_f_width_k6_sm():
 
 
 def test_exact_widths():
-    assert exact_best_decomposition(cycle_graph(4), sm_cut_function(cycle_graph(4)))[0] == 1
-    assert exact_best_decomposition(cycle_graph(5), mm_cut_function(cycle_graph(5)))[0] == 2
-    assert exact_best_decomposition(path_graph(4), mm_cut_function(path_graph(4)))[0] == 1
-    assert exact_best_decomposition(complete_graph(5), sm_cut_function(complete_graph(5)))[0] == 1
+    for g, cut_function, width in [(cycle_graph(4), sm_cut_function, 1),
+                                   (cycle_graph(5), mm_cut_function, 2),
+                                   (path_graph(4), mm_cut_function, 1),
+                                   (complete_graph(5), sm_cut_function, 1)]:
+        assert exact_branch_width(list(g.vertices), cut_function(g))[0] == width
 
 
 def test_exact_refuses_oversized():
     g = cycle_graph(13)
     with pytest.raises(SizeLimitExceeded):
-        exact_best_decomposition(g, mm_cut_function(g))
+        approx_decomposition(mm_cut_function(g), list(g.vertices), "exact")
 
 
 def test_exact_decomposition_achieves_width():
     g = cycle_graph(6)
     f = mm_cut_function(g)
-    w, bd = exact_best_decomposition(g, f)
+    w, bd = exact_branch_width(list(g.vertices), f)
     assert bd.f_width(f) == w
     assert bd.elements == g.vmask
 

@@ -1,5 +1,4 @@
 import random
-import sys
 from itertools import combinations
 
 import pytest
@@ -9,7 +8,7 @@ from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.cuts import (max_matching, min_vertex_cover, mm_value, is_split,
                        sm_value, mm_cut_function, sm_cut_function)
 from smhc.generators import random_connected_graph
-from tests.conftest import stack_depth
+from tests.conftest import bounded_stack
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -92,13 +91,9 @@ def test_matching_long_augmenting_path_in_bounded_stack():
     edges.append((left[k], right[0]))
     g = Graph(left + right, edges)
     a = mask_of(left)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(stack_depth() + 50)
-    try:
+    with bounded_stack():
         matching = max_matching(g, a)
         cover = min_vertex_cover(g, a)
-    finally:
-        sys.setrecursionlimit(limit)
     assert matching == {right[0]: left[k],
                         **{right[i]: left[i - 1] for i in range(1, k + 1)}}
     assert cover.bit_count() == k + 1

@@ -7,7 +7,7 @@ from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.repsets import (is_path_system, degree_masks, pairing_row,
                           representative_hc_sets, path_state, field_width,
                           pad_separator, trim_separator, preserving_extension,
-                          is_hamiltonian_cycle, add_edge, partner, _paths)
+                          is_hamiltonian_cycle, grow, partner, _paths)
 from smhc.generators import random_connected_graph
 from smhc import oracles
 from tests.conftest import family
@@ -40,12 +40,15 @@ def test_mask_helpers_match_reference(seed):
             assert partner(state[2], w, d1, seq[0]) == seq[-1]
             assert partner(state[2], w, d1, seq[-1]) == seq[0]
         for u, v in g.edge_set(((1 << g.m) - 1) & ~m):
-            grown = add_edge(g, w, *state, u, v)
-            assert (grown is not None) == oracles._can_add_edge(g, m, u, v, True)
             i = g.edge_index[(u, v)]
-            if grown is not None and is_path_system(g, m | 1 << i):
-                want = path_state(g, m | 1 << i)
-                assert ends_pairing(g, grown) == ends_pairing(g, want)
+            grown = grow(g, w, [(m, *state, "x")], i)
+            assert len(grown) == oracles._can_add_edge(g, m, u, v, True)
+            if grown:
+                (ext, *grown_state, payload), = grown
+                assert (ext, payload) == (m | 1 << i, "x")
+                if is_path_system(g, ext):
+                    want = path_state(g, ext)
+                    assert ends_pairing(g, grown_state) == ends_pairing(g, want)
 
 
 def ends_pairing(g, state):

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -14,7 +13,7 @@ from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
-from tests.conftest import family, stack_depth
+from tests.conftest import bounded_stack, family
 
 
 def brute_conc(g, a, b, sa, sb):
@@ -74,7 +73,11 @@ def test_conc_matches_brute(seed):
                 return m
         return 0
     sa, sb = sample_cert(a), sample_cert(b)
-    assert sorted(conc(g, a, b, sa, sb)) == brute_conc(g, a, b, sa, sb)
+    out = conc(g, a, b, sa, sb)
+    assert sorted(out) == brute_conc(g, a, b, sa, sb)
+    # the order of a search that skips each cross edge before taking it
+    cross = list(bits(g.edges_between(a, b)))
+    assert out == sorted(out, key=lambda m: [(m >> i) & 1 for i in cross])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -138,8 +141,8 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
         fa, fb = sample(a), sample(b)
         for sa, sb in [(fa[0], fb[0])] + list(zip(fa[1:], fb[1:])):
             out = {}
-            _enumerate_pair(g, a, b, sa, sb, path_state(g, sa),
-                            path_state(g, sb), a, b, out)
+            _enumerate_pair(g, sa, sb, path_state(g, sa), path_state(g, sb),
+                            g.edges_between(a, b), out)
             for m, state in out.items():
                 check(m, *state)
                 closures += is_hamiltonian_cycle(g, m)
@@ -277,10 +280,21 @@ def test_solve_deep_caterpillar_in_bounded_stack():
     """
     g = grid_graph(2, 60)
     bd = caterpillar_decomposition(list(g.vertices))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(stack_depth() + 50)
-    try:
+    with bounded_stack():
         got, witness = solve_hc(g, bd)
-    finally:
-        sys.setrecursionlimit(limit)
     assert got and is_hamiltonian_cycle(g, g.edge_mask(witness))
+
+
+def test_merge_many_cross_edges_in_bounded_stack():
+    """The merge needs no stack frame per candidate cross edge.
+
+    A hub joined to 60 independent path vertices gives 60 candidates; the
+    members are the empty set, each spoke and each pair of spokes, listed
+    under a recursion limit 50 frames above the caller's depth.
+    """
+    k = 60
+    g = Graph(range(k + 1), [(0, v) for v in range(1, k + 1)])
+    with bounded_stack():
+        out = conc(g, 1, g.vmask & ~1, 0, 0)
+    assert len(out) == len(set(out)) == 1 + k + k * (k - 1) // 2
+    assert all(m.bit_count() <= 2 for m in out)

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -9,7 +8,7 @@ from smhc.splitdec import (find_split, split_decompose, SplitDecomposition,
                            LiftedContext, is_prime, lifted_mm_cut_function)
 from smhc.generators import random_connected_graph
 from smhc import oracles
-from tests.conftest import atlas_connected, stack_depth
+from tests.conftest import atlas_connected, bounded_stack
 
 
 def worked_example():
@@ -123,13 +122,26 @@ def test_split_decompose_deep_in_bounded_stack(g):
     Both graphs split 57 levels deep; the decomposition runs under a
     recursion limit 50 frames above the caller's depth.
     """
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(stack_depth() + 50)
-    try:
+    with bounded_stack():
         dec = split_decompose(g)
-    finally:
-        sys.setrecursionlimit(limit)
     assert len(dec.primes) == 58 and dec.recompose() == g
+
+
+def test_tot_deep_in_bounded_stack():
+    """Resolving a marker needs no stack frame per prime behind it.
+
+    The 120-vertex path splits into a chain of 118 primes; every tot is
+    computed under a recursion limit 50 frames above the caller's depth.
+    """
+    g = path_graph(120)
+    dec = split_decompose(g)
+    with bounded_stack():
+        tots = {(i, v): dec.tot(i, v)
+                for i, p in enumerate(dec.primes) for v in p.vertices}
+    for i, p in enumerate(dec.primes):  # a prime's tots partition the path
+        parts = [tots[i, v] for v in p.vertices]
+        assert sum(t.bit_count() for t in parts) == g.n
+        assert dec.tot_set(i, p.vmask) == g.vmask
 
 
 def test_split_decompose_c5_single_prime():
