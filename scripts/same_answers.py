@@ -7,8 +7,9 @@ runs `solve_hc` on every input in one subprocess per tree, with that
 tree's `src` first on the path.  Each input is solved the way `smhc hc`
 solves it: with its stored decomposition if it has one, else with
 `approx_sm_decomposition`.  Prints, per workload, how many inputs have
-identical verdicts, witnesses and per-node family sizes
-(`trace["node_sizes"]`), lists every difference, and exits 1 on any.
+identical verdicts, witnesses, per-node family sizes
+(`trace["node_sizes"]`) and decompositions (`bd.to_json()`), lists every
+difference, and exits 1 on any.
 
 Usage: python3 scripts/same_answers.py --parent PATH [--tree PATH]
 """
@@ -27,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def solve_all(inputs: list[dict]) -> list[dict]:
-    """Verdict, witness and node sizes of each input, from the `smhc` on the path."""
+    """Verdict, witness, node sizes and decomposition of each input, from
+    the `smhc` on the path."""
     from smhc.branchdec import BranchDecomposition
     from smhc.graph import Graph
     from smhc.pipeline import approx_sm_decomposition
@@ -37,6 +39,7 @@ def solve_all(inputs: list[dict]) -> list[dict]:
     for inp in inputs:
         g = Graph(range(inp["n"]), [tuple(e) for e in inp["edges"]])
         trace: dict = {"node_sizes": []}
+        bd = None
         if g.n < 3 or not g.is_connected():
             verdict, witness = False, None
         else:
@@ -47,7 +50,8 @@ def solve_all(inputs: list[dict]) -> list[dict]:
             verdict, witness = solve_hc(g, bd, trace=trace)
         out.append({"verdict": verdict,
                     "witness": [list(e) for e in witness] if witness else None,
-                    "node_sizes": trace["node_sizes"]})
+                    "node_sizes": trace["node_sizes"],
+                    "decomposition": bd.to_json() if bd else None})
     return out
 
 
@@ -98,14 +102,15 @@ def main(argv=None) -> int:
                 same += 1
                 continue
             differences += 1
-            fields = [k for k in ("verdict", "witness", "node_sizes") if old[k] != new[k]]
+            fields = [k for k in ("verdict", "witness", "node_sizes", "decomposition")
+                      if old[k] != new[k]]
             line = f"  {inp['label']}: {', '.join(fields)} differ"
             if "node_sizes" in fields:
                 line += (f" (family sum {sum(old['node_sizes'])} -> "
                          f"{sum(new['node_sizes'])})")
             print(line)
         print(f"{workload}: {same}/{len(inputs)} inputs with identical verdicts, "
-              "witnesses and node_sizes")
+              "witnesses, node_sizes and decompositions")
     return 1 if differences else 0
 
 

@@ -2,13 +2,18 @@
 
 A decomposition is a subcubic tree plus a bijection from its leaves onto a
 set of elements (vertex ids).  Each tree edge induces a cut of the element
-set; the f-width is the maximum f over those cuts.
+set; the f-width is the maximum f over those cuts.  Validation walks the
+tree once and keeps that walk: a post-order with each node's parent and
+the element mask below it, from which `cuts` reads every cut and along
+which the solver runs.
 
 The exact minimum-width search runs a dynamic program over element subsets
 rather than enumerating labeled subcubic trees: every rooted binary merge
 order corresponds to a subcubic tree, so minimizing over subset partitions
-is equivalent and exponentially cheaper.  A literal (2n-5)!! tree enumerator
-is kept for cross-checking at tiny sizes.
+is equivalent and exponentially cheaper.  It evaluates f once per proper
+subset.  It and the greedy bisection both turn their choice of split per
+subset into a tree through one builder, `_binary_tree`.  A literal
+(2n-5)!! tree enumerator is kept for cross-checking at tiny sizes.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import json
 
 from .graph import bits, mask_of
-from .cuts import CutFunction
 
 EXACT_SIZE_LIMIT = 12
 
@@ -44,21 +48,41 @@ class BranchDecomposition:
         self.validate()
 
     def validate(self) -> None:
+        """Check the tree and record one walk of it.
+
+        `post_order` is rooted at a subdivision of edges[0] = (x, y): it
+        visits x's subtree before y's, and each node's children in `_adj`
+        order.  With it go `parent` (None at x and y) and `below`, the
+        element mask under each node.  A node reached twice (a cycle) or
+        never (a second component) raises.
+        """
         n_nodes = len(self.nodes)
         if len(self.edges) != n_nodes - 1:
             raise ValueError("decomposition tree is not a tree")
-        if n_nodes > 1:
-            # connectivity
-            seen = {self.nodes[0]}
-            stack = [self.nodes[0]]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != n_nodes:
-                raise ValueError("decomposition tree is disconnected")
+        if self.edges:
+            x, y = self.edges[0]
+            stack = [(x, y), (y, x)]  # y pops first, so its subtree ends last
+        else:
+            stack = [(self.nodes[0], None)]
+        parent: dict[int, int | None] = {}
+        while stack:
+            node, up = stack.pop()
+            if node in parent:
+                raise ValueError("decomposition tree has a cycle")
+            parent[node] = up
+            stack.extend((w, node) for w in self._adj[node] if w != up)
+        if len(parent) != n_nodes:
+            raise ValueError("decomposition tree is disconnected")
+        if self.edges:
+            parent[x] = parent[y] = None
+        self.post_order = list(parent)[::-1]
+        self.parent = parent
+        self.below = below = dict.fromkeys(parent, 0)
+        for node in self.post_order:
+            if node in self.leaf_map:
+                below[node] |= 1 << self.leaf_map[node]
+            if parent[node] is not None:
+                below[parent[node]] |= below[node]
         vals = list(self.leaf_map.values())
         if len(set(vals)) != len(vals):
             raise ValueError("leaf_map is not injective")
@@ -74,27 +98,14 @@ class BranchDecomposition:
     # -- cuts --------------------------------------------------------------
 
     def cuts(self) -> list[tuple[int, int]]:
-        """One (side_a, side_b) element-mask pair per tree edge."""
+        """One (side_a, side_b) element-mask pair per tree edge (u, v), the
+        side holding u first."""
+        below, full = self.below, self.elements
         out = []
         for u, v in self.edges:
-            side = self._leaves_beyond(u, v)
-            out.append((side, self.elements & ~side))
+            side = below[u] if self.parent[u] == v else full & ~below[v]
+            out.append((side, full & ~side))
         return out
-
-    def _leaves_beyond(self, u: int, v: int) -> int:
-        """Element mask of the component of tree - uv containing u."""
-        seen = {u, v}
-        stack = [u]
-        acc = 0
-        while stack:
-            x = stack.pop()
-            if x in self.leaf_map:
-                acc |= 1 << self.leaf_map[x]
-            for w in self._adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return acc
 
     def f_width(self, f) -> int:
         """Maximum of f over all induced cuts (0 for a single leaf)."""
@@ -162,84 +173,80 @@ def normalized_decomposition(edges, leaf_map) -> BranchDecomposition:
     return BranchDecomposition(sorted(out_edges), leaf_map)
 
 
+# -- building a tree from a recursive bisection ------------------------------
+
+def _binary_tree(full: int, split, first_id: int) -> BranchDecomposition:
+    """Tree of the recursive bisection of the element mask `full`, where
+    `split(mask)` is the left part of a mask of two or more elements.
+
+    Nodes are numbered from `first_id` in post-order (left subtree, right
+    subtree, then the node), and the two halves of `full` are joined by
+    the root edge.  A single element is node 0.
+    """
+    if not full & (full - 1):
+        return BranchDecomposition([], {0: full.bit_length() - 1})
+    edges: list[tuple[int, int]] = []
+    leaf_map: dict[int, int] = {}
+    done: list[int] = []  # roots of the finished subtrees, left before right
+    stack = [(full, 0)]  # (mask, its left part once split)
+    node = first_id
+    while stack:
+        mask, part = stack.pop()
+        if not part and mask & (mask - 1):
+            part = split(mask)
+            stack += [(mask, part), (mask ^ part, 0), (part, 0)]
+            continue
+        if part:
+            right, left = done.pop(), done.pop()
+            edges += [(node, left), (node, right)]
+        else:
+            leaf_map[node] = mask.bit_length() - 1
+        done.append(node)
+        node += 1
+    (_, left), (_, right) = edges[-2:]  # the node of `full`, numbered last,
+    edges[-2:] = [(left, right)]        # gives way to the root edge
+    return BranchDecomposition(edges, leaf_map)
+
+
 # -- exact minimum-width search -------------------------------------------
 
 def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition]:
-    """Minimum f-width over all branch decompositions of the element list."""
-    full = mask_of(elements)
+    """Minimum f-width over all branch decompositions of the element list.
+
+    `val[s]` is max(f(s), best width of s) for every index subset s,
+    visited in numeric order, so all proper subsets of s come first.  Each
+    proper non-empty subset is evaluated once and the full set never.
+    """
     k = len(elements)
-    if k == 1:
-        return 0, BranchDecomposition([], {0: elements[0]})
     if k == 2:
         bd = BranchDecomposition([(0, 1)], {0: elements[0], 1: elements[1]})
         return bd.f_width(f), bd
-    best: dict[int, int] = {}
+    masks = [0]  # masks[s]: element mask of the index subset s
+    for v in sorted(elements):
+        masks += [m | 1 << v for m in masks]
+    top = len(masks) - 1
+    val = [0] * len(masks)
     choice: dict[int, int] = {}
-    singles = [1 << v for v in elements]
-    for s in singles:
-        best[s] = 0
-    # masks in increasing popcount order
-    by_count: dict[int, list[int]] = {}
-
-    def all_submasks():
-        out = []
-        idx = list(range(k))
-        for sub in range(1, 1 << k):
-            m = 0
-            for i in idx:
-                if (sub >> i) & 1:
-                    m |= 1 << elements[i]
-            out.append(m)
-        return out
-
-    for m in all_submasks():
-        by_count.setdefault(m.bit_count(), []).append(m)
-    for cnt in range(2, k + 1):
-        for m in by_count.get(cnt, ()):
-            low = m & -m
-            rest = m ^ low
+    for m in range(1, top + 1):
+        low = m & -m
+        rest = m ^ low
+        best = 0
+        if rest:
+            best = bestpart = None
             sub = 0
-            bestval = None
-            bestsub = None
-            while True:
+            while True:  # every part holding `low`, in numeric order
                 part = sub | low
-                other = m ^ part
-                if other:
-                    cand = max(f(part), f(other), best[part], best[other])
-                    if bestval is None or cand < bestval:
-                        bestval = cand
-                        bestsub = part
+                if part != m:
+                    cand = max(val[part], val[m ^ part])
+                    if best is None or cand < best:
+                        best, bestpart = cand, part
                 if sub == rest:
                     break
                 sub = (sub - rest) & rest
-            best[m] = bestval
-            choice[m] = bestsub
-    width = best[full]
-
-    counter = [max(elements) + 1]
-    edges: list[tuple[int, int]] = []
-    leaf_map: dict[int, int] = {}
-
-    def build(mask: int) -> int:
-        if mask.bit_count() == 1:
-            node = counter[0]
-            counter[0] += 1
-            leaf_map[node] = mask.bit_length() - 1
-            return node
-        part = choice[mask]
-        left = build(part)
-        right = build(mask ^ part)
-        node = counter[0]
-        counter[0] += 1
-        edges.append((node, left))
-        edges.append((node, right))
-        return node
-
-    top = choice[full]
-    left = build(top)
-    right = build(full ^ top)
-    edges.append((left, right))
-    return width, BranchDecomposition(edges, leaf_map)
+            choice[masks[m]] = masks[bestpart]
+        val[m] = best if m == top else max(f(masks[m]), best)
+    return val[top], _binary_tree(masks[top], choice.__getitem__,
+                                  max(elements) + 1)
 
 
 # -- literal tree enumeration (tiny-size cross-check oracle) ---------------
@@ -250,41 +257,25 @@ def enumerate_decompositions(elements: list[int]):
     if k == 1:
         yield BranchDecomposition([], {0: elements[0]})
         return
-    base = [((0, 1),)]
-    leaf_nodes = {0: elements[0], 1: elements[1]}
-    trees = base
-    next_node = 2
-    for idx in range(2, k):
-        new_trees = []
-        leaf = next_node
-        internal = next_node + 1
-        next_node += 2
-        for t in trees:
-            for i, (u, v) in enumerate(t):
-                rest = t[:i] + t[i + 1:]
-                new_trees.append(rest + ((u, internal), (internal, v),
-                                         (internal, leaf)))
-        trees = new_trees
-        leaf_nodes[leaf] = elements[idx]
-    leaves = set(leaf_nodes)
+    trees = [((0, 1),)]
+    leaf_map = {0: elements[0], 1: elements[1]}
+    for idx in range(2, k):  # subdivide each edge by a new internal node
+        leaf, internal = 2 * idx - 2, 2 * idx - 1
+        trees = [t[:i] + t[i + 1:] + ((u, internal), (internal, v), (internal, leaf))
+                 for t in trees for i, (u, v) in enumerate(t)]
+        leaf_map[leaf] = elements[idx]
     for t in trees:
-        lm = {node: leaf_nodes[node] for node in leaf_nodes
-              if node in leaves}
-        yield BranchDecomposition(list(t), lm)
+        yield BranchDecomposition(list(t), leaf_map)
 
 
 # -- greedy approximation backend ------------------------------------------
 
 def greedy_decomposition(f, elements: list[int]) -> BranchDecomposition:
     """Recursive balanced bisection by deterministic local search on f."""
-    counter = [max(elements) + 1]
-    edges: list[tuple[int, int]] = []
-    leaf_map: dict[int, int] = {}
 
-    def bisect(items: list[int]) -> tuple[int, int]:
-        half = len(items) // 2
-        a = mask_of(items[:half])
-        rest = mask_of(items)
+    def bisect(rest: int) -> int:
+        items = list(bits(rest))
+        a = mask_of(items[:len(items) // 2])
         improved = True
         while improved:
             improved = False
@@ -304,31 +295,9 @@ def greedy_decomposition(f, elements: list[int]) -> BranchDecomposition:
             if best_move is not None:
                 a ^= 1 << best_move[1]
                 improved = True
-        return a, rest & ~a
+        return a
 
-    def build(items: list[int]) -> int:
-        if len(items) == 1:
-            node = counter[0]
-            counter[0] += 1
-            leaf_map[node] = items[0]
-            return node
-        a, b = bisect(items)
-        left = build([v for v in items if (a >> v) & 1])
-        right = build([v for v in items if (b >> v) & 1])
-        node = counter[0]
-        counter[0] += 1
-        edges.append((node, left))
-        edges.append((node, right))
-        return node
-
-    items = sorted(elements)
-    if len(items) == 1:
-        return BranchDecomposition([], {0: items[0]})
-    a, b = bisect(items)
-    left = build([v for v in items if (a >> v) & 1])
-    right = build([v for v in items if (b >> v) & 1])
-    edges.append((left, right))
-    return BranchDecomposition(edges, leaf_map)
+    return _binary_tree(mask_of(elements), bisect, max(elements) + 1)
 
 
 def approx_decomposition(f, elements: list[int],

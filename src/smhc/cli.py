@@ -233,6 +233,10 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except (MemoryError, RecursionError) as exc:  # resources ran out: no verdict
+        print(f"refused: input too large to finish ({type(exc).__name__})",
+              file=sys.stderr)
+        return EXIT_REFUSED
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

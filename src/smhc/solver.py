@@ -202,44 +202,18 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
             trace["node_sizes"].append(size)
             trace["max_family"] = max(trace["max_family"], size)
 
-    adj: dict[int, list[int]] = {u: [] for u in bd.nodes}
-    for u, v in bd.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def merge(h1: int, f1: dict[int, tuple[int, int, int]], h2: int,
-              f2: dict[int, tuple[int, int, int]]):
-        fam = join(g, h1, h2, f1, f2, trace)
+    solved = []  # (home, family) of each finished subtree, left before right
+    for node in bd.post_order:
+        if node in bd.leaf_map:
+            fam = {0: (0, 0, 0)}
+        else:
+            (h2, f2), (h1, f1) = solved.pop(), solved.pop()
+            fam = join(g, h1, h2, f1, f2, trace)
         note(len(fam))
-        return h1 | h2, fam
-
-    def subtree(root: int, parent: int):
-        """(home, family) of the subtree at root, solved in post-order."""
-        order, stack = [], [(root, parent)]  # node, then right and left subtrees
-        while stack:
-            node, up = stack.pop()
-            children = [w for w in adj[node] if w != up]
-            if children and len(children) != 2:
-                raise ValueError("decomposition tree is not subcubic")
-            order.append((node, children))
-            stack.extend((w, node) for w in children)
-        solved: dict[int, tuple[int, dict[int, tuple[int, int, int]]]] = {}
-        for node, children in reversed(order):  # left and right subtrees, node
-            if children:
-                h1, f1 = solved.pop(children[0])
-                h2, f2 = solved.pop(children[1])
-                solved[node] = merge(h1, f1, h2, f2)
-            else:
-                note(1)
-                solved[node] = (1 << bd.leaf_map[node], {0: (0, 0, 0)})
-        return solved[root]
-
-    if not bd.edges:  # single leaf, n >= 3 impossible here
-        return False, None
-    x, y = bd.edges[0]  # root at a subdivision of this edge
-    hx, fx = subtree(x, y)
-    hy, fy = subtree(y, x)
-    _, final = merge(hx, fx, hy, fy)
+        solved.append((bd.below[node], fam))
+    (hx, fx), (hy, fy) = solved  # x's and y's subtrees, joined at the root
+    final = join(g, hx, hy, fx, fy, trace)
+    note(len(final))
     for m in final:
         if is_hamiltonian_cycle(g, m):
             return True, g.edge_set(m)

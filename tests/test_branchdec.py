@@ -3,12 +3,13 @@ import random
 import pytest
 
 from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph
-from smhc.cuts import mm_cut_function, sm_cut_function
+from smhc.cuts import mm_cut_function, mm_value, sm_cut_function
 from smhc.branchdec import (BranchDecomposition, SizeLimitExceeded,
                             exact_branch_width,
                             enumerate_decompositions, greedy_decomposition,
                             approx_decomposition, normalized_decomposition)
 from smhc.generators import random_connected_graph, caterpillar_decomposition
+from smhc.pipeline import approx_sm_decomposition
 
 
 def test_two_leaf_tree():
@@ -22,10 +23,43 @@ def test_cut_count_subcubic():
         assert len(bd.cuts()) == (1 if k == 2 else 2 * k - 3)
 
 
+def test_walk_post_order():
+    """Rooted at a subdivision of edges[0] = (4, 8): 4's subtree, then 8's,
+    children in adjacency order."""
+    bd = caterpillar_decomposition([0, 1, 2, 3])
+    assert bd.edges == [(4, 8), (5, 8), (6, 9), (7, 9), (8, 9)]
+    assert bd.post_order == [4, 5, 6, 7, 9, 8]
+    assert bd.parent == {4: None, 8: None, 5: 8, 9: 8, 6: 9, 7: 9}
+    assert bd.below == {4: 0b1, 5: 0b10, 6: 0b100, 7: 0b1000, 9: 0b1100, 8: 0b1110}
+
+
+def reference_cuts(bd):
+    """Per tree edge uv, the elements of the component of tree - uv holding u."""
+    out = []
+    for u, v in bd.edges:
+        seen, queue = {u}, [u]
+        for x in queue:
+            for y in bd.nodes:
+                if y not in seen and ((x, y) in bd.edges or (y, x) in bd.edges) \
+                        and {x, y} != {u, v}:
+                    seen.add(y)
+                    queue.append(y)
+        side = mask_of(bd.leaf_map[x] for x in seen if x in bd.leaf_map)
+        out.append((side, bd.elements & ~side))
+    return out
+
+
 def test_cuts_partition_elements():
-    bd = caterpillar_decomposition([0, 1, 2, 3, 4])
-    for a, b in bd.cuts():
-        assert a | b == bd.elements and a & b == 0
+    rng = random.Random(0)
+    for _ in range(6):
+        g = random_connected_graph(rng.randint(3, 9), rng)
+        f = mm_cut_function(g)
+        vs = list(g.vertices)
+        for bd in (caterpillar_decomposition(vs), exact_branch_width(vs, f)[1],
+                   greedy_decomposition(f, vs), approx_sm_decomposition(g)):
+            assert bd.cuts() == reference_cuts(bd)
+            for a, b in bd.cuts():
+                assert a | b == bd.elements and a & b == 0
 
 
 def test_validate_rejects_bad_trees():
@@ -34,6 +68,9 @@ def test_validate_rejects_bad_trees():
     with pytest.raises(ValueError):
         BranchDecomposition([(0, 1), (1, 2), (1, 3), (1, 4)],
                             {0: 0, 2: 1, 3: 2, 4: 3})  # degree 4
+    k4 = [(u, v) for u in range(10, 14) for v in range(u + 1, 14)]
+    with pytest.raises(ValueError):  # n - 1 edges and valid degrees, but cyclic
+        BranchDecomposition(k4, {0: 0, 1: 1, 2: 2})
 
 
 def test_f_width_k6_sm():
@@ -54,6 +91,19 @@ def test_exact_refuses_oversized():
     g = cycle_graph(13)
     with pytest.raises(SizeLimitExceeded):
         approx_decomposition(mm_cut_function(g), list(g.vertices), "exact")
+
+
+def test_exact_evaluates_each_proper_subset_once():
+    g = cycle_graph(7)
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        return mm_value(g, a)
+
+    exact_branch_width(list(g.vertices), f)
+    assert len(calls) == len(set(calls)) == 2 ** 7 - 2
+    assert g.vmask not in calls and 0 not in calls
 
 
 def test_exact_decomposition_achieves_width():

@@ -41,13 +41,28 @@ def test_hc_with_supplied_decomposition(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["{}", "[]", "5", '{"edges": 5, "leaf_map": {}}',
                                  '{"edges": [[0, 1]], "leaf_map": []}',
-                                 '{"edges": [1], "leaf_map": {"1": 0}}'])
+                                 '{"edges": [1], "leaf_map": {"1": 0}}',
+                                 json.dumps({"edges": [[u, v] for u in range(10, 14)
+                                                       for v in range(u + 1, 14)],
+                                             "leaf_map": {"0": 0, "1": 1, "2": 2}})])
 def test_hc_malformed_decomposition_exits_two(tmp_path, capsys, bad):
     f = write_graph(tmp_path, cycle_graph(5))
     d = tmp_path / "bd.json"
     d.write_text(bad)
     assert main(["hc", f, "--decomposition", str(d)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_hc_exhausted_resources_refused(tmp_path, capsys, monkeypatch, exc):
+    """Running out of memory or stack is no NOT HAMILTONIAN verdict."""
+    def exhausted(g, bd, trace=None):
+        raise exc()
+
+    monkeypatch.setattr("smhc.cli.solve_hc", exhausted)
+    assert main(["hc", write_graph(tmp_path, cycle_graph(5))]) == EXIT_REFUSED
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("refused:") and "Traceback" not in err
 
 
 def test_width_exact_c5(tmp_path, capsys):
