@@ -6,8 +6,12 @@ grid-long and clique-split) once, with this checkout's generators, and
 runs `solve_hc` on every input in one subprocess per tree, with that
 tree's `src` first on the path.  Each input is solved the way `smhc hc`
 solves it: with its stored decomposition if it has one, else with
-`approx_sm_decomposition`.  Prints, per workload, how many inputs have
-identical verdicts, witnesses, per-node family sizes
+`approx_sm_decomposition`.  A fourth, fixed group, `greedy-heavy`, is
+only decomposed: seeded random graphs with n = 3..14 at four densities,
+C13..C16 and random cographs with n = 9..12.  Its primes above
+`EXACT_SIZE_LIMIT` take the greedy backend and its cographs contract heavy
+pairs, which the three corpora barely reach.  Prints, per workload, how
+many inputs have identical verdicts, witnesses, per-node family sizes
 (`trace["node_sizes"]`) and decompositions (`bd.to_json()`), lists every
 difference, and exits 1 on any.
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -40,14 +45,14 @@ def solve_all(inputs: list[dict]) -> list[dict]:
         g = Graph(range(inp["n"]), [tuple(e) for e in inp["edges"]])
         trace: dict = {"node_sizes": []}
         bd = None
-        if g.n < 3 or not g.is_connected():
-            verdict, witness = False, None
-        else:
+        verdict, witness = False, None
+        if g.n >= 3 and g.is_connected():
             if inp["decomposition"] is not None:
                 bd = BranchDecomposition.from_json(inp["decomposition"])
             else:
                 bd = approx_sm_decomposition(g)
-            verdict, witness = solve_hc(g, bd, trace=trace)
+            if inp["solve"]:
+                verdict, witness = solve_hc(g, bd, trace=trace)
         out.append({"verdict": verdict,
                     "witness": [list(e) for e in witness] if witness else None,
                     "node_sizes": trace["node_sizes"],
@@ -56,17 +61,30 @@ def solve_all(inputs: list[dict]) -> list[dict]:
 
 
 def corpora() -> dict[str, list[dict]]:
-    """The inputs of every workload, in a fixed order (seed 0)."""
+    """The inputs of every workload, in a fixed order (seed 0), and the
+    decomposition-only group."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "benchmark"))
     import smhc.generators
     import workloads
+    from smhc.graph import cycle_graph
 
     smhc_ns = types.SimpleNamespace(generators=smhc.generators)
-    return {name: [{"label": inp.label, "n": inp.n, "edges": inp.edges,
-                    "decomposition": inp.decomposition}
-                   for inp in workloads.order(name, 0, smhc_ns)]
-            for name in workloads.CORPORA}
+    out = {name: [{"label": inp.label, "n": inp.n, "edges": inp.edges,
+                   "decomposition": inp.decomposition, "solve": True}
+                  for inp in workloads.order(name, 0, smhc_ns)]
+           for name in workloads.CORPORA}
+    rng = random.Random(2014)
+    graphs = [(f"random-n{n}-p{p}-{i}", n,
+               smhc.generators.random_connected_graph(n, rng, p).edges)
+              for n in range(3, 15) for p in (0.25, 0.4, 0.55, 0.7) for i in range(8)]
+    graphs += [(f"C{n}", n, cycle_graph(n).edges) for n in range(13, 17)]
+    graphs += [(f"cograph-n{n}-{i}", n, workloads.random_cograph(n, rng))
+               for n in range(9, 13) for i in range(8)]
+    out["greedy-heavy"] = [{"label": label, "n": n, "edges": [list(e) for e in edges],
+                            "decomposition": None, "solve": False}
+                           for label, n, edges in graphs]
+    return out
 
 
 def run_tree(tree: Path, payload: dict[str, list[dict]]) -> dict[str, list[dict]]:
@@ -109,8 +127,9 @@ def main(argv=None) -> int:
                 line += (f" (family sum {sum(old['node_sizes'])} -> "
                          f"{sum(new['node_sizes'])})")
             print(line)
-        print(f"{workload}: {same}/{len(inputs)} inputs with identical verdicts, "
-              "witnesses, node_sizes and decompositions")
+        compared = ("verdicts, witnesses, node_sizes and decompositions"
+                    if inputs[0]["solve"] else "decompositions")
+        print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}")
     return 1 if differences else 0
 
 

@@ -10,7 +10,7 @@ import random
 
 from .graph import Graph, parse_edge_list
 from .cuts import sm_cut_function
-from .branchdec import BranchDecomposition, EXACT_SIZE_LIMIT, SizeLimitExceeded
+from .branchdec import BranchDecomposition, SizeLimitExceeded
 from .splitdec import split_decompose
 from .pipeline import approx_sm_decomposition
 from .solver import solve_hc
@@ -66,8 +66,7 @@ def cmd_width(args) -> int:
         return EXIT_OK
     bd = approx_sm_decomposition(g)
     print(f"sm-width {bd.f_width(sm_cut_function(g))}")
-    exact = max(p.n for p in split_decompose(g).primes) <= EXACT_SIZE_LIMIT
-    print(f"certified: {'yes' if exact else 'no'}")
+    print(f"certified: {'yes' if bd.certified else 'no'}")
     return EXIT_OK
 
 
@@ -160,15 +159,9 @@ def cmd_bench(args) -> int:
         for k in ks:
             for s in range(args.samples):
                 tasks.append((args.family, n, k, args.seed + s))
-    if args.jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
-            rows = pool.map(_bench_row, tasks)
-    else:
-        rows = [_bench_row(t) for t in tasks]
     print("n,seed,smw_exact,smw_approx,max_family,millis")
-    for row in rows:
-        print(row)
+    for task in tasks:
+        print(_bench_row(task))
     return EXIT_OK
 
 
@@ -177,15 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a pre-subcommand value from being reset to the default
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed of the random graphs drawn by bench")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker fan-out for the benchmark sweep")
     parser = argparse.ArgumentParser(
         prog="smhc",
         description="Hamiltonian cycles via split-matching-width decompositions")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the random graphs drawn by bench")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker fan-out for the benchmark sweep")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))

@@ -109,20 +109,6 @@ class Graph:
         es = [(u, v) for (u, v) in self.edges if (a >> u) & 1 and (a >> v) & 1]
         return Graph(vs, es)
 
-    def contract_edge(self, u: int, v: int, new_id: int | None = None):
-        """Contract edge uv into a fresh vertex; returns (graph, new id)."""
-        e = (u, v) if u < v else (v, u)
-        if e not in self.edge_index:
-            raise ValueError(f"({u},{v}) is not an edge")
-        if new_id is None:
-            new_id = self.vertices[-1] + 1
-        merged_nbrs = (self.adj[u] | self.adj[v]) & ~(1 << u) & ~(1 << v)
-        vs = [w for w in self.vertices if w not in (u, v)] + [new_id]
-        es = [(x, y) for (x, y) in self.edges
-              if x not in (u, v) and y not in (u, v)]
-        es += [(new_id, w) for w in bits(merged_nbrs)]
-        return Graph(vs, es), new_id
-
     def neighborhood(self, s: int) -> int:
         """N(s): vertices outside s adjacent to s, as a bitmask."""
         self.check_subset(s)

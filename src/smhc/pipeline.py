@@ -1,16 +1,17 @@
 """Approximate sm-width decompositions via the split decomposition.
 
 Per prime: vertices of weight at least 3k are heavy; edges between two
-heavy vertices must form a matching (else k is too small) and are
-contracted before searching a lifted-mm decomposition of the prime.
-Contracted leaves are re-expanded into cherries, the per-prime trees are
-glued at marker leaves, and k grows until the recomputed sm-width of the
-result fits the 18k budget.
+heavy vertices must form a matching (else k is too small).  The search
+runs over elements: the prime's other vertices, and one fresh id per heavy
+edge standing for both its ends.  It finds a lifted-mm decomposition of
+the elements; each fresh leaf is re-expanded into a cherry, the per-prime
+trees are glued at the markers, and k grows until the recomputed sm-width
+of the result fits the 18k budget.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 from .cuts import CutFunction, mm_value, sm_cut_function
 from .branchdec import (BranchDecomposition, EXACT_SIZE_LIMIT,
                         approx_decomposition, normalized_decomposition)
@@ -31,10 +32,13 @@ def heavy_vertices(ctx: LiftedContext, k: int) -> int:
 
 
 def contract_heavy_edges(ctx: LiftedContext, k: int):
-    """Contract all heavy-heavy edges; returns (graph, tot_map, merged).
+    """Contract all heavy-heavy edges; returns (elements, tot_map, merged).
 
-    tot_map sends every contracted-graph vertex to the original vertices it
-    represents; merged records the endpoint pair behind each fresh vertex.
+    The elements are the prime's vertices outside heavy edges, ascending,
+    then one fresh id per heavy edge, counting up from the highest prime
+    vertex + 1 in edge order.  tot_map sends every element to the original
+    vertices it represents; merged records the endpoint pair behind each
+    fresh id.
     """
     heavy = heavy_vertices(ctx, k)
     heavy_edges = [(u, v) for (u, v) in ctx.prime.edges
@@ -44,20 +48,19 @@ def contract_heavy_edges(ctx: LiftedContext, k: int):
         if (touched >> u) & 1 or (touched >> v) & 1:
             raise KTooSmall(f"heavy edges are not a matching at k={k}")
         touched |= (1 << u) | (1 << v)
-    h = ctx.prime
-    tot_map = {v: ctx.tot(v) for v in h.vertices}
+    tot_map = {v: ctx.tot(v) for v in ctx.prime.vertices}
     merged: dict[int, tuple[int, int]] = {}
-    for u, v in heavy_edges:
-        h, new_id = h.contract_edge(u, v)
+    for new_id, (u, v) in enumerate(heavy_edges, ctx.prime.vertices[-1] + 1):
         tot_map[new_id] = tot_map[u] | tot_map[v]
         merged[new_id] = (u, v)
-    return h, tot_map, merged
+    elements = [v for v in ctx.prime.vertices if not (touched >> v) & 1]
+    return elements + list(merged), tot_map, merged
 
 
 def prime_decomposition(ctx: LiftedContext, k: int,
                         backend: str = "exact") -> BranchDecomposition:
     """Lifted-mm decomposition of one prime, heavy pairs kept in cherries."""
-    contracted, tot_map, merged = contract_heavy_edges(ctx, k)
+    elements, tot_map, merged = contract_heavy_edges(ctx, k)
 
     def lifted(x: int) -> int:
         t = 0
@@ -65,8 +68,8 @@ def prime_decomposition(ctx: LiftedContext, k: int,
             t |= tot_map[v]
         return mm_value(ctx.graph, t)
 
-    f = CutFunction("lifted-mm", lifted, contracted.vmask)
-    bd = approx_decomposition(f, list(contracted.vertices), backend=backend)
+    f = CutFunction("lifted-mm", lifted, mask_of(elements))
+    bd = approx_decomposition(f, elements, backend=backend)
     if not merged:
         return bd
     edges = list(bd.edges)
@@ -86,43 +89,30 @@ def prime_decomposition(ctx: LiftedContext, k: int,
 
 def combine(dec: SplitDecomposition,
             bds: list[BranchDecomposition]) -> BranchDecomposition:
-    """Glue per-prime decompositions by joining the two leaves of each marker."""
+    """Glue per-prime decompositions at the markers.
+
+    Node ids are shifted apart, the two leaves of each marker are joined
+    by an edge, and normalizing splices both out, so the trees meet at
+    the leaves' former parents.
+    """
     if len(bds) != len(dec.primes):
         raise ValueError("need one decomposition per prime")
     if len(bds) == 1:
         return bds[0]
-    adj: dict[int, set[int]] = {}
+    edges: list[tuple[int, int]] = []
     leaf_map: dict[int, int] = {}
-    marker_leaf: dict[tuple[int, int], int] = {}
+    marker_leaves: dict[int, list[int]] = {}
     offset = 0
-    for i, bd in enumerate(bds):
-        shift = offset
-        offset += max(bd.nodes) + 1
-        for u, v in bd.edges:
-            adj.setdefault(u + shift, set()).add(v + shift)
-            adj.setdefault(v + shift, set()).add(u + shift)
+    for bd in bds:
+        edges += [(u + offset, v + offset) for u, v in bd.edges]
         for node, v in bd.leaf_map.items():
-            adj.setdefault(node + shift, set())
             if v in dec.markers:
-                marker_leaf[(i, v)] = node + shift
+                marker_leaves.setdefault(v, []).append(node + offset)
             else:
-                leaf_map[node + shift] = v
-    for m, (i, j) in dec.markers.items():
-        ni = marker_leaf[(i, m)]
-        nj = marker_leaf[(j, m)]
-        (pi,) = adj[ni]
-        (pj,) = adj[nj]
-        adj[pi].discard(ni)
-        adj[pj].discard(nj)
-        del adj[ni]
-        del adj[nj]
-        adj[pi].add(pj)
-        adj[pj].add(pi)
-    edges = set()
-    for u, nbrs in adj.items():
-        for w in nbrs:
-            edges.add((u, w) if u < w else (w, u))
-    return normalized_decomposition(sorted(edges), leaf_map)
+                leaf_map[node + offset] = v
+        offset += max(bd.nodes) + 1
+    edges += [tuple(pair) for pair in marker_leaves.values()]
+    return normalized_decomposition(edges, leaf_map)
 
 
 def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
@@ -131,7 +121,7 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     k is raised one step at a time, so with the exact per-prime backend the
     accepted width is at most 18 times the true sm-width.  That backend
     runs when every prime has at most EXACT_SIZE_LIMIT vertices, the
-    greedy one otherwise.
+    greedy one otherwise; the returned tree's `certified` says which.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
@@ -154,5 +144,6 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
         if best is None or width < best[0]:
             best = (width, bd)
         if width <= 18 * k or k > 2 * g.n:
+            best[1].certified = backend == "exact"
             return best[1]
         k += 1

@@ -106,7 +106,7 @@ class SplitDecomposition:
         self.tree_edges = sorted(set(markers.values()))
         self._tot_cache: dict[tuple[int, int], int] = {}
 
-    # -- tot / act ---------------------------------------------------------
+    # -- tot ---------------------------------------------------------------
 
     def tot(self, i: int, v: int) -> int:
         """Original vertices represented by v as seen from prime i.
@@ -140,21 +140,6 @@ class SplitDecomposition:
             else:
                 cache[stack.pop()] = out
         return cache[i, v]
-
-    def tot_set(self, i: int, vset: int) -> int:
-        out = 0
-        for v in bits(vset):
-            out |= self.tot(i, v)
-        return out
-
-    def act(self, i: int, v: int) -> int:
-        """Vertices of tot(v) with a neighbor outside tot(v) in the graph."""
-        t = self.tot(i, v)
-        outside = self.graph.vmask & ~t
-        return self.graph.neighborhood(outside)
-
-    def weight(self, i: int, v: int) -> int:
-        return self.act(i, v).bit_count()
 
     # -- recomposition (soundness check) -----------------------------------
 
@@ -231,7 +216,7 @@ def split_decompose(g: Graph) -> SplitDecomposition:
 # -- lifted cut functions --------------------------------------------------
 
 class LiftedContext:
-    """A split decomposition together with a chosen prime."""
+    """One prime of a split decomposition, its vertices seen through tot."""
 
     def __init__(self, dec: SplitDecomposition, prime_index: int):
         self.dec = dec
@@ -243,30 +228,26 @@ class LiftedContext:
         return self.dec.tot(self.prime_index, v)
 
     def tot_set(self, vset: int) -> int:
-        return self.dec.tot_set(self.prime_index, vset)
+        out = 0
+        for v in bits(vset):
+            out |= self.tot(v)
+        return out
 
     def act(self, v: int) -> int:
-        return self.dec.act(self.prime_index, v)
+        """Vertices of tot(v) with a neighbor outside tot(v) in the graph."""
+        return self.graph.neighborhood(self.graph.vmask & ~self.tot(v))
 
     def weight(self, v: int) -> int:
-        return self.dec.weight(self.prime_index, v)
-
-    def lifted_value(self, x: int, base: str) -> int:
-        t = self.tot_set(x)
-        if base == "mm":
-            return mm_value(self.graph, t)
-        if base == "sm":
-            return sm_value(self.graph, t)
-        raise ValueError(f"unknown base cut function {base!r}")
+        return self.act(v).bit_count()
 
 
 def lifted_mm_cut_function(ctx: LiftedContext) -> CutFunction:
-    return CutFunction("lifted-mm", lambda x: ctx.lifted_value(x, "mm"),
+    return CutFunction("lifted-mm", lambda x: mm_value(ctx.graph, ctx.tot_set(x)),
                        ctx.prime.vmask)
 
 
 def lifted_sm_cut_function(ctx: LiftedContext) -> CutFunction:
-    return CutFunction("lifted-sm", lambda x: ctx.lifted_value(x, "sm"),
+    return CutFunction("lifted-sm", lambda x: sm_value(ctx.graph, ctx.tot_set(x)),
                        ctx.prime.vmask)
 
 

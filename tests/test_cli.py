@@ -91,6 +91,24 @@ def test_width_approx_says_whether_certified(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["sm-width 2"]
 
 
+def test_width_approx_decomposes_once(tmp_path, capsys, monkeypatch):
+    """The certified line comes from the pipeline's own run, not a second
+    split decomposition."""
+    from smhc.splitdec import split_decompose
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return split_decompose(g)
+
+    for name in ("smhc.cli.split_decompose", "smhc.pipeline.split_decompose"):
+        monkeypatch.setattr(name, counted)
+    assert main(["width", write_graph(tmp_path, cycle_graph(13)), "--approx"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "certified: no"
+    assert calls == [13]
+
+
 def test_width_exact_refuses_large(tmp_path, capsys):
     f = write_graph(tmp_path, cycle_graph(13))
     assert main(["width", f, "--exact"]) == EXIT_REFUSED

@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from smhc.graph import (Graph, bits, mask_of, path_graph, cycle_graph,
-                        complete_graph, petersen_graph, parse_edge_list,
-                        format_edge_list)
+from smhc.graph import (Graph, bits, mask_of, cycle_graph, petersen_graph,
+                        parse_edge_list, format_edge_list)
 
 
 def small_graphs():
@@ -40,30 +39,6 @@ def test_induced_subgraph():
     h = g.induced_subgraph(0b01011)
     assert h.vertices == (0, 1, 3)
     assert h.edges == ((0, 1),)
-
-
-def test_contract_path_edge():
-    g = path_graph(3)  # 0-1-2
-    h, m = g.contract_edge(0, 1)
-    assert h.n == 2
-    assert h.edges == ((2, m),)
-
-
-def test_contract_c4_gives_triangle():
-    g = cycle_graph(4)
-    h, _ = g.contract_edge(0, 1)
-    assert h.n == 3 and h.m == 3
-
-
-def test_contract_k4_gives_k3():
-    g = complete_graph(4)
-    h, _ = g.contract_edge(0, 1)
-    assert h.n == 3 and h.m == 3
-
-
-def test_contract_requires_edge():
-    with pytest.raises(ValueError):
-        cycle_graph(5).contract_edge(0, 2)
 
 
 def test_neighborhood():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from smhc.graph import Graph, mask_of, cycle_graph, complete_graph, petersen_graph
+from smhc.graph import (Graph, mask_of, cycle_graph, complete_graph, path_graph,
+                        petersen_graph)
 from smhc.cuts import mm_value, sm_cut_function
 from smhc.splitdec import (LiftedContext, SplitDecomposition, split_decompose,
                            lifted_sm_cut_function)
@@ -31,8 +32,8 @@ def test_heavy_vertices_worked_example():
 def test_contract_identity_without_heavy_edges():
     g = cycle_graph(6)
     ctx = LiftedContext(split_decompose(g), 0)
-    h, tot_map, merged = contract_heavy_edges(ctx, 1)
-    assert h == ctx.prime and not merged
+    elements, tot_map, merged = contract_heavy_edges(ctx, 1)
+    assert elements == list(ctx.prime.vertices) and not merged
     assert all(tot_map[v] == 1 << v for v in g.vertices)
 
 
@@ -63,11 +64,24 @@ def test_contract_merges_heavy_pair():
     dec = heavy_pair_example()
     ctx = LiftedContext(dec, 0)
     assert heavy_vertices(ctx, 1) == mask_of([20, 21])
-    h, tot_map, merged = contract_heavy_edges(ctx, 1)
-    assert h.n == ctx.prime.n - 1
+    elements, tot_map, merged = contract_heavy_edges(ctx, 1)
+    assert len(elements) == ctx.prime.n - 1
     (new_id, pair), = merged.items()
     assert set(pair) == {20, 21}
     assert tot_map[new_id] == ctx.tot(20) | ctx.tot(21)
+
+
+def test_heavy_pair_element_numbering():
+    """Light vertices ascending, then fresh ids above the prime's highest
+    vertex; the exact search's tie-breaks and node ids follow this order."""
+    ctx = LiftedContext(heavy_pair_example(), 0)
+    elements, _, merged = contract_heavy_edges(ctx, 1)
+    assert elements == [22, 23, 24]
+    assert merged == {24: (20, 21)}
+    assert prime_decomposition(ctx, 1).to_json() == {
+        "nodes": [25, 26, 27, 28, 29, 30],
+        "edges": [[25, 28], [26, 28], [27, 28], [27, 29], [27, 30]],
+        "leaf_map": {"25": 22, "26": 23, "29": 20, "30": 21}}
 
 
 def test_ktoosmall_on_heavy_triangle():
@@ -84,8 +98,8 @@ def test_ktoosmall_on_heavy_triangle():
     with pytest.raises(KTooSmall):
         contract_heavy_edges(ctx, 1)
     # a larger budget turns the markers light again
-    h, _, merged = contract_heavy_edges(ctx, 2)
-    assert h == ctx.prime and not merged
+    elements, _, merged = contract_heavy_edges(ctx, 2)
+    assert elements == list(ctx.prime.vertices) and not merged
 
 
 def test_prime_decomposition_reexpands_cherries():
@@ -103,6 +117,43 @@ def test_combine_leaf_count():
     bd = combine(dec, bds)
     assert sorted(bd.leaf_map.values()) == sorted(g.vertices)
     assert bd.elements == g.vmask
+
+
+def _prime_trees(dec):
+    """One prime_decomposition per prime, at the least k none refuses."""
+    ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
+    for k in range(1, dec.graph.n + 2):
+        try:
+            return ctxs, [prime_decomposition(ctx, k) for ctx in ctxs]
+        except KTooSmall:
+            continue
+    raise AssertionError("no budget k was accepted")
+
+
+def _glue_cases():
+    yield worked_example()[1]
+    yield heavy_pair_example()
+    yield split_decompose(path_graph(12))
+    rng = random.Random(7)
+    found = 0
+    while found < 6:
+        dec = split_decompose(random_connected_graph(rng.randint(6, 11), rng))
+        if len(dec.primes) >= 3:
+            found += 1
+            yield dec
+
+
+@pytest.mark.parametrize("dec", list(_glue_cases()))
+def test_combine_lifts_every_prime_cut(dec):
+    """Each cut of the glued tree is the tot lift of a cut of some prime
+    tree and each lift occurs; a marker's two leaf edges give one cut."""
+    ctxs, bds = _prime_trees(dec)
+    bd = combine(dec, bds)
+    glued = {frozenset(cut) for cut in bd.cuts()}
+    lifted = {frozenset((ctx.tot_set(a), ctx.tot_set(b)))
+              for ctx, prime_bd in zip(ctxs, bds) for a, b in prime_bd.cuts()}
+    assert glued == lifted
+    assert len(bd.edges) == sum(len(b.edges) for b in bds) - len(dec.markers)
 
 
 def test_combine_single_prime_identity():

@@ -141,7 +141,7 @@ def test_tot_deep_in_bounded_stack():
     for i, p in enumerate(dec.primes):  # a prime's tots partition the path
         parts = [tots[i, v] for v in p.vertices]
         assert sum(t.bit_count() for t in parts) == g.n
-        assert dec.tot_set(i, p.vmask) == g.vmask
+        assert LiftedContext(dec, i).tot_set(p.vmask) == g.vmask
 
 
 def test_split_decompose_c5_single_prime():
@@ -161,10 +161,10 @@ def test_worked_example_tot_act():
     assert dec.recompose() == g
     # marker 7 seen from the middle prime represents {a,b,c,g}
     assert dec.tot(1, 7) == mask_of([0, 1, 2, 6])
-    assert dec.act(1, 7) == mask_of([1, 2])
+    assert LiftedContext(dec, 1).act(7) == mask_of([1, 2])
     # marker 8: weight 3 from the rightmost prime, 1 from the middle one
-    assert dec.weight(2, 8) == 3
-    assert dec.weight(1, 8) == 1
+    assert LiftedContext(dec, 2).weight(8) == 3
+    assert LiftedContext(dec, 1).weight(8) == 1
     # tot of an original vertex is itself
     assert dec.tot(0, 0) == 1 << 0
     # the two tot-views of one marker cover the graph
@@ -208,9 +208,9 @@ def test_decompose_random_sound(seed):
 def test_lifted_identity_on_whole_graph_prime():
     g = cycle_graph(5)
     dec = split_decompose(g)
-    ctx = LiftedContext(dec, 0)
+    f = lifted_mm_cut_function(LiftedContext(dec, 0))
     for x in range(1, g.vmask):
-        assert ctx.lifted_value(x, "mm") == mm_value(g, x)
+        assert f(x) == mm_value(g, x)
 
 
 def test_lifted_mm_submodular_sampled():
@@ -228,9 +228,10 @@ def test_lifted_mm_submodular_sampled():
 def test_act_matches_recomputation():
     g, dec = worked_example()
     for i, p in enumerate(dec.primes):
+        ctx = LiftedContext(dec, i)
         for v in p.vertices:
             t = dec.tot(i, v)
-            assert dec.act(i, v) == g.neighborhood(g.vmask & ~t)
+            assert ctx.act(v) == g.neighborhood(g.vmask & ~t)
 
 
 def test_json_export():
