@@ -6,11 +6,14 @@ grid-long and clique-split) once, with this checkout's generators, and
 runs `solve_hc` on every input in one subprocess per tree, with that
 tree's `src` first on the path.  Each input is solved the way `smhc hc`
 solves it: with its stored decomposition if it has one, else with
-`approx_sm_decomposition`.  A fourth, fixed group, `greedy-heavy`, is
-only decomposed: seeded random graphs with n = 3..14 at four densities,
-C13..C16 and random cographs with n = 9..12.  Its primes above
-`EXACT_SIZE_LIMIT` take the greedy backend and its cographs contract heavy
-pairs, which the three corpora barely reach.  Prints, per workload, how
+`approx_sm_decomposition`.  Two fixed groups load what the three corpora
+barely reach.  `extension-heavy` is solved: seeded random graphs with
+n = 8, 9, 10 at four densities, whose vertex-cover trims run the
+preserving extension on wide families.  `greedy-heavy` is only decomposed:
+seeded random graphs with n = 3..14 at four densities, C13..C16 and
+random cographs with n = 9..12; its primes above `EXACT_SIZE_LIMIT` take
+the greedy backend and its cographs contract heavy pairs.  Prints, per
+workload, how
 many inputs have identical verdicts, witnesses, per-node family sizes
 (`trace["node_sizes"]`) and decompositions (`bd.to_json()`), lists every
 difference, and exits 1 on any.
@@ -62,7 +65,7 @@ def solve_all(inputs: list[dict]) -> list[dict]:
 
 def corpora() -> dict[str, list[dict]]:
     """The inputs of every workload, in a fixed order (seed 0), and the
-    decomposition-only group."""
+    two fixed groups."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "benchmark"))
     import smhc.generators
@@ -74,6 +77,12 @@ def corpora() -> dict[str, list[dict]]:
                    "decomposition": inp.decomposition, "solve": True}
                   for inp in workloads.order(name, 0, smhc_ns)]
            for name in workloads.CORPORA}
+    rng = random.Random(2015)
+    out["extension-heavy"] = [
+        {"label": f"random-n{n}-p{p}-{i}", "n": n,
+         "edges": [list(e) for e in smhc.generators.random_connected_graph(n, rng, p).edges],
+         "decomposition": None, "solve": True}
+        for n in (8, 9, 10) for p in (0.25, 0.4, 0.55, 0.7) for i in range(12)]
     rng = random.Random(2014)
     graphs = [(f"random-n{n}-p{p}-{i}", n,
                smhc.generators.random_connected_graph(n, rng, p).edges)

@@ -6,7 +6,8 @@ search, the split scan tries every side holding the lowest vertex, and
 preservation of a family trim is checked directly against completions of
 the outside part.  The path-system predicates that `repsets`
 derives from vertex bitmasks have reference versions here built on degree
-dicts, neighbour lists and union-find; tests compare the two.
+dicts, neighbour lists and union-find; tests compare the two, and the
+reference merge `conc` is built on them alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from .graph import Graph, bits, mask_of
 from .cuts import sm_cut_function, split_sides
 from .branchdec import SizeLimitExceeded, exact_branch_width
-from . import solver
 
 BRUTE_HC_LIMIT = 18
 BRUTE_WIDTH_LIMIT = 10
@@ -258,13 +258,28 @@ def _path_subsets(g: Graph, universe: int):
     yield from rec(0, 0)
 
 
+def conc(g: Graph, a: int, b: int, sa: int, sb: int) -> list[int]:
+    """All certificates sa ∪ sb ∪ E' of home a | b, E' a set of cross edges:
+    path systems, or Hamiltonian cycles of g.  Listed in the order of a
+    search that skips each cross edge before taking it, lowest index first."""
+    if a & b:
+        raise ValueError("certificate homes must be disjoint")
+    out = [sa | sb]
+    for i in reversed(list(bits(g.edges_between(a, b)))):
+        u, v = g.edges[i]
+        out += [m | 1 << i for m in out if _can_add_edge(g, m, u, v, True)]
+    return out
+
+
 def _completes(g: Graph, a: int, s: int, outside_part: int) -> bool:
     """Can s (home a) and outside_part (home complement) close a cycle?"""
     b = g.vmask & ~a
-    for m in solver.conc(g, a, b, s, outside_part):
-        if solver.is_hamiltonian_cycle(g, m):
-            return True
-    return False
+    deg = _edge_degrees(g, s | outside_part)
+    free = [g.edges[i] for i in bits(g.edges_between(a, b))
+            if all(deg.get(v, 0) < 2 for v in g.edges[i])]
+    if any(sum(v in e for e in free) < 2 - deg.get(v, 0) for v in g.vertices):
+        return False  # some vertex cannot reach degree two
+    return any(_is_spanning_cycle(g, m) for m in conc(g, a, b, s, outside_part))
 
 
 def verify_preservation(g: Graph, a: int, big: list[int], small: list[int],

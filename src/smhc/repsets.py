@@ -249,46 +249,46 @@ def trim_separator(g: Graph, a: int, sep: int,
 
 # -- preserving extensions --------------------------------------------------
 
-EXTENSION_TRIM_CAP = 256  # working family size that triggers a trim over X ∪ c
-
-
 def preserving_extension(g: Graph, a: int, c: int,
                          fam: dict[int, tuple[int, int, int]], estar: int,
                          trace: dict | None = None) -> list[tuple[int, int]]:
     """Extension family of `fam` by the separator-incident cross edges.
 
-    `fam` maps each certificate to its state (d1, d2, pe).  Returns
-    (extended-mask, core-certificate) pairs.  Certificates whose total
-    degree deficiency exceeds the cross-edge budget 2|c| can never
-    complete to a Hamiltonian cycle and are dropped.  Per certificate the
-    estar edges at its deficient endpoints are folded in one at a time,
-    trimming over the separator X ∪ c whenever the working family grows
-    past EXTENSION_TRIM_CAP; the union over certificates is trimmed once
-    more over c.  `trace` is passed on to `trim_separator`.
+    `fam` maps each certificate to its state (d1, d2, pe), c covers the cut
+    of a, and `estar` holds the edges between a and c \\ a.  Returns
+    (extended-mask, core-certificate) pairs.  Certificates whose degree
+    deficiency exceeds the cross-edge budget 2|c| cannot complete and are
+    dropped; the rest share one family.  For each x of a \\ c with an estar
+    edge, lowest first, x's edges are folded in, x leaves the separator
+    c ∪ (the vertices still to come) and the family is trimmed over it
+    (the forget step of Cygan et al., Parameterized Algorithms, 2015,
+    ch. 7): c covers the cut, so x now has all its edges, and by Lemma 3
+    it may leave (a member where its degree is below two is dead).  The
+    estar edges at a ∩ c stay optional, and a last trim runs over c.
+    Sharing the family is exact by keep-first: ext & E(G[a]) is the core,
+    so no member repeats, and a torso repeated across certificates is
+    dependent on its first occurrence.  `trace` is passed on to
+    `trim_separator`.
     """
     csize = c.bit_count()
     if csize < 3:
         raise ValueError("separator must have size at least three")
-    na = a.bit_count()
     w = field_width(g)
-    first = []  # items of all certificates; ext & E(G[a]) is the core, so none repeats
-    for cert in sorted(fam):
-        p = cert.bit_count()
-        deficiency = 2 * na - 2 * p
-        if deficiency > 2 * csize:
-            continue
-        d1, d2, pe = fam[cert]
-        xmask = a & ~d2
-        sep = xmask | c
-        working = [(cert, d1, d2, pe, cert)]  # (extended mask, state, core)
-        for i in bits(estar):
-            if g.edge_vertices[i] & xmask:
-                working += grow(g, w, working, i)
-                if len(working) > EXTENSION_TRIM_CAP:
-                    working = trim_separator(g, a, sep, working, trace)
-        first += working
-    out = trim_separator(g, a, c, first, trace)
-    return [(item[0], item[-1]) for item in out]
+    items = [(cert, *fam[cert], cert) for cert in sorted(fam)
+             if a.bit_count() - cert.bit_count() <= csize]
+    todo = 0
+    for i in bits(estar):
+        todo |= g.edge_vertices[i] & a & ~c
+    sep = c | todo
+    for x in bits(todo):
+        for i in bits(estar & g.incident[x]):
+            items += grow(g, w, items, i)
+        estar &= ~g.incident[x]
+        sep ^= 1 << x
+        items = trim_separator(g, a, sep, items, trace)
+    for i in bits(estar):
+        items += grow(g, w, items, i)
+    return [(item[0], item[-1]) for item in trim_separator(g, a, c, items, trace)]
 
 
 def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],

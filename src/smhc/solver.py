@@ -14,16 +14,8 @@ from __future__ import annotations
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value
 from .branchdec import BranchDecomposition
-from .repsets import (field_width, grow, is_hamiltonian_cycle, is_path_system,
-                      pad_separator, partner, path_state, preserving_extension)
-
-
-def certificate_valid(g: Graph, emask: int, home: int) -> bool:
-    if emask & ~g.edges_within(home):
-        return False
-    if is_path_system(g, emask):
-        return True
-    return home == g.vmask and is_hamiltonian_cycle(g, emask)
+from .repsets import (field_width, grow, is_hamiltonian_cycle, pad_separator,
+                      partner, preserving_extension)
 
 
 def _slot_edges(g: Graph, home: int, d1: int, d2: int, pe: int,
@@ -75,24 +67,15 @@ def _enumerate_pair(g: Graph, sa: int, sb: int,
         out[m] = (d1, d2, pe)
 
 
-def conc(g: Graph, a: int, b: int, sa: int, sb: int) -> list[int]:
-    """All certificates sa ∪ sb ∪ E' with E' cross edges keeping validity."""
-    if a & b:
-        raise ValueError("certificate homes must be disjoint")
-    out: dict[int, tuple[int, int, int]] = {}
-    _enumerate_pair(g, sa, sb, path_state(g, sa), path_state(g, sb),
-                    g.edges_between(a, b), out)
-    return list(out)
-
-
 INTERMEDIATE_TRIM_CAP = 1024  # pre-trim family size that triggers a trim in join
 
 
 def join(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int, int]],
          fb: dict[int, tuple[int, int, int]],
          trace: dict | None = None) -> dict[int, tuple[int, int, int]]:
-    """Family of home a | b: conc over all pairs of fa and fb, split sides
-    limited to 4k paths, trimmed unless a | b is the whole graph.
+    """Family of home a | b: each pair of fa and fb with every valid set of
+    its candidate cross edges, split sides limited to 4k paths, trimmed
+    unless a | b is the whole graph.
 
     The pairs are trimmed whenever they exceed INTERMEDIATE_TRIM_CAP
     members, and once more at the end.

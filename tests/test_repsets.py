@@ -8,8 +8,9 @@ from smhc.repsets import (is_path_system, degree_masks, pairing_row,
                           representative_hc_sets, path_state, field_width,
                           pad_separator, trim_separator, preserving_extension,
                           is_hamiltonian_cycle, grow, partner, _paths)
+from smhc.cuts import min_vertex_cover
 from smhc.generators import random_connected_graph
-from smhc import oracles
+from smhc import oracles, repsets
 from tests.conftest import family
 
 
@@ -264,3 +265,64 @@ def test_preserving_extension_no_estar():
     m = g.edge_mask([(0, 1), (1, 2)])
     out = preserving_extension(g, a, c, family(g, [m]), 0)
     assert out == [(m, m)]
+
+
+def test_extension_forgets_one_vertex_per_trim(monkeypatch):
+    """The separator starts as c ∪ todo, todo being the vertices of a \\ c
+    with an estar edge; each trim comes after one vertex of todo, lowest
+    first, has had its edges folded in and left the separator.  The last
+    trim is over c."""
+    seps = []
+    real_trim_separator = repsets.trim_separator
+
+    def recording(g_, a_, sep, items, trace=None):
+        seps.append(sep)
+        return real_trim_separator(g_, a_, sep, items, trace)
+
+    monkeypatch.setattr(repsets, "trim_separator", recording)
+    rng = random.Random(17)
+    instances = 0
+    while instances < 10:
+        g = random_connected_graph(rng.randint(6, 9), rng)
+        a = rng.randrange(1, g.vmask)
+        c = pad_separator(g, a, min_vertex_cover(g, a))
+        estar = g.edges_between(a, c & ~a)
+        todo = 0
+        for i in bits(estar):
+            todo |= g.edge_vertices[i] & a & ~c
+        if todo.bit_count() < 2:
+            continue
+        inner = g.edges_within(a)
+        fam = [m for m in {inner & rng.getrandbits(g.m) for _ in range(20)}
+               if is_path_system(g, m)]
+        seps.clear()
+        preserving_extension(g, a, c, family(g, fam), estar)
+        want, sep = [], c | todo
+        for x in bits(todo):
+            sep &= ~(1 << x)
+            want.append(sep)
+        assert seps == want + [c]
+        instances += 1
+
+
+@pytest.mark.parametrize("edges, a, c, fam, estar, want", [
+    # a ∩ c = {0} has estar edges to 4 and 5
+    ([(0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)],
+     [0, 1, 2, 3], [0, 4, 5], [0, 1, 4, 5, 32, 33, 36], 90,
+     [(116, 36), (118, 36), (121, 33), (123, 33)]),
+    # half the certificates lack more than 2|c| degrees on a
+    ([(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (2, 3), (2, 7),
+      (3, 4), (4, 6), (4, 7), (6, 7)],
+     [2, 3, 4, 5, 6], [0, 1, 7], [0, 128, 512, 640, 1024, 1152, 1536, 1664], 6527,
+     [(1996, 1664), (5844, 1664), (3564, 1152)]),
+])
+def test_extension_kept_pairs_pinned(edges, a, c, fam, estar, want):
+    """The (extended-mask, core) pairs kept on two fixed instances.
+
+    The literals are the output of the per-certificate extension that the
+    shared, forgetting family replaced, so they pin that both keep the same
+    pairs; skipping the estar edges at a ∩ c fails the first instance."""
+    g = Graph(range(max(map(max, edges)) + 1), edges)
+    a, c = mask_of(a), mask_of(c)
+    assert g.edges_between(a, c & ~a) == estar
+    assert preserving_extension(g, a, c, family(g, fam), estar) == want
