@@ -8,8 +8,8 @@ edges.  Edge sets are bitmasks over the host's edge list.  A path system
 travels with its state (d1, d2, pe): its vertices of degree >= 1 and
 >= 2, and one int `pe` with a field of `field_width(g)` bits per vertex,
 where the field of each path end (a vertex of d1 & ~d2) holds the other
-end of its path.  Other fields are never read: a vertex of degree zero is
-its own partner (`partner`).  Producers set the state in O(1) big-int
+end of its path.  Other fields are zero and never read: a vertex of
+degree zero is its own partner (`partner`).  Producers set the state in O(1) big-int
 operations per added edge (`grow`); `path_state` derives it by walking the
 edges once.
 
@@ -264,7 +264,8 @@ def preserving_extension(g: Graph, a: int, c: int,
     (the forget step of Cygan et al., Parameterized Algorithms, 2015,
     ch. 7): c covers the cut, so x now has all its edges, and by Lemma 3
     it may leave (a member where its degree is below two is dead).  The
-    estar edges at a ∩ c stay optional, and a last trim runs over c.
+    estar edges at a ∩ c stay optional, and a last trim runs over c unless
+    the trim of the last x already did and nothing was folded since.
     Sharing the family is exact by keep-first: ext & E(G[a]) is the core,
     so no member repeats, and a torso repeated across certificates is
     dependent on its first occurrence.  `trace` is passed on to
@@ -286,9 +287,11 @@ def preserving_extension(g: Graph, a: int, c: int,
         estar &= ~g.incident[x]
         sep ^= 1 << x
         items = trim_separator(g, a, sep, items, trace)
-    for i in bits(estar):
-        items += grow(g, w, items, i)
-    return [(item[0], item[-1]) for item in trim_separator(g, a, c, items, trace)]
+    if estar or not todo:  # else the last trim above ran over c already
+        for i in bits(estar):
+            items += grow(g, w, items, i)
+        items = trim_separator(g, a, c, items, trace)
+    return [(item[0], item[-1]) for item in items]
 
 
 def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],
@@ -300,11 +303,14 @@ def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],
     already, or when u and v end one path and closing it would leave out a
     vertex of g; closing a path through every vertex into a Hamiltonian
     cycle is allowed.  Only the fields of the two ends ou and ov of the
-    joined path are rewritten; `partner` is inlined.
+    joined path are rewritten, and those of u and v are cleared, so the
+    field of a vertex that is no path end reads zero; `partner` is
+    inlined.
     """
     u, v = g.edges[i]
     bit, uv = 1 << i, g.edge_vertices[i]
     field = (1 << w) - 1
+    clear = field << u * w | field << v * w
     vmask = g.vmask
     out = []
     for m, d1, d2, pe, payload in items:
@@ -313,10 +319,10 @@ def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],
         ou = (pe >> u * w) & field if (d1 >> u) & 1 else u
         if ou == v:  # closes a cycle: only a Hamiltonian one is kept
             if d1 == vmask and d1 & ~d2 == uv:
-                out.append((m | bit, d1, d2 | uv, pe, payload))
+                out.append((m | bit, d1, d2 | uv, pe & ~clear, payload))
             continue
         ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
-        pe &= ~(field << ou * w | field << ov * w)
+        pe &= ~(field << ou * w | field << ov * w | clear)
         out.append((m | bit, d1 | uv, d2 | (d1 & uv),
                     pe | ov << ou * w | ou << ov * w, payload))
     return out

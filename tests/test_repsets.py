@@ -270,8 +270,8 @@ def test_preserving_extension_no_estar():
 def test_extension_forgets_one_vertex_per_trim(monkeypatch):
     """The separator starts as c ∪ todo, todo being the vertices of a \\ c
     with an estar edge; each trim comes after one vertex of todo, lowest
-    first, has had its edges folded in and left the separator.  The last
-    trim is over c."""
+    first, has had its edges folded in and left the separator.  One more
+    trim over c follows when estar edges at a ∩ c were folded after it."""
     seps = []
     real_trim_separator = repsets.trim_separator
 
@@ -282,7 +282,8 @@ def test_extension_forgets_one_vertex_per_trim(monkeypatch):
     monkeypatch.setattr(repsets, "trim_separator", recording)
     rng = random.Random(17)
     instances = 0
-    while instances < 10:
+    optional = set()
+    while instances < 10 or len(optional) < 2:
         g = random_connected_graph(rng.randint(6, 9), rng)
         a = rng.randrange(1, g.vmask)
         c = pad_separator(g, a, min_vertex_cover(g, a))
@@ -301,8 +302,31 @@ def test_extension_forgets_one_vertex_per_trim(monkeypatch):
         for x in bits(todo):
             sep &= ~(1 << x)
             want.append(sep)
-        assert seps == want + [c]
+            estar &= ~g.incident[x]
+        assert seps == want + [c] * bool(estar)
+        optional.add(bool(estar))
         instances += 1
+
+
+def test_extension_trims_over_c_once(monkeypatch):
+    """Without estar edges at a ∩ c, the trim after the last vertex of
+    todo is the trim over c, and no second one follows.  The instance is
+    the second of `test_extension_kept_pairs_pinned`: todo = {2, ..., 6}."""
+    seps = []
+    real_trim_separator = repsets.trim_separator
+
+    def recording(g_, a_, sep, items, trace=None):
+        seps.append(sep)
+        return real_trim_separator(g_, a_, sep, items, trace)
+
+    monkeypatch.setattr(repsets, "trim_separator", recording)
+    g = Graph(range(8), [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5),
+                         (2, 3), (2, 7), (3, 4), (4, 6), (4, 7), (6, 7)])
+    a, c = mask_of([2, 3, 4, 5, 6]), mask_of([0, 1, 7])
+    fam = [0, 128, 512, 640, 1024, 1152, 1536, 1664]
+    assert g.edges_between(a, c) == 6527
+    preserving_extension(g, a, c, family(g, fam), 6527)
+    assert len(seps) == 5 and seps[-1] == c
 
 
 @pytest.mark.parametrize("edges, a, c, fam, estar, want", [

@@ -4,7 +4,7 @@ import pytest
 
 from smhc.graph import Graph, bits, mask_of, cycle_graph, path_graph, complete_graph, petersen_graph
 from smhc.cuts import is_split, min_vertex_cover
-from smhc import repsets
+from smhc import repsets, solver
 from smhc.repsets import (degree_masks, field_width, is_path_system,
                           pad_separator, partner, path_state, walk_from)
 from smhc.solver import (join, trim, trim_vc, trim_split, solve_hc,
@@ -112,11 +112,51 @@ def test_join_subset_of_conc(seed):
             <= set(oracles.conc(g, a, b, sa, sb)))
 
 
+def split_home_joins(g, monkeypatch):
+    """(a, b, fa, fb, out) of every non-root join at a split home of the
+    solve along `approx_sm_decomposition`."""
+    joins = []
+    real_join = solver.join
+
+    def recording(g_, a, b, fa, fb, trace=None):
+        out = real_join(g_, a, b, fa, fb, trace)
+        if is_split(g_, a | b):
+            joins.append((a, b, fa, fb, out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "join", recording)
+        solve_hc(g, approx_sm_decomposition(g))
+    return joins
+
+
+def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
+    """At every non-root split home of seeded graphs with n <= 9, `join`
+    keeps exactly what `trim_split` keeps of the members `oracles.conc`
+    lists over all pairs; that family preserves those members."""
+    rng = random.Random(1411)
+    graphs = [complete_graph(n) for n in range(5, 10)]
+    graphs += [random_connected_graph(rng.randint(5, 9), rng, p=rng.choice((0.5, 0.7, 0.9)))
+               for _ in range(16)]
+    checked = crossed = 0
+    for g in graphs:
+        hcs = oracles.enumerate_hamiltonian_cycles(g)
+        for a, b, fa, fb, out in split_home_joins(g, monkeypatch):
+            home = a | b
+            members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
+            assert out == trim_split(g, home, family(g, members))
+            assert oracles.verify_preservation(g, home, members, list(out),
+                                               method="cycles", hcs=hcs)
+            checked += 1
+            crossed += len(members) > len(fa) * len(fb)
+    assert checked >= 40 and crossed >= 20
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     """Every state (d1, d2, pe) set in O(1) matches its edge mask: the
-    degree masks equal the fold of the mask, and each path end's field
-    holds the far end of the walk from it.
+    degree masks equal the fold of the mask, each path end's field holds
+    the far end of the walk from it, and every other field is zero.
 
     Covers `_enumerate_pair` on pairs cut from a Hamiltonian cycle, so
     spanning-cycle closures occur, and the extension step of
@@ -133,6 +173,7 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
         for v in bits(d1 & ~d2):
             assert partner(pe, w, d1, v) == walk_from(g, m, v)[-1]
             ends_checked += 1
+        assert pe == path_state(g, m)[2]
 
     hamiltonian, witness = oracles.brute_hc(g)
     cycle = g.edge_mask(witness) if hamiltonian else 0
