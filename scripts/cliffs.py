@@ -31,6 +31,8 @@ import resource
 import subprocess
 import sys
 import time
+import types
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,8 +61,6 @@ def corpus() -> list[dict]:
     """The cliff inputs, each with its edges, optional tree and reference."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "benchmark"))
-    from itertools import combinations
-    import types
     import smhc.generators
     import workloads
 

@@ -9,9 +9,9 @@ travels with its state (d1, d2, pe): its vertices of degree >= 1 and
 >= 2, and one int `pe` with a field of `field_width(g)` bits per vertex,
 where the field of each path end (a vertex of d1 & ~d2) holds the other
 end of its path.  Other fields are zero and never read: a vertex of
-degree zero is its own partner (`partner`).  Producers set the state in O(1) big-int
-operations per added edge (`grow`); `path_state` derives it by walking the
-edges once.
+degree zero is its own partner (`partner`).  Producers set the state in
+O(1) big-int operations per added edge (`grow`); `path_state` derives it
+by walking the edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature

@@ -55,13 +55,14 @@ def _split_frontier(g: Graph, a: int, b: int, fa: dict[int, tuple[int, int, int]
     Each pair starts from its union state.  The cross edges are folded in
     through `grow` grouped by home vertex: next comes the vertex with the
     fewest cross edges left, the lowest on ties.  A vertex is decided once
-    its last cross edge has been folded; its degree is then final.  A decided vertex with no neighbour outside the home and
-    degree below two kills the item.  A decided boundary vertex is
-    forgotten: it leaves d1 and d2, its field is cleared, an undecided
-    partner's field is set to `free`, and it only adds to the item's tally
-    of decided path ends and decided isolated vertices.  Per key
-    (undecided d1 and d2, pairing, tally) the least edge mask is kept;
-    `path_state` rebuilds the states of the members kept at the end.
+    its last cross edge has been folded; its degree is then final.  A
+    decided vertex with no neighbour outside the home and degree below two
+    kills the item.  A decided boundary vertex is forgotten: it leaves d1
+    and d2, its field is cleared, an undecided partner's field is set to
+    `free`, and it only adds to the item's tally of decided path ends and
+    decided isolated vertices.  Per key (undecided d1 and d2, pairing,
+    tally) the least edge mask is kept; `path_state` rebuilds the states
+    of the members kept at the end.
 
     This keeps what `trim_split` keeps of the members `_enumerate_pair`
     lists over all pairs.  Two items with one key accept the same later

@@ -254,7 +254,7 @@ def test_trim_split_preserves():
 def test_trim_dispatch():
     g = complete_graph(6)
     a = mask_of([0, 1, 2])
-    assert trim(g, a, {0: (0, 0, 0)}) == {0: (0, 0, 0)}  # singleton short-circuits
+    assert trim(g, a, {0: (0, 0, 0)}) == {0: (0, 0, 0)}  # a live lone member stays
     fam = [0, g.edge_mask([(0, 1)])]
     assert set(trim(g, a, family(g, fam))) <= set(fam)
 
