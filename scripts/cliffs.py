@@ -6,7 +6,7 @@ the clique-split cograph `cograph-n12-1` relabeled by `Random(2).shuffle`;
 the p = 0.3 stream (`random_connected_graph(n, Random(1), p=0.3)` drawn
 for n = 10, 11, ... in turn) at n = 13 and 19; and K_{6,6} with a
 decomposition whose root edge separates the two sides.  Each input runs in
-its own subprocess, with the source tree's `src` first on the path, a
+its own subprocess, with this checkout's `src` first on the path, a
 2 GB address-space cap (RLIMIT_AS) set in the child and a 60 s wall
 limit.  The child decomposes with `approx_sm_decomposition` (K_{6,6} takes
 its given tree) and runs `solve_hc`.
@@ -16,8 +16,7 @@ the verdict and whether it was checked (against K_n, `brute_hc` for
 n <= 16, or a verified witness), decomposition and solve time, the peak
 node family (`max_family`), `max_family_by_k` and the child's peak RSS.
 
-Usage: python3 scripts/cliffs.py [--tree PATH] [--out BENCH_cliffs.json]
-                                 [--only LABEL ...]
+Usage: python3 scripts/cliffs.py [--out BENCH_cliffs.json]
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ def child() -> int:
     return 0
 
 
-def run_input(tree: Path, inp: dict) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def run_input(inp: dict) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.Popen([sys.executable, __file__, "--child"], env=env, text=True,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
@@ -158,10 +157,7 @@ def check(inp: dict, result: dict) -> bool | None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", type=Path, default=ROOT,
-                        help="source tree whose src is solved (default: this checkout)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cliffs.json")
-    parser.add_argument("--only", nargs="*", help="run only these labels")
     parser.add_argument("--child", action="store_true",
                         help="internal: solve the input on stdin")
     args = parser.parse_args(argv)
@@ -169,9 +165,7 @@ def main(argv=None) -> int:
         return child()
     rows = []
     for inp in corpus():
-        if args.only and inp["label"] not in args.only:
-            continue
-        result = run_input(args.tree.resolve(), inp)
+        result = run_input(inp)
         result["checked"] = check(inp, result)
         result.pop("witness", None)
         rows.append({"label": inp["label"], "n": inp["n"], "m": len(inp["edges"]),

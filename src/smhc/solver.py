@@ -14,7 +14,7 @@ forgets each vertex once its edges are decided (`_split_frontier`).
 from __future__ import annotations
 
 from .graph import Graph, bits
-from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (benchmark/layers.py times mm_value here)
+from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (unused; benchmark/layers.py patches it here)
 from .branchdec import BranchDecomposition
 from .repsets import (field_width, grow, is_hamiltonian_cycle, pad_separator,
                       path_state, preserving_extension)
@@ -203,11 +203,10 @@ def trim(g: Graph, a: int, fam: dict[int, tuple[int, int, int]],
     """Dispatch: split sides use the twin signature, others the rep-set trim.
 
     A lone member m of another side skips the rep-set trim.  It is dropped
-    when a vertex of a without a neighbour outside a has degree below two,
-    as no later edge reaches it, or when |a| - |m| > |N(a)|: a cycle
-    through m takes 2|a| - 2|m| cross edges, at most two at each outside
-    neighbour.  A trim that runs appends (a, before, after) to
-    `trace["trims"]` when the caller put a list there.
+    when |a| - |m| > |N(a)|: a cycle through m takes 2|a| - 2|m| cross
+    edges, at most two at each outside neighbour.  A trim that runs
+    appends (a, before, after) to `trace["trims"]` when the caller put a
+    list there.
     """
     outside = g.vmask & ~a
     if outside == 0 or not fam:
@@ -217,10 +216,9 @@ def trim(g: Graph, a: int, fam: dict[int, tuple[int, int, int]],
     elif len(fam) > 1:
         out = trim_vc(g, a, fam, trace)
     else:
-        (m, (_, d2, _)), = fam.items()
-        stranded = a & ~g.neighborhood(outside) & ~d2
+        (m,) = fam
         starved = a.bit_count() - m.bit_count() > g.neighborhood(a).bit_count()
-        out = {} if stranded or starved else fam
+        out = {} if starved else fam
     if trace is not None and "trims" in trace:
         trace["trims"].append((a, list(fam), list(out)))
     return out
