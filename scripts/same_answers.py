@@ -16,7 +16,9 @@ the greedy backend and its cographs contract heavy pairs.  Prints, per
 workload, how
 many inputs have identical verdicts, witnesses, per-node family sizes
 (`trace["node_sizes"]`) and decompositions (`bd.to_json()`), lists every
-difference, and exits 1 on any.
+difference, and exits 1 on any.  A node_sizes difference says at how many
+nodes the family grew; a witness difference says whether the new witness
+is a Hamiltonian cycle of the input, by a walk of its own.
 
 Usage: python3 scripts/same_answers.py --parent PATH [--tree PATH]
 """
@@ -96,6 +98,27 @@ def corpora() -> dict[str, list[dict]]:
     return out
 
 
+def is_hamiltonian_cycle(n: int, edges: list, witness: list | None) -> bool:
+    """Whether the witness is a cycle through all n vertices on the edges."""
+    if not witness or len(witness) != n or n < 3:
+        return False
+    present = {tuple(sorted(e)) for e in edges}
+    nbrs: dict[int, list[int]] = {}
+    for u, v in witness:
+        if (min(u, v), max(u, v)) not in present:
+            return False
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    if len(nbrs) != n or any(len(x) != 2 for x in nbrs.values()):
+        return False
+    prev, cur, seen = None, witness[0][0], 0
+    while True:  # walk the cycle; it must return after n steps
+        nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
+        prev, cur, seen = cur, nxt, seen + 1
+        if cur == witness[0][0]:
+            return seen == n
+
+
 def run_tree(tree: Path, payload: dict[str, list[dict]]) -> dict[str, list[dict]]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, __file__, "--solve"], env=env,
@@ -134,7 +157,15 @@ def main(argv=None) -> int:
             line = f"  {inp['label']}: {', '.join(fields)} differ"
             if "node_sizes" in fields:
                 line += (f" (family sum {sum(old['node_sizes'])} -> "
-                         f"{sum(new['node_sizes'])})")
+                         f"{sum(new['node_sizes'])}")
+                if len(old["node_sizes"]) == len(new["node_sizes"]):
+                    larger = sum(y > x for x, y in zip(old["node_sizes"], new["node_sizes"]))
+                    line += f", larger at {larger} nodes"
+                line += ")"
+            if "witness" in fields:
+                line += ("; new witness is a Hamiltonian cycle"
+                         if is_hamiltonian_cycle(inp["n"], inp["edges"], new["witness"])
+                         else "; NEW WITNESS IS NO HAMILTONIAN CYCLE")
             print(line)
         compared = ("verdicts, witnesses, node_sizes and decompositions"
                     if inputs[0]["solve"] else "decompositions")

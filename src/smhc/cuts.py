@@ -11,13 +11,14 @@ from __future__ import annotations
 from .graph import Graph, bits
 
 
-def max_matching(g: Graph, a: int) -> dict[int, int]:
-    """Maximum matching of G[a, V \\ a] by augmenting paths, as a map from
-    each matched vertex outside a to its partner in a."""
+def max_matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
+    """Maximum matching of G[a, b] by augmenting paths, b = V \\ a unless
+    given, as a map from each matched vertex of b to its partner in a."""
+    b = g.vmask & ~a if b is None else b
     partner: dict[int, int] = {}
     for root in bits(a):
         visited = 0
-        stack = [(root, g.adj[root] & ~a, -1)]  # left vertex, untried mask, tried vertex
+        stack = [(root, g.adj[root] & b, -1)]  # left vertex, untried mask, tried vertex
         while stack:
             u, untried, _ = stack[-1]
             untried &= ~visited
@@ -29,7 +30,7 @@ def max_matching(g: Graph, a: int) -> dict[int, int]:
             stack[-1] = (u, untried, w)
             if w in partner:
                 x = partner[w]
-                stack.append((x, g.adj[x] & ~a, -1))
+                stack.append((x, g.adj[x] & b, -1))
             else:  # augmenting path: each frame's vertex takes its tried vertex
                 for u, _, w in stack:
                     partner[w] = u
@@ -37,16 +38,17 @@ def max_matching(g: Graph, a: int) -> dict[int, int]:
     return partner
 
 
-def min_vertex_cover(g: Graph, a: int) -> int:
-    """Koenig cover of G[a, V \\ a], of size equal to the maximum matching.
+def min_vertex_cover(g: Graph, a: int, b: int | None = None) -> int:
+    """Koenig cover of G[a, b], b = V \\ a unless given, of size equal to
+    the maximum matching.
 
     Z is what alternating paths reach from the unmatched vertices of a;
-    the cover is (a \\ Z) ∩ matched ∪ (Z \\ a).  Z does not depend on which
+    the cover is (a \\ Z) ∩ matched ∪ (Z ∩ b).  Z does not depend on which
     maximum matching is found (Dulmage-Mendelsohn), so neither does the
-    cover.
+    cover, and a vertex with no edge across is in none.
     """
-    b = g.vmask & ~a
-    partner = max_matching(g, a)
+    b = g.vmask & ~a if b is None else b
+    partner = max_matching(g, a, b)
     matched = 0
     for u in partner.values():
         matched |= 1 << u

@@ -9,7 +9,7 @@ travels with its state (d1, d2, pe): its vertices of degree >= 1 and
 >= 2, and one int `pe` with a field of `field_width(g)` bits per vertex,
 where the field of each path end (a vertex of d1 & ~d2) holds the other
 end of its path.  Other fields are zero and never read: a vertex of
-degree zero is its own partner (`partner`).  Producers set the state in
+degree zero is its own partner.  Producers set the state in
 O(1) big-int operations per added edge (`grow`); `path_state` derives it
 by walking the edges once.
 
@@ -119,11 +119,6 @@ def _paths(g: Graph, emask: int, ends: int):
 def field_width(g: Graph) -> int:
     """Bits per vertex field of a pairing int: room for every vertex id."""
     return g.vmask.bit_length().bit_length()
-
-
-def partner(pe: int, w: int, d1: int, v: int) -> int:
-    """The other end of v's path; v itself when v has degree zero."""
-    return (pe >> v * w) & ((1 << w) - 1) if (d1 >> v) & 1 else v
 
 
 def path_state(g: Graph, emask: int) -> tuple[int, int, int]:
@@ -304,8 +299,7 @@ def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],
     vertex of g; closing a path through every vertex into a Hamiltonian
     cycle is allowed.  Only the fields of the two ends ou and ov of the
     joined path are rewritten, and those of u and v are cleared, so the
-    field of a vertex that is no path end reads zero; `partner` is
-    inlined.
+    field of a vertex that is no path end reads zero.
     """
     u, v = g.edges[i]
     bit, uv = 1 << i, g.edge_vertices[i]

@@ -57,6 +57,11 @@ def find_split(g: Graph):
     """
     if not g.is_connected():
         raise ValueError("split decomposition needs a connected graph")
+    return _least_split(g)
+
+
+def _least_split(g: Graph):
+    """`find_split` of a graph known to be connected, with no check."""
     if g.n < 4:
         return None
     full = g.vmask
@@ -193,9 +198,9 @@ def split_decompose(g: Graph) -> SplitDecomposition:
     primes: list[Graph] = []
     markers: dict[int, list[int]] = {}
     stack = [g]
-    while stack:
+    while stack:  # every part made from a split of a connected graph is connected
         h = stack.pop()
-        split = find_split(h)
+        split = _least_split(h)
         if split is None:
             for v in h.vertices:
                 if v > last:

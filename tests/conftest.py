@@ -28,6 +28,12 @@ def family(g, masks):
     return {m: path_state(g, m) for m in masks}
 
 
+def partner(pe, w, d1, v):
+    """The other end of v's path, read from the field of v in the pairing
+    int pe of `w` bits per vertex; v itself when v has degree zero."""
+    return (pe >> v * w) & ((1 << w) - 1) if (d1 >> v) & 1 else v
+
+
 def stack_depth():
     """Number of frames on the stack, this call's own included."""
     depth, frame = 0, sys._getframe()

@@ -74,6 +74,10 @@ def test_matching_and_cover_vs_brute(seed):
     assert cover.bit_count() == brute_min_cover(cut)
     for u, v in cut.edges:
         assert (cover >> u) & 1 or (cover >> v) & 1
+    # the boundary of a against its outside neighbours has the same cover
+    boundary, nbr = g.neighborhood(g.vmask & ~a) & a, g.neighborhood(a)
+    assert len(max_matching(g, boundary, nbr)) == size
+    assert min_vertex_cover(g, boundary, nbr) == cover
 
 
 def test_matching_long_augmenting_path_in_bounded_stack():

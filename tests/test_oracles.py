@@ -4,7 +4,7 @@ import pytest
 
 from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph, petersen_graph
 from smhc.branchdec import SizeLimitExceeded
-from smhc.solver import is_hamiltonian_cycle, trim
+from smhc.solver import cut_of, is_hamiltonian_cycle, trim
 from smhc.generators import random_connected_graph
 from smhc.oracles import (brute_hc, backtracking_hc, enumerate_hamiltonian_cycles,
                           brute_sm_width, verify_preservation,
@@ -93,7 +93,7 @@ def test_verify_methods_agree_on_trims(seed):
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    small = list(trim(g, a, family(g, fam)))
+    small = list(trim(g, a, family(g, fam), cut_of(g, a)))
     c = verify_preservation(g, a, fam, small, method="cycles")
     e = verify_preservation(g, a, fam, small, method="enumerate")
     assert c == e

@@ -7,11 +7,11 @@ from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.repsets import (is_path_system, degree_masks, pairing_row,
                           representative_hc_sets, path_state, field_width,
                           pad_separator, trim_separator, preserving_extension,
-                          is_hamiltonian_cycle, grow, partner, _paths)
+                          is_hamiltonian_cycle, grow, _paths)
 from smhc.cuts import min_vertex_cover
 from smhc.generators import random_connected_graph
 from smhc import oracles, repsets
-from tests.conftest import family
+from tests.conftest import family, partner
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -98,9 +98,9 @@ def _perfect_matchings(vertices):
         yield []
         return
     first, rest = vertices[0], vertices[1:]
-    for i, partner in enumerate(rest):
+    for i, mate in enumerate(rest):
         for m in _perfect_matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, partner)] + m
+            yield [(first, mate)] + m
 
 
 def _one_cycle(p, q, t):

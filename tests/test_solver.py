@@ -6,14 +6,14 @@ from smhc.graph import Graph, bits, mask_of, cycle_graph, path_graph, complete_g
 from smhc.cuts import is_split, min_vertex_cover
 from smhc import repsets, solver
 from smhc.repsets import (degree_masks, field_width, is_path_system,
-                          pad_separator, partner, path_state, walk_from)
-from smhc.solver import (join, trim, trim_vc, trim_split, solve_hc,
-                         is_hamiltonian_cycle, _enumerate_pair)
+                          pad_separator, path_state, walk_from)
+from smhc.solver import (cut_of, join, trim, trim_vc, trim_split, solve_hc,
+                         is_hamiltonian_cycle)
 from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
-from tests.conftest import bounded_stack, family
+from tests.conftest import bounded_stack, family, partner
 
 
 def certificate_valid(g, emask, home):
@@ -39,14 +39,6 @@ def brute_conc(g, a, b, sa, sb):
         if certificate_valid(g, cand, home):
             out.append(cand)
     return sorted(out)
-
-
-def merge_pair(g, a, b, sa, sb):
-    """The solver's merge of one pair over all its cross edges, in order."""
-    out = {}
-    _enumerate_pair(g, sa, sb, path_state(g, sa), path_state(g, sb),
-                    g.edges_between(a, b), out)
-    return list(out)
 
 
 def test_is_hamiltonian_cycle():
@@ -89,10 +81,8 @@ def test_conc_matches_brute(seed):
                 return m
         return 0
     sa, sb = sample_cert(a), sample_cert(b)
-    want = oracles.conc(g, a, b, sa, sb)
-    assert sorted(want) == brute_conc(g, a, b, sa, sb)
-    out = merge_pair(g, a, b, sa, sb)
-    assert out == want
+    out = oracles.conc(g, a, b, sa, sb)
+    assert sorted(out) == brute_conc(g, a, b, sa, sb)
     # the order of a search that skips each cross edge before taking it
     cross = list(bits(g.edges_between(a, b)))
     assert out == sorted(out, key=lambda m: [(m >> i) & 1 for i in cross])
@@ -108,21 +98,21 @@ def test_join_subset_of_conc(seed):
         return
     sa = 0
     sb = 0
-    assert (set(join(g, a, b, family(g, [sa]), family(g, [sb])))
-            <= set(oracles.conc(g, a, b, sa, sb)))
+    cut, fam = join(g, a, b, family(g, [sa]), family(g, [sb]), cut_of(g, a), cut_of(g, b))
+    assert cut == cut_of(g, a | b)
+    assert set(fam) <= set(oracles.conc(g, a, b, sa, sb))
 
 
-def split_home_joins(g, monkeypatch):
-    """(a, b, fa, fb, out) of every non-root join at a split home of the
-    solve along `approx_sm_decomposition`."""
+def recorded_joins(g, monkeypatch):
+    """(a, b, fa, fb, cut, out) of every join of the solve along
+    `approx_sm_decomposition`, the root's last."""
     joins = []
     real_join = solver.join
 
-    def recording(g_, a, b, fa, fb, trace=None):
-        out = real_join(g_, a, b, fa, fb, trace)
-        if is_split(g_, a | b):
-            joins.append((a, b, fa, fb, out))
-        return out
+    def recording(g_, a, b, fa, fb, *args):
+        cut, out = real_join(g_, a, b, fa, fb, *args)
+        joins.append((a, b, fa, fb, cut, out))
+        return cut, out
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "join", recording)
@@ -130,26 +120,66 @@ def split_home_joins(g, monkeypatch):
     return joins
 
 
+def seeded_graphs(seed, densities, count):
+    """K5..K9 and `count` seeded random connected graphs with n = 5..9."""
+    rng = random.Random(seed)
+    graphs = [complete_graph(n) for n in range(5, 10)]
+    return graphs + [random_connected_graph(rng.randint(5, 9), rng, p=rng.choice(densities))
+                     for _ in range(count)]
+
+
 def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
     """At every non-root split home of seeded graphs with n <= 9, `join`
     keeps exactly what `trim_split` keeps of the members `oracles.conc`
     lists over all pairs; that family preserves those members."""
-    rng = random.Random(1411)
-    graphs = [complete_graph(n) for n in range(5, 10)]
-    graphs += [random_connected_graph(rng.randint(5, 9), rng, p=rng.choice((0.5, 0.7, 0.9)))
-               for _ in range(16)]
     checked = crossed = 0
-    for g in graphs:
+    for g in seeded_graphs(1411, (0.5, 0.7, 0.9), 16):
         hcs = oracles.enumerate_hamiltonian_cycles(g)
-        for a, b, fa, fb, out in split_home_joins(g, monkeypatch):
+        for a, b, fa, fb, cut, out in recorded_joins(g, monkeypatch):
             home = a | b
+            assert cut == cut_of(g, home)
+            if not cut[2]:
+                continue
+            assert is_split(g, home)
             members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
-            assert out == trim_split(g, home, family(g, members))
+            assert out == trim_split(g, home, family(g, members), cut)
             assert oracles.verify_preservation(g, home, members, list(out),
                                                method="cycles", hcs=hcs)
             checked += 1
             crossed += len(members) > len(fa) * len(fb)
     assert checked >= 40 and crossed >= 20
+
+
+def test_frontier_keeps_trim_of_live_conc(monkeypatch):
+    """At every join of seeded graphs with n <= 9 whose home is no split
+    side, the root's included, `join` keeps exactly what `trim` keeps of
+    the live members `oracles.conc` lists over all pairs: those in which
+    every vertex without an outside neighbour has degree two.  At the root
+    that is the least Hamiltonian cycle, and the verdict is `brute_hc`'s.
+    Every cut equals the one read off the home."""
+    checked = crossed = 0
+    for g in seeded_graphs(1412, (0.3, 0.5, 0.7), 40):
+        joins = recorded_joins(g, monkeypatch)
+        for a, b, fa, fb, cut, out in joins:
+            home = a | b
+            assert cut == cut_of(g, home)
+            if cut[2]:
+                continue
+            assert home == g.vmask or not is_split(g, home)
+            inner = home & ~cut[0]
+            members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
+            live = [m for m in members if not inner & ~degree_masks(g, m)[1]]
+            if home == g.vmask:  # no trim: the least Hamiltonian cycle is kept
+                assert list(out) == sorted(live)[:1]
+            else:
+                assert out == trim(g, home, family(g, live), cut)
+            checked += 1
+            crossed += len(members) > len(fa) * len(fb)
+        a, b, *_, out = joins[-1]
+        assert a | b == g.vmask
+        assert bool(out) == oracles.brute_hc(g)[0]
+        assert all(is_hamiltonian_cycle(g, m) for m in out)
+    assert checked >= 150 and crossed >= 80
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -158,8 +188,9 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     degree masks equal the fold of the mask, each path end's field holds
     the far end of the walk from it, and every other field is zero.
 
-    Covers `_enumerate_pair` on pairs cut from a Hamiltonian cycle, so
-    spanning-cycle closures occur, and the extension step of
+    Covers the family `join`'s frontier hands to `trim`, for pairs cut
+    from a Hamiltonian cycle at the whole graph, so spanning-cycle closures
+    occur, and at a home one vertex short of it, and the extension step of
     `preserving_extension`, whose items all reach `trim_separator`.
     """
     rng = random.Random(seed + 900)
@@ -186,29 +217,37 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
                    if is_path_system(g, m)]
         return [cycle & inner] + thinned + randoms[:2]
 
-    items = []
-    real_trim_separator = repsets.trim_separator
+    items, fams = [], []
+    real_trim_separator, real_trim = repsets.trim_separator, solver.trim
 
     def recording(g_, a_, sep, its, trace=None):
         items.extend(its)
         return real_trim_separator(g_, a_, sep, its, trace)
 
+    def recording_trim(g_, a_, fam, *args):
+        fams.append(dict(fam))
+        return real_trim(g_, a_, fam, *args)
+
     monkeypatch.setattr(repsets, "trim_separator", recording)
+    monkeypatch.setattr(solver, "trim", recording_trim)
     closures = 0
     for _ in range(4):
         a = rng.randrange(1, g.vmask)
         b = g.vmask & ~a
+        short = b & ~(1 << (b.bit_length() - 1))
         fa, fb = sample(a), sample(b)
         for sa, sb in [(fa[0], fb[0])] + list(zip(fa[1:], fb[1:])):
-            out = {}
-            _enumerate_pair(g, sa, sb, path_state(g, sa), path_state(g, sb),
-                            g.edges_between(a, b), out)
-            for m, state in out.items():
-                check(m, *state)
-                closures += is_hamiltonian_cycle(g, m)
+            join(g, a, b, family(g, [sa]), family(g, [sb]), cut_of(g, a), cut_of(g, b))
+            if short:
+                join(g, a, short, family(g, [sa]), family(g, [sb & g.edges_within(short)]),
+                     cut_of(g, a), cut_of(g, short))
         c = pad_separator(g, a, min_vertex_cover(g, a))
         repsets.preserving_extension(g, a, c, family(g, fa),
                                      g.edges_between(a, c & ~a))
+    for fam in fams:
+        for m, state in fam.items():
+            check(m, *state)
+            closures += is_hamiltonian_cycle(g, m)
     assert closures or not hamiltonian
     assert any(ext != core for ext, *_, core in items)
     for ext, d1, d2, pe, _ in items:
@@ -222,7 +261,7 @@ def test_trim_vc_bound():
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    out = list(trim_vc(g, a, family(g, fam)))
+    out = list(trim_vc(g, a, family(g, fam), cut_of(g, a)))
     assert set(out) <= set(fam)
     assert len(out) <= 6 ** 3  # padded cover has size 3
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
@@ -233,10 +272,10 @@ def test_trim_split_signature_collapse():
     g = Graph(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)])
     a = mask_of([0, 1])
     assert is_split(g, a)
-    out = trim_split(g, a, {0: (0, 0, 0)})
+    out = trim_split(g, a, {0: (0, 0, 0)}, cut_of(g, a))
     assert out == {0: (0, 0, 0)}
     with pytest.raises(ValueError):
-        trim_split(g, mask_of([0, 2]), {0: (0, 0, 0)})
+        trim_split(g, mask_of([0, 2]), {0: (0, 0, 0)}, cut_of(g, mask_of([0, 2])))
 
 
 def test_trim_split_preserves():
@@ -245,7 +284,7 @@ def test_trim_split_preserves():
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    out = list(trim_split(g, a, family(g, fam)))
+    out = list(trim_split(g, a, family(g, fam), cut_of(g, a)))
     assert set(out) <= set(fam)
     assert len(out) <= (g.n + 1) ** 3
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
@@ -254,9 +293,9 @@ def test_trim_split_preserves():
 def test_trim_dispatch():
     g = complete_graph(6)
     a = mask_of([0, 1, 2])
-    assert trim(g, a, {0: (0, 0, 0)}) == {0: (0, 0, 0)}  # a live lone member stays
+    assert trim(g, a, {0: (0, 0, 0)}, cut_of(g, a)) == {0: (0, 0, 0)}  # a live lone member stays
     fam = [0, g.edge_mask([(0, 1)])]
-    assert set(trim(g, a, family(g, fam))) <= set(fam)
+    assert set(trim(g, a, family(g, fam), cut_of(g, a))) <= set(fam)
 
 
 def test_solve_named_graphs():
@@ -348,13 +387,19 @@ def test_solve_deep_caterpillar_in_bounded_stack():
 def test_merge_many_cross_edges_in_bounded_stack():
     """The merge needs no stack frame per candidate cross edge.
 
-    A hub joined to 60 independent path vertices gives 60 candidates; the
-    members are the empty set, each spoke and each pair of spokes, listed
-    under a recursion limit 50 frames above the caller's depth.
+    A hub joined to 60 path vertices gives 60 cross edges; every vertex
+    keeps a neighbour outside the home and the home is no split side, so
+    the frontier keeps each of its members: the empty set, each spoke and
+    each pair of spokes, folded under a recursion limit 50 frames above
+    the caller's depth.
     """
     k = 60
-    g = Graph(range(k + 1), [(0, v) for v in range(1, k + 1)])
+    g = Graph(range(k + 3), [(0, v) for v in range(1, k + 1)]
+              + [(v, k + 1) for v in range(1, k + 1)] + [(0, k + 2), (k + 1, k + 2)])
+    trace = {"trims": []}
     with bounded_stack():
-        out = merge_pair(g, 1, g.vmask & ~1, 0, 0)
+        b = mask_of(range(1, k + 1))
+        join(g, 1, b, {0: (0, 0, 0)}, {0: (0, 0, 0)}, cut_of(g, 1), cut_of(g, b), trace)
+    (_, out, _), = trace["trims"]
     assert len(out) == len(set(out)) == 1 + k + k * (k - 1) // 2
     assert all(m.bit_count() <= 2 for m in out)

@@ -38,6 +38,20 @@ def test_find_split_c5_none():
     assert find_split(cycle_graph(5)) is None
 
 
+def test_connectivity_checked_once(monkeypatch):
+    """`find_split` and `split_decompose` refuse a disconnected graph, and
+    `split_decompose` tests connectivity once, not once per part."""
+    disconnected = Graph(range(4), [(0, 1), (2, 3)])
+    for fn in (find_split, split_decompose):
+        with pytest.raises(ValueError):
+            fn(disconnected)
+    calls = []
+    real = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected", lambda h: calls.append(h) or real(h))
+    dec = split_decompose(path_graph(20))
+    assert len(dec.primes) > 1 and len(calls) == 1
+
+
 def test_find_split_p4():
     g = path_graph(4)
     a, b = find_split(g)
