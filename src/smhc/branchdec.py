@@ -137,42 +137,6 @@ class BranchDecomposition:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def normalized_decomposition(edges, leaf_map) -> BranchDecomposition:
-    """Splice out degree-2 non-leaf nodes so internal nodes have degree 3."""
-    edges = set(tuple(sorted(e)) for e in edges)
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    for u in leaf_map:
-        adj.setdefault(u, set())
-    changed = True
-    while changed:
-        changed = False
-        for u in list(adj):
-            if u in leaf_map:
-                continue
-            nbrs = adj[u]
-            if len(nbrs) == 2:
-                a, b = sorted(nbrs)
-                adj[a].discard(u)
-                adj[b].discard(u)
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[u]
-                changed = True
-            elif len(nbrs) in (0, 1) and len(adj) > 1:
-                for w in list(nbrs):
-                    adj[w].discard(u)
-                del adj[u]
-                changed = True
-    out_edges = set()
-    for u, nbrs in adj.items():
-        for w in nbrs:
-            out_edges.add(tuple(sorted((u, w))))
-    return BranchDecomposition(sorted(out_edges), leaf_map)
-
-
 # -- building a tree from a recursive bisection ------------------------------
 
 def _binary_tree(full: int, split, first_id: int) -> BranchDecomposition:
@@ -305,7 +269,6 @@ def approx_decomposition(f, elements: list[int],
     """Decomposition of the element set under f via the chosen backend.
 
     Backends: `exact` (optimal, size-limited) and `greedy` (no guarantee).
-    A slot for a true 3-approximation backend is reserved but not shipped.
     """
     if backend == "exact":
         if len(elements) > EXACT_SIZE_LIMIT:

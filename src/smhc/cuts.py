@@ -101,10 +101,9 @@ def sm_value(g: Graph, a: int) -> int:
 
 
 class CutFunction:
-    """Named symmetric cut function with per-subset memoization."""
+    """Symmetric cut function with per-subset memoization."""
 
-    def __init__(self, name: str, fn, domain: int):
-        self.name = name
+    def __init__(self, fn, domain: int):
         self._fn = fn
         self.domain = domain
         self._cache: dict[int, int] = {}
@@ -119,8 +118,8 @@ class CutFunction:
 
 
 def mm_cut_function(g: Graph) -> CutFunction:
-    return CutFunction("mm", lambda a: mm_value(g, a), g.vmask)
+    return CutFunction(lambda a: mm_value(g, a), g.vmask)
 
 
 def sm_cut_function(g: Graph) -> CutFunction:
-    return CutFunction("sm", lambda a: sm_value(g, a), g.vmask)
+    return CutFunction(lambda a: sm_value(g, a), g.vmask)

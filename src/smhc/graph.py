@@ -1,8 +1,8 @@
 """Immutable simple undirected graphs with bitset adjacency.
 
 Vertex ids are small non-negative integers.  A fresh graph uses dense ids
-0..n-1; derived graphs (induced subgraphs, split-decomposition primes with
-marker vertices) keep the original ids, so ids need not be contiguous.
+0..n-1; split-decomposition primes keep the original ids and add marker
+vertices, so ids need not be contiguous.
 Vertex sets are plain python ints used as bitsets (bit i = vertex i).
 """
 
@@ -101,13 +101,6 @@ class Graph:
             raise ValueError(f"unknown vertex ids {bad}")
 
     # -- operations --------------------------------------------------------
-
-    def induced_subgraph(self, a: int) -> "Graph":
-        """Subgraph induced by the vertex set `a` (a bitmask)."""
-        self.check_subset(a)
-        vs = [v for v in self.vertices if (a >> v) & 1]
-        es = [(u, v) for (u, v) in self.edges if (a >> u) & 1 and (a >> v) & 1]
-        return Graph(vs, es)
 
     def neighborhood(self, s: int) -> int:
         """N(s): vertices outside s adjacent to s, as a bitmask."""

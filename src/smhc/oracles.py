@@ -20,10 +20,11 @@ BRUTE_HC_LIMIT = 18
 BRUTE_WIDTH_LIMIT = 10
 
 
-def brute_hc(g: Graph, limit: int = BRUTE_HC_LIMIT):
+def brute_hc(g: Graph):
     """Held-Karp decision with witness; refuses instances over the limit."""
-    if g.n > limit:
-        raise SizeLimitExceeded(f"brute_hc limited to {limit} vertices, got {g.n}")
+    if g.n > BRUTE_HC_LIMIT:
+        raise SizeLimitExceeded(
+            f"brute_hc limited to {BRUTE_HC_LIMIT} vertices, got {g.n}")
     n = g.n
     if n < 3 or not g.is_connected():
         return False, None
@@ -116,11 +117,11 @@ def enumerate_hamiltonian_cycles(g: Graph) -> list[int]:
     return out
 
 
-def brute_sm_width(g: Graph, limit: int = BRUTE_WIDTH_LIMIT) -> int:
+def brute_sm_width(g: Graph) -> int:
     """Exact sm-width via the optimal decomposition search (size-limited)."""
-    if g.n > limit:
+    if g.n > BRUTE_WIDTH_LIMIT:
         raise SizeLimitExceeded(
-            f"brute_sm_width limited to {limit} vertices, got {g.n}")
+            f"brute_sm_width limited to {BRUTE_WIDTH_LIMIT} vertices, got {g.n}")
     width, _ = exact_branch_width(list(g.vertices), sm_cut_function(g))
     return width
 

@@ -4,17 +4,18 @@ Per prime: vertices of weight at least 3k are heavy; edges between two
 heavy vertices must form a matching (else k is too small).  The search
 runs over elements: the prime's other vertices, and one fresh id per heavy
 edge standing for both its ends.  It finds a lifted-mm decomposition of
-the elements; each fresh leaf is re-expanded into a cherry, the per-prime
-trees are glued at the markers, and k grows until the recomputed sm-width
-of the result fits the 18k budget.
+the elements; each fresh leaf becomes the parent of its pair's two ends,
+the per-prime trees are glued at the markers, and k grows until the
+recomputed sm-width of the result fits the 18k budget.  A prime's tree
+depends on k only through its heavy set, so each (prime, heavy set) is
+searched once per call.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, bits, mask_of
 from .cuts import CutFunction, mm_value, sm_cut_function
-from .branchdec import (BranchDecomposition, EXACT_SIZE_LIMIT,
-                        approx_decomposition, normalized_decomposition)
+from .branchdec import BranchDecomposition, EXACT_SIZE_LIMIT, approx_decomposition
 from .splitdec import LiftedContext, SplitDecomposition, split_decompose
 
 
@@ -31,8 +32,9 @@ def heavy_vertices(ctx: LiftedContext, k: int) -> int:
     return mask
 
 
-def contract_heavy_edges(ctx: LiftedContext, k: int):
-    """Contract all heavy-heavy edges; returns (elements, tot_map, merged).
+def contract_heavy_edges(ctx: LiftedContext, heavy: int):
+    """Contract all edges between heavy vertices (the mask `heavy`);
+    returns (elements, tot_map, merged).
 
     The elements are the prime's vertices outside heavy edges, ascending,
     then one fresh id per heavy edge, counting up from the highest prime
@@ -40,13 +42,12 @@ def contract_heavy_edges(ctx: LiftedContext, k: int):
     vertices it represents; merged records the endpoint pair behind each
     fresh id.
     """
-    heavy = heavy_vertices(ctx, k)
     heavy_edges = [(u, v) for (u, v) in ctx.prime.edges
                    if (heavy >> u) & 1 and (heavy >> v) & 1]
     touched = 0
     for u, v in heavy_edges:
         if (touched >> u) & 1 or (touched >> v) & 1:
-            raise KTooSmall(f"heavy edges are not a matching at k={k}")
+            raise KTooSmall("heavy edges are not a matching")
         touched |= (1 << u) | (1 << v)
     tot_map = {v: ctx.tot(v) for v in ctx.prime.vertices}
     merged: dict[int, tuple[int, int]] = {}
@@ -57,10 +58,16 @@ def contract_heavy_edges(ctx: LiftedContext, k: int):
     return elements + list(merged), tot_map, merged
 
 
-def prime_decomposition(ctx: LiftedContext, k: int,
+def prime_decomposition(ctx: LiftedContext, heavy: int,
                         backend: str = "exact") -> BranchDecomposition:
-    """Lifted-mm decomposition of one prime, heavy pairs kept in cherries."""
-    elements, tot_map, merged = contract_heavy_edges(ctx, k)
+    """Lifted-mm decomposition of one prime with its heavy pairs contracted,
+    each fresh leaf then made in place the parent of its pair's two ends.
+
+    A prime made from a split has at least 3 vertices, and a 2- or 3-vertex
+    whole graph has no heavy vertex, so at least two elements remain: each
+    fresh leaf has a neighbour and ends with degree 3.
+    """
+    elements, tot_map, merged = contract_heavy_edges(ctx, heavy)
 
     def lifted(x: int) -> int:
         t = 0
@@ -68,32 +75,30 @@ def prime_decomposition(ctx: LiftedContext, k: int,
             t |= tot_map[v]
         return mm_value(ctx.graph, t)
 
-    f = CutFunction("lifted-mm", lifted, mask_of(elements))
-    bd = approx_decomposition(f, elements, backend=backend)
+    bd = approx_decomposition(CutFunction(lifted, mask_of(elements)), elements,
+                              backend=backend)
     if not merged:
         return bd
     edges = list(bd.edges)
     leaf_map = dict(bd.leaf_map)
     next_id = max(bd.nodes) + 1
-    for node, v in list(leaf_map.items()):
+    for node, v in bd.leaf_map.items():
         if v in merged:
-            u, w = merged[v]
             del leaf_map[node]
-            edges.append((node, next_id))
-            edges.append((node, next_id + 1))
-            leaf_map[next_id] = u
-            leaf_map[next_id + 1] = w
+            edges += [(node, next_id), (node, next_id + 1)]
+            leaf_map[next_id], leaf_map[next_id + 1] = merged[v]
             next_id += 2
-    return normalized_decomposition(edges, leaf_map)
+    return BranchDecomposition(edges, leaf_map)
 
 
 def combine(dec: SplitDecomposition,
             bds: list[BranchDecomposition]) -> BranchDecomposition:
     """Glue per-prime decompositions at the markers.
 
-    Node ids are shifted apart, the two leaves of each marker are joined
-    by an edge, and normalizing splices both out, so the trees meet at
-    the leaves' former parents.
+    Node ids are shifted apart.  Each marker has one leaf in each of two
+    prime trees; both leaves are dropped and their neighbours joined by
+    one edge.  Every prime has at least 3 vertices, so no two marker
+    leaves are neighbours.
     """
     if len(bds) != len(dec.primes):
         raise ValueError("need one decomposition per prime")
@@ -101,18 +106,26 @@ def combine(dec: SplitDecomposition,
         return bds[0]
     edges: list[tuple[int, int]] = []
     leaf_map: dict[int, int] = {}
-    marker_leaves: dict[int, list[int]] = {}
+    marker_ends: dict[int, list[int]] = {}  # marker -> its leaves' neighbours
     offset = 0
     for bd in bds:
-        edges += [(u + offset, v + offset) for u, v in bd.edges]
+        at_marker = {}
         for node, v in bd.leaf_map.items():
             if v in dec.markers:
-                marker_leaves.setdefault(v, []).append(node + offset)
+                at_marker[node + offset] = v
             else:
                 leaf_map[node + offset] = v
+        for u, w in bd.edges:
+            u, w = u + offset, w + offset
+            if w in at_marker:
+                u, w = w, u
+            if u in at_marker:
+                marker_ends.setdefault(at_marker[u], []).append(w)
+            else:
+                edges.append((u, w))
         offset += max(bd.nodes) + 1
-    edges += [tuple(pair) for pair in marker_leaves.values()]
-    return normalized_decomposition(edges, leaf_map)
+    edges += [tuple(ends) for ends in marker_ends.values()]
+    return BranchDecomposition(edges, leaf_map)
 
 
 def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
@@ -131,11 +144,17 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
     backend = "exact" if max(p.n for p in dec.primes) <= EXACT_SIZE_LIMIT else "greedy"
     smf = sm_cut_function(g)
+    trees: dict[tuple[int, int], BranchDecomposition] = {}  # by (prime, heavy set)
     best = None
     k = 1
     while True:
+        bds = []
         try:
-            bds = [prime_decomposition(ctx, k, backend=backend) for ctx in ctxs]
+            for i, ctx in enumerate(ctxs):
+                key = (i, heavy_vertices(ctx, k))
+                if key not in trees:
+                    trees[key] = prime_decomposition(ctx, key[1], backend=backend)
+                bds.append(trees[key])
         except KTooSmall:
             k += 1
             continue

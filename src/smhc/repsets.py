@@ -193,11 +193,11 @@ def representative_hc_sets(g: Graph, members: list[tuple[int, int, int]]) -> lis
 
 # -- separator trims --------------------------------------------------------
 
-def pad_separator(g: Graph, a: int, c: int, minimum: int = 3) -> int:
-    """Grow c to the minimum size with lowest-id vertices of a, then others."""
+def pad_separator(g: Graph, a: int, c: int) -> int:
+    """Grow c to 3 vertices with lowest-id vertices of a, then others."""
     for pool in (a & ~c, g.vmask & ~a & ~c):
         for v in bits(pool):
-            if c.bit_count() >= minimum:
+            if c.bit_count() >= 3:
                 return c
             c |= 1 << v
     return c

@@ -247,13 +247,11 @@ class LiftedContext:
 
 
 def lifted_mm_cut_function(ctx: LiftedContext) -> CutFunction:
-    return CutFunction("lifted-mm", lambda x: mm_value(ctx.graph, ctx.tot_set(x)),
-                       ctx.prime.vmask)
+    return CutFunction(lambda x: mm_value(ctx.graph, ctx.tot_set(x)), ctx.prime.vmask)
 
 
 def lifted_sm_cut_function(ctx: LiftedContext) -> CutFunction:
-    return CutFunction("lifted-sm", lambda x: sm_value(ctx.graph, ctx.tot_set(x)),
-                       ctx.prime.vmask)
+    return CutFunction(lambda x: sm_value(ctx.graph, ctx.tot_set(x)), ctx.prime.vmask)
 
 
 def is_prime(g: Graph) -> bool:

@@ -7,7 +7,7 @@ from smhc.cuts import mm_cut_function, mm_value, sm_cut_function
 from smhc.branchdec import (BranchDecomposition, SizeLimitExceeded,
                             exact_branch_width,
                             enumerate_decompositions, greedy_decomposition,
-                            approx_decomposition, normalized_decomposition)
+                            approx_decomposition)
 from smhc.generators import random_connected_graph, caterpillar_decomposition
 from smhc.pipeline import approx_sm_decomposition
 
@@ -140,15 +140,6 @@ def test_approx_backends():
     assert approx_decomposition(f, list(g.vertices), "greedy").f_width(f) >= 2
     with pytest.raises(ValueError):
         approx_decomposition(f, list(g.vertices), "bogus")
-
-
-def test_normalized_splices_degree_two():
-    # path of internal nodes 10-11-12 with leaves at the ends: 11 is spliced
-    bd = normalized_decomposition([(0, 10), (10, 11), (11, 12), (12, 1)],
-                                  {0: 0, 1: 1})
-    assert all(len([w for (u, w) in bd.edges if u == n]
-                   + [u for (u, w) in bd.edges if w == n]) != 2
-               for n in bd.nodes if n not in bd.leaf_map)
 
 
 def test_json_roundtrip():

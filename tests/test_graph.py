@@ -34,13 +34,6 @@ def test_edge_outside_vertex_set_rejected():
         Graph(range(3), [(0, 5)])
 
 
-def test_induced_subgraph():
-    g = cycle_graph(5)
-    h = g.induced_subgraph(0b01011)
-    assert h.vertices == (0, 1, 3)
-    assert h.edges == ((0, 1),)
-
-
 def test_neighborhood():
     g = cycle_graph(4)
     assert g.neighborhood(1 << 1) == (1 << 0) | (1 << 2)

@@ -7,6 +7,7 @@ from smhc.graph import (Graph, mask_of, cycle_graph, complete_graph, path_graph,
 from smhc.cuts import mm_value, sm_cut_function
 from smhc.splitdec import (LiftedContext, SplitDecomposition, split_decompose,
                            lifted_sm_cut_function)
+from smhc import pipeline
 from smhc.branchdec import exact_branch_width
 from smhc.pipeline import (KTooSmall, heavy_vertices, contract_heavy_edges,
                            prime_decomposition, combine, approx_sm_decomposition)
@@ -32,7 +33,7 @@ def test_heavy_vertices_worked_example():
 def test_contract_identity_without_heavy_edges():
     g = cycle_graph(6)
     ctx = LiftedContext(split_decompose(g), 0)
-    elements, tot_map, merged = contract_heavy_edges(ctx, 1)
+    elements, tot_map, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     assert elements == list(ctx.prime.vertices) and not merged
     assert all(tot_map[v] == 1 << v for v in g.vertices)
 
@@ -64,7 +65,7 @@ def test_contract_merges_heavy_pair():
     dec = heavy_pair_example()
     ctx = LiftedContext(dec, 0)
     assert heavy_vertices(ctx, 1) == mask_of([20, 21])
-    elements, tot_map, merged = contract_heavy_edges(ctx, 1)
+    elements, tot_map, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     assert len(elements) == ctx.prime.n - 1
     (new_id, pair), = merged.items()
     assert set(pair) == {20, 21}
@@ -75,10 +76,10 @@ def test_heavy_pair_element_numbering():
     """Light vertices ascending, then fresh ids above the prime's highest
     vertex; the exact search's tie-breaks and node ids follow this order."""
     ctx = LiftedContext(heavy_pair_example(), 0)
-    elements, _, merged = contract_heavy_edges(ctx, 1)
+    elements, _, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     assert elements == [22, 23, 24]
     assert merged == {24: (20, 21)}
-    assert prime_decomposition(ctx, 1).to_json() == {
+    assert prime_decomposition(ctx, heavy_vertices(ctx, 1)).to_json() == {
         "nodes": [25, 26, 27, 28, 29, 30],
         "edges": [[25, 28], [26, 28], [27, 28], [27, 29], [27, 30]],
         "leaf_map": {"25": 22, "26": 23, "29": 20, "30": 21}}
@@ -96,24 +97,24 @@ def test_ktoosmall_on_heavy_triangle():
     ctx = LiftedContext(dec, 0)
     assert heavy_vertices(ctx, 1) == mask_of([20, 21, 22])
     with pytest.raises(KTooSmall):
-        contract_heavy_edges(ctx, 1)
+        contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     # a larger budget turns the markers light again
-    elements, _, merged = contract_heavy_edges(ctx, 2)
+    elements, _, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 2))
     assert elements == list(ctx.prime.vertices) and not merged
 
 
 def test_prime_decomposition_reexpands_cherries():
     dec = heavy_pair_example()
     ctx = LiftedContext(dec, 0)
-    bd = prime_decomposition(ctx, 1)
+    bd = prime_decomposition(ctx, heavy_vertices(ctx, 1))
     # the contracted pair comes back as two sibling leaves
     assert set(bd.leaf_map.values()) == set(ctx.prime.vertices)
 
 
 def test_combine_leaf_count():
     g, dec = worked_example()
-    bds = [prime_decomposition(LiftedContext(dec, i), 1)
-           for i in range(len(dec.primes))]
+    ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
+    bds = [prime_decomposition(ctx, heavy_vertices(ctx, 1)) for ctx in ctxs]
     bd = combine(dec, bds)
     assert sorted(bd.leaf_map.values()) == sorted(g.vertices)
     assert bd.elements == g.vmask
@@ -124,7 +125,8 @@ def _prime_trees(dec):
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
     for k in range(1, dec.graph.n + 2):
         try:
-            return ctxs, [prime_decomposition(ctx, k) for ctx in ctxs]
+            return ctxs, [prime_decomposition(ctx, heavy_vertices(ctx, k))
+                          for ctx in ctxs]
         except KTooSmall:
             continue
     raise AssertionError("no budget k was accepted")
@@ -159,7 +161,8 @@ def test_combine_lifts_every_prime_cut(dec):
 def test_combine_single_prime_identity():
     g = cycle_graph(5)
     dec = split_decompose(g)
-    bd = prime_decomposition(LiftedContext(dec, 0), 1)
+    ctx = LiftedContext(dec, 0)
+    bd = prime_decomposition(ctx, heavy_vertices(ctx, 1))
     assert combine(dec, [bd]) is bd
     with pytest.raises(ValueError):
         combine(dec, [bd, bd])
@@ -170,6 +173,29 @@ def test_approx_widths_named():
                      (cycle_graph(4), 1), (petersen_graph(), 3)]:
         bd = approx_sm_decomposition(g)
         assert bd.f_width(sm_cut_function(g)) <= 18 * exact
+
+
+def test_each_prime_heavy_set_searched_once(monkeypatch):
+    """K12 is accepted only after k has risen; a prime whose heavy set
+    stays the same across k keeps its tree, so no (prime, elements)
+    search runs twice."""
+    searches = []
+    prime = [None]
+    real_prime = pipeline.prime_decomposition
+    real_search = pipeline.approx_decomposition
+
+    def prime_decomposition(ctx, *args, **kwargs):
+        prime[0] = ctx.prime_index
+        return real_prime(ctx, *args, **kwargs)
+
+    def approx_decomposition(f, elements, *args, **kwargs):
+        searches.append((prime[0], tuple(elements)))
+        return real_search(f, elements, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "prime_decomposition", prime_decomposition)
+    monkeypatch.setattr(pipeline, "approx_decomposition", approx_decomposition)
+    approx_sm_decomposition(complete_graph(12))
+    assert searches and len(searches) == len(set(searches))
 
 
 def test_approx_rejects_bad_inputs():
