@@ -269,11 +269,17 @@ def approx_decomposition(f, elements: list[int],
     """Decomposition of the element set under f via the chosen backend.
 
     Backends: `exact` (optimal, size-limited) and `greedy` (no guarantee).
+    f is a symmetric cut function.  On three elements x < y < z, `exact`
+    builds `exact_branch_width`'s tree without evaluating f: f({y, z}) =
+    f({x}), so each of the three splits costs max(f(x), f(y), f(z)) and
+    the search keeps the first, the lowest element.
     """
     if backend == "exact":
         if len(elements) > EXACT_SIZE_LIMIT:
             raise SizeLimitExceeded(f"exact backend limited to {EXACT_SIZE_LIMIT} "
                                     f"elements, got {len(elements)}")
+        if len(elements) == 3:
+            return _binary_tree(mask_of(elements), lambda m: m & -m, max(elements) + 1)
         _, bd = exact_branch_width(sorted(elements), f)
         return bd
     if backend == "greedy":

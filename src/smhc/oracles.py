@@ -126,13 +126,15 @@ def brute_sm_width(g: Graph) -> int:
     return width
 
 
-def brute_split(g: Graph):
-    """The split whose side holds the lowest vertex with the least mask, by
-    scanning every side that holds it in ascending mask order (2^(n-1))."""
+def brute_split(g: Graph, anchor: int | None = None):
+    """The split whose side holds the anchor (by default the lowest vertex)
+    with the least mask, by scanning every side that holds it in ascending
+    mask order (2^(n-1))."""
     verts = g.vertices
     n = len(verts)
-    anchor = verts[0]
-    rest = verts[1:]
+    if anchor is None:
+        anchor = verts[0]
+    rest = [v for v in verts if v != anchor]
     for sub in range(1 << (n - 1)):
         a = 1 << anchor
         for i in range(n - 1):

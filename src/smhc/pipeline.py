@@ -6,9 +6,10 @@ runs over elements: the prime's other vertices, and one fresh id per heavy
 edge standing for both its ends.  It finds a lifted-mm decomposition of
 the elements; each fresh leaf becomes the parent of its pair's two ends,
 the per-prime trees are glued at the markers, and k grows until the
-recomputed sm-width of the result fits the 18k budget.  A prime's tree
-depends on k only through its heavy set, so each (prime, heavy set) is
-searched once per call.
+recomputed sm-width of the result fits the 18k budget.  Weights do not
+depend on k, so each prime vertex is weighed once per call, and a prime's
+tree depends on k only through its heavy set, so each (prime, heavy set)
+is searched once per call.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class KTooSmall(ValueError):
 def heavy_vertices(ctx: LiftedContext, k: int) -> int:
     """Mask of prime vertices whose active-set weight is at least 3k."""
     mask = 0
-    for v in ctx.prime.vertices:
-        if ctx.weight(v) >= 3 * k:
+    for v, w in ctx.weights.items():
+        if w >= 3 * k:
             mask |= 1 << v
     return mask
 
@@ -134,7 +135,9 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     k is raised one step at a time, so with the exact per-prime backend the
     accepted width is at most 18 times the true sm-width.  That backend
     runs when every prime has at most EXACT_SIZE_LIMIT vertices, the
-    greedy one otherwise; the returned tree's `certified` says which.
+    greedy one otherwise; the returned tree's `certified` says which.  No
+    cut has sm value above n // 2, so the first tree built is accepted
+    unmeasured when n // 2 <= 18k.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
@@ -159,7 +162,8 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
             k += 1
             continue
         bd = combine(dec, bds)
-        width = bd.f_width(smf)
+        bound = g.n // 2  # no cut's sm value exceeds it
+        width = bound if best is None and bound <= 18 * k else bd.f_width(smf)
         if best is None or width < best[0]:
             best = (width, bd)
         if width <= 18 * k or k > 2 * g.n:

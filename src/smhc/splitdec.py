@@ -4,11 +4,23 @@ Marker vertices get globally fresh ids above the original id range, so the
 original vertices keep their ids inside every prime.  The decomposition is
 some valid prime decomposition, not the canonical one; everything downstream
 only needs primality of the parts.
+
+Its primes with four or more vertices are the prime nodes of Cunningham's
+decomposition in any case; only how each degenerate node (a clique or a
+star) breaks into 3-vertex parts is free, and every such resolution has the
+same sm-width.  The solver's cost depends on it, so `split_decompose`
+splits the graph at the least-mask side holding its lowest vertex and every
+later part at the least-mask side holding its newest marker (its highest
+id).  That side is the marker and one more vertex whenever the two form a
+split side, so a degenerate node unrolls as a chain: K_n becomes a chain of
+n - 2 triangles, and every join on a clique or cograph merges the part
+built so far with one branch.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .graph import Graph, bits
 from .cuts import CutFunction, mm_value, sm_value
@@ -17,6 +29,8 @@ from .cuts import CutFunction, mm_value, sm_value
 def find_split(g: Graph):
     """The split (a, b) of the connected g whose side a holds the lowest
     vertex v0 and has the least vertex mask, or None if g is prime.
+    `_least_split(g, v0)` does the search for any pivot v0: nothing below
+    uses that v0 is the lowest vertex.
 
     A split is a bipartition (A, B) with both sides of size >= 2 whose
     crossing edges join every vertex of A' = N(B) ∩ A to every vertex of
@@ -43,29 +57,28 @@ def find_split(g: Graph):
     with B* outside, so it is a split side holding v0 whose mask is not
     below that of A*: it is A*.
 
-    Hence A* is the least mask over these O(n) closures.  y1 is taken as the
-    highest neighbour: in a part of a decomposition that is often a marker
-    on the side of v0, and then the first closure tried is A*.  A closure
-    only grows, so it is abandoned once its mask reaches the best one so
-    far or fewer than two vertices stay outside.  One wave of it forces
-    exactly the vertices in off | (on_any & ~on_all), where off is the
-    union of adj over a − N(z) and on_any, on_all are the union and the
-    intersection of adj over a ∩ N(z); each added vertex updates them in
-    O(1) big-int operations, so the search takes O(n^2) of them.  The
-    closures are those of Cunningham, "Decomposition of directed graphs",
-    SIAM J. Alg. Disc. Meth. 1982.
+    Hence A* is the least mask over these O(n) closures.  Any neighbour
+    serves as y1; the highest is taken.  A closure only grows, so it is
+    abandoned once its mask reaches the best one so far or fewer than two
+    vertices stay outside.  One wave of it forces exactly the vertices in
+    off | (on_any & ~on_all), where off is the union of adj over a − N(z)
+    and on_any, on_all are the union and the intersection of adj over
+    a ∩ N(z); each added vertex updates them in O(1) big-int operations,
+    so the search takes O(n^2) of them.  The closures are those of
+    Cunningham, "Decomposition of directed graphs", SIAM J. Alg. Disc.
+    Meth. 1982.
     """
     if not g.is_connected():
         raise ValueError("split decomposition needs a connected graph")
-    return _least_split(g)
+    return _least_split(g, g.vertices[0])
 
 
-def _least_split(g: Graph):
-    """`find_split` of a graph known to be connected, with no check."""
+def _least_split(g: Graph, v0: int):
+    """The split of the connected g whose side holds the pivot v0 and has
+    the least mask, or None; `find_split` with any pivot and no check."""
     if g.n < 4:
         return None
     full = g.vmask
-    v0 = g.vertices[0]
     n0 = g.adj[v0]
     y1 = n0.bit_length() - 1
     far = full & ~(1 << v0 | 1 << y1)
@@ -188,7 +201,9 @@ class SplitDecomposition:
 
 
 def split_decompose(g: Graph) -> SplitDecomposition:
-    """Decompose a connected graph (n >= 2) into prime graphs."""
+    """Decompose a connected graph (n >= 2) into prime graphs, splitting
+    each part that holds a marker at its newest one (see the module
+    docstring)."""
     if g.n < 2:
         raise ValueError("split decomposition needs at least two vertices")
     if not g.is_connected():
@@ -200,7 +215,7 @@ def split_decompose(g: Graph) -> SplitDecomposition:
     stack = [g]
     while stack:  # every part made from a split of a connected graph is connected
         h = stack.pop()
-        split = _least_split(h)
+        split = _least_split(h, h.vertices[-1] if h.vertices[-1] > last else h.vertices[0])
         if split is None:
             for v in h.vertices:
                 if v > last:
@@ -244,6 +259,11 @@ class LiftedContext:
 
     def weight(self, v: int) -> int:
         return self.act(v).bit_count()
+
+    @cached_property
+    def weights(self) -> dict[int, int]:
+        """`weight` of every prime vertex, computed once per context."""
+        return {v: self.weight(v) for v in self.prime.vertices}
 
 
 def lifted_mm_cut_function(ctx: LiftedContext) -> CutFunction:

@@ -146,3 +146,27 @@ def test_json_roundtrip():
     bd = caterpillar_decomposition([3, 5, 8, 9])
     again = BranchDecomposition.from_json(bd.to_json())
     assert again.edges == bd.edges and again.leaf_map == bd.leaf_map
+
+
+def test_three_elements_tree_without_f():
+    """The exact backend builds `exact_branch_width`'s tree on three
+    elements under random symmetric cut functions, and never evaluates f."""
+    rng = random.Random(3)
+    for _ in range(50):
+        elements = rng.sample(range(20), 3)
+        full = mask_of(elements)
+        table = {}
+
+        def f(a):
+            key = min(a, full & ~a)
+            if key not in table:
+                table[key] = rng.randint(0, 4) if key else 0
+            return table[key]
+
+        _, expected = exact_branch_width(sorted(elements), f)
+
+        def refuse(a):
+            raise AssertionError("f evaluated")
+
+        bd = approx_decomposition(refuse, elements, "exact")
+        assert bd.to_json() == expected.to_json()

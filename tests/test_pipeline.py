@@ -198,6 +198,43 @@ def test_each_prime_heavy_set_searched_once(monkeypatch):
     assert searches and len(searches) == len(set(searches))
 
 
+def complete_multipartite(*sizes):
+    parts, v = [], 0
+    for size in sizes:
+        parts.append(range(v, v + size))
+        v += size
+    return Graph(range(v), [(a, b) for i, p in enumerate(parts) for q in parts[i + 1:]
+                            for a in p for b in q])
+
+
+def test_each_prime_vertex_weighed_once(monkeypatch):
+    """Weights do not depend on k: K_{3,3,3} and K_{4,4,4} are accepted
+    only after k has risen, and `weight` still runs once per (prime,
+    vertex)."""
+    ks = []
+    real_heavy = pipeline.heavy_vertices
+    monkeypatch.setattr(pipeline, "heavy_vertices",
+                        lambda ctx, k: ks.append(k) or real_heavy(ctx, k))
+    real_weight = LiftedContext.weight
+    for g in (complete_multipartite(3, 3, 3), complete_multipartite(4, 4, 4)):
+        calls = []
+        monkeypatch.setattr(LiftedContext, "weight", lambda ctx, v:
+                            calls.append((ctx.prime_index, v)) or real_weight(ctx, v))
+        approx_sm_decomposition(g)
+        assert calls and len(calls) == len(set(calls))
+    assert max(ks) > 1
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_clique_decomposition_is_caterpillar(n):
+    """K_n splits into a chain of triangles, so every internal node of its
+    tree has a leaf neighbour: each join merges one vertex."""
+    bd = approx_sm_decomposition(complete_graph(n))
+    for u in bd.nodes:
+        if u not in bd.leaf_map:
+            assert any(w in bd.leaf_map for w in bd._adj[u])
+
+
 def test_approx_rejects_bad_inputs():
     with pytest.raises(ValueError):
         approx_sm_decomposition(Graph([0], []))

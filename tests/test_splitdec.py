@@ -5,7 +5,8 @@ import pytest
 from smhc.graph import Graph, bits, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import is_split, mm_value
 from smhc.splitdec import (find_split, split_decompose, SplitDecomposition,
-                           LiftedContext, is_prime, lifted_mm_cut_function)
+                           LiftedContext, is_prime, lifted_mm_cut_function,
+                           _least_split)
 from smhc.generators import random_connected_graph
 from smhc import oracles
 from tests.conftest import atlas_connected, bounded_stack
@@ -106,6 +107,31 @@ def test_find_split_matches_brute_split_random(seed):
         assert find_split(g) == oracles.brute_split(g)
         g = split_composed(rng.randint(4, 14), rng)
         assert find_split(g) == oracles.brute_split(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_least_split_any_pivot_matches_brute(seed):
+    """With any pivot, the least-mask split side holding it."""
+    rng = random.Random(seed + 100)
+    graphs = list(atlas_connected(4, 6)) if seed == 0 else []
+    for _ in range(10):
+        graphs.append(random_connected_graph(rng.randint(5, 10), rng,
+                                             p=rng.choice([0.3, 0.5, 0.8])))
+        graphs.append(split_composed(rng.randint(5, 12), rng))
+    for g in graphs:
+        for v in g.vertices:
+            assert _least_split(g, v) == oracles.brute_split(g, v)
+
+
+def test_split_decompose_resolves_clique_as_chain():
+    """After the first split each part is split at its newest marker, so
+    K_n becomes a chain: every triangle but the two ends holds two
+    markers and one vertex."""
+    for n in range(4, 12):
+        dec = split_decompose(complete_graph(n))
+        assert len(dec.primes) == n - 2
+        ends = [p for p in dec.primes if sum(v >= n for v in p.vertices) == 1]
+        assert len(ends) == 2 and all(p.n == 3 for p in dec.primes)
 
 
 def test_find_split_on_fifteen_vertices():
