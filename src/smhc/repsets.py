@@ -251,42 +251,105 @@ def preserving_extension(g: Graph, a: int, c: int,
 
     `fam` maps each certificate to its state (d1, d2, pe), c covers the cut
     of a, and `estar` holds the edges between a and c \\ a.  Returns
-    (extended-mask, core-certificate) pairs.  Certificates whose degree
-    deficiency exceeds the cross-edge budget 2|c| cannot complete and are
-    dropped; the rest share one family.  For each x of a \\ c with an estar
-    edge, lowest first, x's edges are folded in, x leaves the separator
-    c ∪ (the vertices still to come) and the family is trimmed over it
+    (extended-mask, core-certificate) pairs: exactly what `trim_separator`
+    over c keeps of every live extension, a certificate grown by a set of
+    its estar edges.  Certificates whose degree deficiency exceeds the
+    cross-edge budget 2|c| cannot complete and are dropped first.  The rest
+    share one `frontier` that folds the estar edges in and never forgets a
+    vertex of c: c covers the cut, so a vertex of a \\ c is decided once its
+    estar edges are in, and an item where it has degree below two is dead
     (the forget step of Cygan et al., Parameterized Algorithms, 2015,
-    ch. 7): c covers the cut, so x now has all its edges, and by Lemma 3
-    it may leave (a member where its degree is below two is dead).  The
-    estar edges at a ∩ c stay optional, and a last trim runs over c unless
-    the trim of the last x already did and nothing was folded since.
-    Sharing the family is exact by keep-first: ext & E(G[a]) is the core,
-    so no member repeats, and a torso repeated across certificates is
-    dependent on its first occurrence.  `trace` is passed on to
-    `trim_separator`.
+    ch. 7).  The frontier keeps the least extended mask per state; on live
+    items that is their state over the live separator c ∪ (the vertices
+    still to come), since every forgotten vertex has degree two.  One
+    `trim_separator` over c follows, the only rank basis (the reduce step,
+    run apart as in Bodlaender, Cygan, Kratsch & Nederlof, Inf. & Comput.
+    2015).  Exact: `trim_separator` feeds its basis in sorted-mask order,
+    and a repeated state is dependent on its first occurrence (Lemma 3),
+    so it keeps of the least live extension per state what it keeps of
+    all.  The core is the extended mask's edges within a.  `trace` is
+    passed on to `trim_separator`.
     """
     csize = c.bit_count()
     if csize < 3:
         raise ValueError("separator must have size at least three")
-    w = field_width(g)
-    items = [(cert, *fam[cert], cert) for cert in sorted(fam)
+    items = [(cert, *fam[cert], 0) for cert in fam
              if a.bit_count() - cert.bit_count() <= csize]
-    todo = 0
-    for i in bits(estar):
-        todo |= g.edge_vertices[i] & a & ~c
-    sep = c | todo
-    for x in bits(todo):
-        for i in bits(estar & g.incident[x]):
+    ext = frontier(g, items, estar, a, c, False)
+    kept = trim_separator(g, a, c, [(m, *state, None) for m, state in ext.items()], trace)
+    inner = g.edges_within(a)
+    return [(m, m & inner) for m, *_ in kept]
+
+
+def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
+             home: int, boundary: int, forget: bool) -> dict[int, tuple[int, int, int]]:
+    """Least member per key of the items grown by every valid set of `left`.
+
+    `items` are (edge-mask, d1, d2, pe, 0) path systems without an edge of
+    `left`.  The edges of `left` are folded in through `grow` grouped by
+    vertex: next comes the vertex of `undecided` (the ends of `left`) with
+    the fewest edges left, the lowest on ties.  A vertex is decided once it
+    has no edge left; its degree is then final.  A decided vertex outside
+    `boundary` with degree below two kills the item: no later edge meets
+    it; the vertices of `home` without an edge in `left` are decided from
+    the start.  With `forget`, a decided boundary vertex is
+    forgotten: it leaves d1 and d2, its field is cleared, an undecided
+    partner's field is set to `free`, and it only adds to the item's tally
+    of decided path ends and decided isolated vertices; `path_state`
+    rebuilds the states of the members kept at the end.  Otherwise items
+    keep their full state.  Per key (d1, d2, pairing, tally) the least
+    edge mask is kept, and each kept mask is returned with its state.
+
+    Exactness.  Two items with one key accept the same later edges, which
+    meet undecided vertices only, and end with one key and liveness.
+    Later edges are disjoint from both masks, so adding them keeps the
+    order of the two: the frontier keeps the least live member per final
+    key.
+    """
+    w = field_width(g)
+    free = (1 << w) - 1  # above every vertex id; `grow` writes there unread
+    fields = (1 << free * w) - 1
+    adj, incident = g.adj, g.incident
+    undecided = 0
+    for i in bits(left):
+        undecided |= g.edge_vertices[i]
+    newly = home & ~undecided
+    while True:
+        best: dict[tuple[int, int, int, int], int] = {}
+        keep = ~newly if forget else -1
+        for m, d1, d2, pe, tally in items:
+            short = newly & ~d2  # decided, of degree below two
+            if short:
+                if short & ~boundary:
+                    continue
+                if forget:
+                    ends = short & d1
+                    tally += ends.bit_count() + ((short & ~d1).bit_count() << w)
+                    while ends:
+                        x = (ends & -ends).bit_length() - 1
+                        ends &= ends - 1
+                        p = (pe >> x * w) & free
+                        pe = pe & ~(free << x * w) | free << p * w
+            key = (d1 & keep, d2 & keep, pe & fields, tally)
+            if best.get(key, m + 1) > m:
+                best[key] = m
+        if not undecided:
+            return {m: path_state(g, m) if forget else key[:3] for key, m in best.items()}
+        items = [(m, *key) for key, m in best.items()]
+        fewest = left.bit_count() + 1
+        for u in bits(undecided):
+            k = (incident[u] & left).bit_count()
+            if k < fewest:
+                v, fewest = u, k
+        group = left & incident[v]
+        for i in bits(group):
             items += grow(g, w, items, i)
-        estar &= ~g.incident[x]
-        sep ^= 1 << x
-        items = trim_separator(g, a, sep, items, trace)
-    if estar or not todo:  # else the last trim above ran over c already
-        for i in bits(estar):
-            items += grow(g, w, items, i)
-        items = trim_separator(g, a, c, items, trace)
-    return [(item[0], item[-1]) for item in items]
+        left ^= group
+        newly = 1 << v
+        for u in bits(adj[v] & undecided):
+            if not incident[u] & left:
+                newly |= 1 << u
+        undecided ^= newly
 
 
 def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],

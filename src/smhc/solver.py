@@ -8,9 +8,10 @@ set in O(1) where the certificate is made.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
 merge, the split test and the trims read only that cut.  A merge lists no
 members: one frontier over all pairs forgets each vertex once its edges
-are decided (`_frontier`).  Its family is pruned once: by a
-twin-signature collapse on split sides, and by the representative-family
-machinery of `repsets` over a small cut vertex cover elsewhere.
+are decided (`repsets.frontier`, the loop the preserving extension runs
+too).  Its family is pruned once: by a twin-signature collapse on split
+sides, and by the representative-family machinery of `repsets` over a
+small cut vertex cover elsewhere.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (is_split, mm_value: benchmark hooks)
 from .branchdec import BranchDecomposition
-from .repsets import (field_width, grow, is_hamiltonian_cycle, pad_separator,
-                      path_state, preserving_extension)
+from .repsets import (frontier, is_hamiltonian_cycle, pad_separator,
+                      preserving_extension)
 
 Family = dict[int, tuple[int, int, int]]  # certificate -> state (d1, d2, pe)
 Cut = tuple[int, int, bool]  # (boundary, N(home), split) of a home, see `cut_of`
@@ -54,102 +55,36 @@ def cut_of(g: Graph, a: int) -> Cut:
     return _cut(g, a, a, g.neighborhood(a))
 
 
-def _frontier(g: Graph, fa: Family, fb: Family, left: int, undecided: int,
-              home: int, cut: Cut) -> Family:
-    """Least member per key of home a | b, all pairs in one frontier.
-
-    Each pair starts from its union state.  The cross edges `left` are
-    folded in through `grow` grouped by vertex: next comes the vertex of
-    `undecided` (the ends of `left`) with the fewest cross edges left, the
-    lowest on ties.  A vertex is decided once it has no cross edge left;
-    its degree is then final.  A decided vertex outside the boundary with
-    degree below two kills the item: no later edge meets it.  On a split
-    home a decided boundary vertex is forgotten: it leaves d1 and d2, its
-    field is cleared, an undecided partner's field is set to `free`, and
-    it only adds to the item's tally of decided path ends and decided
-    isolated vertices; `path_state` rebuilds the states of the members
-    kept at the end.  Elsewhere items keep their full state.  Per key
-    (d1, d2, pairing, tally) the least edge mask is kept.
-
-    Exactness.  Two items with one key accept the same later edges, which
-    meet undecided vertices only, and end with one key and liveness.
-    Later edges are disjoint from both masks, so adding them keeps the
-    order of the two: the frontier keeps the least live member per final
-    key.  On a split home the final key holds `trim_split`'s signature, so
-    `trim_split` keeps what it keeps of all members.  Elsewhere the final
-    key is the state.  Members of one state grow alike in
-    `preserving_extension`, and each extension of the later member comes
-    after the same extension of the earlier one with the same state, so it
-    is dependent on it (`repsets` Lemma 3) and never kept: `trim_vc` keeps
-    what it keeps of all live members.  At the root no vertex has an
-    outside neighbour, so every survivor has all degrees two and is a
-    Hamiltonian cycle (`grow` closes no other cycle): the least is kept.
-    """
-    boundary, _, split = cut
-    w = field_width(g)
-    free = (1 << w) - 1  # above every vertex id; `grow` writes there unread
-    fields = (1 << free * w) - 1
-    adj, incident = g.adj, g.incident
-    items = [(sa | sb, d1a | d1b, d2a | d2b, pea | peb, 0)
-             for sa, (d1a, d2a, pea) in fa.items() for sb, (d1b, d2b, peb) in fb.items()]
-    newly = home & ~undecided
-    while True:
-        best: dict[tuple[int, int, int, int], int] = {}
-        keep = ~newly if split else -1
-        for m, d1, d2, pe, tally in items:
-            short = newly & ~d2  # decided, of degree below two
-            if short:
-                if short & ~boundary:
-                    continue
-                if split:
-                    ends = short & d1
-                    tally += ends.bit_count() + ((short & ~d1).bit_count() << w)
-                    while ends:
-                        x = (ends & -ends).bit_length() - 1
-                        ends &= ends - 1
-                        p = (pe >> x * w) & free
-                        pe = pe & ~(free << x * w) | free << p * w
-            key = (d1 & keep, d2 & keep, pe & fields, tally)
-            if best.get(key, m + 1) > m:
-                best[key] = m
-        if not undecided:
-            return {m: path_state(g, m) if split else key[:3] for key, m in best.items()}
-        items = [(m, *key) for key, m in best.items()]
-        fewest = left.bit_count() + 1
-        for u in bits(undecided):
-            k = (incident[u] & left).bit_count()
-            if k < fewest:
-                v, fewest = u, k
-        group = left & incident[v]
-        for i in bits(group):
-            items += grow(g, w, items, i)
-        left ^= group
-        newly = 1 << v
-        for u in bits(adj[v] & undecided):
-            if not incident[u] & left:
-                newly |= 1 << u
-        undecided ^= newly
-
-
 def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cut,
          trace: dict | None = None) -> tuple[Cut, Family]:
     """Cut and family of home a | b: each pair of fa and fb with every valid
-    set of its cross edges, in one frontier (`_frontier`, which proves that
-    the trim keeps what it keeps of all live members), trimmed once unless
+    set of its cross edges, in one `repsets.frontier`, trimmed once unless
     a | b is the whole graph.  The cut and the cross edges are read off the
     cuts of a and b in O(|boundary of a| + |boundary of b|) big-int
     operations.  No split side needs a path limit: `trim_split` keeps no
     member with more paths than the mm of its side, and the paper's limit
     is 4 times that.
+
+    The trim keeps what it keeps of every live member.  On a split home
+    the frontier forgets each decided boundary vertex, so its final key
+    holds `trim_split`'s signature, and `trim_split` keeps what it keeps
+    of all members.  Elsewhere the final key is the state: members of one
+    state grow alike in `preserving_extension`, and each extension of the
+    later member comes after the same extension of the earlier one with
+    the same state, so it is dependent on it (`repsets` Lemma 3) and never
+    kept.  At the root no vertex has an outside neighbour, so every
+    survivor has all degrees two and is a Hamiltonian cycle (`grow`
+    closes no other cycle): the least is kept.
     """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
     home = a | b
     (ba, na, _), (bb, nb, _) = cut_a, cut_b
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
-    ends_a, ends_b = ba & nb, bb & na
-    left = _edges_at(g, ends_a) & _edges_at(g, ends_b)
-    fam = _frontier(g, fa, fb, left, ends_a | ends_b, home, cut)
+    left = _edges_at(g, ba & nb) & _edges_at(g, bb & na)
+    items = [(sa | sb, d1a | d1b, d2a | d2b, pea | peb, 0)
+             for sa, (d1a, d2a, pea) in fa.items() for sb, (d1b, d2b, peb) in fb.items()]
+    fam = frontier(g, items, left, home, cut[0], cut[2])
     return cut, trim(g, home, fam, cut, trace)
 
 

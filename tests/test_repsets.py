@@ -267,69 +267,7 @@ def test_preserving_extension_no_estar():
     assert out == [(m, m)]
 
 
-def test_extension_forgets_one_vertex_per_trim(monkeypatch):
-    """The separator starts as c ∪ todo, todo being the vertices of a \\ c
-    with an estar edge; each trim comes after one vertex of todo, lowest
-    first, has had its edges folded in and left the separator.  One more
-    trim over c follows when estar edges at a ∩ c were folded after it."""
-    seps = []
-    real_trim_separator = repsets.trim_separator
-
-    def recording(g_, a_, sep, items, trace=None):
-        seps.append(sep)
-        return real_trim_separator(g_, a_, sep, items, trace)
-
-    monkeypatch.setattr(repsets, "trim_separator", recording)
-    rng = random.Random(17)
-    instances = 0
-    optional = set()
-    while instances < 10 or len(optional) < 2:
-        g = random_connected_graph(rng.randint(6, 9), rng)
-        a = rng.randrange(1, g.vmask)
-        c = pad_separator(g, a, min_vertex_cover(g, a))
-        estar = g.edges_between(a, c & ~a)
-        todo = 0
-        for i in bits(estar):
-            todo |= g.edge_vertices[i] & a & ~c
-        if todo.bit_count() < 2:
-            continue
-        inner = g.edges_within(a)
-        fam = [m for m in {inner & rng.getrandbits(g.m) for _ in range(20)}
-               if is_path_system(g, m)]
-        seps.clear()
-        preserving_extension(g, a, c, family(g, fam), estar)
-        want, sep = [], c | todo
-        for x in bits(todo):
-            sep &= ~(1 << x)
-            want.append(sep)
-            estar &= ~g.incident[x]
-        assert seps == want + [c] * bool(estar)
-        optional.add(bool(estar))
-        instances += 1
-
-
-def test_extension_trims_over_c_once(monkeypatch):
-    """Without estar edges at a ∩ c, the trim after the last vertex of
-    todo is the trim over c, and no second one follows.  The instance is
-    the second of `test_extension_kept_pairs_pinned`: todo = {2, ..., 6}."""
-    seps = []
-    real_trim_separator = repsets.trim_separator
-
-    def recording(g_, a_, sep, items, trace=None):
-        seps.append(sep)
-        return real_trim_separator(g_, a_, sep, items, trace)
-
-    monkeypatch.setattr(repsets, "trim_separator", recording)
-    g = Graph(range(8), [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5),
-                         (2, 3), (2, 7), (3, 4), (4, 6), (4, 7), (6, 7)])
-    a, c = mask_of([2, 3, 4, 5, 6]), mask_of([0, 1, 7])
-    fam = [0, 128, 512, 640, 1024, 1152, 1536, 1664]
-    assert g.edges_between(a, c) == 6527
-    preserving_extension(g, a, c, family(g, fam), 6527)
-    assert len(seps) == 5 and seps[-1] == c
-
-
-@pytest.mark.parametrize("edges, a, c, fam, estar, want", [
+PINNED = [
     # a ∩ c = {0} has estar edges to 4 and 5
     ([(0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)],
      [0, 1, 2, 3], [0, 4, 5], [0, 1, 4, 5, 32, 33, 36], 90,
@@ -339,7 +277,123 @@ def test_extension_trims_over_c_once(monkeypatch):
       (3, 4), (4, 6), (4, 7), (6, 7)],
      [2, 3, 4, 5, 6], [0, 1, 7], [0, 128, 512, 640, 1024, 1152, 1536, 1664], 6527,
      [(1996, 1664), (5844, 1664), (3564, 1152)]),
-])
+]
+
+
+def recorded_trims(monkeypatch):
+    """(sep, items) of every `trim_separator` call, as a list filled in."""
+    calls = []
+    real_trim_separator = repsets.trim_separator
+
+    def recording(g_, a_, sep, items, trace=None):
+        calls.append((sep, list(items)))
+        return real_trim_separator(g_, a_, sep, items, trace)
+
+    monkeypatch.setattr(repsets, "trim_separator", recording)
+    return calls
+
+
+def test_extension_forgets_every_vertex_before_one_trim(monkeypatch):
+    """Each call trims once, over c, after its frontier has forgotten
+    every vertex of todo, the vertices of a \\ c with an estar edge: every
+    item handed to the trim has degree two at each vertex of a \\ c, no
+    two share a state, and each is a certificate grown by estar edges.
+    Instances with and without estar edges at a ∩ c both occur."""
+    calls = recorded_trims(monkeypatch)
+    rng = random.Random(17)
+    instances = handed = 0
+    optional = set()
+    while instances < 10 or len(optional) < 2:
+        g = random_connected_graph(rng.randint(6, 9), rng, p=0.6)
+        a = rng.randrange(1, g.vmask)
+        c = pad_separator(g, a, min_vertex_cover(g, a))
+        estar = g.edges_between(a, c & ~a)
+        todo = 0
+        for i in bits(estar):
+            todo |= g.edge_vertices[i] & a & ~c
+        if todo.bit_count() < 2:
+            continue
+        inner = g.edges_within(a)
+        fam = {h & inner for h in oracles.enumerate_hamiltonian_cycles(g)[:10]}
+        fam |= {m for m in (inner & rng.getrandbits(g.m) for _ in range(20))
+                if is_path_system(g, m)}
+        calls.clear()
+        preserving_extension(g, a, c, family(g, fam), estar)
+        (sep, items), = calls
+        assert sep == c
+        assert len({tuple(item[1:4]) for item in items}) == len(items)
+        for m, d1, d2, pe, _ in items:
+            assert not a & ~c & ~d2
+            assert m & inner in fam and not m & ~inner & ~estar
+        handed += len(items)
+        optional.add(bool(estar & ~g.edges_between(todo, c)))
+        instances += 1
+    assert handed
+
+
+def test_extension_trims_over_c_once(monkeypatch):
+    """Whether or not estar edges at a ∩ c are folded after the last
+    vertex of todo, the one trim runs over c.  The instances are those of
+    `test_extension_kept_pairs_pinned`: a ∩ c = {0} with estar edges, and
+    todo = {2, ..., 6} with none at a ∩ c."""
+    calls = recorded_trims(monkeypatch)
+    for edges, a, c, fam, estar, _ in PINNED:
+        g = Graph(range(max(map(max, edges)) + 1), edges)
+        calls.clear()
+        preserving_extension(g, mask_of(a), mask_of(c), family(g, fam), estar)
+        assert [sep for sep, _ in calls] == [mask_of(c)]
+
+
+def submasks(mask):
+    """Every subset of the mask, itself first."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extension_keeps_trim_of_every_live_extension(seed):
+    """`preserving_extension` returns exactly what `trim_separator` over c
+    keeps of every extension a literal enumeration lists: each certificate
+    within the cross-edge budget (|a| - |cert| <= |c|) grown by each
+    subset of estar that leaves a path system or closes a Hamiltonian
+    cycle, with the certificate as its core.  Both write the same
+    `max_family_by_k`."""
+    rng = random.Random(seed + 1600)
+    seen = {"instances": 0, "kept": 0, "extended": 0, "dropped": 0}
+    for n in range(5, 10):
+        g = random_connected_graph(n, rng, p=rng.choice([0.4, 0.6]))
+        hcs = oracles.enumerate_hamiltonian_cycles(g)[:10]
+        for _ in range(3):
+            a = rng.randrange(1, g.vmask)
+            c = pad_separator(g, a, min_vertex_cover(g, a))
+            estar = g.edges_between(a, c & ~a)
+            if estar.bit_count() > 10:
+                continue
+            inner = g.edges_within(a)
+            fam = {h & inner for h in hcs} | {0}
+            fam |= {m for m in (inner & rng.getrandbits(g.m) for _ in range(20))
+                    if is_path_system(g, m)}
+            extensions = [(m, *path_state(g, m), cert) for cert in sorted(fam)
+                          if a.bit_count() - cert.bit_count() <= c.bit_count()
+                          for m in (cert | sub for sub in submasks(estar))
+                          if is_path_system(g, m) or is_hamiltonian_cycle(g, m)]
+            got_trace, want_trace = {}, {}
+            got = preserving_extension(g, a, c, family(g, fam), estar, got_trace)
+            want = trim_separator(g, a, c, extensions, want_trace)
+            assert got == [(m, core) for m, *_, core in want]
+            assert got_trace == want_trace
+            seen["instances"] += 1
+            seen["kept"] += len(got)
+            seen["extended"] += sum(m != core for m, core in got)
+            seen["dropped"] += len(extensions) > len(got)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("edges, a, c, fam, estar, want", PINNED)
 def test_extension_kept_pairs_pinned(edges, a, c, fam, estar, want):
     """The (extended-mask, core) pairs kept on two fixed instances.
 

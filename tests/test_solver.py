@@ -190,8 +190,9 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
 
     Covers the family `join`'s frontier hands to `trim`, for pairs cut
     from a Hamiltonian cycle at the whole graph, so spanning-cycle closures
-    occur, and at a home one vertex short of it, and the extension step of
-    `preserving_extension`, whose items all reach `trim_separator`.
+    occur, and at a home one vertex short of it, and the items the
+    frontier of `preserving_extension` hands to `trim_separator`, some of
+    them grown by cross edges out of their home.
     """
     rng = random.Random(seed + 900)
     g = random_connected_graph(rng.randint(4, 9), rng, p=0.6)
@@ -221,7 +222,7 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     real_trim_separator, real_trim = repsets.trim_separator, solver.trim
 
     def recording(g_, a_, sep, its, trace=None):
-        items.extend(its)
+        items.extend((a_, *item) for item in its)
         return real_trim_separator(g_, a_, sep, its, trace)
 
     def recording_trim(g_, a_, fam, *args):
@@ -249,8 +250,8 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
             check(m, *state)
             closures += is_hamiltonian_cycle(g, m)
     assert closures or not hamiltonian
-    assert any(ext != core for ext, *_, core in items)
-    for ext, d1, d2, pe, _ in items:
+    assert any(ext & ~g.edges_within(a_) for a_, ext, *_ in items) or not hamiltonian
+    for _, ext, d1, d2, pe, _ in items:
         check(ext, d1, d2, pe)
     assert ends_checked
 
