@@ -6,11 +6,11 @@ A family maps each certificate to its state (d1, d2, pe): the vertices of
 degree >= 1 and >= 2 and the pairing of its path ends (see `repsets`),
 set in O(1) where the certificate is made.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
-merge, the split test and the trims read only that cut.  A merge lists no
+merge, the twin test and the trims read only that cut.  A merge lists no
 members: one frontier over all pairs forgets each vertex once its edges
 are decided (`repsets.frontier`, the loop the preserving extension runs
-too).  Its family is pruned once: by a twin-signature collapse on split
-sides, and by the representative-family machinery of `repsets` over a
+too).  Its family is pruned once: by a twin-signature collapse on twin
+cuts, and by the representative-family machinery of `repsets` over a
 small cut vertex cover elsewhere.
 """
 
@@ -23,7 +23,7 @@ from .repsets import (frontier, is_hamiltonian_cycle, pad_separator,
                       preserving_extension)
 
 Family = dict[int, tuple[int, int, int]]  # certificate -> state (d1, d2, pe)
-Cut = tuple[int, int, bool]  # (boundary, N(home), split) of a home, see `cut_of`
+Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
 
 
 def _edges_at(g: Graph, vs: int) -> int:
@@ -38,20 +38,21 @@ def _cut(g: Graph, a: int, near: int, nbr: int) -> Cut:
     """Cut of a read off `near`, a superset of its boundary, and nbr = N(a)."""
     adj = g.adj
     boundary = 0
-    split = 1 < a.bit_count() < g.n - 1
+    twin = a != g.vmask
     for v in bits(near):
         out = adj[v] & ~a
         if out:
             boundary |= 1 << v
-            split = split and out == nbr
-    return boundary, nbr, split
+            twin = twin and out == nbr
+    return boundary, nbr, twin
 
 
 def cut_of(g: Graph, a: int) -> Cut:
-    """(boundary, N(a), split) of (a, V \\ a), g connected: the boundary holds
-    the vertices of a with a neighbour outside a, and the cut is a split
-    (`cuts.is_split`) when both sides have two vertices or more and every
-    boundary vertex sees all of N(a)."""
+    """(boundary, N(a), twin) of (a, V \\ a), g connected: the boundary holds
+    the vertices of a with a neighbour outside a, and the cut is a twin cut
+    when a is not all of V and every boundary vertex sees all of N(a).  A
+    twin cut is a split (`cuts.is_split`) when both sides have two vertices
+    or more; the twin trim and key need no side size."""
     return _cut(g, a, a, g.neighborhood(a))
 
 
@@ -61,11 +62,11 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     set of its cross edges, in one `repsets.frontier`, trimmed once unless
     a | b is the whole graph.  The cut and the cross edges are read off the
     cuts of a and b in O(|boundary of a| + |boundary of b|) big-int
-    operations.  No split side needs a path limit: `trim_split` keeps no
+    operations.  No twin cut needs a path limit: `trim_split` keeps no
     member with more paths than the mm of its side, and the paper's limit
     is 4 times that.
 
-    The trim keeps what it keeps of every live member.  On a split home
+    The trim keeps what it keeps of every live member.  On a twin cut
     the frontier forgets each decided boundary vertex, so its final key
     holds `trim_split`'s signature, and `trim_split` keeps what it keeps
     of all members.  Elsewhere the final key is the state: members of one
@@ -101,10 +102,9 @@ def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) 
 
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
-    """One representative per twin signature on a split side, read off its
-    cut (`cut_of(g, a)`).
+    """One representative per twin signature on a twin cut (`cut_of(g, a)`).
 
-    On a split side every boundary vertex has the same outside
+    On a twin cut every boundary vertex has the same outside
     neighbourhood, of t vertices, so a certificate only matters through
     how many paths and how many isolated vertices offer attachment slots.
     A certificate can never be completed when a non-boundary vertex is
@@ -112,11 +112,11 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     more than t paths: a cycle through it takes two cross edges per path,
     at most two at each outside neighbour.  Since every path holds a
     boundary vertex, a kept certificate has at most min(t, |boundary|)
-    paths, the mm of the side.
+    paths, the mm of the cut.
     """
-    boundary, common_outside, split = cut
-    if not split:
-        raise ValueError("trim_split needs a split side")
+    boundary, common_outside, twin = cut
+    if not twin:
+        raise ValueError("trim_split needs a twin cut")
     t = common_outside.bit_count()
     chosen: dict[tuple[int, int], int] = {}
     for cert in sorted(fam):
@@ -132,7 +132,7 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
 
 
 def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
-    """Dispatch on the cut of a (`cut_of(g, a)`): split sides use the twin
+    """Dispatch on the cut of a (`cut_of(g, a)`): twin cuts use the twin
     signature, others the rep-set trim.
 
     A lone member m of another side skips the rep-set trim.  It is dropped

@@ -128,19 +128,27 @@ def seeded_graphs(seed, densities, count):
                      for _ in range(count)]
 
 
+def is_twin_cut(g, a):
+    """Whether a is not all of V and every vertex of a with a neighbour
+    outside a has the same neighbours outside a, by neighbour lists."""
+    outside = {frozenset(u for u in bits(g.adj[v]) if not (a >> u) & 1) for v in bits(a)}
+    return a != g.vmask and len(outside - {frozenset()}) == 1
+
+
 def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
-    """At every non-root split home of seeded graphs with n <= 9, `join`
+    """At every non-root twin cut of seeded graphs with n <= 9, `join`
     keeps exactly what `trim_split` keeps of the members `oracles.conc`
-    lists over all pairs; that family preserves those members."""
+    lists over all pairs; that family preserves those members.  The cut's
+    flag is the literal twin-cut test."""
     checked = crossed = 0
     for g in seeded_graphs(1411, (0.5, 0.7, 0.9), 16):
         hcs = oracles.enumerate_hamiltonian_cycles(g)
         for a, b, fa, fb, cut, out in recorded_joins(g, monkeypatch):
             home = a | b
             assert cut == cut_of(g, home)
+            assert cut[2] == is_twin_cut(g, home)
             if not cut[2]:
                 continue
-            assert is_split(g, home)
             members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
             assert out == trim_split(g, home, family(g, members), cut)
             assert oracles.verify_preservation(g, home, members, list(out),
@@ -151,21 +159,21 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
 
 
 def test_frontier_keeps_trim_of_live_conc(monkeypatch):
-    """At every join of seeded graphs with n <= 9 whose home is no split
-    side, the root's included, `join` keeps exactly what `trim` keeps of
+    """At every join of seeded graphs with n <= 9 whose home is no twin
+    cut, the root's included, `join` keeps exactly what `trim` keeps of
     the live members `oracles.conc` lists over all pairs: those in which
     every vertex without an outside neighbour has degree two.  At the root
     that is the least Hamiltonian cycle, and the verdict is `brute_hc`'s.
     Every cut equals the one read off the home."""
     checked = crossed = 0
-    for g in seeded_graphs(1412, (0.3, 0.5, 0.7), 40):
+    for g in seeded_graphs(1412, (0.3, 0.5, 0.7), 60):
         joins = recorded_joins(g, monkeypatch)
         for a, b, fa, fb, cut, out in joins:
             home = a | b
             assert cut == cut_of(g, home)
+            assert cut[2] == is_twin_cut(g, home)
             if cut[2]:
                 continue
-            assert home == g.vmask or not is_split(g, home)
             inner = home & ~cut[0]
             members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
             live = [m for m in members if not inner & ~degree_masks(g, m)[1]]
