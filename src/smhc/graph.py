@@ -187,6 +187,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError("first line must be 'n m'")
     n, m = int(head[0]), int(head[1])
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(rows) - 1}")
     edges = []

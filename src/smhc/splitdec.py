@@ -272,8 +272,3 @@ def lifted_mm_cut_function(ctx: LiftedContext) -> CutFunction:
 
 def lifted_sm_cut_function(ctx: LiftedContext) -> CutFunction:
     return CutFunction(lambda x: sm_value(ctx.graph, ctx.tot_set(x)), ctx.prime.vmask)
-
-
-def is_prime(g: Graph) -> bool:
-    """Whether the connected g has no non-trivial split."""
-    return find_split(g) is None

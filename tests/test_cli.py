@@ -118,6 +118,8 @@ def test_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("this is not a graph\n")
     assert main(["hc", str(p)]) == EXIT_PARSE
+    p.write_text("-3 0\n")  # a negative vertex count is no empty graph
+    assert main(["hc", str(p)]) == EXIT_PARSE
     assert main(["hc", str(tmp_path / "missing.txt")]) == EXIT_PARSE
 
 

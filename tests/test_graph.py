@@ -57,7 +57,7 @@ def test_parse_comments_and_blanks():
     assert g.edges == ((0, 1), (1, 2))
 
 
-@pytest.mark.parametrize("text", ["", "nonsense", "3 5\n0 1\n", "2 1\n0 3\n"])
+@pytest.mark.parametrize("text", ["", "nonsense", "3 5\n0 1\n", "2 1\n0 3\n", "-3 0\n"])
 def test_parse_errors(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)

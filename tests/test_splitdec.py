@@ -5,7 +5,7 @@ import pytest
 from smhc.graph import Graph, bits, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import is_split, mm_value
 from smhc.splitdec import (find_split, split_decompose, SplitDecomposition,
-                           LiftedContext, is_prime, lifted_mm_cut_function,
+                           LiftedContext, lifted_mm_cut_function,
                            _least_split)
 from smhc.generators import random_connected_graph
 from smhc import oracles
@@ -60,11 +60,12 @@ def test_find_split_p4():
 
 
 def test_is_prime():
-    assert is_prime(cycle_graph(5))
-    assert not is_prime(cycle_graph(4))
-    assert is_prime(path_graph(3))  # <= 3 vertices: trivially prime
-    assert is_prime(cycle_graph(20))
-    assert not is_prime(path_graph(20))
+    """A graph is prime when `find_split` finds no split."""
+    assert find_split(cycle_graph(5)) is None
+    assert find_split(cycle_graph(4)) is not None
+    assert find_split(path_graph(3)) is None  # <= 3 vertices: trivially prime
+    assert find_split(cycle_graph(20)) is None
+    assert find_split(path_graph(20)) is not None
 
 
 def split_composed(n, rng):
@@ -147,7 +148,7 @@ def test_find_split_on_fifteen_vertices():
     split = find_split(g)
     assert split == oracles.brute_split(g)
     assert split == (g.vmask & ~side, side)
-    assert not is_prime(g)
+    assert find_split(g) is not None
     dec = split_decompose(g)
     assert dec.recompose() == g and len(dec.primes) > 1
     for p in dec.primes:
@@ -235,7 +236,7 @@ def test_decompose_random_sound(seed):
     dec = split_decompose(g)
     assert dec.recompose() == g
     for p in dec.primes:
-        assert is_prime(p)
+        assert find_split(p) is None
     for m, (i, j) in dec.markers.items():
         assert (dec.primes[i].vmask >> m) & 1
         assert (dec.primes[j].vmask >> m) & 1
