@@ -4,8 +4,10 @@
 The inputs lie outside the benchmark's workloads: K14, K16, K18 and K20;
 the clique-split cograph `cograph-n12-1` relabeled by `Random(2).shuffle`;
 the p = 0.3 stream (`random_connected_graph(n, Random(1), p=0.3)` drawn
-for n = 10, 11, ... in turn) at n = 13 and 19; and K_{6,6} with a
-decomposition whose root edge separates the two sides.  Each input runs in
+for n = 10, 11, ... in turn) at n = 13, 19, 21 and 22; K_{6,6} with a
+decomposition whose root edge separates the two sides; and
+`cograph-n14-6`, the 7th n = 14 draw of a `workloads.random_cograph`
+survey that draws 8 cographs per n = 12, 13, ... from one `Random(99)`.  Each input runs in
 its own subprocess, with this checkout's `src` first on the path, a
 2 GB address-space cap (RLIMIT_AS) set in the child and a 60 s wall
 limit.  The child decomposes with `approx_sm_decomposition` (K_{6,6} takes
@@ -75,15 +77,19 @@ def corpus() -> list[dict]:
                                 for u, v in cograph.edges),
                 "reference": "brute"})
     rng = random.Random(1)
-    for n in range(10, 20):
+    for n in range(10, 23):
         g = smhc.generators.random_connected_graph(n, rng, p=0.3)
-        if n in (13, 19):
+        if n in (13, 19, 21, 22):
             out.append({"label": f"p0.3-stream-n{n}", "n": n, "edges": list(g.edges),
                         "reference": "brute" if n <= workloads.BRUTE_LIMIT else "witness"})
     out.append({"label": "K6,6-side-root", "n": 12,
                 "edges": [(u, v) for u in range(6) for v in range(6, 12)],
                 "reference": "brute",
                 "decomposition": side_root_tree(list(range(6)), list(range(6, 12)))})
+    rng = random.Random(99)
+    draws = [workloads.random_cograph(n, rng) for n in (12, 13, 14) for _ in range(8)]
+    out.append({"label": "cograph-n14-6", "n": 14, "edges": draws[22],
+                "reference": "brute"})
     return out
 
 

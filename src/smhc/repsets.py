@@ -3,15 +3,21 @@
 A certificate family is pruned over a separator by keeping a
 representative subfamily (`trim_separator`): whenever some member closes
 a Hamiltonian cycle with a completion, some kept member does too.
-`preserving_extension` applies this to a family extended by its cross
-edges.  Edge sets are bitmasks over the host's edge list.  A path system
-travels with its state (d1, d2, pe): its vertices of degree >= 1 and
->= 2, and one int `pe` with a field of `field_width(g)` bits per vertex,
-where the field of each path end (a vertex of d1 & ~d2) holds the other
-end of its path.  Other fields are zero and never read: a vertex of
-degree zero is its own partner.  Producers set the state in
-O(1) big-int operations per added edge (`grow`); `path_state` derives it
-by walking the edges once.
+`preserving_extension` applies this once, over a cut cover c, to every
+live extension of a family by its cross edges.  One fold loop,
+`frontier`, grows a family by any set of given edges, vertex by vertex,
+for the extension and for `solver.join`'s merge alike, and keeps the
+least member per state (per a coarser key on a twin cut, see
+`solver.trim_split`).  That loses nothing: by Lemma 3 below a repeated
+state is dependent on its first occurrence, so the rank basis is needed
+only in the one trim over c.  Edge sets are bitmasks over the host's
+edge list.  A path system travels with its state (d1, d2, pe): its
+vertices of degree >= 1 and >= 2, and one int `pe` with a field of
+`field_width(g)` bits per vertex, where the field of each path end (a
+vertex of d1 & ~d2) holds the other end of its path.  Other fields are
+zero and never read: a vertex of degree zero is its own partner.
+Producers set the state in O(1) big-int operations per added edge
+(`grow`); `path_state` derives it by walking the edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature

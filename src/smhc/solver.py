@@ -166,8 +166,9 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
 
     - `node_sizes`: the family size of every decomposition node, in
       post-order, and `max_family`, the largest of them;
-    - `max_family_by_k`: the largest family kept by a separator trim, per
-      separator size k (`repsets.trim_separator`);
+    - `max_family_by_k`: the largest family kept by the rank basis, per
+      separator size k; only the one `repsets.trim_separator` of each
+      vertex-cover trim writes it, so k is the size of the padded cover c;
     - `trims`: (a, before, after) for every trim that runs, only if the
       caller puts a list under that key.
     """
