@@ -4,20 +4,17 @@ A certificate family is pruned over a separator by keeping a
 representative subfamily (`trim_separator`): whenever some member closes
 a Hamiltonian cycle with a completion, some kept member does too.
 `preserving_extension` applies this once, over a cut cover c, to every
-live extension of a family by its cross edges.  One fold loop,
-`frontier`, grows a family by any set of given edges, vertex by vertex,
-for the extension and for `solver.join`'s merge alike, and keeps the
-least member per state (per a coarser key on a twin cut, see
-`solver.trim_split`).  That loses nothing: by Lemma 3 below a repeated
-state is dependent on its first occurrence, so the rank basis is needed
-only in the one trim over c.  Edge sets are bitmasks over the host's
-edge list.  A path system travels with its state (d1, d2, pe): its
-vertices of degree >= 1 and >= 2, and one int `pe` with a field of
-`field_width(g)` bits per vertex, where the field of each path end (a
-vertex of d1 & ~d2) holds the other end of its path.  Other fields are
-zero and never read: a vertex of degree zero is its own partner.
-Producers set the state in O(1) big-int operations per added edge
-(`grow`); `path_state` derives it by walking the edges once.
+extension of a family by its cross edges.  One fold loop, `frontier`,
+grows families by edge sets for it and for `solver.join` alike, keeping
+the least member per state (or per coarser twin key); by Lemma 3 below
+that loses nothing, so the rank basis runs once per trim.  Edge sets are
+bitmasks over the host's edge list.  A path system travels with its
+state (d1, d2, pe): its vertices of degree >= 1 and >= 2, and one int
+`pe` with a field of `field_width(g)` bits per vertex, where the field
+of each path end (a vertex of d1 & ~d2) holds the other end of its path.
+Other fields are zero and never read: a vertex of degree zero is its own
+partner.  Producers set the state in O(1) big-int operations per added
+edge (`grow`); `path_state` derives it by walking the edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -257,38 +254,31 @@ def preserving_extension(g: Graph, a: int, c: int,
 
     `fam` maps each certificate to its state (d1, d2, pe), c covers the cut
     of a, and `estar` holds the edges between a and c \\ a.  Returns
-    (extended-mask, core-certificate) pairs: exactly what `trim_separator`
-    over c keeps of every live extension, a certificate grown by a set of
-    its estar edges.  Certificates whose degree deficiency exceeds the
-    cross-edge budget 2|c| cannot complete and are dropped first.  The rest
-    share one `frontier` that folds the estar edges in and never forgets a
-    vertex of c: c covers the cut, so a vertex of a \\ c is decided once its
-    estar edges are in, and an item where it has degree below two is dead
-    (the forget step of Cygan et al., Parameterized Algorithms, 2015,
-    ch. 7).  The frontier keeps the least extended mask per state; on live
-    items that is their state over the live separator c ∪ (the vertices
-    still to come), since every forgotten vertex has degree two.  One
-    `trim_separator` over c follows, the only rank basis (the reduce step,
-    run apart as in Bodlaender, Cygan, Kratsch & Nederlof, Inf. & Comput.
-    2015).  Exact: `trim_separator` feeds its basis in sorted-mask order,
-    and a repeated state is dependent on its first occurrence (Lemma 3),
-    so it keeps of the least live extension per state what it keeps of
-    all.  The core is the extended mask's edges within a.  `trace` is
-    passed on to `trim_separator`.
+    (extended-mask, core) pairs, the core being the mask's edges within a:
+    exactly what `trim_separator` over c keeps of every extension of a
+    certificate by a set of its estar edges.  Certificates whose degree
+    deficiency exceeds the cross-edge budget 2|c| cannot complete and are
+    dropped first.  The rest share one `frontier` over estar that forgets
+    no vertex of c (the forget step of Cygan et al., Parameterized
+    Algorithms, 2015, ch. 7): c covers the cut, so a vertex of a \\ c is
+    decided once its estar edges are in.  Its least member per state (on
+    live members, the state over c) meets the only rank basis, one
+    `trim_separator` over c (the reduce step, run apart as in Bodlaender,
+    Cygan, Kratsch & Nederlof, Inf. & Comput. 2015).  Exact: that trim
+    feeds its basis in sorted-mask order, and a repeated state is
+    dependent on its first occurrence (Lemma 3).  `trace` is passed on.
     """
     csize = c.bit_count()
     if csize < 3:
         raise ValueError("separator must have size at least three")
     items = [(cert, *fam[cert], 0) for cert in fam
              if a.bit_count() - cert.bit_count() <= csize]
-    ext = frontier(g, items, estar, a, c, False)
-    kept = trim_separator(g, a, c, [(m, *state, None) for m, state in ext.items()], trace)
-    inner = g.edges_within(a)
-    return [(m, m & inner) for m, *_ in kept]
+    kept = trim_separator(g, a, c, frontier(g, items, estar, a, c, False), trace)
+    return [(m, m & ~estar) for m, *_ in kept]
 
 
 def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
-             home: int, boundary: int, forget: bool) -> dict[int, tuple[int, int, int]]:
+             home: int, boundary: int, forget: bool) -> list[tuple[int, int, int, int, int]]:
     """Least member per key of the items grown by every valid set of `left`.
 
     `items` are (edge-mask, d1, d2, pe, 0) path systems without an edge of
@@ -298,13 +288,13 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
     has no edge left; its degree is then final.  A decided vertex outside
     `boundary` with degree below two kills the item: no later edge meets
     it; the vertices of `home` without an edge in `left` are decided from
-    the start.  With `forget`, a decided boundary vertex is
-    forgotten: it leaves d1 and d2, its field is cleared, an undecided
-    partner's field is set to `free`, and it only adds to the item's tally
-    of decided path ends and decided isolated vertices; `path_state`
-    rebuilds the states of the members kept at the end.  Otherwise items
-    keep their full state.  Per key (d1, d2, pairing, tally) the least
-    edge mask is kept, and each kept mask is returned with its state.
+    the start.  With `forget`, a decided boundary vertex is forgotten: it
+    leaves d1 and d2, its field is cleared, an undecided partner's field is
+    set to `free`, and it only adds to the item's tally of decided path
+    ends and decided isolated vertices; `path_state` rebuilds the states of
+    the members kept at the end.  Otherwise items keep their full state.
+    Per key (d1, d2, pairing, tally) the least edge mask is kept, and each
+    kept mask is returned as an item with its state.
 
     Exactness.  Two items with one key accept the same later edges, which
     meet undecided vertices only, and end with one key and liveness.
@@ -322,7 +312,7 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
     newly = home & ~undecided
     while True:
         best: dict[tuple[int, int, int, int], int] = {}
-        keep = ~newly if forget else -1
+        keep = ~newly
         for m, d1, d2, pe, tally in items:
             short = newly & ~d2  # decided, of degree below two
             if short:
@@ -336,12 +326,12 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
                         ends &= ends - 1
                         p = (pe >> x * w) & free
                         pe = pe & ~(free << x * w) | free << p * w
-            key = (d1 & keep, d2 & keep, pe & fields, tally)
-            if best.get(key, m + 1) > m:
+            key = (d1 & keep, d2 & keep, pe & fields, tally) if forget else (d1, d2, pe, tally)
+            if best.setdefault(key, m) > m:
                 best[key] = m
-        if not undecided:
-            return {m: path_state(g, m) if forget else key[:3] for key, m in best.items()}
         items = [(m, *key) for key, m in best.items()]
+        if not undecided:
+            return [(m, *path_state(g, m), 0) for m, *_ in items] if forget else items
         fewest = left.bit_count() + 1
         for u in bits(undecided):
             k = (incident[u] & left).bit_count()

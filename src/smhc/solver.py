@@ -66,16 +66,13 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     member with more paths than the mm of its side, and the paper's limit
     is 4 times that.
 
-    The trim keeps what it keeps of every live member.  On a twin cut
-    the frontier forgets each decided boundary vertex, so its final key
-    holds `trim_split`'s signature, and `trim_split` keeps what it keeps
-    of all members.  Elsewhere the final key is the state: members of one
-    state grow alike in `preserving_extension`, and each extension of the
-    later member comes after the same extension of the earlier one with
-    the same state, so it is dependent on it (`repsets` Lemma 3) and never
-    kept.  At the root no vertex has an outside neighbour, so every
-    survivor has all degrees two and is a Hamiltonian cycle (`grow`
-    closes no other cycle): the least is kept.
+    The trim keeps what it keeps of every live member.  On a twin cut the
+    frontier's final key holds `trim_split`'s signature.  Elsewhere it is
+    the state: an extension of a later member of one state has the state
+    of the same extension of the earlier one and a larger mask, so
+    `preserving_extension` never keeps it (`repsets` Lemma 3).  At the
+    root every survivor has all degrees two, so it is a Hamiltonian cycle
+    (`grow` closes no other cycle), and the least is kept.
     """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
@@ -85,7 +82,7 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     left = _edges_at(g, ba & nb) & _edges_at(g, bb & na)
     items = [(sa | sb, d1a | d1b, d2a | d2b, pea | peb, 0)
              for sa, (d1a, d2a, pea) in fa.items() for sb, (d1b, d2b, peb) in fb.items()]
-    fam = frontier(g, items, left, home, cut[0], cut[2])
+    fam = {m: (d1, d2, pe) for m, d1, d2, pe, _ in frontier(g, items, left, home, cut[0], cut[2])}
     return cut, trim(g, home, fam, cut, trace)
 
 
