@@ -213,25 +213,6 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
                                   max(elements) + 1)
 
 
-# -- literal tree enumeration (tiny-size cross-check oracle) ---------------
-
-def enumerate_decompositions(elements: list[int]):
-    """Yield every leaf-labeled subcubic tree over the elements, by leaf insertion."""
-    k = len(elements)
-    if k == 1:
-        yield BranchDecomposition([], {0: elements[0]})
-        return
-    trees = [((0, 1),)]
-    leaf_map = {0: elements[0], 1: elements[1]}
-    for idx in range(2, k):  # subdivide each edge by a new internal node
-        leaf, internal = 2 * idx - 2, 2 * idx - 1
-        trees = [t[:i] + t[i + 1:] + ((u, internal), (internal, v), (internal, leaf))
-                 for t in trees for i, (u, v) in enumerate(t)]
-        leaf_map[leaf] = elements[idx]
-    for t in trees:
-        yield BranchDecomposition(list(t), leaf_map)
-
-
 # -- greedy approximation backend ------------------------------------------
 
 def greedy_decomposition(f, elements: list[int]) -> BranchDecomposition:

@@ -53,6 +53,12 @@ the general graphic-matroid representative families of Fomin,
 Lokshtanov, Panolan & Saurabh (J. ACM 2016), which need a large field
 and random sampling to truncate.
 
+Corollary.  With |D1| <= 4 the basis keeps the first member of each
+(D0, D1, D2, pairing), so no row need be built: of the at most three
+pairings, each has a 1 at the cut {lowest end, its partner}, where every
+other has a 0 (rank C(3, 1) = 3, as in Cygan, Kratsch & Nederlof).  The
+lowest end's partner names the pairing.
+
 Lemma 3.  Let M be a path system of G[a ∪ S], S a separator, in which
 every vertex of a \\ S has degree two and every path end lies in S.
 Replacing each segment of a path between consecutive visits of S by one
@@ -176,13 +182,23 @@ def representative_hc_sets(g: Graph, members: list[tuple[int, int, int]]) -> lis
     member is kept exactly when its pairing row is independent of the rows
     kept before it for the same (D0, D1, D2) signature.  The module
     docstring proves that this preserves completability within 4^k < 6^k
-    members.
+    members.  By the Corollary a member with at most four ends builds no
+    row: it is kept when it is the first of its pairing.
     """
     w = field_width(g)
+    field = (1 << w) - 1
     bases: dict[tuple[int, int], dict[int, int]] = {}  # signature -> top bit -> row
+    pairings: dict[tuple[int, int, int], int] = {}  # (d1, d2, lowest end's partner) -> i
     out = []
     for i, (d1, d2, pe) in enumerate(members):
-        row = pairing_row(w, d1 & ~d2, pe)
+        ends = d1 & ~d2
+        if ends.bit_count() <= 4:
+            low = (ends & -ends).bit_length() - 1
+            key = (d1, d2, (pe >> low * w) & field if ends else 0)
+            if pairings.setdefault(key, i) == i:
+                out.append(i)
+            continue
+        row = pairing_row(w, ends, pe)
         basis = bases.setdefault((d1, d2), {})  # (d1, d2) fixes D0, D1 and D2
         while row:
             top = row.bit_length() - 1
@@ -258,22 +274,25 @@ def preserving_extension(g: Graph, a: int, c: int,
     exactly what `trim_separator` over c keeps of every extension of a
     certificate by a set of its estar edges.  Certificates whose degree
     deficiency exceeds the cross-edge budget 2|c| cannot complete and are
-    dropped first.  The rest share one `frontier` over estar that forgets
-    no vertex of c (the forget step of Cygan et al., Parameterized
+    dropped first.  The rest share one `frontier` over estar, if any, that
+    forgets no vertex of c (the forget step of Cygan et al., Parameterized
     Algorithms, 2015, ch. 7): c covers the cut, so a vertex of a \\ c is
     decided once its estar edges are in.  Its least member per state (on
     live members, the state over c) meets the only rank basis, one
     `trim_separator` over c (the reduce step, run apart as in Bodlaender,
     Cygan, Kratsch & Nederlof, Inf. & Comput. 2015).  Exact: that trim
     feeds its basis in sorted-mask order, and a repeated state is
-    dependent on its first occurrence (Lemma 3).  `trace` is passed on.
+    dependent on its first occurrence (Lemma 3); without estar edges the
+    frontier would only repeat that trim's filters.  `trace` is passed on.
     """
     csize = c.bit_count()
     if csize < 3:
         raise ValueError("separator must have size at least three")
     items = [(cert, *fam[cert], 0) for cert in fam
              if a.bit_count() - cert.bit_count() <= csize]
-    kept = trim_separator(g, a, c, frontier(g, items, estar, a, c, False), trace)
+    if estar:
+        items = frontier(g, items, estar, a, c, False)
+    kept = trim_separator(g, a, c, items, trace)
     return [(m, m & ~estar) for m, *_ in kept]
 
 

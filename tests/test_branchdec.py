@@ -5,8 +5,7 @@ import pytest
 from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import mm_cut_function, mm_value, sm_cut_function
 from smhc.branchdec import (BranchDecomposition, SizeLimitExceeded,
-                            exact_branch_width,
-                            enumerate_decompositions, greedy_decomposition,
+                            exact_branch_width, greedy_decomposition,
                             approx_decomposition)
 from smhc.generators import random_connected_graph, caterpillar_decomposition
 from smhc.pipeline import approx_sm_decomposition
@@ -112,6 +111,23 @@ def test_exact_decomposition_achieves_width():
     w, bd = exact_branch_width(list(g.vertices), f)
     assert bd.f_width(f) == w
     assert bd.elements == g.vmask
+
+
+def enumerate_decompositions(elements: list[int]):
+    """Yield every leaf-labeled subcubic tree over the elements, by leaf insertion."""
+    k = len(elements)
+    if k == 1:
+        yield BranchDecomposition([], {0: elements[0]})
+        return
+    trees = [((0, 1),)]
+    leaf_map = {0: elements[0], 1: elements[1]}
+    for idx in range(2, k):  # subdivide each edge by a new internal node
+        leaf, internal = 2 * idx - 2, 2 * idx - 1
+        trees = [t[:i] + t[i + 1:] + ((u, internal), (internal, v), (internal, leaf))
+                 for t in trees for i, (u, v) in enumerate(t)]
+        leaf_map[leaf] = elements[idx]
+    for t in trees:
+        yield BranchDecomposition(list(t), leaf_map)
 
 
 @pytest.mark.parametrize("seed", range(8))

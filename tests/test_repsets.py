@@ -60,19 +60,18 @@ def ends_pairing(g, state):
 
 
 def hc_completability_preserved(kC, members, kept):
-    """Every completion closing a Hamiltonian cycle keeps a partner."""
-    for ymask in range(1 << kC.m):
-        def closes(x):
-            if x & ymask:
-                return False
-            both = x | ymask
-            deg = oracles._edge_degrees(kC, both)
-            return (both.bit_count() == kC.n and len(deg) == kC.n
-                    and all(d == 2 for d in deg.values())
-                    and _single_cycle(kC, both))
-        if any(closes(x) for x in members) and not any(closes(x) for x in kept):
-            return False
-    return True
+    """Every completion closing a Hamiltonian cycle keeps a partner.
+
+    Y completes X when the two are disjoint and X ∪ Y is a Hamiltonian
+    cycle H of kC, so the pairs are the subsets X of each H, with
+    Y = H \\ X; the cycles are found by testing every n-edge mask."""
+    cycles = [h for h in range(1 << kC.m) if h.bit_count() == kC.n
+              and set(oracles._edge_degrees(kC, h).values()) == {2}
+              and _single_cycle(kC, h)]
+    members, kept = set(members), set(kept)
+    needed = {h ^ x for h in cycles for x in submasks(h) if x in members}
+    covered = {h ^ x for h in cycles for x in submasks(h) if x in kept}
+    return needed <= covered
 
 
 def _single_cycle(kC, emask):
@@ -146,7 +145,7 @@ def test_pairing_row_follows_paths():
     assert pairing_row(field_width(g), 0, 0) == 1
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_representative_hc_sets_exhaustive(k):
     """Every path system of K_k: preservation and 2^(|D1|-1) per signature."""
     kC = complete_graph(k)
@@ -167,6 +166,90 @@ def test_representative_hc_sets_exhaustive(k):
 def test_representative_hc_sets_singleton():
     kC = complete_graph(3)
     assert representative_hc_sets(kC, [path_state(kC, 0b001)]) == [0]
+
+
+def reference_hc_sets(g, members):
+    """The basis of the module docstring's Theorem, literally: every
+    member builds its row with `pairing_row`."""
+    w = field_width(g)
+    bases, out = {}, []
+    for i, (d1, d2, pe) in enumerate(members):
+        row = pairing_row(w, d1 & ~d2, pe)
+        basis = bases.setdefault((d1, d2), [])
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+            out.append(i)
+    return out
+
+
+def with_junk(g, state, rng):
+    """The state with random values in the fields of vertices that end no
+    path, which are never read."""
+    d1, d2, pe = state
+    w = field_width(g)
+    for v in bits(g.vmask & ~(d1 & ~d2)):
+        pe |= rng.randrange(1 << w) << v * w
+    return d1, d2, pe
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_representative_hc_sets_matches_reference_basis(k):
+    """Index for index the reference basis's choice, on every path system
+    of K_k in seeded shuffled orders with repeated members, some with junk
+    in the fields of non-ends."""
+    kC = complete_graph(k)
+    states = [path_state(kC, m) for m in range(1 << kC.m) if is_path_system(kC, m)]
+    rng = random.Random(1700 + k)
+    for _ in range(4):
+        members = states + rng.sample(states, len(states) // 2)
+        rng.shuffle(members)
+        members = [with_junk(kC, s, rng) if rng.random() < 0.5 else s for s in members]
+        chosen = representative_hc_sets(kC, members)
+        assert chosen == reference_hc_sets(kC, members)
+        assert len(chosen) < len(members)
+
+
+def test_rows_only_from_six_ends(monkeypatch):
+    """`pairing_row` runs for no member with at most four path ends, and
+    once for each member with six."""
+    rows = []
+    real_pairing_row = repsets.pairing_row
+
+    def counting(w, ends, pe):
+        rows.append(ends)
+        return real_pairing_row(w, ends, pe)
+
+    monkeypatch.setattr(repsets, "pairing_row", counting)
+    for k in (3, 4, 5, 6):
+        kC = complete_graph(k)
+        members = [path_state(kC, m) for m in range(1 << kC.m) if is_path_system(kC, m)]
+        rows.clear()
+        representative_hc_sets(kC, members)
+        six = sum((d1 & ~d2).bit_count() == 6 for d1, d2, _ in members)
+        assert len(rows) == six == (15 if k == 6 else 0)
+
+
+def test_four_end_pairings_independent():
+    """The Corollary: for every four ends among eight vertices the rows
+    of the three pairings are independent over GF(2), and two ends have
+    a non-zero row."""
+    g = complete_graph(8)
+    w = field_width(g)
+    for t in (2, 4):
+        for ends in combinations(range(8), t):
+            basis = []
+            for p in _perfect_matchings(list(ends)):
+                pe = sum(v << u * w | u << v * w for u, v in p)
+                row = pairing_row(w, mask_of(ends), pe)
+                for b in basis:
+                    row = min(row, row ^ b)
+                assert row
+                basis.append(row)
+                basis.sort(reverse=True)
+            assert len(basis) == (3 if t == 4 else 1)
 
 
 def test_pad_separator():
@@ -265,6 +348,43 @@ def test_preserving_extension_no_estar():
     m = g.edge_mask([(0, 1), (1, 2)])
     out = preserving_extension(g, a, c, family(g, [m]), 0)
     assert out == [(m, m)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extension_without_estar_skips_frontier(seed, monkeypatch):
+    """With no estar edges `preserving_extension` runs no `frontier` and
+    returns what `trim_separator` over c keeps of the certificates within
+    the cross-edge budget (|a| - |cert| <= |c|), with the same
+    `max_family_by_k`."""
+    folds = []
+    real_frontier = repsets.frontier
+    monkeypatch.setattr(repsets, "frontier",
+                        lambda *args: folds.append(args) or real_frontier(*args))
+    rng = random.Random(seed + 1800)
+    seen = {"instances": 0, "kept": 0, "over budget": 0, "dropped": 0}
+    while seen["instances"] < 10 or not all(seen.values()) and seen["instances"] < 100:
+        g = random_connected_graph(rng.randint(5, 9), rng, p=rng.choice([0.4, 0.6]))
+        a = rng.randrange(1, g.vmask)
+        c = pad_separator(g, a, min_vertex_cover(g, a))
+        if g.edges_between(a, c & ~a):
+            continue
+        inner = g.edges_within(a)
+        fam = {h & inner for h in oracles.enumerate_hamiltonian_cycles(g)[:10]} | {0}
+        fam |= {m for m in (inner & rng.getrandbits(g.m) for _ in range(20))
+                if is_path_system(g, m)}
+        within = [(cert, *path_state(g, cert), cert) for cert in sorted(fam)
+                  if a.bit_count() - cert.bit_count() <= c.bit_count()]
+        got_trace, want_trace = {}, {}
+        got = preserving_extension(g, a, c, family(g, fam), 0, got_trace)
+        want = trim_separator(g, a, c, within, want_trace)
+        assert got == [(m, core) for m, *_, core in want]
+        assert got_trace == want_trace
+        seen["instances"] += 1
+        seen["kept"] += len(got)
+        seen["over budget"] += len(fam) > len(within)
+        seen["dropped"] += len(within) > len(got)
+    assert not folds
+    assert all(seen.values()), seen
 
 
 PINNED = [
