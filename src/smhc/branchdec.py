@@ -7,13 +7,14 @@ tree once and keeps that walk: a post-order with each node's parent and
 the element mask below it, from which `cuts` reads every cut and along
 which the solver runs.
 
-The exact minimum-width search runs a dynamic program over element subsets
-rather than enumerating labeled subcubic trees: every rooted binary merge
-order corresponds to a subcubic tree, so minimizing over subset partitions
-is equivalent and exponentially cheaper.  It evaluates f once per proper
-subset.  It and the greedy bisection both turn their choice of split per
-subset into a tree through one builder, `_binary_tree`.  A literal
-(2n-5)!! tree enumerator is kept for cross-checking at tiny sizes.
+The exact minimum-width search minimizes over element subsets rather than
+enumerating labeled subcubic trees: every rooted binary merge order
+corresponds to a subcubic tree, so minimizing over subset partitions is
+equivalent and exponentially cheaper.  It evaluates f once per cut and
+prunes by branch and bound, with a bound that keeps the first minimal
+split, so it picks the tree the full subset program picks.  It and the
+greedy bisection both turn their choice of split per subset into a tree
+through one builder, `_binary_tree`.
 """
 
 from __future__ import annotations
@@ -177,38 +178,63 @@ def _binary_tree(full: int, split, first_id: int) -> BranchDecomposition:
 def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition]:
     """Minimum f-width over all branch decompositions of the element list.
 
-    `val[s]` is max(f(s), best width of s) for every index subset s,
-    visited in numeric order, so all proper subsets of s come first.  Each
-    proper non-empty subset is evaluated once and the full set never.
+    For an index subset m of two or more elements, its best is the least
+    cand = max(val[part], val[m ^ part]) over the parts holding m's lowest
+    element, the first in numeric order winning, and val[m] = max(f(m),
+    best), or best alone for the full set; a single element's val is its f.
+    The search solves subsets top-down from the full set, each only when a
+    part reaches it, and makes the choices that the bottom-up program over
+    every subset makes:
+
+    - every val is at least its f, so a part with max(f(part), f(m ^ part))
+      ≥ the best so far cannot lower it strictly and is skipped unsolved;
+    - every val is at least the f of some single element (by induction),
+      so no cand is below `floor`, the least of those, and the first cand
+      equal to it is the first minimum: the rest of m is skipped.
+
+    f is evaluated once per cut, on the side without the highest element,
+    and never on the empty or full set; on one element, never.
     """
     k = len(elements)
-    if k == 2:
-        bd = BranchDecomposition([(0, 1)], {0: elements[0], 1: elements[1]})
+    if not k:
+        raise ValueError("exact branch width needs at least one element")
+    if k <= 2:
+        bd = BranchDecomposition([(0, 1)][:k - 1], dict(enumerate(elements)))
         return bd.f_width(f), bd
     masks = [0]  # masks[s]: element mask of the index subset s
     for v in sorted(elements):
         masks += [m | 1 << v for m in masks]
     top = len(masks) - 1
-    val = [0] * len(masks)
+    lower = [0] * len(masks)  # lower[s] = f(masks[s])
+    for s in range(1, len(masks) >> 1):
+        lower[s] = lower[top ^ s] = f(masks[s])
+    val: list[int | None] = [None] * len(masks)
+    for i in range(k):
+        val[1 << i] = lower[1 << i]
+    floor = min(lower[1 << i] for i in range(k))
+    above = max(lower) + 1  # above every cand: each val is a max of f's
     choice: dict[int, int] = {}
-    for m in range(1, top + 1):
+    stack = [(top, 0, above, 0)]  # (subset, next sub, best so far, its part)
+    while stack:
+        m, sub, best, bestpart = stack.pop()
         low = m & -m
         rest = m ^ low
-        best = 0
-        if rest:
-            best = bestpart = None
-            sub = 0
-            while True:  # every part holding `low`, in numeric order
-                part = sub | low
-                if part != m:
-                    cand = max(val[part], val[m ^ part])
-                    if best is None or cand < best:
-                        best, bestpart = cand, part
-                if sub == rest:
+        while sub != rest and best != floor:  # the parts holding `low` but
+            part = sub | low                  # not all of m, in numeric order
+            other = m ^ part
+            if lower[part] < best > lower[other]:
+                a, b = val[part], val[other]
+                if a is None or b is None:  # solve that side, then come back
+                    stack += [(m, sub, best, bestpart),
+                              (part if a is None else other, 0, above, 0)]
                     break
-                sub = (sub - rest) & rest
+                cand = a if a > b else b
+                if cand < best:
+                    best, bestpart = cand, part
+            sub = (sub - rest) & rest
+        else:
             choice[masks[m]] = masks[bestpart]
-        val[m] = best if m == top else max(f(masks[m]), best)
+            val[m] = best if m == top else max(lower[m], best)
     return val[top], _binary_tree(masks[top], choice.__getitem__,
                                   max(elements) + 1)
 

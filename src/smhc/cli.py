@@ -90,42 +90,43 @@ def cmd_hc(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.file)
+    if g.n < 2 or not g.is_connected():
+        why = "fewer than 2 vertices" if g.n < 2 else "a disconnected graph"
+        print(f"skipped: no check applies to {why}")
+        return EXIT_OK
     failures = []
 
-    dec = split_decompose(g) if g.n >= 2 and g.is_connected() else None
-    if dec is not None:
-        if dec.recompose() == g:
-            print("ok: split decomposition recomposes to the input")
-        else:
-            failures.append("recomposition mismatch")
+    if split_decompose(g).recompose() == g:
+        print("ok: split decomposition recomposes to the input")
+    else:
+        failures.append("recomposition mismatch")
     if g.n > 14:
         print("refused: input too large for the brute-force sweep")
         return EXIT_REFUSED
-    if g.n >= 2 and g.is_connected():
-        bd = approx_sm_decomposition(g)
-        width = bd.f_width(sm_cut_function(g))
-        if g.n <= oracles.BRUTE_WIDTH_LIMIT:
-            exact = oracles.brute_sm_width(g)
-            if width <= 18 * exact:
-                print(f"ok: approx width {width} within 18x exact {exact}")
-            else:
-                failures.append(f"width {width} exceeds 18x exact {exact}")
-        trace: dict = {"trims": []} if g.n <= 8 else {}
-        got, witness = solve_hc(g, bd, trace=trace)
-        want, _ = oracles.brute_hc(g)
-        if got == want:
-            print(f"ok: solver agrees with the oracle (hamiltonian={got})")
+    bd = approx_sm_decomposition(g)
+    width = bd.f_width(sm_cut_function(g))
+    if g.n <= oracles.BRUTE_WIDTH_LIMIT:
+        exact = oracles.brute_sm_width(g)
+        if width <= 18 * exact:
+            print(f"ok: approx width {width} within 18x exact {exact}")
         else:
-            failures.append(f"solver says {got}, oracle says {want}")
-        if "trims" in trace:
-            hcs = oracles.enumerate_hamiltonian_cycles(g)
-            checks = [oracles.verify_preservation(g, a, before, after,
-                                                  method="cycles", hcs=hcs)
-                      for a, before, after in trace["trims"]]
-            if all(checks):
-                print(f"ok: all {len(checks)} trims preserve completability")
-            else:
-                failures.append("a trim lost a completable certificate")
+            failures.append(f"width {width} exceeds 18x exact {exact}")
+    trace: dict = {"trims": []} if g.n <= 8 else {}
+    got, witness = solve_hc(g, bd, trace=trace)
+    want, _ = oracles.brute_hc(g)
+    if got == want:
+        print(f"ok: solver agrees with the oracle (hamiltonian={got})")
+    else:
+        failures.append(f"solver says {got}, oracle says {want}")
+    if "trims" in trace:
+        hcs = oracles.enumerate_hamiltonian_cycles(g)
+        checks = [oracles.verify_preservation(g, a, before, after,
+                                              method="cycles", hcs=hcs)
+                  for a, before, after in trace["trims"]]
+        if all(checks):
+            print(f"ok: all {len(checks)} trims preserve completability")
+        else:
+            failures.append("a trim lost a completable certificate")
     for msg in failures:
         print(f"FAIL: {msg}")
     return EXIT_OK if not failures else EXIT_NO

@@ -6,9 +6,10 @@ from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import mm_cut_function, mm_value, sm_cut_function
 from smhc.branchdec import (BranchDecomposition, SizeLimitExceeded,
                             exact_branch_width, greedy_decomposition,
-                            approx_decomposition)
+                            approx_decomposition, _binary_tree)
 from smhc.generators import random_connected_graph, caterpillar_decomposition
 from smhc.pipeline import approx_sm_decomposition
+from tests.conftest import bounded_stack
 
 
 def test_two_leaf_tree():
@@ -92,7 +93,9 @@ def test_exact_refuses_oversized():
         approx_decomposition(mm_cut_function(g), list(g.vertices), "exact")
 
 
-def test_exact_evaluates_each_proper_subset_once():
+def test_exact_evaluates_each_cut_once():
+    """C7 has 2^6 - 1 cuts: f sees each once, by one of its two sides, and
+    never the empty or the full set."""
     g = cycle_graph(7)
     calls = []
 
@@ -101,8 +104,98 @@ def test_exact_evaluates_each_proper_subset_once():
         return mm_value(g, a)
 
     exact_branch_width(list(g.vertices), f)
-    assert len(calls) == len(set(calls)) == 2 ** 7 - 2
+    assert len(calls) == len({min(a, g.vmask ^ a) for a in calls}) == 2 ** 6 - 1
     assert g.vmask not in calls and 0 not in calls
+
+
+def test_exact_refuses_no_elements():
+    with pytest.raises(ValueError, match="at least one element"):
+        exact_branch_width([], lambda a: 0)
+
+
+def test_exact_needs_no_recursion():
+    """A 12-element search runs in 14 extra frames.  A recursive search
+    nests a frame for each element it splits off, 11 deep here, on top of
+    the frames any search needs; under pytest on CPython 3.11, which also
+    counts C calls, the iterative search needs 12 and a recursive one 22."""
+    g = random_connected_graph(12, random.Random(1), p=0.3)
+    f = mm_cut_function(g)
+    want = exact_branch_width(list(g.vertices), f)  # also fills f's memo
+    with bounded_stack(14):
+        got = exact_branch_width(list(g.vertices), f)
+    assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
+
+
+def reference_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition]:
+    """Bottom-up program over every index subset s in numeric order, so all
+    proper subsets of s come first: `val[s]` is max(f(s), the least width
+    of a split of s), the first minimal split in numeric order winning."""
+    k = len(elements)
+    if k == 2:
+        bd = BranchDecomposition([(0, 1)], {0: elements[0], 1: elements[1]})
+        return bd.f_width(f), bd
+    masks = [0]  # masks[s]: element mask of the index subset s
+    for v in sorted(elements):
+        masks += [m | 1 << v for m in masks]
+    top = len(masks) - 1
+    val = [0] * len(masks)
+    choice: dict[int, int] = {}
+    for m in range(1, top + 1):
+        low = m & -m
+        rest = m ^ low
+        best = 0
+        if rest:
+            best = bestpart = None
+            sub = 0
+            while True:  # every part holding `low`, in numeric order
+                part = sub | low
+                if part != m:
+                    cand = max(val[part], val[m ^ part])
+                    if best is None or cand < best:
+                        best, bestpart = cand, part
+                if sub == rest:
+                    break
+                sub = (sub - rest) & rest
+            choice[masks[m]] = masks[bestpart]
+        val[m] = best if m == top else max(f(masks[m]), best)
+    return val[top], _binary_tree(masks[top], choice.__getitem__,
+                                  max(elements) + 1)
+
+
+def random_cut_function(rng, elements):
+    """A symmetric f with integer values 0..hi, hi drawn from 0..4, so that
+    ties and zeros are common."""
+    full, hi = mask_of(elements), rng.randint(0, 4)
+    table = {}
+    for a in range(1 << len(elements)):  # index subsets, read as element masks
+        side = mask_of(v for i, v in enumerate(elements) if a >> i & 1)
+        key = min(side, full ^ side)
+        if key not in table:
+            table[key] = rng.randint(0, hi)
+    return lambda a: table[min(a, full ^ a)]
+
+
+def test_exact_matches_reference_on_random_cut_functions():
+    rng = random.Random(18)
+    for k in range(1, 11):
+        for _ in range(30):
+            elements = rng.sample(range(16), k)
+            f = random_cut_function(rng, elements)
+            want = reference_branch_width(elements, f)
+            got = exact_branch_width(elements, f)
+            assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
+
+
+def test_exact_matches_reference_on_graph_cut_functions():
+    rng = random.Random(19)
+    for n in range(3, 12):
+        for _ in range(2):
+            g = random_connected_graph(n, rng)
+            for cut_function in (mm_cut_function, sm_cut_function):
+                f = cut_function(g)
+                want = reference_branch_width(list(g.vertices), f)
+                got = exact_branch_width(list(g.vertices), f)
+                assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
 
 
 def test_exact_decomposition_achieves_width():

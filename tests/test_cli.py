@@ -109,6 +109,14 @@ def test_width_approx_decomposes_once(tmp_path, capsys, monkeypatch):
     assert calls == [13]
 
 
+def test_width_exact_empty_graph_names_cause(tmp_path, capsys):
+    p = tmp_path / "empty.txt"
+    p.write_text("0 0\n")
+    assert main(["width", str(p), "--exact"]) == EXIT_PARSE
+    assert capsys.readouterr().err.strip() == \
+        "error: exact branch width needs at least one element"
+
+
 def test_width_exact_refuses_large(tmp_path, capsys):
     f = write_graph(tmp_path, cycle_graph(13))
     assert main(["width", f, "--exact"]) == EXIT_REFUSED
@@ -144,6 +152,16 @@ def test_verify_output(tmp_path, capsys):
     assert "ok: solver agrees with the oracle (hamiltonian=True)" in out
     assert "trims preserve completability" in out or "ok:" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("text, why", [("0 0\n", "fewer than 2 vertices"),
+                                       ("1 0\n", "fewer than 2 vertices"),
+                                       ("4 2\n0 1\n2 3\n", "a disconnected graph")])
+def test_verify_says_when_it_skips(tmp_path, capsys, text, why):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    assert main(["verify", str(p)]) == EXIT_OK
+    assert capsys.readouterr().out == f"skipped: no check applies to {why}\n"
 
 
 def test_verify_refuses_large(tmp_path, capsys):
