@@ -10,15 +10,20 @@ solves it: with its stored decomposition if it has one, else with
 barely reach.  `extension-heavy` is solved: seeded random graphs with
 n = 8, 9, 10 at four densities, whose vertex-cover trims run the
 preserving extension on wide families.  `greedy-heavy` is only decomposed:
-seeded random graphs with n = 3..14 at four densities, C13..C16 and
-random cographs with n = 9..12; its primes above `EXACT_SIZE_LIMIT` take
-the greedy backend and its cographs contract heavy pairs.  Prints, per
-workload, how
-many inputs have identical verdicts, witnesses, per-node family sizes
-(`trace["node_sizes"]`) and decompositions (`bd.to_json()`), lists every
-difference, and exits 1 on any.  A node_sizes difference says at how many
-nodes the family grew; a witness difference says whether the new witness
-is a Hamiltonian cycle of the input, by a walk of its own.
+seeded random graphs with n = 3..14 at four densities, C13..C16, random
+cographs with n = 9..12, and graphs that mix a prime above
+`EXACT_SIZE_LIMIT` vertices with one of 4..12 (two paths, or a random
+13-vertex graph and a random 6-vertex one, joined completely between two
+vertices of each; mixed-13-6-2 ends with only 3-vertex primes beside its
+large one); its primes above the limit get the greedy search, its
+cographs contract heavy pairs, and its mixed graphs choose the search per
+prime.  Prints, per workload, how many inputs have identical verdicts,
+witnesses, per-node family sizes (`trace["node_sizes"]`) and
+decompositions (`bd.to_json()`), lists every difference (with both
+sm-widths where the decompositions differ), and exits 1 on any.  A
+node_sizes difference says at how many nodes the family grew; a witness
+difference says whether the new witness is a Hamiltonian cycle of the
+input, by a walk of its own.
 
 Usage: python3 scripts/same_answers.py --parent PATH [--tree PATH]
 """
@@ -41,6 +46,7 @@ def solve_all(inputs: list[dict]) -> list[dict]:
     """Verdict, witness, node sizes and decomposition of each input, from
     the `smhc` on the path."""
     from smhc.branchdec import BranchDecomposition
+    from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
     from smhc.pipeline import approx_sm_decomposition
     from smhc.solver import solve_hc
@@ -61,7 +67,8 @@ def solve_all(inputs: list[dict]) -> list[dict]:
         out.append({"verdict": verdict,
                     "witness": [list(e) for e in witness] if witness else None,
                     "node_sizes": trace["node_sizes"],
-                    "decomposition": bd.to_json() if bd else None})
+                    "decomposition": bd.to_json() if bd else None,
+                    "sm_width": bd.f_width(sm_cut_function(g)) if bd else None})
     return out
 
 
@@ -92,6 +99,15 @@ def corpora() -> dict[str, list[dict]]:
     graphs += [(f"C{n}", n, cycle_graph(n).edges) for n in range(13, 17)]
     graphs += [(f"cograph-n{n}-{i}", n, workloads.random_cograph(n, rng))
                for n in range(9, 13) for i in range(8)]
+    for a, b in ((12, 5), (13, 8), (14, 11), (16, 6)):  # primes of a + 1 and b + 1
+        edges = [(i, i + 1) for i in range(a + b - 1) if i != a - 1]
+        graphs.append((f"paths-{a}-{b}", a + b,
+                       edges + [(u, v) for u in (0, a - 1) for v in (a, a + b - 1)]))
+    for i in range(4):
+        big = smhc.generators.random_connected_graph(13, rng, 0.3).edges
+        small = smhc.generators.random_connected_graph(6, rng, 0.5).edges
+        graphs.append((f"mixed-13-6-{i}", 19, list(big) + [(u + 13, v + 13) for u, v in small]
+                       + [(u, v) for u in (0, 1) for v in (13, 14)]))
     out["greedy-heavy"] = [{"label": label, "n": n, "edges": [list(e) for e in edges],
                             "decomposition": None, "solve": False}
                            for label, n, edges in graphs]
@@ -162,6 +178,8 @@ def main(argv=None) -> int:
                     larger = sum(y > x for x, y in zip(old["node_sizes"], new["node_sizes"]))
                     line += f", larger at {larger} nodes"
                 line += ")"
+            if "decomposition" in fields:
+                line += f" (sm-width {old['sm_width']} -> {new['sm_width']})"
             if "witness" in fields:
                 line += ("; new witness is a Hamiltonian cycle"
                          if is_hamiltonian_cycle(inp["n"], inp["edges"], new["witness"])

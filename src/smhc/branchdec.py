@@ -14,12 +14,11 @@ equivalent and exponentially cheaper.  It evaluates f once per cut and
 prunes by branch and bound, with a bound that keeps the first minimal
 split, so it picks the tree the full subset program picks.  It and the
 greedy bisection both turn their choice of split per subset into a tree
-through one builder, `_binary_tree`.
+through one builder, `_binary_tree`.  `approx_decomposition` picks between
+them by the number of elements alone: exact up to EXACT_SIZE_LIMIT.
 """
 
 from __future__ import annotations
-
-import json
 
 from .graph import bits, mask_of
 
@@ -134,19 +133,16 @@ class BranchDecomposition:
         except TypeError as exc:
             raise ValueError(f"malformed decomposition: {exc}") from exc
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
 
 # -- building a tree from a recursive bisection ------------------------------
 
-def _binary_tree(full: int, split, first_id: int) -> BranchDecomposition:
+def _binary_tree(full: int, split) -> BranchDecomposition:
     """Tree of the recursive bisection of the element mask `full`, where
     `split(mask)` is the left part of a mask of two or more elements.
 
-    Nodes are numbered from `first_id` in post-order (left subtree, right
-    subtree, then the node), and the two halves of `full` are joined by
-    the root edge.  A single element is node 0.
+    Nodes are numbered in post-order (left subtree, right subtree, then
+    the node) from the highest element + 1, and the two halves of `full`
+    are joined by the root edge.  A single element is node 0.
     """
     if not full & (full - 1):
         return BranchDecomposition([], {0: full.bit_length() - 1})
@@ -154,7 +150,7 @@ def _binary_tree(full: int, split, first_id: int) -> BranchDecomposition:
     leaf_map: dict[int, int] = {}
     done: list[int] = []  # roots of the finished subtrees, left before right
     stack = [(full, 0)]  # (mask, its left part once split)
-    node = first_id
+    node = full.bit_length()
     while stack:
         mask, part = stack.pop()
         if not part and mask & (mask - 1):
@@ -235,60 +231,50 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
         else:
             choice[masks[m]] = masks[bestpart]
             val[m] = best if m == top else max(lower[m], best)
-    return val[top], _binary_tree(masks[top], choice.__getitem__,
-                                  max(elements) + 1)
+    return val[top], _binary_tree(masks[top], choice.__getitem__)
 
 
-# -- greedy approximation backend ------------------------------------------
+# -- greedy bisection, and the choice by size --------------------------------
 
 def greedy_decomposition(f, elements: list[int]) -> BranchDecomposition:
-    """Recursive balanced bisection by deterministic local search on f."""
+    """Recursive balanced bisection by deterministic local search on f:
+    each step moves the lowest element whose move lowers f and keeps both
+    parts at a third or more, until no move does."""
 
     def bisect(rest: int) -> int:
         items = list(bits(rest))
+        third = len(items) // 3
         a = mask_of(items[:len(items) // 2])
-        improved = True
-        while improved:
-            improved = False
-            best_move = None
-            cur = f(a)
+        cur = f(a)
+        while True:
             for v in items:
-                bit = 1 << v
-                na = a ^ bit
+                na = a ^ 1 << v
                 if not (na & rest) or na == rest:
                     continue
-                if na.bit_count() < len(items) // 3 or \
-                   (rest & ~na).bit_count() < len(items) // 3:
+                if na.bit_count() < third or (rest & ~na).bit_count() < third:
                     continue
                 val = f(na)
-                if val < cur and (best_move is None or v < best_move[1]):
-                    best_move = (val, v)
-            if best_move is not None:
-                a ^= 1 << best_move[1]
-                improved = True
-        return a
+                if val < cur:
+                    a, cur = na, val
+                    break
+            else:
+                return a
 
-    return _binary_tree(mask_of(elements), bisect, max(elements) + 1)
+    return _binary_tree(mask_of(elements), bisect)
 
 
-def approx_decomposition(f, elements: list[int],
-                         backend: str = "exact") -> BranchDecomposition:
-    """Decomposition of the element set under f via the chosen backend.
+def approx_decomposition(f, elements: list[int]) -> BranchDecomposition:
+    """Decomposition of the element set under the symmetric cut function f:
+    `exact_branch_width`'s tree on at most EXACT_SIZE_LIMIT elements and
+    `greedy_decomposition`'s above.
 
-    Backends: `exact` (optimal, size-limited) and `greedy` (no guarantee).
-    f is a symmetric cut function.  On three elements x < y < z, `exact`
-    builds `exact_branch_width`'s tree without evaluating f: f({y, z}) =
-    f({x}), so each of the three splits costs max(f(x), f(y), f(z)) and
-    the search keeps the first, the lowest element.
+    On three elements x < y < z it builds the exact tree without
+    evaluating f: f({y, z}) = f({x}), so each of the three splits costs
+    max(f(x), f(y), f(z)) and the search keeps the first, the lowest
+    element.
     """
-    if backend == "exact":
-        if len(elements) > EXACT_SIZE_LIMIT:
-            raise SizeLimitExceeded(f"exact backend limited to {EXACT_SIZE_LIMIT} "
-                                    f"elements, got {len(elements)}")
-        if len(elements) == 3:
-            return _binary_tree(mask_of(elements), lambda m: m & -m, max(elements) + 1)
-        _, bd = exact_branch_width(sorted(elements), f)
-        return bd
-    if backend == "greedy":
-        return greedy_decomposition(f, sorted(elements))
-    raise ValueError(f"unknown backend {backend!r}")
+    if len(elements) > EXACT_SIZE_LIMIT:
+        return greedy_decomposition(f, elements)
+    if len(elements) == 3:
+        return _binary_tree(mask_of(elements), lambda m: m & -m)
+    return exact_branch_width(sorted(elements), f)[1]

@@ -59,7 +59,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_width(args) -> int:
     """Print the sm-width; --approx adds whether the 18x bound is certified,
-    which it is when no prime is too large for the exact backend."""
+    which it is when every prime has at most EXACT_SIZE_LIMIT vertices, so
+    that each prime's decomposition search was exact."""
     g = _load_graph(args.file)
     if args.exact:
         print(f"sm-width {oracles.brute_sm_width(g)}")

@@ -4,12 +4,14 @@ Per prime: vertices of weight at least 3k are heavy; edges between two
 heavy vertices must form a matching (else k is too small).  The search
 runs over elements: the prime's other vertices, and one fresh id per heavy
 edge standing for both its ends.  It finds a lifted-mm decomposition of
-the elements; each fresh leaf becomes the parent of its pair's two ends,
-the per-prime trees are glued at the markers, and k grows until the
-recomputed sm-width of the result fits the 18k budget.  Weights do not
-depend on k, so each prime vertex is weighed once per call, and a prime's
-tree depends on k only through its heavy set, so each (prime, heavy set)
-is searched once per call.
+the elements, exact when there are at most EXACT_SIZE_LIMIT of them and
+greedy otherwise, so each prime's own size picks its search.  Each fresh
+leaf becomes the parent of its pair's two ends, the per-prime trees are
+glued at the markers, and k grows until the recomputed sm-width of the
+result fits the 18k budget.  Weights do not depend on k, so each prime
+vertex is weighed once per call, and a prime's tree depends on k only
+through its heavy set, so each (prime, heavy set) is searched once per
+call.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ def contract_heavy_edges(ctx: LiftedContext, heavy: int):
     return elements + list(merged), tot_map, merged
 
 
-def prime_decomposition(ctx: LiftedContext, heavy: int,
-                        backend: str = "exact") -> BranchDecomposition:
+def prime_decomposition(ctx: LiftedContext, heavy: int) -> BranchDecomposition:
     """Lifted-mm decomposition of one prime with its heavy pairs contracted,
     each fresh leaf then made in place the parent of its pair's two ends.
 
@@ -76,8 +77,7 @@ def prime_decomposition(ctx: LiftedContext, heavy: int,
             t |= tot_map[v]
         return mm_value(ctx.graph, t)
 
-    bd = approx_decomposition(CutFunction(lifted, mask_of(elements)), elements,
-                              backend=backend)
+    bd = approx_decomposition(CutFunction(lifted, mask_of(elements)), elements)
     if not merged:
         return bd
     edges = list(bd.edges)
@@ -132,12 +132,14 @@ def combine(dec: SplitDecomposition,
 def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     """Decomposition whose sm-width is within the 18k budget of the search.
 
-    k is raised one step at a time, so with the exact per-prime backend the
-    accepted width is at most 18 times the true sm-width.  That backend
-    runs when every prime has at most EXACT_SIZE_LIMIT vertices, the
-    greedy one otherwise; the returned tree's `certified` says which.  No
-    cut has sm value above n // 2, so the first tree built is accepted
-    unmeasured when n // 2 <= 18k.
+    k is raised one step at a time, so when every prime's tree is exact the
+    accepted width is at most 18 times the true sm-width.  Each prime's
+    search is exact on at most EXACT_SIZE_LIMIT elements and greedy above
+    (`approx_decomposition`); the returned tree's `certified` is True when
+    every prime has at most EXACT_SIZE_LIMIT vertices, so that every
+    search is exact whatever k is.  No cut has sm value above n // 2, so the
+    first tree built is accepted unmeasured when n // 2 <= 18k; no weight
+    exceeds n, so no vertex is heavy once 3k > n, and the loop ends.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
@@ -145,7 +147,6 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
         raise ValueError("sm-width decompositions need a connected graph")
     dec = split_decompose(g)
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
-    backend = "exact" if max(p.n for p in dec.primes) <= EXACT_SIZE_LIMIT else "greedy"
     smf = sm_cut_function(g)
     trees: dict[tuple[int, int], BranchDecomposition] = {}  # by (prime, heavy set)
     best = None
@@ -156,7 +157,7 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
             for i, ctx in enumerate(ctxs):
                 key = (i, heavy_vertices(ctx, k))
                 if key not in trees:
-                    trees[key] = prime_decomposition(ctx, key[1], backend=backend)
+                    trees[key] = prime_decomposition(ctx, key[1])
                 bds.append(trees[key])
         except KTooSmall:
             k += 1
@@ -166,7 +167,7 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
         width = bound if best is None and bound <= 18 * k else bd.f_width(smf)
         if best is None or width < best[0]:
             best = (width, bd)
-        if width <= 18 * k or k > 2 * g.n:
-            best[1].certified = backend == "exact"
+        if width <= 18 * k:
+            best[1].certified = all(p.n <= EXACT_SIZE_LIMIT for p in dec.primes)
             return best[1]
         k += 1

@@ -19,7 +19,6 @@ built so far with one branch.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from .graph import Graph, bits
@@ -115,13 +114,13 @@ def _closure(g: Graph, seed: int, z: int, bound: int) -> int | None:
 
 
 class SplitDecomposition:
-    """Primes, marker registry, and the decomposition tree of a graph."""
+    """Primes and marker registry of a graph; each marker joins two primes,
+    so the markers are the edges of the decomposition tree."""
 
     def __init__(self, graph: Graph, primes: list[Graph], markers: dict[int, tuple[int, int]]):
         self.graph = graph
         self.primes = primes
         self.markers = markers  # marker id -> (prime index, prime index)
-        self.tree_edges = sorted(set(markers.values()))
         self._tot_cache: dict[tuple[int, int], int] = {}
 
     # -- tot ---------------------------------------------------------------
@@ -184,20 +183,6 @@ class SplitDecomposition:
             markers = {mk: [remap.get(k, merged_idx) for k in pr]
                        for mk, pr in markers.items()}
         return parts[0]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "primes": [{"vertices": list(p.vertices),
-                        "edges": [list(e) for e in p.edges]}
-                       for p in self.primes],
-            "markers": {str(m): list(pr) for m, pr in self.markers.items()},
-            "tree_edges": [list(e) for e in self.tree_edges],
-        }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def split_decompose(g: Graph) -> SplitDecomposition:

@@ -34,21 +34,33 @@ def partner(pe, w, d1, v):
     return (pe >> v * w) & ((1 << w) - 1) if (d1 >> v) & 1 else v
 
 
-def stack_depth():
-    """Number of frames on the stack, this call's own included."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
+def recursion_depth() -> int:
+    """The interpreter's recursion depth at the caller, as
+    `sys.setrecursionlimit` counts it.  CPython 3.11 counts C calls too,
+    so under pytest this exceeds the number of Python frames on the stack.
+    That call refuses a limit at or below the depth it runs at, so the
+    least limit it takes, found by bisection, is the caller's depth plus 3
+    (this frame, the call itself, and one).  The limit is left as it was."""
+    limit = sys.getrecursionlimit()
+    lo, hi = 1, limit  # hi is always taken
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            sys.setrecursionlimit(mid)
+            hi = mid
+        except RecursionError:
+            lo = mid + 1
+    sys.setrecursionlimit(limit)
+    return lo - 3
 
 
 @contextmanager
-def bounded_stack(extra: int = 50):
-    """Run the `with` body under a recursion limit `extra` frames above the
-    depth of the `with` statement."""
+def bounded_stack(extra: int = 45):
+    """Run the `with` body under a recursion limit `extra` levels above the
+    recursion depth of the `with` statement, so the body nests at most
+    `extra` Python calls."""
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(stack_depth() - 2 + extra)  # less this frame and __enter__'s
+    sys.setrecursionlimit(recursion_depth() - 2 + extra)  # less this frame and __enter__'s
     try:
         yield
     finally:

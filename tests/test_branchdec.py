@@ -4,7 +4,7 @@ import pytest
 
 from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import mm_cut_function, mm_value, sm_cut_function
-from smhc.branchdec import (BranchDecomposition, SizeLimitExceeded,
+from smhc.branchdec import (BranchDecomposition, EXACT_SIZE_LIMIT,
                             exact_branch_width, greedy_decomposition,
                             approx_decomposition, _binary_tree)
 from smhc.generators import random_connected_graph, caterpillar_decomposition
@@ -87,10 +87,12 @@ def test_exact_widths():
         assert exact_branch_width(list(g.vertices), cut_function(g))[0] == width
 
 
-def test_exact_refuses_oversized():
-    g = cycle_graph(13)
-    with pytest.raises(SizeLimitExceeded):
-        approx_decomposition(mm_cut_function(g), list(g.vertices), "exact")
+def test_approx_greedy_above_size_limit():
+    """Past EXACT_SIZE_LIMIT elements the tree is `greedy_decomposition`'s."""
+    g = random_connected_graph(EXACT_SIZE_LIMIT + 1, random.Random(5), p=0.3)
+    f = mm_cut_function(g)
+    want = greedy_decomposition(f, list(g.vertices))
+    assert approx_decomposition(f, list(g.vertices)).to_json() == want.to_json()
 
 
 def test_exact_evaluates_each_cut_once():
@@ -114,14 +116,13 @@ def test_exact_refuses_no_elements():
 
 
 def test_exact_needs_no_recursion():
-    """A 12-element search runs in 14 extra frames.  A recursive search
-    nests a frame for each element it splits off, 11 deep here, on top of
-    the frames any search needs; under pytest on CPython 3.11, which also
-    counts C calls, the iterative search needs 12 and a recursive one 22."""
+    """A 12-element search runs 9 levels above the test's recursion depth;
+    it needs 7 under pytest on CPython 3.11.  A recursive search nests a
+    frame for each element it splits off, 11 deep here, on top of those."""
     g = random_connected_graph(12, random.Random(1), p=0.3)
     f = mm_cut_function(g)
     want = exact_branch_width(list(g.vertices), f)  # also fills f's memo
-    with bounded_stack(14):
+    with bounded_stack(9):
         got = exact_branch_width(list(g.vertices), f)
     assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
 
@@ -158,8 +159,7 @@ def reference_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposi
                 sub = (sub - rest) & rest
             choice[masks[m]] = masks[bestpart]
         val[m] = best if m == top else max(f(masks[m]), best)
-    return val[top], _binary_tree(masks[top], choice.__getitem__,
-                                  max(elements) + 1)
+    return val[top], _binary_tree(masks[top], choice.__getitem__)
 
 
 def random_cut_function(rng, elements):
@@ -243,12 +243,14 @@ def test_greedy_never_beats_exact():
 
 
 def test_approx_backends():
-    g = cycle_graph(5)
-    f = mm_cut_function(g)
-    assert approx_decomposition(f, list(g.vertices), "exact").f_width(f) == 2
-    assert approx_decomposition(f, list(g.vertices), "greedy").f_width(f) >= 2
-    with pytest.raises(ValueError):
-        approx_decomposition(f, list(g.vertices), "bogus")
+    """Up to EXACT_SIZE_LIMIT elements the tree is `exact_branch_width`'s,
+    whatever the order the elements come in."""
+    for n in (4, 5, EXACT_SIZE_LIMIT):
+        g = random_connected_graph(n, random.Random(n), p=0.3)
+        f = mm_cut_function(g)
+        width, want = exact_branch_width(list(g.vertices), f)
+        got = approx_decomposition(f, list(g.vertices)[::-1])
+        assert got.to_json() == want.to_json() and got.f_width(f) == width
 
 
 def test_json_roundtrip():
@@ -258,7 +260,7 @@ def test_json_roundtrip():
 
 
 def test_three_elements_tree_without_f():
-    """The exact backend builds `exact_branch_width`'s tree on three
+    """`approx_decomposition` builds `exact_branch_width`'s tree on three
     elements under random symmetric cut functions, and never evaluates f."""
     rng = random.Random(3)
     for _ in range(50):
@@ -277,5 +279,5 @@ def test_three_elements_tree_without_f():
         def refuse(a):
             raise AssertionError("f evaluated")
 
-        bd = approx_decomposition(refuse, elements, "exact")
+        bd = approx_decomposition(refuse, elements)
         assert bd.to_json() == expected.to_json()

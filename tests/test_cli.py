@@ -80,7 +80,8 @@ def test_width_approx(tmp_path, capsys):
 
 
 def test_width_approx_says_whether_certified(tmp_path, capsys):
-    """The 18x bound is certified only when no prime needed the greedy backend."""
+    """The 18x bound is certified only when every prime has at most 12
+    vertices, so that every prime's search was exact."""
     for g, certified in [(complete_graph(6), "yes"), (cycle_graph(12), "yes"),
                          (cycle_graph(13), "no")]:  # a cycle is one prime
         assert main(["width", write_graph(tmp_path, g), "--approx"]) == EXIT_OK

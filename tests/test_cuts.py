@@ -85,7 +85,7 @@ def test_matching_long_augmenting_path_in_bounded_stack():
 
     In the zigzag cut x - r0 - l1 - r1 - ... - lk - rk, each li first
     takes r(i-1); the last root x then augments along all k pairs.  The
-    search runs under a recursion limit 50 frames above the caller's depth.
+    search runs under a recursion limit 45 levels above the caller's depth.
     """
     k = 60
     left = list(range(k + 1))  # l1..lk, then x = k

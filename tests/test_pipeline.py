@@ -6,9 +6,9 @@ from smhc.graph import (Graph, mask_of, cycle_graph, complete_graph, path_graph,
                         petersen_graph)
 from smhc.cuts import mm_value, sm_cut_function
 from smhc.splitdec import (LiftedContext, SplitDecomposition, split_decompose,
-                           lifted_sm_cut_function)
+                           lifted_mm_cut_function, lifted_sm_cut_function)
 from smhc import pipeline
-from smhc.branchdec import exact_branch_width
+from smhc.branchdec import EXACT_SIZE_LIMIT, exact_branch_width, greedy_decomposition
 from smhc.pipeline import (KTooSmall, heavy_vertices, contract_heavy_edges,
                            prime_decomposition, combine, approx_sm_decomposition)
 from smhc.generators import random_connected_graph
@@ -175,6 +175,26 @@ def test_approx_widths_named():
         assert bd.f_width(sm_cut_function(g)) <= 18 * exact
 
 
+def test_mixed_prime_sizes_choose_per_prime():
+    """Paths 0..11 and 12..16 joined completely between their ends split
+    into primes of 13 and 6 vertices: the small one gets the exact tree,
+    the large one the greedy tree, and the bound is not certified."""
+    g = Graph(range(17), [(i, i + 1) for i in range(16) if i != 11]
+              + [(a, b) for a in (0, 11) for b in (12, 16)])
+    dec = split_decompose(g)
+    assert sorted(p.n for p in dec.primes) == [6, 13]
+    for i, p in enumerate(dec.primes):
+        ctx = LiftedContext(dec, i)
+        assert heavy_vertices(ctx, 1) == 0
+        f = lifted_mm_cut_function(ctx)
+        want = (exact_branch_width(list(p.vertices), f)[1] if p.n <= EXACT_SIZE_LIMIT
+                else greedy_decomposition(f, list(p.vertices)))
+        assert prime_decomposition(ctx, 0).to_json() == want.to_json()
+    bd = approx_sm_decomposition(g)
+    assert not bd.certified
+    assert bd.f_width(sm_cut_function(g)) <= 3
+
+
 def test_each_prime_heavy_set_searched_once(monkeypatch):
     """K12 is accepted only after k has risen; a prime whose heavy set
     stays the same across k keeps its tree, so no (prime, elements)
@@ -184,13 +204,13 @@ def test_each_prime_heavy_set_searched_once(monkeypatch):
     real_prime = pipeline.prime_decomposition
     real_search = pipeline.approx_decomposition
 
-    def prime_decomposition(ctx, *args, **kwargs):
+    def prime_decomposition(ctx, heavy):
         prime[0] = ctx.prime_index
-        return real_prime(ctx, *args, **kwargs)
+        return real_prime(ctx, heavy)
 
-    def approx_decomposition(f, elements, *args, **kwargs):
+    def approx_decomposition(f, elements):
         searches.append((prime[0], tuple(elements)))
-        return real_search(f, elements, *args, **kwargs)
+        return real_search(f, elements)
 
     monkeypatch.setattr(pipeline, "prime_decomposition", prime_decomposition)
     monkeypatch.setattr(pipeline, "approx_decomposition", approx_decomposition)

@@ -384,7 +384,7 @@ def test_solve_deep_caterpillar_in_bounded_stack():
     """The post-order needs no stack frame per decomposition level.
 
     A 2 x 60 grid's caterpillar has a spine of 118 nodes; the solve runs
-    under a recursion limit 50 frames above the caller's depth.
+    under a recursion limit 45 levels above the caller's depth.
     """
     g = grid_graph(2, 60)
     bd = caterpillar_decomposition(list(g.vertices))
@@ -399,7 +399,7 @@ def test_merge_many_cross_edges_in_bounded_stack():
     A hub joined to 60 path vertices gives 60 cross edges; every vertex
     keeps a neighbour outside the home and the home is no split side, so
     the frontier keeps each of its members: the empty set, each spoke and
-    each pair of spokes, folded under a recursion limit 50 frames above
+    each pair of spokes, folded under a recursion limit 45 levels above
     the caller's depth.
     """
     k = 60

@@ -161,7 +161,7 @@ def test_split_decompose_deep_in_bounded_stack(g):
     """Placing the parts needs no stack frame per level of splits.
 
     Both graphs split 57 levels deep; the decomposition runs under a
-    recursion limit 50 frames above the caller's depth.
+    recursion limit 45 levels above the caller's depth.
     """
     with bounded_stack():
         dec = split_decompose(g)
@@ -172,7 +172,7 @@ def test_tot_deep_in_bounded_stack():
     """Resolving a marker needs no stack frame per prime behind it.
 
     The 120-vertex path splits into a chain of 118 primes; every tot is
-    computed under a recursion limit 50 frames above the caller's depth.
+    computed under a recursion limit 45 levels above the caller's depth.
     """
     g = path_graph(120)
     dec = split_decompose(g)
@@ -273,11 +273,3 @@ def test_act_matches_recomputation():
         for v in p.vertices:
             t = dec.tot(i, v)
             assert ctx.act(v) == g.neighborhood(g.vmask & ~t)
-
-
-def test_json_export():
-    _, dec = worked_example()
-    data = dec.to_json()
-    assert len(data["primes"]) == 3
-    assert set(data["markers"]) == {"7", "8"}
-    assert dec.to_json_str()
