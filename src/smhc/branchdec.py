@@ -138,7 +138,8 @@ class BranchDecomposition:
 
 def _binary_tree(full: int, split) -> BranchDecomposition:
     """Tree of the recursive bisection of the element mask `full`, where
-    `split(mask)` is the left part of a mask of two or more elements.
+    `split(mask)` is the left part of a mask of two or more elements: a
+    non-empty proper part of it, or ValueError.
 
     Nodes are numbered in post-order (left subtree, right subtree, then
     the node) from the highest element + 1, and the two halves of `full`
@@ -155,6 +156,8 @@ def _binary_tree(full: int, split) -> BranchDecomposition:
         mask, part = stack.pop()
         if not part and mask & (mask - 1):
             part = split(mask)
+            if part & ~mask or part in (0, mask):
+                raise ValueError(f"split({mask:#x}) gave {part:#x}, not a proper part")
             stack += [(mask, part), (mask ^ part, 0), (part, 0)]
             continue
         if part:

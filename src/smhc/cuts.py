@@ -2,8 +2,8 @@
 
 All vertex sets are bitmasks over the host graph's vertex ids.  A cut
 (a, V \\ a) is read straight off the host's adjacency masks.  `mm_value`
-and `sm_value` recompute on every call; `CutFunction` memoizes them per
-subset, since the decomposition search evaluates the same cuts repeatedly.
+and `sm_value` recompute on every call, and so do the cut functions built
+on them.
 """
 
 from __future__ import annotations
@@ -100,26 +100,9 @@ def sm_value(g: Graph, a: int) -> int:
     return mm_value(g, a)
 
 
-class CutFunction:
-    """Symmetric cut function with per-subset memoization."""
-
-    def __init__(self, fn, domain: int):
-        self._fn = fn
-        self.domain = domain
-        self._cache: dict[int, int] = {}
-
-    def __call__(self, a: int) -> int:
-        key = min(a, self.domain & ~a)  # symmetry halves the cache
-        val = self._cache.get(key)
-        if val is None:
-            val = self._fn(a)
-            self._cache[key] = val
-        return val
+def mm_cut_function(g: Graph):
+    return lambda a: mm_value(g, a)
 
 
-def mm_cut_function(g: Graph) -> CutFunction:
-    return CutFunction(lambda a: mm_value(g, a), g.vmask)
-
-
-def sm_cut_function(g: Graph) -> CutFunction:
-    return CutFunction(lambda a: sm_value(g, a), g.vmask)
+def sm_cut_function(g: Graph):
+    return lambda a: sm_value(g, a)

@@ -30,7 +30,7 @@ class Graph:
     """Simple undirected graph, immutable after construction."""
 
     __slots__ = ("vertices", "vmask", "edges", "adj", "edge_index",
-                 "incident", "edge_vertices", "_hash", "_connected")
+                 "incident", "edge_vertices", "_connected")
 
     def __init__(self, vertices, edges):
         vs = sorted(set(vertices))
@@ -64,7 +64,6 @@ class Graph:
         self.adj = adj
         self.incident = incident
         self.edge_vertices = tuple(edge_vertices)
-        self._hash = None
         self._connected = None
 
     # -- basics ------------------------------------------------------------
@@ -80,11 +79,6 @@ class Graph:
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.vertices == other.vertices
                 and self.edges == other.edges)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.vertices, self.edges))
-        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -134,21 +128,20 @@ class Graph:
     def edge_set(self, emask: int):
         return [self.edges[i] for i in bits(emask)]
 
+    def edges_at(self, vs: int) -> int:
+        """Edge bitmask of the edges with an end in vs."""
+        m = 0
+        for v in bits(vs):
+            m |= self.incident[v]
+        return m
+
     def edges_within(self, a: int) -> int:
         """Edge bitmask of E(G[a])."""
-        m = 0
-        for i, (u, v) in enumerate(self.edges):
-            if (a >> u) & 1 and (a >> v) & 1:
-                m |= 1 << i
-        return m
+        return self.edges_at(a) & ~self.edges_at(self.vmask & ~a)
 
     def edges_between(self, a: int, b: int) -> int:
         """Edge bitmask of E(G[a, b]) for disjoint a, b."""
-        m = 0
-        for i, (u, v) in enumerate(self.edges):
-            if ((a >> u) & 1 and (b >> v) & 1) or ((b >> u) & 1 and (a >> v) & 1):
-                m |= 1 << i
-        return m
+        return self.edges_at(a) & self.edges_at(b)
 
 
 # -- constructors ----------------------------------------------------------

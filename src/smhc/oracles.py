@@ -286,7 +286,7 @@ def _completes(g: Graph, a: int, s: int, outside_part: int) -> bool:
 
 
 def verify_preservation(g: Graph, a: int, big: list[int], small: list[int],
-                        method: str = "auto", hcs: list[int] | None = None) -> bool:
+                        method: str, hcs: list[int] | None = None) -> bool:
     """Whether `small` preserves `big` on side `a` w.r.t. outside completions.
 
     `cycles` groups all Hamiltonian cycles of g by their outside edge part:
@@ -294,8 +294,6 @@ def verify_preservation(g: Graph, a: int, big: list[int], small: list[int],
     is completed by some small member.  `enumerate` checks the definition
     literally over every path system of the outside edges.
     """
-    if method == "auto":
-        method = "cycles"
     big_set = set(big)
     small_set = set(small)
     inside = g.edges_within(a)

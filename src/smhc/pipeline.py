@@ -16,8 +16,8 @@ call.
 
 from __future__ import annotations
 
-from .graph import Graph, bits, mask_of
-from .cuts import CutFunction, mm_value, sm_cut_function
+from .graph import Graph, bits
+from .cuts import mm_value, sm_cut_function
 from .branchdec import BranchDecomposition, EXACT_SIZE_LIMIT, approx_decomposition
 from .splitdec import LiftedContext, SplitDecomposition, split_decompose
 
@@ -77,7 +77,7 @@ def prime_decomposition(ctx: LiftedContext, heavy: int) -> BranchDecomposition:
             t |= tot_map[v]
         return mm_value(ctx.graph, t)
 
-    bd = approx_decomposition(CutFunction(lifted, mask_of(elements)), elements)
+    bd = approx_decomposition(lifted, elements)
     if not merged:
         return bd
     edges = list(bd.edges)

@@ -26,14 +26,6 @@ Family = dict[int, tuple[int, int, int]]  # certificate -> state (d1, d2, pe)
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
 
 
-def _edges_at(g: Graph, vs: int) -> int:
-    """Mask of the edges with an end in vs."""
-    reach = 0
-    for v in bits(vs):
-        reach |= g.incident[v]
-    return reach
-
-
 def _cut(g: Graph, a: int, near: int, nbr: int) -> Cut:
     """Cut of a read off `near`, a superset of its boundary, and nbr = N(a)."""
     adj = g.adj
@@ -79,7 +71,7 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     home = a | b
     (ba, na, _), (bb, nb, _) = cut_a, cut_b
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
-    left = _edges_at(g, ba & nb) & _edges_at(g, bb & na)
+    left = g.edges_at(ba & nb) & g.edges_at(bb & na)
     items = [(sa | sb, d1a | d1b, d2a | d2b, pea | peb, 0)
              for sa, (d1a, d2a, pea) in fa.items() for sb, (d1b, d2b, peb) in fb.items()]
     fam = {m: (d1, d2, pe) for m, d1, d2, pe, _ in frontier(g, items, left, home, cut[0], cut[2])}
@@ -93,7 +85,7 @@ def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) 
     cover of the cut (`cut_of(g, a)`), both read off its boundary and N(a)."""
     boundary, nbr, _ = cut
     c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
-    estar = _edges_at(g, c & ~a) & _edges_at(g, boundary)
+    estar = g.edges_at(c & ~a) & g.edges_at(boundary)
     ext = preserving_extension(g, a, c, fam, estar, trace)
     return {core: fam[core] for _, core in ext}
 

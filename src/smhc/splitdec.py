@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .graph import Graph, bits
-from .cuts import CutFunction, mm_value, sm_value
+from .cuts import mm_value, sm_value
 
 
 def find_split(g: Graph):
@@ -251,9 +251,9 @@ class LiftedContext:
         return {v: self.weight(v) for v in self.prime.vertices}
 
 
-def lifted_mm_cut_function(ctx: LiftedContext) -> CutFunction:
-    return CutFunction(lambda x: mm_value(ctx.graph, ctx.tot_set(x)), ctx.prime.vmask)
+def lifted_mm_cut_function(ctx: LiftedContext):
+    return lambda x: mm_value(ctx.graph, ctx.tot_set(x))
 
 
-def lifted_sm_cut_function(ctx: LiftedContext) -> CutFunction:
-    return CutFunction(lambda x: sm_value(ctx.graph, ctx.tot_set(x)), ctx.prime.vmask)
+def lifted_sm_cut_function(ctx: LiftedContext):
+    return lambda x: sm_value(ctx.graph, ctx.tot_set(x))

@@ -121,8 +121,8 @@ def test_exact_needs_no_recursion():
     frame for each element it splits off, 11 deep here, on top of those."""
     g = random_connected_graph(12, random.Random(1), p=0.3)
     f = mm_cut_function(g)
-    want = exact_branch_width(list(g.vertices), f)  # also fills f's memo
-    with bounded_stack(9):
+    want = exact_branch_width(list(g.vertices), f)
+    with bounded_stack(9):  # the search below evaluates mm afresh in here
         got = exact_branch_width(list(g.vertices), f)
     assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
 
@@ -281,3 +281,13 @@ def test_three_elements_tree_without_f():
 
         bd = approx_decomposition(refuse, elements)
         assert bd.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize("split", [lambda m: 0, lambda m: m,
+                                   lambda m: 1 << 8 if m >> 8 & 1 else (m & -m) | 1 << 8])
+def test_binary_tree_refuses_improper_split(split):
+    """A split that is empty or the whole mask raises instead of pushing the
+    same mask again; one that reaches outside the mask raises instead of
+    building a tree with foreign leaves."""
+    with pytest.raises(ValueError, match="not a proper part"):
+        _binary_tree(mask_of([0, 1, 2]), split)

@@ -39,6 +39,18 @@ def test_hc_with_supplied_decomposition(tmp_path, capsys):
     assert "HAMILTONIAN" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("g", [cycle_graph(6), complete_graph(5), petersen_graph()])
+def test_hc_reads_decompose_output(tmp_path, capsys, g):
+    """`smhc decompose g.txt > d.json`, then `smhc hc g.txt --decomposition
+    d.json`, exits and prints as plain `smhc hc g.txt` does."""
+    f = write_graph(tmp_path, g)
+    assert main(["decompose", f]) == EXIT_OK
+    d = tmp_path / "d.json"
+    d.write_text(capsys.readouterr().out)
+    plain = main(["hc", f]), capsys.readouterr().out
+    assert (main(["hc", f, "--decomposition", str(d)]), capsys.readouterr().out) == plain
+
+
 @pytest.mark.parametrize("bad", ["{}", "[]", "5", '{"edges": 5, "leaf_map": {}}',
                                  '{"edges": [[0, 1]], "leaf_map": []}',
                                  '{"edges": [1], "leaf_map": {"1": 0}}',

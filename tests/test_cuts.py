@@ -8,7 +8,9 @@ from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.cuts import (max_matching, min_vertex_cover, mm_value, is_split,
                        sm_value, mm_cut_function, sm_cut_function)
 from smhc.generators import random_connected_graph
+from smhc.splitdec import LiftedContext, lifted_mm_cut_function
 from tests.conftest import bounded_stack
+from tests.test_splitdec import worked_example
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -165,14 +167,20 @@ def test_mm_submodular(seed):
             >= mm_value(g, a | b) + mm_value(g, a & b))
 
 
-def test_cut_function_memoizes():
-    calls = []
-    f = mm_cut_function(cycle_graph(5))
-    g = cycle_graph(5)
-    a = mask_of([0, 1])
-    v1 = f(a)
-    v2 = f(g.vmask & ~a)  # symmetric key hits the cache
-    assert v1 == v2 == mm_value(g, a)
+def test_cut_functions_symmetric():
+    """f(a) == f(V \\ a) == the value function on every subset a: mm and
+    sm on the worked example's graph, which has splits, and the lifted mm
+    on its 5-cycle prime."""
+    g, dec = worked_example()
+    ctx = LiftedContext(dec, 0)
+    cases = [(mm_cut_function(g), g.vmask, lambda a: mm_value(g, a)),
+             (sm_cut_function(g), g.vmask, lambda a: sm_value(g, a)),
+             (lifted_mm_cut_function(ctx), ctx.prime.vmask,
+              lambda x: mm_value(g, ctx.tot_set(x)))]
+    for f, domain, value in cases:
+        for a in range(domain + 1):
+            if not a & ~domain:
+                assert f(a) == f(domain & ~a) == value(a)
 
 
 def test_sm_cut_function_matches_value():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,27 @@ def test_cut_edges_partition_random(g, a):
     crossing = g.edges_between(a, g.vmask & ~a)
     assert inner | outer | crossing == (1 << g.m) - 1
     assert inner & crossing == 0 and outer & crossing == 0 and inner & outer == 0
+
+
+def test_edge_masks_match_literal_scan():
+    """`edges_at`, `edges_within` and `edges_between` against a scan over
+    g.edges, on seeded random graphs with non-contiguous vertex ids."""
+    rng = random.Random(5)
+    for _ in range(200):
+        vs = rng.sample(range(12), rng.randint(1, 9))
+        es = [(u, v) for u in vs for v in vs if u < v and rng.random() < 0.4]
+        g = Graph(vs, es)
+        a, b = rng.getrandbits(12) & g.vmask, rng.getrandbits(12) & g.vmask
+        b &= ~a
+
+        def scan(keep):
+            return sum(1 << i for i, (u, v) in enumerate(g.edges)
+                       if keep((a >> u) & 1, (a >> v) & 1, (b >> u) & 1, (b >> v) & 1))
+
+        assert g.edges_at(a) == scan(lambda au, av, bu, bv: au or av)
+        assert g.edges_within(a) == scan(lambda au, av, bu, bv: au and av)
+        assert g.edges_between(a, b) == scan(
+            lambda au, av, bu, bv: (au and bv) or (bu and av))
 
 
 @given(small_graphs(), st.integers(0, 255))

@@ -75,10 +75,10 @@ def test_verify_preservation_trivial():
     g = cycle_graph(5)
     a = mask_of([0, 1, 2])
     fam = [g.edge_mask([(0, 1), (1, 2)])]
-    assert verify_preservation(g, a, fam, fam)
+    assert verify_preservation(g, a, fam, fam, method="cycles")
     assert verify_preservation(g, a, fam, fam, method="enumerate")
     # dropping the only completable member is caught
-    assert not verify_preservation(g, a, fam, [])
+    assert not verify_preservation(g, a, fam, [], method="cycles")
     assert not verify_preservation(g, a, fam, [], method="enumerate")
 
 
