@@ -18,7 +18,9 @@ vertices of each; mixed-13-6-2 ends with only 3-vertex primes beside its
 large one); its primes above the limit get the greedy search, its
 cographs contract heavy pairs, and its mixed graphs choose the search per
 prime.  Prints, per workload, how many inputs have identical verdicts,
-witnesses, per-node family sizes (`trace["node_sizes"]`) and
+witnesses, per-node family sizes (`trace["node_sizes"]`), largest kept
+families per separator size (`trace["max_family_by_k"]`), kept members
+of each trim on inputs with n <= 8 (`trace["trims"]`, each sorted) and
 decompositions (`bd.to_json()`), lists every difference (with both
 sm-widths where the decompositions differ), and exits 1 on any.  A
 node_sizes difference says at how many nodes the family grew; a witness
@@ -43,8 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def solve_all(inputs: list[dict]) -> list[dict]:
-    """Verdict, witness, node sizes and decomposition of each input, from
-    the `smhc` on the path."""
+    """Verdict, witness, node sizes, largest kept families, kept members of
+    each trim (n <= 8) and decomposition of each input, from the `smhc` on
+    the path."""
     from smhc.branchdec import BranchDecomposition
     from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
@@ -54,7 +57,9 @@ def solve_all(inputs: list[dict]) -> list[dict]:
     out = []
     for inp in inputs:
         g = Graph(range(inp["n"]), [tuple(e) for e in inp["edges"]])
-        trace: dict = {"node_sizes": []}
+        trace: dict = {"node_sizes": [], "max_family_by_k": {}}
+        if g.n <= 8:
+            trace["trims"] = []
         bd = None
         verdict, witness = False, None
         if g.n >= 3 and g.is_connected():
@@ -67,6 +72,9 @@ def solve_all(inputs: list[dict]) -> list[dict]:
         out.append({"verdict": verdict,
                     "witness": [list(e) for e in witness] if witness else None,
                     "node_sizes": trace["node_sizes"],
+                    "max_family_by_k": {str(k): v for k, v in
+                                        sorted(trace["max_family_by_k"].items())},
+                    "trims": [[a, sorted(after)] for a, _, after in trace.get("trims", [])],
                     "decomposition": bd.to_json() if bd else None,
                     "sm_width": bd.f_width(sm_cut_function(g)) if bd else None})
     return out
@@ -168,8 +176,8 @@ def main(argv=None) -> int:
                 same += 1
                 continue
             differences += 1
-            fields = [k for k in ("verdict", "witness", "node_sizes", "decomposition")
-                      if old[k] != new[k]]
+            fields = [k for k in ("verdict", "witness", "node_sizes", "max_family_by_k",
+                                  "trims", "decomposition") if old[k] != new[k]]
             line = f"  {inp['label']}: {', '.join(fields)} differ"
             if "node_sizes" in fields:
                 line += (f" (family sum {sum(old['node_sizes'])} -> "
@@ -185,7 +193,8 @@ def main(argv=None) -> int:
                          if is_hamiltonian_cycle(inp["n"], inp["edges"], new["witness"])
                          else "; NEW WITNESS IS NO HAMILTONIAN CYCLE")
             print(line)
-        compared = ("verdicts, witnesses, node_sizes and decompositions"
+        compared = ("verdicts, witnesses, node_sizes, max_family_by_k, trims "
+                    "and decompositions"
                     if inputs[0]["solve"] else "decompositions")
         print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}")
     return 1 if differences else 0

@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
         failures.append("recomposition mismatch")
     if g.n > 14:
         print("refused: input too large for the brute-force sweep")
-        return EXIT_REFUSED
+        return _verdict(failures, EXIT_REFUSED)
     bd = approx_sm_decomposition(g)
     width = bd.f_width(sm_cut_function(g))
     if g.n <= oracles.BRUTE_WIDTH_LIMIT:
@@ -128,9 +128,13 @@ def cmd_verify(args) -> int:
             print(f"ok: all {len(checks)} trims preserve completability")
         else:
             failures.append("a trim lost a completable certificate")
+    return _verdict(failures, EXIT_OK)
+
+
+def _verdict(failures: list[str], clean: int) -> int:
     for msg in failures:
         print(f"FAIL: {msg}")
-    return EXIT_OK if not failures else EXIT_NO
+    return EXIT_NO if failures else clean
 
 
 def _bench_row(task) -> str:

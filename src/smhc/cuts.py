@@ -15,10 +15,17 @@ def max_matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
     """Maximum matching of G[a, b] by augmenting paths, b = V \\ a unless
     given, as a map from each matched vertex of b to its partner in a."""
     b = g.vmask & ~a if b is None else b
+    adj = g.adj
     partner: dict[int, int] = {}
+    taken = 0  # the matched vertices of b
     for root in bits(a):
+        free = adj[root] & b & ~taken
+        if free:  # the lowest free neighbour, without a search
+            taken |= free & -free
+            partner[(free & -free).bit_length() - 1] = root
+            continue
         visited = 0
-        stack = [(root, g.adj[root] & b, -1)]  # left vertex, untried mask, tried vertex
+        stack = [(root, adj[root] & b, -1)]  # left vertex, untried mask, tried vertex
         while stack:
             u, untried, _ = stack[-1]
             untried &= ~visited
@@ -28,12 +35,13 @@ def max_matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
             w = (untried & -untried).bit_length() - 1
             visited |= 1 << w
             stack[-1] = (u, untried, w)
-            if w in partner:
+            if (taken >> w) & 1:
                 x = partner[w]
-                stack.append((x, g.adj[x] & b, -1))
+                stack.append((x, adj[x] & b, -1))
             else:  # augmenting path: each frame's vertex takes its tried vertex
                 for u, _, w in stack:
                     partner[w] = u
+                taken |= 1 << w
                 break
     return partner
 
@@ -66,8 +74,8 @@ def min_vertex_cover(g: Graph, a: int, b: int | None = None) -> int:
 
 
 def mm_value(g: Graph, a: int) -> int:
-    """Size of a maximum matching in G[a, V \\ a]."""
-    return len(max_matching(g, a))
+    """Size of a maximum matching in G[a, V \\ a], rooted on the smaller side."""
+    return len(max_matching(g, min(a, g.vmask & ~a, key=int.bit_count)))
 
 
 def is_split(g: Graph, a: int) -> bool:

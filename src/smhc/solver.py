@@ -10,8 +10,8 @@ merge, the twin test and the trims read only that cut.  A merge lists no
 members: one frontier over all pairs forgets each vertex once its edges
 are decided (`repsets.frontier`, the loop the preserving extension runs
 too).  Its family is pruned once: by a twin-signature collapse on twin
-cuts, and by the representative-family machinery of `repsets` over a
-small cut vertex cover elsewhere.
+cuts, elsewhere by the representative sets of `repsets` over a small cut
+vertex cover, one keyed pass on narrow cuts without estar edges (`trim_vc`).
 """
 
 from __future__ import annotations
@@ -82,12 +82,29 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
 
 def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
     """Representative subfamily via a preserving extension over a Koenig
-    cover of the cut (`cut_of(g, a)`), both read off its boundary and N(a)."""
+    cover c of the cut (`cut_of(g, a)`), both read off its boundary and N(a).
+
+    Without estar edges and with at most five boundary vertices it is one
+    pass keeping the least live member (a \\ c ⊆ d2) per state.  Exact: an
+    uncovered cut edge would be an estar edge, so the boundary lies in c
+    and live ends in c ∩ a, of <= max(|boundary|, 3) vertices.  At <= 4 ends
+    the basis keeps the least live member per state over c (`repsets`
+    Corollary), which fixes the state as every edge lies in a.  Live
+    members are within the 2|c| budget and span no cycle."""
     boundary, nbr, _ = cut
     c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
     estar = g.edges_at(c & ~a) & g.edges_at(boundary)
-    ext = preserving_extension(g, a, c, fam, estar, trace)
-    return {core: fam[core] for _, core in ext}
+    if estar or boundary.bit_count() > 5:
+        ext = preserving_extension(g, a, c, fam, estar, trace)
+        return {core: fam[core] for _, core in ext}
+    inner, best = a & ~c, {}
+    for m, state in fam.items():
+        if not inner & ~state[1] and best.setdefault(state, m) > m:
+            best[state] = m
+    if trace is not None:
+        by_k, k = trace.setdefault("max_family_by_k", {}), c.bit_count()
+        by_k[k] = max(by_k.get(k, 0), len(best))
+    return fam if len(best) == len(fam) else {m: fam[m] for m in best.values()}
 
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:

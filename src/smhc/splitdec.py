@@ -240,7 +240,8 @@ class LiftedContext:
 
     def act(self, v: int) -> int:
         """Vertices of tot(v) with a neighbor outside tot(v) in the graph."""
-        return self.graph.neighborhood(self.graph.vmask & ~self.tot(v))
+        t, adj = self.tot(v), self.graph.adj
+        return sum(1 << u for u in bits(t) if adj[u] & ~t)
 
     def weight(self, v: int) -> int:
         return self.act(v).bit_count()

@@ -180,7 +180,27 @@ def test_verify_says_when_it_skips(tmp_path, capsys, text, why):
 def test_verify_refuses_large(tmp_path, capsys):
     f = write_graph(tmp_path, cycle_graph(16))
     assert main(["verify", f]) == EXIT_REFUSED
-    assert "refused" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "refused" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("n, checked", [(8, "ok: solver agrees"), (15, "refused:")])
+def test_verify_reports_recomposition_failure(tmp_path, capsys, monkeypatch, n, checked):
+    """A split decomposition that does not recompose to the input fails
+    `verify` with exit 1, on inputs the sweep checks and on those it
+    refuses alike."""
+    from smhc import cli
+
+    class Broken:
+        def recompose(self):
+            return cycle_graph(3)
+
+    monkeypatch.setattr(cli, "split_decompose", lambda g: Broken())
+    f = write_graph(tmp_path, cycle_graph(n))
+    assert main(["verify", f]) == EXIT_NO
+    out = capsys.readouterr().out
+    assert checked in out
+    assert "FAIL: recomposition mismatch" in out.splitlines()
 
 
 def test_bench_csv_shape(tmp_path, capsys):

@@ -276,6 +276,128 @@ def test_trim_vc_bound():
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
 
 
+def sampled_family(g, a, rng):
+    """Path systems of G[a] in a random order: all of them when G[a] has
+    at most 12 edges, else the empty one, 80 grown edge by edge in random
+    orders, each stopped at a random length, and 300 drawn as one to four
+    paths between boundary vertices with the other vertices of a put on
+    them at random."""
+    inner = g.edges_within(a)
+    edges = list(bits(inner))
+    if len(edges) <= 12:
+        masks, m = [], inner
+        while True:  # every submask of inner, down to 0
+            if is_path_system(g, m):
+                masks.append(m)
+            if not m:
+                break
+            m = (m - 1) & inner
+    else:
+        masks = {0}
+        for _ in range(80):
+            rng.shuffle(edges)
+            m = 0
+            for i in edges[:rng.randint(1, len(edges))]:
+                if is_path_system(g, m | 1 << i):
+                    m |= 1 << i
+            masks.add(m)
+        outside = g.vmask & ~a
+        ends = [v for v in bits(a) if g.adj[v] & outside]
+        inside = [v for v in bits(a) if not g.adj[v] & outside]
+        for _ in range(300):  # boundary paths through every other vertex, if they exist
+            rng.shuffle(ends)
+            cuts = sorted(rng.sample(range(1, len(ends)), min(rng.randint(0, 3), len(ends) - 1)))
+            paths = [ends[i:j] for i, j in zip([0] + cuts, cuts + [len(ends)])]
+            for v in inside:
+                path = rng.choice(paths)
+                path.insert(rng.randint(1, max(1, len(path) - 1)), v)
+            steps = [(u, v) for path in paths for u, v in zip(path, path[1:])]
+            if all((g.adj[u] >> v) & 1 for u, v in steps):
+                masks.add(g.edge_mask(steps))
+        masks = list(masks)
+    rng.shuffle(masks)
+    return family(g, masks)
+
+
+def perfect_matchings(vs):
+    if not vs:
+        yield []
+        return
+    for i in range(1, len(vs)):
+        for rest in perfect_matchings(vs[1:i] + vs[i + 1:]):
+            yield [(vs[0], vs[i])] + rest
+
+
+def wide_cut():
+    """K7 with six of its vertices matched one to one to six outside
+    vertices on a path: a cut of six boundary vertices whose Koenig cover
+    is the boundary, so the cut has no estar edge.  Also returns the 45
+    members of three paths that pair up the boundary, vertex 6 on one of
+    them: 15 pairings of one signature, whose rows span only 10 dimensions."""
+    g = Graph(range(13), [(u, v) for u in range(7) for v in range(u + 1, 7)]
+              + [(7 + i, 8 + i) for i in range(5)] + [(i, 7 + i) for i in range(6)])
+    paired = []
+    for pairs in perfect_matchings(list(range(6))):
+        for u, v in pairs:
+            others = [pair for pair in pairs if pair != (u, v)]
+            paired.append(g.edge_mask(others + [(u, 6), (6, v)]))
+    return g, (1 << 7) - 1, paired
+
+
+def test_one_pass_trim_equals_extension_route(monkeypatch):
+    """`trim_vc` keeps exactly what `preserving_extension` and its
+    `trim_separator` over the padded cover keep, with the same
+    `max_family_by_k`, on seeded random families.  A cut without estar
+    edges and with at most five boundary vertices takes the one keyed pass
+    and calls no extension; every other cut calls it.  The cases cover
+    repeated states in a shuffled order, dead members, members over the
+    2|c| budget, padded covers, untouched families (returned as they are)
+    and six-vertex boundaries whose basis keeps fewer members than states."""
+    calls = []
+    real_extension = solver.preserving_extension
+    monkeypatch.setattr(solver, "preserving_extension",
+                        lambda *args: calls.append(args) or real_extension(*args))
+    rng = random.Random(2015)
+    instances = []
+    for _ in range(120):
+        g = random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.3, 0.5, 0.7]))
+        a = rng.randrange(1, g.vmask)
+        if not cut_of(g, a)[2]:
+            instances.append((g, a, []))
+    instances.append(wide_cut())
+    seen = dict.fromkeys(["one pass", "repeated state", "dead", "over budget", "padded",
+                          "untouched", "dropped", "estar", "wide basis drops"], 0)
+    for g, a, extra in instances:
+        fam = sampled_family(g, a, rng)
+        fam.update(family(g, extra))
+        cut = cut_of(g, a)
+        boundary, nbr, _ = cut
+        c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
+        estar = g.edges_at(c & ~a) & g.edges_at(boundary)
+        want_trace, got_trace = {}, {}
+        want = {core: fam[core] for _, core in
+                repsets.preserving_extension(g, a, c, fam, estar, want_trace)}
+        calls.clear()
+        got = trim_vc(g, a, fam, cut, got_trace)
+        assert got == want and got_trace == want_trace
+        live = [m for m in fam if not a & ~c & ~fam[m][1]]
+        if estar or boundary.bit_count() > 5:
+            assert len(calls) == 1
+            seen["estar"] += bool(estar)
+            seen["wide basis drops"] += not estar and len(got) < len({fam[m] for m in live})
+            continue
+        assert not calls
+        assert boundary & ~c == 0 and (a & c).bit_count() <= max(boundary.bit_count(), 3)
+        seen["one pass"] += 1
+        seen["repeated state"] += len({fam[m] for m in live}) < len(live)
+        seen["dead"] += len(live) < len(fam)
+        seen["over budget"] += any(a.bit_count() - m.bit_count() > c.bit_count() for m in fam)
+        seen["padded"] += c != boundary
+        seen["untouched"] += got is fam
+        seen["dropped"] += len(got) < len(fam)
+    assert all(seen.values()), seen
+
+
 def test_trim_split_signature_collapse():
     # side {0,1} of a 4-cycle-with-twins: 0 and 1 are twins toward outside
     g = Graph(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)])
