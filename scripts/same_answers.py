@@ -19,13 +19,13 @@ large one); its primes above the limit get the greedy search, its
 cographs contract heavy pairs, and its mixed graphs choose the search per
 prime.  Prints, per workload, how many inputs have identical verdicts,
 witnesses, per-node family sizes (`trace["node_sizes"]`), largest kept
-families per separator size (`trace["max_family_by_k"]`), kept members
-of each trim on inputs with n <= 8 (`trace["trims"]`, each sorted) and
-decompositions (`bd.to_json()`), lists every difference (with both
-sm-widths where the decompositions differ), and exits 1 on any.  A
-node_sizes difference says at how many nodes the family grew; a witness
-difference says whether the new witness is a Hamiltonian cycle of the
-input, by a walk of its own.
+families per separator size (`trace["max_family_by_k"]`), the members
+before and after each trim on inputs with n <= 8 (`trace["trims"]`, each
+list sorted) and decompositions (`bd.to_json()`), lists every difference
+(with both sm-widths where the decompositions differ), and exits 1 on
+any.  A node_sizes difference says at how many nodes the family grew; a
+witness difference says whether the new witness is a Hamiltonian cycle
+of the input, by a walk of its own.
 
 Usage: python3 scripts/same_answers.py --parent PATH [--tree PATH]
 """
@@ -45,9 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def solve_all(inputs: list[dict]) -> list[dict]:
-    """Verdict, witness, node sizes, largest kept families, kept members of
-    each trim (n <= 8) and decomposition of each input, from the `smhc` on
-    the path."""
+    """Verdict, witness, node sizes, largest kept families, the members
+    before and after each trim (n <= 8) and decomposition of each input,
+    from the `smhc` on the path."""
     from smhc.branchdec import BranchDecomposition
     from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
@@ -74,7 +74,8 @@ def solve_all(inputs: list[dict]) -> list[dict]:
                     "node_sizes": trace["node_sizes"],
                     "max_family_by_k": {str(k): v for k, v in
                                         sorted(trace["max_family_by_k"].items())},
-                    "trims": [[a, sorted(after)] for a, _, after in trace.get("trims", [])],
+                    "trims": [[a, sorted(before), sorted(after)]
+                              for a, before, after in trace.get("trims", [])],
                     "decomposition": bd.to_json() if bd else None,
                     "sm_width": bd.f_width(sm_cut_function(g)) if bd else None})
     return out
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
                          else "; NEW WITNESS IS NO HAMILTONIAN CYCLE")
             print(line)
         compared = ("verdicts, witnesses, node_sizes, max_family_by_k, trims "
-                    "and decompositions"
+                    "(before and after) and decompositions"
                     if inputs[0]["solve"] else "decompositions")
         print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}")
     return 1 if differences else 0

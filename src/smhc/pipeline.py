@@ -141,10 +141,12 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     first tree built is accepted unmeasured when n // 2 <= 18k; no weight
     exceeds n, so no vertex is heavy once 3k > n, and the loop ends.
     """
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
     if not g.is_connected():
         raise ValueError("sm-width decompositions need a connected graph")
+    if g.n == 1:  # one leaf and no cut: width 0, exactly
+        bd = BranchDecomposition([], {0: g.vertices[0]})
+        bd.certified = True
+        return bd
     dec = split_decompose(g)
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
     smf = sm_cut_function(g)

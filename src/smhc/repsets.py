@@ -319,7 +319,12 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
     meet undecided vertices only, and end with one key and liveness.
     Later edges are disjoint from both masks, so adding them keeps the
     order of the two: the frontier keeps the least live member per final
-    key.
+    key.  Hence `solver.trim`'s precondition: in `solver.join` the items and
+    `left` lie in `home`, so all of `home` is decided by the end, each
+    item has degree two at every vertex of `home` outside `boundary`, and
+    no two share a state or, with `forget`, a tally (path ends, isolated
+    vertices), as the boundary is forgotten and the rest lies in d2.  None
+    is a cycle unless `home` is V: `grow` closes only Hamiltonian cycles.
     """
     w = field_width(g)
     free = (1 << w) - 1  # above every vertex id; `grow` writes there unread

@@ -7,11 +7,10 @@ degree >= 1 and >= 2 and the pairing of its path ends (see `repsets`),
 set in O(1) where the certificate is made.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
 merge, the twin test and the trims read only that cut.  A merge lists no
-members: one frontier over all pairs forgets each vertex once its edges
-are decided (`repsets.frontier`, the loop the preserving extension runs
-too).  Its family is pruned once: by a twin-signature collapse on twin
-cuts, elsewhere by the representative sets of `repsets` over a small cut
-vertex cover, one keyed pass on narrow cuts without estar edges (`trim_vc`).
+members: one frontier over all pairs (`repsets.frontier`) forgets each
+vertex once its edges are decided and keeps one live member per key.
+Each trim then applies only its own rules: the slot rules of twin cuts
+(`trim_split`), elsewhere the rep-set trim over a cut cover (`trim_vc`).
 """
 
 from __future__ import annotations
@@ -56,15 +55,11 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     cuts of a and b in O(|boundary of a| + |boundary of b|) big-int
     operations.  No twin cut needs a path limit: `trim_split` keeps no
     member with more paths than the mm of its side, and the paper's limit
-    is 4 times that.
-
-    The trim keeps what it keeps of every live member.  On a twin cut the
-    frontier's final key holds `trim_split`'s signature.  Elsewhere it is
-    the state: an extension of a later member of one state has the state
-    of the same extension of the earlier one and a larger mask, so
-    `preserving_extension` never keeps it (`repsets` Lemma 3).  At the
-    root every survivor has all degrees two, so it is a Hamiltonian cycle
-    (`grow` closes no other cycle), and the least is kept.
+    is 4 times that.  The frontier leaves what `trim`'s precondition asks
+    and loses no completion: members of one twin signature complete alike,
+    and of one state `preserving_extension` keeps the least (`repsets`
+    Lemma 3).  At the root every survivor is a Hamiltonian cycle, and the
+    least is kept.
     """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
@@ -84,62 +79,50 @@ def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) 
     """Representative subfamily via a preserving extension over a Koenig
     cover c of the cut (`cut_of(g, a)`), both read off its boundary and N(a).
 
-    Without estar edges and with at most five boundary vertices it is one
-    pass keeping the least live member (a \\ c ⊆ d2) per state.  Exact: an
-    uncovered cut edge would be an estar edge, so the boundary lies in c
-    and live ends in c ∩ a, of <= max(|boundary|, 3) vertices.  At <= 4 ends
-    the basis keeps the least live member per state over c (`repsets`
-    Corollary), which fixes the state as every edge lies in a.  Live
-    members are within the 2|c| budget and span no cycle."""
+    Without estar edges and with at most five boundary vertices that is
+    `fam` itself, under `trim`'s precondition: the boundary lies in c (an
+    uncovered cut edge would be estar), so the ends lie in c ∩ a, of <= 5
+    vertices.  At <= 4 ends the basis keeps each state over c (`repsets`
+    Corollary), which fixes the state as every edge lies in a.  No member
+    is a cycle or over the 2|c| budget."""
     boundary, nbr, _ = cut
     c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
     estar = g.edges_at(c & ~a) & g.edges_at(boundary)
     if estar or boundary.bit_count() > 5:
         ext = preserving_extension(g, a, c, fam, estar, trace)
         return {core: fam[core] for _, core in ext}
-    inner, best = a & ~c, {}
-    for m, state in fam.items():
-        if not inner & ~state[1] and best.setdefault(state, m) > m:
-            best[state] = m
     if trace is not None:
         by_k, k = trace.setdefault("max_family_by_k", {}), c.bit_count()
-        by_k[k] = max(by_k.get(k, 0), len(best))
-    return fam if len(best) == len(fam) else {m: fam[m] for m in best.values()}
+        by_k[k] = max(by_k.get(k, 0), len(fam))
+    return fam
 
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
-    """One representative per twin signature on a twin cut (`cut_of(g, a)`).
+    """The members of a twin cut's family (`cut_of(g, a)`) that may complete.
 
-    On a twin cut every boundary vertex has the same outside
-    neighbourhood, of t vertices, so a certificate only matters through
-    how many paths and how many isolated vertices offer attachment slots.
-    A certificate can never be completed when a non-boundary vertex is
-    deficient, when it has an isolated vertex and t < 2, or when it has
-    more than t paths: a cycle through it takes two cross edges per path,
-    at most two at each outside neighbour.  Since every path holds a
-    boundary vertex, a kept certificate has at most min(t, |boundary|)
-    paths, the mm of the cut.
+    Every boundary vertex sees the same t outside vertices, and under
+    `trim`'s precondition one member is left per twin signature (paths,
+    isolated vertices).  A member is dropped when it has an isolated vertex
+    and t < 2, or more than t paths and isolated vertices: a cycle through
+    it takes two cross edges per path or isolated vertex, at most two at
+    each outside neighbour.  Every path holds a boundary vertex, so a kept
+    certificate has at most min(t, |boundary|) paths, the mm of the cut.
     """
-    boundary, common_outside, twin = cut
+    _, common_outside, twin = cut
     if not twin:
         raise ValueError("trim_split needs a twin cut")
     t = common_outside.bit_count()
-    chosen: dict[tuple[int, int], int] = {}
-    for cert in sorted(fam):
-        d1, d2, _ = fam[cert]
-        isolated = a & ~d1
-        sig = ((d1 & ~d2).bit_count() // 2, isolated.bit_count())
-        if a & ~d2 & ~boundary or (isolated and t < 2) or sum(sig) > t:
-            continue  # dead: no completion, as above
-        if sig in chosen or d1 and not d1 & ~d2:
-            continue  # a closed cycle cannot reach the non-empty outside
-        chosen[sig] = cert
-    return {cert: fam[cert] for cert in chosen.values()}
+    return {cert: (d1, d2, pe) for cert, (d1, d2, pe) in fam.items()
+            if (t > 1 or not a & ~d1)
+            and (d1 & ~d2).bit_count() // 2 + (a & ~d1).bit_count() <= t}
 
 
 def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
     """Dispatch on the cut of a (`cut_of(g, a)`): twin cuts use the twin
-    signature, others the rep-set trim.
+    rules, others the rep-set trim.  Precondition, proved in
+    `repsets.frontier`: every vertex of a without an outside neighbour has
+    degree two in every member, `fam` holds one member per state, or per
+    twin signature on a twin cut, and no member is a cycle.
 
     A lone member m of another side skips the rep-set trim.  It is dropped
     when |a| - |m| > |N(a)|: a cycle through m takes 2|a| - 2|m| cross
@@ -172,9 +155,9 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
 
     - `node_sizes`: the family size of every decomposition node, in
       post-order, and `max_family`, the largest of them;
-    - `max_family_by_k`: the largest family kept by the rank basis, per
-      separator size k; only the one `repsets.trim_separator` of each
-      vertex-cover trim writes it, so k is the size of the padded cover c;
+    - `max_family_by_k`: the largest family kept by a vertex-cover trim,
+      per size k of its padded cover c, written once per such trim (by
+      `trim_vc`, or by the `repsets.trim_separator` of its extension);
     - `trims`: (a, before, after) for every trim that runs, only if the
       caller puts a list under that key.
     """

@@ -1,9 +1,14 @@
+import importlib.util
 import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smhc import oracles
+import smhc
+from smhc import oracles, solver
+from smhc.generators import random_connected_graph
 from smhc.graph import (cycle_graph, complete_graph, petersen_graph,
                         format_edge_list, parse_edge_list)
 from smhc.cli import main, EXIT_OK, EXIT_NO, EXIT_PARSE, EXIT_REFUSED
@@ -128,6 +133,51 @@ def test_width_exact_empty_graph_names_cause(tmp_path, capsys):
     assert main(["width", str(p), "--exact"]) == EXIT_PARSE
     assert capsys.readouterr().err.strip() == \
         "error: exact branch width needs at least one element"
+
+
+def test_one_vertex_width_and_decomposition_agree(tmp_path, capsys):
+    """On one vertex, `width --exact`, `width --approx` and `decompose`
+    all exit 0 with sm-width 0: the decomposition is one leaf, certified,
+    with no cut."""
+    p = tmp_path / "one.txt"
+    p.write_text("1 0\n")
+    assert main(["width", str(p), "--exact"]) == EXIT_OK
+    assert capsys.readouterr().out == "sm-width 0\n"
+    assert main(["width", str(p), "--approx"]) == EXIT_OK
+    assert capsys.readouterr().out == "sm-width 0\ncertified: yes\n"
+    assert main(["decompose", str(p)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["width"] == 0 and report["width_certificate"] == []
+    assert report["decomposition"] == {"nodes": [0], "edges": [], "leaf_map": {"0": 0}}
+
+
+def test_benchmark_layer_hooks_find_their_targets(tmp_path, capsys):
+    """The per-layer hooks of `benchmark/layers.py`, installed on `smhc`
+    around one `smhc hc` call, leave its verdict and witness as they are,
+    miss no target beyond the two they already miss, and see every layer
+    on the solver's path called, the trims' included; `uninstall`
+    restores every hooked name."""
+    spec = importlib.util.spec_from_file_location(
+        "layers", Path(__file__).resolve().parent.parent / "benchmark" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    f = write_graph(tmp_path, random_connected_graph(8, random.Random(0), 0.5))
+    plain = main(["hc", f]), capsys.readouterr().out
+    real_trim = solver.trim
+    tracer = layers.Tracer()
+    patches, missing = layers.install(tracer, smhc)
+    try:
+        traced = main(["hc", f]), capsys.readouterr().out
+    finally:
+        layers.uninstall(patches)
+    assert traced == plain and plain[0] == EXIT_OK
+    assert set(missing) <= {"smhc.cuts.CutFunction", "smhc.repsets.representative_forests"}
+    assert solver.trim is real_trim
+    for span in ("graph.parse", "splitdec.decompose", "pipeline", "branchdec.search",
+                 "cuts.mm", "cuts.cover", "solver", "solver.trim_split",
+                 "repsets.extension", "repsets.torso_trim", "repsets.hc_sets"):
+        assert tracer.calls[span], span
+    assert tracer.counts["solver.trim_in"] and tracer.counts["repsets.hc_sets_in"]
 
 
 def test_width_exact_refuses_large(tmp_path, capsys):

@@ -256,8 +256,11 @@ def test_clique_decomposition_is_caterpillar(n):
 
 
 def test_approx_rejects_bad_inputs():
+    """No vertex or a disconnected graph raises; one vertex is one leaf."""
     with pytest.raises(ValueError):
-        approx_sm_decomposition(Graph([0], []))
+        approx_sm_decomposition(Graph([], []))
+    one = approx_sm_decomposition(Graph([5], []))
+    assert one.leaf_map == {0: 5} and not one.edges and one.certified
     with pytest.raises(ValueError):
         approx_sm_decomposition(Graph(range(4), [(0, 1), (2, 3)]))
 

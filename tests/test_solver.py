@@ -135,11 +135,31 @@ def is_twin_cut(g, a):
     return a != g.vmask and len(outside - {frozenset()}) == 1
 
 
+def reference_trim_split(g, a, fam, cut):
+    """The twin trim of any family: the least member per twin signature
+    (paths, isolated vertices) among those with no vertex of a without an
+    outside neighbour below degree two, no closed cycle, no isolated vertex
+    when t = |N(a)| < 2, and at most t paths and isolated vertices."""
+    boundary, outside, _ = cut
+    t = outside.bit_count()
+    chosen = {}
+    for cert in sorted(fam):
+        d1, d2, _ = fam[cert]
+        isolated = a & ~d1
+        sig = ((d1 & ~d2).bit_count() // 2, isolated.bit_count())
+        if a & ~d2 & ~boundary or (isolated and t < 2) or sum(sig) > t:
+            continue
+        if d1 and not d1 & ~d2:
+            continue
+        chosen.setdefault(sig, cert)
+    return {cert: fam[cert] for cert in chosen.values()}
+
+
 def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
     """At every non-root twin cut of seeded graphs with n <= 9, `join`
-    keeps exactly what `trim_split` keeps of the members `oracles.conc`
-    lists over all pairs; that family preserves those members.  The cut's
-    flag is the literal twin-cut test."""
+    keeps exactly what the reference twin trim keeps of the members
+    `oracles.conc` lists over all pairs; that family preserves those
+    members.  The cut's flag is the literal twin-cut test."""
     checked = crossed = 0
     for g in seeded_graphs(1411, (0.5, 0.7, 0.9), 16):
         hcs = oracles.enumerate_hamiltonian_cycles(g)
@@ -150,7 +170,7 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
             if not cut[2]:
                 continue
             members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
-            assert out == trim_split(g, home, family(g, members), cut)
+            assert out == reference_trim_split(g, home, family(g, members), cut)
             assert oracles.verify_preservation(g, home, members, list(out),
                                                method="cycles", hcs=hcs)
             checked += 1
@@ -161,10 +181,11 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
 def test_frontier_keeps_trim_of_live_conc(monkeypatch):
     """At every join of seeded graphs with n <= 9 whose home is no twin
     cut, the root's included, `join` keeps exactly what `trim` keeps of
-    the live members `oracles.conc` lists over all pairs: those in which
-    every vertex without an outside neighbour has degree two.  At the root
-    that is the least Hamiltonian cycle, and the verdict is `brute_hc`'s.
-    Every cut equals the one read off the home."""
+    the least live member per state that `oracles.conc` lists over all
+    pairs, live meaning that every vertex without an outside neighbour has
+    degree two (`trim`'s precondition).  At the root that is the least
+    Hamiltonian cycle, and the verdict is `brute_hc`'s.  Every cut equals
+    the one read off the home."""
     checked = crossed = 0
     for g in seeded_graphs(1412, (0.3, 0.5, 0.7), 60):
         joins = recorded_joins(g, monkeypatch)
@@ -180,7 +201,10 @@ def test_frontier_keeps_trim_of_live_conc(monkeypatch):
             if home == g.vmask:  # no trim: the least Hamiltonian cycle is kept
                 assert list(out) == sorted(live)[:1]
             else:
-                assert out == trim(g, home, family(g, live), cut)
+                keyed = {}
+                for m in sorted(live):
+                    keyed.setdefault(path_state(g, m), m)
+                assert out == trim(g, home, family(g, keyed.values()), cut)
             checked += 1
             crossed += len(members) > len(fa) * len(fb)
         a, b, *_, out = joins[-1]
@@ -188,6 +212,48 @@ def test_frontier_keeps_trim_of_live_conc(monkeypatch):
         assert bool(out) == oracles.brute_hc(g)[0]
         assert all(is_hamiltonian_cycle(g, m) for m in out)
     assert checked >= 150 and crossed >= 80
+
+
+def test_join_hands_trim_its_precondition(monkeypatch):
+    """Every family `join` hands to `trim` meets `trim`'s precondition,
+    read off each member's edge mask: every vertex of the home without an
+    outside neighbour has degree two, no two members share a key (the
+    state, or on a twin cut the number of path ends and of isolated
+    vertices), and no member is a cycle unless the home is V.  Seeded
+    graphs with n <= 9 are solved along `approx_sm_decomposition` and along
+    a caterpillar in a random vertex order; the calls cover twin cuts,
+    estar cuts and cuts without estar edges."""
+    calls = []
+    real_trim = solver.trim
+
+    def recording(g_, a, fam, cut, *args):
+        calls.append((g_, a, dict(fam), cut))
+        return real_trim(g_, a, fam, cut, *args)
+
+    monkeypatch.setattr(solver, "trim", recording)
+    rng = random.Random(1413)
+    for g in seeded_graphs(1413, (0.3, 0.5, 0.7), 40):
+        order = list(g.vertices)
+        rng.shuffle(order)
+        for bd in (approx_sm_decomposition(g), caterpillar_decomposition(order)):
+            solve_hc(g, bd)
+    seen = dict.fromkeys(["twin", "estar", "no estar", "two or more members"], 0)
+    for g, a, fam, (boundary, nbr, twin) in calls:
+        keys = set()
+        for m in fam:
+            d1, d2, _ = degree_masks(g, m)
+            assert not a & ~boundary & ~d2
+            assert a == g.vmask or is_path_system(g, m)
+            keys.add(((d1 & ~d2).bit_count(), (a & ~d1).bit_count()) if twin
+                     else path_state(g, m))
+        assert len(keys) == len(fam)
+        seen["two or more members"] += len(fam) > 1
+        if twin:
+            seen["twin"] += 1
+        elif a != g.vmask:
+            c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
+            seen["estar" if g.edges_at(c & ~a) & g.edges_at(boundary) else "no estar"] += 1
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -347,12 +413,13 @@ def wide_cut():
 def test_one_pass_trim_equals_extension_route(monkeypatch):
     """`trim_vc` keeps exactly what `preserving_extension` and its
     `trim_separator` over the padded cover keep, with the same
-    `max_family_by_k`, on seeded random families.  A cut without estar
-    edges and with at most five boundary vertices takes the one keyed pass
-    and calls no extension; every other cut calls it.  The cases cover
-    repeated states in a shuffled order, dead members, members over the
-    2|c| budget, padded covers, untouched families (returned as they are)
-    and six-vertex boundaries whose basis keeps fewer members than states."""
+    `max_family_by_k`, on seeded random families keyed as `join` keys
+    them: `repsets.frontier` over no edges keeps the least live member per
+    state.  A cut without estar edges and with at most five boundary
+    vertices returns its family itself and calls no extension; every
+    other cut calls it.  The cases cover padded covers, dropped members,
+    estar cuts and six-vertex boundaries whose basis keeps fewer members
+    than states."""
     calls = []
     real_extension = solver.preserving_extension
     monkeypatch.setattr(solver, "preserving_extension",
@@ -365,13 +432,15 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
         if not cut_of(g, a)[2]:
             instances.append((g, a, []))
     instances.append(wide_cut())
-    seen = dict.fromkeys(["one pass", "repeated state", "dead", "over budget", "padded",
-                          "untouched", "dropped", "estar", "wide basis drops"], 0)
+    seen = dict.fromkeys(["one pass", "padded", "dropped", "estar", "wide basis drops"], 0)
     for g, a, extra in instances:
-        fam = sampled_family(g, a, rng)
-        fam.update(family(g, extra))
+        sampled = sampled_family(g, a, rng)
+        sampled.update(family(g, extra))
         cut = cut_of(g, a)
         boundary, nbr, _ = cut
+        items = [(m, *state, 0) for m, state in sampled.items()]
+        fam = {m: (d1, d2, pe) for m, d1, d2, pe, _ in
+               repsets.frontier(g, items, 0, a, boundary, False)}
         c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         want_trace, got_trace = {}, {}
@@ -380,21 +449,16 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
         calls.clear()
         got = trim_vc(g, a, fam, cut, got_trace)
         assert got == want and got_trace == want_trace
-        live = [m for m in fam if not a & ~c & ~fam[m][1]]
         if estar or boundary.bit_count() > 5:
             assert len(calls) == 1
             seen["estar"] += bool(estar)
-            seen["wide basis drops"] += not estar and len(got) < len({fam[m] for m in live})
+            seen["dropped"] += len(got) < len(fam)
+            seen["wide basis drops"] += not estar and len(got) < len(fam)
             continue
-        assert not calls
+        assert not calls and got is fam
         assert boundary & ~c == 0 and (a & c).bit_count() <= max(boundary.bit_count(), 3)
         seen["one pass"] += 1
-        seen["repeated state"] += len({fam[m] for m in live}) < len(live)
-        seen["dead"] += len(live) < len(fam)
-        seen["over budget"] += any(a.bit_count() - m.bit_count() > c.bit_count() for m in fam)
         seen["padded"] += c != boundary
-        seen["untouched"] += got is fam
-        seen["dropped"] += len(got) < len(fam)
     assert all(seen.values()), seen
 
 
