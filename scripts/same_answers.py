@@ -6,18 +6,21 @@ grid-long and clique-split) once, with this checkout's generators, and
 runs `solve_hc` on every input in one subprocess per tree, with that
 tree's `src` first on the path.  Each input is solved the way `smhc hc`
 solves it: with its stored decomposition if it has one, else with
-`approx_sm_decomposition`.  Two fixed groups load what the three corpora
+`approx_sm_decomposition`.  Three fixed groups load what the three corpora
 barely reach.  `extension-heavy` is solved: seeded random graphs with
 n = 8, 9, 10 at four densities, whose vertex-cover trims run the
-preserving extension on wide families.  `greedy-heavy` is only decomposed:
-seeded random graphs with n = 3..14 at four densities, C13..C16, random
-cographs with n = 9..12, and graphs that mix a prime above
-`EXACT_SIZE_LIMIT` vertices with one of 4..12 (two paths, or a random
-13-vertex graph and a random 6-vertex one, joined completely between two
-vertices of each; mixed-13-6-2 ends with only 3-vertex primes beside its
-large one); its primes above the limit get the greedy search, its
-cographs contract heavy pairs, and its mixed graphs choose the search per
-prime.  Prints, per workload, how many inputs have identical verdicts,
+preserving extension on wide families.  `stream` is solved too: the
+p = 0.3 stream of `scripts/cliffs.py` (`random_connected_graph(n,
+Random(1), p=0.3)` drawn for n = 10..20 in turn), whose n = 19 input
+grows many members onto keys that the fold already holds.
+`greedy-heavy` is only decomposed: seeded random graphs with n = 3..14
+at four densities, C13..C16, random cographs with n = 9..12, and graphs
+that mix a prime above `EXACT_SIZE_LIMIT` vertices with one of 4..12
+(two paths, or a random 13-vertex graph and a random 6-vertex one,
+joined completely between two vertices of each; mixed-13-6-2 ends with
+only 3-vertex primes beside its large one); its primes above the limit
+get the greedy search, its cographs contract heavy pairs, and its mixed
+graphs choose the search per prime.  Prints, per workload, how many inputs have identical verdicts,
 witnesses, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
 before and after each trim on inputs with n <= 8 (`trace["trims"]`, each
@@ -83,7 +86,7 @@ def solve_all(inputs: list[dict]) -> list[dict]:
 
 def corpora() -> dict[str, list[dict]]:
     """The inputs of every workload, in a fixed order (seed 0), and the
-    two fixed groups."""
+    three fixed groups."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "benchmark"))
     import smhc.generators
@@ -101,6 +104,12 @@ def corpora() -> dict[str, list[dict]]:
          "edges": [list(e) for e in smhc.generators.random_connected_graph(n, rng, p).edges],
          "decomposition": None, "solve": True}
         for n in (8, 9, 10) for p in (0.25, 0.4, 0.55, 0.7) for i in range(12)]
+    rng = random.Random(1)
+    out["stream"] = [
+        {"label": f"p0.3-stream-n{n}", "n": n,
+         "edges": [list(e) for e in smhc.generators.random_connected_graph(n, rng, 0.3).edges],
+         "decomposition": None, "solve": True}
+        for n in range(10, 21)]
     rng = random.Random(2014)
     graphs = [(f"random-n{n}-p{p}-{i}", n,
                smhc.generators.random_connected_graph(n, rng, p).edges)

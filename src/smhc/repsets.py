@@ -5,16 +5,18 @@ representative subfamily (`trim_separator`): whenever some member closes
 a Hamiltonian cycle with a completion, some kept member does too.
 `preserving_extension` applies this once, over a cut cover c, to every
 extension of a family by its cross edges.  One fold loop, `frontier`,
-grows families by edge sets for it and for `solver.join` alike, keeping
-the least member per state (or per coarser twin key); by Lemma 3 below
-that loses nothing, so the rank basis runs once per trim.  Edge sets are
-bitmasks over the host's edge list.  A path system travels with its
-state (d1, d2, pe): its vertices of degree >= 1 and >= 2, and one int
-`pe` with a field of `field_width(g)` bits per vertex, where the field
-of each path end (a vertex of d1 & ~d2) holds the other end of its path.
-Other fields are zero and never read: a vertex of degree zero is its own
-partner.  Producers set the state in O(1) big-int operations per added
-edge (`grow`); `path_state` derives it by walking the edges once.
+grows families by edge sets for it and for `solver.join` alike, in one
+dict from key to the least edge mask of that key: the state (or a
+coarser twin key).  By Lemma 3 below that loses nothing, so the rank
+basis runs once per trim.  Edge sets are bitmasks over the host's edge
+list.  A path system travels with its state (d1, d2, pe): its vertices
+of degree >= 1 and >= 2, and one int `pe` with a field of
+`field_width(g)` bits per vertex, where the field of each path end (a
+vertex of d1 & ~d2) holds the other end of its path.  Other fields are
+zero and never read: a vertex of degree zero is its own partner.
+Producers set the state in O(1) big-int operations per added edge
+(`grow`, which keys each member as it makes it); `path_state` derives
+it by walking the edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -274,10 +276,11 @@ def preserving_extension(g: Graph, a: int, c: int,
     exactly what `trim_separator` over c keeps of every extension of a
     certificate by a set of its estar edges.  Certificates whose degree
     deficiency exceeds the cross-edge budget 2|c| cannot complete and are
-    dropped first.  The rest share one `frontier` over estar, if any, that
+    dropped first.  The rest are keyed once, the least per state, into the
+    dict that one `frontier` over estar, if any, grows in place; it
     forgets no vertex of c (the forget step of Cygan et al., Parameterized
     Algorithms, 2015, ch. 7): c covers the cut, so a vertex of a \\ c is
-    decided once its estar edges are in.  Its least member per state (on
+    decided once its estar edges are in.  The least member per state (on
     live members, the state over c) meets the only rank basis, one
     `trim_separator` over c (the reduce step, run apart as in Bodlaender,
     Cygan, Kratsch & Nederlof, Inf. & Comput. 2015).  Exact: that trim
@@ -288,41 +291,55 @@ def preserving_extension(g: Graph, a: int, c: int,
     csize = c.bit_count()
     if csize < 3:
         raise ValueError("separator must have size at least three")
-    items = [(cert, *fam[cert], 0) for cert in fam
-             if a.bit_count() - cert.bit_count() <= csize]
+    fold: dict[tuple[int, int, int, int], int] = {}
+    for cert, state in fam.items():
+        if a.bit_count() - cert.bit_count() <= csize:
+            key = (*state, 0)
+            if fold.setdefault(key, cert) > cert:
+                fold[key] = cert
     if estar:
-        items = frontier(g, items, estar, a, c, False)
-    kept = trim_separator(g, a, c, items, trace)
+        fold = frontier(g, fold, estar, a, c, False)
+    kept = trim_separator(g, a, c, [(m, *key) for key, m in fold.items()], trace)
     return [(m, m & ~estar) for m, *_ in kept]
 
 
-def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
-             home: int, boundary: int, forget: bool) -> list[tuple[int, int, int, int, int]]:
-    """Least member per key of the items grown by every valid set of `left`.
+def frontier(g: Graph, fam: dict[tuple[int, int, int, int], int], left: int,
+             home: int, boundary: int, forget: bool) -> dict[tuple[int, int, int, int], int]:
+    """The family grown by every valid set of `left`, the least mask per key.
 
-    `items` are (edge-mask, d1, d2, pe, 0) path systems without an edge of
-    `left`.  The edges of `left` are folded in through `grow` grouped by
-    vertex: next comes the vertex of `undecided` (the ends of `left`) with
-    the fewest edges left, the lowest on ties.  A vertex is decided once it
-    has no edge left; its degree is then final.  A decided vertex outside
-    `boundary` with degree below two kills the item: no later edge meets
+    `fam` maps the key (d1, d2, pe, tally) of path systems without an edge
+    of `left` to the least edge mask with that key; the tally is 0.  The
+    edges of `left` are folded in through `grow` grouped by vertex: next
+    comes the vertex of `undecided` (the ends of `left`) with the fewest
+    edges left, the lowest on ties.  A vertex is decided once it has no
+    edge left; its degree is then final.  A decided vertex outside
+    `boundary` with degree below two kills the member: no later edge meets
     it; the vertices of `home` without an edge in `left` are decided from
-    the start.  With `forget`, a decided boundary vertex is forgotten: it
-    leaves d1 and d2, its field is cleared, an undecided partner's field is
-    set to `free`, and it only adds to the item's tally of decided path
-    ends and decided isolated vertices; `path_state` rebuilds the states of
-    the members kept at the end.  Otherwise items keep their full state.
-    Per key (d1, d2, pairing, tally) the least edge mask is kept, and each
-    kept mask is returned as an item with its state.
+    the start.
 
-    Exactness.  Two items with one key accept the same later edges, which
-    meet undecided vertices only, and end with one key and liveness.
+    A member is keyed when it is made, by the caller or by `grow`, and
+    only a forgetting step re-keys.  Without `forget` a key is the
+    member's state, which no step changes, so a step only deletes the keys
+    that its newly decided vertices kill, and `fam` itself is grown and
+    returned.  With `forget` every step forgets its newly decided
+    vertices, so it re-keys every member into a new dict: each such vertex
+    leaves d1 and d2, and one of the boundary with degree below two also
+    has its field cleared, an undecided partner's field set to `free`, and
+    adds to the tally of decided path ends and decided isolated vertices.
+    At the end `path_state` rebuilds the state of each member kept, and
+    the returned dict is keyed by it.
+
+    Exactness.  Two members with one key accept the same later edges,
+    which meet undecided vertices only, and end with one key and liveness.
     Later edges are disjoint from both masks, so adding them keeps the
     order of the two: the frontier keeps the least live member per final
-    key.  Hence `solver.trim`'s precondition: in `solver.join` the items and
-    `left` lie in `home`, so all of `home` is decided by the end, each
-    item has degree two at every vertex of `home` outside `boundary`, and
-    no two share a state or, with `forget`, a tally (path ends, isolated
+    key.  Keeping the least mask per key as members are made keeps the
+    same: a grown member's key follows from its parent's key and the edge,
+    and adding an edge that neither mask holds keeps their order.  Hence
+    `solver.trim`'s precondition: in `solver.join` the members and `left`
+    lie in `home`, so all of `home` is decided by the end, each member has
+    degree two at every vertex of `home` outside `boundary`, and no two
+    share a state or, with `forget`, a tally (path ends, isolated
     vertices), as the boundary is forgotten and the rest lies in d2.  None
     is a cycle unless `home` is V: `grow` closes only Hamiltonian cycles.
     """
@@ -335,14 +352,13 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
         undecided |= g.edge_vertices[i]
     newly = home & ~undecided
     while True:
-        best: dict[tuple[int, int, int, int], int] = {}
-        keep = ~newly
-        for m, d1, d2, pe, tally in items:
-            short = newly & ~d2  # decided, of degree below two
-            if short:
-                if short & ~boundary:
-                    continue
-                if forget:
+        if forget:
+            fam, old, keep = {}, fam, ~newly
+            for (d1, d2, pe, tally), m in old.items():
+                short = newly & ~d2  # decided, of degree below two
+                if short:
+                    if short & ~boundary:
+                        continue
                     ends = short & d1
                     tally += ends.bit_count() + ((short & ~d1).bit_count() << w)
                     while ends:
@@ -350,12 +366,14 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
                         ends &= ends - 1
                         p = (pe >> x * w) & free
                         pe = pe & ~(free << x * w) | free << p * w
-            key = (d1 & keep, d2 & keep, pe & fields, tally) if forget else (d1, d2, pe, tally)
-            if best.setdefault(key, m) > m:
-                best[key] = m
-        items = [(m, *key) for key, m in best.items()]
+                key = (d1 & keep, d2 & keep, pe & fields, tally)
+                if fam.setdefault(key, m) > m:
+                    fam[key] = m
+        elif dead := newly & ~boundary:  # decided, so of degree two if live
+            for key in [key for key in fam if dead & ~key[1]]:
+                del fam[key]
         if not undecided:
-            return [(m, *path_state(g, m), 0) for m, *_ in items] if forget else items
+            return {(*path_state(g, m), 0): m for m in fam.values()} if forget else fam
         fewest = left.bit_count() + 1
         for u in bits(undecided):
             k = (incident[u] & left).bit_count()
@@ -363,7 +381,7 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
                 v, fewest = u, k
         group = left & incident[v]
         for i in bits(group):
-            items += grow(g, w, items, i)
+            grow(g, w, fam, i)
         left ^= group
         newly = 1 << v
         for u in bits(adj[v] & undecided):
@@ -372,34 +390,37 @@ def frontier(g: Graph, items: list[tuple[int, int, int, int, int]], left: int,
         undecided ^= newly
 
 
-def grow(g: Graph, w: int, items: list[tuple[int, int, int, int, object]],
-         i: int) -> list[tuple[int, int, int, int, object]]:
-    """The items that edge i extends to a path system, each grown by it.
+def grow(g: Graph, w: int, fam: dict[tuple[int, int, int, int], int], i: int) -> None:
+    """Add to `fam` each of its members grown by edge i, where that is valid.
 
-    `items` are (edge-mask, d1, d2, pe, payload) tuples of path systems
-    without edge i.  Adding uv is invalid when u or v has degree two
-    already, or when u and v end one path and closing it would leave out a
-    vertex of g; closing a path through every vertex into a Hamiltonian
-    cycle is allowed.  Only the fields of the two ends ou and ov of the
-    joined path are rewritten, and those of u and v are cleared, so the
-    field of a vertex that is no path end reads zero.
+    `fam` maps keys (d1, d2, pe, tally) to the least edge mask of that key,
+    each a path system without edge i.  The members present at the call
+    are grown; each grown member is keyed as it is made, with its parent's
+    tally, and stored unless its key holds a lesser mask.  Adding uv is
+    invalid when u or v has degree two already, or when u and v end one
+    path and closing it would leave out a vertex of g; closing a path
+    through every vertex into a Hamiltonian cycle is allowed.  Only the
+    fields of the two ends ou and ov of the joined path are rewritten, and
+    those of u and v are cleared, so the field of a vertex that is no path
+    end reads zero.
     """
     u, v = g.edges[i]
     bit, uv = 1 << i, g.edge_vertices[i]
     field = (1 << w) - 1
     clear = field << u * w | field << v * w
     vmask = g.vmask
-    out = []
-    for m, d1, d2, pe, payload in items:
+    for (d1, d2, pe, tally), m in list(fam.items()):
         if uv & d2:
             continue
         ou = (pe >> u * w) & field if (d1 >> u) & 1 else u
         if ou == v:  # closes a cycle: only a Hamiltonian one is kept
-            if d1 == vmask and d1 & ~d2 == uv:
-                out.append((m | bit, d1, d2 | uv, pe & ~clear, payload))
-            continue
-        ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
-        pe &= ~(field << ou * w | field << ov * w | clear)
-        out.append((m | bit, d1 | uv, d2 | (d1 & uv),
-                    pe | ov << ou * w | ou << ov * w, payload))
-    return out
+            if d1 != vmask or d1 & ~d2 != uv:
+                continue
+            key = (d1, d2 | uv, pe & ~clear, tally)
+        else:
+            ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
+            pe &= ~(field << ou * w | field << ov * w | clear)
+            key = (d1 | uv, d2 | (d1 & uv), pe | ov << ou * w | ou << ov * w, tally)
+        m |= bit
+        if fam.setdefault(key, m) > m:
+            fam[key] = m

@@ -7,8 +7,9 @@ degree >= 1 and >= 2 and the pairing of its path ends (see `repsets`),
 set in O(1) where the certificate is made.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
 merge, the twin test and the trims read only that cut.  A merge lists no
-members: one frontier over all pairs (`repsets.frontier`) forgets each
-vertex once its edges are decided and keeps one live member per key.
+members: all pairs are keyed once into one dict, which one frontier
+(`repsets.frontier`) grows over the cross edges, forgetting each vertex
+once its edges are decided and keeping one live member per key.
 Each trim then applies only its own rules: the slot rules of twin cuts
 (`trim_split`), elsewhere the rep-set trim over a cut cover (`trim_vc`).
 """
@@ -51,8 +52,11 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
          trace: dict | None = None) -> tuple[Cut, Family]:
     """Cut and family of home a | b: each pair of fa and fb with every valid
     set of its cross edges, in one `repsets.frontier`, trimmed once unless
-    a | b is the whole graph.  The cut and the cross edges are read off the
-    cuts of a and b in O(|boundary of a| + |boundary of b|) big-int
+    a | b is the whole graph.  The pairs are keyed by state straight into
+    the frontier's dict, which holds the family when it returns; the
+    states within fa and within fb are distinct, and so are the pairs',
+    as the homes are disjoint.  The cut and the cross edges are read off
+    the cuts of a and b in O(|boundary of a| + |boundary of b|) big-int
     operations.  No twin cut needs a path limit: `trim_split` keeps no
     member with more paths than the mm of its side, and the paper's limit
     is 4 times that.  The frontier leaves what `trim`'s precondition asks
@@ -67,9 +71,10 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     (ba, na, _), (bb, nb, _) = cut_a, cut_b
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
     left = g.edges_at(ba & nb) & g.edges_at(bb & na)
-    items = [(sa | sb, d1a | d1b, d2a | d2b, pea | peb, 0)
-             for sa, (d1a, d2a, pea) in fa.items() for sb, (d1b, d2b, peb) in fb.items()]
-    fam = {m: (d1, d2, pe) for m, d1, d2, pe, _ in frontier(g, items, left, home, cut[0], cut[2])}
+    fold = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
+            for sa, (d1a, d2a, pea) in fa.items() for sb, (d1b, d2b, peb) in fb.items()}
+    fold = frontier(g, fold, left, home, cut[0], cut[2])
+    fam = {m: (d1, d2, pe) for (d1, d2, pe, _), m in fold.items()}
     return cut, trim(g, home, fam, cut, trace)
 
 

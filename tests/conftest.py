@@ -28,6 +28,17 @@ def family(g, masks):
     return {m: path_state(g, m) for m in masks}
 
 
+def keyed(g, masks):
+    """A fold's family: each path system's key, its state with tally 0,
+    mapped to the least mask with that key, in order of first occurrence."""
+    fold = {}
+    for m in masks:
+        key = (*path_state(g, m), 0)
+        if fold.setdefault(key, m) > m:
+            fold[key] = m
+    return fold
+
+
 def partner(pe, w, d1, v):
     """The other end of v's path, read from the field of v in the pairing
     int pe of `w` bits per vertex; v itself when v has degree zero."""

@@ -127,12 +127,17 @@ def test_width_approx_decomposes_once(tmp_path, capsys, monkeypatch):
     assert calls == [13]
 
 
-def test_width_exact_empty_graph_names_cause(tmp_path, capsys):
+def test_empty_graph_gets_one_error(tmp_path, capsys):
+    """`width --exact`, `width --approx` and `decompose` exit 2 on the
+    empty graph with one error line, which names the empty graph."""
     p = tmp_path / "empty.txt"
     p.write_text("0 0\n")
-    assert main(["width", str(p), "--exact"]) == EXIT_PARSE
-    assert capsys.readouterr().err.strip() == \
-        "error: exact branch width needs at least one element"
+    for argv in (["width", str(p), "--exact"], ["width", str(p), "--approx"],
+                 ["decompose", str(p)]):
+        assert main(argv) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "error: empty graph: a decomposition needs at least one vertex\n"
 
 
 def test_one_vertex_width_and_decomposition_agree(tmp_path, capsys):

@@ -7,11 +7,13 @@ from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
 from smhc.repsets import (is_path_system, degree_masks, pairing_row,
                           representative_hc_sets, path_state, field_width,
                           pad_separator, trim_separator, preserving_extension,
-                          is_hamiltonian_cycle, grow, _paths)
+                          is_hamiltonian_cycle, frontier, grow, _paths)
 from smhc.cuts import min_vertex_cover
-from smhc.generators import random_connected_graph
-from smhc import oracles, repsets
-from tests.conftest import family, partner
+from smhc.solver import cut_of, solve_hc
+from smhc.generators import caterpillar_decomposition, grid_graph, random_connected_graph
+from smhc.pipeline import approx_sm_decomposition
+from smhc import oracles, repsets, solver
+from tests.conftest import family, keyed, partner
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -42,11 +44,13 @@ def test_mask_helpers_match_reference(seed):
             assert partner(state[2], w, d1, seq[-1]) == seq[0]
         for u, v in g.edge_set(((1 << g.m) - 1) & ~m):
             i = g.edge_index[(u, v)]
-            grown = grow(g, w, [(m, *state, "x")], i)
-            assert len(grown) == oracles._can_add_edge(g, m, u, v, True)
-            if grown:
-                (ext, *grown_state, payload), = grown
-                assert (ext, payload) == (m | 1 << i, "x")
+            fam = {(*state, 7): m}
+            grow(g, w, fam, i)
+            assert len(fam) == 1 + oracles._can_add_edge(g, m, u, v, True)
+            assert fam[(*state, 7)] == m
+            if len(fam) > 1:
+                (*grown_state, tally), ext = list(fam.items())[1]
+                assert (ext, tally) == (m | 1 << i, 7)
                 if is_path_system(g, ext):
                     want = path_state(g, ext)
                     assert ends_pairing(g, grown_state) == ends_pairing(g, want)
@@ -524,3 +528,174 @@ def test_extension_kept_pairs_pinned(edges, a, c, fam, estar, want):
     a, c = mask_of(a), mask_of(c)
     assert g.edges_between(a, c & ~a) == estar
     assert preserving_extension(g, a, c, family(g, fam), estar) == want
+
+
+# -- the keyed fold against the list fold it replaced -------------------------
+
+def reference_grow(g, w, items, i):
+    """The list growth step: each (edge-mask, d1, d2, pe, payload) item
+    that edge i extends to a path system, grown by it, in item order."""
+    u, v = g.edges[i]
+    bit, uv = 1 << i, g.edge_vertices[i]
+    field = (1 << w) - 1
+    clear = field << u * w | field << v * w
+    out = []
+    for m, d1, d2, pe, payload in items:
+        if uv & d2:
+            continue
+        ou = (pe >> u * w) & field if (d1 >> u) & 1 else u
+        if ou == v:
+            if d1 == g.vmask and d1 & ~d2 == uv:
+                out.append((m | bit, d1, d2 | uv, pe & ~clear, payload))
+            continue
+        ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
+        pe &= ~(field << ou * w | field << ov * w | clear)
+        out.append((m | bit, d1 | uv, d2 | (d1 & uv),
+                    pe | ov << ou * w | ou << ov * w, payload))
+    return out
+
+
+def reference_frontier(g, items, left, home, boundary, forget):
+    """The list fold: after every decided vertex each (edge-mask, d1, d2,
+    pe, tally) item is keyed afresh into a new dict, dead ones skipped
+    and the boundary forgotten, and the dict is copied back into a list;
+    the growth steps append to that list."""
+    w = field_width(g)
+    free = (1 << w) - 1
+    fields = (1 << free * w) - 1
+    undecided = 0
+    for i in bits(left):
+        undecided |= g.edge_vertices[i]
+    newly = home & ~undecided
+    while True:
+        best = {}
+        keep = ~newly
+        for m, d1, d2, pe, tally in items:
+            short = newly & ~d2
+            if short:
+                if short & ~boundary:
+                    continue
+                if forget:
+                    ends = short & d1
+                    tally += ends.bit_count() + ((short & ~d1).bit_count() << w)
+                    for x in bits(ends):
+                        p = (pe >> x * w) & free
+                        pe = pe & ~(free << x * w) | free << p * w
+            key = (d1 & keep, d2 & keep, pe & fields, tally) if forget else (d1, d2, pe, tally)
+            if best.setdefault(key, m) > m:
+                best[key] = m
+        items = [(m, *key) for key, m in best.items()]
+        if not undecided:
+            return [(m, *path_state(g, m), 0) for m, *_ in items] if forget else items
+        v = min(bits(undecided), key=lambda u: (g.incident[u] & left).bit_count())
+        group = left & g.incident[v]
+        for i in bits(group):
+            items += reference_grow(g, w, items, i)
+        left ^= group
+        newly = 1 << v
+        for u in bits(g.adj[v] & undecided):
+            if not g.incident[u] & left:
+                newly |= 1 << u
+        undecided ^= newly
+
+
+def assert_same_fold(g, fold, left, home, boundary, forget):
+    """`frontier` keeps the masks, keys and order of the list fold; returns
+    the fold's result."""
+    items = [(m, *key) for key, m in fold.items()]
+    got = frontier(g, dict(fold), left, home, boundary, forget)
+    assert [(m, *key) for key, m in got.items()] == \
+        reference_frontier(g, items, left, home, boundary, forget)
+    return got
+
+
+def sampled_paths(g, side, rng, hcs):
+    """Path systems of G[side]: the parts of some Hamiltonian cycles there,
+    thinned ones and random ones."""
+    inner = g.edges_within(side)
+    masks = [h & inner for h in hcs] + [h & inner & rng.getrandbits(g.m) for h in hcs]
+    masks += [m for m in (inner & rng.getrandbits(g.m) & rng.getrandbits(g.m)
+                          for _ in range(30)) if is_path_system(g, m)]
+    return masks + [0]
+
+
+@pytest.mark.parametrize("forget", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_keyed_fold_matches_list_fold(seed, forget):
+    """The keyed `frontier` keeps, per key, the mask and state the list
+    fold keeps, in its order, on seeded folds of three kinds: join-style
+    (the pairs of two keyed families over disjoint homes a and b, `left`
+    the edges between them), extension-style (home a, boundary a padded
+    vertex cover c, `left` the estar edges) and folds over no edges.
+    Without `forget`, join-style folds at the whole graph close
+    Hamiltonian cycles, and some members are removed by a kill only: a
+    fold whose boundary holds its home kills nothing, and the live members
+    it keeps are exactly the fold's.  With `forget`, some folds keep fewer
+    members than without, as forgotten vertices merge keys."""
+    rng = random.Random(seed + 2300)
+    seen = {"join": 0, "extension": 0, "no edges": 0}
+    seen.update({"merged": 0} if forget else {"killed": 0, "cycle": 0})
+    for n in range(5, 10):
+        g = random_connected_graph(n, rng, p=rng.choice([0.4, 0.6]))
+        hcs = oracles.enumerate_hamiltonian_cycles(g)[:6]
+        for _ in range(4):
+            a = rng.randrange(1, g.vmask)
+            b = g.vmask & ~a if rng.random() < 0.4 else rng.getrandbits(n) & g.vmask & ~a
+            c = pad_separator(g, a, min_vertex_cover(g, a))
+            folds = [("no edges", keyed(g, sampled_paths(g, a, rng, hcs)), 0, a,
+                      cut_of(g, a)[0])]
+            folds.append(("extension", keyed(g, sampled_paths(g, a, rng, hcs)),
+                          g.edges_between(a, c & ~a), a, c))
+            if b:
+                fa = keyed(g, sampled_paths(g, a, rng, hcs))
+                fb = keyed(g, sampled_paths(g, b, rng, hcs))
+                pairs = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
+                         for (d1a, d2a, pea, _), sa in fa.items()
+                         for (d1b, d2b, peb, _), sb in fb.items()}
+                folds.append(("join", pairs, g.edges_between(a, b), a | b,
+                              cut_of(g, a | b)[0]))
+            for kind, fold, left, home, boundary in folds:
+                got = assert_same_fold(g, fold, left, home, boundary, forget)
+                seen[kind] += 1
+                if forget:
+                    kept = frontier(g, dict(fold), left, home, boundary, False)
+                    seen["merged"] += len(got) < len(kept)
+                    continue
+                seen["cycle"] += any(d1 == g.vmask and not d1 & ~d2 for d1, d2, *_ in got)
+                everything = frontier(g, dict(fold), left, home, home | boundary, False)
+                live = {key: m for key, m in everything.items()
+                        if not home & ~boundary & ~key[1]}
+                assert live == got
+                seen["killed"] += len(everything) - len(got)
+    assert all(seen.values()), seen
+
+
+def test_solver_folds_match_list_fold(monkeypatch):
+    """Every fold of `solve_hc` on K5..K9, seeded random graphs (n = 5..10)
+    and a 3 x 4 grid along its caterpillar keeps the masks, keys and order
+    of the list fold, the folds of `join` and of `preserving_extension`
+    alike, and the verdicts are `brute_hc`'s.  Forgetting folds, estar
+    folds and folds that keep a cycle at the root all occur."""
+    seen = {"forget": 0, "join": 0, "extension": 0, "cycle": 0}
+
+    def checking(kind):
+        def fold(g, fam, left, home, boundary, forget):
+            got = assert_same_fold(g, fam, left, home, boundary, forget)
+            seen[kind] += 1
+            seen["forget"] += forget
+            seen["cycle"] += home == g.vmask and bool(got)
+            return got
+        return fold
+
+    rng = random.Random(2301)
+    graphs = [(complete_graph(n), None) for n in range(5, 10)]
+    graphs += [(random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.3, 0.5, 0.7])),
+                None) for _ in range(30)]
+    grid = grid_graph(3, 4)
+    graphs.append((grid, caterpillar_decomposition(list(grid.vertices))))
+    monkeypatch.setattr(repsets, "frontier", checking("extension"))
+    monkeypatch.setattr(solver, "frontier", checking("join"))
+    for g, bd in graphs:
+        verdict, _ = solve_hc(g, bd or approx_sm_decomposition(g))
+        assert verdict == oracles.brute_hc(g)[0]
+    assert all(seen.values()), seen

@@ -13,7 +13,7 @@ from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
-from tests.conftest import bounded_stack, family, partner
+from tests.conftest import bounded_stack, family, keyed, partner
 
 
 def certificate_valid(g, emask, home):
@@ -414,12 +414,12 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     """`trim_vc` keeps exactly what `preserving_extension` and its
     `trim_separator` over the padded cover keep, with the same
     `max_family_by_k`, on seeded random families keyed as `join` keys
-    them: `repsets.frontier` over no edges keeps the least live member per
-    state.  A cut without estar edges and with at most five boundary
-    vertices returns its family itself and calls no extension; every
-    other cut calls it.  The cases cover padded covers, dropped members,
-    estar cuts and six-vertex boundaries whose basis keeps fewer members
-    than states."""
+    them: the least member per state, of which `repsets.frontier` over
+    no edges keeps the live ones.  A cut without estar edges and with at
+    most five boundary vertices returns its family itself and calls no
+    extension; every other cut calls it.  The cases cover padded covers,
+    dropped members, estar cuts and six-vertex boundaries whose basis
+    keeps fewer members than states."""
     calls = []
     real_extension = solver.preserving_extension
     monkeypatch.setattr(solver, "preserving_extension",
@@ -438,9 +438,8 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
         sampled.update(family(g, extra))
         cut = cut_of(g, a)
         boundary, nbr, _ = cut
-        items = [(m, *state, 0) for m, state in sampled.items()]
-        fam = {m: (d1, d2, pe) for m, d1, d2, pe, _ in
-               repsets.frontier(g, items, 0, a, boundary, False)}
+        fam = {m: (d1, d2, pe) for (d1, d2, pe, _), m in
+               repsets.frontier(g, keyed(g, sampled), 0, a, boundary, False).items()}
         c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         want_trace, got_trace = {}, {}
