@@ -29,15 +29,6 @@ def _load_graph(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _load_decomposable_graph(path: str) -> Graph:
-    """The graph in the file, refused when it is empty: a decomposition has
-    a leaf per vertex, so an empty graph has none and no width."""
-    g = _load_graph(path)
-    if not g.n:
-        raise ValueError("empty graph: a decomposition needs at least one vertex")
-    return g
-
-
 def _load_decomposition(path: str) -> BranchDecomposition:
     with open(path) as fh:
         data = json.load(fh)
@@ -60,7 +51,7 @@ def _decomposition_report(g: Graph, bd: BranchDecomposition) -> dict:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_decomposable_graph(args.file)
+    g = _load_graph(args.file)
     bd = approx_sm_decomposition(g)
     print(json.dumps(_decomposition_report(g, bd), indent=2, sort_keys=True))
     return EXIT_OK
@@ -70,7 +61,7 @@ def cmd_width(args) -> int:
     """Print the sm-width; --approx adds whether the 18x bound is certified,
     which it is when every prime has at most EXACT_SIZE_LIMIT vertices, so
     that each prime's decomposition search was exact."""
-    g = _load_decomposable_graph(args.file)
+    g = _load_graph(args.file)
     if args.exact:
         print(f"sm-width {oracles.brute_sm_width(g)}")
         return EXIT_OK

@@ -119,6 +119,8 @@ def enumerate_hamiltonian_cycles(g: Graph) -> list[int]:
 
 def brute_sm_width(g: Graph) -> int:
     """Exact sm-width via the optimal decomposition search (size-limited)."""
+    if not g.n:
+        raise ValueError("empty graph: a decomposition needs at least one vertex")
     if g.n > BRUTE_WIDTH_LIMIT:
         raise SizeLimitExceeded(
             f"brute_sm_width limited to {BRUTE_WIDTH_LIMIT} vertices, got {g.n}")

@@ -141,6 +141,8 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     first tree built is accepted unmeasured when n // 2 <= 18k; no weight
     exceeds n, so no vertex is heavy once 3k > n, and the loop ends.
     """
+    if not g.n:  # a decomposition has a leaf per vertex
+        raise ValueError("empty graph: a decomposition needs at least one vertex")
     if not g.is_connected():
         raise ValueError("sm-width decompositions need a connected graph")
     if g.n == 1:  # one leaf and no cut: width 0, exactly

@@ -1,22 +1,24 @@
 """Hamiltonian-cycle representative sets over a separator.
 
-A certificate family is pruned over a separator by keeping a
-representative subfamily (`trim_separator`): whenever some member closes
-a Hamiltonian cycle with a completion, some kept member does too.
+A certificate family (`Family`) has one form everywhere, in `solver`
+too: one dict from key to the least edge mask of that key, the key being
+the state with a tally of 0 (or, inside a forgetting fold, a coarser
+twin key).  It is pruned over a separator by keeping a representative
+subfamily (`trim_separator`): whenever some member closes a Hamiltonian
+cycle with a completion, some kept member does too.
 `preserving_extension` applies this once, over a cut cover c, to every
 extension of a family by its cross edges.  One fold loop, `frontier`,
-grows families by edge sets for it and for `solver.join` alike, in one
-dict from key to the least edge mask of that key: the state (or a
-coarser twin key).  By Lemma 3 below that loses nothing, so the rank
-basis runs once per trim.  Edge sets are bitmasks over the host's edge
-list.  A path system travels with its state (d1, d2, pe): its vertices
-of degree >= 1 and >= 2, and one int `pe` with a field of
+grows families by edge sets for it and for `solver.join` alike, in that
+dict.  By Lemma 3 below keeping one member per state loses nothing, so
+the rank basis runs once per trim.  Edge sets are bitmasks over the
+host's edge list.  A path system travels with its state (d1, d2, pe):
+its vertices of degree >= 1 and >= 2, and one int `pe` with a field of
 `field_width(g)` bits per vertex, where the field of each path end (a
 vertex of d1 & ~d2) holds the other end of its path.  Other fields are
 zero and never read: a vertex of degree zero is its own partner.
 Producers set the state in O(1) big-int operations per added edge
-(`grow`, which keys each member as it makes it); `path_state` derives
-it by walking the edges once.
+(`grow`, which keys each member as it makes it); `path_state` derives it
+by walking the edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -79,6 +81,8 @@ repeated torso is dependent on its first occurrence.
 from __future__ import annotations
 
 from .graph import Graph, bits
+
+Family = dict[tuple[int, int, int, int], int]  # key (d1, d2, pe, tally) -> least edge mask
 
 
 # -- path-system state from vertex bitmasks -------------------------------
@@ -224,87 +228,80 @@ def pad_separator(g: Graph, a: int, c: int) -> int:
     return c
 
 
-def trim_separator(g: Graph, a: int, sep: int,
-                   items: list[tuple[int, int, int, int, object]],
-                   trace: dict | None = None):
-    """Keep a representative subfamily of the items over the separator.
+def trim_separator(g: Graph, a: int, sep: int, fam: Family,
+                   trace: dict | None = None) -> Family:
+    """Keep a representative subfamily of `fam` over the separator.
 
-    `items` are (edge-mask, d1, d2, pe, payload) tuples whose edges live in
-    E(G[a ∪ sep]), with (d1, d2, pe) the state of the edge mask.  Every
-    vertex of a \\ sep must be internal (degree two), else no completion
-    through the separator can exist and the item is dropped; every path
-    end of a live item then lies in sep.  A live item with edges but no
-    ends is a spanning cycle, since no producer closes any other cycle;
-    the canonically least one is kept, as it completes with the empty
-    completion.  The other live items go, in sorted-mask order, to
-    `representative_hc_sets` with their states over sep, which by Lemma 3
-    are the states of their torsos.  With a `trace` dict, the largest kept
-    family per separator size k is recorded under `max_family_by_k`.
+    `fam` maps the state (d1, d2, pe, 0) of each edge mask to the mask,
+    whose edges live in E(G[a ∪ sep]).  Every vertex of a \\ sep must be
+    internal (degree two), else no completion through the separator can
+    exist and the member is dropped; every path end of a live member then
+    lies in sep.  A live member with edges but no ends is a spanning
+    cycle, since no producer closes any other cycle; the canonically least
+    one is kept, as it completes with the empty completion.  The other
+    live members go, in sorted-mask order, to `representative_hc_sets`
+    with their states over sep, which by Lemma 3 are the states of their
+    torsos.  The kept members are returned under their keys, in that
+    order, the cycle last.  With a `trace` dict, the largest kept family
+    per separator size k is recorded under `max_family_by_k`.
     """
     live, states = [], []
-    cycle_item = None  # canonically least spanning-cycle member, if any
-    for item in sorted(items, key=lambda it: it[0]):
-        _, d1, d2, pe, _ = item
+    cycle = None  # canonically least spanning-cycle member, if any
+    for key, m in sorted(fam.items(), key=lambda it: it[1]):
+        d1, d2, pe, _ = key
         if a & ~sep & ~d2:
             continue
         if d1 and not d1 & ~d2:
-            if cycle_item is None:
-                cycle_item = item
+            if cycle is None:
+                cycle = key, m
             continue
-        live.append(item)
+        live.append((key, m))
         states.append((d1 & sep, d2 & sep, pe))
-    out = [live[i] for i in representative_hc_sets(g, states)]
+    out = dict(live[i] for i in representative_hc_sets(g, states))
     if trace is not None:
         by_k = trace.setdefault("max_family_by_k", {})
         k = sep.bit_count()
         by_k[k] = max(by_k.get(k, 0), len(out))
-    if cycle_item is not None:
-        out.append(cycle_item)
+    if cycle is not None:
+        out[cycle[0]] = cycle[1]
     return out
 
 
 # -- preserving extensions --------------------------------------------------
 
-def preserving_extension(g: Graph, a: int, c: int,
-                         fam: dict[int, tuple[int, int, int]], estar: int,
+def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
                          trace: dict | None = None) -> list[tuple[int, int]]:
     """Extension family of `fam` by the separator-incident cross edges.
 
-    `fam` maps each certificate to its state (d1, d2, pe), c covers the cut
-    of a, and `estar` holds the edges between a and c \\ a.  Returns
-    (extended-mask, core) pairs, the core being the mask's edges within a:
-    exactly what `trim_separator` over c keeps of every extension of a
-    certificate by a set of its estar edges.  Certificates whose degree
-    deficiency exceeds the cross-edge budget 2|c| cannot complete and are
-    dropped first.  The rest are keyed once, the least per state, into the
-    dict that one `frontier` over estar, if any, grows in place; it
-    forgets no vertex of c (the forget step of Cygan et al., Parameterized
-    Algorithms, 2015, ch. 7): c covers the cut, so a vertex of a \\ c is
-    decided once its estar edges are in.  The least member per state (on
-    live members, the state over c) meets the only rank basis, one
-    `trim_separator` over c (the reduce step, run apart as in Bodlaender,
-    Cygan, Kratsch & Nederlof, Inf. & Comput. 2015).  Exact: that trim
-    feeds its basis in sorted-mask order, and a repeated state is
-    dependent on its first occurrence (Lemma 3); without estar edges the
-    frontier would only repeat that trim's filters.  `trace` is passed on.
+    `fam` maps the state (d1, d2, pe, 0) of each certificate to it, c
+    covers the cut of a, and `estar` holds the edges between a and c \\ a.
+    Returns (extended-mask, core) pairs, the core being the mask's edges
+    within a: exactly what `trim_separator` over c keeps of every
+    extension of a certificate by a set of its estar edges.  Certificates
+    whose degree deficiency exceeds the cross-edge budget 2|c| cannot
+    complete and are dropped first.  One `frontier` over estar, if any,
+    grows the rest in place; it forgets no vertex of c (the forget step of
+    Cygan et al., Parameterized Algorithms, 2015, ch. 7): c covers the
+    cut, so a vertex of a \\ c is decided once its estar edges are in.  The
+    least member per state (on live members, the state over c) meets the
+    only rank basis, one `trim_separator` over c (the reduce step, run
+    apart as in Bodlaender, Cygan, Kratsch & Nederlof, Inf. & Comput.
+    2015).  Exact: that trim feeds its basis in sorted-mask order, and a
+    repeated state is dependent on its first occurrence (Lemma 3); without
+    estar edges the frontier would only repeat that trim's filters.
+    `trace` is passed on.
     """
     csize = c.bit_count()
     if csize < 3:
         raise ValueError("separator must have size at least three")
-    fold: dict[tuple[int, int, int, int], int] = {}
-    for cert, state in fam.items():
-        if a.bit_count() - cert.bit_count() <= csize:
-            key = (*state, 0)
-            if fold.setdefault(key, cert) > cert:
-                fold[key] = cert
+    fold = {key: m for key, m in fam.items() if a.bit_count() - m.bit_count() <= csize}
     if estar:
         fold = frontier(g, fold, estar, a, c, False)
-    kept = trim_separator(g, a, c, [(m, *key) for key, m in fold.items()], trace)
-    return [(m, m & ~estar) for m, *_ in kept]
+    return [(m, m & ~estar) for m in trim_separator(g, a, c, fold, trace).values()]
 
 
-def frontier(g: Graph, fam: dict[tuple[int, int, int, int], int], left: int,
-             home: int, boundary: int, forget: bool) -> dict[tuple[int, int, int, int], int]:
+def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
+             forget: bool) -> Family:
     """The family grown by every valid set of `left`, the least mask per key.
 
     `fam` maps the key (d1, d2, pe, tally) of path systems without an edge
@@ -390,7 +387,7 @@ def frontier(g: Graph, fam: dict[tuple[int, int, int, int], int], left: int,
         undecided ^= newly
 
 
-def grow(g: Graph, w: int, fam: dict[tuple[int, int, int, int], int], i: int) -> None:
+def grow(g: Graph, w: int, fam: Family, i: int) -> None:
     """Add to `fam` each of its members grown by edge i, where that is valid.
 
     `fam` maps keys (d1, d2, pe, tally) to the least edge mask of that key,

@@ -2,15 +2,18 @@
 
 A certificate is an edge bitmask forming vertex-disjoint paths inside its
 home vertex set (or a Hamiltonian cycle of the whole graph, at the root).
-A family maps each certificate to its state (d1, d2, pe): the vertices of
+A family (`repsets.Family`), one per decomposition node, maps the key
+(d1, d2, pe, 0) of each certificate to it: its state, the vertices of
 degree >= 1 and >= 2 and the pairing of its path ends (see `repsets`),
-set in O(1) where the certificate is made.  Each finished subtree carries
-the cut of its home (`cut_of`), derived from its children's, and the
-merge, the twin test and the trims read only that cut.  A merge lists no
-members: all pairs are keyed once into one dict, which one frontier
-(`repsets.frontier`) grows over the cross edges, forgetting each vertex
-once its edges are decided and keeping one live member per key.
-Each trim then applies only its own rules: the slot rules of twin cuts
+set in O(1) where the certificate is made, and a tally of 0.  Every step
+reads and returns that form, from the leaves' {(0, 0, 0, 0): 0} to the
+root.  Each finished subtree carries the cut of its home (`cut_of`),
+derived from its children's, and the merge, the twin test and the trims
+read only that cut.  A merge lists no members: all pairs are keyed once
+into one dict, which one frontier (`repsets.frontier`) grows over the
+cross edges, forgetting each vertex once its edges are decided and
+keeping one live member per key; that dict is the merged family.  Each
+trim then applies only its own rules: the slot rules of twin cuts
 (`trim_split`), elsewhere the rep-set trim over a cut cover (`trim_vc`).
 """
 
@@ -19,10 +22,9 @@ from __future__ import annotations
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (is_split, mm_value: benchmark hooks)
 from .branchdec import BranchDecomposition
-from .repsets import (frontier, is_hamiltonian_cycle, pad_separator,
+from .repsets import (Family, frontier, is_hamiltonian_cycle, pad_separator,
                       preserving_extension)
 
-Family = dict[int, tuple[int, int, int]]  # certificate -> state (d1, d2, pe)
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
 
 
@@ -50,20 +52,20 @@ def cut_of(g: Graph, a: int) -> Cut:
 
 def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cut,
          trace: dict | None = None) -> tuple[Cut, Family]:
-    """Cut and family of home a | b: each pair of fa and fb with every valid
-    set of its cross edges, in one `repsets.frontier`, trimmed once unless
-    a | b is the whole graph.  The pairs are keyed by state straight into
-    the frontier's dict, which holds the family when it returns; the
-    states within fa and within fb are distinct, and so are the pairs',
-    as the homes are disjoint.  The cut and the cross edges are read off
-    the cuts of a and b in O(|boundary of a| + |boundary of b|) big-int
-    operations.  No twin cut needs a path limit: `trim_split` keeps no
-    member with more paths than the mm of its side, and the paper's limit
-    is 4 times that.  The frontier leaves what `trim`'s precondition asks
-    and loses no completion: members of one twin signature complete alike,
-    and of one state `preserving_extension` keeps the least (`repsets`
-    Lemma 3).  At the root every survivor is a Hamiltonian cycle, and the
-    least is kept.
+    """Cut and family of home a | b: each pair of fa and fb with every
+    valid set of its cross edges, in one `repsets.frontier`, trimmed once
+    unless a | b is the whole graph.  The pairs are keyed by state straight
+    into the frontier's dict, and the dict it returns, keyed by state, is
+    the family; the states within fa and within fb are distinct, and so are
+    the pairs', as the homes are disjoint.  The cut and the cross edges are
+    read off the cuts of a and b in O(|boundary of a| + |boundary of b|)
+    big-int operations.  No twin cut needs a path limit: `trim_split` keeps
+    no member with more paths than the mm of its side, and the paper's
+    limit is 4 times that.  The frontier leaves what `trim`'s precondition
+    asks and loses no completion: members of one twin signature complete
+    alike, and of one state `preserving_extension` keeps the least
+    (`repsets` Lemma 3).  At the root every survivor is a Hamiltonian
+    cycle, and the least is kept.
     """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
@@ -72,10 +74,9 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
     left = g.edges_at(ba & nb) & g.edges_at(bb & na)
     fold = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
-            for sa, (d1a, d2a, pea) in fa.items() for sb, (d1b, d2b, peb) in fb.items()}
+            for (d1a, d2a, pea, _), sa in fa.items() for (d1b, d2b, peb, _), sb in fb.items()}
     fold = frontier(g, fold, left, home, cut[0], cut[2])
-    fam = {m: (d1, d2, pe) for (d1, d2, pe, _), m in fold.items()}
-    return cut, trim(g, home, fam, cut, trace)
+    return cut, trim(g, home, fold, cut, trace)
 
 
 # -- trims ------------------------------------------------------------------
@@ -89,13 +90,15 @@ def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) 
     uncovered cut edge would be estar), so the ends lie in c ∩ a, of <= 5
     vertices.  At <= 4 ends the basis keeps each state over c (`repsets`
     Corollary), which fixes the state as every edge lies in a.  No member
-    is a cycle or over the 2|c| budget."""
+    is a cycle or over the 2|c| budget.  Otherwise the members of `fam`
+    whose mask is the core of a kept extension are kept, under their own
+    keys."""
     boundary, nbr, _ = cut
     c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
     estar = g.edges_at(c & ~a) & g.edges_at(boundary)
     if estar or boundary.bit_count() > 5:
-        ext = preserving_extension(g, a, c, fam, estar, trace)
-        return {core: fam[core] for _, core in ext}
+        cores = {core for _, core in preserving_extension(g, a, c, fam, estar, trace)}
+        return {key: m for key, m in fam.items() if m in cores}
     if trace is not None:
         by_k, k = trace.setdefault("max_family_by_k", {}), c.bit_count()
         by_k[k] = max(by_k.get(k, 0), len(fam))
@@ -117,7 +120,7 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     if not twin:
         raise ValueError("trim_split needs a twin cut")
     t = common_outside.bit_count()
-    return {cert: (d1, d2, pe) for cert, (d1, d2, pe) in fam.items()
+    return {(d1, d2, pe, tally): m for (d1, d2, pe, tally), m in fam.items()
             if (t > 1 or not a & ~d1)
             and (d1 & ~d2).bit_count() // 2 + (a & ~d1).bit_count() <= t}
 
@@ -132,8 +135,8 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
     A lone member m of another side skips the rep-set trim.  It is dropped
     when |a| - |m| > |N(a)|: a cycle through m takes 2|a| - 2|m| cross
     edges, at most two at each outside neighbour.  A trim that runs
-    appends (a, before, after) to `trace["trims"]` when the caller put a
-    list there.
+    appends (a, before, after), the masks of `fam` and of the result, to
+    `trace["trims"]` when the caller put a list there.
     """
     if a == g.vmask or not fam:
         return fam
@@ -142,10 +145,10 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
     elif len(fam) > 1:
         out = trim_vc(g, a, fam, cut, trace)
     else:
-        (m,) = fam
+        (m,) = fam.values()
         out = {} if a.bit_count() - m.bit_count() > cut[1].bit_count() else fam
     if trace is not None and "trims" in trace:
-        trace["trims"].append((a, list(fam), list(out)))
+        trace["trims"].append((a, list(fam.values()), list(out.values())))
     return out
 
 
@@ -183,7 +186,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
     for node in bd.post_order:
         home = bd.below[node]
         if node in bd.leaf_map:
-            cut, fam = cut_of(g, home), {0: (0, 0, 0)}
+            cut, fam = cut_of(g, home), {(0, 0, 0, 0): 0}
         else:
             (h2, c2, f2), (h1, c1, f1) = solved.pop(), solved.pop()
             cut, fam = join(g, h1, h2, f1, f2, c1, c2, trace)
@@ -192,7 +195,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
     (hx, cx, fx), (hy, cy, fy) = solved  # x's and y's subtrees, joined at the root
     _, final = join(g, hx, hy, fx, fy, cx, cy, trace)
     note(len(final))
-    for m in final:
+    for m in final.values():
         if is_hamiltonian_cycle(g, m):
             return True, g.edge_set(m)
     return False, None

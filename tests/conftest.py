@@ -24,19 +24,15 @@ def atlas_connected(min_n: int = 3, max_n: int = 6):
 
 
 def family(g, masks):
-    """Certificate family: each edge mask with its state (d1, d2, pe)."""
-    return {m: path_state(g, m) for m in masks}
-
-
-def keyed(g, masks):
-    """A fold's family: each path system's key, its state with tally 0,
-    mapped to the least mask with that key, in order of first occurrence."""
-    fold = {}
+    """Certificate family (`repsets.Family`): each path system's key, its
+    state with tally 0, mapped to the least mask with that key, in order
+    of first occurrence."""
+    fam = {}
     for m in masks:
         key = (*path_state(g, m), 0)
-        if fold.setdefault(key, m) > m:
-            fold[key] = m
-    return fold
+        if fam.setdefault(key, m) > m:
+            fam[key] = m
+    return fam
 
 
 def partner(pe, w, d1, v):

@@ -93,7 +93,7 @@ def test_verify_methods_agree_on_trims(seed):
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    small = list(trim(g, a, family(g, fam), cut_of(g, a)))
+    small = list(trim(g, a, family(g, fam), cut_of(g, a)).values())
     c = verify_preservation(g, a, fam, small, method="cycles")
     e = verify_preservation(g, a, fam, small, method="enumerate")
     assert c == e

@@ -265,6 +265,16 @@ def test_approx_rejects_bad_inputs():
         approx_sm_decomposition(Graph(range(4), [(0, 1), (2, 3)]))
 
 
+def test_empty_graph_named_by_library():
+    """`approx_sm_decomposition` and `oracles.brute_sm_width` refuse the
+    empty graph with the one error `smhc width` and `smhc decompose`
+    print, which names it."""
+    for fn in (approx_sm_decomposition, brute_sm_width):
+        with pytest.raises(ValueError) as exc:
+            fn(Graph([], []))
+        assert str(exc.value) == "empty graph: a decomposition needs at least one vertex"
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_approx_within_budget_random(seed):
     rng = random.Random(seed + 40)

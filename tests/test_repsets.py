@@ -13,7 +13,7 @@ from smhc.solver import cut_of, solve_hc
 from smhc.generators import caterpillar_decomposition, grid_graph, random_connected_graph
 from smhc.pipeline import approx_sm_decomposition
 from smhc import oracles, repsets, solver
-from tests.conftest import family, keyed, partner
+from tests.conftest import family, partner
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -269,26 +269,25 @@ def test_trim_separator_bound_and_subset():
     a = mask_of([0, 1, 2, 3])
     sep = pad_separator(g, a, mask_of([0, 3]))
     inner = g.edges_within(a)
-    items = [(m, *path_state(g, m), m) for m in range(1 << g.m)
-             if m & ~inner == 0 and is_path_system(g, m)]
-    out = trim_separator(g, a, sep, items)
+    fam = family(g, [m for m in range(1 << g.m) if m & ~inner == 0 and is_path_system(g, m)])
+    out = trim_separator(g, a, sep, fam)
     assert len(out) <= 6 ** sep.bit_count()
-    assert {it[0] for it in out} <= {it[0] for it in items}
+    assert out.items() <= fam.items()
 
 
-def torso_route(g, a, sep, items, trace):
-    """The trim by torsos: compress every item onto sep, drop the dead ones,
-    keep the least item per torso and the least spanning cycle, and pick
+def torso_route(g, a, sep, masks, trace):
+    """The trim by torsos: compress every mask onto sep, drop the dead ones,
+    keep the least mask per torso and the least spanning cycle, and pick
     torsos by their rows over the complete graph on sep."""
     kC = Graph(bits(sep), combinations(bits(sep), 2))
     by_torso, cycle_item = {}, None
-    for item in sorted(items, key=lambda it: it[0]):
-        t = oracles._torso(g, item[0], a, sep)
+    for m in sorted(masks):
+        t = oracles._torso(g, m, a, sep)
         if t is oracles.SPANNING_CYCLE:
             if cycle_item is None:
-                cycle_item = item
+                cycle_item = m
         elif t is not None:
-            by_torso.setdefault(kC.edge_mask(t), item)
+            by_torso.setdefault(kC.edge_mask(t), m)
     torsos = list(by_torso)
     chosen = representative_hc_sets(kC, [path_state(kC, t) for t in torsos])
     by_k = trace.setdefault("max_family_by_k", {})
@@ -299,8 +298,10 @@ def torso_route(g, a, sep, items, trace):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_trim_separator_matches_torso_route(seed):
-    """Lemma 3: reading each item's row from its pairing keeps exactly the
-    items that building, deduplicating and pairing the torsos keeps."""
+    """Lemma 3: keying the masks by state and reading each member's row
+    from its pairing keeps exactly the masks that building, deduplicating
+    and pairing the torsos of all of them keeps, in the same order, each
+    under its state."""
     rng = random.Random(seed + 1300)
     seen = {"dead": 0, "end outside": 0, "padded": 0, "cycle": 0, "kept": 0,
             "repeat": 0}
@@ -322,16 +323,18 @@ def test_trim_separator_matches_torso_route(seed):
             # and cycles that order sep alike share a torso
             masks += [h & inner & ~(g.edges_within(sep) & rng.getrandbits(g.m))
                       for h in hcs]
-            items = [(m, *path_state(g, m), m) for m in set(masks)]
+            masks = set(masks)
             got_trace, want_trace = {}, {}
-            got = trim_separator(g, a, sep, items, got_trace)
-            want = torso_route(g, a, sep, items, want_trace)
-            assert got == want
+            got = trim_separator(g, a, sep, family(g, masks), got_trace)
+            want = torso_route(g, a, sep, masks, want_trace)
+            assert list(got.values()) == want
+            assert all(key == (*path_state(g, m), 0) for key, m in got.items())
             assert got_trace == want_trace
-            torsos = [oracles._torso(g, m, a, sep) for m, *_ in items]
+            torsos = [oracles._torso(g, m, a, sep) for m in masks]
             live = [t for t in torsos if t is not None]
             seen["dead"] += len(torsos) - len(live)
-            seen["end outside"] += sum(bool(d1 & ~d2 & ~sep) for _, d1, d2, *_ in items)
+            seen["end outside"] += sum(bool(d1 & ~d2 & ~sep)
+                                       for d1, d2, _ in (degree_masks(g, m) for m in masks))
             seen["padded"] += bool(sep & ~a)
             seen["cycle"] += oracles.SPANNING_CYCLE in live
             seen["kept"] += len(got)
@@ -342,7 +345,7 @@ def test_trim_separator_matches_torso_route(seed):
 def test_preserving_extension_small_separator_rejected():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
-        preserving_extension(g, mask_of([0, 1]), mask_of([2]), {0: (0, 0, 0)}, 0)
+        preserving_extension(g, mask_of([0, 1]), mask_of([2]), {(0, 0, 0, 0): 0}, 0)
 
 
 def test_preserving_extension_no_estar():
@@ -376,12 +379,11 @@ def test_extension_without_estar_skips_frontier(seed, monkeypatch):
         fam = {h & inner for h in oracles.enumerate_hamiltonian_cycles(g)[:10]} | {0}
         fam |= {m for m in (inner & rng.getrandbits(g.m) for _ in range(20))
                 if is_path_system(g, m)}
-        within = [(cert, *path_state(g, cert), cert) for cert in sorted(fam)
-                  if a.bit_count() - cert.bit_count() <= c.bit_count()]
+        within = [cert for cert in sorted(fam) if a.bit_count() - cert.bit_count() <= c.bit_count()]
         got_trace, want_trace = {}, {}
         got = preserving_extension(g, a, c, family(g, fam), 0, got_trace)
-        want = trim_separator(g, a, c, within, want_trace)
-        assert got == [(m, core) for m, *_, core in want]
+        want = trim_separator(g, a, c, family(g, within), want_trace)
+        assert got == [(m, m) for m in want.values()]
         assert got_trace == want_trace
         seen["instances"] += 1
         seen["kept"] += len(got)
@@ -405,13 +407,13 @@ PINNED = [
 
 
 def recorded_trims(monkeypatch):
-    """(sep, items) of every `trim_separator` call, as a list filled in."""
+    """(sep, fam) of every `trim_separator` call, as a list filled in."""
     calls = []
     real_trim_separator = repsets.trim_separator
 
-    def recording(g_, a_, sep, items, trace=None):
-        calls.append((sep, list(items)))
-        return real_trim_separator(g_, a_, sep, items, trace)
+    def recording(g_, a_, sep, fam, trace=None):
+        calls.append((sep, dict(fam)))
+        return real_trim_separator(g_, a_, sep, fam, trace)
 
     monkeypatch.setattr(repsets, "trim_separator", recording)
     return calls
@@ -420,7 +422,7 @@ def recorded_trims(monkeypatch):
 def test_extension_forgets_every_vertex_before_one_trim(monkeypatch):
     """Each call trims once, over c, after its frontier has forgotten
     every vertex of todo, the vertices of a \\ c with an estar edge: every
-    item handed to the trim has degree two at each vertex of a \\ c, no
+    member handed to the trim has degree two at each vertex of a \\ c, no
     two share a state, and each is a certificate grown by estar edges.
     Instances with and without estar edges at a ∩ c both occur."""
     calls = recorded_trims(monkeypatch)
@@ -443,13 +445,13 @@ def test_extension_forgets_every_vertex_before_one_trim(monkeypatch):
                 if is_path_system(g, m)}
         calls.clear()
         preserving_extension(g, a, c, family(g, fam), estar)
-        (sep, items), = calls
+        (sep, handed_fam), = calls
         assert sep == c
-        assert len({tuple(item[1:4]) for item in items}) == len(items)
-        for m, d1, d2, pe, _ in items:
+        assert len({key[:3] for key in handed_fam}) == len(handed_fam)
+        for (d1, d2, pe, _), m in handed_fam.items():
             assert not a & ~c & ~d2
             assert m & inner in fam and not m & ~inner & ~estar
-        handed += len(items)
+        handed += len(handed_fam)
         optional.add(bool(estar & ~g.edges_between(todo, c)))
         instances += 1
     assert handed
@@ -501,14 +503,14 @@ def test_extension_keeps_trim_of_every_live_extension(seed):
             fam = {h & inner for h in hcs} | {0}
             fam |= {m for m in (inner & rng.getrandbits(g.m) for _ in range(20))
                     if is_path_system(g, m)}
-            extensions = [(m, *path_state(g, m), cert) for cert in sorted(fam)
+            extensions = [m for cert in sorted(fam)
                           if a.bit_count() - cert.bit_count() <= c.bit_count()
                           for m in (cert | sub for sub in submasks(estar))
                           if is_path_system(g, m) or is_hamiltonian_cycle(g, m)]
             got_trace, want_trace = {}, {}
             got = preserving_extension(g, a, c, family(g, fam), estar, got_trace)
-            want = trim_separator(g, a, c, extensions, want_trace)
-            assert got == [(m, core) for m, *_, core in want]
+            want = trim_separator(g, a, c, family(g, extensions), want_trace)
+            assert got == [(m, m & ~estar) for m in want.values()]
             assert got_trace == want_trace
             seen["instances"] += 1
             seen["kept"] += len(got)
@@ -642,13 +644,13 @@ def test_keyed_fold_matches_list_fold(seed, forget):
             a = rng.randrange(1, g.vmask)
             b = g.vmask & ~a if rng.random() < 0.4 else rng.getrandbits(n) & g.vmask & ~a
             c = pad_separator(g, a, min_vertex_cover(g, a))
-            folds = [("no edges", keyed(g, sampled_paths(g, a, rng, hcs)), 0, a,
+            folds = [("no edges", family(g, sampled_paths(g, a, rng, hcs)), 0, a,
                       cut_of(g, a)[0])]
-            folds.append(("extension", keyed(g, sampled_paths(g, a, rng, hcs)),
+            folds.append(("extension", family(g, sampled_paths(g, a, rng, hcs)),
                           g.edges_between(a, c & ~a), a, c))
             if b:
-                fa = keyed(g, sampled_paths(g, a, rng, hcs))
-                fb = keyed(g, sampled_paths(g, b, rng, hcs))
+                fa = family(g, sampled_paths(g, a, rng, hcs))
+                fb = family(g, sampled_paths(g, b, rng, hcs))
                 pairs = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
                          for (d1a, d2a, pea, _), sa in fa.items()
                          for (d1b, d2b, peb, _), sb in fb.items()}

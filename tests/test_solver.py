@@ -13,7 +13,7 @@ from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
-from tests.conftest import bounded_stack, family, keyed, partner
+from tests.conftest import bounded_stack, family, partner
 
 
 def certificate_valid(g, emask, home):
@@ -100,7 +100,7 @@ def test_join_subset_of_conc(seed):
     sb = 0
     cut, fam = join(g, a, b, family(g, [sa]), family(g, [sb]), cut_of(g, a), cut_of(g, b))
     assert cut == cut_of(g, a | b)
-    assert set(fam) <= set(oracles.conc(g, a, b, sa, sb))
+    assert set(fam.values()) <= set(oracles.conc(g, a, b, sa, sb))
 
 
 def recorded_joins(g, monkeypatch):
@@ -143,16 +143,16 @@ def reference_trim_split(g, a, fam, cut):
     boundary, outside, _ = cut
     t = outside.bit_count()
     chosen = {}
-    for cert in sorted(fam):
-        d1, d2, _ = fam[cert]
+    for key, cert in sorted(fam.items(), key=lambda item: item[1]):
+        d1, d2, *_ = key
         isolated = a & ~d1
         sig = ((d1 & ~d2).bit_count() // 2, isolated.bit_count())
         if a & ~d2 & ~boundary or (isolated and t < 2) or sum(sig) > t:
             continue
         if d1 and not d1 & ~d2:
             continue
-        chosen.setdefault(sig, cert)
-    return {cert: fam[cert] for cert in chosen.values()}
+        chosen.setdefault(sig, (key, cert))
+    return dict(chosen.values())
 
 
 def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
@@ -169,9 +169,10 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
             assert cut[2] == is_twin_cut(g, home)
             if not cut[2]:
                 continue
-            members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
+            members = [m for sa in fa.values() for sb in fb.values()
+                       for m in oracles.conc(g, a, b, sa, sb)]
             assert out == reference_trim_split(g, home, family(g, members), cut)
-            assert oracles.verify_preservation(g, home, members, list(out),
+            assert oracles.verify_preservation(g, home, members, list(out.values()),
                                                method="cycles", hcs=hcs)
             checked += 1
             crossed += len(members) > len(fa) * len(fb)
@@ -196,21 +197,19 @@ def test_frontier_keeps_trim_of_live_conc(monkeypatch):
             if cut[2]:
                 continue
             inner = home & ~cut[0]
-            members = [m for sa in fa for sb in fb for m in oracles.conc(g, a, b, sa, sb)]
+            members = [m for sa in fa.values() for sb in fb.values()
+                       for m in oracles.conc(g, a, b, sa, sb)]
             live = [m for m in members if not inner & ~degree_masks(g, m)[1]]
             if home == g.vmask:  # no trim: the least Hamiltonian cycle is kept
-                assert list(out) == sorted(live)[:1]
+                assert list(out.values()) == sorted(live)[:1]
             else:
-                keyed = {}
-                for m in sorted(live):
-                    keyed.setdefault(path_state(g, m), m)
-                assert out == trim(g, home, family(g, keyed.values()), cut)
+                assert out == trim(g, home, family(g, live), cut)
             checked += 1
             crossed += len(members) > len(fa) * len(fb)
         a, b, *_, out = joins[-1]
         assert a | b == g.vmask
         assert bool(out) == oracles.brute_hc(g)[0]
-        assert all(is_hamiltonian_cycle(g, m) for m in out)
+        assert all(is_hamiltonian_cycle(g, m) for m in out.values())
     assert checked >= 150 and crossed >= 80
 
 
@@ -219,16 +218,20 @@ def test_join_hands_trim_its_precondition(monkeypatch):
     read off each member's edge mask: every vertex of the home without an
     outside neighbour has degree two, no two members share a key (the
     state, or on a twin cut the number of path ends and of isolated
-    vertices), and no member is a cycle unless the home is V.  Seeded
+    vertices), and no member is a cycle unless the home is V.  Every
+    family `join` hands to `trim`, and every family `trim` returns, maps
+    the key (*path_state(g, m), 0) to each of its members m.  Seeded
     graphs with n <= 9 are solved along `approx_sm_decomposition` and along
     a caterpillar in a random vertex order; the calls cover twin cuts,
-    estar cuts and cuts without estar edges."""
+    estar cuts, cuts without estar edges and trims that drop members."""
     calls = []
     real_trim = solver.trim
 
     def recording(g_, a, fam, cut, *args):
-        calls.append((g_, a, dict(fam), cut))
-        return real_trim(g_, a, fam, cut, *args)
+        before = dict(fam)
+        out = real_trim(g_, a, fam, cut, *args)
+        calls.append((g_, a, before, dict(out), cut))
+        return out
 
     monkeypatch.setattr(solver, "trim", recording)
     rng = random.Random(1413)
@@ -237,10 +240,13 @@ def test_join_hands_trim_its_precondition(monkeypatch):
         rng.shuffle(order)
         for bd in (approx_sm_decomposition(g), caterpillar_decomposition(order)):
             solve_hc(g, bd)
-    seen = dict.fromkeys(["twin", "estar", "no estar", "two or more members"], 0)
-    for g, a, fam, (boundary, nbr, twin) in calls:
+    seen = dict.fromkeys(["twin", "estar", "no estar", "two or more members", "dropped"], 0)
+    for g, a, fam, out, (boundary, nbr, twin) in calls:
+        for key, m in [*fam.items(), *out.items()]:
+            assert key == (*path_state(g, m), 0)
+        seen["dropped"] += len(out) < len(fam)
         keys = set()
-        for m in fam:
+        for m in fam.values():
             d1, d2, _ = degree_masks(g, m)
             assert not a & ~boundary & ~d2
             assert a == g.vmask or is_path_system(g, m)
@@ -295,9 +301,9 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     items, fams = [], []
     real_trim_separator, real_trim = repsets.trim_separator, solver.trim
 
-    def recording(g_, a_, sep, its, trace=None):
-        items.extend((a_, *item) for item in its)
-        return real_trim_separator(g_, a_, sep, its, trace)
+    def recording(g_, a_, sep, fam, trace=None):
+        items.extend((a_, m, *key) for key, m in fam.items())
+        return real_trim_separator(g_, a_, sep, fam, trace)
 
     def recording_trim(g_, a_, fam, *args):
         fams.append(dict(fam))
@@ -320,8 +326,8 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
         repsets.preserving_extension(g, a, c, family(g, fa),
                                      g.edges_between(a, c & ~a))
     for fam in fams:
-        for m, state in fam.items():
-            check(m, *state)
+        for (d1, d2, pe, _), m in fam.items():
+            check(m, d1, d2, pe)
             closures += is_hamiltonian_cycle(g, m)
     assert closures or not hamiltonian
     assert any(ext & ~g.edges_within(a_) for a_, ext, *_ in items) or not hamiltonian
@@ -336,7 +342,7 @@ def test_trim_vc_bound():
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    out = list(trim_vc(g, a, family(g, fam), cut_of(g, a)))
+    out = list(trim_vc(g, a, family(g, fam), cut_of(g, a)).values())
     assert set(out) <= set(fam)
     assert len(out) <= 6 ** 3  # padded cover has size 3
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
@@ -382,7 +388,7 @@ def sampled_family(g, a, rng):
                 masks.add(g.edge_mask(steps))
         masks = list(masks)
     rng.shuffle(masks)
-    return family(g, masks)
+    return masks
 
 
 def perfect_matchings(vs):
@@ -434,16 +440,14 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     instances.append(wide_cut())
     seen = dict.fromkeys(["one pass", "padded", "dropped", "estar", "wide basis drops"], 0)
     for g, a, extra in instances:
-        sampled = sampled_family(g, a, rng)
-        sampled.update(family(g, extra))
         cut = cut_of(g, a)
         boundary, nbr, _ = cut
-        fam = {m: (d1, d2, pe) for (d1, d2, pe, _), m in
-               repsets.frontier(g, keyed(g, sampled), 0, a, boundary, False).items()}
+        fam = repsets.frontier(g, family(g, sampled_family(g, a, rng) + extra), 0, a,
+                               boundary, False)
         c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         want_trace, got_trace = {}, {}
-        want = {core: fam[core] for _, core in
+        want = {(*path_state(g, core), 0): core for _, core in
                 repsets.preserving_extension(g, a, c, fam, estar, want_trace)}
         calls.clear()
         got = trim_vc(g, a, fam, cut, got_trace)
@@ -466,10 +470,10 @@ def test_trim_split_signature_collapse():
     g = Graph(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)])
     a = mask_of([0, 1])
     assert is_split(g, a)
-    out = trim_split(g, a, {0: (0, 0, 0)}, cut_of(g, a))
-    assert out == {0: (0, 0, 0)}
+    out = trim_split(g, a, {(0, 0, 0, 0): 0}, cut_of(g, a))
+    assert out == {(0, 0, 0, 0): 0}
     with pytest.raises(ValueError):
-        trim_split(g, mask_of([0, 2]), {0: (0, 0, 0)}, cut_of(g, mask_of([0, 2])))
+        trim_split(g, mask_of([0, 2]), {(0, 0, 0, 0): 0}, cut_of(g, mask_of([0, 2])))
 
 
 def test_trim_split_preserves():
@@ -478,7 +482,7 @@ def test_trim_split_preserves():
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    out = list(trim_split(g, a, family(g, fam), cut_of(g, a)))
+    out = list(trim_split(g, a, family(g, fam), cut_of(g, a)).values())
     assert set(out) <= set(fam)
     assert len(out) <= (g.n + 1) ** 3
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
@@ -487,9 +491,10 @@ def test_trim_split_preserves():
 def test_trim_dispatch():
     g = complete_graph(6)
     a = mask_of([0, 1, 2])
-    assert trim(g, a, {0: (0, 0, 0)}, cut_of(g, a)) == {0: (0, 0, 0)}  # a live lone member stays
+    lone = {(0, 0, 0, 0): 0}
+    assert trim(g, a, lone, cut_of(g, a)) == lone  # a live lone member stays
     fam = [0, g.edge_mask([(0, 1)])]
-    assert set(trim(g, a, family(g, fam), cut_of(g, a))) <= set(fam)
+    assert set(trim(g, a, family(g, fam), cut_of(g, a)).values()) <= set(fam)
 
 
 def test_solve_named_graphs():
@@ -593,7 +598,7 @@ def test_merge_many_cross_edges_in_bounded_stack():
     trace = {"trims": []}
     with bounded_stack():
         b = mask_of(range(1, k + 1))
-        join(g, 1, b, {0: (0, 0, 0)}, {0: (0, 0, 0)}, cut_of(g, 1), cut_of(g, b), trace)
+        join(g, 1, b, {(0, 0, 0, 0): 0}, {(0, 0, 0, 0): 0}, cut_of(g, 1), cut_of(g, b), trace)
     (_, out, _), = trace["trims"]
     assert len(out) == len(set(out)) == 1 + k + k * (k - 1) // 2
     assert all(m.bit_count() <= 2 for m in out)
