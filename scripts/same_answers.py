@@ -4,9 +4,13 @@
 Builds the three corpora of `benchmark/workloads.py` (sweep-small,
 grid-long and clique-split) once, with this checkout's generators, and
 runs `solve_hc` on every input in one subprocess per tree, with that
-tree's `src` first on the path.  Each input is solved the way `smhc hc`
-solves it: with its stored decomposition if it has one, else with
-`approx_sm_decomposition`.  Three fixed groups load what the three corpora
+tree's `src` first on the path.  Each connected input with n >= 3 is
+solved with its stored decomposition if it has one, else with
+`approx_sm_decomposition`, also where `smhc hc` answers before
+decomposing (a cut vertex), so that the DP is compared on all of them.
+Each input of a solved group is also run through `smhc.cli.main(["hc",
+file])`, with `--decomposition` where it stores one, for its exit code
+and standard output.  Three fixed groups load what the three corpora
 barely reach.  `extension-heavy` is solved: seeded random graphs with
 n = 8, 9, 10 at four densities, whose vertex-cover trims run the
 preserving extension on wide families.  `stream` is solved too: the
@@ -20,8 +24,9 @@ that mix a prime above `EXACT_SIZE_LIMIT` vertices with one of 4..12
 joined completely between two vertices of each; mixed-13-6-2 ends with
 only 3-vertex primes beside its large one); its primes above the limit
 get the greedy search, its cographs contract heavy pairs, and its mixed
-graphs choose the search per prime.  Prints, per workload, how many inputs have identical verdicts,
-witnesses, per-node family sizes (`trace["node_sizes"]`), largest kept
+graphs choose the search per prime.  Prints, per workload, how many
+inputs have identical verdicts, witnesses, `smhc hc` exit codes and
+output, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
 before and after each trim on inputs with n <= 8 (`trace["trims"]`, each
 list sorted) and decompositions (`bd.to_json()`), lists every difference
@@ -36,21 +41,42 @@ Usage: python3 scripts/same_answers.py --parent PATH [--tree PATH]
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def solve_all(inputs: list[dict]) -> list[dict]:
-    """Verdict, witness, node sizes, largest kept families, the members
-    before and after each trim (n <= 8) and decomposition of each input,
-    from the `smhc` on the path."""
+def run_cli(g, decomposition: dict | None, work: Path) -> list:
+    """Exit code and standard output of `smhc hc` on g, from the `smhc` on
+    the path."""
+    from smhc.cli import main
+    from smhc.graph import format_edge_list
+
+    argv = ["hc", str(work / "g.txt")]
+    (work / "g.txt").write_text(format_edge_list(g))
+    if decomposition is not None:
+        (work / "d.json").write_text(json.dumps(decomposition))
+        argv += ["--decomposition", str(work / "d.json")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return [code, out.getvalue()]
+
+
+def solve_all(inputs: list[dict], work: Path) -> list[dict]:
+    """Verdict, witness, `smhc hc` exit code and output (solved inputs),
+    node sizes, largest kept families, the members before and after each
+    trim (n <= 8) and decomposition of each input, from the `smhc` on the
+    path."""
     from smhc.branchdec import BranchDecomposition
     from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
@@ -74,6 +100,7 @@ def solve_all(inputs: list[dict]) -> list[dict]:
                 verdict, witness = solve_hc(g, bd, trace=trace)
         out.append({"verdict": verdict,
                     "witness": [list(e) for e in witness] if witness else None,
+                    "cli": run_cli(g, inp["decomposition"], work) if inp["solve"] else None,
                     "node_sizes": trace["node_sizes"],
                     "max_family_by_k": {str(k): v for k, v in
                                         sorted(trace["max_family_by_k"].items())},
@@ -171,7 +198,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.solve:
         payload = json.load(sys.stdin)
-        json.dump({w: solve_all(inputs) for w, inputs in payload.items()}, sys.stdout)
+        with tempfile.TemporaryDirectory() as work:
+            result = {w: solve_all(inputs, Path(work)) for w, inputs in payload.items()}
+        json.dump(result, sys.stdout)
         return 0
     if args.parent is None:
         parser.error("--parent is required")
@@ -186,8 +215,9 @@ def main(argv=None) -> int:
                 same += 1
                 continue
             differences += 1
-            fields = [k for k in ("verdict", "witness", "node_sizes", "max_family_by_k",
-                                  "trims", "decomposition") if old[k] != new[k]]
+            fields = [k for k in ("verdict", "witness", "cli", "node_sizes",
+                                  "max_family_by_k", "trims", "decomposition")
+                      if old[k] != new[k]]
             line = f"  {inp['label']}: {', '.join(fields)} differ"
             if "node_sizes" in fields:
                 line += (f" (family sum {sum(old['node_sizes'])} -> "
@@ -203,8 +233,8 @@ def main(argv=None) -> int:
                          if is_hamiltonian_cycle(inp["n"], inp["edges"], new["witness"])
                          else "; NEW WITNESS IS NO HAMILTONIAN CYCLE")
             print(line)
-        compared = ("verdicts, witnesses, node_sizes, max_family_by_k, trims "
-                    "(before and after) and decompositions"
+        compared = ("verdicts, witnesses, smhc hc exit codes and output, node_sizes, "
+                    "max_family_by_k, trims (before and after) and decompositions"
                     if inputs[0]["solve"] else "decompositions")
         print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}")
     return 1 if differences else 0

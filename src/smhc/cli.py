@@ -29,12 +29,17 @@ def _load_graph(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _load_decomposition(path: str) -> BranchDecomposition:
+def _load_decomposition(path: str, g: Graph) -> BranchDecomposition:
+    """The decomposition in the JSON file, bare or as `smhc decompose`
+    prints it; raises ValueError unless its leaves are g's vertices."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "decomposition" in data:
         data = data["decomposition"]
-    return BranchDecomposition.from_json(data)
+    bd = BranchDecomposition.from_json(data)
+    if bd.elements != g.vmask:
+        raise ValueError("decomposition does not cover the graph's vertices")
+    return bd
 
 
 def _decomposition_report(g: Graph, bd: BranchDecomposition) -> dict:
@@ -72,15 +77,20 @@ def cmd_width(args) -> int:
 
 
 def cmd_hc(args) -> int:
+    """Print HAMILTONIAN and a witness cycle (exit 0) or NOT HAMILTONIAN
+    (exit 1).  A --decomposition file is read and checked first, so that
+    malformed input exits 2 whatever the graph.  A graph with fewer than 3
+    vertices, a disconnected graph and a graph with a cut vertex are
+    answered NOT HAMILTONIAN before any decomposition is built: each is a
+    certificate, as every Hamiltonian graph is 2-connected.  Every other
+    graph is solved along the given decomposition, else along the one
+    `approx_sm_decomposition` builds."""
     g = _load_graph(args.file)
-    if g.n < 3 or not g.is_connected():
+    bd = _load_decomposition(args.decomposition, g) if args.decomposition else None
+    if g.n < 3 or not g.is_biconnected():
         print("NOT HAMILTONIAN")
         return EXIT_NO
-    if args.decomposition:
-        bd = _load_decomposition(args.decomposition)
-    else:
-        bd = approx_sm_decomposition(g)
-    ok, witness = solve_hc(g, bd)
+    ok, witness = solve_hc(g, bd or approx_sm_decomposition(g))
     if ok:
         print("HAMILTONIAN")
         print(" ".join(f"{u}-{v}" for u, v in witness))

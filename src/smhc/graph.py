@@ -116,6 +116,55 @@ class Graph:
             self._connected = reached == self.vmask
         return self._connected
 
+    def is_biconnected(self) -> bool:
+        """Whether the graph is connected, has two vertices or more and no
+        cut vertex (so K2 is, as in networkx).  Every Hamiltonian graph is.
+
+        One depth-first search from the lowest vertex with Hopcroft-Tarjan
+        low points (CACM 1973), iterative and O(n + m).  Every edge joins an
+        ancestor and a descendant in the search tree, so the low point of v,
+        the least depth its subtree has an edge to (its parent's included),
+        is the least of the depths v's edges reach and its children's low
+        points.  A vertex u other than the root is a cut vertex when a
+        child's low point is not above u, and the root when its first
+        child's subtree does not reach every vertex (a second child, or a
+        second component)."""
+        vs = self.vertices
+        if len(vs) < 2:
+            return False
+        adj = self.adj
+        depth = [0] * (vs[-1] + 1)  # 0: not reached; the root has depth 1
+        low = [0] * len(depth)
+        rest = [0] * len(depth)  # neighbours of a vertex on the path not yet read
+        root = vs[0]
+        depth[root] = low[root] = 1
+        rest[root] = adj[root]
+        path, reached = [root], 1
+        while True:
+            v = path[-1]
+            r = rest[v]
+            if r:
+                b = r & -r
+                rest[v] = r ^ b
+                w = b.bit_length() - 1
+                if depth[w]:
+                    if depth[w] < low[v]:
+                        low[v] = depth[w]
+                else:
+                    reached += 1
+                    path.append(w)
+                    depth[w] = low[w] = len(path)
+                    rest[w] = adj[w]
+                continue
+            path.pop()
+            if len(path) < 2:  # v is the root's first child, or the root
+                return reached == len(vs)
+            u = path[-1]
+            if low[v] >= depth[u]:
+                return False
+            if low[v] < low[u]:
+                low[u] = low[v]
+
     # -- edge-set helpers (edge bitmasks over self.edges) ------------------
 
     def edge_mask(self, edges) -> int:

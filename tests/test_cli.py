@@ -7,11 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import smhc
-from smhc import oracles, solver
-from smhc.generators import random_connected_graph
-from smhc.graph import (cycle_graph, complete_graph, petersen_graph,
+from smhc import cli, oracles, solver
+from smhc.generators import caterpillar_decomposition, random_connected_graph
+from smhc.graph import (Graph, cycle_graph, complete_graph, path_graph, petersen_graph,
                         format_edge_list, parse_edge_list)
 from smhc.cli import main, EXIT_OK, EXIT_NO, EXIT_PARSE, EXIT_REFUSED
+from tests.conftest import atlas_connected
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -35,7 +36,6 @@ def test_hc_no(tmp_path, capsys):
 
 
 def test_hc_with_supplied_decomposition(tmp_path, capsys):
-    from smhc.generators import caterpillar_decomposition
     g = cycle_graph(5)
     f = write_graph(tmp_path, g)
     d = tmp_path / "bd.json"
@@ -56,18 +56,64 @@ def test_hc_reads_decompose_output(tmp_path, capsys, g):
     assert (main(["hc", f, "--decomposition", str(d)]), capsys.readouterr().out) == plain
 
 
+BOWTIE = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])  # cut vertex 2
+
+
 @pytest.mark.parametrize("bad", ["{}", "[]", "5", '{"edges": 5, "leaf_map": {}}',
                                  '{"edges": [[0, 1]], "leaf_map": []}',
                                  '{"edges": [1], "leaf_map": {"1": 0}}',
                                  json.dumps({"edges": [[u, v] for u in range(10, 14)
                                                        for v in range(u + 1, 14)],
-                                             "leaf_map": {"0": 0, "1": 1, "2": 2}})])
+                                             "leaf_map": {"0": 0, "1": 1, "2": 2}}),
+                                 json.dumps(caterpillar_decomposition([0, 1, 2]).to_json())])
 def test_hc_malformed_decomposition_exits_two(tmp_path, capsys, bad):
-    f = write_graph(tmp_path, cycle_graph(5))
+    """A malformed decomposition, or one whose leaves are not the graph's
+    vertices, exits 2 whatever the graph: also where the graph alone is
+    answered before decomposing (disconnected, or with a cut vertex)."""
     d = tmp_path / "bd.json"
     d.write_text(bad)
-    assert main(["hc", f, "--decomposition", str(d)]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error:")
+    for g in (cycle_graph(5), Graph(range(4), [(0, 1), (2, 3)]), BOWTIE):
+        f = write_graph(tmp_path, g)
+        assert main(["hc", f, "--decomposition", str(d)]) == EXIT_PARSE, g.edges
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error:")
+
+
+@pytest.mark.parametrize("g", [BOWTIE, path_graph(1200)])
+def test_hc_cut_vertex_answered_before_decomposing(tmp_path, capsys, monkeypatch, g):
+    def never(*args, **kwargs):
+        raise AssertionError("a graph with a cut vertex reached the pipeline")
+
+    monkeypatch.setattr("smhc.cli.approx_sm_decomposition", never)
+    monkeypatch.setattr("smhc.cli.solve_hc", never)
+    assert main(["hc", write_graph(tmp_path, g)]) == EXIT_NO
+    assert capsys.readouterr().out == "NOT HAMILTONIAN\n"
+
+
+def test_hc_two_connected_non_hamiltonian_is_solved(tmp_path, capsys, monkeypatch):
+    """The Petersen graph is 2-connected, so its NO comes from the pipeline
+    and the solver, each called once."""
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("approx_sm_decomposition", "solve_hc"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    assert main(["hc", write_graph(tmp_path, petersen_graph())]) == EXIT_NO
+    assert capsys.readouterr().out == "NOT HAMILTONIAN\n"
+    assert calls == ["approx_sm_decomposition", "solve_hc"]
+
+
+def test_graphs_with_a_cut_vertex_are_not_hamiltonian():
+    """The early verdict's premise, on every connected graph of 3..7
+    vertices up to isomorphism, against the Held-Karp oracle."""
+    cut = [g for g in atlas_connected(3, 7) if not g.is_biconnected()]
+    assert len(cut) > 400
+    assert not any(oracles.brute_hc(g)[0] for g in cut)
 
 
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
@@ -244,8 +290,6 @@ def test_verify_reports_recomposition_failure(tmp_path, capsys, monkeypatch, n, 
     """A split decomposition that does not recompose to the input fails
     `verify` with exit 1, on inputs the sweep checks and on those it
     refuses alike."""
-    from smhc import cli
-
     class Broken:
         def recompose(self):
             return cycle_graph(3)

@@ -1,10 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from smhc.graph import (Graph, bits, mask_of, cycle_graph, petersen_graph,
-                        parse_edge_list, format_edge_list)
+from smhc.graph import (Graph, bits, mask_of, complete_graph, cycle_graph, path_graph,
+                        petersen_graph, parse_edge_list, format_edge_list)
+from tests.conftest import atlas_connected, bounded_stack
 
 
 def small_graphs():
@@ -105,3 +107,53 @@ def test_edge_masks_match_literal_scan():
 def test_neighborhood_disjoint(g, s):
     s &= g.vmask
     assert g.neighborhood(s) & s == 0
+
+
+def two_cliques_and_a_bridge(k: int) -> Graph:
+    return Graph(range(2 * k), [(u, v) for u in range(2 * k) for v in range(u + 1, 2 * k)
+                                if u // k == v // k] + [(k - 1, k)])
+
+
+def test_is_biconnected_on_named_graphs():
+    """Cut vertices at the ends of paths, star centres, shared vertices
+    and bridge ends; none in cycles, cliques and the Petersen graph."""
+    assert not Graph([], []).is_biconnected() and not Graph([3], []).is_biconnected()
+    assert Graph([2, 7], [(2, 7)]).is_biconnected()  # K2, as in networkx
+    for n in range(3, 9):
+        assert not path_graph(n).is_biconnected()
+        assert not Graph(range(n), [(0, v) for v in range(1, n)]).is_biconnected()  # star
+        assert cycle_graph(n).is_biconnected() and complete_graph(n).is_biconnected()
+        shared = [(i, (i + 1) % n) for i in range(n)] + [(0, n), (n, n + 1), (n + 1, 0)]
+        assert not Graph(range(n + 2), shared).is_biconnected()  # two cycles, one vertex
+        assert not two_cliques_and_a_bridge(n).is_biconnected()
+        assert not Graph(range(2 * n), list(cycle_graph(n).edges)
+                         + [(u + n, v + n) for u, v in cycle_graph(n).edges]).is_biconnected()
+    assert petersen_graph().is_biconnected()
+
+
+def test_is_biconnected_matches_networkx():
+    """Every connected graph of 3..7 vertices up to isomorphism, and seeded
+    random graphs of 3..14 vertices with non-contiguous ids, many of them
+    disconnected, against networkx.is_biconnected."""
+    rng = random.Random(25)
+    graphs = atlas_connected(3, 7)
+    for n in range(3, 15):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
+            for _ in range(10):
+                vs = rng.sample(range(2 * n), n)
+                graphs.append(Graph(vs, [(u, v) for u in vs for v in vs
+                                         if u < v and rng.random() < p]))
+    both = 0
+    for g in graphs:
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices)
+        ref.add_edges_from(g.edges)
+        assert g.is_biconnected() == nx.is_biconnected(ref), (g.vertices, g.edges)
+        both += g.is_biconnected()
+    assert 0 < both < len(graphs)
+
+
+def test_is_biconnected_needs_no_recursion():
+    with bounded_stack():
+        assert not path_graph(5000).is_biconnected()
+        assert cycle_graph(5000).is_biconnected()
