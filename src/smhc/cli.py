@@ -170,6 +170,8 @@ def _bench_row(task) -> str:
 def cmd_bench(args) -> int:
     ns = [int(x) for x in args.n.split(",")]
     ks = [int(x) for x in args.k.split(",")] if args.k else [0]
+    if args.family == "grid" and min(ks) < 1:
+        raise ValueError("the grid family needs --k, cut sizes of at least 1")
     tasks = []
     for n in ns:
         for k in ks:

@@ -316,15 +316,19 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
 
     A member is keyed when it is made, by the caller or by `grow`, and
     only a forgetting step re-keys.  Without `forget` a key is the
-    member's state, which no step changes, so a step only deletes the keys
-    that its newly decided vertices kill, and `fam` itself is grown and
-    returned.  With `forget` every step forgets its newly decided
-    vertices, so it re-keys every member into a new dict: each such vertex
-    leaves d1 and d2, and one of the boundary with degree below two also
-    has its field cleared, an undecided partner's field set to `free`, and
-    adds to the tally of decided path ends and decided isolated vertices.
-    At the end `path_state` rebuilds the state of each member kept, and
-    the returned dict is keyed by it.
+    member's state, which no step changes, and `fam` itself is grown and
+    returned.  Its kills happen inside `grow`, so each member is visited
+    once per edge: the grow of a step's last edge gets the step's newly
+    decided vertices, the first grow also those decided from the start,
+    and each deletes the parents they kill and stores no grown member they
+    kill.  Only with `left` empty is there a pass of its own, over the
+    vertices decided from the start.  With `forget` every step forgets its
+    newly decided vertices, so it re-keys every member into a new dict:
+    each such vertex leaves d1 and d2, and one of the boundary with degree
+    below two also has its field cleared, an undecided partner's field set
+    to `free`, and adds to the tally of decided path ends and decided
+    isolated vertices.  At the end `path_state` rebuilds the state of each
+    member kept, and the returned dict is keyed by it.
 
     Exactness.  Two members with one key accept the same later edges,
     which meet undecided vertices only, and end with one key and liveness.
@@ -332,13 +336,16 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     order of the two: the frontier keeps the least live member per final
     key.  Keeping the least mask per key as members are made keeps the
     same: a grown member's key follows from its parent's key and the edge,
-    and adding an edge that neither mask holds keeps their order.  Hence
-    `solver.trim`'s precondition: in `solver.join` the members and `left`
-    lie in `home`, so all of `home` is decided by the end, each member has
-    degree two at every vertex of `home` outside `boundary`, and no two
-    share a state or, with `forget`, a tally (path ends, isolated
-    vertices), as the boundary is forgotten and the rest lies in d2.  None
-    is a cycle unless `home` is V: `grow` closes only Hamiltonian cycles.
+    and adding an edge that neither mask holds keeps their order.  Killing
+    inside a grow keeps it too: liveness is read off the key, so a key is
+    either stored and kept or never stored, and the live keys keep their
+    order and least masks.  Hence `solver.trim`'s precondition: in
+    `solver.join` the members and `left` lie in `home`, so all of `home`
+    is decided by the end, each member has degree two at every vertex of
+    `home` outside `boundary`, and no two share a state or, with `forget`,
+    a tally (path ends, isolated vertices), as the boundary is forgotten
+    and the rest lies in d2.  None is a cycle unless `home` is V: `grow`
+    closes only Hamiltonian cycles.
     """
     w = field_width(g)
     free = (1 << w) - 1  # above every vertex id; `grow` writes there unread
@@ -348,6 +355,7 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     for i in bits(left):
         undecided |= g.edge_vertices[i]
     newly = home & ~undecided
+    kill = 0 if forget else newly & ~boundary  # for the next grow to kill
     while True:
         if forget:
             fam, old, keep = {}, fam, ~newly
@@ -366,58 +374,80 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
                 key = (d1 & keep, d2 & keep, pe & fields, tally)
                 if fam.setdefault(key, m) > m:
                     fam[key] = m
-        elif dead := newly & ~boundary:  # decided, so of degree two if live
-            for key in [key for key in fam if dead & ~key[1]]:
-                del fam[key]
         if not undecided:
+            if kill:  # `left` is empty: no grow has run
+                for key in [key for key in fam if kill & ~key[1]]:
+                    del fam[key]
             return {(*path_state(g, m), 0): m for m in fam.values()} if forget else fam
-        fewest = left.bit_count() + 1
-        for u in bits(undecided):
-            k = (incident[u] & left).bit_count()
+        fewest, rest = left.bit_count() + 1, undecided
+        while rest:  # every undecided vertex has an edge left, so 1 is least
+            low = rest & -rest
+            k = (incident[low.bit_length() - 1] & left).bit_count()
             if k < fewest:
-                v, fewest = u, k
+                v, fewest = low.bit_length() - 1, k
+                if k == 1:
+                    break
+            rest ^= low
         group = left & incident[v]
-        for i in bits(group):
-            grow(g, w, fam, i)
         left ^= group
-        newly = 1 << v
-        for u in bits(adj[v] & undecided):
-            if not incident[u] & left:
-                newly |= 1 << u
+        newly, rest = 1 << v, adj[v] & undecided
+        while rest:
+            low = rest & -rest
+            if not incident[low.bit_length() - 1] & left:
+                newly |= low
+            rest ^= low
         undecided ^= newly
+        last = group.bit_length() - 1
+        for i in bits(group ^ 1 << last):
+            grow(g, w, fam, i, kill)
+            kill = 0
+        grow(g, w, fam, last, kill if forget else kill | newly & ~boundary)
+        kill = 0
 
 
-def grow(g: Graph, w: int, fam: Family, i: int) -> None:
-    """Add to `fam` each of its members grown by edge i, where that is valid.
+def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:
+    """Add to `fam` each of its members grown by edge i, where that is
+    valid, and drop the members killed by `dead`.
 
     `fam` maps keys (d1, d2, pe, tally) to the least edge mask of that key,
     each a path system without edge i.  The members present at the call
     are grown; each grown member is keyed as it is made, with its parent's
-    tally, and stored unless its key holds a lesser mask.  Adding uv is
-    invalid when u or v has degree two already, or when u and v end one
-    path and closing it would leave out a vertex of g; closing a path
-    through every vertex into a Hamiltonian cycle is allowed.  Only the
-    fields of the two ends ou and ov of the joined path are rewritten, and
-    those of u and v are cleared, so the field of a vertex that is no path
-    end reads zero.
+    tally, and stored unless its key holds a lesser mask.  A member, parent
+    or grown, is killed when some vertex of `dead` is not in its d2: a
+    killed parent is deleted, though still grown from the snapshot, and a
+    killed grown member is not stored.  Adding uv is invalid when u or v has degree two
+    already, or when u and v end one path and closing it would leave out a
+    vertex of g; closing a path through every vertex into a Hamiltonian
+    cycle is allowed.  Only the fields of the two ends ou and ov of the
+    joined path are rewritten, and those of u and v are cleared, so the
+    field of a vertex that is no path end reads zero.  The shifts and
+    masks of edge i are computed once, outside the member loop.
     """
     u, v = g.edges[i]
     bit, uv = 1 << i, g.edge_vertices[i]
+    ub, vb, uw, vw = 1 << u, 1 << v, u * w, v * w
     field = (1 << w) - 1
-    clear = field << u * w | field << v * w
+    clear = ~(field << uw | field << vw)
     vmask = g.vmask
-    for (d1, d2, pe, tally), m in list(fam.items()):
+    for key, m in list(fam.items()):
+        d1, d2, pe, tally = key
+        if dead & ~d2:
+            del fam[key]
         if uv & d2:
             continue
-        ou = (pe >> u * w) & field if (d1 >> u) & 1 else u
+        c2 = d2 | d1 & uv  # the grown member's d2
+        if dead & ~c2:
+            continue
+        ou = (pe >> uw) & field if d1 & ub else u
         if ou == v:  # closes a cycle: only a Hamiltonian one is kept
             if d1 != vmask or d1 & ~d2 != uv:
                 continue
-            key = (d1, d2 | uv, pe & ~clear, tally)
+            key = (d1, c2, pe & clear, tally)
         else:
-            ov = (pe >> v * w) & field if (d1 >> v) & 1 else v
-            pe &= ~(field << ou * w | field << ov * w | clear)
-            key = (d1 | uv, d2 | (d1 & uv), pe | ov << ou * w | ou << ov * w, tally)
+            ov = (pe >> vw) & field if d1 & vb else v
+            ouw, ovw = ou * w, ov * w
+            key = (d1 | uv, c2, pe & clear & ~(field << ouw | field << ovw)
+                   | ov << ouw | ou << ovw, tally)
         m |= bit
         if fam.setdefault(key, m) > m:
             fam[key] = m

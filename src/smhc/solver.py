@@ -26,6 +26,7 @@ from .repsets import (Family, frontier, is_hamiltonian_cycle, pad_separator,
                       preserving_extension)
 
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
+LEAF: Family = {(0, 0, 0, 0): 0}  # the family of every leaf: the empty certificate
 
 
 def _cut(g: Graph, a: int, near: int, nbr: int) -> Cut:
@@ -33,11 +34,13 @@ def _cut(g: Graph, a: int, near: int, nbr: int) -> Cut:
     adj = g.adj
     boundary = 0
     twin = a != g.vmask
-    for v in bits(near):
-        out = adj[v] & ~a
+    while near:
+        low = near & -near
+        out = adj[low.bit_length() - 1] & ~a
         if out:
-            boundary |= 1 << v
+            boundary |= low
             twin = twin and out == nbr
+        near ^= low
     return boundary, nbr, twin
 
 
@@ -57,15 +60,17 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     unless a | b is the whole graph.  The pairs are keyed by state straight
     into the frontier's dict, and the dict it returns, keyed by state, is
     the family; the states within fa and within fb are distinct, and so are
-    the pairs', as the homes are disjoint.  The cut and the cross edges are
-    read off the cuts of a and b in O(|boundary of a| + |boundary of b|)
-    big-int operations.  No twin cut needs a path limit: `trim_split` keeps
-    no member with more paths than the mm of its side, and the paper's
-    limit is 4 times that.  The frontier leaves what `trim`'s precondition
-    asks and loses no completion: members of one twin signature complete
-    alike, and of one state `preserving_extension` keeps the least
-    (`repsets` Lemma 3).  At the root every survivor is a Hamiltonian
-    cycle, and the least is kept.
+    the pairs', as the homes are disjoint.  Against a leaf's family
+    (`LEAF`) the pairs are the other family's members under their own
+    keys, so that dict is a copy of it; neither input is changed.  The cut
+    and the cross edges are read off the cuts of a and b in O(|boundary of
+    a| + |boundary of b|) big-int operations.  No twin cut needs a path
+    limit: `trim_split` keeps no member with more paths than the mm of its
+    side, and the paper's limit is 4 times that.  The frontier leaves what
+    `trim`'s precondition asks and loses no completion: members of one
+    twin signature complete alike, and of one state `preserving_extension`
+    keeps the least (`repsets` Lemma 3).  At the root every survivor is a
+    Hamiltonian cycle, and the least is kept.
     """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
@@ -73,8 +78,13 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     (ba, na, _), (bb, nb, _) = cut_a, cut_b
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
     left = g.edges_at(ba & nb) & g.edges_at(bb & na)
-    fold = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
-            for (d1a, d2a, pea, _), sa in fa.items() for (d1b, d2b, peb, _), sb in fb.items()}
+    if fb == LEAF:
+        fold = dict(fa)
+    elif fa == LEAF:
+        fold = dict(fb)
+    else:
+        fold = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
+                for (d1a, d2a, pea, _), sa in fa.items() for (d1b, d2b, peb, _), sb in fb.items()}
     fold = frontier(g, fold, left, home, cut[0], cut[2])
     return cut, trim(g, home, fold, cut, trace)
 
@@ -92,17 +102,43 @@ def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) 
     Corollary), which fixes the state as every edge lies in a.  No member
     is a cycle or over the 2|c| budget.  Otherwise the members of `fam`
     whose mask is the core of a kept extension are kept, under their own
-    keys."""
+    keys.
+
+    A home of three vertices or more whose boundary a greedy pass matches
+    into N(a), each boundary vertex to an outside neighbour of its own,
+    needs no cover search: no unmatched boundary vertex starts an
+    alternating path, so the Koenig cover (`cuts.min_vertex_cover`) is the
+    boundary, its padding to three vertices stays in the home and no edge
+    is estar.  A home of one or two vertices is padded from outside it,
+    which can make estar edges, so it takes the cover search."""
     boundary, nbr, _ = cut
-    c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
-    estar = g.edges_at(c & ~a) & g.edges_at(boundary)
-    if estar or boundary.bit_count() > 5:
-        cores = {core for _, core in preserving_extension(g, a, c, fam, estar, trace)}
-        return {key: m for key, m in fam.items() if m in cores}
+    if a.bit_count() >= 3 and boundary.bit_count() <= 5 and _matched(g, boundary, nbr):
+        k = max(boundary.bit_count(), 3)
+    else:
+        c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
+        estar = g.edges_at(c & ~a) & g.edges_at(boundary)
+        if estar or boundary.bit_count() > 5:
+            cores = {core for _, core in preserving_extension(g, a, c, fam, estar, trace)}
+            return {key: m for key, m in fam.items() if m in cores}
+        k = c.bit_count()
     if trace is not None:
-        by_k, k = trace.setdefault("max_family_by_k", {}), c.bit_count()
+        by_k = trace.setdefault("max_family_by_k", {})
         by_k[k] = max(by_k.get(k, 0), len(fam))
     return fam
+
+
+def _matched(g: Graph, boundary: int, nbr: int) -> bool:
+    """Whether a greedy pass matches every boundary vertex to a neighbour
+    of its own in nbr, each taking its lowest free one."""
+    adj, taken = g.adj, 0
+    while boundary:
+        low = boundary & -boundary
+        free = adj[low.bit_length() - 1] & nbr & ~taken
+        if not free:
+            return False
+        taken |= free & -free
+        boundary ^= low
+    return True
 
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
@@ -169,13 +205,13 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
     - `trims`: (a, before, after) for every trim that runs, only if the
       caller puts a list under that key.
     """
+    if trace is not None:
+        trace.setdefault("node_sizes", [])
+        trace.setdefault("max_family", 0)
     if g.n < 3 or not g.is_connected():
         return False, None
     if bd.elements != g.vmask:
         raise ValueError("decomposition does not cover the graph's vertices")
-    if trace is not None:
-        trace.setdefault("node_sizes", [])
-        trace.setdefault("max_family", 0)
 
     def note(size: int):
         if trace is not None:
@@ -186,7 +222,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
     for node in bd.post_order:
         home = bd.below[node]
         if node in bd.leaf_map:
-            cut, fam = cut_of(g, home), {(0, 0, 0, 0): 0}
+            cut, fam = cut_of(g, home), dict(LEAF)
         else:
             (h2, c2, f2), (h1, c1, f1) = solved.pop(), solved.pop()
             cut, fam = join(g, h1, h2, f1, f2, c1, c2, trace)

@@ -28,8 +28,8 @@ from .cuts import mm_value, sm_value
 def find_split(g: Graph):
     """The split (a, b) of the connected g whose side a holds the lowest
     vertex v0 and has the least vertex mask, or None if g is prime.
-    `_least_split(g, v0)` does the search for any pivot v0: nothing below
-    uses that v0 is the lowest vertex.
+    `_least_split(g.vmask, g.adj, v0)` does the search for any pivot v0:
+    nothing below uses that v0 is the lowest vertex.
 
     A split is a bipartition (A, B) with both sides of size >= 2 whose
     crossing edges join every vertex of A' = N(B) ∩ A to every vertex of
@@ -69,32 +69,31 @@ def find_split(g: Graph):
     """
     if not g.is_connected():
         raise ValueError("split decomposition needs a connected graph")
-    return _least_split(g, g.vertices[0])
+    return _least_split(g.vmask, g.adj, g.vertices[0])
 
 
-def _least_split(g: Graph, v0: int):
-    """The split of the connected g whose side holds the pivot v0 and has
-    the least mask, or None; `find_split` with any pivot and no check."""
-    if g.n < 4:
+def _least_split(full: int, adj: dict[int, int], v0: int):
+    """The split of the connected graph with vertex mask `full` and
+    adjacency `adj` whose side holds the pivot v0 and has the least mask,
+    or None; `find_split` with any pivot and no check."""
+    if full.bit_count() < 4:
         return None
-    full = g.vmask
-    n0 = g.adj[v0]
+    n0 = adj[v0]
     y1 = n0.bit_length() - 1
     far = full & ~(1 << v0 | 1 << y1)
     pairs = [(y1, z) for z in bits(far)]
-    pairs += [(y, y1) for y in bits(far) if (n0 >> y) & 1 or g.adj[y] & n0 == n0]
+    pairs += [(y, y1) for y in bits(far) if (n0 >> y) & 1 or adj[y] & n0 == n0]
     best = full  # no split side found yet
     for y, z in pairs:
-        side = _closure(g, 1 << v0 | 1 << y, z, best)
+        side = _closure(full, adj, 1 << v0 | 1 << y, z, best)
         if side is not None:
             best = side
     return None if best == full else (best, full & ~best)
 
 
-def _closure(g: Graph, seed: int, z: int, bound: int) -> int | None:
+def _closure(full: int, adj: dict[int, int], seed: int, z: int, bound: int) -> int | None:
     """The seed closed under adding each u ≠ z with N(u) ∩ a ∉ {∅, N(z) ∩ a};
     None once its mask reaches the bound or under two vertices stay out."""
-    adj, full = g.adj, g.vmask
     nz, keep = adj[z], full & ~(1 << z)
     a, new = 0, seed
     off = on_any = 0
@@ -188,7 +187,11 @@ class SplitDecomposition:
 def split_decompose(g: Graph) -> SplitDecomposition:
     """Decompose a connected graph (n >= 2) into prime graphs, splitting
     each part that holds a marker at its newest one (see the module
-    docstring)."""
+    docstring).  A part is its vertex mask and adjacency dict: each side
+    of a split keeps its vertices' adjacency within the side, and the new
+    marker's bit is added to the vertices that see the other side, in
+    O(|side|) big-int operations with no edge scan.  Only the primes are
+    built as `Graph`s."""
     if g.n < 2:
         raise ValueError("split decomposition needs at least two vertices")
     if not g.is_connected():
@@ -197,24 +200,30 @@ def split_decompose(g: Graph) -> SplitDecomposition:
     next_marker = last + 1
     primes: list[Graph] = []
     markers: dict[int, list[int]] = {}
-    stack = [g]
+    stack = [(g.vmask, g.adj)]
     while stack:  # every part made from a split of a connected graph is connected
-        h = stack.pop()
-        split = _least_split(h, h.vertices[-1] if h.vertices[-1] > last else h.vertices[0])
+        full, adj = stack.pop()
+        newest = full.bit_length() - 1
+        split = _least_split(full, adj, newest if newest > last else (full & -full).bit_length() - 1)
         if split is None:
-            for v in h.vertices:
-                if v > last:
-                    markers.setdefault(v, []).append(len(primes))
-            primes.append(h)
+            for v in bits(full & ~g.vmask):
+                markers.setdefault(v, []).append(len(primes))
+            primes.append(g if full == g.vmask else Graph(
+                bits(full), [(u, v) for u in bits(full) for v in bits(adj[u] & ~((2 << u) - 1))]))
             continue
         m = next_marker
         next_marker += 1
         # push the side of b first, so a's side is placed first
         for side, other in (split[::-1], split):
-            stack.append(Graph(
-                [v for v in h.vertices if (side >> v) & 1] + [m],
-                [(u, v) for (u, v) in h.edges if (side >> u) & 1 and (side >> v) & 1]
-                + [(m, v) for v in bits(h.neighborhood(other))]))
+            part, seen = {}, 0
+            for v in bits(side):
+                if adj[v] & other:
+                    part[v] = adj[v] & side | 1 << m
+                    seen |= 1 << v
+                else:
+                    part[v] = adj[v]
+            part[m] = seen
+            stack.append((side | 1 << m, part))
     return SplitDecomposition(g, primes, {m: tuple(idx) for m, idx in markers.items()})
 
 

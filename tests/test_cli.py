@@ -331,6 +331,30 @@ def test_bench_grid_family(tmp_path, capsys):
     assert lines[1].split(",")[0] == "8"
 
 
+@pytest.mark.parametrize("ks", [None, "0", "-2", "2,0"])
+def test_bench_grid_family_needs_positive_k(ks, capsys):
+    """A grid family without --k, or with a cut size below 1, exits 2 with
+    an error naming --k, before any row: not 1, the NOT HAMILTONIAN code."""
+    argv = ["bench", "--family", "grid", "--n", "10"] + (["--k", ks] if ks else [])
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--k" in captured.err
+
+
+def test_bench_graphs_below_three_vertices(capsys):
+    """Graphs with n < 3 get a row with max_family 0, like solve_hc's trace
+    of any graph it answers before the DP."""
+    assert main(["bench", "--n", "1,2", "--samples", "2"]) == EXIT_OK
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [(n, seed, fam) for n, seed, _, _, fam, _ in rows] == \
+        [("1", "0", "0"), ("1", "1", "0"), ("2", "0", "0"), ("2", "1", "0")]
+    for g in (path_graph(2), Graph(range(4), [(0, 1), (2, 3)])):
+        trace = {}
+        assert solver.solve_hc(g, caterpillar_decomposition(list(g.vertices)), trace) == (False, None)
+        assert trace == {"node_sizes": [], "max_family": 0}
+
+
 def test_seed_placement_both_sides(tmp_path, capsys):
     f = write_graph(tmp_path, cycle_graph(5))
     assert main(["--seed", "7", "hc", f]) == EXIT_OK

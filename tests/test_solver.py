@@ -262,6 +262,36 @@ def test_join_hands_trim_its_precondition(monkeypatch):
     assert all(seen.values()), seen
 
 
+def test_join_leaves_its_inputs_unchanged(monkeypatch):
+    """`join` changes neither fa nor fb: each equals, items in order, a
+    copy taken before the call, whether a side is a leaf's family
+    (`solver.LEAF`, whose pairs are a copy of the other side) or not.
+    Seeded graphs with n <= 9 are solved along `approx_sm_decomposition`
+    and along a caterpillar in a random vertex order, whose joins take a
+    leaf on one side or both, and the fold grows the copy of a leaf's
+    partner by its cross edges."""
+    seen = dict.fromkeys(["leaf and leaf", "leaf and family", "no leaf", "grown"], 0)
+    real_join = solver.join
+
+    def checking(g_, a, b, fa, fb, *args):
+        before = list(fa.items()), list(fb.items())
+        cut, out = real_join(g_, a, b, fa, fb, *args)
+        assert (list(fa.items()), list(fb.items())) == before
+        leaves = (fa == solver.LEAF) + (fb == solver.LEAF)
+        seen[["no leaf", "leaf and family", "leaf and leaf"][leaves]] += 1
+        seen["grown"] += leaves == 1 and len(fa) + len(fb) > 2 and bool(out)
+        return cut, out
+
+    monkeypatch.setattr(solver, "join", checking)
+    rng = random.Random(1414)
+    for g in seeded_graphs(1414, (0.3, 0.5, 0.7), 20):
+        order = list(g.vertices)
+        rng.shuffle(order)
+        for bd in (approx_sm_decomposition(g), caterpillar_decomposition(order)):
+            assert solve_hc(g, bd)[0] == oracles.brute_hc(g)[0]
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     """Every state (d1, d2, pe) set in O(1) matches its edge mask: the
@@ -423,13 +453,18 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     them: the least member per state, of which `repsets.frontier` over
     no edges keeps the live ones.  A cut without estar edges and with at
     most five boundary vertices returns its family itself and calls no
-    extension; every other cut calls it.  The cases cover padded covers,
-    dropped members, estar cuts and six-vertex boundaries whose basis
-    keeps fewer members than states."""
-    calls = []
-    real_extension = solver.preserving_extension
+    extension; every other cut calls it.  A home of three vertices or
+    more whose boundary a greedy pass matches into N(a) ("matched") runs
+    no cover search, and its Koenig cover is its boundary; homes of one
+    and two vertices always search, and some are padded from outside the
+    home.  The cases cover padded covers, dropped members, estar cuts and
+    six-vertex boundaries whose basis keeps fewer members than states."""
+    calls, covers = [], []
+    real_extension, real_cover = solver.preserving_extension, solver.min_vertex_cover
     monkeypatch.setattr(solver, "preserving_extension",
                         lambda *args: calls.append(args) or real_extension(*args))
+    monkeypatch.setattr(solver, "min_vertex_cover",
+                        lambda *args: covers.append(args) or real_cover(*args))
     rng = random.Random(2015)
     instances = []
     for _ in range(120):
@@ -438,20 +473,31 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
         if not cut_of(g, a)[2]:
             instances.append((g, a, []))
     instances.append(wide_cut())
-    seen = dict.fromkeys(["one pass", "padded", "dropped", "estar", "wide basis drops"], 0)
+    small = random.Random(2016)  # homes of one and two vertices, twin cuts among them
+    instances += [(g, mask_of(small.sample(g.vertices, size)), [])
+                  for g, _, _ in instances[:-1] for size in (1, 2)]
+    seen = dict.fromkeys(["one pass", "padded", "dropped", "estar", "wide basis drops",
+                          "matched", "small home padded outside"], 0)
     for g, a, extra in instances:
         cut = cut_of(g, a)
         boundary, nbr, _ = cut
         fam = repsets.frontier(g, family(g, sampled_family(g, a, rng) + extra), 0, a,
                                boundary, False)
-        c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
+        c = pad_separator(g, a, real_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         want_trace, got_trace = {}, {}
         want = {(*path_state(g, core), 0): core for _, core in
                 repsets.preserving_extension(g, a, c, fam, estar, want_trace)}
         calls.clear()
+        covers.clear()
         got = trim_vc(g, a, fam, cut, got_trace)
         assert got == want and got_trace == want_trace
+        if not covers:
+            assert a.bit_count() >= 3 and boundary.bit_count() <= 5
+            assert real_cover(g, boundary, nbr) == boundary and c & ~a == 0
+            seen["matched"] += 1
+        assert covers or a.bit_count() >= 3
+        seen["small home padded outside"] += a.bit_count() < 3 and bool(c & ~a)
         if estar or boundary.bit_count() > 5:
             assert len(calls) == 1
             seen["estar"] += bool(estar)
