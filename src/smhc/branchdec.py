@@ -12,8 +12,9 @@ enumerating labeled subcubic trees: every rooted binary merge order
 corresponds to a subcubic tree, so minimizing over subset partitions is
 equivalent and exponentially cheaper.  It evaluates f once per cut and
 prunes by branch and bound, with a bound that keeps the first minimal
-split, so it picks the tree the full subset program picks.  It and the
-greedy bisection both turn their choice of split per subset into a tree
+split and each sub-search capped at its parent's current best, so it
+picks the tree the full subset program picks.  It and the greedy
+bisection both turn their choice of split per subset into a tree
 through one builder, `_binary_tree`.  `approx_decomposition` picks between
 them by the number of elements alone: exact up to EXACT_SIZE_LIMIT.
 """
@@ -183,13 +184,22 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
     best), or best alone for the full set; a single element's val is its f.
     The search solves subsets top-down from the full set, each only when a
     part reaches it, and makes the choices that the bottom-up program over
-    every subset makes:
+    every subset makes.  `lower[m]` is a lower bound on val[m], f(m) at
+    first:
 
-    - every val is at least its f, so a part with max(f(part), f(m ^ part))
-      ≥ the best so far cannot lower it strictly and is skipped unsolved;
+    - a part with max(lower[part], lower[m ^ part]) ≥ the best so far
+      cannot lower it strictly and is skipped unsolved;
     - every val is at least the f of some single element (by induction),
       so no cand is below `floor`, the least of those, and the first cand
-      equal to it is the first minimum: the rest of m is skipped.
+      equal to it is the first minimum: the rest of m is skipped;
+    - a subset is solved with its parent's current best as both its start
+      and its cap.  If no part of it has cand < cap, then val[m] ≥ cap,
+      so the parent could not improve through it: the search stores cap
+      in lower[m] (above f(m), as the parent only solves parts whose
+      lower is below its best), leaves val[m] unset and records no choice.
+      A superset whose best is above cap solves m again and finds a best
+      ≥ cap > f(m), so max(lower[m], best) is still val[m] and the first
+      minimal part is still the choice.
 
     f is evaluated once per cut, on the side without the highest element,
     and never on the empty or full set; on one element, never.
@@ -204,7 +214,7 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
     for v in sorted(elements):
         masks += [m | 1 << v for m in masks]
     top = len(masks) - 1
-    lower = [0] * len(masks)  # lower[s] = f(masks[s])
+    lower = [0] * len(masks)  # lower[s] ≤ val[s], f(masks[s]) until capped
     for s in range(1, len(masks) >> 1):
         lower[s] = lower[top ^ s] = f(masks[s])
     val: list[int | None] = [None] * len(masks)
@@ -213,9 +223,9 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
     floor = min(lower[1 << i] for i in range(k))
     above = max(lower) + 1  # above every cand: each val is a max of f's
     choice: dict[int, int] = {}
-    stack = [(top, 0, above, 0)]  # (subset, next sub, best so far, its part)
+    stack = [(top, 0, above, 0, above)]  # (subset, next sub, best so far, its part, cap)
     while stack:
-        m, sub, best, bestpart = stack.pop()
+        m, sub, best, bestpart, cap = stack.pop()
         low = m & -m
         rest = m ^ low
         while sub != rest and best != floor:  # the parts holding `low` but
@@ -224,16 +234,19 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
             if lower[part] < best > lower[other]:
                 a, b = val[part], val[other]
                 if a is None or b is None:  # solve that side, then come back
-                    stack += [(m, sub, best, bestpart),
-                              (part if a is None else other, 0, above, 0)]
+                    stack += [(m, sub, best, bestpart, cap),
+                              (part if a is None else other, 0, best, 0, best)]
                     break
                 cand = a if a > b else b
                 if cand < best:
                     best, bestpart = cand, part
             sub = (sub - rest) & rest
         else:
-            choice[masks[m]] = masks[bestpart]
-            val[m] = best if m == top else max(lower[m], best)
+            if best < cap:  # always so at the top, whose cap `above` exceeds every cand
+                choice[masks[m]] = masks[bestpart]
+                val[m] = best if m == top else max(lower[m], best)
+            else:  # no part of m beats its parent's best: val[m] >= cap
+                lower[m] = cap
     return val[top], _binary_tree(masks[top], choice.__getitem__)
 
 

@@ -172,6 +172,10 @@ def cmd_bench(args) -> int:
     ks = [int(x) for x in args.k.split(",")] if args.k else [0]
     if args.family == "grid" and min(ks) < 1:
         raise ValueError("the grid family needs --k, cut sizes of at least 1")
+    if args.family == "random":
+        if min(ns) < 1:
+            raise ValueError("the random family needs --n, sizes of at least 1")
+        ks = [0]  # only the grid family reads k
     tasks = []
     for n in ns:
         for k in ks:

@@ -1,9 +1,11 @@
 """Cut functions: maximum bipartite matching, Koenig covers, splits, mm/sm.
 
 All vertex sets are bitmasks over the host graph's vertex ids.  A cut
-(a, V \\ a) is read straight off the host's adjacency masks.  `mm_value`
-and `sm_value` recompute on every call, and so do the cut functions built
-on them.
+(a, V \\ a) is read straight off the host's adjacency masks.  One
+augmenting-path routine, `_augment`, finds every maximum matching:
+`max_matching` (and through it `min_vertex_cover`) and `mm_value` only
+choose its sides and read its result.  `mm_value` and `sm_value`
+recompute on every call, and so do the cut functions built on them.
 """
 
 from __future__ import annotations
@@ -11,39 +13,62 @@ from __future__ import annotations
 from .graph import Graph, bits
 
 
-def max_matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
-    """Maximum matching of G[a, b] by augmenting paths, b = V \\ a unless
-    given, as a map from each matched vertex of b to its partner in a."""
-    b = g.vmask & ~a if b is None else b
-    adj = g.adj
+def _augment(adj: list[int], a: int, b: int) -> tuple[dict[int, int], int]:
+    """Maximum matching of G[a, b] by augmenting paths, the one routine
+    behind `max_matching` and `mm_value`: the map from the bit of each
+    matched vertex of b to its partner in a, and the mask of those vertices.
+
+    Each root of a, lowest first, takes its lowest free neighbour without
+    a search if it has one; else a depth-first search for an augmenting
+    path runs on an explicit stack of [left vertex, its neighbours in b,
+    tried bit] frames, each bit tried once per root, so no path length is
+    limited by Python's recursion.
+    """
     partner: dict[int, int] = {}
     taken = 0  # the matched vertices of b
-    for root in bits(a):
-        free = adj[root] & b & ~taken
+    roots = a
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        root = low.bit_length() - 1
+        nb = adj[root] & b
+        free = nb & ~taken
         if free:  # the lowest free neighbour, without a search
-            taken |= free & -free
-            partner[(free & -free).bit_length() - 1] = root
+            w = free & -free
+            taken |= w
+            partner[w] = root
+            continue
+        if not nb:
             continue
         visited = 0
-        stack = [(root, adj[root] & b, -1)]  # left vertex, untried mask, tried vertex
+        stack = [[root, nb, 0]]
         while stack:
-            u, untried, _ = stack[-1]
-            untried &= ~visited
+            frame = stack[-1]
+            untried = frame[1] & ~visited
             if not untried:
                 stack.pop()
                 continue
-            w = (untried & -untried).bit_length() - 1
-            visited |= 1 << w
-            stack[-1] = (u, untried, w)
-            if (taken >> w) & 1:
+            w = untried & -untried
+            visited |= w
+            frame[2] = w
+            if taken & w:
                 x = partner[w]
-                stack.append((x, adj[x] & b, -1))
-            else:  # augmenting path: each frame's vertex takes its tried vertex
+                stack.append([x, adj[x] & b, 0])
+            else:  # augmenting path: each frame's vertex takes its tried bit
                 for u, _, w in stack:
                     partner[w] = u
-                taken |= 1 << w
+                taken |= w
                 break
-    return partner
+    return partner, taken
+
+
+def max_matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
+    """Maximum matching of G[a, b], b = V \\ a unless given, as a map from
+    each matched vertex of b to its partner in a; `_augment` finds it, as
+    it does for `mm_value`."""
+    b = g.vmask & ~a if b is None else b
+    partner, _ = _augment(g.adj, a, b)
+    return {w.bit_length() - 1: u for w, u in partner.items()}
 
 
 def min_vertex_cover(g: Graph, a: int, b: int | None = None) -> int:
@@ -74,8 +99,12 @@ def min_vertex_cover(g: Graph, a: int, b: int | None = None) -> int:
 
 
 def mm_value(g: Graph, a: int) -> int:
-    """Size of a maximum matching in G[a, V \\ a], rooted on the smaller side."""
-    return len(max_matching(g, min(a, g.vmask & ~a, key=int.bit_count)))
+    """Size of a maximum matching in G[a, V \\ a], found by `_augment`
+    rooted on the smaller side (on a when the sides are equal)."""
+    b = g.vmask & ~a
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    return _augment(g.adj, a, b)[1].bit_count()
 
 
 def is_split(g: Graph, a: int) -> bool:

@@ -16,7 +16,7 @@ call.
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph
 from .cuts import mm_value, sm_cut_function
 from .branchdec import BranchDecomposition, EXACT_SIZE_LIMIT, approx_decomposition
 from .splitdec import LiftedContext, SplitDecomposition, split_decompose
@@ -73,8 +73,10 @@ def prime_decomposition(ctx: LiftedContext, heavy: int) -> BranchDecomposition:
 
     def lifted(x: int) -> int:
         t = 0
-        for v in bits(x):
-            t |= tot_map[v]
+        while x:
+            low = x & -x
+            t |= tot_map[low.bit_length() - 1]
+            x ^= low
         return mm_value(ctx.graph, t)
 
     bd = approx_decomposition(lifted, elements)

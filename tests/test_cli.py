@@ -355,6 +355,27 @@ def test_bench_graphs_below_three_vertices(capsys):
         assert trace == {"node_sizes": [], "max_family": 0}
 
 
+def test_bench_random_family_ignores_k(capsys):
+    """Only the grid family reads --k: a random family with a --k list
+    draws and solves each (n, seed) once, as it does without --k."""
+    strip = lambda out: [row.rsplit(",", 1)[0] for row in out.splitlines()]
+    assert main(["bench", "--n", "6,7", "--k", "2,3", "--samples", "2"]) == EXIT_OK
+    with_k = strip(capsys.readouterr().out)
+    assert main(["bench", "--n", "6,7", "--samples", "2"]) == EXIT_OK
+    assert with_k == strip(capsys.readouterr().out)
+    assert len(with_k) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("ns", ["0", "-1", "6,0"])
+def test_bench_random_family_needs_positive_n(ns, capsys):
+    """A random family with a size below 1 exits 2 with an error naming
+    --n, before the header: standard output stays empty."""
+    assert main(["bench", "--n", ns]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--n" in captured.err
+
+
 def test_seed_placement_both_sides(tmp_path, capsys):
     f = write_graph(tmp_path, cycle_graph(5))
     assert main(["--seed", "7", "hc", f]) == EXIT_OK

@@ -9,26 +9,25 @@ from smhc.cuts import (max_matching, min_vertex_cover, mm_value, is_split,
                        sm_value, mm_cut_function, sm_cut_function)
 from smhc.generators import random_connected_graph
 from smhc.splitdec import LiftedContext, lifted_mm_cut_function
-from tests.conftest import bounded_stack
+from tests.conftest import atlas_connected, bounded_stack
 from tests.test_splitdec import worked_example
 
 
-def brute_max_matching(g: Graph) -> int:
-    best = 0
-    for r in range(g.m, 0, -1):
-        for sub in combinations(range(g.m), r):
+def brute_max_matching(edges: list[tuple[int, int]]) -> int:
+    """Largest number of pairwise disjoint edges, tried from the most that
+    their ends can hold downwards."""
+    masks = [1 << u | 1 << v for u, v in edges]
+    ends = mask_of(v for e in edges for v in e)
+    for r in range(min(len(masks), ends.bit_count() // 2), 0, -1):
+        for sub in combinations(masks, r):
             used = 0
-            ok = True
-            for i in sub:
-                u, v = g.edges[i]
-                m = (1 << u) | (1 << v)
+            for m in sub:
                 if used & m:
-                    ok = False
                     break
                 used |= m
-            if ok:
+            else:
                 return r
-    return best
+    return 0
 
 
 def brute_min_cover(g: Graph) -> int:
@@ -70,7 +69,7 @@ def test_matching_and_cover_vs_brute(seed):
     cut = Graph(g.vertices, [(u, v) for u, v in g.edges
                              if (a >> u) & 1 != (a >> v) & 1])  # crossing edges
     size = len(max_matching(g, a))
-    assert size == brute_max_matching(cut)
+    assert size == brute_max_matching(cut.edges)
     cover = min_vertex_cover(g, a)
     assert cover.bit_count() == size  # Koenig duality
     assert cover.bit_count() == brute_min_cover(cut)
@@ -80,6 +79,28 @@ def test_matching_and_cover_vs_brute(seed):
     boundary, nbr = g.neighborhood(g.vmask & ~a) & a, g.neighborhood(a)
     assert len(max_matching(g, boundary, nbr)) == size
     assert min_vertex_cover(g, boundary, nbr) == cover
+
+
+def test_mm_from_both_sides_is_brute_force_and_cover_size():
+    """On every cut (a, V \\ a) of the connected graphs with 3..7 vertices
+    and of seeded random graphs with 8..12, `mm_value` of either side,
+    `max_matching` rooted on b, a brute-force matching of the crossing
+    edges and the Koenig cover, whose matching is rooted on a, have one
+    size: the routine behind `mm_value` and `max_matching` finds a maximum
+    matching whichever side it roots on."""
+    rng = random.Random(28)
+    graphs = atlas_connected(3, 7)
+    graphs += [random_connected_graph(n, rng, p=p) for n in range(8, 13) for p in (0.2, 0.3)]
+    for g in graphs:
+        for a in range(1, g.vmask):
+            b = g.vmask ^ a
+            if a > b:  # each cut once, as (a, b) and as (b, a) below
+                continue
+            crossing = [(u, v) for u, v in g.edges if (a >> u) & 1 != (a >> v) & 1]
+            size = brute_max_matching(crossing)
+            assert mm_value(g, a) == mm_value(g, b) == size
+            assert len(max_matching(g, b)) == size
+            assert min_vertex_cover(g, a).bit_count() == size
 
 
 def test_matching_long_augmenting_path_in_bounded_stack():
