@@ -170,11 +170,11 @@ def _bench_row(task) -> str:
 def cmd_bench(args) -> int:
     ns = [int(x) for x in args.n.split(",")]
     ks = [int(x) for x in args.k.split(",")] if args.k else [0]
+    if min(ns) < 1:
+        raise ValueError(f"the {args.family} family needs --n, sizes of at least 1")
     if args.family == "grid" and min(ks) < 1:
         raise ValueError("the grid family needs --k, cut sizes of at least 1")
     if args.family == "random":
-        if min(ns) < 1:
-            raise ValueError("the random family needs --n, sizes of at least 1")
         ks = [0]  # only the grid family reads k
     tasks = []
     for n in ns:

@@ -312,7 +312,11 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     edge left; its degree is then final.  A decided vertex outside
     `boundary` with degree below two kills the member: no later edge meets
     it; the vertices of `home` without an edge in `left` are decided from
-    the start.
+    the start.  Without `forget` that kill is the only step that removes
+    members, so the next vertex comes from the undecided vertices outside
+    `boundary` while any are left: their kills land before the boundary's
+    edges multiply the members.  With `forget` every decided vertex can
+    merge members, so the next vertex comes from all of `undecided`.
 
     A member is keyed when it is made, by the caller or by `grow`, and
     only a forgetting step re-keys.  Without `forget` a key is the
@@ -330,13 +334,14 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     isolated vertices.  At the end `path_state` rebuilds the state of each
     member kept, and the returned dict is keyed by it.
 
-    Exactness.  Two members with one key accept the same later edges,
-    which meet undecided vertices only, and end with one key and liveness.
-    Later edges are disjoint from both masks, so adding them keeps the
-    order of the two: the frontier keeps the least live member per final
-    key.  Keeping the least mask per key as members are made keeps the
-    same: a grown member's key follows from its parent's key and the edge,
-    and adding an edge that neither mask holds keeps their order.  Killing
+    Exactness, which holds for any order of the vertices.  Two members
+    with one key accept the same later edges, which meet undecided
+    vertices only, and end with one key and liveness.  Later edges are
+    disjoint from both masks, so adding them keeps the order of the two:
+    the frontier keeps the least live member per final key.  Keeping the
+    least mask per key as members are made keeps the same: a grown
+    member's key follows from its parent's key and the edge, and adding
+    an edge that neither mask holds keeps their order.  Killing
     inside a grow keeps it too: liveness is read off the key, so a key is
     either stored and kept or never stored, and the live keys keep their
     order and least masks.  Hence `solver.trim`'s precondition: in
@@ -379,7 +384,8 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
                 for key in [key for key in fam if kill & ~key[1]]:
                     del fam[key]
             return {(*path_state(g, m), 0): m for m in fam.values()} if forget else fam
-        fewest, rest = left.bit_count() + 1, undecided
+        fewest = left.bit_count() + 1
+        rest = undecided if forget else undecided & ~boundary or undecided
         while rest:  # every undecided vertex has an edge left, so 1 is least
             low = rest & -rest
             k = (incident[low.bit_length() - 1] & left).bit_count()

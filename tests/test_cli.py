@@ -376,6 +376,17 @@ def test_bench_random_family_needs_positive_n(ns, capsys):
     assert captured.err.startswith("error: ") and "--n" in captured.err
 
 
+@pytest.mark.parametrize("ns", ["0", "-1", "0,3", "3,0"])
+def test_bench_grid_family_needs_positive_n(ns, capsys):
+    """A grid family with a size below 1 exits 2 with an error naming --n,
+    before the header, as the random family does: it does not draw the
+    2-column grid that such a size rounds to."""
+    assert main(["bench", "--family", "grid", "--n", ns, "--k", "2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--n" in captured.err
+
+
 def test_seed_placement_both_sides(tmp_path, capsys):
     f = write_graph(tmp_path, cycle_graph(5))
     assert main(["--seed", "7", "hc", f]) == EXIT_OK

@@ -557,11 +557,35 @@ def reference_grow(g, w, items, i):
     return out
 
 
-def reference_frontier(g, items, left, home, boundary, forget):
+def fewest_edges(g, pool, left):
+    """The vertex of `pool` with the fewest edges of `left`, the lowest on
+    ties."""
+    return min(bits(pool), key=lambda u: (g.incident[u] & left).bit_count())
+
+
+def kill_first(g, undecided, left, boundary, forget):
+    """`frontier`'s next vertex: without `forget` from the undecided
+    vertices outside `boundary` while any are left, then by fewest edges."""
+    pool = undecided if forget else undecided & ~boundary or undecided
+    return fewest_edges(g, pool, left)
+
+
+def fewest_first(g, undecided, left, boundary, forget):
+    """The next vertex by fewest edges alone, whatever `boundary` is."""
+    return fewest_edges(g, undecided, left)
+
+
+def highest_first(g, undecided, left, boundary, forget):
+    """The undecided vertex of highest id."""
+    return undecided.bit_length() - 1
+
+
+def reference_frontier(g, items, left, home, boundary, forget, pick=kill_first):
     """The list fold: after every decided vertex each (edge-mask, d1, d2,
     pe, tally) item is keyed afresh into a new dict, dead ones skipped
     and the boundary forgotten, and the dict is copied back into a list;
-    the growth steps append to that list."""
+    the growth steps append to that list.  `pick` chooses the next vertex
+    to decide."""
     w = field_width(g)
     free = (1 << w) - 1
     fields = (1 << free * w) - 1
@@ -589,7 +613,7 @@ def reference_frontier(g, items, left, home, boundary, forget):
         items = [(m, *key) for key, m in best.items()]
         if not undecided:
             return [(m, *path_state(g, m), 0) for m, *_ in items] if forget else items
-        v = min(bits(undecided), key=lambda u: (g.incident[u] & left).bit_count())
+        v = pick(g, undecided, left, boundary, forget)
         group = left & g.incident[v]
         for i in bits(group):
             items += reference_grow(g, w, items, i)
@@ -621,22 +645,13 @@ def sampled_paths(g, side, rng, hcs):
     return masks + [0]
 
 
-@pytest.mark.parametrize("forget", [False, True])
-@pytest.mark.parametrize("seed", range(6))
-def test_keyed_fold_matches_list_fold(seed, forget):
-    """The keyed `frontier` keeps, per key, the mask and state the list
-    fold keeps, in its order, on seeded folds of three kinds: join-style
-    (the pairs of two keyed families over disjoint homes a and b, `left`
-    the edges between them), extension-style (home a, boundary a padded
-    vertex cover c, `left` the estar edges) and folds over no edges.
-    Without `forget`, join-style folds at the whole graph close
-    Hamiltonian cycles, and some members are removed by a kill only: a
-    fold whose boundary holds its home kills nothing, and the live members
-    it keeps are exactly the fold's.  With `forget`, some folds keep fewer
-    members than without, as forgotten vertices merge keys."""
+def seeded_folds(seed):
+    """Seeded folds (g, kind, fold, left, home, boundary) of three kinds:
+    join-style (the pairs of two keyed families over disjoint homes a and
+    b, `left` the edges between them), extension-style (home a, boundary a
+    padded vertex cover c, `left` the estar edges) and folds over no
+    edges."""
     rng = random.Random(seed + 2300)
-    seen = {"join": 0, "extension": 0, "no edges": 0}
-    seen.update({"merged": 0} if forget else {"killed": 0, "cycle": 0})
     for n in range(5, 10):
         g = random_connected_graph(n, rng, p=rng.choice([0.4, 0.6]))
         hcs = oracles.enumerate_hamiltonian_cycles(g)[:6]
@@ -644,32 +659,86 @@ def test_keyed_fold_matches_list_fold(seed, forget):
             a = rng.randrange(1, g.vmask)
             b = g.vmask & ~a if rng.random() < 0.4 else rng.getrandbits(n) & g.vmask & ~a
             c = pad_separator(g, a, min_vertex_cover(g, a))
-            folds = [("no edges", family(g, sampled_paths(g, a, rng, hcs)), 0, a,
-                      cut_of(g, a)[0])]
-            folds.append(("extension", family(g, sampled_paths(g, a, rng, hcs)),
-                          g.edges_between(a, c & ~a), a, c))
+            yield (g, "no edges", family(g, sampled_paths(g, a, rng, hcs)), 0, a,
+                   cut_of(g, a)[0])
+            yield (g, "extension", family(g, sampled_paths(g, a, rng, hcs)),
+                   g.edges_between(a, c & ~a), a, c)
             if b:
                 fa = family(g, sampled_paths(g, a, rng, hcs))
                 fb = family(g, sampled_paths(g, b, rng, hcs))
                 pairs = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
                          for (d1a, d2a, pea, _), sa in fa.items()
                          for (d1b, d2b, peb, _), sb in fb.items()}
-                folds.append(("join", pairs, g.edges_between(a, b), a | b,
-                              cut_of(g, a | b)[0]))
-            for kind, fold, left, home, boundary in folds:
-                got = assert_same_fold(g, fold, left, home, boundary, forget)
-                seen[kind] += 1
-                if forget:
-                    kept = frontier(g, dict(fold), left, home, boundary, False)
-                    seen["merged"] += len(got) < len(kept)
-                    continue
-                seen["cycle"] += any(d1 == g.vmask and not d1 & ~d2 for d1, d2, *_ in got)
-                everything = frontier(g, dict(fold), left, home, home | boundary, False)
-                live = {key: m for key, m in everything.items()
-                        if not home & ~boundary & ~key[1]}
-                assert live == got
-                seen["killed"] += len(everything) - len(got)
+                yield (g, "join", pairs, g.edges_between(a, b), a | b,
+                       cut_of(g, a | b)[0])
+
+
+@pytest.mark.parametrize("forget", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_keyed_fold_matches_list_fold(seed, forget):
+    """The keyed `frontier` keeps, per key, the mask and state the list
+    fold keeps, in its order, on the seeded folds.  Without `forget`,
+    join-style folds at the whole graph close Hamiltonian cycles, and some
+    members are removed by a kill only: a fold whose boundary holds its
+    home kills nothing, and the live members it keeps are exactly the
+    fold's.  With `forget`, some folds keep fewer members than without, as
+    forgotten vertices merge keys."""
+    seen = {"join": 0, "extension": 0, "no edges": 0}
+    seen.update({"merged": 0} if forget else {"killed": 0, "cycle": 0})
+    for g, kind, fold, left, home, boundary in seeded_folds(seed):
+        got = assert_same_fold(g, fold, left, home, boundary, forget)
+        seen[kind] += 1
+        if forget:
+            kept = frontier(g, dict(fold), left, home, boundary, False)
+            seen["merged"] += len(got) < len(kept)
+            continue
+        seen["cycle"] += any(d1 == g.vmask and not d1 & ~d2 for d1, d2, *_ in got)
+        everything = frontier(g, dict(fold), left, home, home | boundary, False)
+        live = {key: m for key, m in everything.items()
+                if not home & ~boundary & ~key[1]}
+        assert live == got
+        seen["killed"] += len(everything) - len(got)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("forget", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_fold_content_does_not_depend_on_order(seed, forget):
+    """On the seeded folds, `frontier` keeps as a dict what the list fold
+    keeps when it decides its vertices by fewest edges alone and when it
+    decides the highest id first: only the order of the members depends
+    on the order of the vertices.  Without `forget`, each rule keeps the
+    members of some folds in another order than `kill_first`."""
+    reordered = {fewest_first: 0, highest_first: 0}
+    for g, _, fold, left, home, boundary in seeded_folds(seed):
+        items = [(m, *key) for key, m in fold.items()]
+        got = frontier(g, dict(fold), left, home, boundary, forget)
+        base = reference_frontier(g, items, left, home, boundary, forget)
+        for pick in reordered:
+            want = reference_frontier(g, items, left, home, boundary, forget, pick)
+            assert got == {tuple(key): m for m, *key in want}
+            reordered[pick] += want != base
+    assert forget or all(reordered.values()), reordered
+
+
+def test_plain_fold_decides_outside_boundary_first(monkeypatch):
+    """Home {0, 1, 2} with boundary {0} folds edges 0-2 and 1-2: vertices 0
+    and 1 tie at one edge left.  The plain fold grows the edge of vertex 1,
+    outside the boundary, first; the forgetting fold keeps the lowest id,
+    vertex 0, first.  Both keep the members of the list fold."""
+    g = Graph(range(4), [(0, 2), (1, 2), (0, 3)])
+    e02, e12 = g.edge_index[(0, 2)], g.edge_index[(1, 2)]
+    grown, real_grow = [], repsets.grow
+
+    def recording(g, w, fam, i, dead=0):
+        grown.append(i)
+        real_grow(g, w, fam, i, dead)
+
+    monkeypatch.setattr(repsets, "grow", recording)
+    for forget, first in ((False, e12), (True, e02)):
+        grown.clear()
+        assert_same_fold(g, family(g, [0]), 1 << e02 | 1 << e12, 0b111, 0b001, forget)
+        assert grown[0] == first
 
 
 def test_solver_folds_match_list_fold(monkeypatch):
