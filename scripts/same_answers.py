@@ -10,13 +10,16 @@ solved with its stored decomposition if it has one, else with
 decomposing (a cut vertex), so that the DP is compared on all of them.
 Each input of a solved group is also run through `smhc.cli.main(["hc",
 file])`, with `--decomposition` where it stores one, for its exit code
-and standard output.  Three fixed groups load what the three corpora
+and standard output.  Four fixed groups load what the three corpora
 barely reach.  `extension-heavy` is solved: seeded random graphs with
 n = 8, 9, 10 at four densities, whose vertex-cover trims run the
 preserving extension on wide families.  `stream` is solved too: the
 p = 0.3 stream of `scripts/cliffs.py` (`random_connected_graph(n,
 Random(1), p=0.3)` drawn for n = 10..20 in turn), whose n = 19 input
-grows many members onto keys that the fold already holds.
+grows many members onto keys that the fold already holds.  `twin-large`
+is solved too: K15..K24 and 24 seeded random cographs with n = 13..16
+(`workloads.random_cograph`, `Random(2016)`, 6 per n), twin inputs
+larger than clique-split's, whose cuts are all twin cuts.
 `greedy-heavy` is only decomposed: seeded random graphs with n = 3..14
 at four densities, C13..C16, random cographs with n = 9..12, and graphs
 that mix a prime above `EXACT_SIZE_LIMIT` vertices with one of 4..12
@@ -50,6 +53,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,7 +117,7 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
 
 def corpora() -> dict[str, list[dict]]:
     """The inputs of every workload, in a fixed order (seed 0), and the
-    three fixed groups."""
+    four fixed groups."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "benchmark"))
     import smhc.generators
@@ -137,6 +141,15 @@ def corpora() -> dict[str, list[dict]]:
          "edges": [list(e) for e in smhc.generators.random_connected_graph(n, rng, 0.3).edges],
          "decomposition": None, "solve": True}
         for n in range(10, 21)]
+    rng = random.Random(2016)
+    out["twin-large"] = [
+        {"label": f"K{n}", "n": n, "edges": [list(e) for e in combinations(range(n), 2)],
+         "decomposition": None, "solve": True} for n in range(15, 25)]
+    out["twin-large"] += [
+        {"label": f"cograph-n{n}-{i}", "n": n,
+         "edges": [list(e) for e in workloads.random_cograph(n, rng)],
+         "decomposition": None, "solve": True}
+        for n in range(13, 17) for i in range(6)]
     rng = random.Random(2014)
     graphs = [(f"random-n{n}-p{p}-{i}", n,
                smhc.generators.random_connected_graph(n, rng, p).edges)

@@ -124,13 +124,19 @@ class BranchDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "BranchDecomposition":
-        """Inverse of `to_json`; any malformed input raises ValueError."""
+        """Inverse of `to_json`; any malformed input raises ValueError, a
+        boolean node id or leaf vertex too (JSON's true and false are not
+        vertex ids, though Python reads them as 1 and 0)."""
         if (not isinstance(data, dict) or not isinstance(data.get("edges"), list)
                 or not isinstance(data.get("leaf_map"), dict)):
             raise ValueError("decomposition needs 'edges' (list) and 'leaf_map' (object)")
         try:
-            return cls([tuple(e) for e in data["edges"]],
-                       {int(k): v for k, v in data["leaf_map"].items()})
+            edges = [tuple(e) for e in data["edges"]]
+            leaf_map = {int(k): v for k, v in data["leaf_map"].items()}
+            if any(isinstance(x, bool) for x in [*data["leaf_map"], *leaf_map.values(),
+                                                 *(x for e in edges for x in e)]):
+                raise ValueError("malformed decomposition: a node id or leaf vertex is a boolean")
+            return cls(edges, leaf_map)
         except TypeError as exc:
             raise ValueError(f"malformed decomposition: {exc}") from exc
 

@@ -9,13 +9,15 @@ cycle with a completion, some kept member does too.
 `preserving_extension` applies this once, over a cut cover c, to every
 extension of a family by its cross edges.  One fold loop, `frontier`,
 grows families by edge sets for it and for `solver.join` alike, in that
-dict.  By Lemma 3 below keeping one member per state loses nothing, so
-the rank basis runs once per trim.  Edge sets are bitmasks over the
-host's edge list.  A path system travels with its state (d1, d2, pe):
-its vertices of degree >= 1 and >= 2, and one int `pe` with a field of
-`field_width(g)` bits per vertex, where the field of each path end (a
-vertex of d1 & ~d2) holds the other end of its path.  Other fields are
-zero and never read: a vertex of degree zero is its own partner.
+dict; `join_vertex` returns what it returns when a single vertex joins a
+twin home, in one pass over the members.  By Lemma 3 below keeping one
+member per state loses nothing, so the rank basis runs once per trim.
+Edge sets are bitmasks over the host's edge list.  A path system travels
+with its state (d1, d2, pe): its vertices of degree >= 1 and >= 2, and
+one int `pe` with a field of `field_width(g)` bits per vertex, where the
+field of each path end (a vertex of d1 & ~d2) holds the other end of its
+path.  Other fields are zero and never read: a vertex of degree zero is
+its own partner.
 Producers set the state in O(1) big-int operations per added edge
 (`grow`, which keys each member as it makes it); `path_state` derives it
 by walking the edges once.
@@ -409,6 +411,89 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
             kill = 0
         grow(g, w, fam, last, kill if forget else kill | newly & ~boundary)
         kill = 0
+
+
+def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
+                boundary: int) -> Family:
+    """`frontier(g, fam, left, home, boundary, True)` where home = a ∪ {v},
+    `fam` is a family of a (keyed by state, tally 0), `left` holds the edges
+    between v and a, and a ∪ {v} is a twin cut whose boundary is
+    `boundary`: one pass over the members, each tried with the least
+    extension of each of six patterns, then `path_state` on the survivors.
+
+    Exactness.  A forgetting fold decides all of home, so it keys each
+    survivor by its tally (E, I), its numbers of vertices of degree one and
+    zero, and keeps the least mask per tally; those vertices all lie in the
+    boundary, as every other one must end at degree two.  The extensions of
+    a member m are the sets S of at most two edges of `left` (v's degree)
+    whose other ends x have degree at most one in m; a pair must not join
+    the two ends of one path, which closes a cycle, and home is not V.
+    Liveness: a *closing* vertex, one of a adjacent to v and outside the
+    boundary, is dead at degree zero, must be in S at degree one and stays
+    out of S at degree two; any other vertex of a outside the boundary must
+    already have degree two; and if v is outside the boundary, |S| = 2.  S
+    takes nothing, one isolated vertex, one end, two isolated vertices, one
+    of each, or two ends; these patterns move (E, I) by (0, +1), (+2, -1),
+    (0, 0), (+2, -2), (0, -1) and (-2, 0).  The moves are all different, so
+    per member and pattern only the least extension, m | S, can count.  It
+    takes the lowest-index candidate edges, and `Graph` sorts its edges as
+    pairs, so the edges at v come in neighbour-id order: the lowest
+    candidate vertices.  With two ends, the least pair is the lowest end
+    (the forced one, if any) and the lowest other end that is not its
+    partner: if that partner is the second lowest end, the third lowest
+    pairs with the lowest.  So at most three ends are read.
+    """
+    w = field_width(g)
+    field = (1 << w) - 1
+    a = home & ~(1 << v)
+    edge, near = {0: 0}, 0  # vertex bit of a -> bit of its edge to v
+    for i in bits(left):
+        x = g.edge_vertices[i] & a
+        edge[x] = 1 << i
+        near |= x
+    closing = near & ~boundary
+    inner = a & ~boundary & ~near  # at degree two already, or dead
+    pair = not boundary >> v & 1  # v must take two edges
+    one = 1 << w  # one isolated vertex, in a tally E + (I << w)
+    out: dict[int, int] = {}
+    for (d1, d2, pe, _), m in fam.items():
+        if inner & ~d2 or closing & ~d1:
+            continue
+        ends = near & d1 & ~d2
+        forced = closing & ends
+        nforced = forced.bit_count()
+        if nforced > 2:
+            continue
+        tally = (d1 & ~d2).bit_count() + ((a & ~d1).bit_count() << w)
+        iso = near & ~d1
+        x = iso & -iso
+        x2 = (iso ^ x) & -(iso ^ x)
+        first = forced or ends
+        y, y2 = first & -first, 0
+        if y:  # the other forced end, else the lowest other end; not y's partner
+            rest = (forced & ~y or ends & ~y) & ~(1 << ((pe >> (y.bit_length() - 1) * w) & field))
+            y2 = rest & -rest
+        ex, ex2, ey, ey2 = edge[x], edge[x2], edge[y], edge[y2]
+        options = []  # (S, move of the tally), the least S of each pattern
+        if not forced:
+            if not pair:
+                options.append((0, one))
+                if x:
+                    options.append((ex, 2 - one))
+            if x2:
+                options.append((ex | ex2, 2 - 2 * one))
+        if y and nforced < 2:
+            if not pair:
+                options.append((ey, 0))
+            if x:
+                options.append((ey | ex, -one))
+        if y2:
+            options.append((ey | ey2, -2))
+        for s, move in options:
+            key, grown = tally + move, m | s
+            if out.setdefault(key, grown) > grown:
+                out[key] = grown
+    return {(*path_state(g, m), 0): m for m in out.values()}
 
 
 def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:

@@ -12,7 +12,9 @@ derived from its children's, and the merge, the twin test and the trims
 read only that cut.  A merge lists no members: all pairs are keyed once
 into one dict, which one frontier (`repsets.frontier`) grows over the
 cross edges, forgetting each vertex once its edges are decided and
-keeping one live member per key; that dict is the merged family.  Each
+keeping one live member per key; that dict is the merged family.  A
+single vertex joined to a twin home takes one pass per member instead
+(`repsets.join_vertex`), with the frontier's result.  Each
 trim then applies only its own rules: the slot rules of twin cuts
 (`trim_split`), elsewhere the rep-set trim over a cut cover (`trim_vc`).
 """
@@ -22,8 +24,8 @@ from __future__ import annotations
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (is_split, mm_value: benchmark hooks)
 from .branchdec import BranchDecomposition
-from .repsets import (Family, frontier, is_hamiltonian_cycle, pad_separator,
-                      preserving_extension)
+from .repsets import (Family, frontier, is_hamiltonian_cycle, join_vertex,
+                      pad_separator, preserving_extension)
 
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
 LEAF: Family = {(0, 0, 0, 0): 0}  # the family of every leaf: the empty certificate
@@ -57,10 +59,14 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
          trace: dict | None = None) -> tuple[Cut, Family]:
     """Cut and family of home a | b: each pair of fa and fb with every
     valid set of its cross edges, in one `repsets.frontier`, trimmed once
-    unless a | b is the whole graph.  The pairs are keyed by state straight
-    into the frontier's dict, and the dict it returns, keyed by state, is
-    the family; the states within fa and within fb are distinct, and so are
-    the pairs', as the homes are disjoint.  Against a leaf's family
+    unless a | b is the whole graph.  When a | b is a twin cut and one side
+    is a single vertex with the leaf's family (`LEAF`) and a cross edge,
+    `repsets.join_vertex` returns what the frontier would, in one pass
+    over the other side's members; every other join, the inner twin joins
+    included, runs the frontier.  The pairs are keyed by state
+    straight into the frontier's dict, and the dict it returns, keyed by
+    state, is the family; the states within fa and within fb are distinct,
+    and so are the pairs', as the homes are disjoint.  Against a leaf's family
     (`LEAF`) the pairs are the other family's members under their own
     keys, so that dict is a copy of it; neither input is changed.  The cut
     and the cross edges are read off the cuts of a and b in O(|boundary of
@@ -78,14 +84,15 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     (ba, na, _), (bb, nb, _) = cut_a, cut_b
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
     left = g.edges_at(ba & nb) & g.edges_at(bb & na)
-    if fb == LEAF:
-        fold = dict(fa)
-    elif fa == LEAF:
-        fold = dict(fb)
+    if fa == LEAF:  # a leaf's family, if either side has one, is fb
+        a, b, fa, fb = b, a, fb, fa
+    if fb == LEAF and cut[2] and left and not b & (b - 1):
+        fold = join_vertex(g, fa, b.bit_length() - 1, left, home, cut[0])
     else:
-        fold = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
-                for (d1a, d2a, pea, _), sa in fa.items() for (d1b, d2b, peb, _), sb in fb.items()}
-    fold = frontier(g, fold, left, home, cut[0], cut[2])
+        fold = dict(fa) if fb == LEAF else {
+            (d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
+            for (d1a, d2a, pea, _), sa in fa.items() for (d1b, d2b, peb, _), sb in fb.items()}
+        fold = frontier(g, fold, left, home, cut[0], cut[2])
     return cut, trim(g, home, fold, cut, trace)
 
 

@@ -65,11 +65,16 @@ BOWTIE = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])  # cu
                                  json.dumps({"edges": [[u, v] for u in range(10, 14)
                                                        for v in range(u + 1, 14)],
                                              "leaf_map": {"0": 0, "1": 1, "2": 2}}),
-                                 json.dumps(caterpillar_decomposition([0, 1, 2]).to_json())])
+                                 json.dumps(caterpillar_decomposition([0, 1, 2]).to_json()),
+                                 json.dumps({**caterpillar_decomposition(range(5)).to_json(),
+                                             "leaf_map": {"5": False, "6": True, "7": 2,
+                                                          "8": 3, "9": 4}})])
 def test_hc_malformed_decomposition_exits_two(tmp_path, capsys, bad):
     """A malformed decomposition, or one whose leaves are not the graph's
     vertices, exits 2 whatever the graph: also where the graph alone is
-    answered before decomposing (disconnected, or with a cut vertex)."""
+    answered before decomposing (disconnected, or with a cut vertex).  A
+    leaf vertex written as a boolean is malformed, though Python reads
+    false and true as 0 and 1."""
     d = tmp_path / "bd.json"
     d.write_text(bad)
     for g in (cycle_graph(5), Graph(range(4), [(0, 1), (2, 3)]), BOWTIE):

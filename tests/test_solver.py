@@ -262,6 +262,98 @@ def test_join_hands_trim_its_precondition(monkeypatch):
     assert all(seen.values()), seen
 
 
+def random_cograph(n, rng):
+    """A connected cograph on 0..n-1 from a random cotree: the root joins
+    two parts cut at a random point, and below it each part with two
+    vertices or more is cut so too, its parts joined or not with equal
+    odds."""
+    edges, todo = [], [(list(range(n)), True)]
+    while todo:
+        vs, joined = todo.pop()
+        if len(vs) > 1:
+            cut = rng.randint(1, len(vs) - 1)
+            if joined:
+                edges += [(u, v) for u in vs[:cut] for v in vs[cut:]]
+            todo += [(vs[:cut], rng.random() < 0.5), (vs[cut:], rng.random() < 0.5)]
+    return Graph(range(n), edges)
+
+
+def test_join_vertex_matches_frontier(monkeypatch):
+    """At every join of a single vertex v, with the leaf's family, to a
+    twin home that `solve_hc` reaches on seeded random cographs (n =
+    5..14) and dense random graphs (n = 5..10), `repsets.join_vertex`
+    then `trim` equals `repsets.frontier` (forgetting) then `trim`, as
+    dicts.  The joins take v on either side, and the members have zero,
+    one and two forced closing vertices (of degree one, adjacent to v and
+    outside the boundary), a forced vertex whose partner is the lowest
+    other end adjacent to v, and v outside the boundary."""
+    calls, sides = [], [0, 0]  # folds; joins that fold v second, first
+    real_join, real_fold = solver.join, solver.join_vertex
+
+    def recording_join(g, a, b, fa, fb, cut_a, cut_b, *rest):
+        done = len(calls)
+        out = real_join(g, a, b, fa, fb, cut_a, cut_b, *rest)
+        if len(calls) > done:  # v was folded: the other order folds alike
+            assert real_join(g, b, a, fb, fa, cut_b, cut_a, *rest) == out
+            for (_, _, v, *_), first in zip(calls[done:], (a, b)):
+                sides[1 << v == first] += 1
+        return out
+
+    def recording_fold(g, fam, v, left, home, boundary):
+        calls.append((g, dict(fam), v, left, home, boundary))
+        return real_fold(g, fam, v, left, home, boundary)
+
+    monkeypatch.setattr(solver, "join", recording_join)
+    monkeypatch.setattr(solver, "join_vertex", recording_fold)
+    rng = random.Random(3001)
+    graphs = [random_cograph(rng.randint(5, 14), rng) for _ in range(60)]
+    graphs += [random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.6, 0.75, 0.9]))
+               for _ in range(40)]
+    for g in graphs:
+        solve_hc(g, approx_sm_decomposition(g))
+    seen = dict.fromkeys(["forced 0", "forced 1", "forced 2", "forced partner lowest",
+                          "v outside"], 0)
+    seen["v second"], seen["v first"] = sides
+    for g, fam, v, left, home, boundary in calls:
+        cut = cut_of(g, home)
+        got = trim(g, home, repsets.join_vertex(g, fam, v, left, home, boundary), cut)
+        assert got == trim(g, home, repsets.frontier(g, fam, left, home, boundary, True), cut)
+        seen["v outside"] += not boundary >> v & 1
+        w, near = field_width(g), g.adj[v] & home
+        for d1, d2, pe, _ in fam:
+            if near & ~boundary & ~d1:
+                continue  # a closing vertex of degree zero: dead
+            ends = near & d1 & ~d2
+            forced = ends & ~boundary
+            if forced.bit_count() <= 2:
+                seen[f"forced {forced.bit_count()}"] += 1
+            rest = ends & ~forced
+            if forced.bit_count() == 1 and rest:
+                f, low = forced.bit_length() - 1, (rest & -rest).bit_length() - 1
+                seen["forced partner lowest"] += partner(pe, w, d1, f) == low
+    assert all(seen.values()), seen
+
+
+def test_clique_solves_without_a_forgetting_frontier(monkeypatch):
+    """Every twin join of K5 along `approx_sm_decomposition` adds a single
+    vertex to a clique home, so `repsets.join_vertex` folds it and no join
+    runs a forgetting `repsets.frontier`: with one that raises, the solve
+    still finds a Hamiltonian cycle.  The root join is no twin cut, and
+    its frontier does not forget."""
+    real = repsets.frontier
+
+    def no_forgetting(g, fam, left, home, boundary, forget):
+        if forget:
+            raise AssertionError("a forgetting frontier ran")
+        return real(g, fam, left, home, boundary, forget)
+
+    monkeypatch.setattr(repsets, "frontier", no_forgetting)
+    monkeypatch.setattr(solver, "frontier", no_forgetting)
+    g = complete_graph(5)
+    verdict, witness = solve_hc(g, approx_sm_decomposition(g))
+    assert verdict and is_hamiltonian_cycle(g, g.edge_mask(witness))
+
+
 def test_join_leaves_its_inputs_unchanged(monkeypatch):
     """`join` changes neither fa nor fb: each equals, items in order, a
     copy taken before the call, whether a side is a leaf's family
