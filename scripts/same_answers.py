@@ -10,7 +10,7 @@ solved with its stored decomposition if it has one, else with
 decomposing (a cut vertex), so that the DP is compared on all of them.
 Each input of a solved group is also run through `smhc.cli.main(["hc",
 file])`, with `--decomposition` where it stores one, for its exit code
-and standard output.  Four fixed groups load what the three corpora
+and standard output.  Five fixed groups load what the three corpora
 barely reach.  `extension-heavy` is solved: seeded random graphs with
 n = 8, 9, 10 at four densities, whose vertex-cover trims run the
 preserving extension on wide families.  `stream` is solved too: the
@@ -20,6 +20,10 @@ grows many members onto keys that the fold already holds.  `twin-large`
 is solved too: K15..K24 and 24 seeded random cographs with n = 13..16
 (`workloads.random_cograph`, `Random(2016)`, 6 per n), twin inputs
 larger than clique-split's, whose cuts are all twin cuts.
+`caterpillar` is solved too: seeded random graphs with n = 6..12 at four
+densities (`Random(2017)`), each with a caterpillar decomposition in a
+shuffled vertex order as its stored decomposition, trees the pipeline
+never builds.
 `greedy-heavy` is only decomposed: seeded random graphs with n = 3..14
 at four densities, C13..C16, random cographs with n = 9..12, and graphs
 that mix a prime above `EXACT_SIZE_LIMIT` vertices with one of 4..12
@@ -117,7 +121,7 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
 
 def corpora() -> dict[str, list[dict]]:
     """The inputs of every workload, in a fixed order (seed 0), and the
-    four fixed groups."""
+    five fixed groups."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "benchmark"))
     import smhc.generators
@@ -150,6 +154,19 @@ def corpora() -> dict[str, list[dict]]:
          "edges": [list(e) for e in workloads.random_cograph(n, rng)],
          "decomposition": None, "solve": True}
         for n in range(13, 17) for i in range(6)]
+    rng = random.Random(2017)
+    out["caterpillar"] = []
+    for n in range(6, 13):
+        for p in (0.3, 0.45, 0.6, 0.75):
+            for i in range(3):
+                g = smhc.generators.random_connected_graph(n, rng, p)
+                order = list(g.vertices)
+                rng.shuffle(order)
+                out["caterpillar"].append(
+                    {"label": f"random-n{n}-p{p}-{i}", "n": n,
+                     "edges": [list(e) for e in g.edges],
+                     "decomposition": smhc.generators.caterpillar_decomposition(order).to_json(),
+                     "solve": True})
     rng = random.Random(2014)
     graphs = [(f"random-n{n}-p{p}-{i}", n,
                smhc.generators.random_connected_graph(n, rng, p).edges)

@@ -36,6 +36,9 @@ def _load_decomposition(path: str, g: Graph) -> BranchDecomposition:
         data = json.load(fh)
     if isinstance(data, dict) and "decomposition" in data:
         data = data["decomposition"]
+    leaves = data.get("leaf_map") if isinstance(data, dict) else None  # before any vertex mask
+    if isinstance(leaves, dict) and {v for v in leaves.values() if type(v) is int} - {*g.vertices}:
+        raise ValueError("decomposition has a leaf that is not a vertex of the graph")
     bd = BranchDecomposition.from_json(data)
     if bd.elements != g.vmask:
         raise ValueError("decomposition does not cover the graph's vertices")

@@ -3,9 +3,9 @@
 All vertex sets are bitmasks over the host graph's vertex ids.  A cut
 (a, V \\ a) is read straight off the host's adjacency masks.  One
 augmenting-path routine, `_augment`, finds every maximum matching:
-`max_matching` (and through it `min_vertex_cover`) and `mm_value` only
-choose its sides and read its result.  `mm_value` and `sm_value`
-recompute on every call, and so do the cut functions built on them.
+`max_matching`, `min_vertex_cover` and `mm_value` only choose its sides
+and read its result.  `mm_value` and `sm_value` recompute on every call,
+and so do the cut functions built on them.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from .graph import Graph, bits
 
 
 def _augment(adj: list[int], a: int, b: int) -> tuple[dict[int, int], int]:
-    """Maximum matching of G[a, b] by augmenting paths, the one routine
-    behind `max_matching` and `mm_value`: the map from the bit of each
-    matched vertex of b to its partner in a, and the mask of those vertices.
+    """Maximum matching of G[a, b] by augmenting paths, the one routine of
+    this module: the map from the bit of each matched vertex of b to its
+    partner in a, and the mask of those vertices.
 
     Each root of a, lowest first, takes its lowest free neighbour without
     a search if it has one; else a depth-first search for an augmenting
@@ -64,8 +64,7 @@ def _augment(adj: list[int], a: int, b: int) -> tuple[dict[int, int], int]:
 
 def max_matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
     """Maximum matching of G[a, b], b = V \\ a unless given, as a map from
-    each matched vertex of b to its partner in a; `_augment` finds it, as
-    it does for `mm_value`."""
+    each matched vertex of b to its partner in a, found by `_augment`."""
     b = g.vmask & ~a if b is None else b
     partner, _ = _augment(g.adj, a, b)
     return {w.bit_length() - 1: u for w, u in partner.items()}
@@ -81,7 +80,7 @@ def min_vertex_cover(g: Graph, a: int, b: int | None = None) -> int:
     cover, and a vertex with no edge across is in none.
     """
     b = g.vmask & ~a if b is None else b
-    partner = max_matching(g, a, b)
+    partner, _ = _augment(g.adj, a, b)
     matched = 0
     for u in partner.values():
         matched |= 1 << u
@@ -93,7 +92,7 @@ def min_vertex_cover(g: Graph, a: int, b: int | None = None) -> int:
         right &= b & ~z
         frontier = 0
         for w in bits(right):  # along the matching edge; w is matched
-            frontier |= 1 << partner[w]
+            frontier |= 1 << partner[1 << w]
         z |= right | frontier
     return (a & matched & ~z) | (b & z)
 

@@ -1,26 +1,26 @@
 """Hamiltonian-cycle representative sets over a separator.
 
-A certificate family (`Family`) has one form everywhere, in `solver`
-too: one dict from key to the least edge mask of that key, the key being
-the state with a tally of 0 (or, inside a forgetting fold, a coarser
-twin key).  It is pruned over a separator by keeping a representative
+A certificate family (`Family`) has one form everywhere, in `solver` too:
+one dict from key to the least edge mask of that key, the key being the
+state with a tally of 0 (or, inside a forgetting fold, a coarser twin
+key).  It is pruned over a separator by keeping a representative
 subfamily (`trim_separator`): whenever some member closes a Hamiltonian
 cycle with a completion, some kept member does too.
-`preserving_extension` applies this once, over a cut cover c, to every
-extension of a family by its cross edges.  One fold loop, `frontier`,
-grows families by edge sets for it and for `solver.join` alike, in that
-dict; `join_vertex` returns what it returns when a single vertex joins a
-twin home, in one pass over the members.  By Lemma 3 below keeping one
-member per state loses nothing, so the rank basis runs once per trim.
-Edge sets are bitmasks over the host's edge list.  A path system travels
-with its state (d1, d2, pe): its vertices of degree >= 1 and >= 2, and
-one int `pe` with a field of `field_width(g)` bits per vertex, where the
-field of each path end (a vertex of d1 & ~d2) holds the other end of its
-path.  Other fields are zero and never read: a vertex of degree zero is
-its own partner.
-Producers set the state in O(1) big-int operations per added edge
-(`grow`, which keys each member as it makes it); `path_state` derives it
-by walking the edges once.
+`preserving_extension` keeps the members of a family whose extensions by
+its cross edges a trim over a cut cover c keeps.  One fold loop,
+`frontier`, grows families by edge sets for it and for `solver.join`
+alike, in that dict; `join_vertex` returns what it returns when a single
+vertex joins a twin home, in one pass over the members; both rely on
+the precondition `frontier` states.  By Lemma 3 below keeping one member
+per state loses nothing, so the rank basis runs once per trim.  Edge sets
+are bitmasks over the host's edge list.  A path system travels with its
+state (d1, d2, pe): its vertices of degree >= 1 and >= 2, and one int
+`pe` with a field of `field_width(g)` bits per vertex, where the field of
+each path end (a vertex of d1 & ~d2) holds the other end of its path.
+Other fields are zero and never read: a vertex of degree zero is its own
+partner.  Producers set the state in O(1) big-int operations per added
+edge (`grow`, which keys each member as it makes it); `path_state`
+derives it by walking the edges once.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -272,26 +272,26 @@ def trim_separator(g: Graph, a: int, sep: int, fam: Family,
 # -- preserving extensions --------------------------------------------------
 
 def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
-                         trace: dict | None = None) -> list[tuple[int, int]]:
-    """Extension family of `fam` by the separator-incident cross edges.
+                         trace: dict | None = None) -> Family:
+    """The members of `fam`, under their keys, that are the core (the edges
+    within a) of what `trim_separator` over c keeps of every extension of a
+    member by a set of its estar edges.
 
     `fam` maps the state (d1, d2, pe, 0) of each certificate to it, c
     covers the cut of a, and `estar` holds the edges between a and c \\ a.
-    Returns (extended-mask, core) pairs, the core being the mask's edges
-    within a: exactly what `trim_separator` over c keeps of every
-    extension of a certificate by a set of its estar edges.  Certificates
-    whose degree deficiency exceeds the cross-edge budget 2|c| cannot
-    complete and are dropped first.  One `frontier` over estar, if any,
-    grows the rest in place; it forgets no vertex of c (the forget step of
-    Cygan et al., Parameterized Algorithms, 2015, ch. 7): c covers the
-    cut, so a vertex of a \\ c is decided once its estar edges are in.  The
-    least member per state (on live members, the state over c) meets the
-    only rank basis, one `trim_separator` over c (the reduce step, run
+    Certificates whose degree deficiency exceeds the cross-edge budget
+    2|c| cannot complete and are dropped first.  One `frontier` over estar,
+    if any, grows the rest in place; it forgets no vertex of c (the forget
+    step of Cygan et al., Parameterized Algorithms, 2015, ch. 7): c covers
+    the cut, so a vertex of a \\ c is decided once its estar edges are in.
+    The least member per state (on live members, the state over c) meets
+    the only rank basis, one `trim_separator` over c (the reduce step, run
     apart as in Bodlaender, Cygan, Kratsch & Nederlof, Inf. & Comput.
     2015).  Exact: that trim feeds its basis in sorted-mask order, and a
     repeated state is dependent on its first occurrence (Lemma 3); without
-    estar edges the frontier would only repeat that trim's filters.
-    `trace` is passed on.
+    estar edges the frontier would only repeat that trim's filters.  That
+    trim drops dead members, so the result is exact for any `fam`, also one
+    that breaks `frontier`'s precondition.  `trace` is passed on.
     """
     csize = c.bit_count()
     if csize < 3:
@@ -299,7 +299,8 @@ def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
     fold = {key: m for key, m in fam.items() if a.bit_count() - m.bit_count() <= csize}
     if estar:
         fold = frontier(g, fold, estar, a, c, False)
-    return [(m, m & ~estar) for m in trim_separator(g, a, c, fold, trace).values()]
+    cores = {m & ~estar for m in trim_separator(g, a, c, fold, trace).values()}
+    return {key: m for key, m in fam.items() if m in cores}
 
 
 def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
@@ -307,52 +308,56 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     """The family grown by every valid set of `left`, the least mask per key.
 
     `fam` maps the key (d1, d2, pe, tally) of path systems without an edge
-    of `left` to the least edge mask with that key; the tally is 0.  The
-    edges of `left` are folded in through `grow` grouped by vertex: next
-    comes the vertex of `undecided` (the ends of `left`) with the fewest
-    edges left, the lowest on ties.  A vertex is decided once it has no
-    edge left; its degree is then final.  A decided vertex outside
-    `boundary` with degree below two kills the member: no later edge meets
-    it; the vertices of `home` without an edge in `left` are decided from
-    the start.  Without `forget` that kill is the only step that removes
-    members, so the next vertex comes from the undecided vertices outside
-    `boundary` while any are left: their kills land before the boundary's
-    edges multiply the members.  With `forget` every decided vertex can
-    merge members, so the next vertex comes from all of `undecided`.
+    of `left` to the least edge mask with that key; the tally is 0.
+    Precondition: every vertex of `home` outside `boundary` that no edge
+    of `left` meets has degree two in every member; the fold relies on it.
+    In `solver.join` a vertex of a's boundary off home's boundary has a
+    neighbour in b, hence a cross edge, and any other such vertex has
+    degree two by `solver.trim`'s precondition on fa and fb.  In
+    `preserving_extension` c covers the cut, so a vertex of a \\ c with an
+    outside neighbour meets an estar edge.
 
-    A member is keyed when it is made, by the caller or by `grow`, and
-    only a forgetting step re-keys.  Without `forget` a key is the
-    member's state, which no step changes, and `fam` itself is grown and
-    returned.  Its kills happen inside `grow`, so each member is visited
-    once per edge: the grow of a step's last edge gets the step's newly
-    decided vertices, the first grow also those decided from the start,
-    and each deletes the parents they kill and stores no grown member they
-    kill.  Only with `left` empty is there a pass of its own, over the
-    vertices decided from the start.  With `forget` every step forgets its
-    newly decided vertices, so it re-keys every member into a new dict:
+    The edges of `left` are folded in through `grow` grouped by vertex:
+    next comes the vertex of `undecided` (the ends of `left`) with the
+    fewest edges left, the lowest on ties.  A vertex is decided once it has
+    no edge left; its degree is then final.  A decided vertex outside
+    `boundary` with degree below two kills the member: no later edge meets
+    it.  Without `forget` that kill is the only step that removes members,
+    so the next vertex comes from the undecided vertices outside `boundary`
+    while any are left: their kills land before the boundary's edges
+    multiply the members.  With `forget` every decided vertex can merge
+    members, so the next vertex comes from all of `undecided`.
+
+    A member is keyed when it is made, by the caller or by `grow`, and only
+    a forgetting step re-keys.  Without `forget` a key is the member's
+    state, which no step changes, and `fam` itself is grown and returned;
+    the grow of a step's last edge kills at the step's newly decided
+    vertices, so each member is visited once per edge.  With `forget` every
+    step forgets its newly decided vertices (the first, those of `home`
+    that `left` does not meet) and re-keys every member into a new dict:
     each such vertex leaves d1 and d2, and one of the boundary with degree
     below two also has its field cleared, an undecided partner's field set
     to `free`, and adds to the tally of decided path ends and decided
     isolated vertices.  At the end `path_state` rebuilds the state of each
     member kept, and the returned dict is keyed by it.
 
-    Exactness, which holds for any order of the vertices.  Two members
-    with one key accept the same later edges, which meet undecided
-    vertices only, and end with one key and liveness.  Later edges are
-    disjoint from both masks, so adding them keeps the order of the two:
-    the frontier keeps the least live member per final key.  Keeping the
-    least mask per key as members are made keeps the same: a grown
-    member's key follows from its parent's key and the edge, and adding
-    an edge that neither mask holds keeps their order.  Killing
-    inside a grow keeps it too: liveness is read off the key, so a key is
-    either stored and kept or never stored, and the live keys keep their
-    order and least masks.  Hence `solver.trim`'s precondition: in
-    `solver.join` the members and `left` lie in `home`, so all of `home`
-    is decided by the end, each member has degree two at every vertex of
-    `home` outside `boundary`, and no two share a state or, with `forget`,
-    a tally (path ends, isolated vertices), as the boundary is forgotten
-    and the rest lies in d2.  None is a cycle unless `home` is V: `grow`
-    closes only Hamiltonian cycles.
+    Exactness, which holds for any order of the vertices.  Two members with
+    one key accept the same later edges, which meet undecided vertices
+    only, and end with one key and liveness.  Later edges are disjoint from
+    both masks, so adding them keeps the order of the two: the frontier
+    keeps the least live member per final key.  Keeping the least mask per
+    key as members are made keeps the same: a grown member's key follows
+    from its parent's key and the edge, and adding an edge that neither
+    mask holds keeps their order.  Killing inside a grow keeps it too:
+    liveness is read off the key, so a key is either stored and kept or
+    never stored, and the live keys keep their order and least masks.
+    Hence `solver.trim`'s precondition: in `solver.join` the members and
+    `left` lie in `home`, so all of `home` is decided by the end, each
+    member has degree two at every vertex of `home` outside `boundary` (by
+    the kills where `left` meets it, else by the precondition), and no two
+    share a state or, with `forget`, a tally (path ends, isolated
+    vertices), as the boundary is forgotten and the rest lies in d2.  None
+    is a cycle unless `home` is V: `grow` closes only Hamiltonian cycles.
     """
     w = field_width(g)
     free = (1 << w) - 1  # above every vertex id; `grow` writes there unread
@@ -362,7 +367,6 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     for i in bits(left):
         undecided |= g.edge_vertices[i]
     newly = home & ~undecided
-    kill = 0 if forget else newly & ~boundary  # for the next grow to kill
     while True:
         if forget:
             fam, old, keep = {}, fam, ~newly
@@ -382,9 +386,6 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
                 if fam.setdefault(key, m) > m:
                     fam[key] = m
         if not undecided:
-            if kill:  # `left` is empty: no grow has run
-                for key in [key for key in fam if kill & ~key[1]]:
-                    del fam[key]
             return {(*path_state(g, m), 0): m for m in fam.values()} if forget else fam
         fewest = left.bit_count() + 1
         rest = undecided if forget else undecided & ~boundary or undecided
@@ -407,17 +408,15 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
         undecided ^= newly
         last = group.bit_length() - 1
         for i in bits(group ^ 1 << last):
-            grow(g, w, fam, i, kill)
-            kill = 0
-        grow(g, w, fam, last, kill if forget else kill | newly & ~boundary)
-        kill = 0
+            grow(g, w, fam, i)
+        grow(g, w, fam, last, 0 if forget else newly & ~boundary)
 
 
 def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
                 boundary: int) -> Family:
     """`frontier(g, fam, left, home, boundary, True)` where home = a ∪ {v},
-    `fam` is a family of a (keyed by state, tally 0), `left` holds the edges
-    between v and a, and a ∪ {v} is a twin cut whose boundary is
+    `fam` is a family of a (keyed by state, tally 0), `left` holds the
+    edges between v and a, and a ∪ {v} is a twin cut whose boundary is
     `boundary`: one pass over the members, each tried with the least
     extension of each of six patterns, then `path_state` on the survivors.
 
@@ -430,18 +429,18 @@ def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
     the two ends of one path, which closes a cycle, and home is not V.
     Liveness: a *closing* vertex, one of a adjacent to v and outside the
     boundary, is dead at degree zero, must be in S at degree one and stays
-    out of S at degree two; any other vertex of a outside the boundary must
-    already have degree two; and if v is outside the boundary, |S| = 2.  S
-    takes nothing, one isolated vertex, one end, two isolated vertices, one
-    of each, or two ends; these patterns move (E, I) by (0, +1), (+2, -1),
-    (0, 0), (+2, -2), (0, -1) and (-2, 0).  The moves are all different, so
-    per member and pattern only the least extension, m | S, can count.  It
-    takes the lowest-index candidate edges, and `Graph` sorts its edges as
-    pairs, so the edges at v come in neighbour-id order: the lowest
-    candidate vertices.  With two ends, the least pair is the lowest end
-    (the forced one, if any) and the lowest other end that is not its
-    partner: if that partner is the second lowest end, the third lowest
-    pairs with the lowest.  So at most three ends are read.
+    out of S at degree two; any other vertex of a outside the boundary has
+    degree two by `frontier`'s precondition; and if v is outside the
+    boundary, |S| = 2.  S takes nothing, one isolated vertex, one end, two
+    isolated vertices, one of each, or two ends; these patterns move (E, I)
+    by (0, +1), (+2, -1), (0, 0), (+2, -2), (0, -1) and (-2, 0).  The moves
+    are all different, so per member and pattern only the least extension,
+    m | S, can count.  It takes the lowest-index candidate edges, and
+    `Graph` sorts its edges as pairs: the lowest candidate vertices.  With
+    two ends, the least pair is the lowest end (the forced one, if any) and
+    the lowest other end that is not its partner: if that partner is the
+    second lowest end, the third lowest pairs with the lowest.  So at most
+    three ends are read.
     """
     w = field_width(g)
     field = (1 << w) - 1
@@ -452,12 +451,11 @@ def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
         edge[x] = 1 << i
         near |= x
     closing = near & ~boundary
-    inner = a & ~boundary & ~near  # at degree two already, or dead
     pair = not boundary >> v & 1  # v must take two edges
     one = 1 << w  # one isolated vertex, in a tally E + (I << w)
     out: dict[int, int] = {}
     for (d1, d2, pe, _), m in fam.items():
-        if inner & ~d2 or closing & ~d1:
+        if closing & ~d1:
             continue
         ends = near & d1 & ~d2
         forced = closing & ends

@@ -12,11 +12,12 @@ derived from its children's, and the merge, the twin test and the trims
 read only that cut.  A merge lists no members: all pairs are keyed once
 into one dict, which one frontier (`repsets.frontier`) grows over the
 cross edges, forgetting each vertex once its edges are decided and
-keeping one live member per key; that dict is the merged family.  A
-single vertex joined to a twin home takes one pass per member instead
-(`repsets.join_vertex`), with the frontier's result.  Each
-trim then applies only its own rules: the slot rules of twin cuts
-(`trim_split`), elsewhere the rep-set trim over a cut cover (`trim_vc`).
+keeping one live member per key; that dict is the merged family, and it
+meets `trim`'s precondition, which no step re-checks.  A single vertex
+joined to a twin home takes one pass per member instead
+(`repsets.join_vertex`), with the frontier's result.  Each trim then
+applies only its own rules: the slot rules of twin cuts (`trim_split`),
+elsewhere the rep-set trim over a cut cover (`trim_vc`).
 """
 
 from __future__ import annotations
@@ -61,22 +62,21 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     valid set of its cross edges, in one `repsets.frontier`, trimmed once
     unless a | b is the whole graph.  When a | b is a twin cut and one side
     is a single vertex with the leaf's family (`LEAF`) and a cross edge,
-    `repsets.join_vertex` returns what the frontier would, in one pass
-    over the other side's members; every other join, the inner twin joins
-    included, runs the frontier.  The pairs are keyed by state
-    straight into the frontier's dict, and the dict it returns, keyed by
-    state, is the family; the states within fa and within fb are distinct,
-    and so are the pairs', as the homes are disjoint.  Against a leaf's family
-    (`LEAF`) the pairs are the other family's members under their own
-    keys, so that dict is a copy of it; neither input is changed.  The cut
-    and the cross edges are read off the cuts of a and b in O(|boundary of
-    a| + |boundary of b|) big-int operations.  No twin cut needs a path
-    limit: `trim_split` keeps no member with more paths than the mm of its
-    side, and the paper's limit is 4 times that.  The frontier leaves what
-    `trim`'s precondition asks and loses no completion: members of one
-    twin signature complete alike, and of one state `preserving_extension`
-    keeps the least (`repsets` Lemma 3).  At the root every survivor is a
-    Hamiltonian cycle, and the least is kept.
+    `repsets.join_vertex` returns what the frontier would, in one pass over
+    the other side's members; every other join runs the frontier.  The
+    pairs are keyed by state straight into the frontier's dict, and the
+    dict it returns is the family: the states within fa and within fb are
+    distinct, and so are the pairs', as the homes are disjoint.  Against
+    `LEAF` the pairs are the other family's members under their own keys,
+    so that dict is a copy of it; neither input is changed.  The cut and
+    the cross edges are read off the cuts of a and b in O(|boundary of a| +
+    |boundary of b|) big-int operations.  No twin cut needs a path limit:
+    `trim_split` keeps no member with more paths than the mm of its side,
+    and the paper's limit is 4 times that.  The fold meets the frontier's
+    precondition, leaves what `trim`'s asks and loses no completion:
+    members of one twin signature complete alike, and of one state
+    `preserving_extension` keeps the least (`repsets` Lemma 3).  At the
+    root every survivor is a Hamiltonian cycle, and the least is kept.
     """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
@@ -107,9 +107,8 @@ def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) 
     uncovered cut edge would be estar), so the ends lie in c ∩ a, of <= 5
     vertices.  At <= 4 ends the basis keeps each state over c (`repsets`
     Corollary), which fixes the state as every edge lies in a.  No member
-    is a cycle or over the 2|c| budget.  Otherwise the members of `fam`
-    whose mask is the core of a kept extension are kept, under their own
-    keys.
+    is a cycle or over the 2|c| budget.  Otherwise `preserving_extension`
+    returns the members kept.
 
     A home of three vertices or more whose boundary a greedy pass matches
     into N(a), each boundary vertex to an outside neighbour of its own,
@@ -125,8 +124,7 @@ def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) 
         c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         if estar or boundary.bit_count() > 5:
-            cores = {core for _, core in preserving_extension(g, a, c, fam, estar, trace)}
-            return {key: m for key, m in fam.items() if m in cores}
+            return preserving_extension(g, a, c, fam, estar, trace)
         k = c.bit_count()
     if trace is not None:
         by_k = trace.setdefault("max_family_by_k", {})

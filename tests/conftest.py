@@ -35,6 +35,13 @@ def family(g, masks):
     return fam
 
 
+def live(fam, a, boundary):
+    """The members of a family with degree two at every vertex of a outside
+    the boundary, under their keys and in their order: the families that
+    `solver.trim` takes."""
+    return {key: m for key, m in fam.items() if not a & ~boundary & ~key[1]}
+
+
 def partner(pe, w, d1, v):
     """The other end of v's path, read from the field of v in the pairing
     int pe of `w` bits per vertex; v itself when v has degree zero."""

@@ -68,13 +68,17 @@ BOWTIE = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])  # cu
                                  json.dumps(caterpillar_decomposition([0, 1, 2]).to_json()),
                                  json.dumps({**caterpillar_decomposition(range(5)).to_json(),
                                              "leaf_map": {"5": False, "6": True, "7": 2,
-                                                          "8": 3, "9": 4}})])
+                                                          "8": 3, "9": 4}}),
+                                 json.dumps({"edges": [], "leaf_map": {"0": 10 ** 20}}),
+                                 json.dumps(caterpillar_decomposition([0, 1, 2, 3, 5]).to_json())])
 def test_hc_malformed_decomposition_exits_two(tmp_path, capsys, bad):
     """A malformed decomposition, or one whose leaves are not the graph's
     vertices, exits 2 whatever the graph: also where the graph alone is
     answered before decomposing (disconnected, or with a cut vertex).  A
     leaf vertex written as a boolean is malformed, though Python reads
-    false and true as 0 and 1."""
+    false and true as 0 and 1.  A leaf far past the graph's vertices
+    (10^20, whose shift Python refuses) exits 2 too, as does one just past
+    the last vertex of C5 and of the bowtie."""
     d = tmp_path / "bd.json"
     d.write_text(bad)
     for g in (cycle_graph(5), Graph(range(4), [(0, 1), (2, 3)]), BOWTIE):

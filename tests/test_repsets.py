@@ -353,16 +353,16 @@ def test_preserving_extension_no_estar():
     a = mask_of([0, 1, 2])
     c = mask_of([0, 2, 3])
     m = g.edge_mask([(0, 1), (1, 2)])
-    out = preserving_extension(g, a, c, family(g, [m]), 0)
-    assert out == [(m, m)]
+    fam = family(g, [m])
+    assert preserving_extension(g, a, c, fam, 0) == fam
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_extension_without_estar_skips_frontier(seed, monkeypatch):
     """With no estar edges `preserving_extension` runs no `frontier` and
-    returns what `trim_separator` over c keeps of the certificates within
-    the cross-edge budget (|a| - |cert| <= |c|), with the same
-    `max_family_by_k`."""
+    returns the subfamily that `trim_separator` over c keeps of the
+    certificates within the cross-edge budget (|a| - |cert| <= |c|), with
+    the same `max_family_by_k`."""
     folds = []
     real_frontier = repsets.frontier
     monkeypatch.setattr(repsets, "frontier",
@@ -383,7 +383,7 @@ def test_extension_without_estar_skips_frontier(seed, monkeypatch):
         got_trace, want_trace = {}, {}
         got = preserving_extension(g, a, c, family(g, fam), 0, got_trace)
         want = trim_separator(g, a, c, family(g, within), want_trace)
-        assert got == [(m, m) for m in want.values()]
+        assert got == want
         assert got_trace == want_trace
         seen["instances"] += 1
         seen["kept"] += len(got)
@@ -422,8 +422,10 @@ def recorded_trims(monkeypatch):
 def test_extension_forgets_every_vertex_before_one_trim(monkeypatch):
     """Each call trims once, over c, after its frontier has forgotten
     every vertex of todo, the vertices of a \\ c with an estar edge: every
-    member handed to the trim has degree two at each vertex of a \\ c, no
-    two share a state, and each is a certificate grown by estar edges.
+    member handed to the trim has degree two at each vertex of todo, no
+    two share a state, and each is a certificate grown by estar edges.  The
+    families are arbitrary, so a member may still be short at a vertex of
+    a \\ c without an estar edge; the trim drops it.
     Instances with and without estar edges at a ∩ c both occur."""
     calls = recorded_trims(monkeypatch)
     rng = random.Random(17)
@@ -449,7 +451,7 @@ def test_extension_forgets_every_vertex_before_one_trim(monkeypatch):
         assert sep == c
         assert len({key[:3] for key in handed_fam}) == len(handed_fam)
         for (d1, d2, pe, _), m in handed_fam.items():
-            assert not a & ~c & ~d2
+            assert not todo & ~d2
             assert m & inner in fam and not m & ~inner & ~estar
         handed += len(handed_fam)
         optional.add(bool(estar & ~g.edges_between(todo, c)))
@@ -482,12 +484,12 @@ def submasks(mask):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_extension_keeps_trim_of_every_live_extension(seed):
-    """`preserving_extension` returns exactly what `trim_separator` over c
-    keeps of every extension a literal enumeration lists: each certificate
-    within the cross-edge budget (|a| - |cert| <= |c|) grown by each
-    subset of estar that leaves a path system or closes a Hamiltonian
-    cycle, with the certificate as its core.  Both write the same
-    `max_family_by_k`."""
+    """`preserving_extension` returns exactly the certificates that are the
+    cores (the edges within a) of what `trim_separator` over c keeps of
+    every extension a literal enumeration lists: each certificate within
+    the cross-edge budget (|a| - |cert| <= |c|) grown by each subset of
+    estar that leaves a path system or closes a Hamiltonian cycle.  Both
+    write the same `max_family_by_k`."""
     rng = random.Random(seed + 1600)
     seen = {"instances": 0, "kept": 0, "extended": 0, "dropped": 0}
     for n in range(5, 10):
@@ -510,26 +512,40 @@ def test_extension_keeps_trim_of_every_live_extension(seed):
             got_trace, want_trace = {}, {}
             got = preserving_extension(g, a, c, family(g, fam), estar, got_trace)
             want = trim_separator(g, a, c, family(g, extensions), want_trace)
-            assert got == [(m, m & ~estar) for m in want.values()]
+            cores = {m & ~estar for m in want.values()}
+            assert got == {key: m for key, m in family(g, fam).items() if m in cores}
             assert got_trace == want_trace
             seen["instances"] += 1
             seen["kept"] += len(got)
-            seen["extended"] += sum(m != core for m, core in got)
+            seen["extended"] += sum(bool(m & estar) for m in want.values())
             seen["dropped"] += len(extensions) > len(got)
     assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("edges, a, c, fam, estar, want", PINNED)
-def test_extension_kept_pairs_pinned(edges, a, c, fam, estar, want):
-    """The (extended-mask, core) pairs kept on two fixed instances.
+def test_extension_kept_pairs_pinned(edges, a, c, fam, estar, want, monkeypatch):
+    """The (extended-mask, core) pairs kept on two fixed instances: the
+    trim over c keeps the extended masks, in order, and the extension
+    returns the certificates that are the cores.
 
     The literals are the output of the per-certificate extension that the
     shared, forgetting family replaced, so they pin that both keep the same
     pairs; skipping the estar edges at a ∩ c fails the first instance."""
+    kept, real_trim_separator = [], repsets.trim_separator
+
+    def recording(*args):
+        out = real_trim_separator(*args)
+        kept.append(list(out.values()))
+        return out
+
+    monkeypatch.setattr(repsets, "trim_separator", recording)
     g = Graph(range(max(map(max, edges)) + 1), edges)
     a, c = mask_of(a), mask_of(c)
     assert g.edges_between(a, c & ~a) == estar
-    assert preserving_extension(g, a, c, family(g, fam), estar) == want
+    got = preserving_extension(g, a, c, family(g, fam), estar)
+    assert kept == [[m for m, _ in want]]
+    cores = {core for _, core in want}
+    assert got == {key: m for key, m in family(g, fam).items() if m in cores}
 
 
 # -- the keyed fold against the list fold it replaced -------------------------
@@ -584,15 +600,17 @@ def reference_frontier(g, items, left, home, boundary, forget, pick=kill_first):
     """The list fold: after every decided vertex each (edge-mask, d1, d2,
     pe, tally) item is keyed afresh into a new dict, dead ones skipped
     and the boundary forgotten, and the dict is copied back into a list;
-    the growth steps append to that list.  `pick` chooses the next vertex
-    to decide."""
+    the growth steps append to that list.  Without `forget` the vertices
+    of `home` that no edge of `left` meets kill nothing, as in `frontier`,
+    whose callers leave them at degree two.  `pick` chooses the next
+    vertex to decide."""
     w = field_width(g)
     free = (1 << w) - 1
     fields = (1 << free * w) - 1
     undecided = 0
     for i in bits(left):
         undecided |= g.edge_vertices[i]
-    newly = home & ~undecided
+    newly = home & ~undecided if forget else 0
     while True:
         best = {}
         keep = ~newly
@@ -680,9 +698,10 @@ def test_keyed_fold_matches_list_fold(seed, forget):
     fold keeps, in its order, on the seeded folds.  Without `forget`,
     join-style folds at the whole graph close Hamiltonian cycles, and some
     members are removed by a kill only: a fold whose boundary holds its
-    home kills nothing, and the live members it keeps are exactly the
-    fold's.  With `forget`, some folds keep fewer members than without, as
-    forgotten vertices merge keys."""
+    home kills nothing, and the members it keeps with degree two at each
+    end of `left` outside the boundary are exactly the fold's.  With
+    `forget`, some folds keep fewer members than without, as forgotten
+    vertices merge keys."""
     seen = {"join": 0, "extension": 0, "no edges": 0}
     seen.update({"merged": 0} if forget else {"killed": 0, "cycle": 0})
     for g, kind, fold, left, home, boundary in seeded_folds(seed):
@@ -694,9 +713,8 @@ def test_keyed_fold_matches_list_fold(seed, forget):
             continue
         seen["cycle"] += any(d1 == g.vmask and not d1 & ~d2 for d1, d2, *_ in got)
         everything = frontier(g, dict(fold), left, home, home | boundary, False)
-        live = {key: m for key, m in everything.items()
-                if not home & ~boundary & ~key[1]}
-        assert live == got
+        met = degree_masks(g, left)[0]
+        assert got == {key: m for key, m in everything.items() if not met & ~boundary & ~key[1]}
         seen["killed"] += len(everything) - len(got)
     assert all(seen.values()), seen
 

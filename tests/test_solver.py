@@ -13,7 +13,7 @@ from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
-from tests.conftest import bounded_stack, family, partner
+from tests.conftest import bounded_stack, family, live, partner
 
 
 def certificate_valid(g, emask, home):
@@ -276,6 +276,56 @@ def random_cograph(n, rng):
                 edges += [(u, v) for u in vs[:cut] for v in vs[cut:]]
             todo += [(vs[:cut], rng.random() < 0.5), (vs[cut:], rng.random() < 0.5)]
     return Graph(range(n), edges)
+
+
+def test_folds_meet_the_frontier_precondition(monkeypatch):
+    """Every `repsets.frontier` and `repsets.join_vertex` call of
+    `solve_hc` meets the precondition `frontier` states, read off each
+    member's edge mask on entry: every vertex of `home` outside `boundary`
+    that no edge of `left` meets has degree two.  Seeded random graphs (n
+    = 5..10) and random cographs (n = 5..12) are solved along
+    `approx_sm_decomposition` and along a caterpillar in a random vertex
+    order.  The calls cover the join's plain and forgetting folds, the
+    extension's estar folds and single-vertex joins, each with such a
+    vertex in some call."""
+    seen = {kind: 0 for kind in ("plain", "forget", "extension", "vertex")}
+    seen.update({f"{kind} checked": 0 for kind in seen})
+
+    def check(kind, g, fam, left, home, boundary):
+        decided = home & ~boundary & ~degree_masks(g, left)[0]
+        for m in fam.values():
+            assert not decided & ~degree_masks(g, m)[1]
+        seen[kind] += 1
+        seen[f"{kind} checked"] += bool(decided and fam)
+
+    real_join_fold, real_extension_fold = solver.frontier, repsets.frontier
+    real_vertex_fold = solver.join_vertex
+
+    def join_fold(g, fam, left, home, boundary, forget):
+        check("forget" if forget else "plain", g, fam, left, home, boundary)
+        return real_join_fold(g, fam, left, home, boundary, forget)
+
+    def extension_fold(g, fam, left, home, boundary, forget):
+        check("extension", g, fam, left, home, boundary)
+        return real_extension_fold(g, fam, left, home, boundary, forget)
+
+    def vertex_fold(g, fam, v, left, home, boundary):
+        check("vertex", g, fam, left, home, boundary)
+        return real_vertex_fold(g, fam, v, left, home, boundary)
+
+    monkeypatch.setattr(solver, "frontier", join_fold)
+    monkeypatch.setattr(repsets, "frontier", extension_fold)
+    monkeypatch.setattr(solver, "join_vertex", vertex_fold)
+    rng = random.Random(3101)
+    graphs = [random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.3, 0.5, 0.7]))
+              for _ in range(40)]
+    graphs += [random_cograph(rng.randint(5, 12), rng) for _ in range(40)]
+    for g in graphs:
+        order = list(g.vertices)
+        rng.shuffle(order)
+        for bd in (approx_sm_decomposition(g), caterpillar_decomposition(order)):
+            assert solve_hc(g, bd)[0] == oracles.brute_hc(g)[0]
+    assert all(seen.values()), seen
 
 
 def test_join_vertex_matches_frontier(monkeypatch):
@@ -542,8 +592,8 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     """`trim_vc` keeps exactly what `preserving_extension` and its
     `trim_separator` over the padded cover keep, with the same
     `max_family_by_k`, on seeded random families keyed as `join` keys
-    them: the least member per state, of which `repsets.frontier` over
-    no edges keeps the live ones.  A cut without estar edges and with at
+    them: the least member per state, of which the live ones (`live`)
+    are kept.  A cut without estar edges and with at
     most five boundary vertices returns its family itself and calls no
     extension; every other cut calls it.  A home of three vertices or
     more whose boundary a greedy pass matches into N(a) ("matched") runs
@@ -573,13 +623,11 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     for g, a, extra in instances:
         cut = cut_of(g, a)
         boundary, nbr, _ = cut
-        fam = repsets.frontier(g, family(g, sampled_family(g, a, rng) + extra), 0, a,
-                               boundary, False)
+        fam = live(family(g, sampled_family(g, a, rng) + extra), a, boundary)
         c = pad_separator(g, a, real_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         want_trace, got_trace = {}, {}
-        want = {(*path_state(g, core), 0): core for _, core in
-                repsets.preserving_extension(g, a, c, fam, estar, want_trace)}
+        want = repsets.preserving_extension(g, a, c, fam, estar, want_trace)
         calls.clear()
         covers.clear()
         got = trim_vc(g, a, fam, cut, got_trace)
