@@ -3,8 +3,8 @@
 All vertex sets are bitmasks over the host graph's vertex ids.  A cut
 (a, V \\ a) is read straight off the host's adjacency masks.  One
 augmenting-path routine, `_augment`, finds every maximum matching:
-`max_matching`, `min_vertex_cover` and `mm_value` only choose its sides
-and read its result.  `mm_value` and `sm_value` recompute on every call,
+`min_vertex_cover` and `mm_value` only choose its sides and read its
+result.  `mm_value` and `sm_value` recompute on every call,
 and so do the cut functions built on them.
 """
 
@@ -60,14 +60,6 @@ def _augment(adj: list[int], a: int, b: int) -> tuple[dict[int, int], int]:
                 taken |= w
                 break
     return partner, taken
-
-
-def max_matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
-    """Maximum matching of G[a, b], b = V \\ a unless given, as a map from
-    each matched vertex of b to its partner in a, found by `_augment`."""
-    b = g.vmask & ~a if b is None else b
-    partner, _ = _augment(g.adj, a, b)
-    return {w.bit_length() - 1: u for w, u in partner.items()}
 
 
 def min_vertex_cover(g: Graph, a: int, b: int | None = None) -> int:

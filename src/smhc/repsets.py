@@ -1,9 +1,9 @@
 """Hamiltonian-cycle representative sets over a separator.
 
 A certificate family (`Family`) has one form everywhere, in `solver` too:
-one dict from key to the least edge mask of that key, the key being the
-state with a tally of 0 (or, inside a forgetting fold, a coarser twin
-key).  It is pruned over a separator by keeping a representative
+one dict from the state (d1, d2, pe) of each member to the least edge
+mask with that state (inside a forgetting fold, `frontier` keys by a
+coarser twin key of the same shape).  It is pruned over a separator by keeping a representative
 subfamily (`trim_separator`): whenever some member closes a Hamiltonian
 cycle with a completion, some kept member does too.
 `preserving_extension` keeps the members of a family whose extensions by
@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from .graph import Graph, bits
 
-Family = dict[tuple[int, int, int, int], int]  # key (d1, d2, pe, tally) -> least edge mask
+Family = dict[tuple[int, int, int], int]  # state (d1, d2, pe) -> least edge mask
 
 
 # -- path-system state from vertex bitmasks -------------------------------
@@ -234,7 +234,7 @@ def trim_separator(g: Graph, a: int, sep: int, fam: Family,
                    trace: dict | None = None) -> Family:
     """Keep a representative subfamily of `fam` over the separator.
 
-    `fam` maps the state (d1, d2, pe, 0) of each edge mask to the mask,
+    `fam` maps the state (d1, d2, pe) of each edge mask to the mask,
     whose edges live in E(G[a ∪ sep]).  Every vertex of a \\ sep must be
     internal (degree two), else no completion through the separator can
     exist and the member is dropped; every path end of a live member then
@@ -250,7 +250,7 @@ def trim_separator(g: Graph, a: int, sep: int, fam: Family,
     live, states = [], []
     cycle = None  # canonically least spanning-cycle member, if any
     for key, m in sorted(fam.items(), key=lambda it: it[1]):
-        d1, d2, pe, _ = key
+        d1, d2, pe = key
         if a & ~sep & ~d2:
             continue
         if d1 and not d1 & ~d2:
@@ -277,7 +277,7 @@ def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
     within a) of what `trim_separator` over c keeps of every extension of a
     member by a set of its estar edges.
 
-    `fam` maps the state (d1, d2, pe, 0) of each certificate to it, c
+    `fam` maps the state (d1, d2, pe) of each certificate to it, c
     covers the cut of a, and `estar` holds the edges between a and c \\ a.
     Certificates whose degree deficiency exceeds the cross-edge budget
     2|c| cannot complete and are dropped first.  One `frontier` over estar,
@@ -307,8 +307,8 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
              forget: bool) -> Family:
     """The family grown by every valid set of `left`, the least mask per key.
 
-    `fam` maps the key (d1, d2, pe, tally) of path systems without an edge
-    of `left` to the least edge mask with that key; the tally is 0.
+    `fam` maps the state (d1, d2, pe) of path systems without an edge of
+    `left` to the least edge mask with that state.
     Precondition: every vertex of `home` outside `boundary` that no edge
     of `left` meets has degree two in every member; the fold relies on it.
     In `solver.join` a vertex of a's boundary off home's boundary has a
@@ -337,9 +337,14 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     that `left` does not meet) and re-keys every member into a new dict:
     each such vertex leaves d1 and d2, and one of the boundary with degree
     below two also has its field cleared, an undecided partner's field set
-    to `free`, and adds to the tally of decided path ends and decided
-    isolated vertices.  At the end `path_state` rebuilds the state of each
-    member kept, and the returned dict is keyed by it.
+    to `free`, and adds to the tally E + (I << w) of decided path ends and
+    decided isolated vertices.  The tally lives in the bits of pe from
+    (free + 1) * w upward, above the `free` field: `grow` never writes
+    there, as it clears and sets only the fields of u, v and their
+    partners, `free` among them, and a re-key clears the `free` field
+    alone.  At the end `path_state` rebuilds the state of each member
+    kept, and the returned dict is keyed by it, so no tally leaves the
+    fold.
 
     Exactness, which holds for any order of the vertices.  Two members with
     one key accept the same later edges, which meet undecided vertices
@@ -361,7 +366,8 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     """
     w = field_width(g)
     free = (1 << w) - 1  # above every vertex id; `grow` writes there unread
-    fields = (1 << free * w) - 1
+    unfree = ~(free << free * w)  # clears the `free` field alone
+    tally = (free + 1) * w  # the tally's shift in pe, above the free field
     adj, incident = g.adj, g.incident
     undecided = 0
     for i in bits(left):
@@ -370,23 +376,23 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
     while True:
         if forget:
             fam, old, keep = {}, fam, ~newly
-            for (d1, d2, pe, tally), m in old.items():
+            for (d1, d2, pe), m in old.items():
                 short = newly & ~d2  # decided, of degree below two
                 if short:
                     if short & ~boundary:
                         continue
                     ends = short & d1
-                    tally += ends.bit_count() + ((short & ~d1).bit_count() << w)
+                    pe += (ends.bit_count() + ((short & ~d1).bit_count() << w)) << tally
                     while ends:
                         x = (ends & -ends).bit_length() - 1
                         ends &= ends - 1
                         p = (pe >> x * w) & free
                         pe = pe & ~(free << x * w) | free << p * w
-                key = (d1 & keep, d2 & keep, pe & fields, tally)
+                key = (d1 & keep, d2 & keep, pe & unfree)
                 if fam.setdefault(key, m) > m:
                     fam[key] = m
         if not undecided:
-            return {(*path_state(g, m), 0): m for m in fam.values()} if forget else fam
+            return {path_state(g, m): m for m in fam.values()} if forget else fam
         fewest = left.bit_count() + 1
         rest = undecided if forget else undecided & ~boundary or undecided
         while rest:  # every undecided vertex has an edge left, so 1 is least
@@ -415,7 +421,7 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
 def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
                 boundary: int) -> Family:
     """`frontier(g, fam, left, home, boundary, True)` where home = a ∪ {v},
-    `fam` is a family of a (keyed by state, tally 0), `left` holds the
+    `fam` is a family of a (keyed by state), `left` holds the
     edges between v and a, and a ∪ {v} is a twin cut whose boundary is
     `boundary`: one pass over the members, each tried with the least
     extension of each of six patterns, then `path_state` on the survivors.
@@ -454,7 +460,7 @@ def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
     pair = not boundary >> v & 1  # v must take two edges
     one = 1 << w  # one isolated vertex, in a tally E + (I << w)
     out: dict[int, int] = {}
-    for (d1, d2, pe, _), m in fam.items():
+    for (d1, d2, pe), m in fam.items():
         if closing & ~d1:
             continue
         ends = near & d1 & ~d2
@@ -491,26 +497,27 @@ def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
             key, grown = tally + move, m | s
             if out.setdefault(key, grown) > grown:
                 out[key] = grown
-    return {(*path_state(g, m), 0): m for m in out.values()}
+    return {path_state(g, m): m for m in out.values()}
 
 
 def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:
     """Add to `fam` each of its members grown by edge i, where that is
     valid, and drop the members killed by `dead`.
 
-    `fam` maps keys (d1, d2, pe, tally) to the least edge mask of that key,
-    each a path system without edge i.  The members present at the call
-    are grown; each grown member is keyed as it is made, with its parent's
-    tally, and stored unless its key holds a lesser mask.  A member, parent
-    or grown, is killed when some vertex of `dead` is not in its d2: a
-    killed parent is deleted, though still grown from the snapshot, and a
-    killed grown member is not stored.  Adding uv is invalid when u or v has degree two
-    already, or when u and v end one path and closing it would leave out a
-    vertex of g; closing a path through every vertex into a Hamiltonian
-    cycle is allowed.  Only the fields of the two ends ou and ov of the
-    joined path are rewritten, and those of u and v are cleared, so the
-    field of a vertex that is no path end reads zero.  The shifts and
-    masks of edge i are computed once, outside the member loop.
+    `fam` maps keys (d1, d2, pe) to the least edge mask of that key, each
+    a path system without edge i.  The members present at the call are
+    grown; each grown member is keyed as it is made and stored unless its
+    key holds a lesser mask.  A member, parent or grown, is killed when
+    some vertex of `dead` is not in its d2: a killed parent is deleted,
+    though still grown from the snapshot, and a killed grown member is not
+    stored.  Adding uv is invalid when u or v has degree two already, or
+    when u and v end one path and closing it would leave out a vertex of
+    g; closing a path through every vertex into a Hamiltonian cycle is
+    allowed.  Only the fields of the two ends ou and ov of the joined path
+    are rewritten, and those of u and v are cleared, so the field of a
+    vertex that is no path end reads zero and no other bit of pe changes.
+    The shifts and masks of edge i are computed once, outside the member
+    loop.
     """
     u, v = g.edges[i]
     bit, uv = 1 << i, g.edge_vertices[i]
@@ -519,7 +526,7 @@ def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:
     clear = ~(field << uw | field << vw)
     vmask = g.vmask
     for key, m in list(fam.items()):
-        d1, d2, pe, tally = key
+        d1, d2, pe = key
         if dead & ~d2:
             del fam[key]
         if uv & d2:
@@ -531,12 +538,12 @@ def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:
         if ou == v:  # closes a cycle: only a Hamiltonian one is kept
             if d1 != vmask or d1 & ~d2 != uv:
                 continue
-            key = (d1, c2, pe & clear, tally)
+            key = (d1, c2, pe & clear)
         else:
             ov = (pe >> vw) & field if d1 & vb else v
             ouw, ovw = ou * w, ov * w
             key = (d1 | uv, c2, pe & clear & ~(field << ouw | field << ovw)
-                   | ov << ouw | ou << ovw, tally)
+                   | ov << ouw | ou << ovw)
         m |= bit
         if fam.setdefault(key, m) > m:
             fam[key] = m

@@ -2,14 +2,13 @@
 
 A certificate is an edge bitmask forming vertex-disjoint paths inside its
 home vertex set (or a Hamiltonian cycle of the whole graph, at the root).
-A family (`repsets.Family`), one per decomposition node, maps the key
-(d1, d2, pe, 0) of each certificate to it: its state, the vertices of
-degree >= 1 and >= 2 and the pairing of its path ends (see `repsets`),
-set in O(1) where the certificate is made, and a tally of 0.  Every step
-reads and returns that form, from the leaves' {(0, 0, 0, 0): 0} to the
-root.  Each finished subtree carries the cut of its home (`cut_of`),
-derived from its children's, and the merge, the twin test and the trims
-read only that cut.  A merge lists no members: all pairs are keyed once
+A family (`repsets.Family`), one per decomposition node, maps the state
+(d1, d2, pe) of each certificate to it: the vertices of degree >= 1 and
+>= 2 and the pairing of its path ends (see `repsets`), set in O(1) where
+the certificate is made.  Every step reads and returns that form, from
+the leaves' {(0, 0, 0): 0} to the root.  Each finished subtree carries
+the cut of its home (`cut_of`), derived from its children's, and the
+merge, the twin test and the trims read only that cut.  A merge lists no members: all pairs are keyed once
 into one dict, which one frontier (`repsets.frontier`) grows over the
 cross edges, forgetting each vertex once its edges are decided and
 keeping one live member per key; that dict is the merged family, and it
@@ -29,7 +28,7 @@ from .repsets import (Family, frontier, is_hamiltonian_cycle, join_vertex,
                       pad_separator, preserving_extension)
 
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
-LEAF: Family = {(0, 0, 0, 0): 0}  # the family of every leaf: the empty certificate
+LEAF: Family = {(0, 0, 0): 0}  # the family of every leaf: the empty certificate
 
 
 def _cut(g: Graph, a: int, near: int, nbr: int) -> Cut:
@@ -90,8 +89,8 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
         fold = join_vertex(g, fa, b.bit_length() - 1, left, home, cut[0])
     else:
         fold = dict(fa) if fb == LEAF else {
-            (d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
-            for (d1a, d2a, pea, _), sa in fa.items() for (d1b, d2b, peb, _), sb in fb.items()}
+            (d1a | d1b, d2a | d2b, pea | peb): sa | sb
+            for (d1a, d2a, pea), sa in fa.items() for (d1b, d2b, peb), sb in fb.items()}
         fold = frontier(g, fold, left, home, cut[0], cut[2])
     return cut, trim(g, home, fold, cut, trace)
 
@@ -161,7 +160,7 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     if not twin:
         raise ValueError("trim_split needs a twin cut")
     t = common_outside.bit_count()
-    return {(d1, d2, pe, tally): m for (d1, d2, pe, tally), m in fam.items()
+    return {(d1, d2, pe): m for (d1, d2, pe), m in fam.items()
             if (t > 1 or not a & ~d1)
             and (d1 & ~d2).bit_count() // 2 + (a & ~d1).bit_count() <= t}
 

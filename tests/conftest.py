@@ -24,12 +24,12 @@ def atlas_connected(min_n: int = 3, max_n: int = 6):
 
 
 def family(g, masks):
-    """Certificate family (`repsets.Family`): each path system's key, its
-    state with tally 0, mapped to the least mask with that key, in order
-    of first occurrence."""
+    """Certificate family (`repsets.Family`): each path system's state
+    mapped to the least mask with that state, in order of first
+    occurrence."""
     fam = {}
     for m in masks:
-        key = (*path_state(g, m), 0)
+        key = path_state(g, m)
         if fam.setdefault(key, m) > m:
             fam[key] = m
     return fam

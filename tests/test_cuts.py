@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smhc.graph import Graph, bits, mask_of, cycle_graph, complete_graph
-from smhc.cuts import (max_matching, min_vertex_cover, mm_value, is_split,
+from smhc.cuts import (_augment, min_vertex_cover, mm_value, is_split,
                        sm_value, mm_cut_function, sm_cut_function)
 from smhc.generators import random_connected_graph
 from smhc.splitdec import LiftedContext, lifted_mm_cut_function
@@ -30,6 +30,24 @@ def brute_max_matching(edges: list[tuple[int, int]]) -> int:
     return 0
 
 
+def matching(g: Graph, a: int, b: int | None = None) -> dict[int, int]:
+    """The matching `_augment` finds in G[a, b], b = V \\ a unless given,
+    as a map from each matched vertex of b to its partner in a, checked to
+    be a matching of G[a, b]: every pair is an edge between a and b, no
+    vertex is used twice, and the returned mask holds the matched vertices
+    of b."""
+    b = g.vmask & ~a if b is None else b
+    partner, taken = _augment(g.adj, a, b)
+    out = {}
+    for w, u in partner.items():
+        v = w.bit_length() - 1
+        assert w == 1 << v and w & b and (a >> u) & 1 and g.adj[u] & w
+        out[v] = u
+    assert len(set(out.values())) == len(out)
+    assert taken == mask_of(out)
+    return out
+
+
 def brute_min_cover(g: Graph) -> int:
     verts = [v for v in g.vertices if g.adj[v]]
     for r in range(len(verts) + 1):
@@ -42,12 +60,12 @@ def brute_min_cover(g: Graph) -> int:
 
 def test_matching_c4_cut():
     g = cycle_graph(4)
-    assert len(max_matching(g, 0b0011)) == 2
+    assert len(matching(g, 0b0011)) == 2
 
 
 def test_matching_star():
     g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
-    assert len(max_matching(g, 1 << 0)) == 1
+    assert len(matching(g, 1 << 0)) == 1
 
 
 def test_cover_c4_cut():
@@ -68,7 +86,7 @@ def test_matching_and_cover_vs_brute(seed):
     a = rng.randrange(1, g.vmask)
     cut = Graph(g.vertices, [(u, v) for u, v in g.edges
                              if (a >> u) & 1 != (a >> v) & 1])  # crossing edges
-    size = len(max_matching(g, a))
+    size = len(matching(g, a))
     assert size == brute_max_matching(cut.edges)
     cover = min_vertex_cover(g, a)
     assert cover.bit_count() == size  # Koenig duality
@@ -77,17 +95,17 @@ def test_matching_and_cover_vs_brute(seed):
         assert (cover >> u) & 1 or (cover >> v) & 1
     # the boundary of a against its outside neighbours has the same cover
     boundary, nbr = g.neighborhood(g.vmask & ~a) & a, g.neighborhood(a)
-    assert len(max_matching(g, boundary, nbr)) == size
+    assert len(matching(g, boundary, nbr)) == size
     assert min_vertex_cover(g, boundary, nbr) == cover
 
 
 def test_mm_from_both_sides_is_brute_force_and_cover_size():
     """On every cut (a, V \\ a) of the connected graphs with 3..7 vertices
     and of seeded random graphs with 8..12, `mm_value` of either side,
-    `max_matching` rooted on b, a brute-force matching of the crossing
-    edges and the Koenig cover, whose matching is rooted on a, have one
-    size: the routine behind `mm_value` and `max_matching` finds a maximum
-    matching whichever side it roots on."""
+    `_augment` rooted on b, a brute-force matching of the crossing edges
+    and the Koenig cover, whose matching is rooted on a, have one size:
+    the routine behind `mm_value` and the cover finds a maximum matching
+    whichever side it roots on."""
     rng = random.Random(28)
     graphs = atlas_connected(3, 7)
     graphs += [random_connected_graph(n, rng, p=p) for n in range(8, 13) for p in (0.2, 0.3)]
@@ -99,7 +117,7 @@ def test_mm_from_both_sides_is_brute_force_and_cover_size():
             crossing = [(u, v) for u, v in g.edges if (a >> u) & 1 != (a >> v) & 1]
             size = brute_max_matching(crossing)
             assert mm_value(g, a) == mm_value(g, b) == size
-            assert len(max_matching(g, b)) == size
+            assert len(matching(g, b)) == size
             assert min_vertex_cover(g, a).bit_count() == size
 
 
@@ -119,9 +137,9 @@ def test_matching_long_augmenting_path_in_bounded_stack():
     g = Graph(left + right, edges)
     a = mask_of(left)
     with bounded_stack():
-        matching = max_matching(g, a)
+        found = matching(g, a)
         cover = min_vertex_cover(g, a)
-    assert matching == {right[0]: left[k],
+    assert found == {right[0]: left[k],
                         **{right[i]: left[i - 1] for i in range(1, k + 1)}}
     assert cover.bit_count() == k + 1
     assert all((cover >> u) & 1 or (cover >> v) & 1 for u, v in g.edges)

@@ -42,18 +42,20 @@ def test_mask_helpers_match_reference(seed):
         for seq in oracles._walk_paths(g, m):
             assert partner(state[2], w, d1, seq[0]) == seq[-1]
             assert partner(state[2], w, d1, seq[-1]) == seq[0]
+        above = (1 << w) * w  # the first bit above the field of id (1 << w) - 1
+        marked = (d1, d2, state[2] | 7 << above)
         for u, v in g.edge_set(((1 << g.m) - 1) & ~m):
             i = g.edge_index[(u, v)]
-            fam = {(*state, 7): m}
+            fam = {marked: m}
             grow(g, w, fam, i)
             assert len(fam) == 1 + oracles._can_add_edge(g, m, u, v, True)
-            assert fam[(*state, 7)] == m
+            assert fam[marked] == m
             if len(fam) > 1:
-                (*grown_state, tally), ext = list(fam.items())[1]
-                assert (ext, tally) == (m | 1 << i, 7)
+                (gd1, gd2, gpe), ext = list(fam.items())[1]
+                assert (ext, gpe >> above) == (m | 1 << i, 7)
                 if is_path_system(g, ext):
                     want = path_state(g, ext)
-                    assert ends_pairing(g, grown_state) == ends_pairing(g, want)
+                    assert ends_pairing(g, (gd1, gd2, gpe)) == ends_pairing(g, want)
 
 
 def ends_pairing(g, state):
@@ -328,7 +330,7 @@ def test_trim_separator_matches_torso_route(seed):
             got = trim_separator(g, a, sep, family(g, masks), got_trace)
             want = torso_route(g, a, sep, masks, want_trace)
             assert list(got.values()) == want
-            assert all(key == (*path_state(g, m), 0) for key, m in got.items())
+            assert all(key == path_state(g, m) for key, m in got.items())
             assert got_trace == want_trace
             torsos = [oracles._torso(g, m, a, sep) for m in masks]
             live = [t for t in torsos if t is not None]
@@ -345,7 +347,7 @@ def test_trim_separator_matches_torso_route(seed):
 def test_preserving_extension_small_separator_rejected():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
-        preserving_extension(g, mask_of([0, 1]), mask_of([2]), {(0, 0, 0, 0): 0}, 0)
+        preserving_extension(g, mask_of([0, 1]), mask_of([2]), {(0, 0, 0): 0}, 0)
 
 
 def test_preserving_extension_no_estar():
@@ -449,9 +451,9 @@ def test_extension_forgets_every_vertex_before_one_trim(monkeypatch):
         preserving_extension(g, a, c, family(g, fam), estar)
         (sep, handed_fam), = calls
         assert sep == c
-        assert len({key[:3] for key in handed_fam}) == len(handed_fam)
-        for (d1, d2, pe, _), m in handed_fam.items():
-            assert not todo & ~d2
+        for key, m in handed_fam.items():
+            assert key == path_state(g, m)
+            assert not todo & ~key[1]
             assert m & inner in fam and not m & ~inner & ~estar
         handed += len(handed_fam)
         optional.add(bool(estar & ~g.edges_between(todo, c)))
@@ -597,16 +599,19 @@ def highest_first(g, undecided, left, boundary, forget):
 
 
 def reference_frontier(g, items, left, home, boundary, forget, pick=kill_first):
-    """The list fold: after every decided vertex each (edge-mask, d1, d2,
-    pe, tally) item is keyed afresh into a new dict, dead ones skipped
-    and the boundary forgotten, and the dict is copied back into a list;
-    the growth steps append to that list.  Without `forget` the vertices
-    of `home` that no edge of `left` meets kill nothing, as in `frontier`,
-    whose callers leave them at degree two.  `pick` chooses the next
-    vertex to decide."""
+    """The list fold over (edge-mask, d1, d2, pe) items: each gets a
+    tally of its own, 0, and after every decided vertex each (edge-mask,
+    d1, d2, pe, tally) item is keyed afresh into a new dict, dead ones
+    skipped and the boundary forgotten into the tally, and the dict is
+    copied back into a list; the growth steps append to that list.  The
+    items returned are (edge-mask, d1, d2, pe) again.  Without `forget`
+    the vertices of `home` that no edge of `left` meets kill nothing, as
+    in `frontier`, whose callers leave them at degree two.  `pick` chooses
+    the next vertex to decide."""
     w = field_width(g)
     free = (1 << w) - 1
     fields = (1 << free * w) - 1
+    items = [(*item, 0) for item in items]
     undecided = 0
     for i in bits(left):
         undecided |= g.edge_vertices[i]
@@ -630,7 +635,8 @@ def reference_frontier(g, items, left, home, boundary, forget, pick=kill_first):
                 best[key] = m
         items = [(m, *key) for key, m in best.items()]
         if not undecided:
-            return [(m, *path_state(g, m), 0) for m, *_ in items] if forget else items
+            return [(m, *path_state(g, m)) if forget else (m, d1, d2, pe)
+                    for m, d1, d2, pe, _ in items]
         v = pick(g, undecided, left, boundary, forget)
         group = left & g.incident[v]
         for i in bits(group):
@@ -684,9 +690,9 @@ def seeded_folds(seed):
             if b:
                 fa = family(g, sampled_paths(g, a, rng, hcs))
                 fb = family(g, sampled_paths(g, b, rng, hcs))
-                pairs = {(d1a | d1b, d2a | d2b, pea | peb, 0): sa | sb
-                         for (d1a, d2a, pea, _), sa in fa.items()
-                         for (d1b, d2b, peb, _), sb in fb.items()}
+                pairs = {(d1a | d1b, d2a | d2b, pea | peb): sa | sb
+                         for (d1a, d2a, pea), sa in fa.items()
+                         for (d1b, d2b, peb), sb in fb.items()}
                 yield (g, "join", pairs, g.edges_between(a, b), a | b,
                        cut_of(g, a | b)[0])
 

@@ -14,6 +14,7 @@ from smhc.generators import (random_connected_graph, caterpillar_decomposition,
                              grid_graph)
 from smhc import oracles
 from tests.conftest import bounded_stack, family, live, partner
+from tests.test_repsets import reference_frontier
 
 
 def certificate_valid(g, emask, home):
@@ -220,7 +221,7 @@ def test_join_hands_trim_its_precondition(monkeypatch):
     state, or on a twin cut the number of path ends and of isolated
     vertices), and no member is a cycle unless the home is V.  Every
     family `join` hands to `trim`, and every family `trim` returns, maps
-    the key (*path_state(g, m), 0) to each of its members m.  Seeded
+    the key path_state(g, m) to each of its members m.  Seeded
     graphs with n <= 9 are solved along `approx_sm_decomposition` and along
     a caterpillar in a random vertex order; the calls cover twin cuts,
     estar cuts, cuts without estar edges and trims that drop members."""
@@ -243,7 +244,7 @@ def test_join_hands_trim_its_precondition(monkeypatch):
     seen = dict.fromkeys(["twin", "estar", "no estar", "two or more members", "dropped"], 0)
     for g, a, fam, out, (boundary, nbr, twin) in calls:
         for key, m in [*fam.items(), *out.items()]:
-            assert key == (*path_state(g, m), 0)
+            assert key == path_state(g, m)
         seen["dropped"] += len(out) < len(fam)
         keys = set()
         for m in fam.values():
@@ -370,7 +371,7 @@ def test_join_vertex_matches_frontier(monkeypatch):
         assert got == trim(g, home, repsets.frontier(g, fam, left, home, boundary, True), cut)
         seen["v outside"] += not boundary >> v & 1
         w, near = field_width(g), g.adj[v] & home
-        for d1, d2, pe, _ in fam:
+        for d1, d2, pe in fam:
             if near & ~boundary & ~d1:
                 continue  # a closing vertex of degree zero: dead
             ends = near & d1 & ~d2
@@ -382,6 +383,87 @@ def test_join_vertex_matches_frontier(monkeypatch):
                 f, low = forced.bit_length() - 1, (rest & -rest).bit_length() - 1
                 seen["forced partner lowest"] += partner(pe, w, d1, f) == low
     assert all(seen.values()), seen
+
+
+def test_every_family_is_keyed_by_state(monkeypatch):
+    """Every family that `join` and `preserving_extension` return maps the
+    state path_state(g, m) of each member m to it, whatever fold made it.
+    Seeded random graphs (n = 5..10) and the cographs of
+    `test_join_vertex_matches_frontier` are solved along
+    `approx_sm_decomposition`; the calls cover plain and forgetting
+    frontiers, single-vertex twin joins and extensions with estar edges."""
+    seen = dict.fromkeys(["plain", "forget", "vertex", "estar"], 0)
+    real_join, real_extension = solver.join, solver.preserving_extension
+    real_fold, real_vertex_fold = solver.frontier, solver.join_vertex
+
+    def keyed(g, fam):
+        for key, m in fam.items():
+            assert key == path_state(g, m)
+
+    def checking_join(g, *args):
+        cut, out = real_join(g, *args)
+        keyed(g, out)
+        return cut, out
+
+    def checking_extension(g, a, c, fam, estar, *rest):
+        out = real_extension(g, a, c, fam, estar, *rest)
+        keyed(g, out)
+        seen["estar"] += bool(estar)
+        return out
+
+    def counting_fold(g, fam, left, home, boundary, forget):
+        seen["forget" if forget else "plain"] += 1
+        return real_fold(g, fam, left, home, boundary, forget)
+
+    def counting_vertex_fold(*args):
+        seen["vertex"] += 1
+        return real_vertex_fold(*args)
+
+    monkeypatch.setattr(solver, "join", checking_join)
+    monkeypatch.setattr(solver, "preserving_extension", checking_extension)
+    monkeypatch.setattr(solver, "frontier", counting_fold)
+    monkeypatch.setattr(solver, "join_vertex", counting_vertex_fold)
+    rng = random.Random(3001)
+    graphs = [random_cograph(rng.randint(5, 14), rng) for _ in range(60)]
+    rng = random.Random(3102)
+    graphs += [random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.3, 0.5, 0.7]))
+               for _ in range(40)]
+    for g in graphs:
+        solve_hc(g, approx_sm_decomposition(g))
+    assert all(seen.values()), seen
+
+
+def test_forgetting_fold_at_the_field_width(monkeypatch):
+    """On random cographs with n = 7 and n = 15, the highest vertex id is
+    one below `free`, the largest value a field of `field_width(g)` bits
+    holds, so the fields reach right up to the `free` field.  Every inner
+    twin join there (a forgetting `frontier` of `join`) equals, as a dict,
+    the list fold `reference_frontier`, which keeps its tally apart from
+    the state; each size has such joins with the highest vertex in the
+    home."""
+    calls = []
+    real_fold = solver.frontier
+
+    def recording(g, fam, left, home, boundary, forget):
+        if forget:
+            calls.append((g, dict(fam), left, home, boundary))
+        return real_fold(g, fam, left, home, boundary, forget)
+
+    monkeypatch.setattr(solver, "frontier", recording)
+    rng = random.Random(3201)
+    top = dict.fromkeys([7, 15], 0)
+    for n, draws in ((7, 30), (15, 4)):
+        for _ in range(draws):
+            g = random_cograph(n, rng)
+            assert (1 << field_width(g)) - 2 == n - 1
+            solve_hc(g, approx_sm_decomposition(g))
+    for g, fam, left, home, boundary in calls:
+        items = [(m, *key) for key, m in fam.items()]
+        want = reference_frontier(g, items, left, home, boundary, True)
+        assert repsets.frontier(g, dict(fam), left, home, boundary, True) == \
+            {tuple(key): m for m, *key in want}
+        top[g.n] += home >> (g.n - 1) & 1
+    assert all(top.values()), top
 
 
 def test_clique_solves_without_a_forgetting_frontier(monkeypatch):
@@ -498,12 +580,12 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
         repsets.preserving_extension(g, a, c, family(g, fa),
                                      g.edges_between(a, c & ~a))
     for fam in fams:
-        for (d1, d2, pe, _), m in fam.items():
+        for (d1, d2, pe), m in fam.items():
             check(m, d1, d2, pe)
             closures += is_hamiltonian_cycle(g, m)
     assert closures or not hamiltonian
     assert any(ext & ~g.edges_within(a_) for a_, ext, *_ in items) or not hamiltonian
-    for _, ext, d1, d2, pe, _ in items:
+    for _, ext, d1, d2, pe in items:
         check(ext, d1, d2, pe)
     assert ends_checked
 
@@ -656,10 +738,10 @@ def test_trim_split_signature_collapse():
     g = Graph(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)])
     a = mask_of([0, 1])
     assert is_split(g, a)
-    out = trim_split(g, a, {(0, 0, 0, 0): 0}, cut_of(g, a))
-    assert out == {(0, 0, 0, 0): 0}
+    out = trim_split(g, a, {(0, 0, 0): 0}, cut_of(g, a))
+    assert out == {(0, 0, 0): 0}
     with pytest.raises(ValueError):
-        trim_split(g, mask_of([0, 2]), {(0, 0, 0, 0): 0}, cut_of(g, mask_of([0, 2])))
+        trim_split(g, mask_of([0, 2]), {(0, 0, 0): 0}, cut_of(g, mask_of([0, 2])))
 
 
 def test_trim_split_preserves():
@@ -677,7 +759,7 @@ def test_trim_split_preserves():
 def test_trim_dispatch():
     g = complete_graph(6)
     a = mask_of([0, 1, 2])
-    lone = {(0, 0, 0, 0): 0}
+    lone = {(0, 0, 0): 0}
     assert trim(g, a, lone, cut_of(g, a)) == lone  # a live lone member stays
     fam = [0, g.edge_mask([(0, 1)])]
     assert set(trim(g, a, family(g, fam), cut_of(g, a)).values()) <= set(fam)
@@ -784,7 +866,7 @@ def test_merge_many_cross_edges_in_bounded_stack():
     trace = {"trims": []}
     with bounded_stack():
         b = mask_of(range(1, k + 1))
-        join(g, 1, b, {(0, 0, 0, 0): 0}, {(0, 0, 0, 0): 0}, cut_of(g, 1), cut_of(g, b), trace)
+        join(g, 1, b, {(0, 0, 0): 0}, {(0, 0, 0): 0}, cut_of(g, 1), cut_of(g, b), trace)
     (_, out, _), = trace["trims"]
     assert len(out) == len(set(out)) == 1 + k + k * (k - 1) // 2
     assert all(m.bit_count() <= 2 for m in out)
