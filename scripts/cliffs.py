@@ -7,8 +7,11 @@ the p = 0.3 stream (`random_connected_graph(n, Random(1), p=0.3)` drawn
 for n = 10, 11, ... in turn) at n = 13, 19, 21 and 22; K_{6,6} with a
 decomposition whose root edge separates the two sides; and
 `cograph-n14-6`, the 7th n = 14 draw of a `workloads.random_cograph`
-survey that draws 8 cographs per n = 12, 13, ... from one `Random(99)`.  Each input runs in
-its own subprocess, with this checkout's `src` first on the path, a
+survey that draws 8 cographs per n = 12, 13, ... from one `Random(99)`;
+and the 11 draws of the survey that draws 8 `workloads.random_cograph`
+per n = 16, 18, ..., 26 from one `Random(5)` on which the folding twin
+join ran out of time or memory (`cograph-survey-n22-1` and so on, named
+by n and draw).  Each input runs in its own subprocess, with this checkout's `src` first on the path, a
 2 GB address-space cap (RLIMIT_AS) set in the child and a 60 s wall
 limit.  The child decomposes with `approx_sm_decomposition` (K_{6,6} takes
 its given tree) and runs `solve_hc`.
@@ -90,6 +93,14 @@ def corpus() -> list[dict]:
     draws = [workloads.random_cograph(n, rng) for n in (12, 13, 14) for _ in range(8)]
     out.append({"label": "cograph-n14-6", "n": 14, "edges": draws[22],
                 "reference": "brute"})
+    rng = random.Random(5)
+    survey = {f"n{n}-{j}": workloads.random_cograph(n, rng) for n in range(16, 27, 2)
+              for j in range(8)}
+    for name in ("n22-1", "n22-2", "n22-4", "n22-7", "n24-4", "n24-6",
+                 "n26-0", "n26-1", "n26-2", "n26-3", "n26-5"):
+        n = int(name[1:3])
+        out.append({"label": f"cograph-survey-{name}", "n": n, "edges": survey[name],
+                    "reference": "brute" if n <= workloads.BRUTE_LIMIT else "witness"})
     return out
 
 

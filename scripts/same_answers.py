@@ -245,9 +245,11 @@ def main(argv=None) -> int:
                 same += 1
                 continue
             differences += 1
-            fields = [k for k in ("verdict", "witness", "cli", "node_sizes",
+            fields = [k for k in ("verdict", "witness", "node_sizes",
                                   "max_family_by_k", "trims", "decomposition")
                       if old[k] != new[k]]
+            if old["cli"] != new["cli"]:  # the exit code, or else only the output
+                fields.insert(2, "exit code" if old["cli"][0] != new["cli"][0] else "hc output")
             line = f"  {inp['label']}: {', '.join(fields)} differ"
             if "node_sizes" in fields:
                 line += (f" (family sum {sum(old['node_sizes'])} -> "

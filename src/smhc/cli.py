@@ -177,6 +177,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"the {args.family} family needs --n, sizes of at least 1")
     if args.family == "grid" and min(ks) < 1:
         raise ValueError("the grid family needs --k, cut sizes of at least 1")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     if args.family == "random":
         ks = [0]  # only the grid family reads k
     tasks = []

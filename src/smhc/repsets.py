@@ -1,17 +1,17 @@
 """Hamiltonian-cycle representative sets over a separator.
 
 A certificate family (`Family`) has one form everywhere, in `solver` too:
-one dict from the state (d1, d2, pe) of each member to the least edge
-mask with that state (inside a forgetting fold, `frontier` keys by a
-coarser twin key of the same shape).  It is pruned over a separator by keeping a representative
-subfamily (`trim_separator`): whenever some member closes a Hamiltonian
-cycle with a completion, some kept member does too.
-`preserving_extension` keeps the members of a family whose extensions by
-its cross edges a trim over a cut cover c keeps.  One fold loop,
-`frontier`, grows families by edge sets for it and for `solver.join`
-alike, in that dict; `join_vertex` returns what it returns when a single
-vertex joins a twin home, in one pass over the members; both rely on
-the precondition `frontier` states.  By Lemma 3 below keeping one member
+one dict from the state (d1, d2, pe) of each member to an edge mask with
+that state, the least one wherever a fold made it.  It is pruned over a
+separator by keeping a representative subfamily (`trim_separator`):
+whenever some member closes a Hamiltonian cycle with a completion, some
+kept member does too.  `preserving_extension` keeps the members of a
+family whose extensions by its cross edges a trim over a cut cover c
+keeps.  One fold loop, `frontier`, grows families by edge sets for it
+and for `solver.join` alike, in that dict, under the precondition it
+states; `join_twins` builds the family of a join whose home and sides
+are twin cuts by counting, one member per tally (paths, isolated
+vertices), and folds no edge.  By Lemma 3 below keeping one member
 per state loses nothing, so the rank basis runs once per trim.  Edge sets
 are bitmasks over the host's edge list.  A path system travels with its
 state (d1, d2, pe): its vertices of degree >= 1 and >= 2, and one int
@@ -82,9 +82,12 @@ repeated torso is dependent on its first occurrence.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import islice
+
 from .graph import Graph, bits
 
-Family = dict[tuple[int, int, int], int]  # state (d1, d2, pe) -> least edge mask
+Family = dict[tuple[int, int, int], int]  # state (d1, d2, pe) -> an edge mask with it
 
 
 # -- path-system state from vertex bitmasks -------------------------------
@@ -298,103 +301,61 @@ def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
         raise ValueError("separator must have size at least three")
     fold = {key: m for key, m in fam.items() if a.bit_count() - m.bit_count() <= csize}
     if estar:
-        fold = frontier(g, fold, estar, a, c, False)
+        fold = frontier(g, fold, estar, a, c)
     cores = {m & ~estar for m in trim_separator(g, a, c, fold, trace).values()}
     return {key: m for key, m in fam.items() if m in cores}
 
 
-def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
-             forget: bool) -> Family:
-    """The family grown by every valid set of `left`, the least mask per key.
+def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int) -> Family:
+    """`fam`, which maps the state (d1, d2, pe) of path systems without an
+    edge of `left` to the least mask with it, grown in place by every
+    valid set of `left`, the least mask per state, and returned.
 
-    `fam` maps the state (d1, d2, pe) of path systems without an edge of
-    `left` to the least edge mask with that state.
     Precondition: every vertex of `home` outside `boundary` that no edge
-    of `left` meets has degree two in every member; the fold relies on it.
-    In `solver.join` a vertex of a's boundary off home's boundary has a
-    neighbour in b, hence a cross edge, and any other such vertex has
-    degree two by `solver.trim`'s precondition on fa and fb.  In
-    `preserving_extension` c covers the cut, so a vertex of a \\ c with an
-    outside neighbour meets an estar edge.
+    of `left` meets has degree two in every member; the fold relies on it
+    and reads only `left` and `boundary`.  In `solver.join` a vertex of a's
+    boundary off home's boundary has a neighbour in b, hence a cross edge,
+    and any other such vertex has degree two by `solver.trim`'s
+    precondition on fa and fb.  In `preserving_extension` c covers the cut,
+    so a vertex of a \\ c with an outside neighbour meets an estar edge.
 
     The edges of `left` are folded in through `grow` grouped by vertex:
     next comes the vertex of `undecided` (the ends of `left`) with the
-    fewest edges left, the lowest on ties.  A vertex is decided once it has
-    no edge left; its degree is then final.  A decided vertex outside
-    `boundary` with degree below two kills the member: no later edge meets
-    it.  Without `forget` that kill is the only step that removes members,
-    so the next vertex comes from the undecided vertices outside `boundary`
-    while any are left: their kills land before the boundary's edges
-    multiply the members.  With `forget` every decided vertex can merge
-    members, so the next vertex comes from all of `undecided`.
-
-    A member is keyed when it is made, by the caller or by `grow`, and only
-    a forgetting step re-keys.  Without `forget` a key is the member's
-    state, which no step changes, and `fam` itself is grown and returned;
-    the grow of a step's last edge kills at the step's newly decided
-    vertices, so each member is visited once per edge.  With `forget` every
-    step forgets its newly decided vertices (the first, those of `home`
-    that `left` does not meet) and re-keys every member into a new dict:
-    each such vertex leaves d1 and d2, and one of the boundary with degree
-    below two also has its field cleared, an undecided partner's field set
-    to `free`, and adds to the tally E + (I << w) of decided path ends and
-    decided isolated vertices.  The tally lives in the bits of pe from
-    (free + 1) * w upward, above the `free` field: `grow` never writes
-    there, as it clears and sets only the fields of u, v and their
-    partners, `free` among them, and a re-key clears the `free` field
-    alone.  At the end `path_state` rebuilds the state of each member
-    kept, and the returned dict is keyed by it, so no tally leaves the
-    fold.
+    fewest edges left, the lowest on ties, taken from the undecided
+    vertices outside `boundary` while any are left.  A vertex is decided
+    once it has no edge left; its degree is then final.  A decided vertex
+    outside `boundary` with degree below two kills the member: no later
+    edge meets it.  That kill is the only step that removes members, so
+    deciding the vertices outside `boundary` first lands their kills
+    before the boundary's edges multiply the members.  A member is keyed
+    by its state when it is made, by the caller or by `grow`, and no step
+    changes a key; the grow of a step's last edge kills at the step's newly
+    decided vertices, so each member is visited once per edge.
 
     Exactness, which holds for any order of the vertices.  Two members with
-    one key accept the same later edges, which meet undecided vertices
-    only, and end with one key and liveness.  Later edges are disjoint from
-    both masks, so adding them keeps the order of the two: the frontier
-    keeps the least live member per final key.  Keeping the least mask per
-    key as members are made keeps the same: a grown member's key follows
-    from its parent's key and the edge, and adding an edge that neither
-    mask holds keeps their order.  Killing inside a grow keeps it too:
-    liveness is read off the key, so a key is either stored and kept or
-    never stored, and the live keys keep their order and least masks.
-    Hence `solver.trim`'s precondition: in `solver.join` the members and
-    `left` lie in `home`, so all of `home` is decided by the end, each
+    one state accept the same later edges, which meet undecided vertices
+    only, and end with one state and liveness.  Later edges are disjoint
+    from both masks, so adding them keeps the order of the two: the
+    frontier keeps the least live member per final state.  Keeping the
+    least mask per state as members are made keeps the same: a grown
+    member's state follows from its parent's and the edge, and adding an
+    edge that neither mask holds keeps their order.  Killing inside a grow
+    keeps it too: liveness is read off the state, so a state is either
+    stored and kept or never stored.  Hence `solver.trim`'s precondition
+    in `solver.join`, where the members and `left` lie in `home`: each
     member has degree two at every vertex of `home` outside `boundary` (by
-    the kills where `left` meets it, else by the precondition), and no two
-    share a state or, with `forget`, a tally (path ends, isolated
-    vertices), as the boundary is forgotten and the rest lies in d2.  None
-    is a cycle unless `home` is V: `grow` closes only Hamiltonian cycles.
+    the kills where `left` meets it, else by the precondition), no two
+    share a state, and none is a cycle unless `home` is V, as `grow` closes
+    only Hamiltonian cycles.
     """
     w = field_width(g)
-    free = (1 << w) - 1  # above every vertex id; `grow` writes there unread
-    unfree = ~(free << free * w)  # clears the `free` field alone
-    tally = (free + 1) * w  # the tally's shift in pe, above the free field
     adj, incident = g.adj, g.incident
     undecided = 0
     for i in bits(left):
         undecided |= g.edge_vertices[i]
-    newly = home & ~undecided
-    while True:
-        if forget:
-            fam, old, keep = {}, fam, ~newly
-            for (d1, d2, pe), m in old.items():
-                short = newly & ~d2  # decided, of degree below two
-                if short:
-                    if short & ~boundary:
-                        continue
-                    ends = short & d1
-                    pe += (ends.bit_count() + ((short & ~d1).bit_count() << w)) << tally
-                    while ends:
-                        x = (ends & -ends).bit_length() - 1
-                        ends &= ends - 1
-                        p = (pe >> x * w) & free
-                        pe = pe & ~(free << x * w) | free << p * w
-                key = (d1 & keep, d2 & keep, pe & unfree)
-                if fam.setdefault(key, m) > m:
-                    fam[key] = m
-        if not undecided:
-            return {path_state(g, m): m for m in fam.values()} if forget else fam
+    while undecided:
         fewest = left.bit_count() + 1
-        rest = undecided if forget else undecided & ~boundary or undecided
+        rest = undecided & ~boundary or undecided
         while rest:  # every undecided vertex has an edge left, so 1 is least
             low = rest & -rest
             k = (incident[low.bit_length() - 1] & left).bit_count()
@@ -415,89 +376,122 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int,
         last = group.bit_length() - 1
         for i in bits(group ^ 1 << last):
             grow(g, w, fam, i)
-        grow(g, w, fam, last, 0 if forget else newly & ~boundary)
+        grow(g, w, fam, last, newly & ~boundary)
+    return fam
 
 
-def join_vertex(g: Graph, fam: Family, v: int, left: int, home: int,
-                boundary: int) -> Family:
-    """`frontier(g, fam, left, home, boundary, True)` where home = a ∪ {v},
-    `fam` is a family of a (keyed by state), `left` holds the
-    edges between v and a, and a ∪ {v} is a twin cut whose boundary is
-    `boundary`: one pass over the members, each tried with the least
-    extension of each of six patterns, then `path_state` on the survivors.
+def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
+               cut_a: tuple[int, int, bool], cut_b: tuple[int, int, bool]) -> Family:
+    """Family of home a | b when it and both sides are twin cuts (a single
+    vertex always is), cut_a and cut_b read as `solver.cut_of` does: one
+    member per tally (paths, isolated vertices) the pairs of fa and fb
+    reach, keyed by `path_state`.  No cross edge is folded, and a member
+    with a vertex off its side's boundary below degree two is skipped.
 
-    Exactness.  A forgetting fold decides all of home, so it keys each
-    survivor by its tally (E, I), its numbers of vertices of degree one and
-    zero, and keeps the least mask per tally; those vertices all lie in the
-    boundary, as every other one must end at degree two.  The extensions of
-    a member m are the sets S of at most two edges of `left` (v's degree)
-    whose other ends x have degree at most one in m; a pair must not join
-    the two ends of one path, which closes a cycle, and home is not V.
-    Liveness: a *closing* vertex, one of a adjacent to v and outside the
-    boundary, is dead at degree zero, must be in S at degree one and stays
-    out of S at degree two; any other vertex of a outside the boundary has
-    degree two by `frontier`'s precondition; and if v is outside the
-    boundary, |S| = 2.  S takes nothing, one isolated vertex, one end, two
-    isolated vertices, one of each, or two ends; these patterns move (E, I)
-    by (0, +1), (+2, -1), (0, 0), (+2, -2), (0, -1) and (-2, 0).  The moves
-    are all different, so per member and pattern only the least extension,
-    m | S, can count.  It takes the lowest-index candidate edges, and
-    `Graph` sorts its edges as pairs: the lowest candidate vertices.  With
-    two ends, the least pair is the lowest end (the forced one, if any) and
-    the lowest other end that is not its partner: if that partner is the
-    second lowest end, the third lowest pairs with the lowest.  So at most
-    three ends are read.
+    Exactness.  If a cross edge exists, the cross edges are all of
+    boundary(a) x boundary(b): every boundary vertex of a sees all of
+    N(a) ∩ b, so boundary(b) = N(a) ∩ b, and likewise from b's side.  By
+    `solver.trim`'s precondition a member of a side is, for completion,
+    its p paths and i isolated vertices, all on the side's boundary (its
+    units); its other vertices have degree two.  Per side choose p1 and p2
+    paths that take one or two cross edges (one per end) and i1 and i2
+    isolated vertices that take one or two; s = p1 + 2 p2 + i1 + 2 i2
+    must be equal on both sides.  The units then form alternating chains,
+    with no cycle, iff s = 0 or d1 = p1 + i1 summed over both sides is at
+    least two (`_chains` builds them), so per (s, z) each side takes the
+    choice with the most degree-one units, z counting the isolated
+    vertices left unused.  A side whose boundary leaves the home's (N(a)
+    within home, all or none, as the side is twin) must use every unit
+    fully.  The result has z isolated vertices and units - s - z paths.  A
+    cycle would close only at the root, which is no twin cut.  Members of
+    one tally complete alike, since a bijection of the twin boundary
+    carries a completion of one to the other, so the first pair that
+    reaches a tally is realised, once, on the lowest-id units.
     """
-    w = field_width(g)
-    field = (1 << w) - 1
-    a = home & ~(1 << v)
-    edge, near = {0: 0}, 0  # vertex bit of a -> bit of its edge to v
-    for i in bits(left):
-        x = g.edge_vertices[i] & a
-        edge[x] = 1 << i
-        near |= x
-    closing = near & ~boundary
-    pair = not boundary >> v & 1  # v must take two edges
-    one = 1 << w  # one isolated vertex, in a tally E + (I << w)
-    out: dict[int, int] = {}
-    for (d1, d2, pe), m in fam.items():
-        if closing & ~d1:
+    (ba, na, _), (bb, nb, _), home = cut_a, cut_b, a | b
+    cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
+    w, index, out = field_width(g), g.edge_index, {}
+    sides_b = [(key, m, (key[0] & ~key[1]).bit_count() >> 1, (b & ~key[0]).bit_count())
+               for key, m in fb.items() if not b & ~bb & ~key[1]]
+    chosen: dict[tuple[int, int], tuple] = {}
+    for ka, ma in fa.items():
+        if a & ~ba & ~ka[1]:
             continue
-        ends = near & d1 & ~d2
-        forced = closing & ends
-        nforced = forced.bit_count()
-        if nforced > 2:
-            continue
-        tally = (d1 & ~d2).bit_count() + ((a & ~d1).bit_count() << w)
-        iso = near & ~d1
-        x = iso & -iso
-        x2 = (iso ^ x) & -(iso ^ x)
-        first = forced or ends
-        y, y2 = first & -first, 0
-        if y:  # the other forced end, else the lowest other end; not y's partner
-            rest = (forced & ~y or ends & ~y) & ~(1 << ((pe >> (y.bit_length() - 1) * w) & field))
-            y2 = rest & -rest
-        ex, ex2, ey, ey2 = edge[x], edge[x2], edge[y], edge[y2]
-        options = []  # (S, move of the tally), the least S of each pattern
-        if not forced:
-            if not pair:
-                options.append((0, one))
-                if x:
-                    options.append((ex, 2 - one))
-            if x2:
-                options.append((ex | ex2, 2 - 2 * one))
-        if y and nforced < 2:
-            if not pair:
-                options.append((ey, 0))
-            if x:
-                options.append((ey | ex, -one))
-        if y2:
-            options.append((ey | ey2, -2))
-        for s, move in options:
-            key, grown = tally + move, m | s
-            if out.setdefault(key, grown) > grown:
-                out[key] = grown
-    return {path_state(g, m): m for m in out.values()}
+        pa, ia = (ka[0] & ~ka[1]).bit_count() >> 1, (a & ~ka[0]).bit_count()
+        for kb, mb, pb, ib in sides_b:
+            for tally, plan in _twin_plans(pa, ia, full_a, pb, ib, full_b, cross):
+                if tally not in chosen:
+                    chosen[tally] = ka, ma, kb, mb, plan
+    for ka, ma, kb, mb, (ua, ub) in chosen.values():
+        m = ma | mb
+        for chain in _chains(*_units(w, a, ka, ua), *_units(w, b, kb, ub)):
+            for (_, u), (v, _) in zip(chain, chain[1:]):
+                m |= 1 << index[(u, v) if u < v else (v, u)]
+        out[path_state(g, m)] = m
+    return out
+
+
+@cache
+def _twin_plans(pa: int, ia: int, full_a: bool, pb: int, ib: int, full_b: bool,
+                cross: bool) -> tuple:
+    """((paths, isolated), (use of a, use of b)) per tally a pair of members
+    with these units reaches; a use is (p2, p1, i2, i1), see `join_twins`.
+    Cached for the process: it reads small counts and returns a tuple."""
+    plans, units = {}, pa + ia + pb + ib
+    sides_b = _twin_uses(pb, ib, full_b)
+    for (s, za), ua in _twin_uses(pa, ia, full_a).items():
+        for (sb, zb), ub in sides_b.items():
+            if sb == s and (not s or cross and ua[1] + ua[3] + ub[1] + ub[3] >= 2):
+                plans.setdefault((units - s - za - zb, za + zb), (ua, ub))
+    return tuple(plans.items())
+
+
+def _twin_uses(p: int, i: int, full: bool) -> dict:
+    """(s, z) -> the use (p2, p1, i2, i1) of one side's p paths and i
+    isolated vertices with the most degree-one units."""
+    uses: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    for p2 in (p,) if full else range(p + 1):
+        for p1 in (0,) if full else range(p - p2 + 1):
+            for i2 in (i,) if full else range(i + 1):
+                for i1 in (0,) if full else range(i - i2 + 1):
+                    key = p1 + 2 * p2 + i1 + 2 * i2, i - i1 - i2
+                    if key not in uses or p1 + i1 > uses[key][1] + uses[key][3]:
+                        uses[key] = p2, p1, i2, i1
+    return uses
+
+
+def _units(w: int, side: int, key: tuple[int, int, int], use: tuple) -> tuple[list, list]:
+    """The units a use takes of a member, lowest ids first, as (entry, exit)
+    vertex pairs: those that take two cross edges, then those that take
+    one (at a path's lower end)."""
+    (d1, d2, pe), (p2, p1, i2, i1) = key, use
+    field, ends, paths = (1 << w) - 1, d1 & ~d2, []
+    while len(paths) < p2 + p1:
+        x = (ends & -ends).bit_length() - 1
+        y = (pe >> x * w) & field
+        ends &= ~(1 << x | 1 << y)
+        paths.append((x, y))
+    iso = [(v, v) for v in islice(bits(side & ~d1), i2 + i1)]
+    return paths[:p2] + iso[:i2], [(x, x) for x, _ in paths[p2:]] + iso[i2:]
+
+
+def _chains(x2: list, x1: list, y2: list, y1: list) -> list:
+    """Alternating chains over two sides' units, x2 and y2 taking two edges
+    and x1 and y1 one, with equal edge counts and x1 + y1 >= 2 if any: one
+    chain through every unit of two, ended by units of one, then pairs."""
+    if len(x2) < len(y2):
+        x2, x1, y2, y1 = y2, y1, x2, x1
+    chains, k = [], len(y2)
+    if x2:  # y1[0], x2[0], y2[0], ..., y2[k - 1], then x2[k] and y1[1], or x1[0]
+        body = [u for pair in zip(x2, y2) for u in pair]
+        if len(x2) > k:
+            chains.append([y1[0], *body, x2[k], y1[1]])
+            chains += ([y1[2 * j], u, y1[2 * j + 1]] for j, u in enumerate(x2[k + 1:], 1))
+            y1 = y1[2 * (len(x2) - k):]
+        else:
+            chains.append([y1[0], *body, x1[0]])
+            x1, y1 = x1[1:], y1[1:]
+    return chains + list(zip(x1, y1))
 
 
 def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:

@@ -4,19 +4,20 @@ A certificate is an edge bitmask forming vertex-disjoint paths inside its
 home vertex set (or a Hamiltonian cycle of the whole graph, at the root).
 A family (`repsets.Family`), one per decomposition node, maps the state
 (d1, d2, pe) of each certificate to it: the vertices of degree >= 1 and
->= 2 and the pairing of its path ends (see `repsets`), set in O(1) where
-the certificate is made.  Every step reads and returns that form, from
+>= 2 and the pairing of its path ends (see `repsets`), set where the
+certificate is made.  Every step reads and returns that form, from
 the leaves' {(0, 0, 0): 0} to the root.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
-merge, the twin test and the trims read only that cut.  A merge lists no members: all pairs are keyed once
-into one dict, which one frontier (`repsets.frontier`) grows over the
-cross edges, forgetting each vertex once its edges are decided and
-keeping one live member per key; that dict is the merged family, and it
-meets `trim`'s precondition, which no step re-checks.  A single vertex
-joined to a twin home takes one pass per member instead
-(`repsets.join_vertex`), with the frontier's result.  Each trim then
-applies only its own rules: the slot rules of twin cuts (`trim_split`),
-elsewhere the rep-set trim over a cut cover (`trim_vc`).
+merge, the twin test and the trims read only that cut.  A join whose
+home and sides are twin cuts (a single vertex always is) builds one
+member per reachable tally (paths, isolated vertices) by counting
+(`repsets.join_twins`).  Every other join keys all pairs once into the
+dict of one frontier (`repsets.frontier`), which grows them over the
+cross edges and keeps the least live member per state.  Either family
+meets `trim`'s precondition, which no step re-checks.  Each trim then
+applies only its own rules: the slot rules of twin cuts, one member per
+tally (`trim_split`), elsewhere the rep-set trim over a cut cover
+(`trim_vc`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (is_split, mm_value: benchmark hooks)
 from .branchdec import BranchDecomposition
-from .repsets import (Family, frontier, is_hamiltonian_cycle, join_vertex,
+from .repsets import (Family, frontier, is_hamiltonian_cycle, join_twins,
                       pad_separator, preserving_extension)
 
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
@@ -57,41 +58,37 @@ def cut_of(g: Graph, a: int) -> Cut:
 
 def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cut,
          trace: dict | None = None) -> tuple[Cut, Family]:
-    """Cut and family of home a | b: each pair of fa and fb with every
-    valid set of its cross edges, in one `repsets.frontier`, trimmed once
-    unless a | b is the whole graph.  When a | b is a twin cut and one side
-    is a single vertex with the leaf's family (`LEAF`) and a cross edge,
-    `repsets.join_vertex` returns what the frontier would, in one pass over
-    the other side's members; every other join runs the frontier.  The
-    pairs are keyed by state straight into the frontier's dict, and the
-    dict it returns is the family: the states within fa and within fb are
-    distinct, and so are the pairs', as the homes are disjoint.  Against
-    `LEAF` the pairs are the other family's members under their own keys,
-    so that dict is a copy of it; neither input is changed.  The cut and
-    the cross edges are read off the cuts of a and b in O(|boundary of a| +
-    |boundary of b|) big-int operations.  No twin cut needs a path limit:
-    `trim_split` keeps no member with more paths than the mm of its side,
-    and the paper's limit is 4 times that.  The fold meets the frontier's
-    precondition, leaves what `trim`'s asks and loses no completion:
-    members of one twin signature complete alike, and of one state
-    `preserving_extension` keeps the least (`repsets` Lemma 3).  At the
-    root every survivor is a Hamiltonian cycle, and the least is kept.
+    """Cut and family of home a | b, trimmed once unless a | b is the
+    whole graph.  When a | b, a and b are twin cuts, `repsets.join_twins`
+    counts the family, one member per tally.  Every other join, a twin
+    home with a plain side among them, runs one `repsets.frontier` that
+    grows each pair of fa and fb by every valid set of its cross edges.
+    The pairs are keyed by state straight into its dict, which it returns
+    as the family: the states within fa and within fb are distinct, and so
+    are the pairs', as the homes are disjoint.  Against `LEAF` the pairs
+    are the other family's members under their own keys, so that dict is a
+    copy of it; neither input is changed.  The cut and the cross edges are
+    read off the cuts of a and b in O(|boundary of a| + |boundary of b|)
+    big-int operations.  No twin cut needs a path limit: `trim_split`
+    keeps no member with more paths than the mm of its side, and the
+    paper's limit is 4 times that.  Both ways meet `trim`'s precondition
+    and lose no completion.  At the root every survivor is a Hamiltonian
+    cycle, and the least is kept.
     """
     if a & b:
         raise ValueError("certificate homes must be disjoint")
     home = a | b
-    (ba, na, _), (bb, nb, _) = cut_a, cut_b
+    (ba, na, twin_a), (bb, nb, twin_b) = cut_a, cut_b
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
-    left = g.edges_at(ba & nb) & g.edges_at(bb & na)
-    if fa == LEAF:  # a leaf's family, if either side has one, is fb
-        a, b, fa, fb = b, a, fb, fa
-    if fb == LEAF and cut[2] and left and not b & (b - 1):
-        fold = join_vertex(g, fa, b.bit_length() - 1, left, home, cut[0])
+    if cut[2] and twin_a and twin_b:
+        fold = join_twins(g, a, b, fa, fb, cut_a, cut_b)
     else:
+        if fa == LEAF:  # a leaf's family, if either side has one, is fb
+            fa, fb = fb, fa
         fold = dict(fa) if fb == LEAF else {
             (d1a | d1b, d2a | d2b, pea | peb): sa | sb
             for (d1a, d2a, pea), sa in fa.items() for (d1b, d2b, peb), sb in fb.items()}
-        fold = frontier(g, fold, left, home, cut[0], cut[2])
+        fold = frontier(g, fold, g.edges_at(ba & nb) & g.edges_at(bb & na), home, cut[0])
     return cut, trim(g, home, fold, cut, trace)
 
 
@@ -146,31 +143,38 @@ def _matched(g: Graph, boundary: int, nbr: int) -> bool:
 
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
-    """The members of a twin cut's family (`cut_of(g, a)`) that may complete.
+    """The members of a twin cut's family (`cut_of(g, a)`) that may
+    complete, the least per tally (paths, isolated vertices).
 
     Every boundary vertex sees the same t outside vertices, and under
-    `trim`'s precondition one member is left per twin signature (paths,
-    isolated vertices).  A member is dropped when it has an isolated vertex
-    and t < 2, or more than t paths and isolated vertices: a cycle through
-    it takes two cross edges per path or isolated vertex, at most two at
-    each outside neighbour.  Every path holds a boundary vertex, so a kept
-    certificate has at most min(t, |boundary|) paths, the mm of the cut.
+    `trim`'s precondition every path end and isolated vertex lies on the
+    boundary, so members of one tally complete alike: a bijection of the
+    boundary carries a completion of one to the other.  A member is
+    dropped when it has an isolated vertex and t < 2, or more than t paths
+    and isolated vertices: a cycle through it takes two cross edges per
+    path or isolated vertex, at most two at each outside neighbour.  Every
+    path holds a boundary vertex, so a kept certificate has at most
+    min(t, |boundary|) paths, the mm of the cut.
     """
     _, common_outside, twin = cut
     if not twin:
         raise ValueError("trim_split needs a twin cut")
     t = common_outside.bit_count()
-    return {(d1, d2, pe): m for (d1, d2, pe), m in fam.items()
-            if (t > 1 or not a & ~d1)
-            and (d1 & ~d2).bit_count() // 2 + (a & ~d1).bit_count() <= t}
+    least: dict[tuple[int, int], tuple] = {}  # (paths, isolated) -> (key, least mask)
+    for key, m in fam.items():
+        tally = (key[0] & ~key[1]).bit_count() // 2, (a & ~key[0]).bit_count()
+        if (t > 1 or not tally[1]) and sum(tally) <= t and m < least.get(tally, (0, m + 1))[1]:
+            least[tally] = key, m
+    return dict(least.values())
 
 
 def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
     """Dispatch on the cut of a (`cut_of(g, a)`): twin cuts use the twin
     rules, others the rep-set trim.  Precondition, proved in
-    `repsets.frontier`: every vertex of a without an outside neighbour has
-    degree two in every member, `fam` holds one member per state, or per
-    twin signature on a twin cut, and no member is a cycle.
+    `repsets.frontier` and `repsets.join_twins`: every vertex of a without
+    an outside neighbour has degree two in every member, `fam` holds one
+    member per state, and no member is a cycle.  On a twin cut one member
+    per tally is all that counts, which `trim_split` ensures.
 
     A lone member m of another side skips the rep-set trim.  It is dropped
     when |a| - |m| > |N(a)|: a cycle through m takes 2|a| - 2|m| cross

@@ -385,6 +385,18 @@ def test_bench_random_family_needs_positive_n(ns, capsys):
     assert captured.err.startswith("error: ") and "--n" in captured.err
 
 
+@pytest.mark.parametrize("family", ["random", "grid"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_bench_needs_positive_samples(family, samples, capsys):
+    """A --samples below 1 exits 2 with an error naming --samples, before
+    the header, for either family: it does not print a header alone."""
+    argv = ["bench", "--family", family, "--n", "6", "--k", "2", "--samples", samples]
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--samples" in captured.err
+
+
 @pytest.mark.parametrize("ns", ["0", "-1", "0,3", "3,0"])
 def test_bench_grid_family_needs_positive_n(ns, capsys):
     """A grid family with a size below 1 exits 2 with an error naming --n,

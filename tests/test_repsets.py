@@ -649,14 +649,35 @@ def reference_frontier(g, items, left, home, boundary, forget, pick=kill_first):
         undecided ^= newly
 
 
-def assert_same_fold(g, fold, left, home, boundary, forget):
+def assert_same_fold(g, fold, left, home, boundary):
     """`frontier` keeps the masks, keys and order of the list fold; returns
     the fold's result."""
     items = [(m, *key) for key, m in fold.items()]
-    got = frontier(g, dict(fold), left, home, boundary, forget)
+    got = frontier(g, dict(fold), left, home, boundary)
     assert [(m, *key) for key, m in got.items()] == \
-        reference_frontier(g, items, left, home, boundary, forget)
+        reference_frontier(g, items, left, home, boundary, False)
     return got
+
+
+def by_tally(g, fam, left, home, boundary):
+    """The plain fold's result reduced to what the forgetting list fold
+    keeps, when no member can span g: the least member per twin key among
+    those with degree two at each decided vertex (of `home` or met by
+    `left`) outside `boundary`.  The twin key is the state off the decided
+    vertices, each end's partner read as None when decided, and the tally
+    of decided path ends and isolated vertices.  Keyed by `path_state`."""
+    w, decided = field_width(g), home | degree_masks(g, left)[0]
+    least = {}
+    for (d1, d2, pe), m in sorted(fam.items(), key=lambda item: item[1]):
+        short = decided & ~d2
+        if short & ~boundary:
+            continue
+        pairs = tuple((x, None if decided >> p & 1 else p)
+                      for x in bits(d1 & ~d2 & ~decided) for p in [partner(pe, w, d1, x)])
+        key = (d1 & ~decided, d2 & ~decided, pairs,
+               (short & d1).bit_count(), (short & ~d1).bit_count())
+        least.setdefault(key, m)
+    return {path_state(g, m): m for m in least.values()}
 
 
 def sampled_paths(g, side, rng, hcs):
@@ -697,59 +718,73 @@ def seeded_folds(seed):
                        cut_of(g, a | b)[0])
 
 
-@pytest.mark.parametrize("forget", [False, True])
+@pytest.mark.parametrize("twin", [False, True])
 @pytest.mark.parametrize("seed", range(6))
-def test_keyed_fold_matches_list_fold(seed, forget):
+def test_keyed_fold_matches_list_fold(seed, twin):
     """The keyed `frontier` keeps, per key, the mask and state the list
-    fold keeps, in its order, on the seeded folds.  Without `forget`,
-    join-style folds at the whole graph close Hamiltonian cycles, and some
-    members are removed by a kill only: a fold whose boundary holds its
-    home kills nothing, and the members it keeps with degree two at each
-    end of `left` outside the boundary are exactly the fold's.  With
-    `forget`, some folds keep fewer members than without, as forgotten
-    vertices merge keys."""
+    fold keeps, in its order, on the seeded folds.  Join-style folds at the
+    whole graph close Hamiltonian cycles, and some members are removed by a
+    kill only: a fold whose boundary holds its home kills nothing, and the
+    members it keeps with degree two at each end of `left` outside the
+    boundary are exactly the fold's.  With `twin`, on the folds whose home
+    and `left` leave some vertex out, that fold reduced by `by_tally` is
+    the forgetting list fold as a dict, and some folds keep fewer members
+    than the fold, as decided vertices merge keys: one member per tally is
+    all a twin join needs of a plain fold."""
     seen = {"join": 0, "extension": 0, "no edges": 0}
-    seen.update({"merged": 0} if forget else {"killed": 0, "cycle": 0})
+    seen.update({"merged": 0} if twin else {"killed": 0, "cycle": 0})
     for g, kind, fold, left, home, boundary in seeded_folds(seed):
-        got = assert_same_fold(g, fold, left, home, boundary, forget)
-        seen[kind] += 1
-        if forget:
-            kept = frontier(g, dict(fold), left, home, boundary, False)
-            seen["merged"] += len(got) < len(kept)
+        got = assert_same_fold(g, fold, left, home, boundary)
+        if twin:
+            if home | degree_masks(g, left)[0] == g.vmask:
+                continue
+            items = [(m, *key) for key, m in fold.items()]
+            want = reference_frontier(g, items, left, home, boundary, True)
+            reduced = by_tally(g, got, left, home, boundary)
+            assert reduced == {tuple(key): m for m, *key in want}
+            seen["merged"] += len(reduced) < len(got)
+            seen[kind] += 1
             continue
+        seen[kind] += 1
         seen["cycle"] += any(d1 == g.vmask and not d1 & ~d2 for d1, d2, *_ in got)
-        everything = frontier(g, dict(fold), left, home, home | boundary, False)
+        everything = frontier(g, dict(fold), left, home, home | boundary)
         met = degree_masks(g, left)[0]
         assert got == {key: m for key, m in everything.items() if not met & ~boundary & ~key[1]}
         seen["killed"] += len(everything) - len(got)
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("forget", [False, True])
+@pytest.mark.parametrize("twin", [False, True])
 @pytest.mark.parametrize("seed", range(6))
-def test_fold_content_does_not_depend_on_order(seed, forget):
+def test_fold_content_does_not_depend_on_order(seed, twin):
     """On the seeded folds, `frontier` keeps as a dict what the list fold
     keeps when it decides its vertices by fewest edges alone and when it
     decides the highest id first: only the order of the members depends
-    on the order of the vertices.  Without `forget`, each rule keeps the
-    members of some folds in another order than `kill_first`."""
+    on the order of the vertices, and each rule keeps the members of some
+    folds in another order than `kill_first`.  With `twin`, on the folds
+    whose home and `left` leave some vertex out, the forgetting list fold
+    under each rule equals `by_tally` of `frontier` as a dict."""
     reordered = {fewest_first: 0, highest_first: 0}
     for g, _, fold, left, home, boundary in seeded_folds(seed):
+        if twin and home | degree_masks(g, left)[0] == g.vmask:
+            continue
         items = [(m, *key) for key, m in fold.items()]
-        got = frontier(g, dict(fold), left, home, boundary, forget)
-        base = reference_frontier(g, items, left, home, boundary, forget)
+        got = frontier(g, dict(fold), left, home, boundary)
+        if twin:
+            got = by_tally(g, got, left, home, boundary)
+        base = reference_frontier(g, items, left, home, boundary, twin)
         for pick in reordered:
-            want = reference_frontier(g, items, left, home, boundary, forget, pick)
+            want = reference_frontier(g, items, left, home, boundary, twin, pick)
             assert got == {tuple(key): m for m, *key in want}
             reordered[pick] += want != base
-    assert forget or all(reordered.values()), reordered
+    assert twin or all(reordered.values()), reordered
 
 
 def test_plain_fold_decides_outside_boundary_first(monkeypatch):
     """Home {0, 1, 2} with boundary {0} folds edges 0-2 and 1-2: vertices 0
-    and 1 tie at one edge left.  The plain fold grows the edge of vertex 1,
-    outside the boundary, first; the forgetting fold keeps the lowest id,
-    vertex 0, first.  Both keep the members of the list fold."""
+    and 1 tie at one edge left.  The fold grows the edge of vertex 1,
+    outside the boundary, first, though vertex 0 has the lower id, and
+    keeps the members of the list fold."""
     g = Graph(range(4), [(0, 2), (1, 2), (0, 3)])
     e02, e12 = g.edge_index[(0, 2)], g.edge_index[(1, 2)]
     grown, real_grow = [], repsets.grow
@@ -759,28 +794,31 @@ def test_plain_fold_decides_outside_boundary_first(monkeypatch):
         real_grow(g, w, fam, i, dead)
 
     monkeypatch.setattr(repsets, "grow", recording)
-    for forget, first in ((False, e12), (True, e02)):
-        grown.clear()
-        assert_same_fold(g, family(g, [0]), 1 << e02 | 1 << e12, 0b111, 0b001, forget)
-        assert grown[0] == first
+    assert_same_fold(g, family(g, [0]), 1 << e02 | 1 << e12, 0b111, 0b001)
+    assert grown[0] == e12
 
 
 def test_solver_folds_match_list_fold(monkeypatch):
     """Every fold of `solve_hc` on K5..K9, seeded random graphs (n = 5..10)
     and a 3 x 4 grid along its caterpillar keeps the masks, keys and order
     of the list fold, the folds of `join` and of `preserving_extension`
-    alike, and the verdicts are `brute_hc`'s.  Forgetting folds, estar
-    folds and folds that keep a cycle at the root all occur."""
-    seen = {"forget": 0, "join": 0, "extension": 0, "cycle": 0}
+    alike, and the verdicts are `brute_hc`'s.  Twin joins, which fold no
+    edge, estar folds and folds that keep a cycle at the root all occur."""
+    seen = {"twin": 0, "join": 0, "extension": 0, "cycle": 0}
 
     def checking(kind):
-        def fold(g, fam, left, home, boundary, forget):
-            got = assert_same_fold(g, fam, left, home, boundary, forget)
+        def fold(g, fam, left, home, boundary):
+            got = assert_same_fold(g, fam, left, home, boundary)
             seen[kind] += 1
-            seen["forget"] += forget
             seen["cycle"] += home == g.vmask and bool(got)
             return got
         return fold
+
+    real_twins = solver.join_twins
+
+    def counting(*args):
+        seen["twin"] += 1
+        return real_twins(*args)
 
     rng = random.Random(2301)
     graphs = [(complete_graph(n), None) for n in range(5, 10)]
@@ -790,6 +828,7 @@ def test_solver_folds_match_list_fold(monkeypatch):
     graphs.append((grid, caterpillar_decomposition(list(grid.vertices))))
     monkeypatch.setattr(repsets, "frontier", checking("extension"))
     monkeypatch.setattr(solver, "frontier", checking("join"))
+    monkeypatch.setattr(solver, "join_twins", counting)
     for g, bd in graphs:
         verdict, _ = solve_hc(g, bd or approx_sm_decomposition(g))
         assert verdict == oracles.brute_hc(g)[0]

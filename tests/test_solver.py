@@ -1,4 +1,6 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -156,12 +158,21 @@ def reference_trim_split(g, a, fam, cut):
     return dict(chosen.values())
 
 
+def tally(a, key):
+    """(paths, isolated vertices of a) of a member's state."""
+    d1, d2, _ = key
+    return (d1 & ~d2).bit_count() // 2, (a & ~d1).bit_count()
+
+
 def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
     """At every non-root twin cut of seeded graphs with n <= 9, `join`
-    keeps exactly what the reference twin trim keeps of the members
-    `oracles.conc` lists over all pairs; that family preserves those
-    members.  The cut's flag is the literal twin-cut test."""
-    checked = crossed = 0
+    keeps one member per tally that the reference twin trim keeps of the
+    members `oracles.conc` lists over all pairs, each such a member under
+    its state; that family preserves those members.  When a side is no
+    twin cut, the plain fold runs and `join` keeps exactly the reference's
+    members, the least per tally.  The cut's flag is the literal twin-cut
+    test."""
+    seen = dict.fromkeys(["checked", "crossed", "plain side"], 0)
     for g in seeded_graphs(1411, (0.5, 0.7, 0.9), 16):
         hcs = oracles.enumerate_hamiltonian_cycles(g)
         for a, b, fa, fb, cut, out in recorded_joins(g, monkeypatch):
@@ -172,12 +183,19 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
                 continue
             members = [m for sa in fa.values() for sb in fb.values()
                        for m in oracles.conc(g, a, b, sa, sb)]
-            assert out == reference_trim_split(g, home, family(g, members), cut)
+            want = reference_trim_split(g, home, family(g, members), cut)
+            if cut_of(g, a)[2] and cut_of(g, b)[2]:
+                assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
+                assert set(out.values()) <= set(members)
+                assert all(key == path_state(g, m) for key, m in out.items())
+            else:
+                assert out == want
+                seen["plain side"] += 1
             assert oracles.verify_preservation(g, home, members, list(out.values()),
                                                method="cycles", hcs=hcs)
-            checked += 1
-            crossed += len(members) > len(fa) * len(fb)
-    assert checked >= 40 and crossed >= 20
+            seen["checked"] += 1
+            seen["crossed"] += len(members) > len(fa) * len(fb)
+    assert seen["checked"] >= 40 and seen["crossed"] >= 20 and seen["plain side"], seen
 
 
 def test_frontier_keeps_trim_of_live_conc(monkeypatch):
@@ -217,9 +235,9 @@ def test_frontier_keeps_trim_of_live_conc(monkeypatch):
 def test_join_hands_trim_its_precondition(monkeypatch):
     """Every family `join` hands to `trim` meets `trim`'s precondition,
     read off each member's edge mask: every vertex of the home without an
-    outside neighbour has degree two, no two members share a key (the
-    state, or on a twin cut the number of path ends and of isolated
-    vertices), and no member is a cycle unless the home is V.  Every
+    outside neighbour has degree two, no two members share a state, and no
+    member is a cycle unless the home is V.  On a twin cut no two members
+    `trim` returns share a tally (paths, isolated vertices).  Every
     family `join` hands to `trim`, and every family `trim` returns, maps
     the key path_state(g, m) to each of its members m.  Seeded
     graphs with n <= 9 are solved along `approx_sm_decomposition` and along
@@ -246,14 +264,11 @@ def test_join_hands_trim_its_precondition(monkeypatch):
         for key, m in [*fam.items(), *out.items()]:
             assert key == path_state(g, m)
         seen["dropped"] += len(out) < len(fam)
-        keys = set()
         for m in fam.values():
-            d1, d2, _ = degree_masks(g, m)
-            assert not a & ~boundary & ~d2
+            assert not a & ~boundary & ~degree_masks(g, m)[1]
             assert a == g.vmask or is_path_system(g, m)
-            keys.add(((d1 & ~d2).bit_count(), (a & ~d1).bit_count()) if twin
-                     else path_state(g, m))
-        assert len(keys) == len(fam)
+        assert len({path_state(g, m) for m in fam.values()}) == len(fam)
+        assert not twin or len({tally(a, key) for key in out}) == len(out)
         seen["two or more members"] += len(fam) > 1
         if twin:
             seen["twin"] += 1
@@ -280,16 +295,17 @@ def random_cograph(n, rng):
 
 
 def test_folds_meet_the_frontier_precondition(monkeypatch):
-    """Every `repsets.frontier` and `repsets.join_vertex` call of
-    `solve_hc` meets the precondition `frontier` states, read off each
-    member's edge mask on entry: every vertex of `home` outside `boundary`
-    that no edge of `left` meets has degree two.  Seeded random graphs (n
-    = 5..10) and random cographs (n = 5..12) are solved along
-    `approx_sm_decomposition` and along a caterpillar in a random vertex
-    order.  The calls cover the join's plain and forgetting folds, the
-    extension's estar folds and single-vertex joins, each with such a
-    vertex in some call."""
-    seen = {kind: 0 for kind in ("plain", "forget", "extension", "vertex")}
+    """Every `repsets.frontier` and `repsets.join_twins` call of `solve_hc`
+    meets the precondition `frontier` states, read off each member's edge
+    mask on entry: every vertex of `home` outside `boundary` that no edge
+    of `left` meets has degree two.  For `join_twins` that is every vertex
+    of a side off the side's boundary, as the twin join folds no edge.
+    Seeded random graphs (n = 5..10) and random cographs (n = 5..12) are
+    solved along `approx_sm_decomposition` and along a caterpillar in a
+    random vertex order.  The calls cover the join's plain folds, the
+    extension's estar folds and twin joins, each with such a vertex in
+    some call."""
+    seen = {kind: 0 for kind in ("plain", "extension", "twin")}
     seen.update({f"{kind} checked": 0 for kind in seen})
 
     def check(kind, g, fam, left, home, boundary):
@@ -300,23 +316,24 @@ def test_folds_meet_the_frontier_precondition(monkeypatch):
         seen[f"{kind} checked"] += bool(decided and fam)
 
     real_join_fold, real_extension_fold = solver.frontier, repsets.frontier
-    real_vertex_fold = solver.join_vertex
+    real_twins = solver.join_twins
 
-    def join_fold(g, fam, left, home, boundary, forget):
-        check("forget" if forget else "plain", g, fam, left, home, boundary)
-        return real_join_fold(g, fam, left, home, boundary, forget)
+    def join_fold(g, fam, left, home, boundary):
+        check("plain", g, fam, left, home, boundary)
+        return real_join_fold(g, fam, left, home, boundary)
 
-    def extension_fold(g, fam, left, home, boundary, forget):
+    def extension_fold(g, fam, left, home, boundary):
         check("extension", g, fam, left, home, boundary)
-        return real_extension_fold(g, fam, left, home, boundary, forget)
+        return real_extension_fold(g, fam, left, home, boundary)
 
-    def vertex_fold(g, fam, v, left, home, boundary):
-        check("vertex", g, fam, left, home, boundary)
-        return real_vertex_fold(g, fam, v, left, home, boundary)
+    def twin_join(g, a, b, fa, fb, cut_a, cut_b):
+        check("twin", g, fa, 0, a, cut_a[0])
+        check("twin", g, fb, 0, b, cut_b[0])
+        return real_twins(g, a, b, fa, fb, cut_a, cut_b)
 
     monkeypatch.setattr(solver, "frontier", join_fold)
     monkeypatch.setattr(repsets, "frontier", extension_fold)
-    monkeypatch.setattr(solver, "join_vertex", vertex_fold)
+    monkeypatch.setattr(solver, "join_twins", twin_join)
     rng = random.Random(3101)
     graphs = [random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.3, 0.5, 0.7]))
               for _ in range(40)]
@@ -329,72 +346,90 @@ def test_folds_meet_the_frontier_precondition(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_join_vertex_matches_frontier(monkeypatch):
-    """At every join of a single vertex v, with the leaf's family, to a
-    twin home that `solve_hc` reaches on seeded random cographs (n =
-    5..14) and dense random graphs (n = 5..10), `repsets.join_vertex`
-    then `trim` equals `repsets.frontier` (forgetting) then `trim`, as
-    dicts.  The joins take v on either side, and the members have zero,
-    one and two forced closing vertices (of degree one, adjacent to v and
-    outside the boundary), a forced vertex whose partner is the lowest
-    other end adjacent to v, and v outside the boundary."""
-    calls, sides = [], [0, 0]  # folds; joins that fold v second, first
-    real_join, real_fold = solver.join, solver.join_vertex
+def twin_joins(graphs, monkeypatch):
+    """(g, a, b, fa, fb, cut_a, cut_b, out) of every `repsets.join_twins`
+    call of `solve_hc` along `approx_sm_decomposition`."""
+    calls, real = [], solver.join_twins
 
-    def recording_join(g, a, b, fa, fb, cut_a, cut_b, *rest):
-        done = len(calls)
-        out = real_join(g, a, b, fa, fb, cut_a, cut_b, *rest)
-        if len(calls) > done:  # v was folded: the other order folds alike
-            assert real_join(g, b, a, fb, fa, cut_b, cut_a, *rest) == out
-            for (_, _, v, *_), first in zip(calls[done:], (a, b)):
-                sides[1 << v == first] += 1
+    def recording(g, a, b, fa, fb, cut_a, cut_b):
+        out = real(g, a, b, fa, fb, cut_a, cut_b)
+        calls.append((g, a, b, dict(fa), dict(fb), cut_a, cut_b, dict(out)))
         return out
 
-    def recording_fold(g, fam, v, left, home, boundary):
-        calls.append((g, dict(fam), v, left, home, boundary))
-        return real_fold(g, fam, v, left, home, boundary)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "join_twins", recording)
+        for g in graphs:
+            solve_hc(g, approx_sm_decomposition(g))
+    return calls
 
-    monkeypatch.setattr(solver, "join", recording_join)
-    monkeypatch.setattr(solver, "join_vertex", recording_fold)
+
+def forgetting_fold(g, a, b, fa, fb):
+    """The forgetting list fold `reference_frontier` over the pairs of fa
+    and fb and their cross edges, keyed by state."""
+    items = [(sa | sb, d1a | d1b, d2a | d2b, pea | peb)
+             for (d1a, d2a, pea), sa in fa.items() for (d1b, d2b, peb), sb in fb.items()]
+    home = a | b
+    want = reference_frontier(g, items, g.edges_between(a, b), home, cut_of(g, home)[0], True)
+    return {tuple(key): m for m, *key in want}
+
+
+def test_twin_join_matches_forgetting_fold(monkeypatch):
+    """At every join whose home and sides are twin cuts that `solve_hc`
+    reaches on seeded random cographs (n = 5..16, n = 7 and 15 among them,
+    where vertex ids fill the field width) and dense random graphs (n =
+    5..10), `repsets.join_twins` reaches the tallies (paths, isolated
+    vertices) that the forgetting list fold reaches, before and after
+    `trim`.  Each member is some ma | mb plus cross edges: a path system
+    with degree two at each home vertex off the home's boundary, keyed by
+    its state, alone in its tally.  For n <= 9 the trimmed family preserves
+    every member `oracles.conc` lists over the pairs.  The joins cover
+    members without and with cross edges, a side whose boundary leaves the
+    home's, joins without cross edges and homes at the field width."""
     rng = random.Random(3001)
-    graphs = [random_cograph(rng.randint(5, 14), rng) for _ in range(60)]
+    graphs = [random_cograph(n, rng) for n in (7, 15) for _ in range(3)]
+    graphs += [random_cograph(rng.randint(5, 16), rng) for _ in range(50)]
     graphs += [random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.6, 0.75, 0.9]))
                for _ in range(40)]
-    for g in graphs:
-        solve_hc(g, approx_sm_decomposition(g))
-    seen = dict.fromkeys(["forced 0", "forced 1", "forced 2", "forced partner lowest",
-                          "v outside"], 0)
-    seen["v second"], seen["v first"] = sides
-    for g, fam, v, left, home, boundary in calls:
+    seen = dict.fromkeys(["s = 0", "s > 0", "side leaves", "no cross edge", "preserved",
+                          "field width"], 0)
+    hcs = {}
+    for g, a, b, fa, fb, cut_a, cut_b, out in twin_joins(graphs, monkeypatch):
+        home, cross = a | b, g.edges_between(a, b)
         cut = cut_of(g, home)
-        got = trim(g, home, repsets.join_vertex(g, fam, v, left, home, boundary), cut)
-        assert got == trim(g, home, repsets.frontier(g, fam, left, home, boundary, True), cut)
-        seen["v outside"] += not boundary >> v & 1
-        w, near = field_width(g), g.adj[v] & home
-        for d1, d2, pe in fam:
-            if near & ~boundary & ~d1:
-                continue  # a closing vertex of degree zero: dead
-            ends = near & d1 & ~d2
-            forced = ends & ~boundary
-            if forced.bit_count() <= 2:
-                seen[f"forced {forced.bit_count()}"] += 1
-            rest = ends & ~forced
-            if forced.bit_count() == 1 and rest:
-                f, low = forced.bit_length() - 1, (rest & -rest).bit_length() - 1
-                seen["forced partner lowest"] += partner(pe, w, d1, f) == low
+        want = forgetting_fold(g, a, b, fa, fb)
+        assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
+        got = trim(g, home, out, cut)
+        assert {tally(home, key) for key in got} == \
+            {tally(home, key) for key in trim(g, home, want, cut)}
+        assert len({tally(home, key) for key in out}) == len(out)
+        pairs = {sa | sb for sa in fa.values() for sb in fb.values()}
+        for key, m in out.items():
+            assert m & ~cross in pairs and is_path_system(g, m)
+            assert key == path_state(g, m) and not home & ~cut[0] & ~key[1]
+            seen["s > 0" if m & cross else "s = 0"] += 1
+        seen["side leaves"] += not cut_a[1] & ~home or not cut_b[1] & ~home
+        seen["no cross edge"] += not cross
+        seen["field width"] += g.n in (7, 15) and home >> (g.n - 1) & 1
+        if g.n <= 9:
+            if id(g) not in hcs:
+                hcs[id(g)] = oracles.enumerate_hamiltonian_cycles(g)
+            members = [m for sa in fa.values() for sb in fb.values()
+                       for m in oracles.conc(g, a, b, sa, sb)]
+            assert oracles.verify_preservation(g, home, members, list(got.values()),
+                                               method="cycles", hcs=hcs[id(g)])
+            seen["preserved"] += 1
     assert all(seen.values()), seen
 
 
 def test_every_family_is_keyed_by_state(monkeypatch):
     """Every family that `join` and `preserving_extension` return maps the
-    state path_state(g, m) of each member m to it, whatever fold made it.
-    Seeded random graphs (n = 5..10) and the cographs of
-    `test_join_vertex_matches_frontier` are solved along
-    `approx_sm_decomposition`; the calls cover plain and forgetting
-    frontiers, single-vertex twin joins and extensions with estar edges."""
-    seen = dict.fromkeys(["plain", "forget", "vertex", "estar"], 0)
+    state path_state(g, m) of each member m to it, whatever made it.
+    Seeded random graphs (n = 5..10) and random cographs (n = 5..14) are
+    solved along `approx_sm_decomposition`; the calls cover plain folds,
+    twin joins and extensions with estar edges."""
+    seen = dict.fromkeys(["plain", "twin", "estar"], 0)
     real_join, real_extension = solver.join, solver.preserving_extension
-    real_fold, real_vertex_fold = solver.frontier, solver.join_vertex
+    real_fold, real_twins = solver.frontier, solver.join_twins
 
     def keyed(g, fam):
         for key, m in fam.items():
@@ -411,18 +446,18 @@ def test_every_family_is_keyed_by_state(monkeypatch):
         seen["estar"] += bool(estar)
         return out
 
-    def counting_fold(g, fam, left, home, boundary, forget):
-        seen["forget" if forget else "plain"] += 1
-        return real_fold(g, fam, left, home, boundary, forget)
+    def counting_fold(*args):
+        seen["plain"] += 1
+        return real_fold(*args)
 
-    def counting_vertex_fold(*args):
-        seen["vertex"] += 1
-        return real_vertex_fold(*args)
+    def counting_twins(*args):
+        seen["twin"] += 1
+        return real_twins(*args)
 
     monkeypatch.setattr(solver, "join", checking_join)
     monkeypatch.setattr(solver, "preserving_extension", checking_extension)
     monkeypatch.setattr(solver, "frontier", counting_fold)
-    monkeypatch.setattr(solver, "join_vertex", counting_vertex_fold)
+    monkeypatch.setattr(solver, "join_twins", counting_twins)
     rng = random.Random(3001)
     graphs = [random_cograph(rng.randint(5, 14), rng) for _ in range(60)]
     rng = random.Random(3102)
@@ -436,54 +471,79 @@ def test_every_family_is_keyed_by_state(monkeypatch):
 def test_forgetting_fold_at_the_field_width(monkeypatch):
     """On random cographs with n = 7 and n = 15, the highest vertex id is
     one below `free`, the largest value a field of `field_width(g)` bits
-    holds, so the fields reach right up to the `free` field.  Every inner
-    twin join there (a forgetting `frontier` of `join`) equals, as a dict,
-    the list fold `reference_frontier`, which keeps its tally apart from
-    the state; each size has such joins with the highest vertex in the
-    home."""
-    calls = []
-    real_fold = solver.frontier
-
-    def recording(g, fam, left, home, boundary, forget):
-        if forget:
-            calls.append((g, dict(fam), left, home, boundary))
-        return real_fold(g, fam, left, home, boundary, forget)
-
-    monkeypatch.setattr(solver, "frontier", recording)
+    holds, so the fields of the forgetting list fold `reference_frontier`
+    reach right up to its `free` field.  At every twin join there
+    `repsets.join_twins` reaches the tallies that fold reaches, each member
+    keyed by its state; each size has such joins with the highest vertex
+    in the home.  The verdicts are `brute_hc`'s."""
     rng = random.Random(3201)
+    graphs = [random_cograph(n, rng) for n, draws in ((7, 30), (15, 4)) for _ in range(draws)]
+    for g in graphs:
+        assert (1 << field_width(g)) - 2 == g.n - 1
+        assert solve_hc(g, approx_sm_decomposition(g))[0] == oracles.brute_hc(g)[0]
     top = dict.fromkeys([7, 15], 0)
-    for n, draws in ((7, 30), (15, 4)):
-        for _ in range(draws):
-            g = random_cograph(n, rng)
-            assert (1 << field_width(g)) - 2 == n - 1
-            solve_hc(g, approx_sm_decomposition(g))
-    for g, fam, left, home, boundary in calls:
-        items = [(m, *key) for key, m in fam.items()]
-        want = reference_frontier(g, items, left, home, boundary, True)
-        assert repsets.frontier(g, dict(fam), left, home, boundary, True) == \
-            {tuple(key): m for m, *key in want}
+    for g, a, b, fa, fb, _, _, out in twin_joins(graphs, monkeypatch):
+        home = a | b
+        want = forgetting_fold(g, a, b, fa, fb)
+        assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
+        assert all(key == path_state(g, m) for key, m in out.items())
         top[g.n] += home >> (g.n - 1) & 1
     assert all(top.values()), top
 
 
 def test_clique_solves_without_a_forgetting_frontier(monkeypatch):
-    """Every twin join of K5 along `approx_sm_decomposition` adds a single
-    vertex to a clique home, so `repsets.join_vertex` folds it and no join
-    runs a forgetting `repsets.frontier`: with one that raises, the solve
-    still finds a Hamiltonian cycle.  The root join is no twin cut, and
-    its frontier does not forget."""
-    real = repsets.frontier
+    """Every join of K5 along `approx_sm_decomposition` but the root's has
+    a twin home and twin sides, so `repsets.join_twins` serves it and no
+    such join runs `repsets.frontier`: with one that raises at a twin home,
+    the solve still finds a Hamiltonian cycle.  The root join is no twin
+    cut, and its frontier runs."""
+    real, homes = repsets.frontier, []
 
-    def no_forgetting(g, fam, left, home, boundary, forget):
-        if forget:
-            raise AssertionError("a forgetting frontier ran")
-        return real(g, fam, left, home, boundary, forget)
+    def plain_only(g, fam, left, home, boundary):
+        if cut_of(g, home)[2]:
+            raise AssertionError("a fold ran at a twin home")
+        homes.append(home)
+        return real(g, fam, left, home, boundary)
 
-    monkeypatch.setattr(repsets, "frontier", no_forgetting)
-    monkeypatch.setattr(solver, "frontier", no_forgetting)
+    monkeypatch.setattr(repsets, "frontier", plain_only)
+    monkeypatch.setattr(solver, "frontier", plain_only)
     g = complete_graph(5)
     verdict, witness = solve_hc(g, approx_sm_decomposition(g))
     assert verdict and is_hamiltonian_cycle(g, g.edge_mask(witness))
+    assert homes == [g.vmask]
+
+
+def survey_cographs(labels, monkeypatch):
+    """The cographs named "n<n>-<j>" of the survey that draws
+    `workloads.random_cograph(n, rng)` (benchmark/workloads.py) from one
+    rng = Random(5), 8 draws per n = 16, 18, ..., 26 in turn."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(5)
+    draws = {f"n{n}-{j}": Graph(range(n), workloads.random_cograph(n, rng))
+             for n in range(16, 27, 2) for j in range(8)}
+    return [draws[label] for label in labels]
+
+
+def test_survey_cographs_past_the_cliff_solve(monkeypatch):
+    """Three draws of the cograph survey on which the folding twin join ran
+    out of time or memory (n22-1, n24-4 and n26-2, the last a
+    `MemoryError` under a 2 GB cap) solve with a Hamiltonian-cycle witness,
+    and no join whose home and sides are twin cuts runs `frontier`."""
+    folds, real_join, real_fold = [], solver.join, solver.frontier
+
+    def checking_join(g, a, b, fa, fb, cut_a, cut_b, *rest):
+        done = len(folds)
+        out = real_join(g, a, b, fa, fb, cut_a, cut_b, *rest)
+        assert len(folds) == done or not (cut_a[2] and cut_b[2] and out[0][2])
+        return out
+
+    monkeypatch.setattr(solver, "join", checking_join)
+    monkeypatch.setattr(solver, "frontier", lambda *args: folds.append(args) or real_fold(*args))
+    for g in survey_cographs(["n22-1", "n24-4", "n26-2"], monkeypatch):
+        verdict, witness = solve_hc(g, approx_sm_decomposition(g))
+        assert verdict and is_hamiltonian_cycle(g, g.edge_mask(witness))
+    assert folds
 
 
 def test_join_leaves_its_inputs_unchanged(monkeypatch):
