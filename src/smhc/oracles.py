@@ -118,9 +118,13 @@ def enumerate_hamiltonian_cycles(g: Graph) -> list[int]:
 
 
 def brute_sm_width(g: Graph) -> int:
-    """Exact sm-width via the optimal decomposition search (size-limited)."""
+    """Exact sm-width via the optimal decomposition search (size-limited).
+    The empty and the disconnected graph are refused, before any search,
+    with the errors of `pipeline.approx_sm_decomposition`."""
     if not g.n:
         raise ValueError("empty graph: a decomposition needs at least one vertex")
+    if not g.is_connected():
+        raise ValueError("sm-width decompositions need a connected graph")
     if g.n > BRUTE_WIDTH_LIMIT:
         raise SizeLimitExceeded(
             f"brute_sm_width limited to {BRUTE_WIDTH_LIMIT} vertices, got {g.n}")

@@ -11,16 +11,18 @@ keeps.  One fold loop, `frontier`, grows families by edge sets for it
 and for `solver.join` alike, in that dict, under the precondition it
 states; `join_twins` builds the family of a join whose home and sides
 are twin cuts by counting, one member per tally (paths, isolated
-vertices), and folds no edge.  By Lemma 3 below keeping one member
-per state loses nothing, so the rank basis runs once per trim.  Edge sets
-are bitmasks over the host's edge list.  A path system travels with its
-state (d1, d2, pe): its vertices of degree >= 1 and >= 2, and one int
-`pe` with a field of `field_width(g)` bits per vertex, where the field of
-each path end (a vertex of d1 & ~d2) holds the other end of its path.
-Other fields are zero and never read: a vertex of degree zero is its own
-partner.  Producers set the state in O(1) big-int operations per added
-edge (`grow`, which keys each member as it makes it); `path_state`
-derives it by walking the edges once.
+vertices) that the twin trim keeps, and folds no edge.  By Lemma 3
+below keeping one member per state loses nothing, so the rank basis
+runs once per trim.  Edge sets are bitmasks over the host's edge list.
+A path system travels with its state (d1, d2, pe): its vertices of
+degree >= 1 and >= 2, and one int `pe` with a field of `field_width(g)`
+bits per vertex, where the field of each path end (a vertex of
+d1 & ~d2) holds the other end of its path.  Other fields are zero and
+never read: a vertex of degree zero is its own partner.  Producers set
+the state in O(1) big-int operations per added edge: `grow` as it makes
+each member, `join_twins` from the chains it adds.  `path_state` derives
+it by walking the edges once; no producer calls it, and it is the
+reference the keys are tested against.
 
 Representative sets by pairings.  Let K be the complete graph on a
 separator of k >= 3 vertices and M a path system of K with signature
@@ -301,23 +303,25 @@ def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
         raise ValueError("separator must have size at least three")
     fold = {key: m for key, m in fam.items() if a.bit_count() - m.bit_count() <= csize}
     if estar:
-        fold = frontier(g, fold, estar, a, c)
+        fold = frontier(g, fold, estar, c)
     cores = {m & ~estar for m in trim_separator(g, a, c, fold, trace).values()}
     return {key: m for key, m in fam.items() if m in cores}
 
 
-def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int) -> Family:
+def frontier(g: Graph, fam: Family, left: int, boundary: int) -> Family:
     """`fam`, which maps the state (d1, d2, pe) of path systems without an
     edge of `left` to the least mask with it, grown in place by every
     valid set of `left`, the least mask per state, and returned.
 
-    Precondition: every vertex of `home` outside `boundary` that no edge
-    of `left` meets has degree two in every member; the fold relies on it
-    and reads only `left` and `boundary`.  In `solver.join` a vertex of a's
-    boundary off home's boundary has a neighbour in b, hence a cross edge,
-    and any other such vertex has degree two by `solver.trim`'s
-    precondition on fa and fb.  In `preserving_extension` c covers the cut,
-    so a vertex of a \\ c with an outside neighbour meets an estar edge.
+    Precondition: the members and `left` lie in a home, and every vertex
+    of it outside `boundary` that no edge of `left` meets has degree two
+    in every member; the fold reads only `left` and `boundary` and checks
+    degrees only where `left` meets.  In `solver.join` the home is a | b: a
+    vertex of a's boundary off the home's boundary has a neighbour in b,
+    hence a cross edge, and any other such vertex has degree two by
+    `solver.trim`'s precondition on fa and fb.  In `preserving_extension`
+    the home is a and c covers the cut, so a vertex of a \\ c with an
+    outside neighbour meets an estar edge.
 
     The edges of `left` are folded in through `grow` grouped by vertex:
     next comes the vertex of `undecided` (the ends of `left`) with the
@@ -342,11 +346,11 @@ def frontier(g: Graph, fam: Family, left: int, home: int, boundary: int) -> Fami
     edge that neither mask holds keeps their order.  Killing inside a grow
     keeps it too: liveness is read off the state, so a state is either
     stored and kept or never stored.  Hence `solver.trim`'s precondition
-    in `solver.join`, where the members and `left` lie in `home`: each
-    member has degree two at every vertex of `home` outside `boundary` (by
-    the kills where `left` meets it, else by the precondition), no two
-    share a state, and none is a cycle unless `home` is V, as `grow` closes
-    only Hamiltonian cycles.
+    in `solver.join`, where the members and `left` lie in the home: each
+    member has degree two at every vertex of the home outside `boundary`
+    (by the kills where `left` meets it, else by the precondition), no two
+    share a state, and none is a cycle unless the home is V, as `grow`
+    closes only Hamiltonian cycles.
     """
     w = field_width(g)
     adj, incident = g.adj, g.incident
@@ -385,8 +389,9 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     """Family of home a | b when it and both sides are twin cuts (a single
     vertex always is), cut_a and cut_b read as `solver.cut_of` does: one
     member per tally (paths, isolated vertices) the pairs of fa and fb
-    reach, keyed by `path_state`.  No cross edge is folded, and a member
-    with a vertex off its side's boundary below degree two is skipped.
+    reach that `solver.trim_split` keeps, each keyed by its state as its
+    chains are added.  No cross edge is folded, and a member with a vertex
+    off its side's boundary below degree two is skipped.
 
     Exactness.  If a cross edge exists, the cross edges are all of
     boundary(a) x boundary(b): every boundary vertex of a sees all of
@@ -407,10 +412,26 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     one tally complete alike, since a bijection of the twin boundary
     carries a completion of one to the other, so the first pair that
     reaches a tally is realised, once, on the lowest-id units.
+
+    The filter.  `solver.trim_split` at the home keeps exactly the
+    tallies `twin_kept` passes for t = |(na | nb) \\ home| = |N(a | b)|:
+    none with an isolated vertex when t < 2, and at most t paths and
+    isolated vertices.  `_twin_plans` applies it.  Whole tallies go, so
+    each kept tally's first pair and plan are unchanged, and `trim_split`
+    returns the family.
+
+    The key.  A chain's cross edges meet unit vertices only and make one
+    path, so the state of ma | mb, the union of the keys, grows edge by
+    edge as in `grow`: both ends join d1, an end already in d1 joins d2,
+    and the fields of the vertices met are cleared.  Then the chain's far
+    ends (a one-edge path unit's far end, or the isolated vertex itself)
+    get each other's id, the pairing `path_state` would walk.
     """
     (ba, na, _), (bb, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
+    t = ((na | nb) & ~home).bit_count()
     w, index, out = field_width(g), g.edge_index, {}
+    field = (1 << w) - 1
     sides_b = [(key, m, (key[0] & ~key[1]).bit_count() >> 1, (b & ~key[0]).bit_count())
                for key, m in fb.items() if not b & ~bb & ~key[1]]
     chosen: dict[tuple[int, int], tuple] = {}
@@ -419,23 +440,30 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
             continue
         pa, ia = (ka[0] & ~ka[1]).bit_count() >> 1, (a & ~ka[0]).bit_count()
         for kb, mb, pb, ib in sides_b:
-            for tally, plan in _twin_plans(pa, ia, full_a, pb, ib, full_b, cross):
+            for tally, plan in _twin_plans(pa, ia, full_a, pb, ib, full_b, cross, t):
                 if tally not in chosen:
                     chosen[tally] = ka, ma, kb, mb, plan
     for ka, ma, kb, mb, (ua, ub) in chosen.values():
-        m = ma | mb
+        m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
         for chain in _chains(*_units(w, a, ka, ua), *_units(w, b, kb, ub)):
             for (_, u), (v, _) in zip(chain, chain[1:]):
                 m |= 1 << index[(u, v) if u < v else (v, u)]
-        out[path_state(g, m)] = m
+                uv = 1 << u | 1 << v
+                d2 |= d1 & uv
+                d1 |= uv
+                pe &= ~(field << u * w | field << v * w)
+            (x, _), (_, y) = chain[0], chain[-1]
+            pe = pe & ~(field << x * w | field << y * w) | y << x * w | x << y * w
+        out[d1, d2, pe] = m
     return out
 
 
 @cache
 def _twin_plans(pa: int, ia: int, full_a: bool, pb: int, ib: int, full_b: bool,
-                cross: bool) -> tuple:
+                cross: bool, t: int) -> tuple:
     """((paths, isolated), (use of a, use of b)) per tally a pair of members
-    with these units reaches; a use is (p2, p1, i2, i1), see `join_twins`.
+    with these units reaches and `solver.trim_split` keeps at a home with
+    t outside neighbours; a use is (p2, p1, i2, i1), see `join_twins`.
     Cached for the process: it reads small counts and returns a tuple."""
     plans, units = {}, pa + ia + pb + ib
     sides_b = _twin_uses(pb, ib, full_b)
@@ -443,7 +471,13 @@ def _twin_plans(pa: int, ia: int, full_a: bool, pb: int, ib: int, full_b: bool,
         for (sb, zb), ub in sides_b.items():
             if sb == s and (not s or cross and ua[1] + ua[3] + ub[1] + ub[3] >= 2):
                 plans.setdefault((units - s - za - zb, za + zb), (ua, ub))
-    return tuple(plans.items())
+    return tuple((tally, plan) for tally, plan in plans.items() if twin_kept(tally, t))
+
+
+def twin_kept(tally: tuple[int, int], t: int) -> bool:
+    """Whether the twin trim keeps a tally (paths, isolated vertices) at a
+    home with t outside neighbours; `solver.trim_split` gives the reason."""
+    return (t > 1 or not tally[1]) and sum(tally) <= t
 
 
 def _twin_uses(p: int, i: int, full: bool) -> dict:
@@ -461,9 +495,10 @@ def _twin_uses(p: int, i: int, full: bool) -> dict:
 
 
 def _units(w: int, side: int, key: tuple[int, int, int], use: tuple) -> tuple[list, list]:
-    """The units a use takes of a member, lowest ids first, as (entry, exit)
-    vertex pairs: those that take two cross edges, then those that take
-    one (at a path's lower end)."""
+    """The units a use takes of a member, lowest ids first: those that take
+    two cross edges as (entry, exit) vertex pairs, then those that take one
+    as (entry, far end), a path taking its edge at its lower end and an
+    isolated vertex being both."""
     (d1, d2, pe), (p2, p1, i2, i1) = key, use
     field, ends, paths = (1 << w) - 1, d1 & ~d2, []
     while len(paths) < p2 + p1:
@@ -472,26 +507,30 @@ def _units(w: int, side: int, key: tuple[int, int, int], use: tuple) -> tuple[li
         ends &= ~(1 << x | 1 << y)
         paths.append((x, y))
     iso = [(v, v) for v in islice(bits(side & ~d1), i2 + i1)]
-    return paths[:p2] + iso[:i2], [(x, x) for x, _ in paths[p2:]] + iso[i2:]
+    return paths[:p2] + iso[:i2], paths[p2:] + iso[i2:]
 
 
 def _chains(x2: list, x1: list, y2: list, y1: list) -> list:
     """Alternating chains over two sides' units, x2 and y2 taking two edges
     and x1 and y1 one, with equal edge counts and x1 + y1 >= 2 if any: one
-    chain through every unit of two, ended by units of one, then pairs."""
+    chain through every unit of two, ended by units of one, then pairs.
+    A chain's first unit is turned to (far end, entry), so its cross edges
+    join each unit's second vertex to the next one's first, and its far
+    ends are its first and last vertex."""
     if len(x2) < len(y2):
         x2, x1, y2, y1 = y2, y1, x2, x1
     chains, k = [], len(y2)
     if x2:  # y1[0], x2[0], y2[0], ..., y2[k - 1], then x2[k] and y1[1], or x1[0]
         body = [u for pair in zip(x2, y2) for u in pair]
         if len(x2) > k:
-            chains.append([y1[0], *body, x2[k], y1[1]])
-            chains += ([y1[2 * j], u, y1[2 * j + 1]] for j, u in enumerate(x2[k + 1:], 1))
+            chains.append([y1[0][::-1], *body, x2[k], y1[1]])
+            chains += ([y1[2 * j][::-1], u, y1[2 * j + 1]]
+                       for j, u in enumerate(x2[k + 1:], 1))
             y1 = y1[2 * (len(x2) - k):]
         else:
-            chains.append([y1[0], *body, x1[0]])
+            chains.append([y1[0][::-1], *body, x1[0]])
             x1, y1 = x1[1:], y1[1:]
-    return chains + list(zip(x1, y1))
+    return chains + [[x[::-1], y] for x, y in zip(x1, y1)]
 
 
 def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:

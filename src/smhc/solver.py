@@ -10,14 +10,14 @@ the leaves' {(0, 0, 0): 0} to the root.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
 merge, the twin test and the trims read only that cut.  A join whose
 home and sides are twin cuts (a single vertex always is) builds one
-member per reachable tally (paths, isolated vertices) by counting
-(`repsets.join_twins`).  Every other join keys all pairs once into the
-dict of one frontier (`repsets.frontier`), which grows them over the
-cross edges and keeps the least live member per state.  Either family
-meets `trim`'s precondition, which no step re-checks.  Each trim then
-applies only its own rules: the slot rules of twin cuts, one member per
-tally (`trim_split`), elsewhere the rep-set trim over a cut cover
-(`trim_vc`).
+member per reachable tally (paths, isolated vertices) that `trim_split`
+keeps, by counting (`repsets.join_twins`).  Every other join keys all
+pairs once into the dict of one frontier (`repsets.frontier`), which
+grows them over the cross edges and keeps the least live member per
+state.  Either family meets `trim`'s precondition, which no step
+re-checks.  Each trim then applies only its own rules: the slot rules
+of twin cuts, one member per tally (`trim_split`), elsewhere the rep-set
+trim over a cut cover (`trim_vc`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (is_split, mm_value: benchmark hooks)
 from .branchdec import BranchDecomposition
 from .repsets import (Family, frontier, is_hamiltonian_cycle, join_twins,
-                      pad_separator, preserving_extension)
+                      pad_separator, preserving_extension, twin_kept)
 
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
 LEAF: Family = {(0, 0, 0): 0}  # the family of every leaf: the empty certificate
@@ -60,9 +60,10 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
          trace: dict | None = None) -> tuple[Cut, Family]:
     """Cut and family of home a | b, trimmed once unless a | b is the
     whole graph.  When a | b, a and b are twin cuts, `repsets.join_twins`
-    counts the family, one member per tally.  Every other join, a twin
-    home with a plain side among them, runs one `repsets.frontier` that
-    grows each pair of fa and fb by every valid set of its cross edges.
+    counts the family, one member per tally that `trim_split` keeps, and
+    the trim returns it unchanged.  Every other join, a twin home with a
+    plain side among them, runs one `repsets.frontier` that grows each
+    pair of fa and fb by every valid set of its cross edges.
     The pairs are keyed by state straight into its dict, which it returns
     as the family: the states within fa and within fb are distinct, and so
     are the pairs', as the homes are disjoint.  Against `LEAF` the pairs
@@ -88,7 +89,7 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
         fold = dict(fa) if fb == LEAF else {
             (d1a | d1b, d2a | d2b, pea | peb): sa | sb
             for (d1a, d2a, pea), sa in fa.items() for (d1b, d2b, peb), sb in fb.items()}
-        fold = frontier(g, fold, g.edges_at(ba & nb) & g.edges_at(bb & na), home, cut[0])
+        fold = frontier(g, fold, g.edges_at(ba & nb) & g.edges_at(bb & na), cut[0])
     return cut, trim(g, home, fold, cut, trace)
 
 
@@ -152,9 +153,12 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     boundary carries a completion of one to the other.  A member is
     dropped when it has an isolated vertex and t < 2, or more than t paths
     and isolated vertices: a cycle through it takes two cross edges per
-    path or isolated vertex, at most two at each outside neighbour.  Every
-    path holds a boundary vertex, so a kept certificate has at most
-    min(t, |boundary|) paths, the mm of the cut.
+    path or isolated vertex, at most two at each outside neighbour
+    (`repsets.twin_kept`).  Every path holds a boundary vertex, so a kept
+    certificate has at most min(t, |boundary|) paths, the mm of the cut.
+    `repsets.join_twins` builds only members this keeps, so on its
+    families it returns what it is given; it still runs there, and `trim`
+    records it.
     """
     _, common_outside, twin = cut
     if not twin:
@@ -163,7 +167,7 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     least: dict[tuple[int, int], tuple] = {}  # (paths, isolated) -> (key, least mask)
     for key, m in fam.items():
         tally = (key[0] & ~key[1]).bit_count() // 2, (a & ~key[0]).bit_count()
-        if (t > 1 or not tally[1]) and sum(tally) <= t and m < least.get(tally, (0, m + 1))[1]:
+        if twin_kept(tally, t) and m < least.get(tally, (0, m + 1))[1]:
             least[tally] = key, m
     return dict(least.values())
 

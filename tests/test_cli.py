@@ -195,6 +195,21 @@ def test_empty_graph_gets_one_error(tmp_path, capsys):
         assert err == "error: empty graph: a decomposition needs at least one vertex\n"
 
 
+def test_disconnected_graph_gets_one_error(tmp_path, capsys):
+    """`width --exact`, `width --approx` and `decompose` exit 2 on a
+    disconnected graph, with or without edges, with one error line, the
+    same for all three."""
+    for name, text in (("two-edges", "4 2\n0 1\n2 3\n"), ("no-edges", "4 0\n")):
+        p = tmp_path / f"{name}.txt"
+        p.write_text(text)
+        for argv in (["width", str(p), "--exact"], ["width", str(p), "--approx"],
+                     ["decompose", str(p)]):
+            assert main(argv) == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert not out
+            assert err == "error: sm-width decompositions need a connected graph\n"
+
+
 def test_one_vertex_width_and_decomposition_agree(tmp_path, capsys):
     """On one vertex, `width --exact`, `width --approx` and `decompose`
     all exit 0 with sm-width 0: the decomposition is one leaf, certified,

@@ -649,13 +649,13 @@ def reference_frontier(g, items, left, home, boundary, forget, pick=kill_first):
         undecided ^= newly
 
 
-def assert_same_fold(g, fold, left, home, boundary):
-    """`frontier` keeps the masks, keys and order of the list fold; returns
-    the fold's result."""
+def assert_same_fold(g, fold, left, boundary):
+    """`frontier` keeps the masks, keys and order of the list fold, whose
+    plain mode reads no home; returns the fold's result."""
     items = [(m, *key) for key, m in fold.items()]
-    got = frontier(g, dict(fold), left, home, boundary)
+    got = frontier(g, dict(fold), left, boundary)
     assert [(m, *key) for key, m in got.items()] == \
-        reference_frontier(g, items, left, home, boundary, False)
+        reference_frontier(g, items, left, 0, boundary, False)
     return got
 
 
@@ -734,7 +734,7 @@ def test_keyed_fold_matches_list_fold(seed, twin):
     seen = {"join": 0, "extension": 0, "no edges": 0}
     seen.update({"merged": 0} if twin else {"killed": 0, "cycle": 0})
     for g, kind, fold, left, home, boundary in seeded_folds(seed):
-        got = assert_same_fold(g, fold, left, home, boundary)
+        got = assert_same_fold(g, fold, left, boundary)
         if twin:
             if home | degree_masks(g, left)[0] == g.vmask:
                 continue
@@ -747,7 +747,7 @@ def test_keyed_fold_matches_list_fold(seed, twin):
             continue
         seen[kind] += 1
         seen["cycle"] += any(d1 == g.vmask and not d1 & ~d2 for d1, d2, *_ in got)
-        everything = frontier(g, dict(fold), left, home, home | boundary)
+        everything = frontier(g, dict(fold), left, home | boundary)
         met = degree_masks(g, left)[0]
         assert got == {key: m for key, m in everything.items() if not met & ~boundary & ~key[1]}
         seen["killed"] += len(everything) - len(got)
@@ -769,7 +769,7 @@ def test_fold_content_does_not_depend_on_order(seed, twin):
         if twin and home | degree_masks(g, left)[0] == g.vmask:
             continue
         items = [(m, *key) for key, m in fold.items()]
-        got = frontier(g, dict(fold), left, home, boundary)
+        got = frontier(g, dict(fold), left, boundary)
         if twin:
             got = by_tally(g, got, left, home, boundary)
         base = reference_frontier(g, items, left, home, boundary, twin)
@@ -794,7 +794,7 @@ def test_plain_fold_decides_outside_boundary_first(monkeypatch):
         real_grow(g, w, fam, i, dead)
 
     monkeypatch.setattr(repsets, "grow", recording)
-    assert_same_fold(g, family(g, [0]), 1 << e02 | 1 << e12, 0b111, 0b001)
+    assert_same_fold(g, family(g, [0]), 1 << e02 | 1 << e12, 0b001)
     assert grown[0] == e12
 
 
@@ -807,10 +807,10 @@ def test_solver_folds_match_list_fold(monkeypatch):
     seen = {"twin": 0, "join": 0, "extension": 0, "cycle": 0}
 
     def checking(kind):
-        def fold(g, fam, left, home, boundary):
-            got = assert_same_fold(g, fam, left, home, boundary)
+        def fold(g, fam, left, boundary):
+            got = assert_same_fold(g, fam, left, boundary)
             seen[kind] += 1
-            seen["cycle"] += home == g.vmask and bool(got)
+            seen["cycle"] += any(d1 == g.vmask and not d1 & ~d2 for d1, d2, _ in got)
             return got
         return fold
 

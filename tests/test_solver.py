@@ -294,6 +294,31 @@ def random_cograph(n, rng):
     return Graph(range(n), edges)
 
 
+def homed_frontiers(monkeypatch, join_fold, extension_fold):
+    """Patch the `frontier` of `solver.join` with join_fold and that of
+    `preserving_extension` with extension_fold, each called as (g, fam,
+    left, home, boundary): `frontier` takes no home, so it is read off
+    wrappers of `solver.join` (a | b) and `solver.preserving_extension`
+    (a), the innermost call running."""
+    homes, real_join, real_extension = [], solver.join, solver.preserving_extension
+
+    def at_home(real, home_of):
+        def call(g, a, b, *rest):
+            homes.append(home_of(a, b))
+            try:
+                return real(g, a, b, *rest)
+            finally:
+                homes.pop()
+        return call
+
+    monkeypatch.setattr(solver, "join", at_home(real_join, lambda a, b: a | b))
+    monkeypatch.setattr(solver, "preserving_extension", at_home(real_extension, lambda a, c: a))
+    monkeypatch.setattr(solver, "frontier", lambda g, fam, left, boundary:
+                        join_fold(g, fam, left, homes[-1], boundary))
+    monkeypatch.setattr(repsets, "frontier", lambda g, fam, left, boundary:
+                        extension_fold(g, fam, left, homes[-1], boundary))
+
+
 def test_folds_meet_the_frontier_precondition(monkeypatch):
     """Every `repsets.frontier` and `repsets.join_twins` call of `solve_hc`
     meets the precondition `frontier` states, read off each member's edge
@@ -320,19 +345,18 @@ def test_folds_meet_the_frontier_precondition(monkeypatch):
 
     def join_fold(g, fam, left, home, boundary):
         check("plain", g, fam, left, home, boundary)
-        return real_join_fold(g, fam, left, home, boundary)
+        return real_join_fold(g, fam, left, boundary)
 
     def extension_fold(g, fam, left, home, boundary):
         check("extension", g, fam, left, home, boundary)
-        return real_extension_fold(g, fam, left, home, boundary)
+        return real_extension_fold(g, fam, left, boundary)
 
     def twin_join(g, a, b, fa, fb, cut_a, cut_b):
         check("twin", g, fa, 0, a, cut_a[0])
         check("twin", g, fb, 0, b, cut_b[0])
         return real_twins(g, a, b, fa, fb, cut_a, cut_b)
 
-    monkeypatch.setattr(solver, "frontier", join_fold)
-    monkeypatch.setattr(repsets, "frontier", extension_fold)
+    homed_frontiers(monkeypatch, join_fold, extension_fold)
     monkeypatch.setattr(solver, "join_twins", twin_join)
     rng = random.Random(3101)
     graphs = [random_connected_graph(rng.randint(5, 10), rng, p=rng.choice([0.3, 0.5, 0.7]))
@@ -378,10 +402,10 @@ def test_twin_join_matches_forgetting_fold(monkeypatch):
     reaches on seeded random cographs (n = 5..16, n = 7 and 15 among them,
     where vertex ids fill the field width) and dense random graphs (n =
     5..10), `repsets.join_twins` reaches the tallies (paths, isolated
-    vertices) that the forgetting list fold reaches, before and after
-    `trim`.  Each member is some ma | mb plus cross edges: a path system
-    with degree two at each home vertex off the home's boundary, keyed by
-    its state, alone in its tally.  For n <= 9 the trimmed family preserves
+    vertices) that `trim` keeps of the forgetting list fold, and `trim`
+    keeps them all.  Each member is some ma | mb plus cross edges: a path
+    system with degree two at each home vertex off the home's boundary,
+    keyed by its state, alone in its tally.  For n <= 9 the trimmed family preserves
     every member `oracles.conc` lists over the pairs.  The joins cover
     members without and with cross edges, a side whose boundary leaves the
     home's, joins without cross edges and homes at the field width."""
@@ -396,11 +420,10 @@ def test_twin_join_matches_forgetting_fold(monkeypatch):
     for g, a, b, fa, fb, cut_a, cut_b, out in twin_joins(graphs, monkeypatch):
         home, cross = a | b, g.edges_between(a, b)
         cut = cut_of(g, home)
-        want = forgetting_fold(g, a, b, fa, fb)
-        assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
+        want = {tally(home, key) for key in trim(g, home, forgetting_fold(g, a, b, fa, fb), cut)}
+        assert {tally(home, key) for key in out} == want
         got = trim(g, home, out, cut)
-        assert {tally(home, key) for key in got} == \
-            {tally(home, key) for key in trim(g, home, want, cut)}
+        assert {tally(home, key) for key in got} == want
         assert len({tally(home, key) for key in out}) == len(out)
         pairs = {sa | sb for sa in fa.values() for sb in fb.values()}
         for key, m in out.items():
@@ -473,9 +496,9 @@ def test_forgetting_fold_at_the_field_width(monkeypatch):
     one below `free`, the largest value a field of `field_width(g)` bits
     holds, so the fields of the forgetting list fold `reference_frontier`
     reach right up to its `free` field.  At every twin join there
-    `repsets.join_twins` reaches the tallies that fold reaches, each member
-    keyed by its state; each size has such joins with the highest vertex
-    in the home.  The verdicts are `brute_hc`'s."""
+    `repsets.join_twins` reaches the tallies that `trim` keeps of that
+    fold, each member keyed by its state; each size has such joins with
+    the highest vertex in the home.  The verdicts are `brute_hc`'s."""
     rng = random.Random(3201)
     graphs = [random_cograph(n, rng) for n, draws in ((7, 30), (15, 4)) for _ in range(draws)]
     for g in graphs:
@@ -484,11 +507,32 @@ def test_forgetting_fold_at_the_field_width(monkeypatch):
     top = dict.fromkeys([7, 15], 0)
     for g, a, b, fa, fb, _, _, out in twin_joins(graphs, monkeypatch):
         home = a | b
-        want = forgetting_fold(g, a, b, fa, fb)
+        want = trim(g, home, forgetting_fold(g, a, b, fa, fb), cut_of(g, home))
         assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
         assert all(key == path_state(g, m) for key, m in out.items())
         top[g.n] += home >> (g.n - 1) & 1
     assert all(top.values()), top
+
+
+def test_twin_join_builds_only_what_trim_split_keeps(monkeypatch):
+    """On every twin join of seeded random cographs (n = 5..12) and of
+    K5..K20 (K15 and K16 at the field width), `trim_split` returns the
+    family `repsets.join_twins` built unchanged, and each member is keyed
+    by path_state(g, m).  The verdicts are `brute_hc`'s on the cographs
+    and Hamiltonian on the cliques."""
+    rng = random.Random(3301)
+    cographs = [random_cograph(rng.randint(5, 12), rng) for _ in range(40)]
+    cliques = [complete_graph(n) for n in range(5, 21)]
+    for g in cographs:
+        assert solve_hc(g, approx_sm_decomposition(g))[0] == oracles.brute_hc(g)[0]
+    for g in cliques:
+        assert solve_hc(g, approx_sm_decomposition(g))[0]
+    joins = twin_joins(cographs + cliques, monkeypatch)
+    for g, a, b, _, _, _, _, out in joins:
+        home = a | b
+        assert trim_split(g, home, out, cut_of(g, home)) == out
+        assert all(key == path_state(g, m) for key, m in out.items())
+    assert {g.n for g, *_ in joins} >= set(range(5, 21))
 
 
 def test_clique_solves_without_a_forgetting_frontier(monkeypatch):
@@ -503,10 +547,9 @@ def test_clique_solves_without_a_forgetting_frontier(monkeypatch):
         if cut_of(g, home)[2]:
             raise AssertionError("a fold ran at a twin home")
         homes.append(home)
-        return real(g, fam, left, home, boundary)
+        return real(g, fam, left, boundary)
 
-    monkeypatch.setattr(repsets, "frontier", plain_only)
-    monkeypatch.setattr(solver, "frontier", plain_only)
+    homed_frontiers(monkeypatch, plain_only, plain_only)
     g = complete_graph(5)
     verdict, witness = solve_hc(g, approx_sm_decomposition(g))
     assert verdict and is_hamiltonian_cycle(g, g.edge_mask(witness))
