@@ -31,7 +31,13 @@ that mix a prime above `EXACT_SIZE_LIMIT` vertices with one of 4..12
 joined completely between two vertices of each; mixed-13-6-2 ends with
 only 3-vertex primes beside its large one); its primes above the limit
 get the greedy search, its cographs contract heavy pairs, and its mixed
-graphs choose the search per prime.  Prints, per workload, how many
+graphs choose the search per prime.  Its last inputs have n // 2 > 18,
+so the pipeline measures their trees' sm-width: C40, K40 (34 of whose
+3-vertex primes contract a heavy pair into a 2-element search) and
+seeded random graphs with n = 38, 41, 44, 48 at densities 0.1, 0.15
+and 0.3 (`Random(3)`, drawn in that order), of which n41-p0.15,
+n41-p0.3, n44-p0.3 and all three with n = 48 raise k after a measured
+tree.  Prints, per workload, how many
 inputs have identical verdicts, witnesses, `smhc hc` exit codes and
 output, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
@@ -183,6 +189,10 @@ def corpora() -> dict[str, list[dict]]:
         small = smhc.generators.random_connected_graph(6, rng, 0.5).edges
         graphs.append((f"mixed-13-6-{i}", 19, list(big) + [(u + 13, v + 13) for u, v in small]
                        + [(u, v) for u in (0, 1) for v in (13, 14)]))
+    graphs += [("C40", 40, cycle_graph(40).edges), ("K40", 40, list(combinations(range(40), 2)))]
+    rng = random.Random(3)
+    graphs += [(f"random-n{n}-p{p}", n, smhc.generators.random_connected_graph(n, rng, p).edges)
+               for n in (38, 41, 44, 48) for p in (0.1, 0.15, 0.3)]
     out["greedy-heavy"] = [{"label": label, "n": n, "edges": [list(e) for e in edges],
                             "decomposition": None, "solve": False}
                            for label, n, edges in graphs]

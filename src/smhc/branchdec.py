@@ -14,9 +14,11 @@ equivalent and exponentially cheaper.  It evaluates f once per cut and
 prunes by branch and bound, with a bound that keeps the first minimal
 split and each sub-search capped at its parent's current best, so it
 picks the tree the full subset program picks.  It and the greedy
-bisection both turn their choice of split per subset into a tree
-through one builder, `_binary_tree`.  `approx_decomposition` picks between
-them by the number of elements alone: exact up to EXACT_SIZE_LIMIT.
+bisection both turn their choice of split per subset into a plain table
+(edges, leaf_map) through one builder, `_binary_tree`, and return it
+unvalidated: the pipeline glues a graph's tables into one tree and
+validates that.  `approx_decomposition` picks between the searches by the
+number of elements alone: exact up to EXACT_SIZE_LIMIT.
 """
 
 from __future__ import annotations
@@ -143,17 +145,17 @@ class BranchDecomposition:
 
 # -- building a tree from a recursive bisection ------------------------------
 
-def _binary_tree(full: int, split) -> BranchDecomposition:
-    """Tree of the recursive bisection of the element mask `full`, where
-    `split(mask)` is the left part of a mask of two or more elements: a
-    non-empty proper part of it, or ValueError.
+def _binary_tree(full: int, split) -> tuple[list, dict]:
+    """Table (edges, leaf_map) of the tree of the recursive bisection of
+    the element mask `full`, where `split(mask)` is the left part of a mask
+    of two or more elements: a non-empty proper part of it, or ValueError.
 
     Nodes are numbered in post-order (left subtree, right subtree, then
     the node) from the highest element + 1, and the two halves of `full`
     are joined by the root edge.  A single element is node 0.
     """
     if not full & (full - 1):
-        return BranchDecomposition([], {0: full.bit_length() - 1})
+        return [], {0: full.bit_length() - 1}
     edges: list[tuple[int, int]] = []
     leaf_map: dict[int, int] = {}
     done: list[int] = []  # roots of the finished subtrees, left before right
@@ -176,13 +178,14 @@ def _binary_tree(full: int, split) -> BranchDecomposition:
         node += 1
     (_, left), (_, right) = edges[-2:]  # the node of `full`, numbered last,
     edges[-2:] = [(left, right)]        # gives way to the root edge
-    return BranchDecomposition(edges, leaf_map)
+    return edges, leaf_map
 
 
 # -- exact minimum-width search -------------------------------------------
 
-def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition]:
-    """Minimum f-width over all branch decompositions of the element list.
+def exact_branch_width(elements: list[int], f) -> tuple[int, tuple[list, dict]]:
+    """Minimum f-width over all branch decompositions of the element list,
+    and the table (edges, leaf_map) of a tree that attains it.
 
     For an index subset m of two or more elements, its best is the least
     cand = max(val[part], val[m ^ part]) over the parts holding m's lowest
@@ -214,8 +217,7 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
     if not k:
         raise ValueError("exact branch width needs at least one element")
     if k <= 2:
-        bd = BranchDecomposition([(0, 1)][:k - 1], dict(enumerate(elements)))
-        return bd.f_width(f), bd
+        return f(1 << elements[0]) if k == 2 else 0, ([(0, 1)][:k - 1], dict(enumerate(elements)))
     masks = [0]  # masks[s]: element mask of the index subset s
     for v in sorted(elements):
         masks += [m | 1 << v for m in masks]
@@ -258,10 +260,10 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, BranchDecomposition
 
 # -- greedy bisection, and the choice by size --------------------------------
 
-def greedy_decomposition(f, elements: list[int]) -> BranchDecomposition:
-    """Recursive balanced bisection by deterministic local search on f:
-    each step moves the lowest element whose move lowers f and keeps both
-    parts at a third or more, until no move does."""
+def greedy_decomposition(f, elements: list[int]) -> tuple[list, dict]:
+    """Table of the recursive balanced bisection by deterministic local
+    search on f: each step moves the lowest element whose move lowers f
+    and keeps both parts at a third or more, until no move does."""
 
     def bisect(rest: int) -> int:
         items = list(bits(rest))
@@ -285,10 +287,10 @@ def greedy_decomposition(f, elements: list[int]) -> BranchDecomposition:
     return _binary_tree(mask_of(elements), bisect)
 
 
-def approx_decomposition(f, elements: list[int]) -> BranchDecomposition:
-    """Decomposition of the element set under the symmetric cut function f:
-    `exact_branch_width`'s tree on at most EXACT_SIZE_LIMIT elements and
-    `greedy_decomposition`'s above.
+def approx_decomposition(f, elements: list[int]) -> tuple[list, dict]:
+    """Table of a decomposition of the element set under the symmetric cut
+    function f: `exact_branch_width`'s tree on at most EXACT_SIZE_LIMIT
+    elements and `greedy_decomposition`'s above.
 
     On three elements x < y < z it builds the exact tree without
     evaluating f: f({y, z}) = f({x}), so each of the three splits costs

@@ -5,13 +5,15 @@ heavy vertices must form a matching (else k is too small).  The search
 runs over elements: the prime's other vertices, and one fresh id per heavy
 edge standing for both its ends.  It finds a lifted-mm decomposition of
 the elements, exact when there are at most EXACT_SIZE_LIMIT of them and
-greedy otherwise, so each prime's own size picks its search.  Each fresh
-leaf becomes the parent of its pair's two ends, the per-prime trees are
-glued at the markers, and k grows until the recomputed sm-width of the
-result fits the 18k budget.  Weights do not depend on k, so each prime
-vertex is weighed once per call, and a prime's tree depends on k only
-through its heavy set, so each (prime, heavy set) is searched once per
-call.
+greedy otherwise, so each prime's own size picks its search.  The search
+returns a plain table (edges, leaf_map), in which each fresh leaf becomes
+the parent of its pair's two ends; the per-prime tables are glued at the
+markers into one validated `BranchDecomposition`, and k grows until the
+recomputed sm-width of that tree fits the 18k budget, so one tree is
+built per graph, or one per k when its width is measured.  Weights do
+not depend on k, so each prime vertex is weighed once per call, and a
+prime's table depends on k only through its heavy set, so each (prime,
+heavy set) is searched once per call.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ def contract_heavy_edges(ctx: LiftedContext, heavy: int):
     return elements + list(merged), tot_map, merged
 
 
-def prime_decomposition(ctx: LiftedContext, heavy: int) -> BranchDecomposition:
-    """Lifted-mm decomposition of one prime with its heavy pairs contracted,
-    each fresh leaf then made in place the parent of its pair's two ends.
+def prime_decomposition(ctx: LiftedContext, heavy: int) -> tuple[list, dict]:
+    """Table (edges, leaf_map) of a lifted-mm decomposition of one prime
+    with its heavy pairs contracted, each fresh leaf then made in place
+    the parent of its pair's two ends.
 
     A prime made from a split has at least 3 vertices, and a 2- or 3-vertex
     whole graph has no heavy vertex, so at least two elements remain: each
@@ -79,46 +82,42 @@ def prime_decomposition(ctx: LiftedContext, heavy: int) -> BranchDecomposition:
             x ^= low
         return mm_value(ctx.graph, t)
 
-    bd = approx_decomposition(lifted, elements)
-    if not merged:
-        return bd
-    edges = list(bd.edges)
-    leaf_map = dict(bd.leaf_map)
-    next_id = max(bd.nodes) + 1
-    for node, v in bd.leaf_map.items():
+    edges, leaf_map = table = approx_decomposition(lifted, elements)
+    next_id = max(map(max, edges), default=0) + 1
+    for node, v in list(leaf_map.items()):
         if v in merged:
             del leaf_map[node]
             edges += [(node, next_id), (node, next_id + 1)]
             leaf_map[next_id], leaf_map[next_id + 1] = merged[v]
             next_id += 2
-    return BranchDecomposition(edges, leaf_map)
+    return table
 
 
-def combine(dec: SplitDecomposition,
-            bds: list[BranchDecomposition]) -> BranchDecomposition:
-    """Glue per-prime decompositions at the markers.
+def combine(dec: SplitDecomposition, tables: list[tuple[list, dict]]) -> BranchDecomposition:
+    """Glue per-prime tables at the markers into one validated tree.
 
     Node ids are shifted apart.  Each marker has one leaf in each of two
     prime trees; both leaves are dropped and their neighbours joined by
     one edge.  Every prime has at least 3 vertices, so no two marker
-    leaves are neighbours.
+    leaves are neighbours.  The tables are not changed, as each later k
+    glues them again.  Validating the glued tree checks each prime's, as
+    gluing keeps every node's degree and joins trees only along the edges
+    of the tree of markers.
     """
-    if len(bds) != len(dec.primes):
+    if len(tables) != len(dec.primes):
         raise ValueError("need one decomposition per prime")
-    if len(bds) == 1:
-        return bds[0]
     edges: list[tuple[int, int]] = []
     leaf_map: dict[int, int] = {}
     marker_ends: dict[int, list[int]] = {}  # marker -> its leaves' neighbours
     offset = 0
-    for bd in bds:
+    for prime_edges, prime_leaves in tables:
         at_marker = {}
-        for node, v in bd.leaf_map.items():
+        for node, v in prime_leaves.items():
             if v in dec.markers:
                 at_marker[node + offset] = v
             else:
                 leaf_map[node + offset] = v
-        for u, w in bd.edges:
+        for u, w in prime_edges:
             u, w = u + offset, w + offset
             if w in at_marker:
                 u, w = w, u
@@ -126,7 +125,7 @@ def combine(dec: SplitDecomposition,
                 marker_ends.setdefault(at_marker[u], []).append(w)
             else:
                 edges.append((u, w))
-        offset += max(bd.nodes) + 1
+        offset += max(map(max, prime_edges), default=0) + 1
     edges += [tuple(ends) for ends in marker_ends.values()]
     return BranchDecomposition(edges, leaf_map)
 
@@ -154,21 +153,21 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     dec = split_decompose(g)
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
     smf = sm_cut_function(g)
-    trees: dict[tuple[int, int], BranchDecomposition] = {}  # by (prime, heavy set)
+    trees: dict[tuple[int, int], tuple[list, dict]] = {}  # tables by (prime, heavy set)
     best = None
     k = 1
     while True:
-        bds = []
+        tables = []
         try:
             for i, ctx in enumerate(ctxs):
                 key = (i, heavy_vertices(ctx, k))
                 if key not in trees:
                     trees[key] = prime_decomposition(ctx, key[1])
-                bds.append(trees[key])
+                tables.append(trees[key])
         except KTooSmall:
             k += 1
             continue
-        bd = combine(dec, bds)
+        bd = combine(dec, tables)
         bound = g.n // 2  # no cut's sm value exceeds it
         width = bound if best is None and bound <= 18 * k else bd.f_width(smf)
         if best is None or width < best[0]:

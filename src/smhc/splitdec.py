@@ -1,4 +1,4 @@
-"""Split decomposition into prime graphs, with tot/act and lifted cut values.
+"""Split decomposition into prime graphs, with tot, weights and lifted cut values.
 
 Marker vertices get globally fresh ids above the original id range, so the
 original vertices keep their ids inside every prime.  The decomposition is
@@ -247,18 +247,16 @@ class LiftedContext:
             out |= self.tot(v)
         return out
 
-    def act(self, v: int) -> int:
-        """Vertices of tot(v) with a neighbor outside tot(v) in the graph."""
-        t, adj = self.tot(v), self.graph.adj
-        return sum(1 << u for u in bits(t) if adj[u] & ~t)
-
-    def weight(self, v: int) -> int:
-        return self.act(v).bit_count()
-
     @cached_property
     def weights(self) -> dict[int, int]:
-        """`weight` of every prime vertex, computed once per context."""
-        return {v: self.weight(v) for v in self.prime.vertices}
+        """The weight of every prime vertex v, computed once per context:
+        how many vertices of tot(v) have a neighbor outside tot(v) in the
+        graph (the active set of v)."""
+        adj, out = self.graph.adj, {}
+        for v in self.prime.vertices:
+            t = self.tot(v)
+            out[v] = sum(1 for u in bits(t) if adj[u] & ~t)
+        return out
 
 
 def lifted_mm_cut_function(ctx: LiftedContext):

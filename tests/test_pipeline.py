@@ -1,4 +1,6 @@
 import random
+from copy import deepcopy
+from functools import cached_property
 
 import pytest
 
@@ -8,11 +10,13 @@ from smhc.cuts import mm_value, sm_cut_function
 from smhc.splitdec import (LiftedContext, SplitDecomposition, split_decompose,
                            lifted_mm_cut_function, lifted_sm_cut_function)
 from smhc import pipeline
-from smhc.branchdec import EXACT_SIZE_LIMIT, exact_branch_width, greedy_decomposition
+from smhc.branchdec import (BranchDecomposition, EXACT_SIZE_LIMIT, exact_branch_width,
+                            greedy_decomposition)
 from smhc.pipeline import (KTooSmall, heavy_vertices, contract_heavy_edges,
                            prime_decomposition, combine, approx_sm_decomposition)
 from smhc.generators import random_connected_graph
 from smhc.oracles import brute_sm_width
+from tests.test_solver import random_cograph
 from tests.test_splitdec import worked_example
 
 
@@ -79,7 +83,8 @@ def test_heavy_pair_element_numbering():
     elements, _, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     assert elements == [22, 23, 24]
     assert merged == {24: (20, 21)}
-    assert prime_decomposition(ctx, heavy_vertices(ctx, 1)).to_json() == {
+    table = prime_decomposition(ctx, heavy_vertices(ctx, 1))
+    assert BranchDecomposition(*table).to_json() == {
         "nodes": [25, 26, 27, 28, 29, 30],
         "edges": [[25, 28], [26, 28], [27, 28], [27, 29], [27, 30]],
         "leaf_map": {"25": 22, "26": 23, "29": 20, "30": 21}}
@@ -106,16 +111,16 @@ def test_ktoosmall_on_heavy_triangle():
 def test_prime_decomposition_reexpands_cherries():
     dec = heavy_pair_example()
     ctx = LiftedContext(dec, 0)
-    bd = prime_decomposition(ctx, heavy_vertices(ctx, 1))
+    _, leaf_map = prime_decomposition(ctx, heavy_vertices(ctx, 1))
     # the contracted pair comes back as two sibling leaves
-    assert set(bd.leaf_map.values()) == set(ctx.prime.vertices)
+    assert set(leaf_map.values()) == set(ctx.prime.vertices)
 
 
 def test_combine_leaf_count():
     g, dec = worked_example()
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
-    bds = [prime_decomposition(ctx, heavy_vertices(ctx, 1)) for ctx in ctxs]
-    bd = combine(dec, bds)
+    tables = [prime_decomposition(ctx, heavy_vertices(ctx, 1)) for ctx in ctxs]
+    bd = combine(dec, tables)
     assert sorted(bd.leaf_map.values()) == sorted(g.vertices)
     assert bd.elements == g.vmask
 
@@ -148,24 +153,29 @@ def _glue_cases():
 @pytest.mark.parametrize("dec", list(_glue_cases()))
 def test_combine_lifts_every_prime_cut(dec):
     """Each cut of the glued tree is the tot lift of a cut of some prime
-    tree and each lift occurs; a marker's two leaf edges give one cut."""
-    ctxs, bds = _prime_trees(dec)
-    bd = combine(dec, bds)
+    tree and each lift occurs; a marker's two leaf edges give one cut.
+    The prime tables are left as they were: the pipeline glues its cached
+    tables again for each later k."""
+    ctxs, tables = _prime_trees(dec)
+    before = deepcopy(tables)
+    bd = combine(dec, tables)
+    assert tables == before
     glued = {frozenset(cut) for cut in bd.cuts()}
     lifted = {frozenset((ctx.tot_set(a), ctx.tot_set(b)))
-              for ctx, prime_bd in zip(ctxs, bds) for a, b in prime_bd.cuts()}
+              for ctx, table in zip(ctxs, tables)
+              for a, b in BranchDecomposition(*table).cuts()}
     assert glued == lifted
-    assert len(bd.edges) == sum(len(b.edges) for b in bds) - len(dec.markers)
+    assert len(bd.edges) == sum(len(edges) for edges, _ in tables) - len(dec.markers)
 
 
 def test_combine_single_prime_identity():
     g = cycle_graph(5)
     dec = split_decompose(g)
     ctx = LiftedContext(dec, 0)
-    bd = prime_decomposition(ctx, heavy_vertices(ctx, 1))
-    assert combine(dec, [bd]) is bd
+    table = prime_decomposition(ctx, heavy_vertices(ctx, 1))
+    assert combine(dec, [table]).to_json() == BranchDecomposition(*table).to_json()
     with pytest.raises(ValueError):
-        combine(dec, [bd, bd])
+        combine(dec, [table, table])
 
 
 def test_approx_widths_named():
@@ -175,12 +185,17 @@ def test_approx_widths_named():
         assert bd.f_width(sm_cut_function(g)) <= 18 * exact
 
 
+def paths_13_6():
+    """Paths 0..11 and 12..16 joined completely between their ends."""
+    return Graph(range(17), [(i, i + 1) for i in range(16) if i != 11]
+                 + [(a, b) for a in (0, 11) for b in (12, 16)])
+
+
 def test_mixed_prime_sizes_choose_per_prime():
     """Paths 0..11 and 12..16 joined completely between their ends split
     into primes of 13 and 6 vertices: the small one gets the exact tree,
     the large one the greedy tree, and the bound is not certified."""
-    g = Graph(range(17), [(i, i + 1) for i in range(16) if i != 11]
-              + [(a, b) for a in (0, 11) for b in (12, 16)])
+    g = paths_13_6()
     dec = split_decompose(g)
     assert sorted(p.n for p in dec.primes) == [6, 13]
     for i, p in enumerate(dec.primes):
@@ -189,7 +204,7 @@ def test_mixed_prime_sizes_choose_per_prime():
         f = lifted_mm_cut_function(ctx)
         want = (exact_branch_width(list(p.vertices), f)[1] if p.n <= EXACT_SIZE_LIMIT
                 else greedy_decomposition(f, list(p.vertices)))
-        assert prime_decomposition(ctx, 0).to_json() == want.to_json()
+        assert prime_decomposition(ctx, 0) == want
     bd = approx_sm_decomposition(g)
     assert not bd.certified
     assert bd.f_width(sm_cut_function(g)) <= 3
@@ -218,6 +233,28 @@ def test_each_prime_heavy_set_searched_once(monkeypatch):
     assert searches and len(searches) == len(set(searches))
 
 
+def test_one_tree_per_graph_or_measured_k(monkeypatch):
+    """The searches and the splices work on tables, so `approx_sm_decomposition`
+    validates one `BranchDecomposition` per tree it measures or returns.
+    K12, a cograph and the 13 + 6 mixed graph are accepted unmeasured
+    (n // 2 <= 18k): one tree.  A random graph with n = 44 (n // 2 > 18)
+    has its first tree measured, rejected, and k raised: one tree per
+    measured k."""
+    builds, measured = [], []
+    real_init, real_width = BranchDecomposition.__init__, BranchDecomposition.f_width
+    monkeypatch.setattr(BranchDecomposition, "__init__",
+                        lambda bd, *args: builds.append(bd) or real_init(bd, *args))
+    monkeypatch.setattr(BranchDecomposition, "f_width",
+                        lambda bd, f: measured.append(bd) or real_width(bd, f))
+    for g in (complete_graph(12), random_cograph(14, random.Random(5)), paths_13_6()):
+        builds.clear()
+        assert approx_sm_decomposition(g) is builds[0] and len(builds) == 1
+    builds.clear()
+    measured.clear()
+    approx_sm_decomposition(random_connected_graph(44, random.Random(3), p=0.3))
+    assert len(measured) >= 2 and builds == measured
+
+
 def complete_multipartite(*sizes):
     parts, v = [], 0
     for size in sizes:
@@ -229,17 +266,19 @@ def complete_multipartite(*sizes):
 
 def test_each_prime_vertex_weighed_once(monkeypatch):
     """Weights do not depend on k: K_{3,3,3} and K_{4,4,4} are accepted
-    only after k has risen, and `weight` still runs once per (prime,
-    vertex)."""
+    only after k has risen, and each prime's weights are still computed
+    once, for all its vertices together."""
     ks = []
     real_heavy = pipeline.heavy_vertices
     monkeypatch.setattr(pipeline, "heavy_vertices",
                         lambda ctx, k: ks.append(k) or real_heavy(ctx, k))
-    real_weight = LiftedContext.weight
+    real_weights = LiftedContext.weights.func
     for g in (complete_multipartite(3, 3, 3), complete_multipartite(4, 4, 4)):
         calls = []
-        monkeypatch.setattr(LiftedContext, "weight", lambda ctx, v:
-                            calls.append((ctx.prime_index, v)) or real_weight(ctx, v))
+        weights = cached_property(lambda ctx: calls.append(ctx.prime_index)
+                                  or real_weights(ctx))
+        weights.__set_name__(LiftedContext, "weights")
+        monkeypatch.setattr(LiftedContext, "weights", weights)
         approx_sm_decomposition(g)
         assert calls and len(calls) == len(set(calls))
     assert max(ks) > 1

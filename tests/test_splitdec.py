@@ -202,10 +202,11 @@ def test_worked_example_tot_act():
     assert dec.recompose() == g
     # marker 7 seen from the middle prime represents {a,b,c,g}
     assert dec.tot(1, 7) == mask_of([0, 1, 2, 6])
-    assert LiftedContext(dec, 1).act(7) == mask_of([1, 2])
+    # of which b and c see outside it: weight 2
+    assert LiftedContext(dec, 1).weights[7] == 2
     # marker 8: weight 3 from the rightmost prime, 1 from the middle one
-    assert LiftedContext(dec, 2).weight(8) == 3
-    assert LiftedContext(dec, 1).weight(8) == 1
+    assert LiftedContext(dec, 2).weights[8] == 3
+    assert LiftedContext(dec, 1).weights[8] == 1
     # tot of an original vertex is itself
     assert dec.tot(0, 0) == 1 << 0
     # the two tot-views of one marker cover the graph
@@ -272,4 +273,4 @@ def test_act_matches_recomputation():
         ctx = LiftedContext(dec, i)
         for v in p.vertices:
             t = dec.tot(i, v)
-            assert ctx.act(v) == g.neighborhood(g.vmask & ~t)
+            assert ctx.weights[v] == g.neighborhood(g.vmask & ~t).bit_count()
