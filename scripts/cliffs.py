@@ -18,8 +18,10 @@ its given tree) and runs `solve_hc`.
 
 Per input the output records the outcome (`ok`, `timeout` or `memory`),
 the verdict and whether it was checked (against K_n, `brute_hc` for
-n <= 16, or a verified witness), decomposition and solve time, the peak
-node family (`max_family`), `max_family_by_k` and the child's peak RSS.
+n <= 16, the path-cover reference `tests/test_cograph_reference.cograph_hc`
+for the survey cographs, whatever the verdict, or a verified witness),
+decomposition and solve time, the peak node family (`max_family`),
+`max_family_by_k` and the child's peak RSS.
 
 Usage: python3 scripts/cliffs.py [--out BENCH_cliffs.json]
 """
@@ -63,6 +65,7 @@ def side_root_tree(left: list[int], right: list[int]) -> dict:
 
 def corpus() -> list[dict]:
     """The cliff inputs, each with its edges, optional tree and reference."""
+    sys.path.insert(0, str(ROOT))  # `check` imports the cograph reference from `tests`
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "benchmark"))
     import smhc.generators
@@ -100,7 +103,7 @@ def corpus() -> list[dict]:
                  "n26-0", "n26-1", "n26-2", "n26-3", "n26-5"):
         n = int(name[1:3])
         out.append({"label": f"cograph-survey-{name}", "n": n, "edges": survey[name],
-                    "reference": "brute" if n <= workloads.BRUTE_LIMIT else "witness"})
+                    "reference": "cograph"})
     return out
 
 
@@ -157,6 +160,7 @@ def check(inp: dict, result: dict) -> bool | None:
     import workloads
     from smhc.graph import Graph
     from smhc.oracles import brute_hc
+    from tests.test_cograph_reference import cograph_hc
 
     if result["outcome"] != "ok":
         return None
@@ -169,6 +173,8 @@ def check(inp: dict, result: dict) -> bool | None:
         return result["verdict"] == (inp["n"] >= 3)
     if inp["reference"] == "brute":
         return result["verdict"] == brute_hc(Graph(range(inp["n"]), edges))[0]
+    if inp["reference"] == "cograph":
+        return result["verdict"] == cograph_hc(Graph(range(inp["n"]), edges))
     return True if witness is not None else None  # a NO has no certificate
 
 
@@ -180,9 +186,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.child:
         return child()
+    inputs = corpus()
+    # Every child runs before `check` imports the references: a child's
+    # peak RSS starts from the parent's, which the test modules would raise.
+    results = [run_input(inp) for inp in inputs]
     rows = []
-    for inp in corpus():
-        result = run_input(inp)
+    for inp, result in zip(inputs, results):
         result["checked"] = check(inp, result)
         result.pop("witness", None)
         rows.append({"label": inp["label"], "n": inp["n"], "m": len(inp["edges"]),

@@ -42,7 +42,10 @@ inputs have identical verdicts, witnesses, `smhc hc` exit codes and
 output, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
 before and after each trim on inputs with n <= 8 (`trace["trims"]`, each
-list sorted) and decompositions (`bd.to_json()`), lists every difference
+list sorted) and decompositions (`bd.to_json()`), and, on every connected
+input with n >= 2, every `dec.tot(i, v)` of `split_decompose(g)` and
+whether `dec.recompose()` equals the input, so that a comparison also
+checks the walk of the tree of primes; it lists every difference
 (with both sm-widths where the decompositions differ), and exits 1 on
 any.  A node_sizes difference says at how many nodes the family grew; a
 witness difference says whether the new witness is a Hamiltonian cycle
@@ -89,13 +92,14 @@ def run_cli(g, decomposition: dict | None, work: Path) -> list:
 def solve_all(inputs: list[dict], work: Path) -> list[dict]:
     """Verdict, witness, `smhc hc` exit code and output (solved inputs),
     node sizes, largest kept families, the members before and after each
-    trim (n <= 8) and decomposition of each input, from the `smhc` on the
-    path."""
+    trim (n <= 8), decomposition, and the tots and recompose result of the
+    split decomposition of each input, from the `smhc` on the path."""
     from smhc.branchdec import BranchDecomposition
     from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
     from smhc.pipeline import approx_sm_decomposition
     from smhc.solver import solve_hc
+    from smhc.splitdec import split_decompose
 
     out = []
     for inp in inputs:
@@ -103,8 +107,12 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
         trace: dict = {"node_sizes": [], "max_family_by_k": {}}
         if g.n <= 8:
             trace["trims"] = []
-        bd = None
+        bd = tots = recomposed = None
         verdict, witness = False, None
+        if g.n >= 2 and g.is_connected():
+            dec = split_decompose(g)
+            tots = [[dec.tot(i, v) for v in p.vertices] for i, p in enumerate(dec.primes)]
+            recomposed = dec.recompose() == g
         if g.n >= 3 and g.is_connected():
             if inp["decomposition"] is not None:
                 bd = BranchDecomposition.from_json(inp["decomposition"])
@@ -121,6 +129,8 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
                     "trims": [[a, sorted(before), sorted(after)]
                               for a, before, after in trace.get("trims", [])],
                     "decomposition": bd.to_json() if bd else None,
+                    "tots": tots,
+                    "recompose": recomposed,
                     "sm_width": bd.f_width(sm_cut_function(g)) if bd else None})
     return out
 
@@ -255,8 +265,8 @@ def main(argv=None) -> int:
                 same += 1
                 continue
             differences += 1
-            fields = [k for k in ("verdict", "witness", "node_sizes",
-                                  "max_family_by_k", "trims", "decomposition")
+            fields = [k for k in ("verdict", "witness", "node_sizes", "max_family_by_k",
+                                  "trims", "decomposition", "tots", "recompose")
                       if old[k] != new[k]]
             if old["cli"] != new["cli"]:  # the exit code, or else only the output
                 fields.insert(2, "exit code" if old["cli"][0] != new["cli"][0] else "hc output")
@@ -276,8 +286,8 @@ def main(argv=None) -> int:
                          else "; NEW WITNESS IS NO HAMILTONIAN CYCLE")
             print(line)
         compared = ("verdicts, witnesses, smhc hc exit codes and output, node_sizes, "
-                    "max_family_by_k, trims (before and after) and decompositions"
-                    if inputs[0]["solve"] else "decompositions")
+                    "max_family_by_k, trims (before and after), " if inputs[0]["solve"]
+                    else "") + "decompositions, tots and recompose results"
         print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}")
     return 1 if differences else 0
 

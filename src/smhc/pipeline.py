@@ -9,11 +9,12 @@ greedy otherwise, so each prime's own size picks its search.  The search
 returns a plain table (edges, leaf_map), in which each fresh leaf becomes
 the parent of its pair's two ends; the per-prime tables are glued at the
 markers into one validated `BranchDecomposition`, and k grows until the
-recomputed sm-width of that tree fits the 18k budget, so one tree is
-built per graph, or one per k when its width is measured.  Weights do
-not depend on k, so each prime vertex is weighed once per call, and a
-prime's table depends on k only through its heavy set, so each (prime,
-heavy set) is searched once per call.
+recomputed sm-width of that tree fits the 18k budget.  Weights do not
+depend on k, so each prime vertex is weighed once per call, and a prime's
+table depends on k only through its heavy set, so each (prime, heavy set)
+is searched once per call, and a tree is built and measured once per
+heavy configuration (the heavy sets of all primes): a k that changes
+none reuses the last tree and its width.
 """
 
 from __future__ import annotations
@@ -154,22 +155,23 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
     smf = sm_cut_function(g)
     trees: dict[tuple[int, int], tuple[list, dict]] = {}  # tables by (prime, heavy set)
+    built = None  # (heavy sets, tree, width) of the last tree built
     best = None
     k = 1
     while True:
-        tables = []
-        try:
-            for i, ctx in enumerate(ctxs):
-                key = (i, heavy_vertices(ctx, k))
-                if key not in trees:
-                    trees[key] = prime_decomposition(ctx, key[1])
-                tables.append(trees[key])
-        except KTooSmall:
-            k += 1
-            continue
-        bd = combine(dec, tables)
-        bound = g.n // 2  # no cut's sm value exceeds it
-        width = bound if best is None and bound <= 18 * k else bd.f_width(smf)
+        heavy = [heavy_vertices(ctx, k) for ctx in ctxs]
+        if built is None or heavy != built[0]:
+            try:
+                for i, h in enumerate(heavy):
+                    if (i, h) not in trees:
+                        trees[i, h] = prime_decomposition(ctxs[i], h)
+            except KTooSmall:
+                k += 1
+                continue
+            bd = combine(dec, [trees[key] for key in enumerate(heavy)])
+            bound = g.n // 2  # no cut's sm value exceeds it
+            built = (heavy, bd, bound if best is None and bound <= 18 * k else bd.f_width(smf))
+        _, bd, width = built
         if best is None or width < best[0]:
             best = (width, bd)
         if width <= 18 * k:

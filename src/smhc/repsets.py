@@ -285,16 +285,15 @@ def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
     `fam` maps the state (d1, d2, pe) of each certificate to it, c
     covers the cut of a, and `estar` holds the edges between a and c \\ a.
     Certificates whose degree deficiency exceeds the cross-edge budget
-    2|c| cannot complete and are dropped first.  One `frontier` over estar,
-    if any, grows the rest in place; it forgets no vertex of c (the forget
+    2|c| cannot complete and are dropped first.  One `frontier` over estar
+    grows the rest in place; it forgets no vertex of c (the forget
     step of Cygan et al., Parameterized Algorithms, 2015, ch. 7): c covers
     the cut, so a vertex of a \\ c is decided once its estar edges are in.
     The least member per state (on live members, the state over c) meets
     the only rank basis, one `trim_separator` over c (the reduce step, run
     apart as in Bodlaender, Cygan, Kratsch & Nederlof, Inf. & Comput.
     2015).  Exact: that trim feeds its basis in sorted-mask order, and a
-    repeated state is dependent on its first occurrence (Lemma 3); without
-    estar edges the frontier would only repeat that trim's filters.  That
+    repeated state is dependent on its first occurrence (Lemma 3).  That
     trim drops dead members, so the result is exact for any `fam`, also one
     that breaks `frontier`'s precondition.  `trace` is passed on.
     """
@@ -302,8 +301,7 @@ def preserving_extension(g: Graph, a: int, c: int, fam: Family, estar: int,
     if csize < 3:
         raise ValueError("separator must have size at least three")
     fold = {key: m for key, m in fam.items() if a.bit_count() - m.bit_count() <= csize}
-    if estar:
-        fold = frontier(g, fold, estar, c)
+    fold = frontier(g, fold, estar, c)
     cores = {m & ~estar for m in trim_separator(g, a, c, fold, trace).values()}
     return {key: m for key, m in fam.items() if m in cores}
 

@@ -182,19 +182,20 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
 
     A lone member m of another side skips the rep-set trim.  It is dropped
     when |a| - |m| > |N(a)|: a cycle through m takes 2|a| - 2|m| cross
-    edges, at most two at each outside neighbour.  A trim that runs
-    appends (a, before, after), the masks of `fam` and of the result, to
-    `trace["trims"]` when the caller put a list there.
+    edges, at most two at each outside neighbour.  Every trim of a home
+    other than V appends (a, before, after), the masks of `fam` and of the
+    result, to `trace["trims"]` when the caller put a list there, also on
+    an empty `fam`, so a trace shows the home at which a family died.
     """
-    if a == g.vmask or not fam:
+    if a == g.vmask:
         return fam
     if cut[2]:
         out = trim_split(g, a, fam, cut)
     elif len(fam) > 1:
         out = trim_vc(g, a, fam, cut, trace)
-    else:
-        (m,) = fam.values()
-        out = {} if a.bit_count() - m.bit_count() > cut[1].bit_count() else fam
+    else:  # a lone member, or none
+        out = {key: m for key, m in fam.items()
+               if a.bit_count() - m.bit_count() <= cut[1].bit_count()}
     if trace is not None and "trims" in trace:
         trace["trims"].append((a, list(fam.values()), list(out.values())))
     return out
@@ -214,8 +215,8 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
     - `max_family_by_k`: the largest family kept by a vertex-cover trim,
       per size k of its padded cover c, written once per such trim (by
       `trim_vc`, or by the `repsets.trim_separator` of its extension);
-    - `trims`: (a, before, after) for every trim that runs, only if the
-      caller puts a list under that key.
+    - `trims`: (a, before, after) for every trim, of an empty family too,
+      only if the caller puts a list under that key.
     """
     if trace is not None:
         trace.setdefault("node_sizes", [])

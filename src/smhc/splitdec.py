@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 from .cuts import mm_value, sm_value
 
 
@@ -114,74 +114,61 @@ def _closure(full: int, adj: dict[int, int], seed: int, z: int, bound: int) -> i
 
 class SplitDecomposition:
     """Primes and marker registry of a graph; each marker joins two primes,
-    so the markers are the edges of the decomposition tree."""
+    so the markers are the edges of the decomposition tree.
+
+    One walk of that tree from prime 0, parents first, keeps each prime's
+    marker to its parent and the original vertices below it; it reads only
+    the primes and the markers.  `tot` and `recompose` both read the walk.
+    """
 
     def __init__(self, graph: Graph, primes: list[Graph], markers: dict[int, tuple[int, int]]):
         self.graph = graph
         self.primes = primes
         self.markers = markers  # marker id -> (prime index, prime index)
-        self._tot_cache: dict[tuple[int, int], int] = {}
-
-    # -- tot ---------------------------------------------------------------
+        inner = mask_of(markers)
+        self._up: dict[int, int | None] = {0: None}  # prime -> marker to its parent
+        self._order = [0]
+        for i in self._order:
+            for v in bits(primes[i].vmask & inner):
+                for j in markers[v]:
+                    if j not in self._up:
+                        self._up[j] = v
+                        self._order.append(j)
+        self._below = [p.vmask & ~inner for p in primes]  # originals below each prime
+        for j in reversed(self._order[1:]):
+            a, b = markers[self._up[j]]
+            self._below[a if b == j else b] |= self._below[j]
 
     def tot(self, i: int, v: int) -> int:
         """Original vertices represented by v as seen from prime i.
 
-        A marker stands for the tots of the other vertices of the prime
-        across it.  Markers are resolved children first on an explicit
-        stack, each memoized in `_tot_cache`.
+        A marker seen from its parent stands for the originals below its
+        child, and seen from its child for all the other originals.
         """
         if not (self.primes[i].vmask >> v) & 1:
             raise ValueError(f"vertex {v} is not in prime {i}")
-        vmask, cache = self.graph.vmask, self._tot_cache
-        if (vmask >> v) & 1:
+        if v not in self.markers:
             return 1 << v
-        stack = [(i, v)]
-        while (i, v) not in cache:
-            h, x = stack[-1]
-            pi, pj = self.markers[x]
-            j = pj if pi == h else pi
-            out, missing = 0, []
-            for u in self.primes[j].vertices:
-                if u == x:
-                    continue
-                if (vmask >> u) & 1:
-                    out |= 1 << u
-                elif (j, u) in cache:
-                    out |= cache[j, u]
-                else:
-                    missing.append((j, u))
-            if missing:
-                stack += missing
-            else:
-                cache[stack.pop()] = out
-        return cache[i, v]
-
-    # -- recomposition (soundness check) -----------------------------------
+        a, b = self.markers[v]
+        child = a if self._up[a] == v else b
+        below = self._below[child]
+        return self._below[0] & ~below if i == child else below
 
     def recompose(self) -> Graph:
-        parts = list(self.primes)
-        markers = {m: list(p) for m, p in self.markers.items()}
-        while len(parts) > 1:
-            m, (i, j) = next(iter(markers.items()))
-            gi, gj = parts[i], parts[j]
-            ni = gi.adj[m]
-            nj = gj.adj[m]
-            vs = [v for v in gi.vertices + gj.vertices if v != m]
-            es = [(u, v) for (u, v) in gi.edges + gj.edges if m not in (u, v)]
-            es += [(u, v) for u in bits(ni) for v in bits(nj)]
-            merged = Graph(vs, es)
-            keep = [p for k, p in enumerate(parts) if k not in (i, j)]
-            remap = {}
-            for k in range(len(parts)):
-                if k not in (i, j):
-                    remap[k] = len(remap)
-            merged_idx = len(keep)
-            parts = keep + [merged]
-            del markers[m]
-            markers = {mk: [remap.get(k, merged_idx) for k in pr]
-                       for mk, pr in markers.items()}
-        return parts[0]
+        """The graph the primes stand for (a soundness check).  Children
+        first, each prime is merged into its parent: its edges off the
+        parent marker join what their ends stand for, and the marker then
+        stands, in the parent, for what its neighbours stand for."""
+        ends: dict[int, int] = {}  # marker -> the originals below it that see it
+        edges = []
+        for i in reversed(self._order):
+            p, m = self.primes[i], self._up[i]
+            at = {v: ends.get(v, 1 << v) for v in p.vertices}
+            edges += [(u, w) for x, y in p.edges if m not in (x, y)
+                      for u in bits(at[x]) for w in bits(at[y])]
+            if m is not None:
+                ends[m] = sum(at[v] for v in bits(p.adj[m]))
+        return Graph(bits(self._below[0]), edges)
 
 
 def split_decompose(g: Graph) -> SplitDecomposition:

@@ -233,26 +233,63 @@ def test_each_prime_heavy_set_searched_once(monkeypatch):
     assert searches and len(searches) == len(set(searches))
 
 
-def test_one_tree_per_graph_or_measured_k(monkeypatch):
-    """The searches and the splices work on tables, so `approx_sm_decomposition`
-    validates one `BranchDecomposition` per tree it measures or returns.
-    K12, a cograph and the 13 + 6 mixed graph are accepted unmeasured
-    (n // 2 <= 18k): one tree.  A random graph with n = 44 (n // 2 > 18)
-    has its first tree measured, rejected, and k raised: one tree per
-    measured k."""
-    builds, measured = [], []
+def _count_trees(monkeypatch):
+    """Lists that collect every `BranchDecomposition` built, every tree
+    measured and every k whose heavy sets are read."""
+    builds, measured, ks = [], [], []
     real_init, real_width = BranchDecomposition.__init__, BranchDecomposition.f_width
+    real_heavy = pipeline.heavy_vertices
     monkeypatch.setattr(BranchDecomposition, "__init__",
                         lambda bd, *args: builds.append(bd) or real_init(bd, *args))
     monkeypatch.setattr(BranchDecomposition, "f_width",
                         lambda bd, f: measured.append(bd) or real_width(bd, f))
+    monkeypatch.setattr(pipeline, "heavy_vertices",
+                        lambda ctx, k: ks.append(k) or real_heavy(ctx, k))
+    return builds, measured, ks
+
+
+def test_one_tree_per_graph_or_measured_k(monkeypatch):
+    """`approx_sm_decomposition` builds and measures one tree per distinct
+    heavy configuration.  K12, a cograph and the 13 + 6 mixed graph are
+    accepted unmeasured (n // 2 <= 18k): one tree.  A random graph with
+    n = 44 (n // 2 > 18) has its first tree measured and rejected, and k
+    raised to 2, where no heavy set changes: the same tree is accepted,
+    built and measured once."""
+    builds, measured, ks = _count_trees(monkeypatch)
     for g in (complete_graph(12), random_cograph(14, random.Random(5)), paths_13_6()):
         builds.clear()
         assert approx_sm_decomposition(g) is builds[0] and len(builds) == 1
     builds.clear()
     measured.clear()
-    approx_sm_decomposition(random_connected_graph(44, random.Random(3), p=0.3))
-    assert len(measured) >= 2 and builds == measured
+    ks.clear()
+    bd = approx_sm_decomposition(random_connected_graph(44, random.Random(3), p=0.3))
+    assert max(ks) == 2 and builds == measured == [bd]
+
+
+def blow_up(g: Graph, sizes: dict[int, int]) -> Graph:
+    """g with each vertex v replaced by sizes.get(v, 1) false twins."""
+    copies, n = {}, 0
+    for v in g.vertices:
+        copies[v] = range(n, n + sizes.get(v, 1))
+        n += sizes.get(v, 1)
+    return Graph(range(n), [(a, b) for u, v in g.edges for a in copies[u] for b in copies[v]])
+
+
+def test_changing_heavy_set_builds_a_new_tree(monkeypatch):
+    """Two adjacent vertices of a random graph with n = 41, each blown up
+    into three false twins (n = 45): the two markers that stand for them
+    weigh 3, a heavy pair at k = 1 but light at k = 2.  The k = 1 tree is
+    measured and rejected; k = 2 changes the heavy sets, so a second tree
+    is built and measured, and it differs from the first."""
+    g = blow_up(random_connected_graph(41, random.Random(3), p=0.3), {0: 3, 1: 3})
+    dec = split_decompose(g)
+    heavy = {k: [heavy_vertices(LiftedContext(dec, i), k) for i in range(len(dec.primes))]
+             for k in (1, 2)}
+    assert heavy[1] != heavy[2]
+    builds, measured, ks = _count_trees(monkeypatch)
+    approx_sm_decomposition(g)
+    assert max(ks) == 2 and len(builds) == 2 and builds == measured
+    assert builds[0].to_json() != builds[1].to_json()
 
 
 def complete_multipartite(*sizes):

@@ -361,14 +361,21 @@ def test_preserving_extension_no_estar():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_extension_without_estar_skips_frontier(seed, monkeypatch):
-    """With no estar edges `preserving_extension` runs no `frontier` and
-    returns the subfamily that `trim_separator` over c keeps of the
-    certificates within the cross-edge budget (|a| - |cert| <= |c|), with
-    the same `max_family_by_k`."""
+    """With no estar edges the `frontier` of `preserving_extension` folds
+    no edge and returns its family unchanged, so the extension returns the
+    subfamily that `trim_separator` over c keeps of the certificates within
+    the cross-edge budget (|a| - |cert| <= |c|), with the same
+    `max_family_by_k`."""
     folds = []
     real_frontier = repsets.frontier
-    monkeypatch.setattr(repsets, "frontier",
-                        lambda *args: folds.append(args) or real_frontier(*args))
+
+    def recorded(g, fam, left, boundary):
+        before = dict(fam)
+        out = real_frontier(g, fam, left, boundary)
+        folds.append(left == 0 and out == before)
+        return out
+
+    monkeypatch.setattr(repsets, "frontier", recorded)
     rng = random.Random(seed + 1800)
     seen = {"instances": 0, "kept": 0, "over budget": 0, "dropped": 0}
     while seen["instances"] < 10 or not all(seen.values()) and seen["instances"] < 100:
@@ -391,7 +398,7 @@ def test_extension_without_estar_skips_frontier(seed, monkeypatch):
         seen["kept"] += len(got)
         seen["over budget"] += len(fam) > len(within)
         seen["dropped"] += len(within) > len(got)
-    assert not folds
+    assert folds and all(folds)
     assert all(seen.values()), seen
 
 

@@ -941,6 +941,17 @@ def test_trace_collection():
     assert trims and separator_ks
 
 
+def test_trace_records_where_a_family_dies():
+    """On the star K_{1,3} the twin join of leaves 0 and 1 reaches no tally
+    that the twin trim keeps: two isolated vertices that see one outside
+    vertex.  Every family from there up is empty, and each of those trims
+    is recorded, so the trace shows the home at which the family died."""
+    g = Graph(range(4), [(0, 3), (1, 3), (2, 3)])
+    trace = {"trims": []}
+    assert solve_hc(g, caterpillar_decomposition([2, 3, 1, 0]), trace=trace) == (False, None)
+    assert trace["trims"] == [(mask_of([0, 1]), [], []), (mask_of([0, 1, 3]), [], [])]
+
+
 def test_solve_deep_caterpillar_in_bounded_stack():
     """The post-order needs no stack frame per decomposition level.
 

@@ -224,6 +224,40 @@ def test_tot_partitions_graph():
         assert seen == g.vmask
 
 
+def tot_by_search(dec, i, v):
+    """tot(i, v) by a breadth-first search over the tree of primes: the
+    originals of the primes reachable from the marker's far prime without
+    crossing the marker."""
+    if v not in dec.markers:
+        return 1 << v
+    a, b = dec.markers[v]
+    queue = [b if a == i else a]
+    seen, out = set(queue), 0
+    for j in queue:
+        for u in dec.primes[j].vertices:
+            if u not in dec.markers:
+                out |= 1 << u
+            elif u != v:
+                queue += [k for k in dec.markers[u] if k not in seen]
+                seen.update(dec.markers[u])
+    return out
+
+
+def test_tot_walk_from_the_middle():
+    """The worked example with its primes reordered so that the walk starts
+    at the middle triangle, which has a child on each side."""
+    g, dec = worked_example()
+    p0, p1, p2 = dec.primes
+    middle = SplitDecomposition(g, [p1, p0, p2], {7: (1, 0), 8: (0, 2)})
+    assert middle.recompose() == g
+    for d in (dec, middle):
+        for i, p in enumerate(d.primes):
+            for v in p.vertices:
+                assert d.tot(i, v) == tot_by_search(d, i, v)
+    assert middle.tot(0, 7) == dec.tot(1, 7) == mask_of([0, 1, 2, 6])
+    assert middle.tot(0, 8) == dec.tot(1, 8) == mask_of([4, 5])
+
+
 def test_tot_requires_membership():
     _, dec = worked_example()
     with pytest.raises(ValueError):
@@ -245,6 +279,9 @@ def test_decompose_random_sound(seed):
     for v in g.vertices:
         hosts = sum(1 for p in dec.primes if (p.vmask >> v) & 1)
         assert hosts == 1
+    for i, p in enumerate(dec.primes):
+        for v in p.vertices:
+            assert dec.tot(i, v) == tot_by_search(dec, i, v)
 
 
 def test_lifted_identity_on_whole_graph_prime():
