@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
 """Run the cliff corpus: inputs on which the solver's cost jumps.
 
-The inputs lie outside the benchmark's workloads: K14, K16, K18 and K20;
-the clique-split cograph `cograph-n12-1` relabeled by `Random(2).shuffle`;
-the p = 0.3 stream (`random_connected_graph(n, Random(1), p=0.3)` drawn
-for n = 10, 11, ... in turn) at n = 13, 19, 21 and 22; K_{6,6} with a
-decomposition whose root edge separates the two sides; and
-`cograph-n14-6`, the 7th n = 14 draw of a `workloads.random_cograph`
-survey that draws 8 cographs per n = 12, 13, ... from one `Random(99)`;
-and the 11 draws of the survey that draws 8 `workloads.random_cograph`
-per n = 16, 18, ..., 26 from one `Random(5)` on which the folding twin
-join ran out of time or memory (`cograph-survey-n22-1` and so on, named
-by n and draw).  Each input runs in its own subprocess, with this checkout's `src` first on the path, a
-2 GB address-space cap (RLIMIT_AS) set in the child and a 60 s wall
-limit.  The child decomposes with `approx_sm_decomposition` (K_{6,6} takes
-its given tree) and runs `solve_hc`.
+The inputs lie outside the benchmark's workloads: K14, K16, K18, K20,
+K60, K100 and K150; the clique-split cograph `cograph-n12-1` relabeled by
+`Random(2).shuffle`; the p = 0.3 stream (`random_connected_graph(n,
+Random(1), p=0.3)` drawn for n = 10, 11, ... in turn) at n = 13, 19, 21
+and 22; K_{6,6} with a decomposition whose root edge separates the two
+sides; `cograph-n14-6`, the 7th n = 14 draw of a
+`workloads.random_cograph` survey that draws 8 cographs per n = 12, 13,
+... from one `Random(99)`; the 11 draws of the survey that draws 8
+`workloads.random_cograph` per n = 16, 18, ..., 26 from one `Random(5)`
+on which the folding twin join ran out of time or memory
+(`cograph-survey-n22-1` and so on, named by n and draw); the 12
+cographs that one `Random(11)` draws as `workloads.random_cograph`, 4
+per n = 60, 80, 120 (`cograph-r11-n60-0` and so on), all Hamiltonian;
+and the first n = 60 draw of a survey that draws 4 per n = 40, 60, 80,
+120 from one `Random(11)` (`cograph-r11-survey-n60-0`), which is not.
+Each input runs in its own subprocess, with this checkout's `src` first
+on the path, a 2 GB address-space cap (RLIMIT_AS) set in the child and a
+60 s wall limit.  The child decomposes with `approx_sm_decomposition`
+(K_{6,6} takes its given tree) and runs `solve_hc`.
 
 Per input the output records the outcome (`ok`, `timeout` or `memory`),
 the verdict and whether it was checked (against K_n, `brute_hc` for
 n <= 16, the path-cover reference `tests/test_cograph_reference.cograph_hc`
-for the survey cographs, whatever the verdict, or a verified witness),
-decomposition and solve time, the peak node family (`max_family`),
+for the survey and `Random(11)` cographs, whatever the verdict, or a
+verified witness), decomposition and solve time, the peak node family (`max_family`),
 `max_family_by_k` and the child's peak RSS.
 
 Usage: python3 scripts/cliffs.py [--out BENCH_cliffs.json]
@@ -72,7 +77,7 @@ def corpus() -> list[dict]:
     import workloads
 
     out = [{"label": f"K{n}", "n": n, "edges": list(combinations(range(n), 2)),
-            "reference": "complete"} for n in (14, 16, 18, 20)]
+            "reference": "complete"} for n in (14, 16, 18, 20, 60, 100, 150)]
     smhc_ns = types.SimpleNamespace(generators=smhc.generators)
     cograph = next(inp for cls in workloads.clique_split(smhc_ns) for inp in cls
                    if inp.label == "cograph-n12-1")
@@ -104,7 +109,29 @@ def corpus() -> list[dict]:
         n = int(name[1:3])
         out.append({"label": f"cograph-survey-{name}", "n": n, "edges": survey[name],
                     "reference": "cograph"})
+    rng = random.Random(11)
+    out += [{"label": f"cograph-r11-n{n}-{j}", "n": n,
+             "edges": workloads.random_cograph(n, rng), "reference": "cograph"}
+            for n in (60, 80, 120) for j in range(4)]
+    rng = random.Random(11)
+    survey = [workloads.random_cograph(n, rng) for n in (40, 60, 80, 120) for _ in range(4)]
+    out.append({"label": "cograph-r11-survey-n60-0", "n": 60, "edges": survey[4],
+                "reference": "cograph"})
     return out
+
+
+def own_peak_rss_kb() -> int:
+    """Peak RSS of this process since its exec, in kB: Linux's VmHWM where
+    there is one, as ru_maxrss there also counts the pages of the parent
+    the child was forked from."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def child() -> int:
@@ -134,7 +161,7 @@ def child() -> int:
                       max_family_by_k=dict(sorted(trace.get("max_family_by_k", {}).items())))
     except MemoryError:
         result["outcome"] = "memory"
-    result["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    result["peak_rss_mb"] = round(own_peak_rss_kb() / 1024, 1)
     json.dump(result, sys.stdout)
     return 0
 
@@ -187,8 +214,9 @@ def main(argv=None) -> int:
     if args.child:
         return child()
     inputs = corpus()
-    # Every child runs before `check` imports the references: a child's
-    # peak RSS starts from the parent's, which the test modules would raise.
+    # Every child runs before `check` imports the references: where a
+    # child's peak RSS falls back to ru_maxrss, it starts from the parent's,
+    # which the test modules would raise.
     results = [run_input(inp) for inp in inputs]
     rows = []
     for inp, result in zip(inputs, results):

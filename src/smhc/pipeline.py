@@ -11,15 +11,15 @@ the parent of its pair's two ends; the per-prime tables are glued at the
 markers into one validated `BranchDecomposition`, and k grows until the
 recomputed sm-width of that tree fits the 18k budget.  Weights do not
 depend on k, so each prime vertex is weighed once per call, and a prime's
-table depends on k only through its heavy set, so each (prime, heavy set)
-is searched once per call, and a tree is built and measured once per
-heavy configuration (the heavy sets of all primes): a k that changes
-none reuses the last tree and its width.
+table depends on k only through its heavy pairs (`heavy_ends`), so each
+(prime, heavy pairs) is searched once per call, and a tree is built and
+measured once per heavy configuration (the heavy pairs of all primes): a
+k that changes none reuses the last tree and its width.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, bits
 from .cuts import mm_value, sm_cut_function
 from .branchdec import BranchDecomposition, EXACT_SIZE_LIMIT, approx_decomposition
 from .splitdec import LiftedContext, SplitDecomposition, split_decompose
@@ -36,6 +36,13 @@ def heavy_vertices(ctx: LiftedContext, k: int) -> int:
         if w >= 3 * k:
             mask |= 1 << v
     return mask
+
+
+def heavy_ends(ctx: LiftedContext, k: int) -> int:
+    """Mask of the heavy vertices with a heavy neighbour, the ends of the
+    heavy edges: all of the heavy set that a prime's table reads."""
+    heavy, adj = heavy_vertices(ctx, k), ctx.prime.adj
+    return sum(1 << v for v in bits(heavy) if adj[v] & heavy)
 
 
 def contract_heavy_edges(ctx: LiftedContext, heavy: int):
@@ -154,12 +161,12 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     dec = split_decompose(g)
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
     smf = sm_cut_function(g)
-    trees: dict[tuple[int, int], tuple[list, dict]] = {}  # tables by (prime, heavy set)
-    built = None  # (heavy sets, tree, width) of the last tree built
+    trees: dict[tuple[int, int], tuple[list, dict]] = {}  # tables by (prime, heavy ends)
+    built = None  # (heavy ends, tree, width) of the last tree built
     best = None
     k = 1
     while True:
-        heavy = [heavy_vertices(ctx, k) for ctx in ctxs]
+        heavy = [heavy_ends(ctx, k) for ctx in ctxs]
         if built is None or heavy != built[0]:
             try:
                 for i, h in enumerate(heavy):

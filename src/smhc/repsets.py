@@ -10,8 +10,10 @@ family whose extensions by its cross edges a trim over a cut cover c
 keeps.  One fold loop, `frontier`, grows families by edge sets for it
 and for `solver.join` alike, in that dict, under the precondition it
 states; `join_twins` builds the family of a join whose home and sides
-are twin cuts by counting, one member per tally (paths, isolated
-vertices) that the twin trim keeps, and folds no edge.  By Lemma 3
+are twin cuts by counting, and folds no edge: by a dominance rule that
+its docstring proves, one member per unit count (paths plus isolated
+vertices), the one with the most paths, which `keep_twin`, the twin
+trim's one rule, picks.  By Lemma 3
 below keeping one member per state loses nothing, so the rank basis
 runs once per trim.  Edge sets are bitmasks over the host's edge list.
 A path system travels with its state (d1, d2, pe): its vertices of
@@ -84,7 +86,6 @@ repeated torso is dependent on its first occurrence.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import islice
 
 from .graph import Graph, bits
@@ -385,13 +386,13 @@ def frontier(g: Graph, fam: Family, left: int, boundary: int) -> Family:
 def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
                cut_a: tuple[int, int, bool], cut_b: tuple[int, int, bool]) -> Family:
     """Family of home a | b when it and both sides are twin cuts (a single
-    vertex always is), cut_a and cut_b read as `solver.cut_of` does: one
-    member per tally (paths, isolated vertices) the pairs of fa and fb
-    reach that `solver.trim_split` keeps, each keyed by its state as its
-    chains are added.  No cross edge is folded, and a member with a vertex
-    off its side's boundary below degree two is skipped.
+    vertex always is), cut_a and cut_b read as `solver.cut_of` does: per
+    unit count, the one member that the twin trim (`keep_twin`) keeps of
+    those the pairs of fa and fb reach, keyed by its state as its chains
+    are added.  No cross edge is folded, and a member with a vertex off its
+    side's boundary below degree two is skipped.
 
-    Exactness.  If a cross edge exists, the cross edges are all of
+    Units.  If a cross edge exists, the cross edges are all of
     boundary(a) x boundary(b): every boundary vertex of a sees all of
     N(a) ∩ b, so boundary(b) = N(a) ∩ b, and likewise from b's side.  By
     `solver.trim`'s precondition a member of a side is, for completion,
@@ -400,23 +401,34 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     paths that take one or two cross edges (one per end) and i1 and i2
     isolated vertices that take one or two; s = p1 + 2 p2 + i1 + 2 i2
     must be equal on both sides.  The units then form alternating chains,
-    with no cycle, iff s = 0 or d1 = p1 + i1 summed over both sides is at
-    least two (`_chains` builds them), so per (s, z) each side takes the
-    choice with the most degree-one units, z counting the isolated
-    vertices left unused.  A side whose boundary leaves the home's (N(a)
-    within home, all or none, as the side is twin) must use every unit
-    fully.  The result has z isolated vertices and units - s - z paths.  A
-    cycle would close only at the root, which is no twin cut.  Members of
-    one tally complete alike, since a bijection of the twin boundary
-    carries a completion of one to the other, so the first pair that
-    reaches a tally is realised, once, on the lowest-id units.
+    with no cycle, iff s = 0 or d = p1 + i1 summed over both sides is at
+    least two (`_chains` builds them).  Each cross edge joins two
+    components, so the result has U = units - s units, z of them the
+    isolated vertices left unused and U - z paths.  A side whose boundary
+    leaves the home's (N(a) within home, all or none, as the side is twin)
+    must use every unit fully.  A cycle would close only at the root,
+    which is no twin cut.
 
-    The filter.  `solver.trim_split` at the home keeps exactly the
-    tallies `twin_kept` passes for t = |(na | nb) \\ home| = |N(a | b)|:
-    none with an isolated vertex when t < 2, and at most t paths and
-    isolated vertices.  `_twin_plans` applies it.  Whole tallies go, so
-    each kept tally's first pair and plan are unchanged, and `trim_split`
-    returns the family.
+    Dominance.  At a twin cut a member of tally (p + 1, i - 1) completes
+    wherever one of tally (p, i) does.  Map the units one to one, the
+    extra path standing in for an isolated vertex x, whose two cross edges
+    go to outside vertices y != z.  Give those two edges to the path's two
+    ends instead: every boundary vertex sees all of N(a), and the
+    completion is unchanged off the home.  Contracting each unit to a
+    vertex then gives the same cycle.  So per unit count the member with
+    the most paths is all a twin cut needs, which is `keep_twin`'s rule.
+
+    The count.  Per s, `twin_use` gives each side's use with the fewest
+    unused isolated vertices, z = i - min(i, s), and at that z the most
+    degree-one units, 2 min(s, p + i) - s.  That use has the most
+    degree-one units of any use with s, so it passes the chain test when
+    any does, and it gives the pair the most paths at U.  A pair is tried
+    for each s from max(0, units - t) on, t = |N(a | b)|, as U <= t, and
+    `keep_twin` keeps per U the pair with the most paths, the least
+    ma | mb on ties.  Members of one tally complete alike, since a
+    bijection of the twin boundary carries a completion of one to the
+    other, so every kept pair is realised once, as chains on the lowest-id
+    units, and `solver.trim_split` returns the family.
 
     The key.  A chain's cross edges meet unit vertices only and make one
     path, so the state of ma | mb, the union of the keys, grows edge by
@@ -428,20 +440,24 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     (ba, na, _), (bb, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
-    w, index, out = field_width(g), g.edge_index, {}
+    w, index, kept = field_width(g), g.edge_index, {}
     field = (1 << w) - 1
     sides_b = [(key, m, (key[0] & ~key[1]).bit_count() >> 1, (b & ~key[0]).bit_count())
                for key, m in fb.items() if not b & ~bb & ~key[1]]
-    chosen: dict[tuple[int, int], tuple] = {}
     for ka, ma in fa.items():
         if a & ~ba & ~ka[1]:
             continue
         pa, ia = (ka[0] & ~ka[1]).bit_count() >> 1, (a & ~ka[0]).bit_count()
         for kb, mb, pb, ib in sides_b:
-            for tally, plan in _twin_plans(pa, ia, full_a, pb, ib, full_b, cross, t):
-                if tally not in chosen:
-                    chosen[tally] = ka, ma, kb, mb, plan
-    for ka, ma, kb, mb, (ua, ub) in chosen.values():
+            units = pa + ia + pb + ib
+            top = min(pa + ia, pb + ib) * 2 if cross else 0
+            for s in range(max(0, units - t), top + 1):
+                ua, ub = twin_use(pa, ia, full_a, s), twin_use(pb, ib, full_b, s)
+                if ua and ub and (not s or ua[1] + ua[3] + ub[1] + ub[3] >= 2):
+                    z = ia - ua[2] - ua[3] + ib - ub[2] - ub[3]
+                    keep_twin(kept, t, units - s - z, z, ma | mb, (ka, ma, kb, mb, ua, ub))
+    out = {}
+    for *_, (ka, ma, kb, mb, ua, ub) in kept.values():
         m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
         for chain in _chains(*_units(w, a, ka, ua), *_units(w, b, kb, ub)):
             for (_, u), (v, _) in zip(chain, chain[1:]):
@@ -456,40 +472,40 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     return out
 
 
-@cache
-def _twin_plans(pa: int, ia: int, full_a: bool, pb: int, ib: int, full_b: bool,
-                cross: bool, t: int) -> tuple:
-    """((paths, isolated), (use of a, use of b)) per tally a pair of members
-    with these units reaches and `solver.trim_split` keeps at a home with
-    t outside neighbours; a use is (p2, p1, i2, i1), see `join_twins`.
-    Cached for the process: it reads small counts and returns a tuple."""
-    plans, units = {}, pa + ia + pb + ib
-    sides_b = _twin_uses(pb, ib, full_b)
-    for (s, za), ua in _twin_uses(pa, ia, full_a).items():
-        for (sb, zb), ub in sides_b.items():
-            if sb == s and (not s or cross and ua[1] + ua[3] + ub[1] + ub[3] >= 2):
-                plans.setdefault((units - s - za - zb, za + zb), (ua, ub))
-    return tuple((tally, plan) for tally, plan in plans.items() if twin_kept(tally, t))
+def keep_twin(kept: dict, t: int, paths: int, isolated: int, rank: int, item) -> None:
+    """The twin trim's rule at a home with t outside neighbours: offer
+    `item`, of tally (paths, isolated vertices), to `kept`, which maps a
+    unit count u = paths + isolated to (paths, rank, item) of the one item
+    it keeps there.  An item is dropped when it has an isolated vertex and
+    t < 2, or u > t: a cycle through it takes two cross edges per unit, at
+    most two at each outside neighbour, and an isolated vertex's two go to
+    distinct ones.  Otherwise it replaces the item held at u when it has
+    more paths (the dominance rule of `join_twins`), or as many and a
+    lower rank."""
+    units = paths + isolated
+    if units <= t and (t > 1 or not isolated):
+        held = kept.get(units)
+        if held is None or paths > held[0] or paths == held[0] and rank < held[1]:
+            kept[units] = paths, rank, item
 
 
-def twin_kept(tally: tuple[int, int], t: int) -> bool:
-    """Whether the twin trim keeps a tally (paths, isolated vertices) at a
-    home with t outside neighbours; `solver.trim_split` gives the reason."""
-    return (t > 1 or not tally[1]) and sum(tally) <= t
-
-
-def _twin_uses(p: int, i: int, full: bool) -> dict:
-    """(s, z) -> the use (p2, p1, i2, i1) of one side's p paths and i
-    isolated vertices with the most degree-one units."""
-    uses: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for p2 in (p,) if full else range(p + 1):
-        for p1 in (0,) if full else range(p - p2 + 1):
-            for i2 in (i,) if full else range(i + 1):
-                for i1 in (0,) if full else range(i - i2 + 1):
-                    key = p1 + 2 * p2 + i1 + 2 * i2, i - i1 - i2
-                    if key not in uses or p1 + i1 > uses[key][1] + uses[key][3]:
-                        uses[key] = p2, p1, i2, i1
-    return uses
+def twin_use(p: int, i: int, full: bool, s: int) -> tuple[int, int, int, int] | None:
+    """The use (p2, p1, i2, i1) of one side's p paths and i isolated
+    vertices that takes s cross edges with the fewest isolated vertices
+    left unused and, at that, the most degree-one units p1 + i1, or None
+    when no use takes s; see `join_twins`.  A full side takes s = 2(p + i)
+    only.  Up to s = p + i every taken unit takes one edge, isolated
+    vertices first; past it every unit is taken and s - (p + i) take two,
+    isolated vertices first."""
+    units = p + i
+    if s > 2 * units or full and s != 2 * units:
+        return None
+    if s <= units:
+        i1 = min(i, s)
+        return 0, s - i1, 0, i1
+    two = s - units
+    i2 = min(i, two)
+    return two - i2, p - two + i2, i2, i - i2
 
 
 def _units(w: int, side: int, key: tuple[int, int, int], use: tuple) -> tuple[list, list]:

@@ -9,15 +9,17 @@ certificate is made.  Every step reads and returns that form, from
 the leaves' {(0, 0, 0): 0} to the root.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
 merge, the twin test and the trims read only that cut.  A join whose
-home and sides are twin cuts (a single vertex always is) builds one
-member per reachable tally (paths, isolated vertices) that `trim_split`
-keeps, by counting (`repsets.join_twins`).  Every other join keys all
+home and sides are twin cuts (a single vertex always is) builds, by
+counting (`repsets.join_twins`), one member per reachable unit count
+(paths plus isolated vertices), the one with the most paths, which is
+what `trim_split` keeps.  Every other join keys all
 pairs once into the dict of one frontier (`repsets.frontier`), which
 grows them over the cross edges and keeps the least live member per
 state.  Either family meets `trim`'s precondition, which no step
-re-checks.  Each trim then applies only its own rules: the slot rules
-of twin cuts, one member per tally (`trim_split`), elsewhere the rep-set
-trim over a cut cover (`trim_vc`).
+re-checks.  Each trim then applies only its own rules: on twin cuts
+one member per unit count, at most t + 1 for t outside neighbours
+(`trim_split`), elsewhere the rep-set trim over a cut cover
+(`trim_vc`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (is_split, mm_value: benchmark hooks)
 from .branchdec import BranchDecomposition
 from .repsets import (Family, frontier, is_hamiltonian_cycle, join_twins,
-                      pad_separator, preserving_extension, twin_kept)
+                      keep_twin, pad_separator, preserving_extension)
 
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
 LEAF: Family = {(0, 0, 0): 0}  # the family of every leaf: the empty certificate
@@ -60,13 +62,15 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
          trace: dict | None = None) -> tuple[Cut, Family]:
     """Cut and family of home a | b, trimmed once unless a | b is the
     whole graph.  When a | b, a and b are twin cuts, `repsets.join_twins`
-    counts the family, one member per tally that `trim_split` keeps, and
-    the trim returns it unchanged.  Every other join, a twin home with a
-    plain side among them, runs one `repsets.frontier` that grows each
-    pair of fa and fb by every valid set of its cross edges.
-    The pairs are keyed by state straight into its dict, which it returns
-    as the family: the states within fa and within fb are distinct, and so
-    are the pairs', as the homes are disjoint.  Against `LEAF` the pairs
+    counts the family, one member per unit count that `trim_split`
+    keeps, and the trim returns it unchanged.  Every other join, a twin
+    home with a plain side among them, runs one `repsets.frontier` that
+    grows each pair of fa and fb by every valid set of its cross edges,
+    and `trim_split` cuts a twin home's family to one member per unit
+    count, at most t + 1 for t outside neighbours.  The pairs are keyed
+    by state straight into its dict, which it returns as the family: the
+    states within fa and within fb are distinct, and so are the pairs', as
+    the homes are disjoint.  Against `LEAF` the pairs
     are the other family's members under their own keys, so that dict is a
     copy of it; neither input is changed.  The cut and the cross edges are
     read off the cuts of a and b in O(|boundary of a| + |boundary of b|)
@@ -145,31 +149,30 @@ def _matched(g: Graph, boundary: int, nbr: int) -> bool:
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     """The members of a twin cut's family (`cut_of(g, a)`) that may
-    complete, the least per tally (paths, isolated vertices).
+    complete, one per unit count u = paths + isolated vertices: the one
+    with the most paths, the least mask on ties (`repsets.keep_twin`).
 
     Every boundary vertex sees the same t outside vertices, and under
     `trim`'s precondition every path end and isolated vertex lies on the
     boundary, so members of one tally complete alike: a bijection of the
-    boundary carries a completion of one to the other.  A member is
-    dropped when it has an isolated vertex and t < 2, or more than t paths
-    and isolated vertices: a cycle through it takes two cross edges per
-    path or isolated vertex, at most two at each outside neighbour
-    (`repsets.twin_kept`).  Every path holds a boundary vertex, so a kept
-    certificate has at most min(t, |boundary|) paths, the mm of the cut.
-    `repsets.join_twins` builds only members this keeps, so on its
-    families it returns what it is given; it still runs there, and `trim`
-    records it.
+    boundary carries a completion of one to the other.  By the dominance
+    rule (`repsets.join_twins`) a tally with one more path and one less
+    isolated vertex completes wherever this one does, so per u the most
+    paths suffice.  A member is dropped when it has an isolated vertex
+    and t < 2, or u > t.  Every path holds a boundary vertex, so a kept
+    certificate has at most min(t, |boundary|) paths, the mm of the cut,
+    and the family at most t + 1 members.  `repsets.join_twins` builds
+    only members this keeps, so on its families it returns what it is
+    given; it still runs there, and `trim` records it.
     """
     _, common_outside, twin = cut
     if not twin:
         raise ValueError("trim_split needs a twin cut")
-    t = common_outside.bit_count()
-    least: dict[tuple[int, int], tuple] = {}  # (paths, isolated) -> (key, least mask)
+    t, kept = common_outside.bit_count(), {}
     for key, m in fam.items():
-        tally = (key[0] & ~key[1]).bit_count() // 2, (a & ~key[0]).bit_count()
-        if twin_kept(tally, t) and m < least.get(tally, (0, m + 1))[1]:
-            least[tally] = key, m
-    return dict(least.values())
+        d1, d2, _ = key
+        keep_twin(kept, t, (d1 & ~d2).bit_count() >> 1, (a & ~d1).bit_count(), m, (key, m))
+    return dict(item for *_, item in kept.values())
 
 
 def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
@@ -178,7 +181,7 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
     `repsets.frontier` and `repsets.join_twins`: every vertex of a without
     an outside neighbour has degree two in every member, `fam` holds one
     member per state, and no member is a cycle.  On a twin cut one member
-    per tally is all that counts, which `trim_split` ensures.
+    per unit count is all that counts, which `trim_split` ensures.
 
     A lone member m of another side skips the rep-set trim.  It is dropped
     when |a| - |m| > |N(a)|: a cycle through m takes 2|a| - 2|m| cross

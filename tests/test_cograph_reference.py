@@ -126,11 +126,13 @@ def test_reference_matches_brute_on_random_cographs():
 
 def test_solver_matches_reference_past_brute_sizes():
     """Seeded cographs with n = 17..26, mostly past the 18 vertices of
-    `brute_hc`: `solve_hc`'s verdict, both ways, is the reference's."""
+    `brute_hc`, and with n = 27..60: `solve_hc`'s verdict, both ways, is
+    the reference's in each size range."""
     rng = random.Random(26)
-    verdicts = []
-    for _ in range(30):
-        g = random_cograph(rng.randint(17, 26), rng)
-        verdicts.append(cograph_hc(g))
-        assert solve_hc(g, approx_sm_decomposition(g))[0] == verdicts[-1]
-    assert True in verdicts and False in verdicts
+    for low, high, draws in ((17, 26, 30), (27, 60, 30)):
+        verdicts = []
+        for _ in range(draws):
+            g = random_cograph(rng.randint(low, high), rng)
+            verdicts.append(cograph_hc(g))
+            assert solve_hc(g, approx_sm_decomposition(g))[0] == verdicts[-1]
+        assert True in verdicts and False in verdicts, (low, high)

@@ -251,19 +251,26 @@ def _count_trees(monkeypatch):
 def test_one_tree_per_graph_or_measured_k(monkeypatch):
     """`approx_sm_decomposition` builds and measures one tree per distinct
     heavy configuration.  K12, a cograph and the 13 + 6 mixed graph are
-    accepted unmeasured (n // 2 <= 18k): one tree.  A random graph with
-    n = 44 (n // 2 > 18) has its first tree measured and rejected, and k
-    raised to 2, where no heavy set changes: the same tree is accepted,
-    built and measured once."""
+    accepted unmeasured (n // 2 <= 18k): one tree.  Two random graphs with
+    n = 44 (n // 2 > 18) have their first tree measured and rejected, and
+    k raised to 2, where no heavy pair changes: the same tree is accepted,
+    built and measured once.  On the p = 0.1 graph the rise does change
+    heavy sets, but only heavy vertices without a heavy neighbour turn
+    light, and a prime's table reads only its heavy pairs."""
     builds, measured, ks = _count_trees(monkeypatch)
     for g in (complete_graph(12), random_cograph(14, random.Random(5)), paths_13_6()):
         builds.clear()
         assert approx_sm_decomposition(g) is builds[0] and len(builds) == 1
-    builds.clear()
-    measured.clear()
-    ks.clear()
-    bd = approx_sm_decomposition(random_connected_graph(44, random.Random(3), p=0.3))
-    assert max(ks) == 2 and builds == measured == [bd]
+    for seed, p in ((3, 0.3), (9, 0.1)):
+        g = random_connected_graph(44, random.Random(seed), p=p)
+        builds.clear()
+        measured.clear()
+        ks.clear()
+        bd = approx_sm_decomposition(g)
+        assert max(ks) == 2 and builds == measured == [bd]
+    dec = split_decompose(g)
+    ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
+    assert [heavy_vertices(ctx, 1) for ctx in ctxs] != [heavy_vertices(ctx, 2) for ctx in ctxs]
 
 
 def blow_up(g: Graph, sizes: dict[int, int]) -> Graph:

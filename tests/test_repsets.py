@@ -840,3 +840,45 @@ def test_solver_folds_match_list_fold(monkeypatch):
         verdict, _ = solve_hc(g, bd or approx_sm_decomposition(g))
         assert verdict == oracles.brute_hc(g)[0]
     assert all(seen.values()), seen
+
+
+def reference_twin_uses(p, i, full):
+    """(s, z) -> the use (p2, p1, i2, i1) of one side's p paths and i
+    isolated vertices with the most degree-one units p1 + i1, over every
+    use: p2 and p1 paths take two and one cross edges, i2 and i1 isolated
+    vertices likewise, s = p1 + 2 p2 + i1 + 2 i2 edges in all and z
+    isolated vertices unused; a full side uses every unit twice."""
+    uses = {}
+    for p2 in (p,) if full else range(p + 1):
+        for p1 in (0,) if full else range(p - p2 + 1):
+            for i2 in (i,) if full else range(i + 1):
+                for i1 in (0,) if full else range(i - i2 + 1):
+                    key = p1 + 2 * p2 + i1 + 2 * i2, i - i1 - i2
+                    if key not in uses or p1 + i1 > uses[key][1] + uses[key][3]:
+                        uses[key] = p2, p1, i2, i1
+    return uses
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_twin_use_closed_form(full):
+    """For every p, i <= 6 and every s, `twin_use` gives a use that takes s
+    cross edges (a full side's every unit twice) when the enumeration has
+    one, with its least z, and at that z its most degree-one units, which
+    are the most of any use with s; otherwise None."""
+    for p in range(7):
+        for i in range(7):
+            uses = reference_twin_uses(p, i, full)
+            for s in range(2 * (p + i) + 3):
+                got = repsets.twin_use(p, i, full, s)
+                at_s = {z: use for (s_, z), use in uses.items() if s_ == s}
+                if not at_s:
+                    assert got is None
+                    continue
+                p2, p1, i2, i1 = got
+                assert min(got) >= 0 and p2 + p1 <= p and i2 + i1 <= i
+                assert p1 + 2 * p2 + i1 + 2 * i2 == s
+                assert not full or (p2, i2) == (p, i)
+                z = min(at_s)
+                assert i - i1 - i2 == z
+                assert p1 + i1 == at_s[z][1] + at_s[z][3]
+                assert p1 + i1 == max(use[1] + use[3] for use in at_s.values())

@@ -139,10 +139,11 @@ def is_twin_cut(g, a):
 
 
 def reference_trim_split(g, a, fam, cut):
-    """The twin trim of any family: the least member per twin signature
-    (paths, isolated vertices) among those with no vertex of a without an
-    outside neighbour below degree two, no closed cycle, no isolated vertex
-    when t = |N(a)| < 2, and at most t paths and isolated vertices."""
+    """The twin trim of any family: among the members with no vertex of a
+    without an outside neighbour below degree two, no closed cycle, no
+    isolated vertex when t = |N(a)| < 2, and at most t paths and isolated
+    vertices, the least member of the tally (paths, isolated vertices)
+    with the most paths per unit count paths + isolated vertices."""
     boundary, outside, _ = cut
     t = outside.bit_count()
     chosen = {}
@@ -155,7 +156,10 @@ def reference_trim_split(g, a, fam, cut):
         if d1 and not d1 & ~d2:
             continue
         chosen.setdefault(sig, (key, cert))
-    return dict(chosen.values())
+    best = {}
+    for sig in sorted(chosen, reverse=True):  # the most paths first
+        best.setdefault(sum(sig), chosen[sig])
+    return dict(best.values())
 
 
 def tally(a, key):
@@ -170,7 +174,7 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
     members `oracles.conc` lists over all pairs, each such a member under
     its state; that family preserves those members.  When a side is no
     twin cut, the plain fold runs and `join` keeps exactly the reference's
-    members, the least per tally.  The cut's flag is the literal twin-cut
+    members, one per unit count.  The cut's flag is the literal twin-cut
     test."""
     seen = dict.fromkeys(["checked", "crossed", "plain side"], 0)
     for g in seeded_graphs(1411, (0.5, 0.7, 0.9), 16):
@@ -533,6 +537,37 @@ def test_twin_join_builds_only_what_trim_split_keeps(monkeypatch):
         assert trim_split(g, home, out, cut_of(g, home)) == out
         assert all(key == path_state(g, m) for key, m in out.items())
     assert {g.n for g, *_ in joins} >= set(range(5, 21))
+
+
+def test_twin_trims_keep_one_member_per_unit_count():
+    """Every twin trim that `solve_hc` records in `trace["trims"]` on
+    K5..K40 and on seeded random cographs (n = 5..40) keeps at most t + 1
+    members, t = |N(a)|: one per unit count 0..t.  Cographs with n = 5..10
+    are also solved along a caterpillar in a random vertex order, whose
+    twin homes may have a plain side, so that trims of more than t + 1
+    members occur.
+    The verdicts are Hamiltonian on the cliques and the path-cover
+    reference's on the cographs."""
+    from tests.test_cograph_reference import cograph_hc
+    rng = random.Random(3401)
+    runs = [(complete_graph(n), None) for n in range(5, 41, 5)]
+    runs += [(random_cograph(rng.randint(5, 40), rng), None) for _ in range(16)]
+    for _ in range(16):
+        g = random_cograph(rng.randint(5, 10), rng)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        runs.append((g, caterpillar_decomposition(order)))
+    twin = wide = 0
+    for g, bd in runs:
+        trace = {"trims": []}
+        assert solve_hc(g, bd or approx_sm_decomposition(g), trace)[0] == cograph_hc(g)
+        for a, before, after in trace["trims"]:
+            _, nbr, is_twin = cut_of(g, a)
+            if is_twin:
+                assert len(after) <= nbr.bit_count() + 1
+                twin += 1
+                wide += len(before) > nbr.bit_count() + 1
+    assert twin >= 300 and wide, (twin, wide)
 
 
 def test_clique_solves_without_a_forgetting_frontier(monkeypatch):
