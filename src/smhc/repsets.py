@@ -63,11 +63,13 @@ the general graphic-matroid representative families of Fomin,
 Lokshtanov, Panolan & Saurabh (J. ACM 2016), which need a large field
 and random sampling to truncate.
 
-Corollary.  With |D1| <= 4 the basis keeps the first member of each
-(D0, D1, D2, pairing), so no row need be built: of the at most three
-pairings, each has a 1 at the cut {lowest end, its partner}, where every
-other has a 0 (rank C(3, 1) = 3, as in Cygan, Kratsch & Nederlof).  The
-lowest end's partner names the pairing.
+Corollary.  With |D1| <= 4 the basis keeps exactly the first member of
+each (D0, D1, D2, pairing): of the at most three pairings, each has a 1
+at the cut {lowest end, its partner}, where every other has a 0 (rank
+C(3, 1) = 3, as in Cygan, Kratsch & Nederlof), so their rows are
+independent and a repeated pairing is dependent on its first.  So a
+family whose members have at most four ends and distinct states over
+the separator loses no member; `solver.trim` relies on that.
 
 Lemma 3.  Let M be a path system of G[a ∪ S], S a separator, in which
 every vertex of a \\ S has degree two and every path end lies in S.
@@ -196,23 +198,13 @@ def representative_hc_sets(g: Graph, members: list[tuple[int, int, int]]) -> lis
     member is kept exactly when its pairing row is independent of the rows
     kept before it for the same (D0, D1, D2) signature.  The module
     docstring proves that this preserves completability within 4^k < 6^k
-    members.  By the Corollary a member with at most four ends builds no
-    row: it is kept when it is the first of its pairing.
+    members.
     """
     w = field_width(g)
-    field = (1 << w) - 1
     bases: dict[tuple[int, int], dict[int, int]] = {}  # signature -> top bit -> row
-    pairings: dict[tuple[int, int, int], int] = {}  # (d1, d2, lowest end's partner) -> i
     out = []
     for i, (d1, d2, pe) in enumerate(members):
-        ends = d1 & ~d2
-        if ends.bit_count() <= 4:
-            low = (ends & -ends).bit_length() - 1
-            key = (d1, d2, (pe >> low * w) & field if ends else 0)
-            if pairings.setdefault(key, i) == i:
-                out.append(i)
-            continue
-        row = pairing_row(w, ends, pe)
+        row = pairing_row(w, d1 & ~d2, pe)
         basis = bases.setdefault((d1, d2), {})  # (d1, d2) fixes D0, D1 and D2
         while row:
             top = row.bit_length() - 1
@@ -389,8 +381,9 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     vertex always is), cut_a and cut_b read as `solver.cut_of` does: per
     unit count, the one member that the twin trim (`keep_twin`) keeps of
     those the pairs of fa and fb reach, keyed by its state as its chains
-    are added.  No cross edge is folded, and a member with a vertex off its
-    side's boundary below degree two is skipped.
+    are added.  No cross edge is folded.  Precondition: fa and fb meet
+    `solver.trim`'s, as both are its outputs, so every vertex of a side
+    off the side's boundary has degree two in each of its members.
 
     Units.  If a cross edge exists, the cross edges are all of
     boundary(a) x boundary(b): every boundary vertex of a sees all of
@@ -437,16 +430,14 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     ends (a one-edge path unit's far end, or the isolated vertex itself)
     get each other's id, the pairing `path_state` would walk.
     """
-    (ba, na, _), (bb, nb, _), home = cut_a, cut_b, a | b
+    (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
     w, index, kept = field_width(g), g.edge_index, {}
     field = (1 << w) - 1
     sides_b = [(key, m, (key[0] & ~key[1]).bit_count() >> 1, (b & ~key[0]).bit_count())
-               for key, m in fb.items() if not b & ~bb & ~key[1]]
+               for key, m in fb.items()]
     for ka, ma in fa.items():
-        if a & ~ba & ~ka[1]:
-            continue
         pa, ia = (ka[0] & ~ka[1]).bit_count() >> 1, (a & ~ka[0]).bit_count()
         for kb, mb, pb, ib in sides_b:
             units = pa + ia + pb + ib

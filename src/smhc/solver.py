@@ -16,10 +16,11 @@ what `trim_split` keeps.  Every other join keys all
 pairs once into the dict of one frontier (`repsets.frontier`), which
 grows them over the cross edges and keeps the least live member per
 state.  Either family meets `trim`'s precondition, which no step
-re-checks.  Each trim then applies only its own rules: on twin cuts
-one member per unit count, at most t + 1 for t outside neighbours
-(`trim_split`), elsewhere the rep-set trim over a cut cover
-(`trim_vc`).
+re-checks.  `trim` is the one trim and applies only its own rules: on
+twin cuts one member per unit count, at most t + 1 for t outside
+neighbours (`trim_split`), elsewhere the rep-set trim over a cut cover
+(`repsets.preserving_extension`), which a matched boundary of at most
+five vertices shows to keep the family as it is.
 """
 
 from __future__ import annotations
@@ -99,40 +100,6 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
 
 # -- trims ------------------------------------------------------------------
 
-def trim_vc(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
-    """Representative subfamily via a preserving extension over a Koenig
-    cover c of the cut (`cut_of(g, a)`), both read off its boundary and N(a).
-
-    Without estar edges and with at most five boundary vertices that is
-    `fam` itself, under `trim`'s precondition: the boundary lies in c (an
-    uncovered cut edge would be estar), so the ends lie in c ∩ a, of <= 5
-    vertices.  At <= 4 ends the basis keeps each state over c (`repsets`
-    Corollary), which fixes the state as every edge lies in a.  No member
-    is a cycle or over the 2|c| budget.  Otherwise `preserving_extension`
-    returns the members kept.
-
-    A home of three vertices or more whose boundary a greedy pass matches
-    into N(a), each boundary vertex to an outside neighbour of its own,
-    needs no cover search: no unmatched boundary vertex starts an
-    alternating path, so the Koenig cover (`cuts.min_vertex_cover`) is the
-    boundary, its padding to three vertices stays in the home and no edge
-    is estar.  A home of one or two vertices is padded from outside it,
-    which can make estar edges, so it takes the cover search."""
-    boundary, nbr, _ = cut
-    if a.bit_count() >= 3 and boundary.bit_count() <= 5 and _matched(g, boundary, nbr):
-        k = max(boundary.bit_count(), 3)
-    else:
-        c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
-        estar = g.edges_at(c & ~a) & g.edges_at(boundary)
-        if estar or boundary.bit_count() > 5:
-            return preserving_extension(g, a, c, fam, estar, trace)
-        k = c.bit_count()
-    if trace is not None:
-        by_k = trace.setdefault("max_family_by_k", {})
-        by_k[k] = max(by_k.get(k, 0), len(fam))
-    return fam
-
-
 def _matched(g: Graph, boundary: int, nbr: int) -> bool:
     """Whether a greedy pass matches every boundary vertex to a neighbour
     of its own in nbr, each taking its lowest free one."""
@@ -176,29 +143,56 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
 
 
 def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
-    """Dispatch on the cut of a (`cut_of(g, a)`): twin cuts use the twin
-    rules, others the rep-set trim.  Precondition, proved in
-    `repsets.frontier` and `repsets.join_twins`: every vertex of a without
-    an outside neighbour has degree two in every member, `fam` holds one
-    member per state, and no member is a cycle.  On a twin cut one member
-    per unit count is all that counts, which `trim_split` ensures.
+    """The one trim of a family of home a, by its cut (`cut_of(g, a)`).
+    Precondition, proved in `repsets.frontier` and `repsets.join_twins`:
+    every vertex of a without an outside neighbour has degree two in
+    every member, `fam` holds one member per state, and no member is a
+    cycle.  Four cases:
 
-    A lone member m of another side skips the rep-set trim.  It is dropped
-    when |a| - |m| > |N(a)|: a cycle through m takes 2|a| - 2|m| cross
-    edges, at most two at each outside neighbour.  Every trim of a home
+    - a twin cut keeps one member per unit count (`trim_split`);
+    - a lone member m, or none, is dropped when |a| - |m| > |N(a)|: a
+      cycle through m takes 2|a| - 2|m| cross edges, at most two at each
+      outside neighbour;
+    - a home of three vertices or more whose boundary of at most five
+      vertices a greedy pass matches into N(a), each boundary vertex to an
+      outside neighbour of its own (`_matched`), keeps `fam` itself.  No
+      unmatched boundary vertex starts an alternating path, so the Koenig
+      cover c (`cuts.min_vertex_cover`) is the boundary, its padding to
+      three vertices stays in a, and no edge is estar.  By the
+      precondition every path end lies on the boundary, so a member has
+      at most four ends, and the basis keeps each state over c (the
+      Corollary of `repsets`), which fixes the state, as every edge lies
+      in a.  No member is a cycle, and none is over the budget: each
+      path or isolated vertex holds a boundary vertex, so |a| - |m| <= |c|.
+      That is what `preserving_extension` would return, and its
+      `max_family_by_k` is recorded at k = |c|;
+    - otherwise `preserving_extension` over the padded Koenig cover c,
+      with the estar edges between a and c \\ a.
+
+    A home of one or two vertices is padded from outside it, which can
+    make estar edges, so it takes the cover search.  Every trim of a home
     other than V appends (a, before, after), the masks of `fam` and of the
     result, to `trace["trims"]` when the caller put a list there, also on
     an empty `fam`, so a trace shows the home at which a family died.
     """
     if a == g.vmask:
         return fam
-    if cut[2]:
+    boundary, nbr, twin = cut
+    if twin:
         out = trim_split(g, a, fam, cut)
-    elif len(fam) > 1:
-        out = trim_vc(g, a, fam, cut, trace)
-    else:  # a lone member, or none
+    elif len(fam) < 2:  # a lone member, or none
         out = {key: m for key, m in fam.items()
-               if a.bit_count() - m.bit_count() <= cut[1].bit_count()}
+               if a.bit_count() - m.bit_count() <= nbr.bit_count()}
+    elif a.bit_count() >= 3 and boundary.bit_count() <= 5 and _matched(g, boundary, nbr):
+        out = fam
+        if trace is not None:
+            k = max(boundary.bit_count(), 3)
+            by_k = trace.setdefault("max_family_by_k", {})
+            by_k[k] = max(by_k.get(k, 0), len(fam))
+    else:
+        c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
+        estar = g.edges_at(c & ~a) & g.edges_at(boundary)
+        out = preserving_extension(g, a, c, fam, estar, trace)
     if trace is not None and "trims" in trace:
         trace["trims"].append((a, list(fam.values()), list(out.values())))
     return out
@@ -217,7 +211,8 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
       post-order, and `max_family`, the largest of them;
     - `max_family_by_k`: the largest family kept by a vertex-cover trim,
       per size k of its padded cover c, written once per such trim (by
-      `trim_vc`, or by the `repsets.trim_separator` of its extension);
+      `trim` on a matched boundary, else by the `repsets.trim_separator`
+      of its extension);
     - `trims`: (a, before, after) for every trim, of an empty family too,
       only if the caller puts a list under that key.
     """

@@ -218,30 +218,10 @@ def test_representative_hc_sets_matches_reference_basis(k):
         assert len(chosen) < len(members)
 
 
-def test_rows_only_from_six_ends(monkeypatch):
-    """`pairing_row` runs for no member with at most four path ends, and
-    once for each member with six."""
-    rows = []
-    real_pairing_row = repsets.pairing_row
-
-    def counting(w, ends, pe):
-        rows.append(ends)
-        return real_pairing_row(w, ends, pe)
-
-    monkeypatch.setattr(repsets, "pairing_row", counting)
-    for k in (3, 4, 5, 6):
-        kC = complete_graph(k)
-        members = [path_state(kC, m) for m in range(1 << kC.m) if is_path_system(kC, m)]
-        rows.clear()
-        representative_hc_sets(kC, members)
-        six = sum((d1 & ~d2).bit_count() == 6 for d1, d2, _ in members)
-        assert len(rows) == six == (15 if k == 6 else 0)
-
-
 def test_four_end_pairings_independent():
-    """The Corollary: for every four ends among eight vertices the rows
-    of the three pairings are independent over GF(2), and two ends have
-    a non-zero row."""
+    """The Corollary, on which `solver.trim`'s matched case rests: for
+    every four ends among eight vertices the rows of the three pairings
+    are independent over GF(2), and two ends have a non-zero row."""
     g = complete_graph(8)
     w = field_width(g)
     for t in (2, 4):

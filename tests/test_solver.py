@@ -9,7 +9,7 @@ from smhc.cuts import is_split, min_vertex_cover
 from smhc import repsets, solver
 from smhc.repsets import (degree_masks, field_width, is_path_system,
                           pad_separator, path_state, walk_from)
-from smhc.solver import (cut_of, join, trim, trim_vc, trim_split, solve_hc,
+from smhc.solver import (cut_of, join, trim, trim_split, solve_hc,
                          is_hamiltonian_cycle)
 from smhc.pipeline import approx_sm_decomposition
 from smhc.generators import (random_connected_graph, caterpillar_decomposition,
@@ -728,13 +728,13 @@ def test_carried_degree_masks_equal_fold(seed, monkeypatch):
     assert ends_checked
 
 
-def test_trim_vc_bound():
+def test_trim_bound():
     g = cycle_graph(8)
     a = mask_of([0, 1, 2, 3])
     inner = g.edges_within(a)
     fam = [m for m in range(1 << g.m) if m & ~inner == 0
            and is_path_system(g, m)]
-    out = list(trim_vc(g, a, family(g, fam), cut_of(g, a)).values())
+    out = list(trim(g, a, family(g, fam), cut_of(g, a)).values())
     assert set(out) <= set(fam)
     assert len(out) <= 6 ** 3  # padded cover has size 3
     assert oracles.verify_preservation(g, a, fam, out, method="cycles")
@@ -809,18 +809,20 @@ def wide_cut():
 
 
 def test_one_pass_trim_equals_extension_route(monkeypatch):
-    """`trim_vc` keeps exactly what `preserving_extension` and its
+    """`trim` keeps exactly what `preserving_extension` and its
     `trim_separator` over the padded cover keep, with the same
     `max_family_by_k`, on seeded random families keyed as `join` keys
-    them: the least member per state, of which the live ones (`live`)
-    are kept.  A cut without estar edges and with at
-    most five boundary vertices returns its family itself and calls no
-    extension; every other cut calls it.  A home of three vertices or
-    more whose boundary a greedy pass matches into N(a) ("matched") runs
-    no cover search, and its Koenig cover is its boundary; homes of one
-    and two vertices always search, and some are padded from outside the
-    home.  The cases cover padded covers, dropped members, estar cuts and
-    six-vertex boundaries whose basis keeps fewer members than states."""
+    them, on non-twin cuts with at least two members: the least member
+    per state, of which the live ones (`live`) are kept.  A home of three
+    vertices or more whose boundary of at most five vertices a greedy
+    pass matches into N(a) ("matched") runs no cover search and no
+    extension and returns its family itself, and its Koenig cover is its
+    boundary; every other cut runs one cover search and calls the
+    extension once.  Homes of two vertices always search, and some are
+    padded from outside the home.  The cases cover padded covers, dropped
+    members, estar cuts, searched cuts of at most five boundary vertices
+    without estar edges and six-vertex boundaries whose basis keeps fewer
+    members than states."""
     calls, covers = [], []
     real_extension, real_cover = solver.preserving_extension, solver.min_vertex_cover
     monkeypatch.setattr(solver, "preserving_extension",
@@ -838,36 +840,35 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     small = random.Random(2016)  # homes of one and two vertices, twin cuts among them
     instances += [(g, mask_of(small.sample(g.vertices, size)), [])
                   for g, _, _ in instances[:-1] for size in (1, 2)]
-    seen = dict.fromkeys(["one pass", "padded", "dropped", "estar", "wide basis drops",
-                          "matched", "small home padded outside"], 0)
+    seen = dict.fromkeys(["padded", "dropped", "estar", "searched without estar",
+                          "wide basis drops", "matched", "small home padded outside"], 0)
     for g, a, extra in instances:
         cut = cut_of(g, a)
-        boundary, nbr, _ = cut
+        boundary, nbr, twin = cut
         fam = live(family(g, sampled_family(g, a, rng) + extra), a, boundary)
+        if twin or len(fam) < 2:
+            continue
         c = pad_separator(g, a, real_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         want_trace, got_trace = {}, {}
         want = repsets.preserving_extension(g, a, c, fam, estar, want_trace)
         calls.clear()
         covers.clear()
-        got = trim_vc(g, a, fam, cut, got_trace)
+        got = trim(g, a, fam, cut, got_trace)
         assert got == want and got_trace == want_trace
+        seen["padded"] += c != boundary
+        seen["small home padded outside"] += a.bit_count() < 3 and bool(c & ~a)
         if not covers:
             assert a.bit_count() >= 3 and boundary.bit_count() <= 5
-            assert real_cover(g, boundary, nbr) == boundary and c & ~a == 0
+            assert real_cover(g, boundary, nbr) == boundary and c & ~a == 0 and not estar
+            assert not calls and got is fam
             seen["matched"] += 1
-        assert covers or a.bit_count() >= 3
-        seen["small home padded outside"] += a.bit_count() < 3 and bool(c & ~a)
-        if estar or boundary.bit_count() > 5:
-            assert len(calls) == 1
-            seen["estar"] += bool(estar)
-            seen["dropped"] += len(got) < len(fam)
-            seen["wide basis drops"] += not estar and len(got) < len(fam)
             continue
-        assert not calls and got is fam
-        assert boundary & ~c == 0 and (a & c).bit_count() <= max(boundary.bit_count(), 3)
-        seen["one pass"] += 1
-        seen["padded"] += c != boundary
+        assert len(covers) == len(calls) == 1
+        seen["estar"] += bool(estar)
+        seen["searched without estar"] += not estar and boundary.bit_count() <= 5
+        seen["dropped"] += len(got) < len(fam)
+        seen["wide basis drops"] += not estar and len(got) < len(fam)
     assert all(seen.values()), seen
 
 
