@@ -2,7 +2,7 @@
 """Run the cliff corpus: inputs on which the solver's cost jumps.
 
 The inputs lie outside the benchmark's workloads: K14, K16, K18, K20,
-K60, K100 and K150; the clique-split cograph `cograph-n12-1` relabeled by
+K60, K100, K150, K300 and K600; the clique-split cograph `cograph-n12-1` relabeled by
 `Random(2).shuffle`; the p = 0.3 stream (`random_connected_graph(n,
 Random(1), p=0.3)` drawn for n = 10, 11, ... in turn) at n = 13, 19, 21
 and 22; K_{6,6} with a decomposition whose root edge separates the two
@@ -15,7 +15,9 @@ on which the folding twin join ran out of time or memory
 cographs that one `Random(11)` draws as `workloads.random_cograph`, 4
 per n = 60, 80, 120 (`cograph-r11-n60-0` and so on), all Hamiltonian;
 and the first n = 60 draw of a survey that draws 4 per n = 40, 60, 80,
-120 from one `Random(11)` (`cograph-r11-survey-n60-0`), which is not.
+120 from one `Random(11)` (`cograph-r11-survey-n60-0`), which is not;
+and `workloads.random_cograph(n, Random(7))` at n = 300, 600 and 900,
+each from a fresh `Random(7)` (`cograph-r7-n300` and so on).
 Each input runs in its own subprocess, with this checkout's `src` first
 on the path, a 2 GB address-space cap (RLIMIT_AS) set in the child and a
 60 s wall limit.  The child decomposes with `approx_sm_decomposition`
@@ -26,7 +28,12 @@ the verdict and whether it was checked (against K_n, `brute_hc` for
 n <= 16, the path-cover reference `tests/test_cograph_reference.cograph_hc`
 for the survey and `Random(11)` cographs, whatever the verdict, or a
 verified witness), decomposition and solve time, the peak node family (`max_family`),
-`max_family_by_k` and the child's peak RSS.
+`max_family_by_k` and the child's peak RSS.  Rows whose solve runs a twin
+join (`repsets.join_twins`) also record `twin_joins` and, summed over
+them, `pair_s_tries`, the (member pair, s) tries of the pair loop
+`tests/test_repsets.py::reference_join_twins`, and `pair_u_tries`, the
+(member pair, U) tries of `join_twins`, both counted from each call's
+inputs (`twin_tries`) outside the solve's timed window.
 
 Usage: python3 scripts/cliffs.py [--out BENCH_cliffs.json]
 """
@@ -77,7 +84,7 @@ def corpus() -> list[dict]:
     import workloads
 
     out = [{"label": f"K{n}", "n": n, "edges": list(combinations(range(n), 2)),
-            "reference": "complete"} for n in (14, 16, 18, 20, 60, 100, 150)]
+            "reference": "complete"} for n in (14, 16, 18, 20, 60, 100, 150, 300, 600)]
     smhc_ns = types.SimpleNamespace(generators=smhc.generators)
     cograph = next(inp for cls in workloads.clique_split(smhc_ns) for inp in cls
                    if inp.label == "cograph-n12-1")
@@ -117,7 +124,43 @@ def corpus() -> list[dict]:
     survey = [workloads.random_cograph(n, rng) for n in (40, 60, 80, 120) for _ in range(4)]
     out.append({"label": "cograph-r11-survey-n60-0", "n": 60, "edges": survey[4],
                 "reference": "cograph"})
+    out += [{"label": f"cograph-r7-n{n}", "n": n,
+             "edges": workloads.random_cograph(n, random.Random(7)), "reference": "cograph"}
+            for n in (300, 600, 900)]
     return out
+
+
+def twin_tries(a: int, b: int, fa: dict, fb: dict, cut_a: tuple, cut_b: tuple) -> tuple[int, int]:
+    """(pair, s) tries of the pair loop and (pair, U) tries of
+    `repsets.join_twins` on one twin join.  Per pair of members with u =
+    p + i units each, t outside neighbours of a | b and `units` = ua + ub:
+    the loop tries s = max(0, units - t) .. 2 min(ua, ub) with a cross
+    edge, else s = 0 (from units - t on); the join tries U = max(|ua -
+    ub|, 1) .. min(ua + ub, t) with a cross edge and no full side, the one
+    U = ub - ua (a full) or ua - ub (b full), or U = ua + ub without a
+    cross edge, each only if 1 <= U <= t."""
+    (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
+    cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
+    t = ((na | nb) & ~home).bit_count()
+
+    def units(side, fam):
+        return [(d1 & ~d2).bit_count() // 2 + (side & ~d1).bit_count() for d1, d2, _ in fam]
+
+    loop = join = 0
+    for ua in units(a, fa):
+        for ub in units(b, fb):
+            top = 2 * min(ua, ub) if cross else 0
+            loop += max(0, top - max(0, ua + ub - t) + 1)
+            if not cross:
+                lo = hi = ua + ub
+            elif full_a:
+                lo = hi = ub - ua
+            elif full_b:
+                lo = hi = ua - ub
+            else:
+                lo, hi = abs(ua - ub), ua + ub
+            join += max(0, min(hi, t) - max(lo, 1) + 1)
+    return loop, join
 
 
 def own_peak_rss_kb() -> int:
@@ -137,10 +180,24 @@ def own_peak_rss_kb() -> int:
 def child() -> int:
     """Solve the input on stdin under the address-space cap; print JSON."""
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+    from smhc import solver
     from smhc.branchdec import BranchDecomposition
     from smhc.graph import Graph
     from smhc.pipeline import approx_sm_decomposition
-    from smhc.solver import solve_hc
+
+    tries = {"twin_joins": 0, "pair_s_tries": 0, "pair_u_tries": 0, "counting_s": 0.0}
+    real_twins = solver.join_twins
+
+    def counted_twins(g, a, b, fa, fb, cut_a, cut_b):
+        start = time.perf_counter()
+        loop, join = twin_tries(a, b, fa, fb, cut_a, cut_b)
+        tries["twin_joins"] += 1
+        tries["pair_s_tries"] += loop
+        tries["pair_u_tries"] += join
+        tries["counting_s"] += time.perf_counter() - start
+        return real_twins(g, a, b, fa, fb, cut_a, cut_b)
+
+    solver.join_twins = counted_twins
 
     inp = json.load(sys.stdin)
     result: dict = {"outcome": "ok"}
@@ -154,11 +211,14 @@ def child() -> int:
         result["decompose_s"] = round(time.perf_counter() - start, 4)
         trace: dict = {}
         start = time.perf_counter()
-        verdict, witness = solve_hc(g, bd, trace=trace)
-        result.update(solve_s=round(time.perf_counter() - start, 4),
+        verdict, witness = solver.solve_hc(g, bd, trace=trace)
+        solve_s = time.perf_counter() - start - tries.pop("counting_s")
+        result.update(solve_s=round(solve_s, 4),
                       verdict=verdict, witness=witness,
                       max_family=trace["max_family"],
                       max_family_by_k=dict(sorted(trace.get("max_family_by_k", {}).items())))
+        if tries["twin_joins"]:
+            result.update(tries)
     except MemoryError:
         result["outcome"] = "memory"
     result["peak_rss_mb"] = round(own_peak_rss_kb() / 1024, 1)

@@ -183,6 +183,12 @@ def _binary_tree(full: int, split) -> tuple[list, dict]:
 
 # -- exact minimum-width search -------------------------------------------
 
+def _small_tree(elements: list[int]) -> tuple[list, dict]:
+    """Table of the one tree on one or two elements: nodes 0 and 1 in
+    list order, joined by the root edge."""
+    return [(0, 1)][:len(elements) - 1], dict(enumerate(elements))
+
+
 def exact_branch_width(elements: list[int], f) -> tuple[int, tuple[list, dict]]:
     """Minimum f-width over all branch decompositions of the element list,
     and the table (edges, leaf_map) of a tree that attains it.
@@ -217,7 +223,7 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, tuple[list, dict]]:
     if not k:
         raise ValueError("exact branch width needs at least one element")
     if k <= 2:
-        return f(1 << elements[0]) if k == 2 else 0, ([(0, 1)][:k - 1], dict(enumerate(elements)))
+        return f(1 << elements[0]) if k == 2 else 0, _small_tree(elements)
     masks = [0]  # masks[s]: element mask of the index subset s
     for v in sorted(elements):
         masks += [m | 1 << v for m in masks]
@@ -292,13 +298,16 @@ def approx_decomposition(f, elements: list[int]) -> tuple[list, dict]:
     function f: `exact_branch_width`'s tree on at most EXACT_SIZE_LIMIT
     elements and `greedy_decomposition`'s above.
 
-    On three elements x < y < z it builds the exact tree without
-    evaluating f: f({y, z}) = f({x}), so each of the three splits costs
-    max(f(x), f(y), f(z)) and the search keeps the first, the lowest
-    element.
+    On at most three elements it builds the exact tree without
+    evaluating f.  One or two elements have one tree, whose width the
+    search evaluates and this discards.  On x < y < z, f({y, z}) =
+    f({x}), so each of the three splits costs max(f(x), f(y), f(z)) and
+    the search keeps the first, the lowest element.
     """
     if len(elements) > EXACT_SIZE_LIMIT:
         return greedy_decomposition(f, elements)
+    if len(elements) < 3:
+        return _small_tree(sorted(elements))
     if len(elements) == 3:
         return _binary_tree(mask_of(elements), lambda m: m & -m)
     return exact_branch_width(sorted(elements), f)[1]

@@ -47,13 +47,12 @@ def heavy_ends(ctx: LiftedContext, k: int) -> int:
 
 def contract_heavy_edges(ctx: LiftedContext, heavy: int):
     """Contract all edges between heavy vertices (the mask `heavy`);
-    returns (elements, tot_map, merged).
+    returns (elements, merged).
 
     The elements are the prime's vertices outside heavy edges, ascending,
     then one fresh id per heavy edge, counting up from the highest prime
-    vertex + 1 in edge order.  tot_map sends every element to the original
-    vertices it represents; merged records the endpoint pair behind each
-    fresh id.
+    vertex + 1 in edge order.  merged records the endpoint pair behind
+    each fresh id.
     """
     heavy_edges = [(u, v) for (u, v) in ctx.prime.edges
                    if (heavy >> u) & 1 and (heavy >> v) & 1]
@@ -62,27 +61,37 @@ def contract_heavy_edges(ctx: LiftedContext, heavy: int):
         if (touched >> u) & 1 or (touched >> v) & 1:
             raise KTooSmall("heavy edges are not a matching")
         touched |= (1 << u) | (1 << v)
-    tot_map = {v: ctx.tot(v) for v in ctx.prime.vertices}
-    merged: dict[int, tuple[int, int]] = {}
-    for new_id, (u, v) in enumerate(heavy_edges, ctx.prime.vertices[-1] + 1):
-        tot_map[new_id] = tot_map[u] | tot_map[v]
-        merged[new_id] = (u, v)
+    merged = dict(enumerate(heavy_edges, ctx.prime.vertices[-1] + 1))
     elements = [v for v in ctx.prime.vertices if not (touched >> v) & 1]
-    return elements + list(merged), tot_map, merged
+    return elements + list(merged), merged
+
+
+def element_tots(ctx: LiftedContext, merged: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """The original vertices behind each element: tot of each prime
+    vertex, and the union of its pair's for each fresh id of `merged`."""
+    tot_map = {v: ctx.tot(v) for v in ctx.prime.vertices}
+    for new_id, (u, v) in merged.items():
+        tot_map[new_id] = tot_map[u] | tot_map[v]
+    return tot_map
 
 
 def prime_decomposition(ctx: LiftedContext, heavy: int) -> tuple[list, dict]:
     """Table (edges, leaf_map) of a lifted-mm decomposition of one prime
     with its heavy pairs contracted, each fresh leaf then made in place
-    the parent of its pair's two ends.
+    the parent of its pair's two ends.  The tot of the elements is taken
+    when the search first evaluates the lifted mm, which it does not on
+    three elements or fewer.
 
     A prime made from a split has at least 3 vertices, and a 2- or 3-vertex
     whole graph has no heavy vertex, so at least two elements remain: each
     fresh leaf has a neighbour and ends with degree 3.
     """
-    elements, tot_map, merged = contract_heavy_edges(ctx, heavy)
+    elements, merged = contract_heavy_edges(ctx, heavy)
+    tot_map: dict[int, int] = {}
 
     def lifted(x: int) -> int:
+        if not tot_map:
+            tot_map.update(element_tots(ctx, merged))
         t = 0
         while x:
             low = x & -x

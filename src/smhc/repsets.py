@@ -12,8 +12,9 @@ and for `solver.join` alike, in that dict, under the precondition it
 states; `join_twins` builds the family of a join whose home and sides
 are twin cuts by counting, and folds no edge: by a dominance rule that
 its docstring proves, one member per unit count (paths plus isolated
-vertices), the one with the most paths, which `keep_twin`, the twin
-trim's one rule, picks.  By Lemma 3
+vertices), the one with the most paths and the least mask on ties, the
+rule of `keep_twin`, the twin trim's, tried once per pair of members and
+unit count in closed form.  By Lemma 3
 below keeping one member per state loses nothing, so the rank basis
 runs once per trim.  Edge sets are bitmasks over the host's edge list.
 A path system travels with its state (d1, d2, pe): its vertices of
@@ -22,7 +23,7 @@ bits per vertex, where the field of each path end (a vertex of
 d1 & ~d2) holds the other end of its path.  Other fields are zero and
 never read: a vertex of degree zero is its own partner.  Producers set
 the state in O(1) big-int operations per added edge: `grow` as it makes
-each member, `join_twins` from the chains it adds.  `path_state` derives
+each member, `join_twins` from the cross edges it adds.  `path_state` derives
 it by walking the edges once; no producer calls it, and it is the
 reference the keys are tested against.
 
@@ -87,8 +88,6 @@ repeated torso is dependent on its first occurrence.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .graph import Graph, bits
 
@@ -380,27 +379,30 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     """Family of home a | b when it and both sides are twin cuts (a single
     vertex always is), cut_a and cut_b read as `solver.cut_of` does: per
     unit count, the one member that the twin trim (`keep_twin`) keeps of
-    those the pairs of fa and fb reach, keyed by its state as its chains
-    are added.  No cross edge is folded.  Precondition: fa and fb meet
-    `solver.trim`'s, as both are its outputs, so every vertex of a side
-    off the side's boundary has degree two in each of its members.
+    those the pairs of fa and fb reach, keyed by its state as its cross
+    edges are added.  No cross edge is folded.  Precondition: fa and fb
+    meet `solver.trim`'s, as each is an output of `trim` or of this join,
+    so every vertex of a side off the side's boundary has degree two in
+    each of its members.  The family meets that precondition and the twin
+    trim's rule as built (below), so `solver.join` hands it on untrimmed.
 
     Units.  If a cross edge exists, the cross edges are all of
     boundary(a) x boundary(b): every boundary vertex of a sees all of
     N(a) ∩ b, so boundary(b) = N(a) ∩ b, and likewise from b's side.  By
     `solver.trim`'s precondition a member of a side is, for completion,
     its p paths and i isolated vertices, all on the side's boundary (its
-    units); its other vertices have degree two.  Per side choose p1 and p2
-    paths that take one or two cross edges (one per end) and i1 and i2
-    isolated vertices that take one or two; s = p1 + 2 p2 + i1 + 2 i2
-    must be equal on both sides.  The units then form alternating chains,
-    with no cycle, iff s = 0 or d = p1 + i1 summed over both sides is at
-    least two (`_chains` builds them).  Each cross edge joins two
-    components, so the result has U = units - s units, z of them the
-    isolated vertices left unused and U - z paths.  A side whose boundary
-    leaves the home's (N(a) within home, all or none, as the side is twin)
-    must use every unit fully.  A cycle would close only at the root,
-    which is no twin cut.
+    u = p + i units); its other vertices have degree two.  Per side choose
+    p1 and p2 paths that take one or two cross edges (one per end) and i1
+    and i2 isolated vertices that take one or two; s = p1 + 2 p2 + i1 +
+    2 i2 must be equal on both sides.  The units then form alternating
+    chains, with no cycle, iff s = 0 or d = p1 + i1 summed over both sides
+    is at least two.  Each cross edge joins two components, so the result
+    has U = units - s units, z of them the isolated vertices left unused
+    and U - z paths.  A side whose boundary leaves the home's (N(a) within
+    home, all or none, as the side is twin) must use every unit fully, so
+    every vertex of the home off its boundary has degree two.  A cycle
+    would close only at the root, which is no twin cut, and the members
+    have distinct unit counts, hence distinct states.
 
     Dominance.  At a twin cut a member of tally (p + 1, i - 1) completes
     wherever one of tally (p, i) does.  Map the units one to one, the
@@ -411,55 +413,128 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     vertex then gives the same cycle.  So per unit count the member with
     the most paths is all a twin cut needs, which is `keep_twin`'s rule.
 
-    The count.  Per s, `twin_use` gives each side's use with the fewest
-    unused isolated vertices, z = i - min(i, s), and at that z the most
-    degree-one units, 2 min(s, p + i) - s.  That use has the most
-    degree-one units of any use with s, so it passes the chain test when
-    any does, and it gives the pair the most paths at U.  A pair is tried
-    for each s from max(0, units - t) on, t = |N(a | b)|, as U <= t, and
-    `keep_twin` keeps per U the pair with the most paths, the least
-    ma | mb on ties.  Members of one tally complete alike, since a
-    bijection of the twin boundary carries a completion of one to the
-    other, so every kept pair is realised once, as chains on the lowest-id
-    units, and `solver.trim_split` returns the family.
+    The count, in closed form per pair.  Per s, `twin_use` gives each
+    side's use with the fewest unused isolated vertices, (i - s)+ of them,
+    and at that the most degree-one units, min(s, 2u - s).  That use passes
+    the chain test when any use with s does, and it gives the pair the most
+    paths at U = ua + ub - s:
 
-    The key.  A chain's cross edges meet unit vertices only and make one
-    path, so the state of ma | mb, the union of the keys, grows edge by
-    edge as in `grow`: both ends join d1, an end already in d1 joins d2,
-    and the fields of the vertices met are cleared.  Then the chain's far
-    ends (a one-edge path unit's far end, or the isolated vertex itself)
-    get each other's id, the pairing `path_state` would walk.
+        min(ua, pa + s) + min(ub, pb + s) - s
+          = min(U, ua + pb, pa + ub, ua + pa + ub + pb - U).
+
+    The uses exist for 0 <= s <= 2 min(ua, ub), that is |ua - ub| <= U <=
+    ua + ub, and the degree-one units fall below two only at s = 2ua = 2ub,
+    that is U = 0, so the chain test is U >= 1.  A full side a takes s =
+    2ua only, so U = ub - ua; without a cross edge s = 0, so U = ua + ub;
+    and U <= t = |N(a | b)|, as a cycle takes two cross edges per unit.
+    Per U the join keeps `keep_twin`'s pick: the pair with the most paths,
+    then the least ma | mb.  The edges of a and of b are disjoint, so
+    ma <= ma' and mb <= mb' give ma | mb <= ma' | mb' (the highest bit
+    where the unions differ is a bit of ma ^ ma' or of mb ^ mb'): a tie
+    is decided by comparing ma with ma' and mb with mb', and the unions
+    are formed only when those two disagree.  The pairs run in the order
+    of fa, then of fb, each by s rising (U falling), so the unit counts
+    enter the family in the order in which the pairs first reach them;
+    the rank basis of a later trim reads families in order.
+
+    Not a merge of the two tallies.  With cross edges the kept paths are no
+    max-plus convolution of the sides' (unit count, paths): two single
+    vertices joined by an edge each have paths 0 at u = 1, whose
+    convolution has U = 2 only, while the edge itself is a path at U = 1
+    (`tests/test_repsets.py::test_twin_join_is_no_convolution_of_tallies`).
+    Per s the bound above is a convolution of min(u, p(u) + s), one for
+    each s, and the least-mask rule needs every pair that ties at the most
+    paths.  So each pair is tried once per U it reaches, in O(1).  On every
+    family that the tests meet, the unit counts form an interval on which
+    paths is concave with steps +1, 0 and -1; the join does not rely on it.
+
+    The build.  Members of one tally complete alike, since a bijection of
+    the twin boundary carries a completion of one to the other, so every
+    kept pair is realised once, on the lowest-id units.  A pair that takes
+    no cross edge is ma | mb under the union of the keys.  Otherwise each
+    side lists where its units of two and of one take their edges
+    (`_units`).  On the side x with more units of two (a on ties) that
+    is x2 then x1; on the other, y, it is y1's first, y2, then the rest
+    of y1; the i-th vertex of one list is joined to the i-th of the other.
+    That is one chain from y1's first unit through the units of two,
+    alternating sides and ended by a unit of one, then chains of three
+    units, one of x2 between two of y1, while x2 lasts, then single cross
+    edges between the units of one left; the two lists are equally long,
+    as both sides take s edges, and y1 has a unit when x2 does, as the
+    chain test holds.  Each cross edge meets unit vertices only, so the
+    key grows edge by edge as in `grow`: both ends join d1, an end already
+    in d1 joins d2, and the two far ends of the joined paths get each
+    other's id in pe, whose other fields of the edge's ends are cleared.
     """
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
-    w, index, kept = field_width(g), g.edge_index, {}
+    lone = t < 2  # no isolated vertex can complete
+    kept: dict[int, list] = {}  # U -> [paths, ma, mb, ma | mb once formed, tallies]
+    tallies_b = _tallies(b, fb)
+    for ta in _tallies(a, fa):
+        ua, pa, ka, ma = ta
+        for tb in tallies_b:
+            ub, pb, kb, mb = tb
+            if not cross:
+                lo = hi = ua + ub
+            elif full_a:
+                lo = hi = ub - ua
+            elif full_b:
+                lo = hi = ua - ub
+            else:
+                lo, hi = abs(ua - ub), ua + ub
+            flat, fall = min(ua + pb, pa + ub), ua + pa + ub + pb
+            for u in range(min(hi, t), max(lo, 1) - 1, -1):
+                if u <= flat and u + u <= fall:
+                    paths = u
+                else:
+                    paths = flat if flat + u <= fall else fall - u
+                if lone and paths < u:
+                    continue
+                held, m = kept.get(u), None
+                if held is not None and paths <= held[0]:
+                    if paths < held[0] or ma >= held[1] and mb >= held[2]:
+                        continue
+                    if ma > held[1] or mb > held[2]:  # the masks disagree: compare the unions
+                        if held[3] is None:
+                            held[3] = held[1] | held[2]
+                        m = ma | mb
+                        if m > held[3]:
+                            continue
+                kept[u] = [paths, ma, mb, m, ta, tb]
+    w, index, out = field_width(g), g.edge_index, {}
     field = (1 << w) - 1
-    sides_b = [(key, m, (key[0] & ~key[1]).bit_count() >> 1, (b & ~key[0]).bit_count())
-               for key, m in fb.items()]
-    for ka, ma in fa.items():
-        pa, ia = (ka[0] & ~ka[1]).bit_count() >> 1, (a & ~ka[0]).bit_count()
-        for kb, mb, pb, ib in sides_b:
-            units = pa + ia + pb + ib
-            top = min(pa + ia, pb + ib) * 2 if cross else 0
-            for s in range(max(0, units - t), top + 1):
-                ua, ub = twin_use(pa, ia, full_a, s), twin_use(pb, ib, full_b, s)
-                if ua and ub and (not s or ua[1] + ua[3] + ub[1] + ub[3] >= 2):
-                    z = ia - ua[2] - ua[3] + ib - ub[2] - ub[3]
-                    keep_twin(kept, t, units - s - z, z, ma | mb, (ka, ma, kb, mb, ua, ub))
-    out = {}
-    for *_, (ka, ma, kb, mb, ua, ub) in kept.values():
+    for u, (_, ma, mb, _, (ua, pa, ka, _), (ub, pb, kb, _)) in kept.items():
         m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
-        for chain in _chains(*_units(w, a, ka, ua), *_units(w, b, kb, ub)):
-            for (_, u), (v, _) in zip(chain, chain[1:]):
-                m |= 1 << index[(u, v) if u < v else (v, u)]
-                uv = 1 << u | 1 << v
-                d2 |= d1 & uv
-                d1 |= uv
-                pe &= ~(field << u * w | field << v * w)
-            (x, _), (_, y) = chain[0], chain[-1]
-            pe = pe & ~(field << x * w | field << y * w) | y << x * w | x << y * w
+        s = ua + ub - u
+        if s:
+            x2, x1 = _units(w, a, ka, twin_use(pa, ua - pa, full_a, s))
+            y2, y1 = _units(w, b, kb, twin_use(pb, ub - pb, full_b, s))
+            if len(x2) < len(y2):
+                x2, x1, y2, y1 = y2, y1, x2, x1
+            for v, z in zip(x2 + x1, y1[:1] + y2 + y1[1:]):
+                m |= 1 << index[(v, z) if v < z else (z, v)]
+                vw, zw = v * w, z * w
+                ov = (pe >> vw) & field if d1 >> v & 1 else v
+                oz = (pe >> zw) & field if d1 >> z & 1 else z
+                vz = 1 << v | 1 << z
+                d2 |= d1 & vz
+                d1 |= vz
+                pe = (pe & ~(field << vw | field << zw | field << ov * w | field << oz * w)
+                      | oz << ov * w | ov << oz * w)
         out[d1, d2, pe] = m
+    return out
+
+
+def _tallies(side: int, fam: Family) -> list[tuple]:
+    """(u, p, key, mask) of each member of a twin family, in its order:
+    its units u = p + i and its p paths."""
+    out = []
+    for key, m in fam.items():
+        d1, d2, _ = key
+        p = (d1 & ~d2).bit_count() >> 1
+        out.append((p + (side & ~d1).bit_count(), p, key, m))
     return out
 
 
@@ -500,42 +575,32 @@ def twin_use(p: int, i: int, full: bool, s: int) -> tuple[int, int, int, int] | 
 
 
 def _units(w: int, side: int, key: tuple[int, int, int], use: tuple) -> tuple[list, list]:
-    """The units a use takes of a member, lowest ids first: those that take
-    two cross edges as (entry, exit) vertex pairs, then those that take one
-    as (entry, far end), a path taking its edge at its lower end and an
-    isolated vertex being both."""
+    """The vertices at which a use (p2, p1, i2, i1) of a member takes its
+    cross edges, as two lists: those of its units of two, the p2 paths
+    of lowest ends and then the i2 lowest isolated vertices, each at its
+    entry and then its exit (a path's lower end and its partner, or the
+    isolated vertex twice), and those of its units of one, the next p1
+    paths and the next i1 isolated vertices, each at its entry (the lower
+    end, or the vertex)."""
     (d1, d2, pe), (p2, p1, i2, i1) = key, use
-    field, ends, paths = (1 << w) - 1, d1 & ~d2, []
-    while len(paths) < p2 + p1:
+    field, ends, iso = (1 << w) - 1, d1 & ~d2, side & ~d1
+    two, one = [], []
+    for k in range(p2 + p1):
         x = (ends & -ends).bit_length() - 1
         y = (pe >> x * w) & field
-        ends &= ~(1 << x | 1 << y)
-        paths.append((x, y))
-    iso = [(v, v) for v in islice(bits(side & ~d1), i2 + i1)]
-    return paths[:p2] + iso[:i2], paths[p2:] + iso[i2:]
-
-
-def _chains(x2: list, x1: list, y2: list, y1: list) -> list:
-    """Alternating chains over two sides' units, x2 and y2 taking two edges
-    and x1 and y1 one, with equal edge counts and x1 + y1 >= 2 if any: one
-    chain through every unit of two, ended by units of one, then pairs.
-    A chain's first unit is turned to (far end, entry), so its cross edges
-    join each unit's second vertex to the next one's first, and its far
-    ends are its first and last vertex."""
-    if len(x2) < len(y2):
-        x2, x1, y2, y1 = y2, y1, x2, x1
-    chains, k = [], len(y2)
-    if x2:  # y1[0], x2[0], y2[0], ..., y2[k - 1], then x2[k] and y1[1], or x1[0]
-        body = [u for pair in zip(x2, y2) for u in pair]
-        if len(x2) > k:
-            chains.append([y1[0][::-1], *body, x2[k], y1[1]])
-            chains += ([y1[2 * j][::-1], u, y1[2 * j + 1]]
-                       for j, u in enumerate(x2[k + 1:], 1))
-            y1 = y1[2 * (len(x2) - k):]
+        ends ^= 1 << x | 1 << y
+        if k < p2:
+            two += (x, y)
         else:
-            chains.append([y1[0][::-1], *body, x1[0]])
-            x1, y1 = x1[1:], y1[1:]
-    return chains + [[x[::-1], y] for x, y in zip(x1, y1)]
+            one.append(x)
+    for k in range(i2 + i1):
+        v = (iso & -iso).bit_length() - 1
+        iso ^= 1 << v
+        if k < i2:
+            two += (v, v)
+        else:
+            one.append(v)
+    return two, one
 
 
 def grow(g: Graph, w: int, fam: Family, i: int, dead: int = 0) -> None:

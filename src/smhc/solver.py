@@ -12,15 +12,15 @@ merge, the twin test and the trims read only that cut.  A join whose
 home and sides are twin cuts (a single vertex always is) builds, by
 counting (`repsets.join_twins`), one member per reachable unit count
 (paths plus isolated vertices), the one with the most paths, which is
-what `trim_split` keeps.  Every other join keys all
-pairs once into the dict of one frontier (`repsets.frontier`), which
-grows them over the cross edges and keeps the least live member per
-state.  Either family meets `trim`'s precondition, which no step
-re-checks.  `trim` is the one trim and applies only its own rules: on
-twin cuts one member per unit count, at most t + 1 for t outside
-neighbours (`trim_split`), elsewhere the rep-set trim over a cut cover
-(`repsets.preserving_extension`), which a matched boundary of at most
-five vertices shows to keep the family as it is.
+the family the twin trim keeps, and hands it on untrimmed.  Every other
+join keys all pairs once into the dict of one frontier
+(`repsets.frontier`), which grows them over the cross edges and keeps
+the least live member per state.  That family meets `trim`'s
+precondition, which no step re-checks.  `trim` is the one trim and
+applies only its own rules: on twin cuts one member per unit count, at
+most t + 1 for t outside neighbours (`trim_split`), elsewhere the rep-set
+trim over a cut cover (`repsets.preserving_extension`), which a matched
+boundary of at most five vertices shows to keep the family as it is.
 """
 
 from __future__ import annotations
@@ -62,10 +62,12 @@ def cut_of(g: Graph, a: int) -> Cut:
 def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cut,
          trace: dict | None = None) -> tuple[Cut, Family]:
     """Cut and family of home a | b, trimmed once unless a | b is the
-    whole graph.  When a | b, a and b are twin cuts, `repsets.join_twins`
-    counts the family, one member per unit count that `trim_split`
-    keeps, and the trim returns it unchanged.  Every other join, a twin
-    home with a plain side among them, runs one `repsets.frontier` that
+    whole graph or a twin join.  When a | b, a and b are twin cuts,
+    `repsets.join_twins` counts the family, one member per unit count,
+    the family the twin trim keeps, and no trim runs on it;
+    `trace["trims"]` records it as (a | b, family, family), as for any
+    trim.  Every other join, a twin home with a plain side among them,
+    runs one `repsets.frontier` that
     grows each pair of fa and fb by every valid set of its cross edges,
     and `trim_split` cuts a twin home's family to one member per unit
     count, at most t + 1 for t outside neighbours.  The pairs are keyed
@@ -87,15 +89,23 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
     (ba, na, twin_a), (bb, nb, twin_b) = cut_a, cut_b
     cut = _cut(g, home, ba | bb, (na | nb) & ~home)
     if cut[2] and twin_a and twin_b:
-        fold = join_twins(g, a, b, fa, fb, cut_a, cut_b)
-    else:
-        if fa == LEAF:  # a leaf's family, if either side has one, is fb
-            fa, fb = fb, fa
-        fold = dict(fa) if fb == LEAF else {
-            (d1a | d1b, d2a | d2b, pea | peb): sa | sb
-            for (d1a, d2a, pea), sa in fa.items() for (d1b, d2b, peb), sb in fb.items()}
-        fold = frontier(g, fold, g.edges_at(ba & nb) & g.edges_at(bb & na), cut[0])
+        fam = join_twins(g, a, b, fa, fb, cut_a, cut_b)
+        _record(trace, home, fam, fam)
+        return cut, fam
+    if fa == LEAF:  # a leaf's family, if either side has one, is fb
+        fa, fb = fb, fa
+    fold = dict(fa) if fb == LEAF else {
+        (d1a | d1b, d2a | d2b, pea | peb): sa | sb
+        for (d1a, d2a, pea), sa in fa.items() for (d1b, d2b, peb), sb in fb.items()}
+    fold = frontier(g, fold, g.edges_at(ba & nb) & g.edges_at(bb & na), cut[0])
     return cut, trim(g, home, fold, cut, trace)
+
+
+def _record(trace: dict | None, a: int, before: Family, after: Family) -> None:
+    """Append (a, before, after), the masks of both families, to
+    `trace["trims"]` when the caller put a list there."""
+    if trace is not None and "trims" in trace:
+        trace["trims"].append((a, list(before.values()), list(after.values())))
 
 
 # -- trims ------------------------------------------------------------------
@@ -129,8 +139,8 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     and t < 2, or u > t.  Every path holds a boundary vertex, so a kept
     certificate has at most min(t, |boundary|) paths, the mm of the cut,
     and the family at most t + 1 members.  `repsets.join_twins` builds
-    only members this keeps, so on its families it returns what it is
-    given; it still runs there, and `trim` records it.
+    only members this keeps, so on its families this would return what it
+    is given, and `join` does not call it there.
     """
     _, common_outside, twin = cut
     if not twin:
@@ -144,10 +154,11 @@ def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
 
 def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
     """The one trim of a family of home a, by its cut (`cut_of(g, a)`).
-    Precondition, proved in `repsets.frontier` and `repsets.join_twins`:
-    every vertex of a without an outside neighbour has degree two in
-    every member, `fam` holds one member per state, and no member is a
-    cycle.  Four cases:
+    Precondition, proved in `repsets.frontier`: every vertex of a
+    without an outside neighbour has degree two in every member, `fam`
+    holds one member per state, and no member is a cycle.  The families
+    of `repsets.join_twins`, which no trim takes, meet it too.  Four
+    cases:
 
     - a twin cut keeps one member per unit count (`trim_split`);
     - a lone member m, or none, is dropped when |a| - |m| > |N(a)|: a
@@ -193,8 +204,7 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
         c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
         estar = g.edges_at(c & ~a) & g.edges_at(boundary)
         out = preserving_extension(g, a, c, fam, estar, trace)
-    if trace is not None and "trims" in trace:
-        trace["trims"].append((a, list(fam.values()), list(out.values())))
+    _record(trace, a, fam, out)
     return out
 
 
@@ -214,6 +224,7 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
       `trim` on a matched boundary, else by the `repsets.trim_separator`
       of its extension);
     - `trims`: (a, before, after) for every trim, of an empty family too,
+      and for every twin join, which no trim takes, with before == after,
       only if the caller puts a list under that key.
     """
     if trace is not None:

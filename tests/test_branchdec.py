@@ -280,11 +280,12 @@ def test_json_roundtrip():
 
 
 def test_three_elements_tree_without_f():
-    """`approx_decomposition` builds `exact_branch_width`'s tree on three
-    elements under random symmetric cut functions, and never evaluates f."""
+    """`approx_decomposition` builds `exact_branch_width`'s tree, node ids
+    included, on one, two and three elements under random symmetric cut
+    functions, and never evaluates f."""
     rng = random.Random(3)
-    for _ in range(50):
-        elements = rng.sample(range(20), 3)
+    for k in [1, 2] * 10 + [3] * 50:
+        elements = rng.sample(range(20), k)
         full = mask_of(elements)
         table = {}
 

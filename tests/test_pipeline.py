@@ -12,7 +12,7 @@ from smhc.splitdec import (LiftedContext, SplitDecomposition, split_decompose,
 from smhc import pipeline
 from smhc.branchdec import (BranchDecomposition, EXACT_SIZE_LIMIT, exact_branch_width,
                             greedy_decomposition)
-from smhc.pipeline import (KTooSmall, heavy_vertices, contract_heavy_edges,
+from smhc.pipeline import (KTooSmall, heavy_vertices, contract_heavy_edges, element_tots,
                            prime_decomposition, combine, approx_sm_decomposition)
 from smhc.generators import random_connected_graph
 from smhc.oracles import brute_sm_width
@@ -37,9 +37,9 @@ def test_heavy_vertices_worked_example():
 def test_contract_identity_without_heavy_edges():
     g = cycle_graph(6)
     ctx = LiftedContext(split_decompose(g), 0)
-    elements, tot_map, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
+    elements, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     assert elements == list(ctx.prime.vertices) and not merged
-    assert all(tot_map[v] == 1 << v for v in g.vertices)
+    assert all(element_tots(ctx, merged)[v] == 1 << v for v in g.vertices)
 
 
 def _synthetic(primes, markers):
@@ -69,18 +69,18 @@ def test_contract_merges_heavy_pair():
     dec = heavy_pair_example()
     ctx = LiftedContext(dec, 0)
     assert heavy_vertices(ctx, 1) == mask_of([20, 21])
-    elements, tot_map, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
+    elements, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     assert len(elements) == ctx.prime.n - 1
     (new_id, pair), = merged.items()
     assert set(pair) == {20, 21}
-    assert tot_map[new_id] == ctx.tot(20) | ctx.tot(21)
+    assert element_tots(ctx, merged)[new_id] == ctx.tot(20) | ctx.tot(21)
 
 
 def test_heavy_pair_element_numbering():
     """Light vertices ascending, then fresh ids above the prime's highest
     vertex; the exact search's tie-breaks and node ids follow this order."""
     ctx = LiftedContext(heavy_pair_example(), 0)
-    elements, _, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
+    elements, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     assert elements == [22, 23, 24]
     assert merged == {24: (20, 21)}
     table = prime_decomposition(ctx, heavy_vertices(ctx, 1))
@@ -104,7 +104,7 @@ def test_ktoosmall_on_heavy_triangle():
     with pytest.raises(KTooSmall):
         contract_heavy_edges(ctx, heavy_vertices(ctx, 1))
     # a larger budget turns the markers light again
-    elements, _, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 2))
+    elements, merged = contract_heavy_edges(ctx, heavy_vertices(ctx, 2))
     assert elements == list(ctx.prime.vertices) and not merged
 
 
@@ -208,6 +208,30 @@ def test_mixed_prime_sizes_choose_per_prime():
     bd = approx_sm_decomposition(g)
     assert not bd.certified
     assert bd.f_width(sm_cut_function(g)) <= 3
+
+
+def test_small_prime_tables_evaluate_no_lifted_mm(monkeypatch):
+    """On cliques and cographs, whose primes all have three vertices, every
+    prime's table has at most three elements, so `approx_sm_decomposition`
+    evaluates no lifted mm and takes no element tot, and its trees are
+    those of the search with f: `exact_branch_width`'s on the elements."""
+    def refuse(*args):
+        raise AssertionError("evaluated without need")
+
+    rng = random.Random(5)
+    graphs = [complete_graph(n) for n in (4, 10, 14, 40)]
+    graphs += [random_cograph(rng.randint(5, 14), rng) for _ in range(10)]
+    for g in graphs:
+        dec = split_decompose(g)
+        assert all(p.n == 3 for p in dec.primes)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "mm_value", refuse)
+            patch.setattr(pipeline, "element_tots", refuse)
+            got = approx_sm_decomposition(g).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "approx_decomposition",
+                          lambda f, elements: exact_branch_width(sorted(elements), f)[1])
+            assert got == approx_sm_decomposition(g).to_json()
 
 
 def test_each_prime_heavy_set_searched_once(monkeypatch):

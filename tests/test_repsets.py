@@ -862,3 +862,153 @@ def test_twin_use_closed_form(full):
                 assert i - i1 - i2 == z
                 assert p1 + i1 == at_s[z][1] + at_s[z][3]
                 assert p1 + i1 == max(use[1] + use[3] for use in at_s.values())
+
+
+def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b):
+    """The twin join as a loop over (member pair, s), s the cross edges
+    taken: per s each side's use is `twin_use`'s, the chain test is
+    d >= 2 degree-one units, and `keep_twin` keeps per unit count the most
+    paths and the least ma | mb.  Each kept pair is realised as chains
+    (`_reference_chains`) over its lowest-id units (`_reference_units`)."""
+    (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
+    cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
+    t = ((na | nb) & ~home).bit_count()
+    w, index, kept = field_width(g), g.edge_index, {}
+    field = (1 << w) - 1
+    sides_b = [(key, m, (key[0] & ~key[1]).bit_count() >> 1, (b & ~key[0]).bit_count())
+               for key, m in fb.items()]
+    for ka, ma in fa.items():
+        pa, ia = (ka[0] & ~ka[1]).bit_count() >> 1, (a & ~ka[0]).bit_count()
+        for kb, mb, pb, ib in sides_b:
+            units = pa + ia + pb + ib
+            top = min(pa + ia, pb + ib) * 2 if cross else 0
+            for s in range(max(0, units - t), top + 1):
+                ua, ub = repsets.twin_use(pa, ia, full_a, s), repsets.twin_use(pb, ib, full_b, s)
+                if ua and ub and (not s or ua[1] + ua[3] + ub[1] + ub[3] >= 2):
+                    z = ia - ua[2] - ua[3] + ib - ub[2] - ub[3]
+                    repsets.keep_twin(kept, t, units - s - z, z, ma | mb,
+                                      (ka, ma, kb, mb, ua, ub))
+    out = {}
+    for *_, (ka, ma, kb, mb, ua, ub) in kept.values():
+        m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
+        for chain in _reference_chains(*_reference_units(w, a, ka, ua),
+                                       *_reference_units(w, b, kb, ub)):
+            for (_, u), (v, _) in zip(chain, chain[1:]):
+                m |= 1 << index[(u, v) if u < v else (v, u)]
+                uv = 1 << u | 1 << v
+                d2 |= d1 & uv
+                d1 |= uv
+                pe &= ~(field << u * w | field << v * w)
+            (x, _), (_, y) = chain[0], chain[-1]
+            pe = pe & ~(field << x * w | field << y * w) | y << x * w | x << y * w
+        out[d1, d2, pe] = m
+    return out
+
+
+def _reference_units(w, side, key, use):
+    """The units a use takes of a member, lowest ids first: those that take
+    two cross edges as (entry, exit) vertex pairs, then those that take one
+    as (entry, far end), a path taking its edge at its lower end and an
+    isolated vertex being both."""
+    (d1, d2, pe), (p2, p1, i2, i1) = key, use
+    field, ends, paths = (1 << w) - 1, d1 & ~d2, []
+    while len(paths) < p2 + p1:
+        x = (ends & -ends).bit_length() - 1
+        y = (pe >> x * w) & field
+        ends &= ~(1 << x | 1 << y)
+        paths.append((x, y))
+    iso = [(v, v) for v in list(bits(side & ~d1))[:i2 + i1]]
+    return paths[:p2] + iso[:i2], paths[p2:] + iso[i2:]
+
+
+def _reference_chains(x2, x1, y2, y1):
+    """Alternating chains over two sides' units, x2 and y2 taking two edges
+    and x1 and y1 one, with equal edge counts and x1 + y1 >= 2 if any: one
+    chain through every unit of two, ended by units of one, then pairs.
+    A chain's first unit is turned to (far end, entry), so its cross edges
+    join each unit's second vertex to the next one's first, and its far
+    ends are its first and last vertex."""
+    if len(x2) < len(y2):
+        x2, x1, y2, y1 = y2, y1, x2, x1
+    chains, k = [], len(y2)
+    if x2:  # y1[0], x2[0], y2[0], ..., y2[k - 1], then x2[k] and y1[1], or x1[0]
+        body = [u for pair in zip(x2, y2) for u in pair]
+        if len(x2) > k:
+            chains.append([y1[0][::-1], *body, x2[k], y1[1]])
+            chains += ([y1[2 * j][::-1], u, y1[2 * j + 1]]
+                       for j, u in enumerate(x2[k + 1:], 1))
+            y1 = y1[2 * (len(x2) - k):]
+        else:
+            chains.append([y1[0][::-1], *body, x1[0]])
+            x1, y1 = x1[1:], y1[1:]
+    return chains + [[x[::-1], y] for x, y in zip(x1, y1)]
+
+
+def unit_profile(side, fam):
+    """(units, paths) of each member of a twin family, by units."""
+    out = []
+    for d1, d2, _ in fam:
+        p = (d1 & ~d2).bit_count() >> 1
+        out.append((p + (side & ~d1).bit_count(), p))
+    return sorted(out)
+
+
+def test_join_twins_matches_the_pair_loop(monkeypatch):
+    """Every `join_twins` call of `solve_hc` on K5..K40, on seeded random
+    cographs with n = 5..60 along `approx_sm_decomposition`, and on
+    cographs with n = 5..10 along caterpillars in shuffled vertex orders
+    (twin homes whose sides may come from a plain fold) returns the
+    reference pair loop's family: the same states, masks and order.  On
+    every non-empty family met, the unit counts form an interval on which paths is
+    concave with steps +1, 0 or -1; the join does not rely on that.  The
+    calls cover pairs with and without cross edges and full sides."""
+    from tests.test_solver import random_cograph
+    rng = random.Random(4101)
+    runs = [(complete_graph(n), None) for n in range(5, 41)]
+    runs += [(random_cograph(rng.randint(5, 60), rng), None) for _ in range(40)]
+    for _ in range(30):
+        g = random_cograph(rng.randint(5, 10), rng)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        runs.append((g, caterpillar_decomposition(order)))
+    seen = dict.fromkeys(["calls", "crossed", "uncrossed", "full side", "caterpillar"], 0)
+    real = solver.join_twins
+
+    def checking(g, a, b, fa, fb, cut_a, cut_b):
+        out = real(g, a, b, fa, fb, cut_a, cut_b)
+        assert list(out.items()) == list(reference_join_twins(g, a, b, fa, fb, cut_a,
+                                                              cut_b).items())
+        for side, fam in ((a, fa), (b, fb), (a | b, out)):
+            if not fam:
+                continue
+            units, paths = zip(*unit_profile(side, fam))
+            assert list(units) == list(range(units[0], units[-1] + 1))
+            steps = [q - p for p, q in zip(paths, paths[1:])]
+            assert set(steps) <= {-1, 0, 1} and steps == sorted(steps, reverse=True)
+        (_, na, _), (_, nb, _) = cut_a, cut_b
+        seen["calls"] += 1
+        seen["crossed" if na & b else "uncrossed"] += 1
+        seen["full side"] += not na & ~(a | b) or not nb & ~(a | b)
+        seen["caterpillar"] += bd is not None
+        return out
+
+    monkeypatch.setattr(solver, "join_twins", checking)
+    for g, bd in runs:
+        solve_hc(g, bd or approx_sm_decomposition(g))
+    assert all(seen.values()), seen
+
+
+def test_twin_join_is_no_convolution_of_tallies():
+    """The twin join's kept (unit count, paths) is not the max-plus
+    convolution of the two sides': in K4, the single vertices 0 and 1
+    each have paths 0 at one unit, whose convolution holds two units with
+    no path only, while the join also keeps the edge 01, one path at one
+    unit."""
+    g = complete_graph(4)
+    a, b = 1 << 0, 1 << 1
+    out = repsets.join_twins(g, a, b, {(0, 0, 0): 0}, {(0, 0, 0): 0}, cut_of(g, a), cut_of(g, b))
+    convolution = {(ua + ub, pa + pb) for ua, pa in unit_profile(a, {(0, 0, 0): 0})
+                   for ub, pb in unit_profile(b, {(0, 0, 0): 0})}
+    assert convolution == {(2, 0)}
+    assert unit_profile(a | b, out) == [(1, 1), (2, 0)]
+    assert out[path_state(g, g.edge_mask([(0, 1)]))] == g.edge_mask([(0, 1)])

@@ -539,6 +539,49 @@ def test_twin_join_builds_only_what_trim_split_keeps(monkeypatch):
     assert {g.n for g, *_ in joins} >= set(range(5, 21))
 
 
+def test_twin_joins_are_not_trimmed_again(monkeypatch):
+    """`trim_split` never runs on a family that `repsets.join_twins`
+    built, and `trace["trims"]` still records every twin join, in order,
+    as (home, members, members) with before == after.  K5..K20 and seeded
+    random cographs (n = 5..20) are solved along
+    `approx_sm_decomposition`, and cographs (n = 5..10) along caterpillars
+    in shuffled vertex orders, whose twin homes with a plain side still
+    take `trim_split`."""
+    built, real_twins, real_split = [], solver.join_twins, solver.trim_split
+    seen = dict.fromkeys(["twin joins", "twin trims"], 0)
+
+    def twins(g, a, b, *args):
+        out = real_twins(g, a, b, *args)
+        built.append((a | b, out))
+        return out
+
+    def split(g, a, fam, cut):
+        assert all(fam is not out for _, out in built)
+        seen["twin trims"] += 1
+        return real_split(g, a, fam, cut)
+
+    monkeypatch.setattr(solver, "join_twins", twins)
+    monkeypatch.setattr(solver, "trim_split", split)
+    rng = random.Random(4201)
+    runs = [(complete_graph(n), None) for n in range(5, 21)]
+    runs += [(random_cograph(rng.randint(5, 20), rng), None) for _ in range(20)]
+    for _ in range(20):
+        g = random_cograph(rng.randint(5, 10), rng)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        runs.append((g, caterpillar_decomposition(order)))
+    for g, bd in runs:
+        built.clear()
+        trace = {"trims": []}
+        solve_hc(g, bd or approx_sm_decomposition(g), trace)
+        homes = {home for home, _ in built}
+        recorded = [(a, before, after) for a, before, after in trace["trims"] if a in homes]
+        assert recorded == [(home, list(out.values()), list(out.values()))
+                            for home, out in built]
+        seen["twin joins"] += len(built)
+    assert all(seen.values()), seen
+
+
 def test_twin_trims_keep_one_member_per_unit_count():
     """Every twin trim that `solve_hc` records in `trace["trims"]` on
     K5..K40 and on seeded random cographs (n = 5..40) keeps at most t + 1
