@@ -33,7 +33,9 @@ join (`repsets.join_twins`) also record `twin_joins` and, summed over
 them, `pair_s_tries`, the (member pair, s) tries of the pair loop
 `tests/test_repsets.py::reference_join_twins`, and `pair_u_tries`, the
 (member pair, U) tries of `join_twins`, both counted from each call's
-inputs (`twin_tries`) outside the solve's timed window.
+inputs (`twin_tries`) outside the solve's timed window.  The twin trim
+(`solver.trim_split`) is a `join_twins` call with an empty side, b = 0;
+it counts as no join.
 
 Usage: python3 scripts/cliffs.py [--out BENCH_cliffs.json]
 """
@@ -189,6 +191,8 @@ def child() -> int:
     real_twins = solver.join_twins
 
     def counted_twins(g, a, b, fa, fb, cut_a, cut_b):
+        if not b:  # `solver.trim_split`, the twin join with an empty side
+            return real_twins(g, a, b, fa, fb, cut_a, cut_b)
         start = time.perf_counter()
         loop, join = twin_tries(a, b, fa, fb, cut_a, cut_b)
         tries["twin_joins"] += 1

@@ -43,9 +43,10 @@ output, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
 before and after each trim on inputs with n <= 8 (`trace["trims"]`, each
 list sorted) and decompositions (`bd.to_json()`), and, on every connected
-input with n >= 2, every `dec.tot(i, v)` of `split_decompose(g)` and
-whether `dec.recompose()` equals the input, so that a comparison also
-checks the walk of the tree of primes; it lists every difference
+input with n >= 2, every `dec.tot(i, v)` of `split_decompose(g)`, every
+prime's `LiftedContext.weights` and whether `dec.recompose()` equals the
+input, so that a comparison also checks the walk of the tree of primes;
+it lists every difference
 (with both sm-widths where the decompositions differ), and exits 1 on
 any.  A node_sizes difference says at how many nodes the family grew; a
 witness difference says whether the new witness is a Hamiltonian cycle
@@ -92,14 +93,15 @@ def run_cli(g, decomposition: dict | None, work: Path) -> list:
 def solve_all(inputs: list[dict], work: Path) -> list[dict]:
     """Verdict, witness, `smhc hc` exit code and output (solved inputs),
     node sizes, largest kept families, the members before and after each
-    trim (n <= 8), decomposition, and the tots and recompose result of the
-    split decomposition of each input, from the `smhc` on the path."""
+    trim (n <= 8), decomposition, and the tots, weights and recompose
+    result of the split decomposition of each input, from the `smhc` on
+    the path."""
     from smhc.branchdec import BranchDecomposition
     from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
     from smhc.pipeline import approx_sm_decomposition
     from smhc.solver import solve_hc
-    from smhc.splitdec import split_decompose
+    from smhc.splitdec import LiftedContext, split_decompose
 
     out = []
     for inp in inputs:
@@ -107,11 +109,13 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
         trace: dict = {"node_sizes": [], "max_family_by_k": {}}
         if g.n <= 8:
             trace["trims"] = []
-        bd = tots = recomposed = None
+        bd = tots = weights = recomposed = None
         verdict, witness = False, None
         if g.n >= 2 and g.is_connected():
             dec = split_decompose(g)
             tots = [[dec.tot(i, v) for v in p.vertices] for i, p in enumerate(dec.primes)]
+            weights = [sorted(LiftedContext(dec, i).weights.items())
+                       for i in range(len(dec.primes))]
             recomposed = dec.recompose() == g
         if g.n >= 3 and g.is_connected():
             if inp["decomposition"] is not None:
@@ -130,6 +134,7 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
                               for a, before, after in trace.get("trims", [])],
                     "decomposition": bd.to_json() if bd else None,
                     "tots": tots,
+                    "weights": weights,
                     "recompose": recomposed,
                     "sm_width": bd.f_width(sm_cut_function(g)) if bd else None})
     return out
@@ -266,7 +271,7 @@ def main(argv=None) -> int:
                 continue
             differences += 1
             fields = [k for k in ("verdict", "witness", "node_sizes", "max_family_by_k",
-                                  "trims", "decomposition", "tots", "recompose")
+                                  "trims", "decomposition", "tots", "weights", "recompose")
                       if old[k] != new[k]]
             if old["cli"] != new["cli"]:  # the exit code, or else only the output
                 fields.insert(2, "exit code" if old["cli"][0] != new["cli"][0] else "hc output")
@@ -287,7 +292,7 @@ def main(argv=None) -> int:
             print(line)
         compared = ("verdicts, witnesses, smhc hc exit codes and output, node_sizes, "
                     "max_family_by_k, trims (before and after), " if inputs[0]["solve"]
-                    else "") + "decompositions, tots and recompose results"
+                    else "") + "decompositions, tots, weights and recompose results"
         print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}")
     return 1 if differences else 0
 

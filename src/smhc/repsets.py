@@ -9,12 +9,11 @@ kept member does too.  `preserving_extension` keeps the members of a
 family whose extensions by its cross edges a trim over a cut cover c
 keeps.  One fold loop, `frontier`, grows families by edge sets for it
 and for `solver.join` alike, in that dict, under the precondition it
-states; `join_twins` builds the family of a join whose home and sides
-are twin cuts by counting, and folds no edge: by a dominance rule that
-its docstring proves, one member per unit count (paths plus isolated
-vertices), the one with the most paths and the least mask on ties, the
-rule of `keep_twin`, the twin trim's, tried once per pair of members and
-unit count in closed form.  By Lemma 3
+states.  `join_twins` is the one home of the twin rule, which its
+docstring states and proves: it builds the family of a join whose home
+and sides are twin cuts by counting, trying each pair of members once
+per unit count in closed form and folding no edge, and with an empty
+side it is the twin trim (`solver.trim_split`).  By Lemma 3
 below keeping one member per state loses nothing, so the rank basis
 runs once per trim.  Edge sets are bitmasks over the host's edge list.
 A path system travels with its state (d1, d2, pe): its vertices of
@@ -377,14 +376,23 @@ def frontier(g: Graph, fam: Family, left: int, boundary: int) -> Family:
 def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
                cut_a: tuple[int, int, bool], cut_b: tuple[int, int, bool]) -> Family:
     """Family of home a | b when it and both sides are twin cuts (a single
-    vertex always is), cut_a and cut_b read as `solver.cut_of` does: per
-    unit count, the one member that the twin trim (`keep_twin`) keeps of
-    those the pairs of fa and fb reach, keyed by its state as its cross
-    edges are added.  No cross edge is folded.  Precondition: fa and fb
-    meet `solver.trim`'s, as each is an output of `trim` or of this join,
-    so every vertex of a side off the side's boundary has degree two in
-    each of its members.  The family meets that precondition and the twin
-    trim's rule as built (below), so `solver.join` hands it on untrimmed.
+    vertex always is), cut_a and cut_b read as `solver.cut_of` does: of
+    the members that the pairs of fa and fb reach, those the twin rule
+    keeps, each keyed by its state as its cross edges are added.  The
+    twin rule keeps one member per unit count u = paths + isolated
+    vertices, the one with the most paths and the least mask on ties, and
+    none with u > t = |N(a | b)| or with an isolated vertex when t < 2: a
+    cycle through a member takes two cross edges per unit, at most two at
+    each outside neighbour, and an isolated vertex's two go to distinct
+    ones.  No cross edge is folded.  Precondition: fa and fb meet
+    `solver.trim`'s, as each is an output of `trim` or of this join, so
+    every vertex of a side off the side's boundary has degree two in each
+    of its members.  The family meets that precondition and the twin rule
+    as built (below), so `solver.join` hands it on untrimmed.  With an
+    empty side (b = 0, fb = `solver.LEAF`, cut_b = (0, 0, True)) no pair
+    takes a cross edge, each member of fa reaches only its own u and
+    paths, and the family is fa under the twin rule: the twin trim
+    (`solver.trim_split`).
 
     Units.  If a cross edge exists, the cross edges are all of
     boundary(a) x boundary(b): every boundary vertex of a sees all of
@@ -411,11 +419,11 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     ends instead: every boundary vertex sees all of N(a), and the
     completion is unchanged off the home.  Contracting each unit to a
     vertex then gives the same cycle.  So per unit count the member with
-    the most paths is all a twin cut needs, which is `keep_twin`'s rule.
+    the most paths is all a twin cut needs, which is the twin rule.
 
-    The count, in closed form per pair.  Per s, `twin_use` gives each
-    side's use with the fewest unused isolated vertices, (i - s)+ of them,
-    and at that the most degree-one units, min(s, 2u - s).  That use passes
+    The count, in closed form per pair.  Per s, each side takes the use
+    with the fewest unused isolated vertices, (i - s)+ of them, and at
+    that the most degree-one units, min(s, 2u - s) (`_units`).  That use passes
     the chain test when any use with s does, and it gives the pair the most
     paths at U = ua + ub - s:
 
@@ -427,7 +435,7 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     that is U = 0, so the chain test is U >= 1.  A full side a takes s =
     2ua only, so U = ub - ua; without a cross edge s = 0, so U = ua + ub;
     and U <= t = |N(a | b)|, as a cycle takes two cross edges per unit.
-    Per U the join keeps `keep_twin`'s pick: the pair with the most paths,
+    Per U the join keeps the twin rule's pick: the pair with the most paths,
     then the least ma | mb.  The edges of a and of b are disjoint, so
     ma <= ma' and mb <= mb' give ma | mb <= ma' | mb' (the highest bit
     where the unions differ is a bit of ma ^ ma' or of mb ^ mb'): a tie
@@ -509,8 +517,8 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
         m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
         s = ua + ub - u
         if s:
-            x2, x1 = _units(w, a, ka, twin_use(pa, ua - pa, full_a, s))
-            y2, y1 = _units(w, b, kb, twin_use(pb, ub - pb, full_b, s))
+            x2, x1 = _units(w, a, ka, pa, ua - pa, s)
+            y2, y1 = _units(w, b, kb, pb, ub - pb, s)
             if len(x2) < len(y2):
                 x2, x1, y2, y1 = y2, y1, x2, x1
             for v, z in zip(x2 + x1, y1[:1] + y2 + y1[1:]):
@@ -538,51 +546,25 @@ def _tallies(side: int, fam: Family) -> list[tuple]:
     return out
 
 
-def keep_twin(kept: dict, t: int, paths: int, isolated: int, rank: int, item) -> None:
-    """The twin trim's rule at a home with t outside neighbours: offer
-    `item`, of tally (paths, isolated vertices), to `kept`, which maps a
-    unit count u = paths + isolated to (paths, rank, item) of the one item
-    it keeps there.  An item is dropped when it has an isolated vertex and
-    t < 2, or u > t: a cycle through it takes two cross edges per unit, at
-    most two at each outside neighbour, and an isolated vertex's two go to
-    distinct ones.  Otherwise it replaces the item held at u when it has
-    more paths (the dominance rule of `join_twins`), or as many and a
-    lower rank."""
-    units = paths + isolated
-    if units <= t and (t > 1 or not isolated):
-        held = kept.get(units)
-        if held is None or paths > held[0] or paths == held[0] and rank < held[1]:
-            kept[units] = paths, rank, item
-
-
-def twin_use(p: int, i: int, full: bool, s: int) -> tuple[int, int, int, int] | None:
-    """The use (p2, p1, i2, i1) of one side's p paths and i isolated
-    vertices that takes s cross edges with the fewest isolated vertices
-    left unused and, at that, the most degree-one units p1 + i1, or None
-    when no use takes s; see `join_twins`.  A full side takes s = 2(p + i)
-    only.  Up to s = p + i every taken unit takes one edge, isolated
-    vertices first; past it every unit is taken and s - (p + i) take two,
-    isolated vertices first."""
-    units = p + i
-    if s > 2 * units or full and s != 2 * units:
-        return None
-    if s <= units:
-        i1 = min(i, s)
-        return 0, s - i1, 0, i1
-    two = s - units
-    i2 = min(i, two)
-    return two - i2, p - two + i2, i2, i - i2
-
-
-def _units(w: int, side: int, key: tuple[int, int, int], use: tuple) -> tuple[list, list]:
-    """The vertices at which a use (p2, p1, i2, i1) of a member takes its
-    cross edges, as two lists: those of its units of two, the p2 paths
-    of lowest ends and then the i2 lowest isolated vertices, each at its
+def _units(w: int, side: int, key: tuple[int, int, int], p: int, i: int,
+           s: int) -> tuple[list, list]:
+    """The vertices at which a member with p paths and i isolated vertices
+    takes s cross edges, s <= 2(p + i), in the use of `join_twins`: the
+    fewest isolated vertices left unused and, at that, the most units of
+    one.  Up to s = p + i each of s units takes one edge, isolated
+    vertices first; past it every unit is taken and s - (p + i) of them
+    take two, isolated vertices first (a full side, s = 2(p + i), takes
+    two at each).  Two lists: the vertices of its units of two, the paths
+    of lowest ends and then the lowest isolated vertices, each at its
     entry and then its exit (a path's lower end and its partner, or the
-    isolated vertex twice), and those of its units of one, the next p1
-    paths and the next i1 isolated vertices, each at its entry (the lower
-    end, or the vertex)."""
-    (d1, d2, pe), (p2, p1, i2, i1) = key, use
+    isolated vertex twice), and those of its units of one, the next paths
+    and the next isolated vertices, each at its entry (the lower end, or
+    the vertex)."""
+    twice = max(0, s - p - i)  # units that take two edges; s - 2 twice take one
+    i2 = min(i, twice)
+    i1 = min(i - i2, s - 2 * twice)
+    p2, p1 = twice - i2, s - 2 * twice - i1
+    d1, d2, pe = key
     field, ends, iso = (1 << w) - 1, d1 & ~d2, side & ~d1
     two, one = [], []
     for k in range(p2 + p1):

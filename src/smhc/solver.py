@@ -10,15 +10,15 @@ the leaves' {(0, 0, 0): 0} to the root.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
 merge, the twin test and the trims read only that cut.  A join whose
 home and sides are twin cuts (a single vertex always is) builds, by
-counting (`repsets.join_twins`), one member per reachable unit count
-(paths plus isolated vertices), the one with the most paths, which is
-the family the twin trim keeps, and hands it on untrimmed.  Every other
-join keys all pairs once into the dict of one frontier
+counting (`repsets.join_twins`), the family the twin rule keeps (one
+member per reachable unit count, paths plus isolated vertices, stated
+there), and hands it on untrimmed.  Every other join keys all pairs
+once into the dict of one frontier
 (`repsets.frontier`), which grows them over the cross edges and keeps
 the least live member per state.  That family meets `trim`'s
 precondition, which no step re-checks.  `trim` is the one trim and
-applies only its own rules: on twin cuts one member per unit count, at
-most t + 1 for t outside neighbours (`trim_split`), elsewhere the rep-set
+applies only its own rules: on twin cuts the twin rule (`trim_split`,
+the twin join with an empty side), elsewhere the rep-set
 trim over a cut cover (`repsets.preserving_extension`), which a matched
 boundary of at most five vertices shows to keep the family as it is.
 """
@@ -29,7 +29,7 @@ from .graph import Graph, bits
 from .cuts import is_split, min_vertex_cover, mm_value  # noqa: F401 (is_split, mm_value: benchmark hooks)
 from .branchdec import BranchDecomposition
 from .repsets import (Family, frontier, is_hamiltonian_cycle, join_twins,
-                      keep_twin, pad_separator, preserving_extension)
+                      pad_separator, preserving_extension)
 
 Cut = tuple[int, int, bool]  # (boundary, N(home), twin) of a home, see `cut_of`
 LEAF: Family = {(0, 0, 0): 0}  # the family of every leaf: the empty certificate
@@ -63,14 +63,12 @@ def join(g: Graph, a: int, b: int, fa: Family, fb: Family, cut_a: Cut, cut_b: Cu
          trace: dict | None = None) -> tuple[Cut, Family]:
     """Cut and family of home a | b, trimmed once unless a | b is the
     whole graph or a twin join.  When a | b, a and b are twin cuts,
-    `repsets.join_twins` counts the family, one member per unit count,
-    the family the twin trim keeps, and no trim runs on it;
-    `trace["trims"]` records it as (a | b, family, family), as for any
-    trim.  Every other join, a twin home with a plain side among them,
-    runs one `repsets.frontier` that
-    grows each pair of fa and fb by every valid set of its cross edges,
-    and `trim_split` cuts a twin home's family to one member per unit
-    count, at most t + 1 for t outside neighbours.  The pairs are keyed
+    `repsets.join_twins` counts the family under the twin rule, and no
+    trim runs on it; `trace["trims"]` records it as (a | b, family,
+    family), as for any trim.  Every other join, a twin home with a plain
+    side among them, runs one `repsets.frontier` that grows each pair of
+    fa and fb by every valid set of its cross edges, and `trim_split`
+    cuts a twin home's family by the twin rule.  The pairs are keyed
     by state straight into its dict, which it returns as the family: the
     states within fa and within fb are distinct, and so are the pairs', as
     the homes are disjoint.  Against `LEAF` the pairs
@@ -126,30 +124,18 @@ def _matched(g: Graph, boundary: int, nbr: int) -> bool:
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     """The members of a twin cut's family (`cut_of(g, a)`) that may
-    complete, one per unit count u = paths + isolated vertices: the one
-    with the most paths, the least mask on ties (`repsets.keep_twin`).
-
-    Every boundary vertex sees the same t outside vertices, and under
-    `trim`'s precondition every path end and isolated vertex lies on the
-    boundary, so members of one tally complete alike: a bijection of the
-    boundary carries a completion of one to the other.  By the dominance
-    rule (`repsets.join_twins`) a tally with one more path and one less
-    isolated vertex completes wherever this one does, so per u the most
-    paths suffice.  A member is dropped when it has an isolated vertex
-    and t < 2, or u > t.  Every path holds a boundary vertex, so a kept
-    certificate has at most min(t, |boundary|) paths, the mm of the cut,
-    and the family at most t + 1 members.  `repsets.join_twins` builds
-    only members this keeps, so on its families this would return what it
-    is given, and `join` does not call it there.
+    complete: `fam` under the twin rule, one member per unit count, at
+    most t + 1 for t outside neighbours, which is the twin join of a with
+    an empty side (`repsets.join_twins`, which states and proves the
+    rule).  Under `trim`'s precondition every path end and isolated vertex
+    lies on the boundary, as `join_twins` asks of its sides.  Every path
+    holds a boundary vertex, so a kept certificate has at most min(t,
+    |boundary|) paths, the mm of the cut.  `join` hands the families of
+    `join_twins` on without this trim, as they meet the rule as built.
     """
-    _, common_outside, twin = cut
-    if not twin:
+    if not cut[2]:
         raise ValueError("trim_split needs a twin cut")
-    t, kept = common_outside.bit_count(), {}
-    for key, m in fam.items():
-        d1, d2, _ = key
-        keep_twin(kept, t, (d1 & ~d2).bit_count() >> 1, (a & ~d1).bit_count(), m, (key, m))
-    return dict(item for *_, item in kept.values())
+    return join_twins(g, a, 0, fam, LEAF, cut, (0, 0, True))
 
 
 def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> Family:
@@ -160,7 +146,7 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
     of `repsets.join_twins`, which no trim takes, meet it too.  Four
     cases:
 
-    - a twin cut keeps one member per unit count (`trim_split`);
+    - a twin cut keeps what the twin rule keeps (`trim_split`);
     - a lone member m, or none, is dropped when |a| - |m| > |N(a)|: a
       cycle through m takes 2|a| - 2|m| cross edges, at most two at each
       outside neighbour;

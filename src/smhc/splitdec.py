@@ -117,8 +117,10 @@ class SplitDecomposition:
     so the markers are the edges of the decomposition tree.
 
     One walk of that tree from prime 0, parents first, keeps each prime's
-    marker to its parent and the original vertices below it; it reads only
-    the primes and the markers.  `tot` and `recompose` both read the walk.
+    marker to its parent; back up it, children first, each prime's
+    originals below it and each marker's ends, the originals below its
+    child that see across the marker.  It reads only the primes and the
+    markers.  `tot`, `recompose` and `LiftedContext.weights` read it.
     """
 
     def __init__(self, graph: Graph, primes: list[Graph], markers: dict[int, tuple[int, int]]):
@@ -135,9 +137,12 @@ class SplitDecomposition:
                         self._up[j] = v
                         self._order.append(j)
         self._below = [p.vmask & ~inner for p in primes]  # originals below each prime
+        self._ends: dict[int, int] = {}  # marker -> originals below its child that see across
         for j in reversed(self._order[1:]):
-            a, b = markers[self._up[j]]
+            m = self._up[j]
+            a, b = markers[m]
             self._below[a if b == j else b] |= self._below[j]
+            self._ends[m] = sum(self._ends.get(v, 1 << v) for v in bits(primes[j].adj[m]))
 
     def tot(self, i: int, v: int) -> int:
         """Original vertices represented by v as seen from prime i.
@@ -155,19 +160,15 @@ class SplitDecomposition:
         return self._below[0] & ~below if i == child else below
 
     def recompose(self) -> Graph:
-        """The graph the primes stand for (a soundness check).  Children
-        first, each prime is merged into its parent: its edges off the
-        parent marker join what their ends stand for, and the marker then
-        stands, in the parent, for what its neighbours stand for."""
-        ends: dict[int, int] = {}  # marker -> the originals below it that see it
+        """The graph the primes stand for (a soundness check): each
+        prime's edges off its parent marker join what their ends stand
+        for, a marker standing, in its parent, for its ends."""
         edges = []
-        for i in reversed(self._order):
-            p, m = self.primes[i], self._up[i]
-            at = {v: ends.get(v, 1 << v) for v in p.vertices}
+        for i, p in enumerate(self.primes):
+            m = self._up[i]
+            at = {v: self._ends.get(v, 1 << v) for v in p.vertices}
             edges += [(u, w) for x, y in p.edges if m not in (x, y)
                       for u in bits(at[x]) for w in bits(at[y])]
-            if m is not None:
-                ends[m] = sum(at[v] for v in bits(p.adj[m]))
         return Graph(bits(self._below[0]), edges)
 
 
@@ -238,11 +239,21 @@ class LiftedContext:
     def weights(self) -> dict[int, int]:
         """The weight of every prime vertex v, computed once per context:
         how many vertices of tot(v) have a neighbor outside tot(v) in the
-        graph (the active set of v)."""
-        adj, out = self.graph.adj, {}
+        graph (the active set of v), read off the walk of the tree of
+        primes.  An original vertex weighs 1 when it has a neighbour.  A
+        marker seen from its parent weighs its ends, the originals below
+        its child that see across it; seen from its child, the vertices
+        outside that any one end sees, as the marker's cut is a split."""
+        dec, adj, out = self.dec, self.graph.adj, {}
+        up = dec._up[self.prime_index]
         for v in self.prime.vertices:
-            t = self.tot(v)
-            out[v] = sum(1 for u in bits(t) if adj[u] & ~t)
+            if v not in dec.markers:
+                out[v] = 1 if adj[v] else 0
+            elif v == up:
+                end = dec._ends[v].bit_length() - 1
+                out[v] = (adj[end] & ~dec._below[self.prime_index]).bit_count()
+            else:
+                out[v] = dec._ends[v].bit_count()
         return out
 
 

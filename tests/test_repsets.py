@@ -841,23 +841,33 @@ def reference_twin_uses(p, i, full):
 
 @pytest.mark.parametrize("full", [False, True])
 def test_twin_use_closed_form(full):
-    """For every p, i <= 6 and every s, `twin_use` gives a use that takes s
-    cross edges (a full side's every unit twice) when the enumeration has
-    one, with its least z, and at that z its most degree-one units, which
-    are the most of any use with s; otherwise None."""
+    """For every p, i <= 6 and every s that `join_twins` can ask of a side
+    (s <= 2(p + i), a full side only s = 2(p + i)), `_units` lists the
+    units of two and of one of a use that takes s cross edges, the paths
+    of lowest ends before the lowest isolated vertices in each list, with
+    the least z of any use with s, and at that z its most degree-one
+    units, which are the most of any use with s."""
+    w = 5
     for p in range(7):
         for i in range(7):
             uses = reference_twin_uses(p, i, full)
-            for s in range(2 * (p + i) + 3):
-                got = repsets.twin_use(p, i, full, s)
-                at_s = {z: use for (s_, z), use in uses.items() if s_ == s}
-                if not at_s:
-                    assert got is None
-                    continue
-                p2, p1, i2, i1 = got
-                assert min(got) >= 0 and p2 + p1 <= p and i2 + i1 <= i
+            paths = [(2 * k, 2 * k + 1) for k in range(p)]  # one edge each
+            iso = list(range(2 * p, 2 * p + i))
+            d1 = sum(1 << x | 1 << y for x, y in paths)
+            pe = sum(y << x * w | x << y * w for x, y in paths)
+            side = d1 | sum(1 << v for v in iso)
+            for s in [2 * (p + i)] if full else range(2 * (p + i) + 1):
+                two, one = repsets._units(w, side, (d1, 0, pe), p, i, s)
+                p2 = sum(1 for v in two[::2] if d1 >> v & 1)
+                i2, p1 = len(two) // 2 - p2, sum(1 for v in one if d1 >> v & 1)
+                i1 = len(one) - p1
+                assert two == [v for x, y in paths[:p2] for v in (x, y)] + [
+                    v for v in iso[:i2] for _ in (0, 1)]
+                assert one == [x for x, _ in paths[p2:p2 + p1]] + iso[i2:i2 + i1]
+                assert p2 + p1 <= p and i2 + i1 <= i
                 assert p1 + 2 * p2 + i1 + 2 * i2 == s
                 assert not full or (p2, i2) == (p, i)
+                at_s = {z: use for (s_, z), use in uses.items() if s_ == s}
                 z = min(at_s)
                 assert i - i1 - i2 == z
                 assert p1 + i1 == at_s[z][1] + at_s[z][3]
@@ -866,10 +876,11 @@ def test_twin_use_closed_form(full):
 
 def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b):
     """The twin join as a loop over (member pair, s), s the cross edges
-    taken: per s each side's use is `twin_use`'s, the chain test is
-    d >= 2 degree-one units, and `keep_twin` keeps per unit count the most
-    paths and the least ma | mb.  Each kept pair is realised as chains
-    (`_reference_chains`) over its lowest-id units (`_reference_units`)."""
+    taken: per s each side's use is `_reference_twin_use`'s, the chain
+    test is d >= 2 degree-one units, and `_reference_keep_twin` keeps per
+    unit count the most paths and the least ma | mb.  Each kept pair is
+    realised as chains (`_reference_chains`) over its lowest-id units
+    (`_reference_units`)."""
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
@@ -883,11 +894,12 @@ def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b):
             units = pa + ia + pb + ib
             top = min(pa + ia, pb + ib) * 2 if cross else 0
             for s in range(max(0, units - t), top + 1):
-                ua, ub = repsets.twin_use(pa, ia, full_a, s), repsets.twin_use(pb, ib, full_b, s)
+                ua = _reference_twin_use(pa, ia, full_a, s)
+                ub = _reference_twin_use(pb, ib, full_b, s)
                 if ua and ub and (not s or ua[1] + ua[3] + ub[1] + ub[3] >= 2):
                     z = ia - ua[2] - ua[3] + ib - ub[2] - ub[3]
-                    repsets.keep_twin(kept, t, units - s - z, z, ma | mb,
-                                      (ka, ma, kb, mb, ua, ub))
+                    _reference_keep_twin(kept, t, units - s - z, z, ma | mb,
+                                         (ka, ma, kb, mb, ua, ub))
     out = {}
     for *_, (ka, ma, kb, mb, ua, ub) in kept.values():
         m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
@@ -903,6 +915,34 @@ def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b):
             pe = pe & ~(field << x * w | field << y * w) | y << x * w | x << y * w
         out[d1, d2, pe] = m
     return out
+
+
+def _reference_keep_twin(kept, t, paths, isolated, rank, item):
+    """Offer `item`, of tally (paths, isolated vertices), to `kept`, which
+    maps a unit count to (paths, rank, item) of the one item kept there:
+    none with more units than t or, if t < 2, with an isolated vertex;
+    else the most paths, then the least rank."""
+    units = paths + isolated
+    if units <= t and (t > 1 or not isolated):
+        held = kept.get(units)
+        if held is None or paths > held[0] or paths == held[0] and rank < held[1]:
+            kept[units] = paths, rank, item
+
+
+def _reference_twin_use(p, i, full, s):
+    """The use (p2, p1, i2, i1) of one side's p paths and i isolated
+    vertices that takes s cross edges with the fewest isolated vertices
+    left unused and, at that, the most degree-one units, or None when no
+    use takes s; a full side takes s = 2(p + i) only."""
+    units = p + i
+    if s > 2 * units or full and s != 2 * units:
+        return None
+    if s <= units:
+        i1 = min(i, s)
+        return 0, s - i1, 0, i1
+    two = s - units
+    i2 = min(i, two)
+    return two - i2, p - two + i2, i2, i - i2
 
 
 def _reference_units(w, side, key, use):
@@ -958,10 +998,11 @@ def test_join_twins_matches_the_pair_loop(monkeypatch):
     cographs with n = 5..60 along `approx_sm_decomposition`, and on
     cographs with n = 5..10 along caterpillars in shuffled vertex orders
     (twin homes whose sides may come from a plain fold) returns the
-    reference pair loop's family: the same states, masks and order.  On
+    reference pair loop's family: the same states, masks and order, the
+    twin trims (`trim_split`, the join with an empty side) among them.  On
     every non-empty family met, the unit counts form an interval on which paths is
     concave with steps +1, 0 or -1; the join does not rely on that.  The
-    calls cover pairs with and without cross edges and full sides."""
+    joins cover pairs with and without cross edges and full sides."""
     from tests.test_solver import random_cograph
     rng = random.Random(4101)
     runs = [(complete_graph(n), None) for n in range(5, 41)]
@@ -971,22 +1012,26 @@ def test_join_twins_matches_the_pair_loop(monkeypatch):
         order = list(g.vertices)
         rng.shuffle(order)
         runs.append((g, caterpillar_decomposition(order)))
-    seen = dict.fromkeys(["calls", "crossed", "uncrossed", "full side", "caterpillar"], 0)
+    seen = dict.fromkeys(["joins", "trims", "crossed", "uncrossed", "full side",
+                          "caterpillar"], 0)
     real = solver.join_twins
 
     def checking(g, a, b, fa, fb, cut_a, cut_b):
         out = real(g, a, b, fa, fb, cut_a, cut_b)
         assert list(out.items()) == list(reference_join_twins(g, a, b, fa, fb, cut_a,
                                                               cut_b).items())
-        for side, fam in ((a, fa), (b, fb), (a | b, out)):
+        for side, fam in ((a, fa), (b, fb), (a | b, out)) if b else ((a, out),):
             if not fam:
                 continue
             units, paths = zip(*unit_profile(side, fam))
             assert list(units) == list(range(units[0], units[-1] + 1))
             steps = [q - p for p, q in zip(paths, paths[1:])]
             assert set(steps) <= {-1, 0, 1} and steps == sorted(steps, reverse=True)
+        if not b:
+            seen["trims"] += 1
+            return out
         (_, na, _), (_, nb, _) = cut_a, cut_b
-        seen["calls"] += 1
+        seen["joins"] += 1
         seen["crossed" if na & b else "uncrossed"] += 1
         seen["full side"] += not na & ~(a | b) or not nb & ~(a | b)
         seen["caterpillar"] += bd is not None

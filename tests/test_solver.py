@@ -541,7 +541,8 @@ def test_twin_join_builds_only_what_trim_split_keeps(monkeypatch):
 
 def test_twin_joins_are_not_trimmed_again(monkeypatch):
     """`trim_split` never runs on a family that `repsets.join_twins`
-    built, and `trace["trims"]` still records every twin join, in order,
+    built as a join (b != 0; the trim itself is the join with an empty
+    side), and `trace["trims"]` still records every twin join, in order,
     as (home, members, members) with before == after.  K5..K20 and seeded
     random cographs (n = 5..20) are solved along
     `approx_sm_decomposition`, and cographs (n = 5..10) along caterpillars
@@ -552,7 +553,8 @@ def test_twin_joins_are_not_trimmed_again(monkeypatch):
 
     def twins(g, a, b, *args):
         out = real_twins(g, a, b, *args)
-        built.append((a | b, out))
+        if b:  # a join; b = 0 is `trim_split`'s own call
+            built.append((a | b, out))
         return out
 
     def split(g, a, fam, cut):

@@ -292,6 +292,36 @@ def test_lifted_identity_on_whole_graph_prime():
         assert f(x) == mm_value(g, x)
 
 
+def reference_weights(ctx):
+    """The weights by their definition, walking all of tot(v) for every
+    prime vertex v: how many of its vertices see outside it."""
+    adj, out = ctx.graph.adj, {}
+    for v in ctx.prime.vertices:
+        t = ctx.tot(v)
+        out[v] = sum(1 for u in bits(t) if adj[u] & ~t)
+    return out
+
+
+def test_weights_match_the_tot_walk():
+    """Every prime's weights, read off the walk of the tree of primes,
+    equal the tot walk's on the split decompositions of K2..K39, seeded
+    random graphs (n = 4..16) and random cographs (n = 4..60), and on the
+    worked example's decomposition."""
+    from tests.test_solver import random_cograph
+    rng = random.Random(4202)
+    graphs = [complete_graph(n) for n in range(2, 40)]
+    graphs += [random_connected_graph(rng.randint(4, 16), rng, p=rng.choice([0.2, 0.4, 0.7]))
+               for _ in range(60)]
+    graphs += [random_cograph(rng.randint(4, 60), rng) for _ in range(40)]
+    markers = 0
+    for dec in [split_decompose(g) for g in graphs] + [worked_example()[1]]:
+        markers += len(dec.markers)
+        for i in range(len(dec.primes)):
+            ctx = LiftedContext(dec, i)
+            assert ctx.weights == reference_weights(ctx)
+    assert markers
+
+
 def test_lifted_mm_submodular_sampled():
     g, dec = worked_example()
     ctx = LiftedContext(dec, 0)
