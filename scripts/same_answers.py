@@ -43,9 +43,11 @@ output, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
 before and after each trim on inputs with n <= 8 (`trace["trims"]`, each
 list sorted) and decompositions (`bd.to_json()`), and, on every connected
-input with n >= 2, every `dec.tot(i, v)` of `split_decompose(g)`, every
-prime's `LiftedContext.weights` and whether `dec.recompose()` equals the
-input, so that a comparison also checks the walk of the tree of primes;
+input with n >= 2, every prime of `split_decompose(g)` (its vertices and
+edges, in order: edge order sets the fresh ids of `contract_heavy_edges`),
+every `dec.tot(i, v)`, every prime's `LiftedContext.weights` and whether
+`dec.recompose()` equals the input, so that a comparison also checks the
+walk of the tree of primes;
 it lists every difference
 (with both sm-widths where the decompositions differ), and exits 1 on
 any.  A node_sizes difference says at how many nodes the family grew; a
@@ -93,9 +95,9 @@ def run_cli(g, decomposition: dict | None, work: Path) -> list:
 def solve_all(inputs: list[dict], work: Path) -> list[dict]:
     """Verdict, witness, `smhc hc` exit code and output (solved inputs),
     node sizes, largest kept families, the members before and after each
-    trim (n <= 8), decomposition, and the tots, weights and recompose
-    result of the split decomposition of each input, from the `smhc` on
-    the path."""
+    trim (n <= 8), decomposition, and the primes (vertices and edges, in
+    order), tots, weights and recompose result of the split decomposition
+    of each input, from the `smhc` on the path."""
     from smhc.branchdec import BranchDecomposition
     from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
@@ -109,10 +111,11 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
         trace: dict = {"node_sizes": [], "max_family_by_k": {}}
         if g.n <= 8:
             trace["trims"] = []
-        bd = tots = weights = recomposed = None
+        bd = primes = tots = weights = recomposed = None
         verdict, witness = False, None
         if g.n >= 2 and g.is_connected():
             dec = split_decompose(g)
+            primes = [[list(p.vertices), [list(e) for e in p.edges]] for p in dec.primes]
             tots = [[dec.tot(i, v) for v in p.vertices] for i, p in enumerate(dec.primes)]
             weights = [sorted(LiftedContext(dec, i).weights.items())
                        for i in range(len(dec.primes))]
@@ -133,6 +136,7 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
                     "trims": [[a, sorted(before), sorted(after)]
                               for a, before, after in trace.get("trims", [])],
                     "decomposition": bd.to_json() if bd else None,
+                    "primes": primes,
                     "tots": tots,
                     "weights": weights,
                     "recompose": recomposed,
@@ -271,7 +275,8 @@ def main(argv=None) -> int:
                 continue
             differences += 1
             fields = [k for k in ("verdict", "witness", "node_sizes", "max_family_by_k",
-                                  "trims", "decomposition", "tots", "weights", "recompose")
+                                  "trims", "decomposition", "primes", "tots", "weights",
+                                  "recompose")
                       if old[k] != new[k]]
             if old["cli"] != new["cli"]:  # the exit code, or else only the output
                 fields.insert(2, "exit code" if old["cli"][0] != new["cli"][0] else "hc output")
@@ -292,7 +297,7 @@ def main(argv=None) -> int:
             print(line)
         compared = ("verdicts, witnesses, smhc hc exit codes and output, node_sizes, "
                     "max_family_by_k, trims (before and after), " if inputs[0]["solve"]
-                    else "") + "decompositions, tots, weights and recompose results"
+                    else "") + "decompositions, primes, tots, weights and recompose results"
         print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}")
     return 1 if differences else 0
 

@@ -298,16 +298,20 @@ def approx_decomposition(f, elements: list[int]) -> tuple[list, dict]:
     function f: `exact_branch_width`'s tree on at most EXACT_SIZE_LIMIT
     elements and `greedy_decomposition`'s above.
 
-    On at most three elements it builds the exact tree without
+    On at most three elements it writes the exact tree down without
     evaluating f.  One or two elements have one tree, whose width the
     search evaluates and this discards.  On x < y < z, f({y, z}) =
     f({x}), so each of the three splits costs max(f(x), f(y), f(z)) and
-    the search keeps the first, the lowest element.
+    the search keeps the first, {x} against {y, z}.  Its table is the one
+    `_binary_tree` numbers from n = z + 1: leaves n, n + 1, n + 2 for x,
+    y, z, node n + 3 joining y and z, and the root edge from x to it.
     """
     if len(elements) > EXACT_SIZE_LIMIT:
         return greedy_decomposition(f, elements)
     if len(elements) < 3:
         return _small_tree(sorted(elements))
     if len(elements) == 3:
-        return _binary_tree(mask_of(elements), lambda m: m & -m)
+        x, y, z = sorted(elements)
+        n = z + 1
+        return [(n + 3, n + 1), (n + 3, n + 2), (n, n + 3)], {n: x, n + 1: y, n + 2: z}
     return exact_branch_width(sorted(elements), f)[1]

@@ -34,14 +34,13 @@ class Graph:
 
     def __init__(self, vertices, edges):
         vs = sorted(set(vertices))
-        self.vertices = tuple(vs)
-        self.vmask = mask_of(vs)
+        vmask = mask_of(vs)
         es = []
         seen = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (self.vmask >> u) & 1 or not (self.vmask >> v) & 1:
+            if not (vmask >> u) & 1 or not (vmask >> v) & 1:
                 raise ValueError(f"edge ({u},{v}) has endpoint outside vertex set")
             e = (u, v) if u < v else (v, u)
             if e in seen:
@@ -49,6 +48,15 @@ class Graph:
             seen.add(e)
             es.append(e)
         es.sort()
+        self._fill(vs, vmask, es)
+
+    def _fill(self, vs: list[int], vmask: int, es: list[tuple[int, int]]) -> Graph:
+        """Set every slot from the sorted vertex list, its mask and the
+        sorted list of distinct edges (u, v), u < v, among them, with no
+        check; return the graph.  A caller whose parts already have that
+        form (`splitdec.split_decompose`'s primes) builds through it alone."""
+        self.vertices = tuple(vs)
+        self.vmask = vmask
         self.edges = tuple(es)
         self.edge_index = {e: i for i, e in enumerate(es)}
         adj = {v: 0 for v in vs}
@@ -65,6 +73,7 @@ class Graph:
         self.incident = incident
         self.edge_vertices = tuple(edge_vertices)
         self._connected = None
+        return self
 
     # -- basics ------------------------------------------------------------
 

@@ -59,7 +59,19 @@ def find_split(g: Graph):
     Hence A* is the least mask over these O(n) closures.  Any neighbour
     serves as y1; the highest is taken.  A closure only grows, so it is
     abandoned once its mask reaches the best one so far or fewer than two
-    vertices stay outside.  One wave of it forces exactly the vertices in
+    vertices stay outside; one whose seed {v0, y} already reaches the best
+    is not started, as it could only be abandoned at once.  The closures
+    C(y1, z) all start at {v0, y1}, and the seeds of the C(y, y1) rise
+    with y, so each run of closures stops at its first such seed.
+
+    First pair.  No side holding v0 has a mask below that of {v0, u}, u
+    the lowest other vertex, and {v0, u} is a split side exactly when all
+    the other vertices that see it see the same part of it: when u sees
+    none of the rest, or v0 sees none of it or the same part as u.  That
+    test costs O(1); when it holds, {v0, u} is the best side from the
+    start and no closure runs.  So every split of K_n runs none.
+
+    One wave of a closure forces exactly the vertices in
     off | (on_any & ~on_all), where off is the union of adj over a − N(z)
     and on_any, on_all are the union and the intersection of adj over
     a ∩ N(z); each added vertex updates them in O(1) big-int operations,
@@ -79,21 +91,31 @@ def _least_split(full: int, adj: dict[int, int], v0: int):
     if full.bit_count() < 4:
         return None
     n0 = adj[v0]
+    rest = full & ~(1 << v0)
+    u = rest & -rest  # {v0, u} has the least mask of any side
+    out = rest & ~u
+    nu = adj[u.bit_length() - 1] & out
+    best = 1 << v0 | u if not nu or n0 & out in (0, nu) else full  # full: none found yet
     y1 = n0.bit_length() - 1
     far = full & ~(1 << v0 | 1 << y1)
-    pairs = [(y1, z) for z in bits(far)]
-    pairs += [(y, y1) for y in bits(far) if (n0 >> y) & 1 or adj[y] & n0 == n0]
-    best = full  # no split side found yet
-    for y, z in pairs:
-        side = _closure(full, adj, 1 << v0 | 1 << y, z, best)
-        if side is not None:
-            best = side
+    seed = 1 << v0 | 1 << y1
+    for z in bits(far):  # every closure C(y1, z) starts at the one seed
+        if seed >= best:
+            break
+        best = _closure(full, adj, seed, z, best)
+    for y in bits(far):  # the seeds of the closures C(y, y1) rise with y
+        seed = 1 << v0 | 1 << y
+        if seed >= best:
+            break
+        if (n0 >> y) & 1 or adj[y] & n0 == n0:
+            best = _closure(full, adj, seed, y1, best)
     return None if best == full else (best, full & ~best)
 
 
-def _closure(full: int, adj: dict[int, int], seed: int, z: int, bound: int) -> int | None:
-    """The seed closed under adding each u ≠ z with N(u) ∩ a ∉ {∅, N(z) ∩ a};
-    None once its mask reaches the bound or under two vertices stay out."""
+def _closure(full: int, adj: dict[int, int], seed: int, z: int, bound: int) -> int:
+    """The seed closed under adding each u ≠ z with N(u) ∩ a ∉ {∅, N(z) ∩ a}
+    if its mask stays below the bound and two vertices or more stay out,
+    else the bound."""
     nz, keep = adj[z], full & ~(1 << z)
     a, new = 0, seed
     off = on_any = 0
@@ -101,7 +123,7 @@ def _closure(full: int, adj: dict[int, int], seed: int, z: int, bound: int) -> i
     while new:
         a |= new
         if a >= bound or (full & ~a).bit_count() < 2:
-            return None
+            return bound
         for x in bits(new):
             if (nz >> x) & 1:
                 on_any |= adj[x]
@@ -179,7 +201,10 @@ def split_decompose(g: Graph) -> SplitDecomposition:
     of a split keeps its vertices' adjacency within the side, and the new
     marker's bit is added to the vertices that see the other side, in
     O(|side|) big-int operations with no edge scan.  Only the primes are
-    built as `Graph`s."""
+    built as `Graph`s, each straight from its part by `Graph._fill`: the
+    mask gives its vertices in order, and the adjacency, taken within the
+    part from a checked graph, its edges sorted and distinct, so
+    `Graph.__init__`'s checks, dedup and sort would find nothing to do."""
     if g.n < 2:
         raise ValueError("split decomposition needs at least two vertices")
     if not g.is_connected():
@@ -196,8 +221,9 @@ def split_decompose(g: Graph) -> SplitDecomposition:
         if split is None:
             for v in bits(full & ~g.vmask):
                 markers.setdefault(v, []).append(len(primes))
-            primes.append(g if full == g.vmask else Graph(
-                bits(full), [(u, v) for u in bits(full) for v in bits(adj[u] & ~((2 << u) - 1))]))
+            vs = list(bits(full))
+            primes.append(g if full == g.vmask else Graph.__new__(Graph)._fill(
+                vs, full, [(u, v) for u in vs for v in bits(adj[u] & ~((2 << u) - 1))]))
             continue
         m = next_marker
         next_marker += 1

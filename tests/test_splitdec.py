@@ -135,6 +135,54 @@ def test_split_decompose_resolves_clique_as_chain():
         assert len(ends) == 2 and all(p.n == 3 for p in dec.primes)
 
 
+def test_closures_stop_at_the_best_side(monkeypatch):
+    """No closure starts at a seed that already reaches the best side: on
+    K60, whose least sides {v0, u} are found without a closure, at most
+    two run per split (60 per split if every seed were tried), and on
+    random cographs and graphs built by splits every closure that runs
+    starts below its bound.  The brute_split tests check that the side
+    found is still the least-mask one."""
+    import smhc.splitdec as splitdec
+    from tests.test_solver import random_cograph
+    calls = []
+    real = splitdec._closure
+    monkeypatch.setattr(splitdec, "_closure", lambda *a: calls.append(a) or real(*a))
+    dec = split_decompose(complete_graph(60))
+    assert len(dec.markers) == 57 and dec.recompose() == complete_graph(60)
+    assert len(calls) <= 2 * len(dec.markers)
+    rng = random.Random(4302)
+    for _ in range(20):
+        split_decompose(random_cograph(rng.randint(8, 40), rng))
+        split_decompose(split_composed(rng.randint(8, 20), rng))
+    assert calls and all(seed < bound for _, _, seed, _, bound in calls)
+
+
+def test_primes_built_like_graph():
+    """Each prime, built from its part without the checks of
+    `Graph.__init__`, equals the checked build from its vertices and edges
+    in every slot (adj's key order too), on K2..K20, random cographs and
+    the random graphs of `test_decompose_random_sound`.  `Graph.__eq__`
+    compares only vertices and edges, so the slots are compared here."""
+    from tests.test_solver import random_cograph
+    rng = random.Random(4301)
+    graphs = [complete_graph(n) for n in range(2, 21)]
+    graphs += [random_cograph(rng.randint(4, 30), rng) for _ in range(30)]
+    for seed in range(25):
+        rng = random.Random(seed)
+        graphs.append(random_connected_graph(rng.randint(2, 9), rng))
+    primes = 0
+    for g in graphs:
+        for p in split_decompose(g).primes:
+            primes += 1
+            q = Graph(bits(p.vmask), p.edges)
+            for slot in ("vertices", "vmask", "edges", "edge_index", "adj",
+                         "incident", "edge_vertices"):
+                assert getattr(p, slot) == getattr(q, slot), slot
+            assert list(p.adj) == list(q.adj)
+            assert list(p.incident) == list(q.incident)
+    assert primes > len(graphs)
+
+
 def test_find_split_on_fifteen_vertices():
     """One split, {1, 2, 3, 10, 13} against the rest, in 15 vertices.
 
