@@ -41,9 +41,10 @@ tree.  Prints, per workload, how many
 inputs have identical verdicts, witnesses, `smhc hc` exit codes and
 output, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
-before and after each trim on inputs with n <= 8 (`trace["trims"]`, each
-list sorted) and decompositions (`bd.to_json()`), and, on every connected
-input with n >= 2, every prime of `split_decompose(g)` (its vertices and
+before and after each trim on inputs with n <= 10, so on every input of
+`extension-heavy` (`trace["trims"]`, each list sorted) and
+decompositions (`bd.to_json()`), and, on every connected input with
+n >= 2, every prime of `split_decompose(g)` (its vertices and
 edges, in order: edge order sets the fresh ids of `contract_heavy_edges`),
 every `dec.tot(i, v)`, every prime's `LiftedContext.weights` and whether
 `dec.recompose()` equals the input, so that a comparison also checks the
@@ -95,7 +96,7 @@ def run_cli(g, decomposition: dict | None, work: Path) -> list:
 def solve_all(inputs: list[dict], work: Path) -> list[dict]:
     """Verdict, witness, `smhc hc` exit code and output (solved inputs),
     node sizes, largest kept families, the members before and after each
-    trim (n <= 8), decomposition, and the primes (vertices and edges, in
+    trim (n <= 10), decomposition, and the primes (vertices and edges, in
     order), tots, weights and recompose result of the split decomposition
     of each input, from the `smhc` on the path."""
     from smhc.branchdec import BranchDecomposition
@@ -109,7 +110,7 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
     for inp in inputs:
         g = Graph(range(inp["n"]), [tuple(e) for e in inp["edges"]])
         trace: dict = {"node_sizes": [], "max_family_by_k": {}}
-        if g.n <= 8:
+        if g.n <= 10:
             trace["trims"] = []
         bd = primes = tots = weights = recomposed = None
         verdict, witness = False, None

@@ -82,9 +82,10 @@ def prime_decomposition(ctx: LiftedContext, heavy: int) -> tuple[list, dict]:
     when the search first evaluates the lifted mm, which it does not on
     three elements or fewer.
 
-    A prime made from a split has at least 3 vertices, and a 2- or 3-vertex
-    whole graph has no heavy vertex, so at least two elements remain: each
-    fresh leaf has a neighbour and ends with degree 3.
+    A prime made from a split has at least 3 vertices, and a whole graph
+    of 1 to 3 vertices has no heavy vertex, so a contracted pair leaves
+    another element: each fresh leaf has a neighbour and ends with degree
+    3.  A one-vertex graph is one prime, whose table is its one leaf.
     """
     elements, merged = contract_heavy_edges(ctx, heavy)
     tot_map: dict[int, int] = {}
@@ -157,16 +158,13 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
     every prime has at most EXACT_SIZE_LIMIT vertices, so that every
     search is exact whatever k is.  No cut has sm value above n // 2, so the
     first tree built is accepted unmeasured when n // 2 <= 18k; no weight
-    exceeds n, so no vertex is heavy once 3k > n, and the loop ends.
+    exceeds n, so no vertex is heavy once 3k > n, and the loop ends.  A
+    one-vertex graph is one prime, so its tree is one leaf, of width 0.
     """
     if not g.n:  # a decomposition has a leaf per vertex
         raise ValueError("empty graph: a decomposition needs at least one vertex")
     if not g.is_connected():
         raise ValueError("sm-width decompositions need a connected graph")
-    if g.n == 1:  # one leaf and no cut: width 0, exactly
-        bd = BranchDecomposition([], {0: g.vertices[0]})
-        bd.certified = True
-        return bd
     dec = split_decompose(g)
     ctxs = [LiftedContext(dec, i) for i in range(len(dec.primes))]
     smf = sm_cut_function(g)

@@ -19,8 +19,10 @@ the least live member per state.  That family meets `trim`'s
 precondition, which no step re-checks.  `trim` is the one trim and
 applies only its own rules: on twin cuts the twin rule (`trim_split`,
 the twin join with an empty side), elsewhere the rep-set
-trim over a cut cover (`repsets.preserving_extension`), which a matched
-boundary of at most five vertices shows to keep the family as it is.
+trim over the Koenig cover of the cut (`cuts.min_vertex_cover`,
+`repsets.preserving_extension`), which keeps the family as it is when
+that cover is the boundary, of at most five vertices, of a home of
+three or more.
 """
 
 from __future__ import annotations
@@ -108,20 +110,6 @@ def _record(trace: dict | None, a: int, before: Family, after: Family) -> None:
 
 # -- trims ------------------------------------------------------------------
 
-def _matched(g: Graph, boundary: int, nbr: int) -> bool:
-    """Whether a greedy pass matches every boundary vertex to a neighbour
-    of its own in nbr, each taking its lowest free one."""
-    adj, taken = g.adj, 0
-    while boundary:
-        low = boundary & -boundary
-        free = adj[low.bit_length() - 1] & nbr & ~taken
-        if not free:
-            return False
-        taken |= free & -free
-        boundary ^= low
-    return True
-
-
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     """The members of a twin cut's family (`cut_of(g, a)`) that may
     complete: `fam` under the twin rule, one member per unit count, at
@@ -143,34 +131,35 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
     Precondition, proved in `repsets.frontier`: every vertex of a
     without an outside neighbour has degree two in every member, `fam`
     holds one member per state, and no member is a cycle.  The families
-    of `repsets.join_twins`, which no trim takes, meet it too.  Four
+    of `repsets.join_twins`, which no trim takes, meet it too.  Three
     cases:
 
     - a twin cut keeps what the twin rule keeps (`trim_split`);
     - a lone member m, or none, is dropped when |a| - |m| > |N(a)|: a
       cycle through m takes 2|a| - 2|m| cross edges, at most two at each
       outside neighbour;
-    - a home of three vertices or more whose boundary of at most five
-      vertices a greedy pass matches into N(a), each boundary vertex to an
-      outside neighbour of its own (`_matched`), keeps `fam` itself.  No
-      unmatched boundary vertex starts an alternating path, so the Koenig
-      cover c (`cuts.min_vertex_cover`) is the boundary, its padding to
-      three vertices stays in a, and no edge is estar.  By the
-      precondition every path end lies on the boundary, so a member has
-      at most four ends, and the basis keeps each state over c (the
-      Corollary of `repsets`), which fixes the state, as every edge lies
-      in a.  No member is a cycle, and none is over the budget: each
-      path or isolated vertex holds a boundary vertex, so |a| - |m| <= |c|.
-      That is what `preserving_extension` would return, and its
-      `max_family_by_k` is recorded at k = |c|;
-    - otherwise `preserving_extension` over the padded Koenig cover c,
-      with the estar edges between a and c \\ a.
+    - every other cut takes the Koenig cover c of G[boundary, N(a)]
+      (`cuts.min_vertex_cover`).  When c is the boundary, which holds
+      exactly when a maximum matching covers every boundary vertex, c has
+      at most five vertices and the home has three or more, `fam` is
+      kept itself: the padding of c to three vertices stays in a, so no
+      edge is estar.  By the precondition every path end lies on the
+      boundary, so a member has at most four ends, and the basis keeps
+      each state over c (the Corollary of `repsets`), which fixes the
+      state, as every edge lies in a.  No member is a cycle, and none is
+      over the budget: each path or isolated vertex holds a boundary
+      vertex, so |a| - |m| <= |c|.  That is what `preserving_extension`
+      would return, and its `max_family_by_k` is recorded at the size
+      of the padded c, max(|c|, 3).
+      Otherwise `preserving_extension` runs over the padded c, with the
+      estar edges between a and c \\ a.  A home of one or two vertices
+      is padded from outside it, which can make estar edges, so it always
+      runs the extension.
 
-    A home of one or two vertices is padded from outside it, which can
-    make estar edges, so it takes the cover search.  Every trim of a home
-    other than V appends (a, before, after), the masks of `fam` and of the
-    result, to `trace["trims"]` when the caller put a list there, also on
-    an empty `fam`, so a trace shows the home at which a family died.
+    Every trim of a home other than V appends (a, before, after), the
+    masks of `fam` and of the result, to `trace["trims"]` when the caller
+    put a list there, also on an empty `fam`, so a trace shows the home
+    at which a family died.
     """
     if a == g.vmask:
         return fam
@@ -180,16 +169,18 @@ def trim(g: Graph, a: int, fam: Family, cut: Cut, trace: dict | None = None) -> 
     elif len(fam) < 2:  # a lone member, or none
         out = {key: m for key, m in fam.items()
                if a.bit_count() - m.bit_count() <= nbr.bit_count()}
-    elif a.bit_count() >= 3 and boundary.bit_count() <= 5 and _matched(g, boundary, nbr):
-        out = fam
-        if trace is not None:
-            k = max(boundary.bit_count(), 3)
-            by_k = trace.setdefault("max_family_by_k", {})
-            by_k[k] = max(by_k.get(k, 0), len(fam))
     else:
-        c = pad_separator(g, a, min_vertex_cover(g, boundary, nbr))
-        estar = g.edges_at(c & ~a) & g.edges_at(boundary)
-        out = preserving_extension(g, a, c, fam, estar, trace)
+        c = min_vertex_cover(g, boundary, nbr)
+        if c == boundary and c.bit_count() <= 5 and a.bit_count() >= 3:
+            out = fam
+            if trace is not None:
+                k = max(c.bit_count(), 3)
+                by_k = trace.setdefault("max_family_by_k", {})
+                by_k[k] = max(by_k.get(k, 0), len(fam))
+        else:
+            c = pad_separator(g, a, c)
+            estar = g.edges_at(c & ~a) & g.edges_at(boundary)
+            out = preserving_extension(g, a, c, fam, estar, trace)
     _record(trace, a, fam, out)
     return out
 
@@ -207,8 +198,8 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
       post-order, and `max_family`, the largest of them;
     - `max_family_by_k`: the largest family kept by a vertex-cover trim,
       per size k of its padded cover c, written once per such trim (by
-      `trim` on a matched boundary, else by the `repsets.trim_separator`
-      of its extension);
+      `trim` when it keeps the family whole, else by the
+      `repsets.trim_separator` of its extension);
     - `trims`: (a, before, after) for every trim, of an empty family too,
       and for every twin join, which no trim takes, with before == after,
       only if the caller puts a list under that key.

@@ -195,7 +195,7 @@ class SplitDecomposition:
 
 
 def split_decompose(g: Graph) -> SplitDecomposition:
-    """Decompose a connected graph (n >= 2) into prime graphs, splitting
+    """Decompose a connected graph (n >= 1) into prime graphs, splitting
     each part that holds a marker at its newest one (see the module
     docstring).  A part is its vertex mask and adjacency dict: each side
     of a split keeps its vertices' adjacency within the side, and the new
@@ -204,9 +204,11 @@ def split_decompose(g: Graph) -> SplitDecomposition:
     built as `Graph`s, each straight from its part by `Graph._fill`: the
     mask gives its vertices in order, and the adjacency, taken within the
     part from a checked graph, its edges sorted and distinct, so
-    `Graph.__init__`'s checks, dedup and sort would find nothing to do."""
-    if g.n < 2:
-        raise ValueError("split decomposition needs at least two vertices")
+    `Graph.__init__`'s checks, dedup and sort would find nothing to do.
+    A graph of three vertices or fewer, one vertex among them, is one
+    prime: the graph itself."""
+    if not g.n:
+        raise ValueError("split decomposition needs at least one vertex")
     if not g.is_connected():
         raise ValueError("split decomposition needs a connected graph")
     last = g.vertices[-1]  # marker ids are fresh ids above it

@@ -63,6 +63,14 @@ def test_cuts_partition_elements():
                 assert a | b == bd.elements and a & b == 0
 
 
+BAD_TREES = [  # (edges, leaf_map, the message `validate` raises)
+    # n - 1 edges: a path from edges[0] and a triangle apart from it
+    ([(0, 1), (10, 11), (10, 12), (11, 12)], {0: 0, 1: 1}, "decomposition tree is disconnected"),
+    ([(0, 1)], {0: 0, 1: 0}, "leaf_map is not injective"),
+    ([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 2}, "leaf node 1 has degree 2"),
+]
+
+
 def test_validate_rejects_bad_trees():
     with pytest.raises(ValueError):
         BranchDecomposition([(0, 1), (2, 3)], {0: 0, 1: 1, 3: 2})  # forest
@@ -72,6 +80,9 @@ def test_validate_rejects_bad_trees():
     k4 = [(u, v) for u in range(10, 14) for v in range(u + 1, 14)]
     with pytest.raises(ValueError):  # n - 1 edges and valid degrees, but cyclic
         BranchDecomposition(k4, {0: 0, 1: 1, 2: 2})
+    for edges, leaf_map, message in BAD_TREES:
+        with pytest.raises(ValueError, match=message):
+            BranchDecomposition(edges, leaf_map)
 
 
 def test_f_width_k6_sm():

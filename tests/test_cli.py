@@ -13,6 +13,7 @@ from smhc.graph import (Graph, cycle_graph, complete_graph, path_graph, petersen
                         format_edge_list, parse_edge_list)
 from smhc.cli import main, EXIT_OK, EXIT_NO, EXIT_PARSE, EXIT_REFUSED
 from tests.conftest import atlas_connected
+from tests.test_branchdec import BAD_TREES
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -70,11 +71,14 @@ BOWTIE = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])  # cu
                                              "leaf_map": {"5": False, "6": True, "7": 2,
                                                           "8": 3, "9": 4}}),
                                  json.dumps({"edges": [], "leaf_map": {"0": 10 ** 20}}),
-                                 json.dumps(caterpillar_decomposition([0, 1, 2, 3, 5]).to_json())])
+                                 json.dumps(caterpillar_decomposition([0, 1, 2, 3, 5]).to_json())]
+                         + [json.dumps({"edges": edges, "leaf_map": leaf_map})
+                            for edges, leaf_map, _ in BAD_TREES])
 def test_hc_malformed_decomposition_exits_two(tmp_path, capsys, bad):
     """A malformed decomposition, or one whose leaves are not the graph's
     vertices, exits 2 whatever the graph: also where the graph alone is
-    answered before decomposing (disconnected, or with a cut vertex).  A
+    answered before decomposing (disconnected, or with a cut vertex).  So
+    do the trees `BranchDecomposition.validate` rejects (`BAD_TREES`).  A
     leaf vertex written as a boolean is malformed, though Python reads
     false and true as 0 and 1.  A leaf far past the graph's vertices
     (10^20, whose shift Python refuses) exits 2 too, as does one just past

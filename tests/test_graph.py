@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -61,9 +62,19 @@ def test_parse_comments_and_blanks():
     assert g.edges == ((0, 1), (1, 2))
 
 
-@pytest.mark.parametrize("text", ["", "nonsense", "3 5\n0 1\n", "2 1\n0 3\n", "-3 0\n"])
+PARSE_ERRORS = {  # input text -> the message `parse_edge_list` raises
+    "": "empty edge-list input",
+    "nonsense": "first line must be 'n m'",
+    "3 5\n0 1\n": "expected 5 edge lines, got 1",
+    "2 1\n0 3\n": "edge (0,3) out of range for n=2",
+    "-3 0\n": "vertex count -3 is negative",
+    "3 1\n0 1 2\n": "bad edge line: '0 1 2'",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(PARSE_ERRORS[text])):
         parse_edge_list(text)
 
 

@@ -858,16 +858,15 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     `trim_separator` over the padded cover keep, with the same
     `max_family_by_k`, on seeded random families keyed as `join` keys
     them, on non-twin cuts with at least two members: the least member
-    per state, of which the live ones (`live`) are kept.  A home of three
-    vertices or more whose boundary of at most five vertices a greedy
-    pass matches into N(a) ("matched") runs no cover search and no
-    extension and returns its family itself, and its Koenig cover is its
-    boundary; every other cut runs one cover search and calls the
-    extension once.  Homes of two vertices always search, and some are
-    padded from outside the home.  The cases cover padded covers, dropped
-    members, estar cuts, searched cuts of at most five boundary vertices
-    without estar edges and six-vertex boundaries whose basis keeps fewer
-    members than states."""
+    per state, of which the live ones (`live`) are kept.  Every such trim
+    runs one cover search.  A home of three vertices or more whose Koenig
+    cover is its boundary of at most five vertices ("kept whole") calls
+    no extension and returns its family itself; every other cut calls the
+    extension once.  Homes of two vertices always run the extension, and
+    some are padded from outside the home.  The cases cover padded
+    covers, dropped members, estar cuts, searched cuts of at most five
+    boundary vertices without estar edges and six-vertex boundaries whose
+    basis keeps fewer members than states."""
     calls, covers = [], []
     real_extension, real_cover = solver.preserving_extension, solver.min_vertex_cover
     monkeypatch.setattr(solver, "preserving_extension",
@@ -886,7 +885,7 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
     instances += [(g, mask_of(small.sample(g.vertices, size)), [])
                   for g, _, _ in instances[:-1] for size in (1, 2)]
     seen = dict.fromkeys(["padded", "dropped", "estar", "searched without estar",
-                          "wide basis drops", "matched", "small home padded outside"], 0)
+                          "wide basis drops", "kept whole", "small home padded outside"], 0)
     for g, a, extra in instances:
         cut = cut_of(g, a)
         boundary, nbr, twin = cut
@@ -903,18 +902,47 @@ def test_one_pass_trim_equals_extension_route(monkeypatch):
         assert got == want and got_trace == want_trace
         seen["padded"] += c != boundary
         seen["small home padded outside"] += a.bit_count() < 3 and bool(c & ~a)
-        if not covers:
+        assert len(covers) == 1
+        if not calls:
             assert a.bit_count() >= 3 and boundary.bit_count() <= 5
             assert real_cover(g, boundary, nbr) == boundary and c & ~a == 0 and not estar
-            assert not calls and got is fam
-            seen["matched"] += 1
+            assert got is fam
+            seen["kept whole"] += 1
             continue
-        assert len(covers) == len(calls) == 1
+        assert len(calls) == 1
+        assert not (a.bit_count() >= 3 and boundary.bit_count() <= 5
+                    and real_cover(g, boundary, nbr) == boundary)
         seen["estar"] += bool(estar)
         seen["searched without estar"] += not estar and boundary.bit_count() <= 5
         seen["dropped"] += len(got) < len(fam)
         seen["wide basis drops"] += not estar and len(got) < len(fam)
     assert all(seen.values()), seen
+
+
+def test_trim_shortcut_reads_the_cover(monkeypatch):
+    """A non-twin cut whose boundary a maximum matching covers, though
+    taking each boundary vertex's lowest free outside neighbour does not:
+    x = 0 sees p = 3 and q = 4, y = 1 sees only p, z = 2 sees r = 5, so x
+    would take p and leave y none, while x-q, y-p, z-r covers all three.
+    The Koenig cover is the boundary, so `trim` returns the family itself
+    and runs no extension, which would keep it whole, with the same
+    `max_family_by_k`."""
+    g = Graph(range(6), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 3), (2, 5),
+                         (3, 4), (3, 5), (4, 5)])
+    a = mask_of([0, 1, 2])
+    cut = boundary, nbr, twin = cut_of(g, a)
+    assert not twin and boundary == a and g.adj[1] & nbr == 1 << 3
+    assert min_vertex_cover(g, boundary, nbr) == boundary
+    inner = g.edges_within(a)
+    fam = family(g, [m for m in range(1 << g.m) if not m & ~inner and is_path_system(g, m)])
+    assert len(fam) == 7
+    want_trace, got_trace = {}, {}
+    want = repsets.preserving_extension(g, a, pad_separator(g, a, boundary), fam, 0, want_trace)
+    calls = []
+    monkeypatch.setattr(solver, "preserving_extension", lambda *args: calls.append(args))
+    got = trim(g, a, fam, cut, got_trace)
+    assert got is fam and not calls
+    assert got == want and got_trace == want_trace
 
 
 def test_trim_split_signature_collapse():

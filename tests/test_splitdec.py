@@ -240,9 +240,18 @@ def test_split_decompose_c5_single_prime():
 
 
 def test_split_decompose_k2():
+    """K2 is one prime, and so is one vertex, whose tot is itself; the
+    empty graph raises."""
     g = Graph(range(2), [(0, 1)])
     dec = split_decompose(g)
     assert len(dec.primes) == 1 and dec.recompose() == g
+    for v in (0, 5):
+        g = Graph([v], [])
+        dec = split_decompose(g)
+        assert len(dec.primes) == 1 and not dec.markers
+        assert dec.recompose() == g and dec.tot(0, v) == 1 << v
+    with pytest.raises(ValueError, match="at least one vertex"):
+        split_decompose(Graph([], []))
 
 
 def test_worked_example_tot_act():
