@@ -16,8 +16,14 @@ cographs that one `Random(11)` draws as `workloads.random_cograph`, 4
 per n = 60, 80, 120 (`cograph-r11-n60-0` and so on), all Hamiltonian;
 and the first n = 60 draw of a survey that draws 4 per n = 40, 60, 80,
 120 from one `Random(11)` (`cograph-r11-survey-n60-0`), which is not;
-and `workloads.random_cograph(n, Random(7))` at n = 300, 600 and 900,
-each from a fresh `Random(7)` (`cograph-r7-n300` and so on).
+`workloads.random_cograph(n, Random(7))` at n = 300, 600 and 900,
+each from a fresh `Random(7)` (`cograph-r7-n300` and so on); and inputs
+whose verdict a theorem gives (`tests/test_theorems.py`, which also holds
+their builders): the generalized Petersen graphs GP(23, 2), GP(24, 2)
+and GP(29, 2), the grids `grid_graph(5, 21)`, `(4, 25)` and `(4, 50)`,
+and the lexicographic products grid(3, 4)[K3], grid(4, 6)[K3],
+grid(3, 6)[E2], grid(4, 6)[E2], grid(3, 5)[E2], grid(5, 5)[E2] and
+GP(12, 2)[K2] (E2: two vertices, no edge).
 Each input runs in its own subprocess, with this checkout's `src` first
 on the path, a 2 GB address-space cap (RLIMIT_AS) set in the child and a
 60 s wall limit.  The child decomposes with `approx_sm_decomposition`
@@ -26,9 +32,10 @@ on the path, a 2 GB address-space cap (RLIMIT_AS) set in the child and a
 Per input the output records the outcome (`ok`, `timeout` or `memory`),
 the verdict and whether it was checked (against K_n, `brute_hc` for
 n <= 16, the path-cover reference `tests/test_cograph_reference.cograph_hc`
-for the survey and `Random(11)` cographs, whatever the verdict, or a
-verified witness), decomposition and solve time, the peak node family (`max_family`),
-`max_family_by_k` and the child's peak RSS.  Rows whose solve runs a twin
+for the survey and `Random(11)` cographs, whatever the verdict, the
+row's `expect`ed verdict for the theorem rows, or a verified witness;
+every witness is verified), decomposition and solve time, the peak node
+family (`max_family`), `max_family_by_k` and the child's peak RSS.  Rows whose solve runs a twin
 join (`repsets.join_twins`) also record `twin_joins` and, summed over
 them, `pair_s_tries`, the (member pair, s) tries of the pair loop
 `tests/test_repsets.py::reference_join_twins`, and `pair_u_tries`, the
@@ -84,6 +91,7 @@ def corpus() -> list[dict]:
     sys.path.insert(0, str(ROOT / "benchmark"))
     import smhc.generators
     import workloads
+    from smhc.graph import complete_graph
 
     out = [{"label": f"K{n}", "n": n, "edges": list(combinations(range(n), 2)),
             "reference": "complete"} for n in (14, 16, 18, 20, 60, 100, 150, 300, 600)]
@@ -129,6 +137,25 @@ def corpus() -> list[dict]:
     out += [{"label": f"cograph-r7-n{n}", "n": n,
              "edges": workloads.random_cograph(n, random.Random(7)), "reference": "cograph"}
             for n in (300, 600, 900)]
+    from tests import test_theorems as thm
+
+    grid = smhc.generators.grid_graph
+    facts = [(f"GP({n},2)", thm.generalized_petersen(n, 2), thm.gp2_hamiltonian(n))
+             for n in (23, 24, 29)]
+    facts += [(f"grid({r},{c})", grid(r, c), thm.grid_hamiltonian(r, c))
+              for r, c in ((5, 21), (4, 25), (4, 50))]
+    k2, k3, e2 = complete_graph(2), complete_graph(3), thm.empty_graph(2)
+    products = [(f"grid({r},{c})", grid(r, c), thm.grid_hamiltonian(r, c), h, h_name)
+                for (r, c), h, h_name in (((3, 4), k3, "K3"), ((4, 6), k3, "K3"),
+                                          ((3, 6), e2, "E2"), ((4, 6), e2, "E2"),
+                                          ((3, 5), e2, "E2"), ((5, 5), e2, "E2"))]
+    products.append(("GP(12,2)", thm.generalized_petersen(12, 2), thm.gp2_hamiltonian(12),
+                     k2, "K2"))
+    facts += [(f"{name}[{h_name}]", thm.lex_product(g, h), thm.product_verdict(g_yes, g, h))
+              for name, g, g_yes, h, h_name in products]
+    assert all(expect is not None for *_, expect in facts)
+    out += [{"label": label, "n": g.n, "edges": list(g.edges), "reference": "theorem",
+             "expect": expect} for label, g, expect in facts]
     return out
 
 
@@ -266,6 +293,8 @@ def check(inp: dict, result: dict) -> bool | None:
         return result["verdict"] == brute_hc(Graph(range(inp["n"]), edges))[0]
     if inp["reference"] == "cograph":
         return result["verdict"] == cograph_hc(Graph(range(inp["n"]), edges))
+    if inp["reference"] == "theorem":
+        return result["verdict"] == inp["expect"]
     return True if witness is not None else None  # a NO has no certificate
 
 

@@ -29,8 +29,8 @@ def mask_of(vertices) -> int:
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("vertices", "vmask", "edges", "adj", "edge_index",
-                 "incident", "edge_vertices", "_connected")
+    __slots__ = ("vertices", "vmask", "edges", "adj", "incident",
+                 "edge_vertices", "_connected")
 
     def __init__(self, vertices, edges):
         vs = sorted(set(vertices))
@@ -58,7 +58,6 @@ class Graph:
         self.vertices = tuple(vs)
         self.vmask = vmask
         self.edges = tuple(es)
-        self.edge_index = {e: i for i, e in enumerate(es)}
         adj = {v: 0 for v in vs}
         incident = {v: 0 for v in vs}
         edge_vertices = []  # vertex mask {u, v} of each edge
@@ -177,10 +176,13 @@ class Graph:
     # -- edge-set helpers (edge bitmasks over self.edges) ------------------
 
     def edge_mask(self, edges) -> int:
+        """Edge bitmask of the given (u, v) pairs: each edge's bit is the
+        one its ends' incidence masks share."""
         m = 0
         for u, v in edges:
-            e = (u, v) if u < v else (v, u)
-            m |= 1 << self.edge_index[e]
+            if not self.has_edge(u, v):
+                raise ValueError(f"({u},{v}) is no edge")
+            m |= self.incident[u] & self.incident[v]
         return m
 
     def edge_set(self, emask: int):

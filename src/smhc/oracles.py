@@ -244,7 +244,7 @@ def _torso(g: Graph, emask: int, side: int, sep: int):
 def _can_add_edge(g: Graph, emask: int, u: int, v: int,
                   allow_spanning_cycle: bool = False) -> bool:
     """Reference for `repsets.grow` by one edge on path systems."""
-    grown = emask | 1 << g.edge_index[(min(u, v), max(u, v))]
+    grown = emask | g.incident[u] & g.incident[v]
     return _is_path_system(g, grown) or (allow_spanning_cycle
                                          and _is_spanning_cycle(g, grown))
 

@@ -380,11 +380,10 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     the members that the pairs of fa and fb reach, those the twin rule
     keeps, each keyed by its state as its cross edges are added.  The
     twin rule keeps one member per unit count u = paths + isolated
-    vertices, the one with the most paths and the least mask on ties, and
-    none with u > t = |N(a | b)| or with an isolated vertex when t < 2: a
-    cycle through a member takes two cross edges per unit, at most two at
-    each outside neighbour, and an isolated vertex's two go to distinct
-    ones.  No cross edge is folded.  Precondition: fa and fb meet
+    vertices, one with the most paths, and none with u > t = |N(a | b)|
+    or with an isolated vertex when t < 2: a cycle through a member takes
+    two cross edges per unit, at most two at each outside neighbour, and
+    an isolated vertex's two go to distinct ones.  No cross edge is folded.  Precondition: fa and fb meet
     `solver.trim`'s, as each is an output of `trim` or of this join, so
     every vertex of a side off the side's boundary has degree two in each
     of its members.  The family meets that precondition and the twin rule
@@ -435,15 +434,12 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     that is U = 0, so the chain test is U >= 1.  A full side a takes s =
     2ua only, so U = ub - ua; without a cross edge s = 0, so U = ua + ub;
     and U <= t = |N(a | b)|, as a cycle takes two cross edges per unit.
-    Per U the join keeps the twin rule's pick: the pair with the most paths,
-    then the least ma | mb.  The edges of a and of b are disjoint, so
-    ma <= ma' and mb <= mb' give ma | mb <= ma' | mb' (the highest bit
-    where the unions differ is a bit of ma ^ ma' or of mb ^ mb'): a tie
-    is decided by comparing ma with ma' and mb with mb', and the unions
-    are formed only when those two disagree.  The pairs run in the order
-    of fa, then of fb, each by s rising (U falling), so the unit counts
-    enter the family in the order in which the pairs first reach them;
-    the rank basis of a later trim reads families in order.
+    The pairs run in the order of fa, then of fb, each by s rising (U
+    falling), and per U the join keeps the first pair that reaches the
+    most paths.  Ties need no other order: the members of one tally
+    complete alike (the build, below), so any one of them serves.  The
+    unit counts enter the family in the order in which the pairs first
+    reach them; the rank basis of a later trim reads families in order.
 
     Not a merge of the two tallies.  With cross edges the kept paths are no
     max-plus convolution of the sides' (unit count, paths): two single
@@ -451,10 +447,11 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     convolution has U = 2 only, while the edge itself is a path at U = 1
     (`tests/test_repsets.py::test_twin_join_is_no_convolution_of_tallies`).
     Per s the bound above is a convolution of min(u, p(u) + s), one for
-    each s, and the least-mask rule needs every pair that ties at the most
-    paths.  So each pair is tried once per U it reaches, in O(1).  On every
-    family that the tests meet, the unit counts form an interval on which
-    paths is concave with steps +1, 0 and -1; the join does not rely on it.
+    each s, and the join keeps a pair, not a tally: the first pair to
+    reach the most paths.  So each pair is tried once per U it reaches,
+    in O(1).  On every family that the tests meet, the unit counts form
+    an interval on which paths is concave with steps +1, 0 and -1; the
+    join does not rely on it.
 
     The build.  Members of one tally complete alike, since a bijection of
     the twin boundary carries a completion of one to the other, so every
@@ -469,21 +466,23 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     units, one of x2 between two of y1, while x2 lasts, then single cross
     edges between the units of one left; the two lists are equally long,
     as both sides take s edges, and y1 has a unit when x2 does, as the
-    chain test holds.  Each cross edge meets unit vertices only, so the
-    key grows edge by edge as in `grow`: both ends join d1, an end already
-    in d1 joins d2, and the two far ends of the joined paths get each
-    other's id in pe, whose other fields of the edge's ends are cleared.
+    chain test holds.  A cross edge's bit is the one bit its ends'
+    incidence masks share.  Each cross edge meets unit vertices only, so
+    the key grows edge by edge as in `grow`: both ends join d1, an end
+    already in d1 joins d2, and the two far ends of the joined paths get
+    each other's id in pe, whose other fields of the edge's ends are
+    cleared.
     """
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
     lone = t < 2  # no isolated vertex can complete
-    kept: dict[int, list] = {}  # U -> [paths, ma, mb, ma | mb once formed, tallies]
+    kept: dict[int, tuple] = {}  # U -> (paths, ta, tb) of the first pair with the most
     tallies_b = _tallies(b, fb)
     for ta in _tallies(a, fa):
-        ua, pa, ka, ma = ta
+        ua, pa, _, _ = ta
         for tb in tallies_b:
-            ub, pb, kb, mb = tb
+            ub, pb, _, _ = tb
             if not cross:
                 lo = hi = ua + ub
             elif full_a:
@@ -500,20 +499,11 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
                     paths = flat if flat + u <= fall else fall - u
                 if lone and paths < u:
                     continue
-                held, m = kept.get(u), None
-                if held is not None and paths <= held[0]:
-                    if paths < held[0] or ma >= held[1] and mb >= held[2]:
-                        continue
-                    if ma > held[1] or mb > held[2]:  # the masks disagree: compare the unions
-                        if held[3] is None:
-                            held[3] = held[1] | held[2]
-                        m = ma | mb
-                        if m > held[3]:
-                            continue
-                kept[u] = [paths, ma, mb, m, ta, tb]
-    w, index, out = field_width(g), g.edge_index, {}
+                if paths > kept.get(u, (-1,))[0]:
+                    kept[u] = paths, ta, tb
+    w, incident, out = field_width(g), g.incident, {}
     field = (1 << w) - 1
-    for u, (_, ma, mb, _, (ua, pa, ka, _), (ub, pb, kb, _)) in kept.items():
+    for u, (_, (ua, pa, ka, ma), (ub, pb, kb, mb)) in kept.items():
         m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
         s = ua + ub - u
         if s:
@@ -522,7 +512,7 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
             if len(x2) < len(y2):
                 x2, x1, y2, y1 = y2, y1, x2, x1
             for v, z in zip(x2 + x1, y1[:1] + y2 + y1[1:]):
-                m |= 1 << index[(v, z) if v < z else (z, v)]
+                m |= incident[v] & incident[z]
                 vw, zw = v * w, z * w
                 ov = (pe >> vw) & field if d1 >> v & 1 else v
                 oz = (pe >> zw) & field if d1 >> z & 1 else z

@@ -17,6 +17,13 @@ def test_two_leaf_tree():
     assert bd.cuts() == [(1 << 4, 1 << 7)]
 
 
+def test_one_element_caterpillar():
+    """A caterpillar of one element is a single leaf, with no edge and
+    no cut."""
+    bd = caterpillar_decomposition([7])
+    assert (bd.edges, bd.leaf_map, bd.elements, bd.cuts()) == ([], {0: 7}, 1 << 7, [])
+
+
 def test_cut_count_subcubic():
     for k in (2, 3, 4, 5, 6):
         bd = caterpillar_decomposition(list(range(k)))

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,24 @@ def test_verify_reports_recomposition_failure(tmp_path, capsys, monkeypatch, n, 
     out = capsys.readouterr().out
     assert checked in out
     assert "FAIL: recomposition mismatch" in out.splitlines()
+
+
+@pytest.mark.parametrize("check, lie, fail", [
+    ("brute_sm_width", lambda g: 0, r"width \d+ exceeds 18x exact 0"),
+    ("brute_hc", lambda g: (False, None), "solver says True, oracle says False"),
+    ("verify_preservation", lambda *args, **kw: False, "a trim lost a completable certificate"),
+])
+def test_verify_reports_each_failed_check(tmp_path, capsys, monkeypatch, check, lie, fail):
+    """When the width oracle, the Hamiltonicity oracle or the preservation
+    check disagrees with the run, `verify` prints that check's FAIL line
+    and exits 1; the other checks still pass."""
+    monkeypatch.setattr(oracles, check, lie)
+    f = write_graph(tmp_path, cycle_graph(6))
+    assert main(["verify", f]) == EXIT_NO
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL:")]
+    assert len(fails) == 1 and re.fullmatch("FAIL: " + fail, fails[0])
+    assert sum(line.startswith("ok:") for line in lines) == 3
 
 
 def test_bench_csv_shape(tmp_path, capsys):

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from smhc.graph import (Graph, bits, mask_of, complete_graph, cycle_graph, path_graph,
                         petersen_graph, parse_edge_list, format_edge_list)
+from smhc.cuts import is_split
+from smhc.generators import random_connected_graph
 from tests.conftest import atlas_connected, bounded_stack
 
 
@@ -43,6 +45,21 @@ def test_neighborhood():
     g = cycle_graph(4)
     assert g.neighborhood(1 << 1) == (1 << 0) | (1 << 2)
     assert g.neighborhood(g.vmask) == 0
+
+
+def test_unknown_vertex_ids_rejected():
+    """A vertex set with ids outside the graph is refused where a set is
+    checked: by `neighborhood` and by the split test."""
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match=re.escape("unknown vertex ids [5, 9]")):
+        g.neighborhood(1 << 0 | 1 << 5 | 1 << 9)
+    with pytest.raises(ValueError, match=re.escape("unknown vertex ids [6]")):
+        is_split(g, 1 << 0 | 1 << 6)
+
+
+def test_random_connected_graph_needs_a_vertex():
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        random_connected_graph(0, random.Random(0))
 
 
 def test_petersen_degrees():
@@ -112,6 +129,19 @@ def test_edge_masks_match_literal_scan():
         assert g.edges_within(a) == scan(lambda au, av, bu, bv: au and av)
         assert g.edges_between(a, b) == scan(
             lambda au, av, bu, bv: (au and bv) or (bu and av))
+        for i, (u, v) in enumerate(g.edges):
+            assert g.edge_mask([(u, v)]) == g.edge_mask([(v, u)]) == 1 << i
+        assert g.edge_mask(g.edges) == (1 << g.m) - 1
+
+
+def test_edge_mask_refuses_non_edges():
+    """`edge_mask` reads each edge's bit off the incidence masks and raises
+    on a pair that is no edge: a non-adjacent pair, a vertex with itself
+    (which shares all its incident edges) and an unknown id."""
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    for pair in ((0, 2), (1, 1), (0, 7)):
+        with pytest.raises(ValueError, match="is no edge"):
+            g.edge_mask([(0, 1), pair])
 
 
 @given(small_graphs(), st.integers(0, 255))

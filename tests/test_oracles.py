@@ -7,7 +7,7 @@ from smhc.branchdec import SizeLimitExceeded
 from smhc.solver import cut_of, is_hamiltonian_cycle, trim
 from smhc.generators import random_connected_graph
 from smhc.oracles import (brute_hc, backtracking_hc, enumerate_hamiltonian_cycles,
-                          brute_sm_width, verify_preservation,
+                          brute_sm_width, verify_preservation, _degree_signature,
                           BRUTE_HC_LIMIT, BRUTE_WIDTH_LIMIT)
 from tests.conftest import family
 
@@ -80,6 +80,16 @@ def test_verify_preservation_trivial():
     # dropping the only completable member is caught
     assert not verify_preservation(g, a, fam, [], method="cycles")
     assert not verify_preservation(g, a, fam, [], method="enumerate")
+    with pytest.raises(ValueError, match="unknown method 'walk'"):
+        verify_preservation(g, a, fam, fam, method="walk")
+
+
+def test_degree_signature_refuses_degree_three():
+    """The (degree 0, 1, 2) signature is defined for path systems only."""
+    g = complete_graph(4)
+    assert _degree_signature(g, g.edge_mask([(0, 1)]), g.vmask) == (0b1100, 0b0011, 0)
+    with pytest.raises(ValueError, match="degree > 2"):
+        _degree_signature(g, g.edge_mask([(0, 1), (0, 2), (0, 3)]), g.vmask)
 
 
 @pytest.mark.parametrize("seed", range(12))

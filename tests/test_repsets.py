@@ -1,3 +1,4 @@
+import itertools
 import random
 from itertools import combinations
 
@@ -45,7 +46,7 @@ def test_mask_helpers_match_reference(seed):
         above = (1 << w) * w  # the first bit above the field of id (1 << w) - 1
         marked = (d1, d2, state[2] | 7 << above)
         for u, v in g.edge_set(((1 << g.m) - 1) & ~m):
-            i = g.edge_index[(u, v)]
+            i = (g.incident[u] & g.incident[v]).bit_length() - 1
             fam = {marked: m}
             grow(g, w, fam, i)
             assert len(fam) == 1 + oracles._can_add_edge(g, m, u, v, True)
@@ -773,7 +774,7 @@ def test_plain_fold_decides_outside_boundary_first(monkeypatch):
     outside the boundary, first, though vertex 0 has the lower id, and
     keeps the members of the list fold."""
     g = Graph(range(4), [(0, 2), (1, 2), (0, 3)])
-    e02, e12 = g.edge_index[(0, 2)], g.edge_index[(1, 2)]
+    e02, e12 = (g.edge_mask([e]).bit_length() - 1 for e in ((0, 2), (1, 2)))
     grown, real_grow = [], repsets.grow
 
     def recording(g, w, fam, i, dead=0):
@@ -874,17 +875,19 @@ def test_twin_use_closed_form(full):
                 assert p1 + i1 == max(use[1] + use[3] for use in at_s.values())
 
 
-def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b):
+def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b, least_union=False):
     """The twin join as a loop over (member pair, s), s the cross edges
-    taken: per s each side's use is `_reference_twin_use`'s, the chain
-    test is d >= 2 degree-one units, and `_reference_keep_twin` keeps per
-    unit count the most paths and the least ma | mb.  Each kept pair is
-    realised as chains (`_reference_chains`) over its lowest-id units
+    taken, pairs in fa order, then fb order, s rising: per s each side's
+    use is `_reference_twin_use`'s, the chain test is d >= 2 degree-one
+    units, and `_reference_keep_twin` keeps per unit count the most paths
+    and, on ties, the first pair, or with `least_union` the least ma | mb
+    (the rule before the stated order).  Each kept pair is realised as
+    chains (`_reference_chains`) over its lowest-id units
     (`_reference_units`)."""
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
-    w, index, kept = field_width(g), g.edge_index, {}
+    w, incident, kept, order = field_width(g), g.incident, {}, itertools.count()
     field = (1 << w) - 1
     sides_b = [(key, m, (key[0] & ~key[1]).bit_count() >> 1, (b & ~key[0]).bit_count())
                for key, m in fb.items()]
@@ -898,7 +901,8 @@ def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b):
                 ub = _reference_twin_use(pb, ib, full_b, s)
                 if ua and ub and (not s or ua[1] + ua[3] + ub[1] + ub[3] >= 2):
                     z = ia - ua[2] - ua[3] + ib - ub[2] - ub[3]
-                    _reference_keep_twin(kept, t, units - s - z, z, ma | mb,
+                    rank = ma | mb if least_union else next(order)
+                    _reference_keep_twin(kept, t, units - s - z, z, rank,
                                          (ka, ma, kb, mb, ua, ub))
     out = {}
     for *_, (ka, ma, kb, mb, ua, ub) in kept.values():
@@ -906,7 +910,7 @@ def reference_join_twins(g, a, b, fa, fb, cut_a, cut_b):
         for chain in _reference_chains(*_reference_units(w, a, ka, ua),
                                        *_reference_units(w, b, kb, ub)):
             for (_, u), (v, _) in zip(chain, chain[1:]):
-                m |= 1 << index[(u, v) if u < v else (v, u)]
+                m |= incident[u] & incident[v]
                 uv = 1 << u | 1 << v
                 d2 |= d1 & uv
                 d1 |= uv
@@ -999,10 +1003,12 @@ def test_join_twins_matches_the_pair_loop(monkeypatch):
     cographs with n = 5..10 along caterpillars in shuffled vertex orders
     (twin homes whose sides may come from a plain fold) returns the
     reference pair loop's family: the same states, masks and order, the
-    twin trims (`trim_split`, the join with an empty side) among them.  On
-    every non-empty family met, the unit counts form an interval on which paths is
-    concave with steps +1, 0 or -1; the join does not rely on that.  The
-    joins cover pairs with and without cross edges and full sides."""
+    twin trims (`trim_split`, the join with an empty side) among them.
+    Its (unit count, paths) tallies are those of the loop that breaks ties
+    by the least ma | mb instead of the first pair.  On every non-empty
+    family met, the unit counts form an interval on which paths is concave
+    with steps +1, 0 or -1; the join does not rely on that.  The joins
+    cover pairs with and without cross edges and full sides."""
     from tests.test_solver import random_cograph
     rng = random.Random(4101)
     runs = [(complete_graph(n), None) for n in range(5, 41)]
@@ -1013,13 +1019,16 @@ def test_join_twins_matches_the_pair_loop(monkeypatch):
         rng.shuffle(order)
         runs.append((g, caterpillar_decomposition(order)))
     seen = dict.fromkeys(["joins", "trims", "crossed", "uncrossed", "full side",
-                          "caterpillar"], 0)
+                          "caterpillar", "tie moved"], 0)
     real = solver.join_twins
 
     def checking(g, a, b, fa, fb, cut_a, cut_b):
         out = real(g, a, b, fa, fb, cut_a, cut_b)
         assert list(out.items()) == list(reference_join_twins(g, a, b, fa, fb, cut_a,
                                                               cut_b).items())
+        least = reference_join_twins(g, a, b, fa, fb, cut_a, cut_b, least_union=True)
+        assert unit_profile(a | b, out) == unit_profile(a | b, least)
+        seen["tie moved"] += out != least
         for side, fam in ((a, fa), (b, fb), (a | b, out)) if b else ((a, out),):
             if not fam:
                 continue

@@ -138,16 +138,17 @@ def is_twin_cut(g, a):
     return a != g.vmask and len(outside - {frozenset()}) == 1
 
 
-def reference_trim_split(g, a, fam, cut):
+def reference_trim_split(g, a, fam, cut, least=False):
     """The twin trim of any family: among the members with no vertex of a
     without an outside neighbour below degree two, no closed cycle, no
     isolated vertex when t = |N(a)| < 2, and at most t paths and isolated
-    vertices, the least member of the tally (paths, isolated vertices)
-    with the most paths per unit count paths + isolated vertices."""
+    vertices, the first member in the family's order (with `least`, the
+    least member) of the tally (paths, isolated vertices) with the most
+    paths per unit count paths + isolated vertices."""
     boundary, outside, _ = cut
     t = outside.bit_count()
     chosen = {}
-    for key, cert in sorted(fam.items(), key=lambda item: item[1]):
+    for key, cert in sorted(fam.items(), key=lambda item: item[1]) if least else fam.items():
         d1, d2, *_ = key
         isolated = a & ~d1
         sig = ((d1 & ~d2).bit_count() // 2, isolated.bit_count())
@@ -168,17 +169,33 @@ def tally(a, key):
     return (d1 & ~d2).bit_count() // 2, (a & ~d1).bit_count()
 
 
+def test_join_refuses_overlapping_homes():
+    g = cycle_graph(5)
+    a, b = mask_of([0, 1]), mask_of([1, 2])
+    with pytest.raises(ValueError, match="certificate homes must be disjoint"):
+        join(g, a, b, solver.LEAF, solver.LEAF, cut_of(g, a), cut_of(g, b))
+
+
 def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
     """At every non-root twin cut of seeded graphs with n <= 9, `join`
-    keeps one member per tally that the reference twin trim keeps of the
-    members `oracles.conc` lists over all pairs, each such a member under
-    its state; that family preserves those members.  When a side is no
-    twin cut, the plain fold runs and `join` keeps exactly the reference's
-    members, one per unit count.  The cut's flag is the literal twin-cut
-    test."""
+    keeps one member per tally that the least-member reference twin trim
+    keeps of the members `oracles.conc` lists over all pairs, each such a
+    member under its state; that family preserves those members.  When a
+    side is no twin cut, the plain fold runs and `join` keeps exactly what
+    the reference keeps of the fold's family, the first member per tally
+    in its order, one per unit count.  The cut's flag is the literal
+    twin-cut test."""
     seen = dict.fromkeys(["checked", "crossed", "plain side"], 0)
+    folds, real_split = {}, solver.trim_split
+
+    def split(g, a, fam, cut):
+        folds[a] = fam
+        return real_split(g, a, fam, cut)
+
+    monkeypatch.setattr(solver, "trim_split", split)
     for g in seeded_graphs(1411, (0.5, 0.7, 0.9), 16):
         hcs = oracles.enumerate_hamiltonian_cycles(g)
+        folds.clear()
         for a, b, fa, fb, cut, out in recorded_joins(g, monkeypatch):
             home = a | b
             assert cut == cut_of(g, home)
@@ -187,13 +204,12 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
                 continue
             members = [m for sa in fa.values() for sb in fb.values()
                        for m in oracles.conc(g, a, b, sa, sb)]
-            want = reference_trim_split(g, home, family(g, members), cut)
-            if cut_of(g, a)[2] and cut_of(g, b)[2]:
-                assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
-                assert set(out.values()) <= set(members)
-                assert all(key == path_state(g, m) for key, m in out.items())
-            else:
-                assert out == want
+            want = reference_trim_split(g, home, family(g, members), cut, least=True)
+            assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
+            assert set(out.values()) <= set(members)
+            assert all(key == path_state(g, m) for key, m in out.items())
+            if not (cut_of(g, a)[2] and cut_of(g, b)[2]):
+                assert out == reference_trim_split(g, home, folds[home], cut)
                 seen["plain side"] += 1
             assert oracles.verify_preservation(g, home, members, list(out.values()),
                                                method="cycles", hcs=hcs)

@@ -175,8 +175,8 @@ def test_primes_built_like_graph():
         for p in split_decompose(g).primes:
             primes += 1
             q = Graph(bits(p.vmask), p.edges)
-            for slot in ("vertices", "vmask", "edges", "edge_index", "adj",
-                         "incident", "edge_vertices"):
+            for slot in ("vertices", "vmask", "edges", "adj", "incident",
+                         "edge_vertices"):
                 assert getattr(p, slot) == getattr(q, slot), slot
             assert list(p.adj) == list(q.adj)
             assert list(p.incident) == list(q.incident)
