@@ -167,19 +167,26 @@ def twin_tries(a: int, b: int, fa: dict, fb: dict, cut_a: tuple, cut_b: tuple) -
     edge, else s = 0 (from units - t on); the join tries U = max(|ua -
     ub|, 1) .. min(ua + ub, t) with a cross edge and no full side, the one
     U = ub - ua (a full) or ua - ub (b full), or U = ua + ub without a
-    cross edge, each only if 1 <= U <= t."""
+    cross edge, each only if 1 <= U <= t, and none at t < 2 when
+    min(ua + pb, pa + ub) = 0."""
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
 
-    def units(side, fam):
-        return [(d1 & ~d2).bit_count() // 2 + (side & ~d1).bit_count() for d1, d2, _ in fam]
+    def tallies(side, fam):
+        out = []
+        for d1, d2, _ in fam:
+            p = (d1 & ~d2).bit_count() // 2
+            out.append((p + (side & ~d1).bit_count(), p))
+        return out
 
     loop = join = 0
-    for ua in units(a, fa):
-        for ub in units(b, fb):
+    for ua, pa in tallies(a, fa):
+        for ub, pb in tallies(b, fb):
             top = 2 * min(ua, ub) if cross else 0
             loop += max(0, top - max(0, ua + ub - t) + 1)
+            if t < 2 and not min(ua + pb, pa + ub):
+                continue
             if not cross:
                 lo = hi = ua + ub
             elif full_a:

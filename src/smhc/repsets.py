@@ -11,8 +11,8 @@ keeps.  One fold loop, `frontier`, grows families by edge sets for it
 and for `solver.join` alike, in that dict, under the precondition it
 states.  `join_twins` is the one home of the twin rule, which its
 docstring states and proves: it builds the family of a join whose home
-and sides are twin cuts by counting, trying each pair of members once
-per unit count in closed form and folding no edge, and with an empty
+and sides are twin cuts by counting, keeping per unit count the first
+pair of members that reaches it and folding no edge, and with an empty
 side it is the twin trim (`solver.trim_split`).  By Lemma 3
 below keeping one member per state loses nothing, so the rank basis
 runs once per trim.  Edge sets are bitmasks over the host's edge list.
@@ -380,18 +380,16 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     the members that the pairs of fa and fb reach, those the twin rule
     keeps, each keyed by its state as its cross edges are added.  The
     twin rule keeps one member per unit count u = paths + isolated
-    vertices, one with the most paths, and none with u > t = |N(a | b)|
-    or with an isolated vertex when t < 2: a cycle through a member takes
-    two cross edges per unit, at most two at each outside neighbour, and
-    an isolated vertex's two go to distinct ones.  No cross edge is folded.  Precondition: fa and fb meet
-    `solver.trim`'s, as each is an output of `trim` or of this join, so
-    every vertex of a side off the side's boundary has degree two in each
-    of its members.  The family meets that precondition and the twin rule
-    as built (below), so `solver.join` hands it on untrimmed.  With an
-    empty side (b = 0, fb = `solver.LEAF`, cut_b = (0, 0, True)) no pair
-    takes a cross edge, each member of fa reaches only its own u and
-    paths, and the family is fa under the twin rule: the twin trim
-    (`solver.trim_split`).
+    vertices, and none with u > t = |N(a | b)| or with an isolated vertex
+    when t < 2 (the equivalence, below).  No cross edge is folded.
+    Precondition: fa and fb meet `solver.trim`'s, as each is an output of
+    `trim` or of this join, so every vertex of a side off the side's
+    boundary has degree two in each of its members.  The family meets that
+    precondition and the twin rule as built (below), so `solver.join`
+    hands it on untrimmed.  With an empty side (b = 0, fb = `solver.LEAF`,
+    cut_b = (0, 0, True)) no pair takes a cross edge, each member of fa
+    reaches only its own u, and the family is fa under the twin rule: the
+    twin trim (`solver.trim_split`).
 
     Units.  If a cross edge exists, the cross edges are all of
     boundary(a) x boundary(b): every boundary vertex of a sees all of
@@ -404,85 +402,80 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     2 i2 must be equal on both sides.  The units then form alternating
     chains, with no cycle, iff s = 0 or d = p1 + i1 summed over both sides
     is at least two.  Each cross edge joins two components, so the result
-    has U = units - s units, z of them the isolated vertices left unused
-    and U - z paths.  A side whose boundary leaves the home's (N(a) within
-    home, all or none, as the side is twin) must use every unit fully, so
-    every vertex of the home off its boundary has degree two.  A cycle
-    would close only at the root, which is no twin cut, and the members
-    have distinct unit counts, hence distinct states.
+    has U = units - s units.  A side whose boundary leaves the home's
+    (N(a) within home, all or none, as the side is twin) must use every
+    unit fully, so every vertex of the home off its boundary has degree
+    two.  A cycle would close only at the root, which is no twin cut, and
+    the members have distinct unit counts, hence distinct states.
 
-    Dominance.  At a twin cut a member of tally (p + 1, i - 1) completes
-    wherever one of tally (p, i) does.  Map the units one to one, the
-    extra path standing in for an isolated vertex x, whose two cross edges
-    go to outside vertices y != z.  Give those two edges to the path's two
-    ends instead: every boundary vertex sees all of N(a), and the
-    completion is unchanged off the home.  Contracting each unit to a
-    vertex then gives the same cycle.  So per unit count the member with
-    the most paths is all a twin cut needs, which is the twin rule.
+    Equivalence.  At a twin cut with t outside neighbours every unit of a
+    member lies on the boundary, whose vertices all see every outside
+    neighbour.  With each unit contracted to a vertex, the cycle that a
+    completion closes alternates the member's U units with U disjoint
+    segments outside the home, each from an outside neighbour y to one z
+    (y = z when the segment is one vertex), so U <= t.  Any bijection of
+    the units of two members with U units carries the one's completion to
+    the other's: keep the segments and join each unit's two ends, an
+    isolated vertex twice, to the ends of the segments before and after
+    it.  Those two cross edges at an isolated vertex are distinct unless U
+    = 1 and y = z, and a path whose two cross edges meet at one vertex y
+    closes a cycle with no other outside vertex, so t = 1.  Hence at t >=
+    2 the members of one unit count complete alike, and at t < 2 only a
+    single path does: one member per unit count is all the twin rule
+    needs, and no count of paths.
 
-    The count, in closed form per pair.  Per s, each side takes the use
-    with the fewest unused isolated vertices, (i - s)+ of them, and at
-    that the most degree-one units, min(s, 2u - s) (`_units`).  That use passes
-    the chain test when any use with s does, and it gives the pair the most
-    paths at U = ua + ub - s:
-
-        min(ua, pa + s) + min(ub, pb + s) - s
-          = min(U, ua + pb, pa + ub, ua + pa + ub + pb - U).
-
-    The uses exist for 0 <= s <= 2 min(ua, ub), that is |ua - ub| <= U <=
-    ua + ub, and the degree-one units fall below two only at s = 2ua = 2ub,
-    that is U = 0, so the chain test is U >= 1.  A full side a takes s =
-    2ua only, so U = ub - ua; without a cross edge s = 0, so U = ua + ub;
-    and U <= t = |N(a | b)|, as a cycle takes two cross edges per unit.
-    The pairs run in the order of fa, then of fb, each by s rising (U
-    falling), and per U the join keeps the first pair that reaches the
-    most paths.  Ties need no other order: the members of one tally
-    complete alike (the build, below), so any one of them serves.  The
+    The pairs.  Each side takes s cross edges in `_units`' use, its
+    isolated vertices first and the most units of one, min(s, 2u - s);
+    that use passes the chain test when any use with s does.  The uses
+    exist for 0 <= s <= 2 min(ua, ub), that is |ua - ub| <= U <= ua + ub,
+    and the units of one fall below two only at s = 2ua = 2ub, that is U
+    = 0, so the chain test is U >= 1.  A full side a takes s = 2ua only,
+    so U = ub - ua; without a cross edge s = 0, so U = ua + ub; and U <=
+    t.  The pairs run in the order of fa, then of fb, each by U falling,
+    and per U the join keeps the first pair that reaches it.  At t < 2 a
+    pair counts only if min(ua + pb, pa + ub) >= 1, exactly when its one
+    unit at U = 1 is a path: a chain through units of both sides is a
+    path, and a unit left unused belongs to a side whose partner has no
+    unit; it is the side's last, a path unless the side has none.  The
     unit counts enter the family in the order in which the pairs first
     reach them; the rank basis of a later trim reads families in order.
 
-    Not a merge of the two tallies.  With cross edges the kept paths are no
-    max-plus convolution of the sides' (unit count, paths): two single
-    vertices joined by an edge each have paths 0 at u = 1, whose
-    convolution has U = 2 only, while the edge itself is a path at U = 1
+    Not a merge of the two sides' unit counts.  With cross edges a pair
+    reaches an interval of U, not ua + ub alone: two single vertices
+    joined by an edge each have u = 1, whose sum is U = 2, while the edge
+    itself is a path at U = 1
     (`tests/test_repsets.py::test_twin_join_is_no_convolution_of_tallies`).
-    Per s the bound above is a convolution of min(u, p(u) + s), one for
-    each s, and the join keeps a pair, not a tally: the first pair to
-    reach the most paths.  So each pair is tried once per U it reaches,
-    in O(1).  On every family that the tests meet, the unit counts form
-    an interval on which paths is concave with steps +1, 0 and -1; the
-    join does not rely on it.
+    So each pair is tried once per U it reaches, in O(1).
 
-    The build.  Members of one tally complete alike, since a bijection of
-    the twin boundary carries a completion of one to the other, so every
-    kept pair is realised once, on the lowest-id units.  A pair that takes
-    no cross edge is ma | mb under the union of the keys.  Otherwise each
-    side lists where its units of two and of one take their edges
-    (`_units`).  On the side x with more units of two (a on ties) that
-    is x2 then x1; on the other, y, it is y1's first, y2, then the rest
-    of y1; the i-th vertex of one list is joined to the i-th of the other.
-    That is one chain from y1's first unit through the units of two,
-    alternating sides and ended by a unit of one, then chains of three
-    units, one of x2 between two of y1, while x2 lasts, then single cross
-    edges between the units of one left; the two lists are equally long,
-    as both sides take s edges, and y1 has a unit when x2 does, as the
-    chain test holds.  A cross edge's bit is the one bit its ends'
-    incidence masks share.  Each cross edge meets unit vertices only, so
-    the key grows edge by edge as in `grow`: both ends join d1, an end
-    already in d1 joins d2, and the two far ends of the joined paths get
-    each other's id in pe, whose other fields of the edge's ends are
-    cleared.
+    The build.  By the equivalence every kept pair is realised once, on
+    the lowest-id units.  A pair that takes no cross edge is ma | mb under
+    the union of the keys.  Otherwise each side lists where its units of
+    two and of one take their edges (`_units`).  On the side x with more
+    units of two (a on ties) that is x2 then x1; on the other, y, it is
+    y1's first, y2, then the rest of y1; the i-th vertex of one list is
+    joined to the i-th of the other.  That is one chain from y1's first
+    unit through the units of two, alternating sides and ended by a unit
+    of one, then chains of three units, one of x2 between two of y1,
+    while x2 lasts, then single cross edges between the units of one
+    left; the two lists are equally long, as both sides take s edges, and
+    y1 has a unit when x2 does, as the chain test holds.  A cross edge's
+    bit is the one bit its ends' incidence masks share.  Each cross edge
+    meets unit vertices only, so the key grows edge by edge as in `grow`:
+    both ends join d1, an end already in d1 joins d2, and the two far ends
+    of the joined paths get each other's id in pe, whose other fields of
+    the edge's ends are cleared.
     """
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
-    lone = t < 2  # no isolated vertex can complete
-    kept: dict[int, tuple] = {}  # U -> (paths, ta, tb) of the first pair with the most
+    kept: dict[int, tuple] = {}  # U -> (ta, tb) of the first pair that reaches it
     tallies_b = _tallies(b, fb)
     for ta in _tallies(a, fa):
         ua, pa, _, _ = ta
         for tb in tallies_b:
             ub, pb, _, _ = tb
+            if t < 2 and not min(ua + pb, pa + ub):  # its one unit would be isolated
+                continue
             if not cross:
                 lo = hi = ua + ub
             elif full_a:
@@ -491,24 +484,17 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
                 lo = hi = ua - ub
             else:
                 lo, hi = abs(ua - ub), ua + ub
-            flat, fall = min(ua + pb, pa + ub), ua + pa + ub + pb
             for u in range(min(hi, t), max(lo, 1) - 1, -1):
-                if u <= flat and u + u <= fall:
-                    paths = u
-                else:
-                    paths = flat if flat + u <= fall else fall - u
-                if lone and paths < u:
-                    continue
-                if paths > kept.get(u, (-1,))[0]:
-                    kept[u] = paths, ta, tb
+                if u not in kept:
+                    kept[u] = ta, tb
     w, incident, out = field_width(g), g.incident, {}
     field = (1 << w) - 1
-    for u, (_, (ua, pa, ka, ma), (ub, pb, kb, mb)) in kept.items():
+    for u, ((ua, _, ka, ma), (ub, _, kb, mb)) in kept.items():
         m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
         s = ua + ub - u
         if s:
-            x2, x1 = _units(w, a, ka, pa, ua - pa, s)
-            y2, y1 = _units(w, b, kb, pb, ub - pb, s)
+            x2, x1 = _units(w, a, ka, ua, s)
+            y2, y1 = _units(w, b, kb, ub, s)
             if len(x2) < len(y2):
                 x2, x1, y2, y1 = y2, y1, x2, x1
             for v, z in zip(x2 + x1, y1[:1] + y2 + y1[1:]):
@@ -536,42 +522,32 @@ def _tallies(side: int, fam: Family) -> list[tuple]:
     return out
 
 
-def _units(w: int, side: int, key: tuple[int, int, int], p: int, i: int,
-           s: int) -> tuple[list, list]:
-    """The vertices at which a member with p paths and i isolated vertices
-    takes s cross edges, s <= 2(p + i), in the use of `join_twins`: the
-    fewest isolated vertices left unused and, at that, the most units of
-    one.  Up to s = p + i each of s units takes one edge, isolated
-    vertices first; past it every unit is taken and s - (p + i) of them
-    take two, isolated vertices first (a full side, s = 2(p + i), takes
-    two at each).  Two lists: the vertices of its units of two, the paths
-    of lowest ends and then the lowest isolated vertices, each at its
-    entry and then its exit (a path's lower end and its partner, or the
-    isolated vertex twice), and those of its units of one, the next paths
-    and the next isolated vertices, each at its entry (the lower end, or
-    the vertex)."""
-    twice = max(0, s - p - i)  # units that take two edges; s - 2 twice take one
-    i2 = min(i, twice)
-    i1 = min(i - i2, s - 2 * twice)
-    p2, p1 = twice - i2, s - 2 * twice - i1
+def _units(w: int, side: int, key: tuple[int, int, int], u: int, s: int) -> tuple[list, list]:
+    """The vertices at which a member with u units takes s cross edges, s
+    <= 2u, in the use of `join_twins`: its units in one list, isolated
+    vertices first, then paths, lowest ids first, of which the first
+    `twice` = max(0, s - u) take two edges and the next s - 2 twice one,
+    so that s - twice units are used (a full side, s = 2u, takes two at
+    each).  Two lists: the vertices of its units of two, each at its entry
+    and then its exit (the isolated vertex twice, or a path's lower end
+    and its partner), and those of its units of one, each at its entry
+    (the vertex, or the lower end).  Only the units used are read."""
+    twice = max(0, s - u)
     d1, d2, pe = key
     field, ends, iso = (1 << w) - 1, d1 & ~d2, side & ~d1
     two, one = [], []
-    for k in range(p2 + p1):
-        x = (ends & -ends).bit_length() - 1
-        y = (pe >> x * w) & field
-        ends ^= 1 << x | 1 << y
-        if k < p2:
+    for k in range(s - twice):
+        if iso:
+            x = y = (iso & -iso).bit_length() - 1
+            iso ^= 1 << x
+        else:
+            x = (ends & -ends).bit_length() - 1
+            y = (pe >> x * w) & field
+            ends ^= 1 << x | 1 << y
+        if k < twice:
             two += (x, y)
         else:
             one.append(x)
-    for k in range(i2 + i1):
-        v = (iso & -iso).bit_length() - 1
-        iso ^= 1 << v
-        if k < i2:
-            two += (v, v)
-        else:
-            one.append(v)
     return two, one
 
 

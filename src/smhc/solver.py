@@ -10,9 +10,10 @@ the leaves' {(0, 0, 0): 0} to the root.  Each finished subtree carries
 the cut of its home (`cut_of`), derived from its children's, and the
 merge, the twin test and the trims read only that cut.  A join whose
 home and sides are twin cuts (a single vertex always is) builds, by
-counting (`repsets.join_twins`), the family the twin rule keeps (one
-member per reachable unit count, paths plus isolated vertices, stated
-there), and hands it on untrimmed.  Every other join keys all pairs
+counting (`repsets.join_twins`), the family the twin rule keeps (the
+first member per reachable unit count, paths plus isolated vertices, as
+members of one unit count complete alike, stated and proved there), and
+hands it on untrimmed.  Every other join keys all pairs
 once into the dict of one frontier
 (`repsets.frontier`), which grows them over the cross edges and keeps
 the least live member per state.  That family meets `trim`'s
@@ -112,9 +113,9 @@ def _record(trace: dict | None, a: int, before: Family, after: Family) -> None:
 
 def trim_split(g: Graph, a: int, fam: Family, cut: Cut) -> Family:
     """The members of a twin cut's family (`cut_of(g, a)`) that may
-    complete: `fam` under the twin rule, one member per unit count, at
-    most t + 1 for t outside neighbours, which is the twin join of a with
-    an empty side (`repsets.join_twins`, which states and proves the
+    complete: `fam` under the twin rule, the first member per unit count
+    1..t for t outside neighbours, which is the twin join of a with an
+    empty side (`repsets.join_twins`, which states and proves the
     rule).  Under `trim`'s precondition every path end and isolated vertex
     lies on the boundary, as `join_twins` asks of its sides.  Every path
     holds a boundary vertex, so a kept certificate has at most min(t,

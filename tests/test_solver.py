@@ -143,30 +143,26 @@ def reference_trim_split(g, a, fam, cut, least=False):
     without an outside neighbour below degree two, no closed cycle, no
     isolated vertex when t = |N(a)| < 2, and at most t paths and isolated
     vertices, the first member in the family's order (with `least`, the
-    least member) of the tally (paths, isolated vertices) with the most
-    paths per unit count paths + isolated vertices."""
+    least member) per unit count paths + isolated vertices."""
     boundary, outside, _ = cut
     t = outside.bit_count()
     chosen = {}
     for key, cert in sorted(fam.items(), key=lambda item: item[1]) if least else fam.items():
         d1, d2, *_ = key
         isolated = a & ~d1
-        sig = ((d1 & ~d2).bit_count() // 2, isolated.bit_count())
-        if a & ~d2 & ~boundary or (isolated and t < 2) or sum(sig) > t:
+        if a & ~d2 & ~boundary or (isolated and t < 2) or units(a, key) > t:
             continue
         if d1 and not d1 & ~d2:
             continue
-        chosen.setdefault(sig, (key, cert))
-    best = {}
-    for sig in sorted(chosen, reverse=True):  # the most paths first
-        best.setdefault(sum(sig), chosen[sig])
-    return dict(best.values())
+        chosen.setdefault(units(a, key), (key, cert))
+    return dict(chosen.values())
 
 
-def tally(a, key):
-    """(paths, isolated vertices of a) of a member's state."""
+def units(a, key):
+    """The unit count of a member's state: its paths plus the isolated
+    vertices of a."""
     d1, d2, _ = key
-    return (d1 & ~d2).bit_count() // 2, (a & ~d1).bit_count()
+    return (d1 & ~d2).bit_count() // 2 + (a & ~d1).bit_count()
 
 
 def test_join_refuses_overlapping_homes():
@@ -178,12 +174,12 @@ def test_join_refuses_overlapping_homes():
 
 def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
     """At every non-root twin cut of seeded graphs with n <= 9, `join`
-    keeps one member per tally that the least-member reference twin trim
-    keeps of the members `oracles.conc` lists over all pairs, each such a
-    member under its state; that family preserves those members.  When a
-    side is no twin cut, the plain fold runs and `join` keeps exactly what
-    the reference keeps of the fold's family, the first member per tally
-    in its order, one per unit count.  The cut's flag is the literal
+    keeps one member per unit count that the least-member reference twin
+    trim keeps of the members `oracles.conc` lists over all pairs, each
+    such a member under its state; that family preserves those members.
+    When a side is no twin cut, the plain fold runs and `join` keeps
+    exactly what the reference keeps of the fold's family, the first
+    member per unit count in its order.  The cut's flag is the literal
     twin-cut test."""
     seen = dict.fromkeys(["checked", "crossed", "plain side"], 0)
     folds, real_split = {}, solver.trim_split
@@ -205,7 +201,7 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
             members = [m for sa in fa.values() for sb in fb.values()
                        for m in oracles.conc(g, a, b, sa, sb)]
             want = reference_trim_split(g, home, family(g, members), cut, least=True)
-            assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
+            assert {units(home, key) for key in out} == {units(home, key) for key in want}
             assert set(out.values()) <= set(members)
             assert all(key == path_state(g, m) for key, m in out.items())
             if not (cut_of(g, a)[2] and cut_of(g, b)[2]):
@@ -216,6 +212,58 @@ def test_split_frontier_keeps_trim_split_of_conc(monkeypatch):
             seen["checked"] += 1
             seen["crossed"] += len(members) > len(fa) * len(fb)
     assert seen["checked"] >= 40 and seen["crossed"] >= 20 and seen["plain side"], seen
+
+
+def test_twin_cut_members_of_one_unit_count_complete_alike(monkeypatch):
+    """The equivalence that `repsets.join_twins` proves: at every twin cut
+    that `solve_hc` meets along `approx_sm_decomposition` on K5..K8,
+    seeded random cographs and products G[H] with n <= 9, the members
+    `oracles.conc` lists over all pairs that meet `trim`'s precondition
+    (degree two at every home vertex off the boundary), grouped by unit
+    count, preserve each other both ways: each member of a group preserves
+    the whole group.  At t = |N(home)| < 2 no member with an isolated
+    vertex completes, and the groups hold the others.  The cuts cover
+    groups of members with different path counts of which some complete,
+    and t < 2 with isolated vertices."""
+    from tests.test_theorems import empty_graph, lex_product
+    rng = random.Random(4801)
+    graphs = [complete_graph(n) for n in range(5, 9)]
+    graphs += [random_cograph(rng.randint(5, 9), rng) for _ in range(16)]
+    for h in (complete_graph(2), empty_graph(2), complete_graph(3)):
+        for _ in range(4):
+            g = random_connected_graph(rng.randint(3, 9 // h.n), rng, p=0.5)
+            graphs.append(lex_product(g, h))
+    seen = dict.fromkeys(["cuts", "mixed paths", "t < 2 isolated"], 0)
+    for g in graphs:
+        hcs = oracles.enumerate_hamiltonian_cycles(g)
+        for a, b, fa, fb, (boundary, nbr, twin), _ in recorded_joins(g, monkeypatch):
+            if not twin:
+                continue
+            home, lone = a | b, nbr.bit_count() < 2
+            groups = {}
+            for sa in fa.values():
+                for sb in fb.values():
+                    for m in oracles.conc(g, a, b, sa, sb):
+                        d1, d2, _ = degree_masks(g, m)
+                        if home & ~boundary & ~d2:
+                            continue
+                        if lone and home & ~d1:
+                            assert oracles.verify_preservation(g, home, [m], [],
+                                                               method="cycles", hcs=hcs)
+                            seen["t < 2 isolated"] += 1
+                        else:
+                            groups.setdefault(units(home, (d1, d2, 0)), []).append(m)
+            for group in groups.values():
+                for m in group:
+                    assert oracles.verify_preservation(g, home, group, [m],
+                                                       method="cycles", hcs=hcs)
+                paths = {(degree_masks(g, m)[0] & ~degree_masks(g, m)[1]).bit_count()
+                         for m in group}
+                completes = not oracles.verify_preservation(g, home, group, [],
+                                                            method="cycles", hcs=hcs)
+                seen["mixed paths"] += len(paths) > 1 and completes
+            seen["cuts"] += 1
+    assert all(seen.values()), seen
 
 
 def test_frontier_keeps_trim_of_live_conc(monkeypatch):
@@ -257,7 +305,7 @@ def test_join_hands_trim_its_precondition(monkeypatch):
     read off each member's edge mask: every vertex of the home without an
     outside neighbour has degree two, no two members share a state, and no
     member is a cycle unless the home is V.  On a twin cut no two members
-    `trim` returns share a tally (paths, isolated vertices).  Every
+    `trim` returns share a unit count (paths plus isolated vertices).  Every
     family `join` hands to `trim`, and every family `trim` returns, maps
     the key path_state(g, m) to each of its members m.  Seeded
     graphs with n <= 9 are solved along `approx_sm_decomposition` and along
@@ -288,7 +336,7 @@ def test_join_hands_trim_its_precondition(monkeypatch):
             assert not a & ~boundary & ~degree_masks(g, m)[1]
             assert a == g.vmask or is_path_system(g, m)
         assert len({path_state(g, m) for m in fam.values()}) == len(fam)
-        assert not twin or len({tally(a, key) for key in out}) == len(out)
+        assert not twin or len({units(a, key) for key in out}) == len(out)
         seen["two or more members"] += len(fam) > 1
         if twin:
             seen["twin"] += 1
@@ -421,11 +469,12 @@ def test_twin_join_matches_forgetting_fold(monkeypatch):
     """At every join whose home and sides are twin cuts that `solve_hc`
     reaches on seeded random cographs (n = 5..16, n = 7 and 15 among them,
     where vertex ids fill the field width) and dense random graphs (n =
-    5..10), `repsets.join_twins` reaches the tallies (paths, isolated
-    vertices) that `trim` keeps of the forgetting list fold, and `trim`
-    keeps them all.  Each member is some ma | mb plus cross edges: a path
-    system with degree two at each home vertex off the home's boundary,
-    keyed by its state, alone in its tally.  For n <= 9 the trimmed family preserves
+    5..10), `repsets.join_twins` reaches the unit counts (paths plus
+    isolated vertices) that `trim` keeps of the forgetting list fold, and
+    `trim` keeps them all.  Each member is some ma | mb plus cross edges: a
+    path system with degree two at each home vertex off the home's
+    boundary, keyed by its state, alone in its unit count.  For n <= 9 the
+    trimmed family preserves
     every member `oracles.conc` lists over the pairs.  The joins cover
     members without and with cross edges, a side whose boundary leaves the
     home's, joins without cross edges and homes at the field width."""
@@ -440,11 +489,11 @@ def test_twin_join_matches_forgetting_fold(monkeypatch):
     for g, a, b, fa, fb, cut_a, cut_b, out in twin_joins(graphs, monkeypatch):
         home, cross = a | b, g.edges_between(a, b)
         cut = cut_of(g, home)
-        want = {tally(home, key) for key in trim(g, home, forgetting_fold(g, a, b, fa, fb), cut)}
-        assert {tally(home, key) for key in out} == want
+        want = {units(home, key) for key in trim(g, home, forgetting_fold(g, a, b, fa, fb), cut)}
+        assert {units(home, key) for key in out} == want
         got = trim(g, home, out, cut)
-        assert {tally(home, key) for key in got} == want
-        assert len({tally(home, key) for key in out}) == len(out)
+        assert {units(home, key) for key in got} == want
+        assert len({units(home, key) for key in out}) == len(out)
         pairs = {sa | sb for sa in fa.values() for sb in fb.values()}
         for key, m in out.items():
             assert m & ~cross in pairs and is_path_system(g, m)
@@ -516,7 +565,7 @@ def test_forgetting_fold_at_the_field_width(monkeypatch):
     one below `free`, the largest value a field of `field_width(g)` bits
     holds, so the fields of the forgetting list fold `reference_frontier`
     reach right up to its `free` field.  At every twin join there
-    `repsets.join_twins` reaches the tallies that `trim` keeps of that
+    `repsets.join_twins` reaches the unit counts that `trim` keeps of that
     fold, each member keyed by its state; each size has such joins with
     the highest vertex in the home.  The verdicts are `brute_hc`'s."""
     rng = random.Random(3201)
@@ -528,7 +577,7 @@ def test_forgetting_fold_at_the_field_width(monkeypatch):
     for g, a, b, fa, fb, _, _, out in twin_joins(graphs, monkeypatch):
         home = a | b
         want = trim(g, home, forgetting_fold(g, a, b, fa, fb), cut_of(g, home))
-        assert {tally(home, key) for key in out} == {tally(home, key) for key in want}
+        assert {units(home, key) for key in out} == {units(home, key) for key in want}
         assert all(key == path_state(g, m) for key, m in out.items())
         top[g.n] += home >> (g.n - 1) & 1
     assert all(top.values()), top
@@ -602,10 +651,10 @@ def test_twin_joins_are_not_trimmed_again(monkeypatch):
 
 def test_twin_trims_keep_one_member_per_unit_count():
     """Every twin trim that `solve_hc` records in `trace["trims"]` on
-    K5..K40 and on seeded random cographs (n = 5..40) keeps at most t + 1
-    members, t = |N(a)|: one per unit count 0..t.  Cographs with n = 5..10
+    K5..K40 and on seeded random cographs (n = 5..40) keeps at most t
+    members, t = |N(a)|: one per unit count 1..t.  Cographs with n = 5..10
     are also solved along a caterpillar in a random vertex order, whose
-    twin homes may have a plain side, so that trims of more than t + 1
+    twin homes may have a plain side, so that trims of more than t
     members occur.
     The verdicts are Hamiltonian on the cliques and the path-cover
     reference's on the cographs."""
@@ -625,9 +674,9 @@ def test_twin_trims_keep_one_member_per_unit_count():
         for a, before, after in trace["trims"]:
             _, nbr, is_twin = cut_of(g, a)
             if is_twin:
-                assert len(after) <= nbr.bit_count() + 1
+                assert len(after) <= nbr.bit_count()
                 twin += 1
-                wide += len(before) > nbr.bit_count() + 1
+                wide += len(before) > nbr.bit_count()
     assert twin >= 300 and wide, (twin, wide)
 
 
@@ -1067,14 +1116,31 @@ def test_trace_collection():
 
 
 def test_trace_records_where_a_family_dies():
-    """On the star K_{1,3} the twin join of leaves 0 and 1 reaches no tally
-    that the twin trim keeps: two isolated vertices that see one outside
+    """On the star K_{1,3} the twin join of leaves 0 and 1 reaches no unit
+    count that the twin trim keeps: two isolated vertices that see one outside
     vertex.  Every family from there up is empty, and each of those trims
     is recorded, so the trace shows the home at which the family died."""
     g = Graph(range(4), [(0, 3), (1, 3), (2, 3)])
     trace = {"trims": []}
     assert solve_hc(g, caterpillar_decomposition([2, 3, 1, 0]), trace=trace) == (False, None)
     assert trace["trims"] == [(mask_of([0, 1]), [], []), (mask_of([0, 1, 3]), [], [])]
+
+
+def test_twin_rule_keeps_no_isolated_vertex_below_two_neighbours():
+    """An isolated vertex of a twin cut takes its two cross edges to
+    distinct outside vertices, so at t = |N(a)| < 2 the twin rule keeps
+    no member with one, and a single path still completes.  On the path
+    0 - 1 - 2 the end vertex 0 (t = 1) keeps nothing, the middle vertex 1
+    (t = 2) keeps its empty member, and the home {0, 1} (t = 1) keeps the
+    edge 01.  `solve_hc` trims no home of one vertex, and a member that
+    completes nothing never breaks preservation, so this is where a twin
+    rule that admits such a vertex shows."""
+    g = path_graph(3)
+    end, middle, edge = mask_of([0]), mask_of([1]), g.edge_mask([(0, 1)])
+    assert trim(g, end, dict(solver.LEAF), cut_of(g, end)) == {}
+    assert trim(g, middle, dict(solver.LEAF), cut_of(g, middle)) == solver.LEAF
+    home = end | middle
+    assert trim(g, home, family(g, [edge]), cut_of(g, home)) == family(g, [edge])
 
 
 def test_solve_deep_caterpillar_in_bounded_stack():
