@@ -4,8 +4,8 @@
 The inputs lie outside the benchmark's workloads: K14, K16, K18, K20,
 K60, K100, K150, K300 and K600; the clique-split cograph `cograph-n12-1` relabeled by
 `Random(2).shuffle`; the p = 0.3 stream (`random_connected_graph(n,
-Random(1), p=0.3)` drawn for n = 10, 11, ... in turn) at n = 13, 19, 21
-and 22; K_{6,6} with a decomposition whose root edge separates the two
+Random(1), p=0.3)` drawn for n = 10, 11, ... in turn) at n = 13, 19, 21,
+22 and 23; K_{6,6} with a decomposition whose root edge separates the two
 sides; `cograph-n14-6`, the 7th n = 14 draw of a
 `workloads.random_cograph` survey that draws 8 cographs per n = 12, 13,
 ... from one `Random(99)`; the 11 draws of the survey that draws 8
@@ -34,7 +34,9 @@ the verdict and whether it was checked (against K_n, `brute_hc` for
 n <= 16, the path-cover reference `tests/test_cograph_reference.cograph_hc`
 for the survey and `Random(11)` cographs, whatever the verdict, the
 row's `expect`ed verdict for the theorem rows, or a verified witness;
-every witness is verified), decomposition and solve time, the peak node
+every witness is verified), decomposition and solve time, the tree's
+sm-width (`sm_width`, measured after the decomposition's timed window
+and before the solve's), the peak node
 family (`max_family`), `max_family_by_k` and the child's peak RSS.  Rows whose solve runs a twin
 join (`repsets.join_twins`) also record `twin_joins` and, summed over
 them, `pair_s_tries`, the (member pair, s) tries of the pair loop
@@ -105,9 +107,9 @@ def corpus() -> list[dict]:
                                 for u, v in cograph.edges),
                 "reference": "brute"})
     rng = random.Random(1)
-    for n in range(10, 23):
+    for n in range(10, 24):
         g = smhc.generators.random_connected_graph(n, rng, p=0.3)
-        if n in (13, 19, 21, 22):
+        if n in (13, 19, 21, 22, 23):
             out.append({"label": f"p0.3-stream-n{n}", "n": n, "edges": list(g.edges),
                         "reference": "brute" if n <= workloads.BRUTE_LIMIT else "witness"})
     out.append({"label": "K6,6-side-root", "n": 12,
@@ -218,6 +220,7 @@ def child() -> int:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
     from smhc import solver
     from smhc.branchdec import BranchDecomposition
+    from smhc.cuts import sm_cut_function
     from smhc.graph import Graph
     from smhc.pipeline import approx_sm_decomposition
 
@@ -247,6 +250,7 @@ def child() -> int:
         else:
             bd = approx_sm_decomposition(g)
         result["decompose_s"] = round(time.perf_counter() - start, 4)
+        result["sm_width"] = bd.f_width(sm_cut_function(g))
         trace: dict = {}
         start = time.perf_counter()
         verdict, witness = solver.solve_hc(g, bd, trace=trace)

@@ -30,8 +30,9 @@ that mix a prime above `EXACT_SIZE_LIMIT` vertices with one of 4..12
 (two paths, or a random 13-vertex graph and a random 6-vertex one,
 joined completely between two vertices of each; mixed-13-6-2 ends with
 only 3-vertex primes beside its large one); its primes above the limit
-get the greedy search, its cographs contract heavy pairs, and its mixed
-graphs choose the search per prime.  Its last inputs have n // 2 > 18,
+get the Cuthill–McKee caterpillar (the group is named after the greedy
+search that built their trees before it), its cographs contract heavy
+pairs, and its mixed graphs choose the tree per prime.  Its last inputs have n // 2 > 18,
 so the pipeline measures their trees' sm-width: C40, K40 (34 of whose
 3-vertex primes contract a heavy pair into a 2-element search) and
 seeded random graphs with n = 38, 41, 44, 48 at densities 0.1, 0.15

@@ -13,17 +13,18 @@ corresponds to a subcubic tree, so minimizing over subset partitions is
 equivalent and exponentially cheaper.  It evaluates f once per cut and
 prunes by branch and bound, with a bound that keeps the first minimal
 split and each sub-search capped at its parent's current best, so it
-picks the tree the full subset program picks.  It and the greedy
-bisection both turn their choice of split per subset into a plain table
-(edges, leaf_map) through one builder, `_binary_tree`, and return it
-unvalidated: the pipeline glues a graph's tables into one tree and
-validates that.  `approx_decomposition` picks between the searches by the
-number of elements alone: exact up to EXACT_SIZE_LIMIT.
+picks the tree the full subset program picks.  It and the caterpillar
+over a list of elements both turn their choice of split per subset into
+a plain table (edges, leaf_map) through one builder, `_binary_tree`, and
+return it unvalidated: the pipeline glues a graph's tables into one tree
+and validates that.  `approx_decomposition` picks between them by the
+number of elements alone: exact up to EXACT_SIZE_LIMIT, the caterpillar
+in the caller's order above it.
 """
 
 from __future__ import annotations
 
-from .graph import bits, mask_of
+from .graph import mask_of
 
 EXACT_SIZE_LIMIT = 12
 
@@ -264,39 +265,15 @@ def exact_branch_width(elements: list[int], f) -> tuple[int, tuple[list, dict]]:
     return val[top], _binary_tree(masks[top], choice.__getitem__)
 
 
-# -- greedy bisection, and the choice by size --------------------------------
-
-def greedy_decomposition(f, elements: list[int]) -> tuple[list, dict]:
-    """Table of the recursive balanced bisection by deterministic local
-    search on f: each step moves the lowest element whose move lowers f
-    and keeps both parts at a third or more, until no move does."""
-
-    def bisect(rest: int) -> int:
-        items = list(bits(rest))
-        third = len(items) // 3
-        a = mask_of(items[:len(items) // 2])
-        cur = f(a)
-        while True:
-            for v in items:
-                na = a ^ 1 << v
-                if not (na & rest) or na == rest:
-                    continue
-                if na.bit_count() < third or (rest & ~na).bit_count() < third:
-                    continue
-                val = f(na)
-                if val < cur:
-                    a, cur = na, val
-                    break
-            else:
-                return a
-
-    return _binary_tree(mask_of(elements), bisect)
-
+# -- the choice by size ---------------------------------------------------
 
 def approx_decomposition(f, elements: list[int]) -> tuple[list, dict]:
     """Table of a decomposition of the element set under the symmetric cut
     function f: `exact_branch_width`'s tree on at most EXACT_SIZE_LIMIT
-    elements and `greedy_decomposition`'s above.
+    elements, whatever their order, and above it the caterpillar over the
+    elements in the given order, whose cuts are the list's prefixes.  The
+    caterpillar is `_binary_tree`'s with each split taking the mask's
+    first element in that order; it never evaluates f.
 
     On at most three elements it writes the exact tree down without
     evaluating f.  One or two elements have one tree, whose width the
@@ -307,7 +284,11 @@ def approx_decomposition(f, elements: list[int]) -> tuple[list, dict]:
     y, z, node n + 3 joining y and z, and the root edge from x to it.
     """
     if len(elements) > EXACT_SIZE_LIMIT:
-        return greedy_decomposition(f, elements)
+        suffix, first = 0, {}  # each split of the caterpillar is of a suffix
+        for v in reversed(elements):
+            suffix |= 1 << v
+            first[suffix] = 1 << v
+        return _binary_tree(suffix, first.__getitem__)
     if len(elements) < 3:
         return _small_tree(sorted(elements))
     if len(elements) == 3:

@@ -4,17 +4,19 @@ Per prime: vertices of weight at least 3k are heavy; edges between two
 heavy vertices must form a matching (else k is too small).  The search
 runs over elements: the prime's other vertices, and one fresh id per heavy
 edge standing for both its ends.  It finds a lifted-mm decomposition of
-the elements, exact when there are at most EXACT_SIZE_LIMIT of them and
-greedy otherwise, so each prime's own size picks its search.  The search
-returns a plain table (edges, leaf_map), in which each fresh leaf becomes
-the parent of its pair's two ends; the per-prime tables are glued at the
-markers into one validated `BranchDecomposition`, and k grows until the
-recomputed sm-width of that tree fits the 18k budget.  Weights do not
-depend on k, so each prime vertex is weighed once per call, and a prime's
-table depends on k only through its heavy pairs (`heavy_ends`), so each
-(prime, heavy pairs) is searched once per call, and a tree is built and
-measured once per heavy configuration (the heavy pairs of all primes): a
-k that changes none reuses the last tree and its width.
+the elements, exact when there are at most EXACT_SIZE_LIMIT of them, and
+otherwise lays them out in the prime's Cuthill–McKee order
+(`layout_order`) as a caterpillar, so each prime's own size picks its
+tree.  Either is a plain table (edges, leaf_map), in which each fresh
+leaf becomes the parent of its pair's two ends; the per-prime tables are
+glued at the markers into one validated `BranchDecomposition`, and k
+grows until the recomputed sm-width of that tree fits the 18k budget.
+Weights do not depend on k, so each prime vertex is weighed once per
+call, and a prime's table depends on k only through its heavy pairs
+(`heavy_ends`), so each (prime, heavy pairs) gets its table once per
+call, and a tree is built and measured once per heavy configuration (the
+heavy pairs of all primes): a k that changes none reuses the last tree
+and its width.
 """
 
 from __future__ import annotations
@@ -75,12 +77,30 @@ def element_tots(ctx: LiftedContext, merged: dict[int, tuple[int, int]]) -> dict
     return tot_map
 
 
+def layout_order(prime: Graph) -> list[int]:
+    """The prime's vertices in Cuthill–McKee order: breadth first from a
+    least-degree vertex, each vertex's unvisited neighbours appended by
+    rising degree, lowest id on ties.  A prime is connected, so the order
+    holds every vertex."""
+    adj = prime.adj
+    rank = {v: (adj[v].bit_count(), v) for v in prime.vertices}
+    order = [min(prime.vertices, key=rank.__getitem__)]
+    seen = 1 << order[0]
+    for v in order:  # the list grows under the loop, one layer after another
+        order += sorted(bits(adj[v] & ~seen), key=rank.__getitem__)
+        seen |= adj[v]
+    return order
+
+
 def prime_decomposition(ctx: LiftedContext, heavy: int) -> tuple[list, dict]:
     """Table (edges, leaf_map) of a lifted-mm decomposition of one prime
     with its heavy pairs contracted, each fresh leaf then made in place
-    the parent of its pair's two ends.  The tot of the elements is taken
-    when the search first evaluates the lifted mm, which it does not on
-    three elements or fewer.
+    the parent of its pair's two ends.  Above EXACT_SIZE_LIMIT elements
+    they go to `approx_decomposition` in `layout_order`, each fresh id at
+    its first-visited end's place, and the table is their caterpillar.
+    The tot of the elements is taken when the search first evaluates the
+    lifted mm, which it does not on three elements or fewer, nor above
+    the limit.
 
     A prime made from a split has at least 3 vertices, and a whole graph
     of 1 to 3 vertices has no heavy vertex, so a contracted pair leaves
@@ -88,6 +108,9 @@ def prime_decomposition(ctx: LiftedContext, heavy: int) -> tuple[list, dict]:
     3.  A one-vertex graph is one prime, whose table is its one leaf.
     """
     elements, merged = contract_heavy_edges(ctx, heavy)
+    if len(elements) > EXACT_SIZE_LIMIT:
+        pair_of = {v: new_id for new_id, pair in merged.items() for v in pair}
+        elements = list(dict.fromkeys(pair_of.get(v, v) for v in layout_order(ctx.prime)))
     tot_map: dict[int, int] = {}
 
     def lifted(x: int) -> int:
@@ -153,12 +176,13 @@ def approx_sm_decomposition(g: Graph) -> BranchDecomposition:
 
     k is raised one step at a time, so when every prime's tree is exact the
     accepted width is at most 18 times the true sm-width.  Each prime's
-    search is exact on at most EXACT_SIZE_LIMIT elements and greedy above
-    (`approx_decomposition`); the returned tree's `certified` is True when
-    every prime has at most EXACT_SIZE_LIMIT vertices, so that every
-    search is exact whatever k is.  No cut has sm value above n // 2, so the
-    first tree built is accepted unmeasured when n // 2 <= 18k; no weight
-    exceeds n, so no vertex is heavy once 3k > n, and the loop ends.  A
+    tree is exact on at most EXACT_SIZE_LIMIT elements and a Cuthill–McKee
+    caterpillar above (`prime_decomposition`); the returned tree's
+    `certified` is True when every prime has at most EXACT_SIZE_LIMIT
+    vertices, so that every prime's tree is exact whatever k is.  No cut
+    has sm value above n // 2, so the first tree built is accepted
+    unmeasured when n // 2 <= 18k; no weight exceeds n, so no vertex is
+    heavy once 3k > n, and the loop ends.  A
     one-vertex graph is one prime, so its tree is one leaf, of width 0.
     """
     if not g.n:  # a decomposition has a leaf per vertex

@@ -5,10 +5,9 @@ import pytest
 from smhc.graph import Graph, mask_of, cycle_graph, path_graph, complete_graph
 from smhc.cuts import mm_cut_function, mm_value, sm_cut_function
 from smhc.branchdec import (BranchDecomposition, EXACT_SIZE_LIMIT,
-                            exact_branch_width, greedy_decomposition,
-                            approx_decomposition, _binary_tree)
+                            exact_branch_width, approx_decomposition, _binary_tree)
 from smhc.generators import random_connected_graph, caterpillar_decomposition
-from smhc.pipeline import approx_sm_decomposition
+from smhc.pipeline import approx_sm_decomposition, layout_order
 from tests.conftest import bounded_stack
 
 
@@ -57,13 +56,17 @@ def reference_cuts(bd):
 
 
 def test_cuts_partition_elements():
+    """Every cut of each tree partitions the elements, on six small draws
+    and on two above EXACT_SIZE_LIMIT, where `approx_decomposition`'s table
+    over the Cuthill–McKee order is the caterpillar."""
     rng = random.Random(0)
-    for _ in range(6):
-        g = random_connected_graph(rng.randint(3, 9), rng)
+    graphs = [random_connected_graph(rng.randint(3, 9), rng) for _ in range(6)]
+    graphs += [random_connected_graph(n, rng, p=0.3) for n in (EXACT_SIZE_LIMIT + 1, 20)]
+    for g in graphs:
         f = mm_cut_function(g)
         vs = list(g.vertices)
-        tables = (exact_branch_width(vs, f)[1], greedy_decomposition(f, vs))
-        for bd in (caterpillar_decomposition(vs), *(BranchDecomposition(*t) for t in tables),
+        table = approx_decomposition(f, layout_order(g))
+        for bd in (caterpillar_decomposition(vs), BranchDecomposition(*table),
                    approx_sm_decomposition(g)):
             assert bd.cuts() == reference_cuts(bd)
             for a, b in bd.cuts():
@@ -106,12 +109,23 @@ def test_exact_widths():
         assert exact_branch_width(list(g.vertices), cut_function(g))[0] == width
 
 
-def test_approx_greedy_above_size_limit():
-    """Past EXACT_SIZE_LIMIT elements the tree is `greedy_decomposition`'s."""
-    g = random_connected_graph(EXACT_SIZE_LIMIT + 1, random.Random(5), p=0.3)
-    f = mm_cut_function(g)
-    want = greedy_decomposition(f, list(g.vertices))
-    assert approx_decomposition(f, list(g.vertices)) == want
+def split_set(bd: BranchDecomposition) -> set:
+    """The tree's cuts as unordered pairs of sides, which fix the tree up
+    to the names of its nodes."""
+    return {frozenset(cut) for cut in bd.cuts()}
+
+
+def test_approx_caterpillar_above_size_limit():
+    """Past EXACT_SIZE_LIMIT elements the tree is the caterpillar over the
+    elements in list order, whose cuts are the list's prefixes, and f is
+    never called."""
+    def f(a):
+        raise AssertionError("f evaluated")
+
+    for k in (EXACT_SIZE_LIMIT + 1, 30):
+        order = random.Random(k).sample(range(2 * k), k)
+        got = BranchDecomposition(*approx_decomposition(f, order))
+        assert split_set(got) == split_set(caterpillar_decomposition(order))
 
 
 def test_exact_evaluates_each_cut_once():
@@ -271,13 +285,13 @@ def test_subset_dp_matches_literal_enumeration(seed):
     assert w == best
 
 
-def test_greedy_never_beats_exact():
+def test_caterpillar_never_beats_exact():
     rng = random.Random(11)
     for _ in range(10):
         g = random_connected_graph(7, rng)
         f = mm_cut_function(g)
         w, _ = exact_branch_width(list(g.vertices), f)
-        assert BranchDecomposition(*greedy_decomposition(f, list(g.vertices))).f_width(f) >= w
+        assert caterpillar_decomposition(layout_order(g)).f_width(f) >= w
 
 
 def test_approx_backends():

@@ -6,18 +6,20 @@ import pytest
 
 from smhc.graph import (Graph, mask_of, cycle_graph, complete_graph, path_graph,
                         petersen_graph)
-from smhc.cuts import mm_value, sm_cut_function
+from smhc.cuts import mm_cut_function, mm_value, sm_cut_function
 from smhc.splitdec import (LiftedContext, SplitDecomposition, split_decompose,
                            lifted_mm_cut_function, lifted_sm_cut_function)
 from smhc import pipeline
-from smhc.branchdec import (BranchDecomposition, EXACT_SIZE_LIMIT, exact_branch_width,
-                            greedy_decomposition)
-from smhc.pipeline import (KTooSmall, heavy_vertices, contract_heavy_edges, element_tots,
-                           prime_decomposition, combine, approx_sm_decomposition)
-from smhc.generators import random_connected_graph
+from smhc.branchdec import BranchDecomposition, EXACT_SIZE_LIMIT, exact_branch_width
+from smhc.pipeline import (KTooSmall, heavy_vertices, heavy_ends, contract_heavy_edges,
+                           element_tots, layout_order, prime_decomposition, combine,
+                           approx_sm_decomposition)
+from smhc.generators import caterpillar_decomposition, grid_graph, random_connected_graph
 from smhc.oracles import brute_sm_width
 from tests.test_solver import random_cograph
+from tests.test_branchdec import split_set
 from tests.test_splitdec import worked_example
+from tests.test_theorems import generalized_petersen
 
 
 def test_heavy_vertices_threshold():
@@ -194,17 +196,20 @@ def paths_13_6():
 def test_mixed_prime_sizes_choose_per_prime():
     """Paths 0..11 and 12..16 joined completely between their ends split
     into primes of 13 and 6 vertices: the small one gets the exact tree,
-    the large one the greedy tree, and the bound is not certified."""
+    the large one the caterpillar over its `layout_order`, and the bound
+    is not certified."""
     g = paths_13_6()
     dec = split_decompose(g)
     assert sorted(p.n for p in dec.primes) == [6, 13]
     for i, p in enumerate(dec.primes):
         ctx = LiftedContext(dec, i)
         assert heavy_vertices(ctx, 1) == 0
-        f = lifted_mm_cut_function(ctx)
-        want = (exact_branch_width(list(p.vertices), f)[1] if p.n <= EXACT_SIZE_LIMIT
-                else greedy_decomposition(f, list(p.vertices)))
-        assert prime_decomposition(ctx, 0) == want
+        got = prime_decomposition(ctx, 0)
+        if p.n <= EXACT_SIZE_LIMIT:
+            assert got == exact_branch_width(list(p.vertices), lifted_mm_cut_function(ctx))[1]
+        else:
+            want = caterpillar_decomposition(layout_order(p))
+            assert split_set(BranchDecomposition(*got)) == split_set(want)
     bd = approx_sm_decomposition(g)
     assert not bd.certified
     assert bd.f_width(sm_cut_function(g)) <= 3
@@ -276,17 +281,17 @@ def test_one_tree_per_graph_or_measured_k(monkeypatch):
     """`approx_sm_decomposition` builds and measures one tree per distinct
     heavy configuration.  K12, a cograph and the 13 + 6 mixed graph are
     accepted unmeasured (n // 2 <= 18k): one tree.  Two random graphs with
-    n = 44 (n // 2 > 18) have their first tree measured and rejected, and
-    k raised to 2, where no heavy pair changes: the same tree is accepted,
-    built and measured once.  On the p = 0.1 graph the rise does change
-    heavy sets, but only heavy vertices without a heavy neighbour turn
-    light, and a prime's table reads only its heavy pairs."""
+    n = 44 and 48 (n // 2 > 18) have their first tree measured and
+    rejected, and k raised to 2, where no heavy pair changes: the same
+    tree is accepted, built and measured once.  On the p = 0.12 graph the
+    rise does change heavy sets, but only heavy vertices without a heavy
+    neighbour turn light, and a prime's table reads only its heavy pairs."""
     builds, measured, ks = _count_trees(monkeypatch)
     for g in (complete_graph(12), random_cograph(14, random.Random(5)), paths_13_6()):
         builds.clear()
         assert approx_sm_decomposition(g) is builds[0] and len(builds) == 1
-    for seed, p in ((3, 0.3), (9, 0.1)):
-        g = random_connected_graph(44, random.Random(seed), p=p)
+    for n, seed, p in ((44, 3, 0.3), (48, 1, 0.12)):
+        g = random_connected_graph(n, random.Random(seed), p=p)
         builds.clear()
         measured.clear()
         ks.clear()
@@ -321,6 +326,63 @@ def test_changing_heavy_set_builds_a_new_tree(monkeypatch):
     approx_sm_decomposition(g)
     assert max(ks) == 2 and len(builds) == 2 and builds == measured
     assert builds[0].to_json() != builds[1].to_json()
+
+
+def test_layout_order_is_cuthill_mckee():
+    """Breadth first from 5, the lowest of the degree-1 vertices 5 and 6;
+    0's unvisited neighbours 1, 2 and 6 go by rising degree (6 has 1, the
+    others 2) and then by id."""
+    g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (2, 4), (3, 5)])
+    assert layout_order(g) == [5, 3, 0, 6, 1, 2, 4]
+    relabeled = Graph(range(10, 17), [(u + 10, v + 10) for u, v in g.edges])
+    assert layout_order(relabeled) == [15, 13, 10, 16, 11, 12, 14]
+
+
+def test_large_prime_tables_evaluate_no_lifted_mm(monkeypatch):
+    """A prime above EXACT_SIZE_LIMIT elements gets its caterpillar with no
+    lifted mm evaluated and no element tot taken.  Its elements reach
+    `approx_decomposition` in `layout_order`, a heavy pair's fresh id at
+    its first-visited end: checked on the 13-vertex prime of the 13 + 6
+    graph, on grid(4, 25) and on the blown-up graph's 41-vertex prime with
+    its heavy pair at k = 1."""
+    def refuse(*args):
+        raise AssertionError("evaluated without need")
+
+    seen = []
+    real = pipeline.approx_decomposition
+    monkeypatch.setattr(pipeline, "approx_decomposition",
+                        lambda f, elements: seen.append(elements) or real(f, elements))
+    monkeypatch.setattr(pipeline, "mm_value", refuse)
+    monkeypatch.setattr(pipeline, "element_tots", refuse)
+    pairs = 0
+    for g in (paths_13_6(), grid_graph(4, 25),
+              blow_up(random_connected_graph(41, random.Random(3), p=0.3), {0: 3, 1: 3})):
+        dec = split_decompose(g)
+        for i, p in enumerate(dec.primes):
+            if p.n <= EXACT_SIZE_LIMIT:
+                continue
+            ctx = LiftedContext(dec, i)
+            heavy = heavy_ends(ctx, 1)
+            elements, merged = contract_heavy_edges(ctx, heavy)
+            seen.clear()
+            BranchDecomposition(*prime_decomposition(ctx, heavy))
+            place = {v: j for j, v in enumerate(layout_order(p))}
+            first = {e: min(place[v] for v in merged.get(e, (e,))) for e in elements}
+            assert seen == [sorted(elements, key=first.__getitem__)]
+            pairs += len(merged)
+    assert pairs == 1
+
+
+def test_sparse_families_get_narrow_trees():
+    """The pipeline's tree on the r x c grid, r = 2..5 and rc > 12, has
+    mm-width at most r; on C13..C40 exactly 2; on GP(n, 2), n = 7..30, at
+    most 6."""
+    cases = [(grid_graph(r, c), range(1, r + 1))
+             for r in range(2, 6) for c in range(2, 26) if r * c > 12]
+    cases += [(cycle_graph(n), (2,)) for n in range(13, 41)]
+    cases += [(generalized_petersen(n, 2), range(1, 7)) for n in range(7, 31)]
+    for g, widths in cases:
+        assert approx_sm_decomposition(g).f_width(mm_cut_function(g)) in widths, g.n
 
 
 def complete_multipartite(*sizes):
