@@ -26,10 +26,12 @@ grid(3, 6)[E2], grid(4, 6)[E2], grid(3, 5)[E2], grid(5, 5)[E2] and
 GP(12, 2)[K2] (E2: two vertices, no edge).
 Each input runs in its own subprocess, with this checkout's `src` first
 on the path, a 2 GB address-space cap (RLIMIT_AS) set in the child and a
-60 s wall limit.  The child decomposes with `approx_sm_decomposition`
+60 s wall limit.  The child parses the row's edge-list text with
+`parse_edge_list`, decomposes with `approx_sm_decomposition`
 (K_{6,6} takes its given tree) and runs `solve_hc`.
 
 Per input the output records the outcome (`ok`, `timeout` or `memory`),
+the time `parse_edge_list` takes on the row's edge-list text (`parse_s`),
 the verdict and whether it was checked (against K_n, `brute_hc` for
 n <= 16, the path-cover reference `tests/test_cograph_reference.cograph_hc`
 for the survey and `Random(11)` cographs, whatever the verdict, the
@@ -169,25 +171,22 @@ def twin_tries(a: int, b: int, fa: dict, fb: dict, cut_a: tuple, cut_b: tuple) -
     edge, else s = 0 (from units - t on); the join tries U = max(|ua -
     ub|, 1) .. min(ua + ub, t) with a cross edge and no full side, the one
     U = ub - ua (a full) or ua - ub (b full), or U = ua + ub without a
-    cross edge, each only if 1 <= U <= t, and none at t < 2 when
-    min(ua + pb, pa + ub) = 0."""
+    cross edge, each only if 1 <= U <= t, and none on a one-vertex home
+    at t < 2."""
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
+    lone = t < 2 and not home & (home - 1)  # `join_twins` keeps nothing
 
     def tallies(side, fam):
-        out = []
-        for d1, d2, _ in fam:
-            p = (d1 & ~d2).bit_count() // 2
-            out.append((p + (side & ~d1).bit_count(), p))
-        return out
+        return [(d1 & ~d2).bit_count() // 2 + (side & ~d1).bit_count() for d1, d2, _ in fam]
 
     loop = join = 0
-    for ua, pa in tallies(a, fa):
-        for ub, pb in tallies(b, fb):
+    for ua in tallies(a, fa):
+        for ub in tallies(b, fb):
             top = 2 * min(ua, ub) if cross else 0
             loop += max(0, top - max(0, ua + ub - t) + 1)
-            if t < 2 and not min(ua + pb, pa + ub):
+            if lone:
                 continue
             if not cross:
                 lo = hi = ua + ub
@@ -221,7 +220,7 @@ def child() -> int:
     from smhc import solver
     from smhc.branchdec import BranchDecomposition
     from smhc.cuts import sm_cut_function
-    from smhc.graph import Graph
+    from smhc.graph import parse_edge_list
     from smhc.pipeline import approx_sm_decomposition
 
     tries = {"twin_joins": 0, "pair_s_tries": 0, "pair_u_tries": 0, "counting_s": 0.0}
@@ -243,7 +242,11 @@ def child() -> int:
     inp = json.load(sys.stdin)
     result: dict = {"outcome": "ok"}
     try:
-        g = Graph(range(inp["n"]), [tuple(e) for e in inp["edges"]])
+        text = "".join([f"{inp['n']} {len(inp['edges'])}\n",
+                        *(f"{u} {v}\n" for u, v in inp["edges"])])
+        start = time.perf_counter()
+        g = parse_edge_list(text)
+        result["parse_s"] = round(time.perf_counter() - start, 4)
         start = time.perf_counter()
         if inp.get("decomposition"):
             bd = BranchDecomposition.from_json(inp["decomposition"])

@@ -43,8 +43,10 @@ inputs have identical verdicts, witnesses, `smhc hc` exit codes and
 output, per-node family sizes (`trace["node_sizes"]`), largest kept
 families per separator size (`trace["max_family_by_k"]`), the members
 before and after each trim on inputs with n <= 10, so on every input of
-`extension-heavy` (`trace["trims"]`, each list sorted) and
-decompositions (`bd.to_json()`), and, on every connected input with
+`extension-heavy` (`trace["trims"]`, each list sorted),
+decompositions (`bd.to_json()`) and their walks (`bd.post_order`, and
+`bd.parent` and `bd.below` as (node, value) lists in their dicts' order),
+and, on every connected input with
 n >= 2, every prime of `split_decompose(g)` (its vertices and
 edges, in order: edge order sets the fresh ids of `contract_heavy_edges`),
 every `dec.tot(i, v)`, every prime's `LiftedContext.weights` and whether
@@ -99,7 +101,7 @@ def run_cli(g, decomposition: dict | None, work: Path) -> list:
 def solve_all(inputs: list[dict], work: Path) -> list[dict]:
     """Verdict, witness, `smhc hc` exit code and output (solved inputs),
     node sizes, largest kept families, the members before and after each
-    trim (n <= 10), decomposition, and the primes (vertices and edges, in
+    trim (n <= 10), decomposition and its walk, and the primes (vertices and edges, in
     order), tots, weights and recompose result of the split decomposition
     of each input, from the `smhc` on the path."""
     from smhc.branchdec import BranchDecomposition
@@ -140,6 +142,8 @@ def solve_all(inputs: list[dict], work: Path) -> list[dict]:
                     "trims": [[a, sorted(before), sorted(after)]
                               for a, before, after in trace.get("trims", [])],
                     "decomposition": bd.to_json() if bd else None,
+                    "walk": [bd.post_order, list(bd.parent.items()),
+                             list(bd.below.items())] if bd else None,
                     "primes": primes,
                     "tots": tots,
                     "weights": weights,
@@ -260,8 +264,8 @@ def main(argv=None) -> int:
                 continue
             differences += 1
             fields = [k for k in ("verdict", "witness", "node_sizes", "max_family_by_k",
-                                  "trims", "decomposition", "primes", "tots", "weights",
-                                  "recompose")
+                                  "trims", "decomposition", "walk", "primes", "tots",
+                                  "weights", "recompose")
                       if old[k] != new[k]]
             if old["cli"] != new["cli"]:  # the exit code, or else only the output
                 fields.insert(2, "exit code" if old["cli"][0] != new["cli"][0] else "hc output")
@@ -285,7 +289,8 @@ def main(argv=None) -> int:
             print(line)
         compared = ("verdicts, witnesses, smhc hc exit codes and output, node_sizes, "
                     "max_family_by_k, trims (before and after), " if inputs[0]["solve"]
-                    else "") + "decompositions, primes, tots, weights and recompose results"
+                    else "") + ("decompositions, walks, primes, tots, weights and "
+                                "recompose results")
         print(f"{workload}: {same}/{len(inputs)} inputs with identical {compared}; "
               f"{minor} differ only in witness, trims or hc output")
     return 1 if differences else 0

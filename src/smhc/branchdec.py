@@ -2,10 +2,10 @@
 
 A decomposition is a subcubic tree plus a bijection from its leaves onto a
 set of elements (vertex ids).  Each tree edge induces a cut of the element
-set; the f-width is the maximum f over those cuts.  Validation walks the
-tree once and keeps that walk: a post-order with each node's parent and
-the element mask below it, from which `cuts` reads every cut and along
-which the solver runs.
+set; the f-width is the maximum f over those cuts.  The constructor
+checks the tree in the one walk that it keeps: a post-order with each
+node's parent and the element mask below it, from which `cuts` reads
+every cut and along which the solver runs.
 
 The exact minimum-width search minimizes over element subsets rather than
 enumerating labeled subcubic trees: every rooted binary merge order
@@ -24,6 +24,8 @@ in the caller's order above it.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .graph import mask_of
 
 EXACT_SIZE_LIMIT = 12
@@ -37,67 +39,86 @@ class BranchDecomposition:
     """Subcubic tree with leaves bijectively mapped to elements."""
 
     def __init__(self, edges: list[tuple[int, int]], leaf_map: dict[int, int]):
-        self.edges = sorted(tuple(sorted(e)) for e in edges)
-        self.leaf_map = dict(leaf_map)
-        nodes = set(self.leaf_map)
-        for u, v in self.edges:
-            nodes.add(u)
-            nodes.add(v)
-        self.nodes = sorted(nodes)
-        self._adj: dict[int, list[int]] = {u: [] for u in self.nodes}
-        for u, v in self.edges:
-            self._adj[u].append(v)
-            self._adj[v].append(u)
-        self.elements = mask_of(self.leaf_map.values())
-        self.validate()
+        """Build and check the tree in one walk, and keep that walk.
 
-    def validate(self) -> None:
-        """Check the tree and record one walk of it.
+        The edges are normalised to u < v and sorted once, and each
+        node's adjacency list is filled in that order.  The checks raise
+        ValueError, in this order: not n - 1 edges for n nodes ("not a
+        tree"), a node reached twice ("a cycle") or never ("disconnected"),
+        a vertex on two leaves, then the first node in id order whose
+        degree does not fit: a leaf above 1, or, on more than two nodes,
+        an inner node other than 3.  `post_order` is rooted at a
+        subdivision of edges[0] = (x, y): it visits x's subtree before
+        y's, and each node's children in adjacency order.  With it go
+        `parent` (None at x and y) and `below`, the element mask under
+        each node.
 
-        `post_order` is rooted at a subdivision of edges[0] = (x, y): it
-        visits x's subtree before y's, and each node's children in `_adj`
-        order.  With it go `parent` (None at x and y) and `below`, the
-        element mask under each node.  A node reached twice (a cycle) or
-        never (a second component) raises.
+        Malformed ids raise what the plain forms raise first: when the
+        normalisation fails (an edge without two ends, or ends that do
+        not compare), the edges are sorted again as
+        `sorted(tuple(sorted(e)) for e in edges)`, and when the node ids
+        do not sort, they are sorted as the set of the leaves and then
+        the edge ends; a TypeError turns into ValueError in `from_json`.
         """
-        n_nodes = len(self.nodes)
-        if len(self.edges) != n_nodes - 1:
+        try:
+            self.edges = es = sorted([(v, u) if v < u else (u, v) for u, v in edges])
+        except (TypeError, ValueError):  # raise what the full sort raises first
+            self.edges = es = sorted(tuple(sorted(e)) for e in edges)
+        self.leaf_map = leaves = dict(leaf_map)
+        adj: dict[int, list[int]] = {u: [] for u in leaves}
+        for u, v in es:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        try:
+            self.nodes = sorted(adj)
+        except TypeError:  # the message names the types in the set's order
+            self.nodes = sorted({*leaves, *(x for e in es for x in e)})
+        self._adj = adj
+        self.elements = mask_of(leaves.values())
+        n_nodes = len(adj)
+        if len(es) != n_nodes - 1:
             raise ValueError("decomposition tree is not a tree")
-        if self.edges:
-            x, y = self.edges[0]
+        if es:
+            x, y = es[0]
             stack = [(x, y), (y, x)]  # y pops first, so its subtree ends last
         else:
             stack = [(self.nodes[0], None)]
         parent: dict[int, int | None] = {}
+        fixed = n_nodes > 2  # whether an inner node needs degree 3
+        bad = False  # a node whose degree does not fit
         while stack:
             node, up = stack.pop()
             if node in parent:
                 raise ValueError("decomposition tree has a cycle")
             parent[node] = up
-            stack.extend((w, node) for w in self._adj[node] if w != up)
-        if len(parent) != n_nodes:
+            nbrs = adj[node]
+            if len(nbrs) > 1 if node in leaves else fixed and len(nbrs) != 3:
+                bad = True
+            for w in nbrs:
+                if w != up:
+                    stack.append((w, node))
+        if n_nodes != len(parent):
             raise ValueError("decomposition tree is disconnected")
-        if self.edges:
+        if es:
             parent[x] = parent[y] = None
+        if len(set(leaves.values())) != len(leaves):
+            raise ValueError("leaf_map is not injective")
+        if bad:
+            for u in self.nodes:
+                deg = len(adj[u])
+                if u in leaves:
+                    if deg > 1:
+                        raise ValueError(f"leaf node {u} has degree {deg}")
+                elif fixed and deg != 3:
+                    raise ValueError(f"internal node {u} has degree {deg}")
         self.post_order = list(parent)[::-1]
         self.parent = parent
         self.below = below = dict.fromkeys(parent, 0)
-        for node in self.post_order:
-            if node in self.leaf_map:
-                below[node] |= 1 << self.leaf_map[node]
-            if parent[node] is not None:
-                below[parent[node]] |= below[node]
-        vals = list(self.leaf_map.values())
-        if len(set(vals)) != len(vals):
-            raise ValueError("leaf_map is not injective")
-        for u in self.nodes:
-            deg = len(self._adj[u])
-            if u in self.leaf_map:
-                if deg > 1:
-                    raise ValueError(f"leaf node {u} has degree {deg}")
-            else:
-                if n_nodes > 2 and deg != 3:
-                    raise ValueError(f"internal node {u} has degree {deg}")
+        for node, v in leaves.items():
+            below[node] = 1 << v
+        for node, up in reversed(parent.items()):  # the post-order
+            if up is not None:
+                below[up] |= below[node]
 
     # -- cuts --------------------------------------------------------------
 
@@ -133,11 +154,13 @@ class BranchDecomposition:
         if (not isinstance(data, dict) or not isinstance(data.get("edges"), list)
                 or not isinstance(data.get("leaf_map"), dict)):
             raise ValueError("decomposition needs 'edges' (list) and 'leaf_map' (object)")
+        edges, leaves = data["edges"], data["leaf_map"]
         try:
-            edges = [tuple(e) for e in data["edges"]]
-            leaf_map = {int(k): v for k, v in data["leaf_map"].items()}
-            if any(isinstance(x, bool) for x in [*data["leaf_map"], *leaf_map.values(),
-                                                 *(x for e in edges for x in e)]):
+            # one pass over the ids for their types; a non-iterable edge raises
+            # here, before any key is converted
+            kinds = set(map(type, chain(chain.from_iterable(edges), leaves, leaves.values())))
+            leaf_map = dict(zip(map(int, leaves), leaves.values()))
+            if bool in kinds:
                 raise ValueError("malformed decomposition: a node id or leaf vertex is a boolean")
             return cls(edges, leaf_map)
         except TypeError as exc:

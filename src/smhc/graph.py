@@ -228,7 +228,13 @@ def petersen_graph() -> Graph:
 # -- edge-list text format -------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the `n m` header plus `u v` lines; `#` comments and blanks ok."""
+    """Parse the `n m` header plus `u v` lines; `#` comments and blanks ok.
+
+    Each edge line is checked once, in order: two fields, both integers in
+    0..n-1.  A self-loop raises only once every line has passed, as
+    `Graph` raises it, so a range error on any line comes first.  The
+    distinct edges, as (u, v) with u < v and sorted, fill the graph through
+    `Graph._fill` with no second check."""
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -244,7 +250,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"vertex count {n} is negative")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(rows) - 1}")
-    edges = []
+    edges = set()
+    loop = None  # the first self-loop, raised once every line is in range
     for row in rows[1:]:
         parts = row.split()
         if len(parts) != 2:
@@ -252,8 +259,15 @@ def parse_edge_list(text: str) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        edges.append((u, v))
-    return Graph(range(n), edges)
+        if u < v:
+            edges.add((u, v))
+        elif v < u:
+            edges.add((v, u))
+        elif loop is None:
+            loop = u
+    if loop is not None:
+        raise ValueError(f"self-loop at vertex {loop}")
+    return Graph.__new__(Graph)._fill(list(range(n)), (1 << n) - 1, sorted(edges))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -432,13 +432,19 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     = 0, so the chain test is U >= 1.  A full side a takes s = 2ua only,
     so U = ub - ua; without a cross edge s = 0, so U = ua + ub; and U <=
     t.  The pairs run in the order of fa, then of fb, each by U falling,
-    and per U the join keeps the first pair that reaches it.  At t < 2 a
-    pair counts only if min(ua + pb, pa + ub) >= 1, exactly when its one
-    unit at U = 1 is a path: a chain through units of both sides is a
-    path, and a unit left unused belongs to a side whose partner has no
-    unit; it is the side's last, a path unless the side has none.  The
-    unit counts enter the family in the order in which the pairs first
-    reach them; the rank basis of a later trim reads families in order.
+    and per U the join keeps the first pair that reaches it.  At t < 2
+    only U = 1 is tried, and with p paths per side the one unit is an
+    isolated vertex exactly when min(ua + pb, pa + ub) = 0: a chain through
+    units of both sides is a path, and a unit left unused belongs to a
+    side whose partner has no unit; it is the side's last, a path unless
+    the side has none.  That minimum is 0 only when one side has no unit
+    and the other's member no path, and the pair reaches U = 1 only if
+    that member has one unit.  A member without a unit has no edge and so
+    no vertex, and a member with one unit and no path is one vertex with
+    no edge, so the home is one vertex.  Hence the one test, before the
+    pairs: a one-vertex home with t < 2 keeps nothing.  The unit counts
+    enter the family in the order in which the pairs first reach them;
+    the rank basis of a later trim reads families in order.
 
     Not a merge of the two sides' unit counts.  With cross edges a pair
     reaches an interval of U, not ua + ub alone: two single vertices
@@ -468,14 +474,14 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
     (_, na, _), (_, nb, _), home = cut_a, cut_b, a | b
     cross, full_a, full_b = bool(na & b), not na & ~home, not nb & ~home
     t = ((na | nb) & ~home).bit_count()
+    if t < 2 and not home & (home - 1):  # its one unit would be isolated
+        return {}
     kept: dict[int, tuple] = {}  # U -> (ta, tb) of the first pair that reaches it
     tallies_b = _tallies(b, fb)
     for ta in _tallies(a, fa):
-        ua, pa, _, _ = ta
+        ua = ta[0]
         for tb in tallies_b:
-            ub, pb, _, _ = tb
-            if t < 2 and not min(ua + pb, pa + ub):  # its one unit would be isolated
-                continue
+            ub = tb[0]
             if not cross:
                 lo = hi = ua + ub
             elif full_a:
@@ -489,7 +495,7 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
                     kept[u] = ta, tb
     w, incident, out = field_width(g), g.incident, {}
     field = (1 << w) - 1
-    for u, ((ua, _, ka, ma), (ub, _, kb, mb)) in kept.items():
+    for u, ((ua, ka, ma), (ub, kb, mb)) in kept.items():
         m, d1, d2, pe = ma | mb, ka[0] | kb[0], ka[1] | kb[1], ka[2] | kb[2]
         s = ua + ub - u
         if s:
@@ -512,13 +518,13 @@ def join_twins(g: Graph, a: int, b: int, fa: Family, fb: Family,
 
 
 def _tallies(side: int, fam: Family) -> list[tuple]:
-    """(u, p, key, mask) of each member of a twin family, in its order:
-    its units u = p + i and its p paths."""
+    """(u, key, mask) of each member of a twin family, in its order: its
+    units u, its paths plus its isolated vertices."""
     out = []
     for key, m in fam.items():
         d1, d2, _ = key
         p = (d1 & ~d2).bit_count() >> 1
-        out.append((p + (side & ~d1).bit_count(), p, key, m))
+        out.append((p + (side & ~d1).bit_count(), key, m))
     return out
 
 

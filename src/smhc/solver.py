@@ -58,7 +58,8 @@ def cut_of(g: Graph, a: int) -> Cut:
     the vertices of a with a neighbour outside a, and the cut is a twin cut
     when a is not all of V and every boundary vertex sees all of N(a).  A
     twin cut is a split (`cuts.is_split`) when both sides have two vertices
-    or more; the twin trim and key need no side size."""
+    or more; the twin trim and key need no side size.  `solve_hc` reads a
+    leaf's cut straight off its vertex's adjacency, the same tuple."""
     return _cut(g, a, a, g.neighborhood(a))
 
 
@@ -218,11 +219,13 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
             trace["node_sizes"].append(size)
             trace["max_family"] = max(trace["max_family"], size)
 
+    adj, leaves, below = g.adj, bd.leaf_map, bd.below
     solved = []  # (home, cut, family) of each finished subtree, left before right
     for node in bd.post_order:
-        home = bd.below[node]
-        if node in bd.leaf_map:
-            cut, fam = cut_of(g, home), dict(LEAF)
+        home = below[node]
+        if node in leaves:  # `cut_of(g, home)`: g is connected with n >= 3, so
+            # the vertex has a neighbour, all of N(home), and home is not V
+            cut, fam = (home, adj[leaves[node]], True), dict(LEAF)
         else:
             (h2, c2, f2), (h1, c1, f1) = solved.pop(), solved.pop()
             cut, fam = join(g, h1, h2, f1, f2, c1, c2, trace)

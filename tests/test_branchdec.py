@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -343,3 +344,210 @@ def test_binary_tree_refuses_improper_split(split):
     building a tree with foreign leaves."""
     with pytest.raises(ValueError, match="not a proper part"):
         _binary_tree(mask_of([0, 1, 2]), split)
+
+
+def reference_walk(edges, leaf_map):
+    """The constructor and `validate` as they were before the tree was built
+    and checked in one walk: the fields the solver and `cuts` read."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    leaf_map = dict(leaf_map)
+    nodes = set(leaf_map)
+    for u, v in edges:
+        nodes.add(u)
+        nodes.add(v)
+    nodes = sorted(nodes)
+    adj = {u: [] for u in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    elements = mask_of(leaf_map.values())
+    n_nodes = len(nodes)
+    if len(edges) != n_nodes - 1:
+        raise ValueError("decomposition tree is not a tree")
+    if edges:
+        x, y = edges[0]
+        stack = [(x, y), (y, x)]
+    else:
+        stack = [(nodes[0], None)]
+    parent = {}
+    while stack:
+        node, up = stack.pop()
+        if node in parent:
+            raise ValueError("decomposition tree has a cycle")
+        parent[node] = up
+        stack.extend((w, node) for w in adj[node] if w != up)
+    if len(parent) != n_nodes:
+        raise ValueError("decomposition tree is disconnected")
+    if edges:
+        parent[x] = parent[y] = None
+    post_order = list(parent)[::-1]
+    below = dict.fromkeys(parent, 0)
+    for node in post_order:
+        if node in leaf_map:
+            below[node] |= 1 << leaf_map[node]
+        if parent[node] is not None:
+            below[parent[node]] |= below[node]
+    vals = list(leaf_map.values())
+    if len(set(vals)) != len(vals):
+        raise ValueError("leaf_map is not injective")
+    for u in nodes:
+        deg = len(adj[u])
+        if u in leaf_map:
+            if deg > 1:
+                raise ValueError(f"leaf node {u} has degree {deg}")
+        elif n_nodes > 2 and deg != 3:
+            raise ValueError(f"internal node {u} has degree {deg}")
+    return {"edges": edges, "nodes": nodes, "elements": elements,
+            "post_order": post_order, "parent": list(parent.items()),
+            "below": list(below.items())}
+
+
+def reference_from_json(data):
+    """`BranchDecomposition.from_json` as it was, onto `reference_walk`."""
+    if (not isinstance(data, dict) or not isinstance(data.get("edges"), list)
+            or not isinstance(data.get("leaf_map"), dict)):
+        raise ValueError("decomposition needs 'edges' (list) and 'leaf_map' (object)")
+    try:
+        edges = [tuple(e) for e in data["edges"]]
+        leaf_map = {int(k): v for k, v in data["leaf_map"].items()}
+        if any(isinstance(x, bool) for x in [*data["leaf_map"], *leaf_map.values(),
+                                             *(x for e in edges for x in e)]):
+            raise ValueError("malformed decomposition: a node id or leaf vertex is a boolean")
+        return reference_walk(edges, leaf_map)
+    except TypeError as exc:
+        raise ValueError(f"malformed decomposition: {exc}") from exc
+
+
+def walk_of(build, *args):
+    """The fields `reference_walk` returns, in their order (dict order
+    included), read off `build(*args)`; or the type and message of what
+    it raises."""
+    try:
+        bd = build(*args)
+    except Exception as exc:  # noqa: BLE001 (the exception is the answer)
+        return type(exc), str(exc)
+    if isinstance(bd, dict):
+        return bd
+    return {"edges": bd.edges, "nodes": bd.nodes, "elements": bd.elements,
+            "post_order": bd.post_order, "parent": list(bd.parent.items()),
+            "below": list(bd.below.items())}
+
+
+def scrambled(bd, rng):
+    """bd's edges in a random order, each end first at random."""
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in bd.edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_walk_matches_reference_on_valid_trees():
+    """Pipeline trees of seeded random graphs with n <= 30, caterpillars
+    and random subcubic shapes, their edges scrambled: the one-walk
+    constructor gives the edges, nodes, elements, post-order, parents and
+    element masks of `reference_walk`, the dicts in the same order."""
+    from tests.test_theorems import random_tree
+
+    rng = random.Random(5001)
+    trees = []
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        g = random_connected_graph(n, rng, p=rng.choice([0.15, 0.3, 0.6]))
+        trees.append(approx_sm_decomposition(g))
+    for k in list(range(1, 8)) + [20, 41]:
+        trees.append(caterpillar_decomposition(rng.sample(range(3 * k), k)))
+        trees.append(random_tree(rng.sample(range(3 * k), k), rng))
+    for bd in trees:
+        edges = scrambled(bd, rng)
+        want = walk_of(reference_walk, edges, bd.leaf_map)
+        assert isinstance(want, dict)
+        assert walk_of(BranchDecomposition, edges, bd.leaf_map) == want
+        assert walk_of(BranchDecomposition.from_json, bd.to_json()) == want
+
+
+def malformed_tables(rng):
+    """Seeded small trees with one to three faults each: an edge dropped,
+    added, doubled, made a self-loop or moved to another end; a leaf
+    dropped, or an inner node made a leaf; a leaf vertex repeated,
+    negative, a float, a string, None or a list; an edge with one or three
+    ends; a node id that is one of those; every edge written with string
+    ids (so only sorting the node ids, strings and the leaves' ints, fails)."""
+    junk = ["a", None, [1], 1.5, -1]
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            bd = caterpillar_decomposition(rng.sample(range(10), k))
+        else:
+            from tests.test_theorems import random_tree
+            bd = random_tree(rng.sample(range(10), k), rng)
+        edges = [list(e) for e in scrambled(bd, rng)]
+        leaf_map = dict(bd.leaf_map)
+        for _ in range(rng.randint(1, 3)):
+            nodes = bd.nodes
+            fault = rng.randrange(11)
+            if fault == 0 and edges:
+                edges.pop(rng.randrange(len(edges)))
+            elif fault == 1:
+                edges.append([rng.choice(nodes), rng.choice(nodes + [50])])
+            elif fault == 2 and edges:
+                edges.append(list(rng.choice(edges)))
+            elif fault == 3:
+                x = rng.choice(nodes)
+                edges.append([x, x])
+            elif fault == 4 and len(leaf_map) > 1:
+                a, b = rng.sample(sorted(leaf_map), 2)
+                leaf_map[a] = leaf_map[b]
+            elif fault == 5:
+                leaf_map[rng.choice(sorted(leaf_map))] = rng.choice(junk)
+            elif fault == 6 and edges:
+                e = rng.choice(edges)
+                if rng.random() < 0.5:
+                    e.pop()
+                else:
+                    e.append(rng.choice(nodes))
+            elif fault == 7 and edges:
+                e = rng.choice(edges)
+                e[rng.randrange(len(e))] = rng.choice(junk)
+            elif fault == 8 and edges:
+                e = rng.choice(edges)
+                e[rng.randrange(len(e))] = rng.choice(nodes)
+            elif fault == 9:
+                node = rng.choice(nodes)
+                if node in leaf_map and len(leaf_map) > 1:
+                    del leaf_map[node]
+                else:
+                    leaf_map[node] = 10 + node
+            elif fault == 10:
+                edges = [[str(x) for x in e] for e in edges]
+        yield edges, leaf_map
+
+
+def test_walk_raises_as_reference_on_malformed_trees():
+    """Every malformed tree the tests use (`BAD_TREES` and the trees of
+    `test_validate_rejects_bad_trees`), every malformed JSON of
+    `tests/test_cli.py::test_hc_malformed_decomposition_exits_two`, and
+    400 seeded trees with one to three faults (`malformed_tables`): the
+    constructor and `from_json` raise the reference's exception type and
+    message, or agree with it where the fault leaves a valid tree."""
+    from tests import test_cli
+
+    k4 = [(u, v) for u in range(10, 14) for v in range(u + 1, 14)]
+    tables = [(edges, leaf_map) for edges, leaf_map, _ in BAD_TREES]
+    tables += [([(0, 1), (2, 3)], {0: 0, 1: 1, 3: 2}),
+               ([(0, 1), (1, 2), (1, 3), (1, 4)], {0: 0, 2: 1, 3: 2, 4: 3}),
+               (k4, {0: 0, 1: 1, 2: 2})]
+    raised = 0
+    for edges, leaf_map in tables + list(malformed_tables(random.Random(5002))):
+        want = walk_of(reference_walk, edges, leaf_map)
+        raised += not isinstance(want, dict)
+        assert walk_of(BranchDecomposition, edges, leaf_map) == want, (edges, leaf_map)
+        data = {"edges": edges, "leaf_map": {str(k): v for k, v in leaf_map.items()}}
+        assert walk_of(BranchDecomposition.from_json, data) == walk_of(reference_from_json, data)
+    assert raised > 300
+    (cli_cases,) = [mark.args[1] for mark in
+                    test_cli.test_hc_malformed_decomposition_exits_two.pytestmark
+                    if mark.name == "parametrize"]
+    assert len(cli_cases) > 10
+    for text in cli_cases:
+        data = json.loads(text)
+        want = walk_of(reference_from_json, data)
+        assert walk_of(BranchDecomposition.from_json, data) == want, text

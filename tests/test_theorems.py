@@ -180,3 +180,21 @@ def test_product_theorems_past_brute_sizes():
         want = product_verdict(g_hamiltonian, g, h)
         assert want is not None
         assert solved(gh, approx_sm_decomposition(gh)) == want
+
+
+def test_one_verdict_on_biconnected_random_graphs():
+    """Seeded biconnected `random_connected_graph` draws at p = 0.1, one
+    per n = 19..30, past `brute_hc`'s sizes and with no cut vertex, so the
+    CLI's cut-vertex answer does not decide them: all four trees of
+    `trees` give one verdict, every witness verified; both verdicts
+    occur."""
+    rng = random.Random(4604)
+    seen = {True: 0, False: 0}
+    for n in range(19, 31):
+        g = random_connected_graph(n, rng, p=0.1)
+        while not g.is_biconnected():
+            g = random_connected_graph(n, rng, p=0.1)
+        verdicts = {solved(g, bd) for bd in trees(g, rng)}
+        assert len(verdicts) == 1, (n, g.edges)
+        seen[verdicts.pop()] += 1
+    assert all(seen.values()), seen
