@@ -223,8 +223,9 @@ def solve_hc(g: Graph, bd: BranchDecomposition, trace: dict | None = None):
     solved = []  # (home, cut, family) of each finished subtree, left before right
     for node in bd.post_order:
         home = below[node]
-        if node in leaves:  # `cut_of(g, home)`: g is connected with n >= 3, so
-            # the vertex has a neighbour, all of N(home), and home is not V
+        if node in leaves:
+            # `cut_of(g, home)`: g is connected with n >= 3, so the vertex
+            # has a neighbour, its adjacency is all of N(home), and home != V
             cut, fam = (home, adj[leaves[node]], True), dict(LEAF)
         else:
             (h2, c2, f2), (h1, c1, f1) = solved.pop(), solved.pop()
